@@ -30,9 +30,12 @@ This module provides the group machinery behind that quotient:
 * **Canonical forms** — :class:`SymmetryGroup.canonicalizer` builds a
   per-consumer :class:`StateCanonicalizer` that maps a ``(labeling,
   [outputs,] countdown)`` state to the lexicographically least element of
-  its orbit (candidates-pruning scan, vectorized when numpy is present),
-  returning the group element achieving it and the orbit size — the data
-  witness lifting and reduction-factor accounting need.
+  its orbit, returning the lowest-index group element achieving it and the
+  orbit size — the data witness lifting and reduction-factor accounting
+  need.  With numpy, every element's permuted code vector is packed into
+  integer keys of at most 53 bits, each key word one exact float64
+  matrix-vector product over the whole group; without it, a plain scan
+  compares the vectors as tuples.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of node ``i``;
 ``compose(p, q)`` is ``p after q``.  A group element acts on a state by
@@ -68,6 +71,11 @@ DEFAULT_VERIFY_BUDGET = 1 << 16
 #: Brute-force automorphism search is attempted up to this many nodes when
 #: no family proposal matches.
 BRUTE_FORCE_MAX_N = 7
+
+#: Canonical-form key words hold at most this many bits: float64 represents
+#: every integer below 2**53 exactly, so a key word and each partial sum of
+#: the product that builds it are exact whatever order BLAS sums in.
+KEY_WORD_BITS = 53
 
 
 # -- permutation primitives --------------------------------------------------
@@ -366,17 +374,31 @@ class StateCanonicalizer:
     """Maps states to the lexicographically least element of their orbit.
 
     States are compared as integer vectors ``countdown + labeling codes
-    [+ output codes]`` — label and output objects are assigned small codes
-    on first sight, so arbitrary (even unorderable) label types get a
-    consistent total order for the duration of one exploration.  The scan
-    keeps the set of group elements still tied for the minimum and prunes
-    it column by column; with numpy, each column is one gather + compare
-    over the surviving candidates.
+    [+ output codes]`` — label and output objects are assigned small,
+    nonnegative codes on first sight, so arbitrary (even unorderable)
+    label types get a consistent total order for the duration of one
+    exploration.
 
-    :meth:`canonical` returns ``(g, ties)``: ``g`` achieves the minimum
-    (``canonical state = g . state``) and ``ties`` counts the elements that
-    do — the stabilizer of the state, so ``group.order // ties`` is the
-    orbit size.
+    :meth:`canonical` returns ``(g, ties)``: ``g`` is the **lowest-index**
+    group element achieving the minimum (``canonical state = g . state``)
+    and ``ties`` counts the elements that do — the stabilizer of the
+    state, so ``group.order // ties`` is the orbit size.  Any minimizer
+    yields the same canonical state, but witness lifting replays the
+    stored elements (``parent_gid``/``edge_gid`` of an exploration) to
+    map quotient edges back onto concrete node sets; fixing the lowest
+    index makes those elements, and hence every lifted witness, a pure
+    function of the state on every route and in every run.
+
+    With numpy, each group element's permuted vector is packed into key
+    words of ``width`` bits per column, earliest column highest, at most
+    :data:`KEY_WORD_BITS` bits per word, so vectors compare in the order
+    of their word tuples.  Word ``w`` of every element at once is the
+    float64 product ``weights[w] @ base``, exact because every key is an
+    integer below ``2**53``.  Word 0 is computed for the whole group and
+    each later word only for the elements still tied.  Keys are compared
+    only within one call, so any width covering the largest code is
+    valid: one weight set is kept and rebuilt only when a code outgrows
+    it.  ``_canonical_py`` is the numpy-free reference.
     """
 
     def __init__(self, group: SymmetryGroup, track_outputs: bool):
@@ -401,9 +423,25 @@ class StateCanonicalizer:
         self._rows = tuple(rows)
         if np is not None:
             self._matrix = np.asarray(rows, dtype=np.int64)
-            self._all = np.arange(group.order)
+            self._width = 0
+            self._weights = None
         else:  # pragma: no cover - numpy present in CI
             self._matrix = None
+
+    def _build_weights(self, width: int) -> None:
+        """One ``(order, length)`` weight matrix per key word, ``width``
+        bits per column: ``weights[w][g, matrix[g, c]]`` is the place
+        value of column ``c`` when ``c`` falls in word ``w``."""
+        matrix = self._matrix
+        order, length = matrix.shape
+        per_word = KEY_WORD_BITS // width
+        columns = np.arange(length)
+        weights = np.zeros((-(-length // per_word), order, length))
+        weights[columns // per_word, np.arange(order)[:, None], matrix] = np.exp2(
+            width * (per_word - 1 - columns % per_word)
+        )
+        self._weights = weights
+        self._width = width
 
     def _encode(self, values, outputs, countdown) -> tuple[int, ...]:
         label_codes = self._label_codes
@@ -432,16 +470,21 @@ class StateCanonicalizer:
         return self._canonical_py(base)
 
     def _canonical_np(self, base: tuple[int, ...]) -> tuple[int, int]:
-        arr = np.asarray(base, dtype=np.int64)
-        matrix = self._matrix
-        candidates = self._all
-        for column in range(len(base)):
-            values = arr[matrix[candidates, column]]
-            best = values.min()
-            candidates = candidates[values == best]
-            if candidates.size == 1:
-                return int(candidates[0]), 1
-        return int(candidates[0]), int(candidates.size)
+        width = max(base).bit_length() or 1
+        if width > self._width:
+            if width > KEY_WORD_BITS:  # a code no key word can hold
+                return self._canonical_py(base)
+            self._build_weights(width)
+        arr = np.asarray(base, dtype=np.float64)
+        weights = self._weights
+        keys = weights[0] @ arr
+        tied = np.flatnonzero(keys == keys.min())
+        for word in weights[1:]:
+            if tied.size == 1:
+                break
+            keys = word[tied] @ arr
+            tied = tied[keys == keys.min()]
+        return int(tied[0]), int(tied.size)
 
     def _canonical_py(self, base: tuple[int, ...]) -> tuple[int, int]:
         best_vec = None

@@ -25,7 +25,9 @@ Two stores ship here:
   store could not guarantee for arbitrary label types.
 
 Both stores count hits and misses (:attr:`ResultCache.stats`); the service
-layer surfaces the counters in job records and shard progress.
+layer surfaces the counters in job records and shard progress.  A stored
+entry that no longer decodes (a garbled or truncated sqlite blob) is served
+as a miss and counted under ``corrupt``; recomputing the case overwrites it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,38 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 
+#: What ``pickle.loads`` raises on garbled or truncated bytes: the
+#: documented errors, plus a mangled string or enum value (``ValueError``),
+#: a mangled callable or its arguments (``TypeError``) and a mangled length
+#: prefix asking for an impossible buffer (``OverflowError``,
+#: ``MemoryError``).
+_UNDECODABLE = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    ValueError,
+    TypeError,
+    OverflowError,
+    MemoryError,
+)
+
+
+class UndecodableEntry(Exception):
+    """Raised by a store's ``_load`` when the stored bytes do not decode."""
+
+
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters, plus the derived hit rate."""
+    """Hit/miss counters, plus the derived hit rate.
+
+    ``corrupt`` counts the misses whose entry was present but undecodable.
+    """
 
     hits: int = 0
     misses: int = 0
+    corrupt: int = 0
 
     @property
     def lookups(self) -> int:
@@ -58,7 +86,7 @@ class CacheStats:
     def describe(self) -> str:
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses},"
-            f" hit_rate={self.hit_rate:.2%})"
+            f" corrupt={self.corrupt}, hit_rate={self.hit_rate:.2%})"
         )
 
 
@@ -69,10 +97,15 @@ class ResultCache(ABC):
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        self._corrupt = 0
 
     @abstractmethod
     def _load(self, key: str):
-        """The stored value for ``key``, or ``None``."""
+        """The stored value for ``key``, or ``None``.
+
+        Raises :class:`UndecodableEntry` when an entry is stored but its
+        bytes no longer decode.
+        """
 
     @abstractmethod
     def _store(self, key: str, value) -> None:
@@ -83,9 +116,17 @@ class ResultCache(ABC):
         """Number of stored entries."""
 
     def get(self, key: str):
-        """The cached result for ``key`` (``None`` on miss), counting."""
+        """The cached result for ``key`` (``None`` on miss), counting.
+
+        An undecodable entry is a miss and is also counted under
+        ``corrupt``; the next :meth:`put` of ``key`` overwrites it.
+        """
         with self._lock:
-            value = self._load(key)
+            try:
+                value = self._load(key)
+            except UndecodableEntry:
+                self._corrupt += 1
+                value = None
             if value is None:
                 self._misses += 1
             else:
@@ -100,7 +141,10 @@ class ResultCache(ABC):
         not a lookup, and must not skew the hit-rate counters.
         """
         with self._lock:
-            return self._load(key) is not None
+            try:
+                return self._load(key) is not None
+            except UndecodableEntry:
+                return False
 
     def put(self, key: str, value) -> None:
         with self._lock:
@@ -109,7 +153,9 @@ class ResultCache(ABC):
     @property
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses)
+            return CacheStats(
+                hits=self._hits, misses=self._misses, corrupt=self._corrupt
+            )
 
     def close(self) -> None:
         """Release any underlying resources (no-op by default)."""
@@ -170,7 +216,10 @@ class SqliteCache(ResultCache):
         ).fetchone()
         if row is None:
             return None
-        return pickle.loads(row[0])
+        try:
+            return pickle.loads(row[0])
+        except _UNDECODABLE as exc:
+            raise UndecodableEntry(key) from exc
 
     def _store(self, key: str, value) -> None:
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)

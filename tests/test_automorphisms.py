@@ -8,6 +8,8 @@ equivalence lives in ``test_quotient.py``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import default_inputs
 from repro.exceptions import ValidationError
@@ -20,6 +22,7 @@ from repro.graphs import (
     edge_permutation,
     protocol_symmetry_group,
     star,
+    symmetry_group_from_generators,
     torus,
     unidirectional_ring,
 )
@@ -178,6 +181,92 @@ class TestStateCanonicalizer:
             assert len(actual) == orbit_size
         # orbits partition the space
         assert sum(len(v) for v in orbits.values()) == len(states)
+
+
+def _torus_shift_group(rows, cols):
+    n = rows * cols
+    down = tuple(((i // cols + 1) % rows) * cols + i % cols for i in range(n))
+    right = tuple((i // cols) * cols + (i % cols + 1) % cols for i in range(n))
+    return symmetry_group_from_generators(torus(rows, cols), [down, right])
+
+
+#: One group per family the quotient meets: symmetric groups on cliques,
+#: cyclic and dihedral groups on rings, and the shift group of a torus.
+_GROUPS = {
+    "S4": SymmetryGroup(clique(4), _full_group(clique(4))),
+    "S5": SymmetryGroup(clique(5), _full_group(clique(5))),
+    "C6": symmetry_group_from_generators(
+        unidirectional_ring(6), [tuple((i + 1) % 6 for i in range(6))]
+    ),
+    "D6": SymmetryGroup(bidirectional_ring(6), _full_group(bidirectional_ring(6))),
+    "Z3xZ4": _torus_shift_group(3, 4),
+}
+
+
+def _base_length(canon):
+    return len(canon._rows[0])
+
+
+@st.composite
+def _bases(draw, length, top=None):
+    """Code vectors of ``length`` with many ties: codes from a small range,
+    sometimes one value repeated (ties = |G|)."""
+    if top is None:
+        top = draw(st.sampled_from((1, 2, 4, 7, 300)))
+    if draw(st.booleans()):
+        return (draw(st.integers(0, top)),) * length
+    return tuple(draw(st.lists(st.integers(0, top), min_size=length, max_size=length)))
+
+
+class TestPackedCanonicalForm:
+    """The numpy kernel packs permuted vectors into exact float64 key
+    words; it must agree with the tuple-comparing reference exactly, in
+    the minimizing element (lowest index) as well as the tie count."""
+
+    def test_group_orders(self):
+        orders = {name: group.order for name, group in _GROUPS.items()}
+        assert orders == {"S4": 24, "S5": 120, "C6": 6, "D6": 12, "Z3xZ4": 12}
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference(self, name, track_outputs, data):
+        canon = _GROUPS[name].canonicalizer(track_outputs)
+        base = data.draw(_bases(_base_length(canon)))
+        assert canon._canonical_np(base) == canon._canonical_py(base)
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    def test_all_equal_states_tie_across_the_group(self, name, track_outputs):
+        group = _GROUPS[name]
+        canon = group.canonicalizer(track_outputs)
+        for code in (0, 1, 5):
+            base = (code,) * _base_length(canon)
+            assert canon._canonical_np(base) == (0, group.order)
+            assert canon._canonical_py(base) == (0, group.order)
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", ["S5", "D6", "Z3xZ4"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_widening_codes_rebuild_the_weights(self, name, track_outputs, data):
+        canon = _GROUPS[name].canonicalizer(track_outputs)
+        length = _base_length(canon)
+        widths = []
+        for top in (0, 1, 3, 12, 200, 70_000):
+            base = data.draw(_bases(length, top=top))
+            base = base[:-1] + (top,)  # the largest code reaches ``top``
+            assert canon._canonical_np(base) == canon._canonical_py(base)
+            widths.append(canon._width)
+        assert widths == [1, 1, 2, 4, 8, 17]
+
+    def test_codes_no_key_word_holds_fall_back_to_the_scan(self):
+        # A countdown of r = 2**60 is a legal, if hopeless, fairness bound.
+        canon = _GROUPS["D6"].canonicalizer(track_outputs=False)
+        base = (2**60,) * 6 + (0, 1) * 6
+        assert canon._canonical_np(base) == canon._canonical_py(base)
+        assert canon._width == 0
 
 
 class TestProtocolSymmetryGroup:

@@ -9,6 +9,8 @@ exactly the one-shot report.
 
 import pickle
 import random
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -113,6 +115,42 @@ class TestCaches:
             assert reopened.get("k") == 42
             # counters are per-connection, contents are not
             assert reopened.stats.hits == 1
+
+    def test_sqlite_undecodable_rows_are_counted_misses(self, tmp_path):
+        protocol = _ring(4)
+        plan = plan_sweep(protocol, _population(protocol, 5), _sync, max_steps=50)
+        path = tmp_path / "cache.db"
+        with SqliteCache(path) as cache:
+            execute_plan(plan, cache=cache)
+        with closing(sqlite3.connect(path)) as raw, raw:
+            rows = raw.execute(
+                "SELECT key, value FROM results ORDER BY key LIMIT 2"
+            ).fetchall()
+            (garbled, blob), (truncated, other) = rows
+            raw.execute(
+                "UPDATE results SET value = ? WHERE key = ?",
+                (bytes(b ^ 0xFF for b in blob), garbled),
+            )
+            raw.execute(
+                "UPDATE results SET value = ? WHERE key = ?",
+                (other[: len(other) // 2], truncated),
+            )
+
+        with SqliteCache(path) as cache:
+            for key in (garbled, truncated):
+                assert cache.get(key) is None
+                assert not cache.contains(key)
+            stats = cache.stats
+            assert (stats.hits, stats.misses, stats.corrupt) == (0, 2, 2)
+            assert "corrupt=2" in stats.describe()
+
+            assert execute_plan(plan, cache=cache) == execute_plan(plan)
+            stats = cache.stats
+            assert (stats.hits, stats.misses, stats.corrupt) == (3, 4, 4)
+            # the re-run recomputed both cases and overwrote their rows
+            assert cache.contains(garbled) and cache.contains(truncated)
+            assert execute_plan(plan, cache=cache) == execute_plan(plan)
+            assert cache.stats.corrupt == 4
 
 
 class TestPlanning:
