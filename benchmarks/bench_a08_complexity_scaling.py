@@ -1,4 +1,4 @@
-"""A8 — complexity-scaling trajectories for the symbolic cost model.
+"""A8 — complexity-scaling trajectories for the cost model's complexity gate.
 
 Where A2/A5 gate throughput *constants*, this bench records the measured
 *scaling ladders* the cost-model gate fits: per-size timings whose fitted
@@ -7,19 +7,17 @@ under (``repro.analysis.costmodel.BENCH_EXPECTATIONS``).  A constant-factor
 slowdown trips A2/A5's 30% threshold; an O(n) → O(n²) slip can *improve*
 the constants while ruining scalability, and only this record catches it.
 
-Two ladders, one per symbolic model symbol the implementation promises
-linearity in:
+Two ladders, one per size the implementation promises linearity in:
 
 * ``test_a08_engine_node_scaling`` — the serial compiled engine on XOR
-  rings of n = 16..128 nodes at a fixed step budget and case count.  The
-  model (``COST_MODELS["engine.compiled"]``: work = C·S·n·d) says time is
-  linear in n; a quadratic fit means some per-step path started touching
-  all-pairs state.
+  rings of n = 16..128 nodes at a fixed step budget and case count.  Every
+  case does S·n·d work (one gather/react/scatter per node activation), so
+  time is linear in n; a quadratic fit means some per-step path started
+  touching all-pairs state.
 * ``test_a08_batch_width_scaling`` — the batch backend at widths
-  B = 2k..16k rows on a fixed 64-node ring.  The model
-  (``COST_MODELS["batch.fused"]``: work = B·S·n·d) says time is linear in
-  B; superlinear growth means the lockstep kernels stopped vectorizing
-  over rows.
+  B = 2k..16k rows on a fixed 64-node ring.  B rows stepped in lockstep do
+  B·S·n·d element work, so time is linear in B; superlinear growth means
+  the lockstep kernels stopped vectorizing over rows.
 
 Each entry carries parallel ``sizes`` / ``times_s`` arrays (via
 ``benchmark.extra``) — exactly the trajectory shape

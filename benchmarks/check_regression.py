@@ -23,12 +23,12 @@ Two further passes ride along:
   have a committed ``BENCH_*.json`` record or an entry in
   :data:`UNRECORDED_EXEMPT` — an unrecorded bench is invisible to every
   other pass, so going unrecorded must be an explicit, reviewed decision.
-* **Complexity** (when sympy is importable): records carrying measured
-  ``sizes`` / ``times_s`` scaling ladders are re-fitted against the
-  symbolic cost model's candidate classes
-  (:mod:`repro.analysis.costmodel`), and a fitted class growing faster
-  than the class the entry shipped under fails — including in ``history``
-  snapshots, so a slow drift cannot hide behind a fresh baseline.
+* **Complexity**: records carrying measured ``sizes`` / ``times_s``
+  scaling ladders are re-fitted against the cost model's candidate
+  classes (:mod:`repro.analysis.costmodel`), and a fitted class growing
+  faster than the class the entry shipped under fails — including in
+  ``history`` snapshots, so a slow drift cannot hide behind a fresh
+  baseline.
 
 Absolute throughput is machine-dependent, so the committed baselines must
 come from the hardware class that runs the gate.  If the gate reds out on
@@ -57,18 +57,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+# Make `repro` importable for the complexity pass without PYTHONPATH=src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.analysis.costmodel import failures_for_record
+
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
-
-# Make `repro` importable for the complexity pass without PYTHONPATH=src.
-SRC = str(REPO_ROOT / "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
-
-try:
-    from repro.analysis.costmodel import failures_for_record
-except ImportError:  # pragma: no cover - sympy is present in CI
-    failures_for_record = None
 
 #: Bench modules allowed to have no committed ``BENCH_*.json`` record.
 #: Every other ``bench_*.py`` must be recorded — an unrecorded bench is
@@ -226,11 +221,10 @@ def main(argv: list[str] | None = None) -> int:
             line = f"{path.name} :: {violation} GATE FAILED"
             print(line)
             failures.append(line)
-        if failures_for_record is not None:
-            for violation in failures_for_record(fresh):
-                line = f"{path.name} :: {violation} COMPLEXITY FAILED"
-                print(line)
-                failures.append(line)
+        for violation in failures_for_record(fresh):
+            line = f"{path.name} :: {violation} COMPLEXITY FAILED"
+            print(line)
+            failures.append(line)
         committed = committed_record(path, args.baseline)
         if committed is None:
             print(f"{path.name}: no committed baseline (new record) — ok")

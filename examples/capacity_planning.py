@@ -1,9 +1,9 @@
 """Price a sweep before running it: the cost model as a capacity planner.
 
-The symbolic cost model (`repro.analysis.costmodel`) prices a sweep from
-its shape alone — node count, in-degree, step budget, case count — in the
-model's *work units* (elementary node activations).  The service layer
-grounds that price in a concrete plan and a concrete cache
+The cost model (`repro.analysis.costmodel`) prices a sweep from its shape
+alone — node count, in-degree, step budget, case count — in the model's
+*work units* (elementary node activations: S·n·d per case).  The service
+layer grounds that price in a concrete plan and a concrete cache
 (`repro.service.predict_plan_cost`), and an `AdmissionPolicy` turns it
 into an enforced budget: over-budget plans are rejected (or held) *before*
 any simulation runs.
@@ -15,8 +15,6 @@ This example walks the full loop:
 3. warm the cache through an unbudgeted service;
 4. resubmit — the same plan, repriced against the warm cache, now fits;
 5. compare the prediction against the measured wall time.
-
-Requires sympy (the ``repro[costmodel]`` extra).
 
 Run:  python examples/capacity_planning.py
 """

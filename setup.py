@@ -19,16 +19,12 @@ setup(
         # Compiled fused-window kernels (repro.core.batch_kernels);
         # kernel="auto" picks them up whenever numba imports.
         "numba": ["numba>=0.57", "numpy>=1.22"],
-        # Symbolic cost model, trajectory fitting, complexity gates,
-        # and cost-model-backed service admission control.
-        "costmodel": ["sympy>=1.11"],
         # Everything the test suite and benchmarks need.
         "test": [
             "pytest",
             "pytest-benchmark",
             "hypothesis",
             "numpy>=1.22",
-            "sympy>=1.11",
         ],
     },
 )

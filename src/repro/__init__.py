@@ -24,8 +24,8 @@ distributed computation and every construction in it:
   adversarial schedules (the operational reading of Section 1.2).
 * ``repro.analysis`` — round/label complexity measurement, reporting, the
   sweep runners (``run_sweep``, ``run_resilience_sweep``: many cases
-  through one compiled protocol), and the symbolic cost model
-  (``repro.analysis.costmodel``, requires the ``costmodel`` extra).
+  through one compiled protocol), and the cost model with its complexity
+  gates (``repro.analysis.costmodel``).
 * ``repro.service`` — the sweep job service: planner/executor split,
   content-addressed result caching, and cost-model-backed admission
   control.

@@ -1,9 +1,8 @@
 """Measurement and reporting toolkit.
 
-The symbolic cost model (:mod:`repro.analysis.costmodel`) needs sympy
-(the ``repro[costmodel]`` extra); its names are re-exported here when
-available and simply absent when not, so the rest of the toolkit imports
-without it.
+The cost model and complexity gates live in :mod:`repro.analysis.costmodel`
+and are imported from there; ``python -m repro.analysis.costmodel`` runs
+the gate.
 """
 
 from repro.analysis.complexity import (
@@ -21,25 +20,7 @@ from repro.analysis.resilience import (
 from repro.analysis.sweeps import CaseResult, SweepCase, SweepReport, run_sweep
 from repro.analysis.tables import print_table, render_table
 
-try:
-    from repro.analysis.costmodel import (
-        COST_MODELS,
-        CostEstimate,
-        TrajectoryFit,
-        estimate_sweep_cost,
-        fit_trajectory,
-    )
-except ImportError:  # pragma: no cover - sympy is present in CI
-    COST_MODELS = None
-    CostEstimate = TrajectoryFit = None
-    estimate_sweep_cost = fit_trajectory = None
-
 __all__ = [
-    "COST_MODELS",
-    "CostEstimate",
-    "TrajectoryFit",
-    "estimate_sweep_cost",
-    "fit_trajectory",
     "CaseResult",
     "FaultCaseResult",
     "RECOVERY_CRITERIA",

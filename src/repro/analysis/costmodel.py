@@ -1,41 +1,30 @@
-"""Symbolic cost model, trajectory fitting, and complexity-class gates.
+"""Per-case work estimates, trajectory fitting, and complexity-class gates.
 
 The paper's guarantees are asymptotic — r-stabilization bounds in the node
 count, the fairness radius, and the label-space size — but a benchmark gate
 that only compares throughput *constants* (``check_regression.py``'s 30%
 threshold) cannot see an implementation slipping from O(n) to O(n²) while
-its constant improves.  This module closes that gap in three layers:
+its constant improves.  This module closes that gap in two layers:
 
-1. **Symbolic cost expressions** (:data:`COST_MODELS`): sympy step/state/
-   work formulas for the three performance layers — the compiled serial
-   engine, the batch backend (packed / fused / numba routes), and the
-   frontier-parallel exploration core with its symmetry quotient —
-   parameterized by the symbols in :data:`SYMBOLS` (node count ``n``,
-   fairness radius ``r``, interned label-space size ``L``, degree ``d``,
-   batch width ``B``, fused window ``k``, quotient reduction ``q``, step
-   budget ``S``, case count ``C``).
-
-2. **Trajectory fitting** (:func:`fit_trajectory`): measured ``(size,
+1. **Trajectory fitting** (:func:`fit_trajectory`): measured ``(size,
    seconds)`` trajectories — the per-scale ladders that benches record into
    their ``BENCH_*.json`` entries and ``history`` snapshots — are regressed
    against the candidate complexity classes in :data:`CANDIDATE_CLASSES`
    (log-space least squares, one multiplicative constant per class) and the
    best-fitting class is reported with its residual.
 
-3. **CI gates** (:func:`check_complexity`, :data:`BENCH_EXPECTATIONS`):
+2. **CI gates** (:func:`check_complexity`, :data:`BENCH_EXPECTATIONS`):
    each registered benchmark entry declares the complexity class it shipped
    under; a fresh record (or any of its history snapshots) whose fitted
    class grows *faster* than the declared one fails the gate — run by
    ``benchmarks/check_regression.py`` and as its own CI step
    (``python -m repro.analysis.costmodel benchmarks``).
 
-The same work expressions double as the service layer's capacity-planning
-input: :func:`estimate_sweep_cost` prices a sweep before it runs (per-case
-work from the model, warm cache hits discounted to a lookup), which
-:mod:`repro.service.admission` turns into admission control.
-
-Requires sympy (install the ``repro[costmodel]`` extra); everything else in
-:mod:`repro.analysis` imports without it.
+The service layer's capacity planning prices a sweep with one per-case
+formula: :func:`estimate_sweep_cost` charges ``S·n·d`` work units (step
+budget × nodes × max in-degree) per uncached case and a lookup per warm
+cache hit, which :mod:`repro.service.admission` turns into admission
+control.
 """
 
 from __future__ import annotations
@@ -43,199 +32,29 @@ from __future__ import annotations
 import argparse
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import sympy
 
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
 
-#: The model's parameter symbols (all positive):
-#: ``n`` nodes, ``r`` fairness radius, ``L`` interned label-space size,
-#: ``d`` max in-degree, ``B`` batch width (rows stepped in lockstep),
-#: ``k`` fused-window length, ``q`` quotient reduction factor,
-#: ``S`` step budget per case, ``C`` case count.
-n, r, L, d, B, k, q, S, C = sympy.symbols(
-    "n r L d B k q S C", positive=True
-)
-
-SYMBOLS: Mapping[str, sympy.Symbol] = {
-    str(symbol): symbol for symbol in (n, r, L, d, B, k, q, S, C)
-}
-
-#: The free variable candidate complexity classes are written in.
-x = sympy.Symbol("x", positive=True)
-
-#: Candidate complexity classes, slowest-growing first.  Fits pick among
-#: these; gates compare positions in this growth order.
-CANDIDATE_CLASSES: Mapping[str, sympy.Expr] = {
-    "constant": sympy.Integer(1),
-    "logarithmic": sympy.log(x),
-    "linear": x,
-    "linearithmic": x * sympy.log(x),
-    "quadratic": x**2,
-    "cubic": x**3,
-    "exponential": 2**x,
+#: Candidate complexity classes, slowest-growing first, as functions of the
+#: trajectory size.  Fits pick among these; gates compare positions in this
+#: growth order.
+CANDIDATE_CLASSES: Mapping[str, Callable[[float], float]] = {
+    "constant": lambda s: 1,
+    "logarithmic": lambda s: math.log(s),
+    "linear": lambda s: s,
+    "linearithmic": lambda s: s * math.log(s),
+    "quadratic": lambda s: s**2,
+    "cubic": lambda s: s**3,
+    "exponential": lambda s: 2**s,
 }
 
 #: Growth order of the candidate classes (index comparisons implement
 #: "class A grows faster than class B").
 CLASS_ORDER: tuple[str, ...] = tuple(CANDIDATE_CLASSES)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """One performance layer's symbolic cost.
-
-    ``work`` counts elementary operations for a whole invocation (node
-    reactions for the engine layers, element ops for the batch layers,
-    state expansions for the exploration layers); ``state`` counts resident
-    memory cells; ``dispatch`` counts Python-level kernel invocations (the
-    fixed-overhead term the fused window divides down).
-    """
-
-    name: str
-    work: sympy.Expr
-    state: sympy.Expr
-    dispatch: sympy.Expr
-    description: str
-
-    def evaluate(self, expr_name: str = "work", **params: float) -> float:
-        """Numeric value of one expression under ``params`` (by symbol
-        name); raises :class:`ValidationError` on missing parameters."""
-        expr = getattr(self, expr_name)
-        subs = {}
-        for name_, symbol in SYMBOLS.items():
-            if name_ in params:
-                subs[symbol] = params[name_]
-        value = expr.subs(subs)
-        if value.free_symbols:
-            missing = sorted(str(s) for s in value.free_symbols)
-            raise ValidationError(
-                f"cost model {self.name!r}.{expr_name} needs parameter(s)"
-                f" {missing}; got {sorted(params)}"
-            )
-        return float(value)
-
-    def complexity_in(self, symbol_name: str, **fixed: float) -> str:
-        """The work expression's growth class in one symbol.
-
-        Other symbols are substituted from ``fixed`` (default 2, so no term
-        degenerates away).  Returns a :data:`CANDIDATE_CLASSES` name, or
-        ``"superpolynomial"`` above every candidate.
-        """
-        return complexity_class(self.work, symbol_name, **fixed)
-
-
-def complexity_class(expr: sympy.Expr, symbol_name: str, **fixed: float) -> str:
-    """Classify ``expr``'s asymptotic growth in one model symbol.
-
-    Every other model symbol is pinned (``fixed`` by name, default 2) and
-    the surviving univariate expression is compared against the candidate
-    classes fastest-first: the first candidate ``g`` with
-    ``lim expr/g`` finite and nonzero names the class.
-    """
-    symbol = SYMBOLS.get(symbol_name)
-    if symbol is None:
-        raise ValidationError(
-            f"unknown model symbol {symbol_name!r};"
-            f" expected one of {sorted(SYMBOLS)}"
-        )
-    subs = {
-        sym: sympy.Float(fixed.get(name_, 2))
-        for name_, sym in SYMBOLS.items()
-        if sym is not symbol
-    }
-    reduced = sympy.simplify(expr.subs(subs))
-    if symbol not in reduced.free_symbols:
-        return "constant"
-    for class_name in reversed(CLASS_ORDER):
-        candidate = CANDIDATE_CLASSES[class_name].subs(x, symbol)
-        ratio = sympy.limit(reduced / candidate, symbol, sympy.oo)
-        if ratio.is_finite and ratio != 0:
-            return class_name
-    return "superpolynomial"
-
-
-#: Symbolic cost models for the repository's performance layers.  The
-#: formulas are leading-order operation counts, not wall-clock predictions;
-#: per-layer constants live in :data:`DEFAULT_SECONDS_PER_UNIT`.
-COST_MODELS: Mapping[str, CostModel] = {
-    model.name: model
-    for model in (
-        CostModel(
-            name="engine.compiled",
-            # One gather(d) -> react -> scatter per active node per step,
-            # for every case.
-            work=C * S * n * d,
-            state=n * d + L,
-            dispatch=C * S * n,
-            description=(
-                "Compiled serial engine (repro.core.compiled): flat-tuple"
-                " gather/react/scatter, one Python call per node activation."
-            ),
-        ),
-        CostModel(
-            name="batch.packed",
-            # Whole (B, m) code rows per step: the element work matches the
-            # serial engine, but each step costs O(n) numpy dispatches, not
-            # O(B n) Python calls.  Lookup tables enumerate each node's
-            # incoming-code combos once.
-            work=B * S * n * d,
-            state=B * n * d + n * L**d,
-            dispatch=S * n,
-            description=(
-                "Vectorized batch backend (repro.core.batch): per-node"
-                " lookup tables over packed label codes, B configurations"
-                " in lockstep."
-            ),
-        ),
-        CostModel(
-            name="batch.fused",
-            # k steps per kernel invocation over a resident (k+1, B, m)
-            # stack: element work unchanged, dispatch divided by the window.
-            work=B * S * n * d,
-            state=k * B * n * d + n * L**d,
-            dispatch=S * n / k,
-            description=(
-                "Fused k-step windows (and the numba route, which shares"
-                " this shape at a smaller constant): change flags fall out"
-                " of the fill, dispatch amortized over the window."
-            ),
-        ),
-        CostModel(
-            name="exploration.frontier",
-            # Worst case: every reachable (labeling, countdown) state — at
-            # most L^(n d) labelings times r countdown phases — expanded
-            # once per valid activation set (at most 2^n - 1), each
-            # expansion stepping n nodes of degree d.
-            work=r * L ** (n * d) * (2**n - 1) * n * d,
-            state=r * L ** (n * d) * n,
-            dispatch=r * L ** (n * d),
-            description=(
-                "Frontier-parallel Theorem 3.1 states-graph"
-                " (repro.stabilization.exploration): level-synchronous BFS"
-                " over (labeling, countdown) states; the state budget caps"
-                " the realized count far below this bound on most gadgets."
-            ),
-        ),
-        CostModel(
-            name="exploration.quotient",
-            # The symmetry quotient divides stored and expanded states by
-            # the measured reduction factor q (orbit-size weighted).
-            work=r * L ** (n * d) * (2**n - 1) * n * d / q,
-            state=r * L ** (n * d) * n / q,
-            dispatch=r * L ** (n * d) / q,
-            description=(
-                "Exploration under a verified symmetry quotient"
-                " (repro.graphs.automorphisms): canonical states only,"
-                " concrete witnesses lifted through group elements."
-            ),
-        ),
-    )
-}
 
 
 # --------------------------------------------------------------------------
@@ -247,11 +66,6 @@ MIN_FIT_POINTS = 3
 #: Log-space RMSE above which no candidate class is considered a fit
 #: (0.35 in natural log space is roughly a 40% multiplicative deviation).
 MISFIT_RMSE = 0.35
-
-_CLASS_FNS = {
-    name_: sympy.lambdify(x, expr, "math")
-    for name_, expr in CANDIDATE_CLASSES.items()
-}
 
 
 @dataclass(frozen=True)
@@ -277,16 +91,6 @@ class TrajectoryFit:
         """True when even the best class misses the data badly."""
         return self.rmse > MISFIT_RMSE
 
-    @property
-    def margin(self) -> float:
-        """Gap between the best and second-best class (log-space RMSE)."""
-        others = [
-            value
-            for name_, value in self.residuals.items()
-            if name_ != self.best
-        ]
-        return min(others) - self.rmse if others else math.inf
-
     def regresses(self, accepted: Sequence[str]) -> bool:
         """True when the fitted class grows faster than every accepted one."""
         ceiling = max(CLASS_ORDER.index(name_) for name_ in accepted)
@@ -311,15 +115,15 @@ def fit_trajectory(
     ``c`` minimizing ``Σ (log t_i − log(c·g(s_i)))²`` has the closed form
     ``log c = mean(log t_i − log g(s_i))``; the class with the smallest
     log-space RMSE wins.  Requires at least :data:`MIN_FIT_POINTS` distinct
-    sizes and strictly positive data.
+    sizes and finite, strictly positive data.
     """
     if len(sizes) != len(times):
         raise ValidationError(
             f"trajectory sizes and times differ in length:"
             f" {len(sizes)} vs {len(times)}"
         )
-    if any(size <= 0 for size in sizes) or any(time <= 0 for time in times):
-        raise ValidationError("trajectory sizes and times must be positive")
+    if not all(0 < value < math.inf for value in (*sizes, *times)):
+        raise ValidationError("trajectory sizes and times must be positive and finite")
     if len(set(sizes)) < MIN_FIT_POINTS:
         raise ValidationError(
             f"need at least {MIN_FIT_POINTS} distinct sizes to classify a"
@@ -337,7 +141,7 @@ def fit_trajectory(
     residuals: dict[str, float] = {}
     coefficients: dict[str, float] = {}
     for name_ in names:
-        fn = _CLASS_FNS[name_]
+        fn = CANDIDATE_CLASSES[name_]
         try:
             log_class = [math.log(fn(size)) for size in sizes]
         except ValueError:
@@ -445,8 +249,9 @@ def check_complexity(
     The record's latest ``entries`` **and** every ``history`` snapshot are
     fitted independently (snapshots without the trajectory fields — e.g.
     runs that predate the ladder — are skipped); any fitted class that
-    grows faster than the spec's accepted set, or that no candidate class
-    fits at all, is a violation.  Returns human-readable failure lines
+    grows faster than the spec's accepted set, that no candidate class
+    fits at all, or a ladder that cannot be fitted (a zero, negative or
+    non-finite value) is a violation.  Returns human-readable failure lines
     (empty when the gate holds).
     """
     failures = []
@@ -455,7 +260,7 @@ def check_complexity(
         for i, snapshot in enumerate(record.get("history", []))
         if isinstance(snapshot, dict)
     ]
-    fitted_any = False
+    found_any = False
     for label, snapshot in snapshots:
         entry = (snapshot.get("entries") or {}).get(spec.entry)
         if not isinstance(entry, dict):
@@ -463,8 +268,12 @@ def check_complexity(
         trajectory = _trajectory_from_entry(entry, spec)
         if trajectory is None:
             continue
-        fit = fit_trajectory(*trajectory)
-        fitted_any = True
+        found_any = True
+        try:
+            fit = fit_trajectory(*trajectory)
+        except ValidationError as error:
+            failures.append(f"{spec.entry} ({label}): {error}")
+            continue
         if fit.misfit:
             failures.append(
                 f"{spec.entry} ({label}): no candidate class fits the"
@@ -477,7 +286,7 @@ def check_complexity(
                 f" (log-RMSE {fit.rmse:.3f}) regresses the declared class"
                 f" {spec.expected!r} (accepted: {', '.join(spec.accepted)})"
             )
-    if not fitted_any:
+    if not found_any:
         failures.append(
             f"{spec.entry}: record carries no fittable"
             f" {spec.sizes_field}/{spec.times_field} trajectory"
@@ -504,18 +313,16 @@ def failures_for_record(record: Mapping) -> list[str]:
 # Capacity planning
 # --------------------------------------------------------------------------
 
-#: Seconds per work unit (one node activation's worth of elementary work),
-#: anchored to the committed BENCH records: the serial engine sustains
-#: ~2.7M node activations/s (BENCH_a02: 41.5k steps/s × 64 nodes) and the
-#: batch routes ~20–130M element ops/s (BENCH_a05: ~2.1M row-steps/s × 64
-#: nodes at 10^5 rows).  Constants, deliberately coarse — admission budgets
-#: should be set in work units or with generous headroom in seconds.
+#: Seconds per work unit (one node activation's worth of elementary work)
+#: for the layer an estimate prices at, anchored to the committed BENCH
+#: records: the serial engine sustains ~2.7M node activations/s (BENCH_a02:
+#: 41.5k steps/s × 64 nodes) and the batch routes ~20–130M element ops/s
+#: (BENCH_a05: ~2.1M row-steps/s × 64 nodes at 10^5 rows).  Constants,
+#: deliberately coarse — admission budgets should be set in work units or
+#: with generous headroom in seconds.
 DEFAULT_SECONDS_PER_UNIT: Mapping[str, float] = {
     "engine.compiled": 4e-7,
-    "batch.packed": 2e-8,
     "batch.fused": 1e-8,
-    "exploration.frontier": 4e-7,
-    "exploration.quotient": 4e-7,
 }
 
 #: Work units charged for serving one case from the result cache (one
@@ -527,7 +334,7 @@ DEFAULT_CACHE_HIT_WORK = 50.0
 class CostEstimate:
     """Predicted cost of a sweep under one :class:`ExecutionPolicy`.
 
-    ``unit_work`` is the model's per-uncached-case work;
+    ``unit_work`` is the per-uncached-case work;
     ``predicted_work`` discounts warm cases to ``cache_hit_work``;
     ``cold_work`` is the no-cache figure (what the same sweep would cost
     against an empty store).  ``predicted_seconds`` applies the layer's
@@ -544,7 +351,6 @@ class CostEstimate:
     cold_work: float
     predicted_seconds: float
     layer: str
-    params: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def cache_discount(self) -> float:
@@ -571,17 +377,17 @@ def estimate_sweep_cost(
     max_steps: int,
     policy: ExecutionPolicy | None = None,
     cached_cases: int = 0,
-    cache_hit_work: float = DEFAULT_CACHE_HIT_WORK,
-    seconds_per_unit: Mapping[str, float] | None = None,
 ) -> CostEstimate:
-    """Price a sweep from the symbolic model, before running anything.
+    """Price a sweep before running anything.
 
-    The layer follows the policy's executor (``"batch"`` →
-    :data:`COST_MODELS` ``"batch.fused"``, else ``"engine.compiled"``);
-    per-case work is the layer's work expression at batch width 1 with the
-    step budget as ``S`` — an upper bound, since runs that stabilize early
-    stop early.  ``cached_cases`` of the total are discounted to
-    ``cache_hit_work`` each.
+    Per-case work is ``S·n·d``: one gather/react/scatter per node
+    activation, with the step budget as ``S``, ``n`` nodes and the maximum
+    in-degree ``d`` (at least 1) — an upper bound, since runs that
+    stabilize early stop early.  Every layer does this much element work;
+    the layer only picks the rate in :data:`DEFAULT_SECONDS_PER_UNIT`, and
+    follows the policy's executor (``"batch"`` → ``"batch.fused"``, else
+    ``"engine.compiled"``).  ``cached_cases`` of the total are discounted
+    to :data:`DEFAULT_CACHE_HIT_WORK` each.
     """
     if cases < 0 or cached_cases < 0 or cached_cases > cases:
         raise ValidationError(
@@ -589,33 +395,22 @@ def estimate_sweep_cost(
         )
     policy = policy or ExecutionPolicy()
     layer = "batch.fused" if policy.executor == "batch" else "engine.compiled"
-    model = COST_MODELS[layer]
-    params = {
-        "n": float(nodes),
-        "d": float(max(degree, 1)),
-        "S": float(max_steps),
-        "C": 1.0,
-        "B": 1.0,
-        "k": 64.0,
-    }
-    unit_work = model.evaluate("work", **params)
+    unit_work = float(max_steps) * nodes * max(degree, 1)
     uncached = cases - cached_cases
-    predicted_work = uncached * unit_work + cached_cases * cache_hit_work
+    predicted_work = uncached * unit_work + cached_cases * DEFAULT_CACHE_HIT_WORK
     cold_work = cases * unit_work
-    rates = seconds_per_unit or DEFAULT_SECONDS_PER_UNIT
     span = max(policy.processes or 1, 1)
-    predicted_seconds = predicted_work * rates[layer] / span
+    predicted_seconds = predicted_work * DEFAULT_SECONDS_PER_UNIT[layer] / span
     return CostEstimate(
         cases=cases,
         cached_cases=cached_cases,
         uncached_cases=uncached,
         unit_work=unit_work,
-        cache_hit_work=cache_hit_work,
+        cache_hit_work=DEFAULT_CACHE_HIT_WORK,
         predicted_work=predicted_work,
         cold_work=cold_work,
         predicted_seconds=predicted_seconds,
         layer=layer,
-        params=params,
     )
 
 
@@ -661,20 +456,11 @@ def check_bench_dir(bench_dir: Path) -> tuple[list[str], int]:
     return failures, checked
 
 
-def print_symbol_table() -> None:
-    """The symbolic model table (the ARCHITECTURE.md symbol table's source)."""
-    print("symbols:", ", ".join(SYMBOLS))
-    for model in COST_MODELS.values():
-        print(f"\n{model.name}:")
-        print(f"  work     = {model.work}")
-        print(f"  state    = {model.state}")
-        print(f"  dispatch = {model.dispatch}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fit committed BENCH_*.json trajectories against the"
-        " symbolic cost model and fail on complexity-class regression."
+        " candidate complexity classes and fail on complexity-class"
+        " regression."
     )
     parser.add_argument(
         "bench_dir",
@@ -682,15 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         default="benchmarks",
         help="directory holding BENCH_*.json records (default: benchmarks)",
     )
-    parser.add_argument(
-        "--symbols",
-        action="store_true",
-        help="print the symbolic cost-model table and exit",
-    )
     args = parser.parse_args(argv)
-    if args.symbols:
-        print_symbol_table()
-        return 0
     failures, checked = check_bench_dir(Path(args.bench_dir))
     if failures:
         print(

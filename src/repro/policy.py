@@ -10,7 +10,7 @@ accepted everywhere (:func:`repro.analysis.run_sweep`,
 :func:`repro.analysis.run_resilience_sweep`, :func:`repro.service.plan_sweep`,
 :func:`repro.service.execute_plan`, :meth:`repro.service.SweepService.submit`,
 :class:`repro.stabilization.ExplorationGraph`) — and, just as importantly, it
-is the input domain of the symbolic cost model
+is the input domain of the cost model
 (:mod:`repro.analysis.costmodel`): estimation, planning, admission control,
 and execution all describe *how a computation runs* with the same object.
 

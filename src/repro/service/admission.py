@@ -1,6 +1,6 @@
 """Admission control for the sweep service: predict, then decide.
 
-The service's cost loop closes here.  The symbolic cost model
+The service's cost loop closes here.  The cost model
 (:mod:`repro.analysis.costmodel`) prices a sweep before it runs;
 :func:`predict_plan_cost` grounds that price in a concrete
 :class:`~repro.service.plan.SweepPlan` — node count and degree from the
@@ -25,16 +25,14 @@ recorded numbers alone.
 Budgets can be set in *work units* (the model's elementary-operation
 counts; robust across machines) or *seconds* (via the model's coarse
 per-layer calibration constants; convenient but machine-dependent — leave
-headroom).  This module imports without sympy; only
-:func:`predict_plan_cost` reaches into :mod:`repro.analysis.costmodel`,
-so a service without an admission policy never needs the ``costmodel``
-extra.
+headroom).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.costmodel import estimate_sweep_cost
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
 from repro.service.plan import SweepPlan
@@ -179,8 +177,6 @@ def predict_plan_cost(
     defaults to the plan's own attached policy, then the library default.
     Returns a :class:`~repro.analysis.costmodel.CostEstimate`.
     """
-    from repro.analysis.costmodel import estimate_sweep_cost
-
     cached = 0
     if cache is not None and len(plan):
         cached = sum(

@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-pytest.importorskip("sympy")
-
 from repro.analysis import run_sweep
 from repro.analysis.costmodel import (
     DEFAULT_CACHE_HIT_WORK,

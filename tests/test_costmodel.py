@@ -1,31 +1,31 @@
-"""Tests for the symbolic cost model and its complexity gates.
+"""Tests for the cost model and its complexity gates.
 
 Trajectory fitting (synthetic trajectories of known class land in that
-class; garbage is flagged as a misfit), symbolic classification of the
-model expressions, the benchmark-record gate (an injected complexity-class
-regression in a fixture trajectory fails the check while the committed
-records pass), and capacity-planning estimates with warm-cache discounts.
+class; garbage is flagged as a misfit; zero, NaN and inf are refused), the
+benchmark-record gate (an injected complexity-class regression in a fixture
+trajectory fails the check while the committed records pass; an unfittable
+ladder is one located failure), capacity-planning estimates with warm-cache
+discounts, and that the package and the gate's CLI import plain Python only.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-
-pytest.importorskip("sympy")
 
 from repro.analysis.costmodel import (
     BENCH_EXPECTATIONS,
     CANDIDATE_CLASSES,
     CLASS_ORDER,
-    COST_MODELS,
     DEFAULT_CACHE_HIT_WORK,
     MIN_FIT_POINTS,
     ComplexitySpec,
     check_bench_dir,
     check_complexity,
-    complexity_class,
     estimate_sweep_cost,
     failures_for_record,
     fit_trajectory,
@@ -34,18 +34,15 @@ from repro.analysis.costmodel import (
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO_ROOT / "benchmarks"
 
 SIZES = [16.0, 32.0, 64.0, 128.0, 256.0]
 
 
 def _trajectory(class_name, coefficient=1e-4, noise=1.0):
     """Synthetic (sizes, times) of a known class, optionally perturbed."""
-    import sympy
-
-    from repro.analysis.costmodel import x
-
-    fn = sympy.lambdify(x, CANDIDATE_CLASSES[class_name], "math")
+    fn = CANDIDATE_CLASSES[class_name]
     return SIZES, [coefficient * fn(size) * noise for size in SIZES]
 
 
@@ -111,6 +108,11 @@ class TestFitTrajectory:
             fit_trajectory([1.0, 2.0], [1.0])
         with pytest.raises(ValidationError, match="positive"):
             fit_trajectory([4.0, 8.0, 16.0], [1.0, -1.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                fit_trajectory([4.0, 8.0, 16.0], [1.0, bad, 1.0])
+            with pytest.raises(ValidationError, match="positive and finite"):
+                fit_trajectory([4.0, bad, 16.0], [1.0, 2.0, 4.0])
         with pytest.raises(ValidationError, match="distinct sizes"):
             fit_trajectory([4.0, 4.0, 4.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValidationError, match="unknown complexity"):
@@ -120,45 +122,6 @@ class TestFitTrajectory:
 class TestSymbolicModels:
     def test_class_order_matches_candidates(self):
         assert set(CLASS_ORDER) == set(CANDIDATE_CLASSES)
-
-    def test_engine_work_is_linear_in_every_size_symbol(self):
-        model = COST_MODELS["engine.compiled"]
-        for symbol in ("n", "d", "S", "C"):
-            assert model.complexity_in(symbol) == "linear"
-
-    def test_fused_dispatch_shrinks_with_the_window(self):
-        fused = COST_MODELS["batch.fused"]
-        packed = COST_MODELS["batch.packed"]
-        params = dict(n=64, d=1, S=100, B=4096, k=64, C=1)
-        assert fused.evaluate("dispatch", **params) < packed.evaluate(
-            "dispatch", **params
-        )
-        # same element work either way
-        assert fused.evaluate("work", **params) == packed.evaluate(
-            "work", **params
-        )
-
-    def test_exploration_is_superpolynomial_in_n(self):
-        work = COST_MODELS["exploration.frontier"].work
-        assert complexity_class(work, "n") == "superpolynomial"
-        # ... but linear in the fairness radius
-        assert complexity_class(work, "r") == "linear"
-
-    def test_quotient_divides_the_frontier_cost(self):
-        frontier = COST_MODELS["exploration.frontier"]
-        quotient = COST_MODELS["exploration.quotient"]
-        params = dict(n=4, d=3, r=3, L=2, q=24.0)
-        assert quotient.evaluate("work", **params) == pytest.approx(
-            frontier.evaluate("work", **params) / 24.0
-        )
-
-    def test_missing_parameters_are_reported(self):
-        with pytest.raises(ValidationError, match="needs parameter"):
-            COST_MODELS["engine.compiled"].evaluate("work", n=4)
-
-    def test_unknown_symbol_is_reported(self):
-        with pytest.raises(ValidationError, match="unknown model symbol"):
-            complexity_class(COST_MODELS["engine.compiled"].work, "z")
 
 
 def _fixture_record(engine_times, width_times, history=()):
@@ -247,6 +210,24 @@ class TestBenchRecordGate:
         assert len(failures) == 1
         assert "no candidate class fits" in failures[0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_unfittable_ladder_is_one_located_failure(self, bad):
+        # A NaN RMSE is neither a misfit nor a regression, so a NaN or inf
+        # must be refused, and a refusal must not escape the gate.
+        width = [self.linear[0], bad, *self.linear[2:]]
+        failures = failures_for_record(_fixture_record(self.linear, width))
+        assert len(failures) == 1
+        assert failures[0].startswith("test_a08_batch_width_scaling (latest):")
+        assert "positive and finite" in failures[0]
+
+    def test_unfittable_history_snapshot_is_located(self):
+        zero = [0.0, *self.linear[1:]]
+        history = [(self.linear, self.linear), (zero, self.linear)]
+        record = _fixture_record(self.linear, self.linear, history=history)
+        failures = failures_for_record(record)
+        assert len(failures) == 1
+        assert failures[0].startswith("test_a08_engine_node_scaling (history[1]):")
+
     def test_unregistered_records_pass(self):
         assert failures_for_record({"bench": "bench_a99", "entries": {}}) == []
 
@@ -292,17 +273,17 @@ class TestCli:
     def test_committed_records_exit_zero(self, capsys):
         assert costmodel_main([str(BENCH_DIR)]) == 0
 
+    def test_unfittable_record_exits_nonzero(self, tmp_path, capsys):
+        _, linear = _trajectory("linear")
+        self._write(tmp_path, _fixture_record(linear, [0.0, *linear[1:]]))
+        assert costmodel_main([str(tmp_path)]) == 1
+        assert "COMPLEXITY GATE FAILED" in capsys.readouterr().out
+
     def test_check_bench_dir_reports_unreadable_json(self, tmp_path):
         (tmp_path / "BENCH_bad.json").write_text("{nope")
         failures, checked = check_bench_dir(tmp_path)
         assert checked == 0
         assert failures and "unreadable" in failures[0]
-
-    def test_symbols_flag(self, capsys):
-        assert costmodel_main(["--symbols"]) == 0
-        out = capsys.readouterr().out
-        assert "engine.compiled" in out
-        assert "work" in out
 
 
 class TestEstimateSweepCost:
@@ -378,10 +359,41 @@ class TestEstimateSweepCost:
             )
 
 
-def test_estimate_matches_symbolic_model_evaluation():
-    """The estimator and the raw model agree on per-case work."""
-    model = COST_MODELS["engine.compiled"]
-    direct = model.evaluate("work", n=32, d=3, S=500, C=1, B=1, k=64)
-    estimate = estimate_sweep_cost(cases=1, nodes=32, degree=3, max_steps=500)
-    assert estimate.unit_work == pytest.approx(direct)
-    assert math.isfinite(estimate.predicted_seconds)
+def _python(*args):
+    """Run a fresh interpreter on this checkout's ``src`` from the repo root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestPlainImports:
+    def test_package_imports_do_not_load_sympy(self):
+        result = _python(
+            "-c",
+            "import sys, repro, repro.analysis, repro.service,"
+            " repro.analysis.costmodel; print('sympy' in sys.modules)",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_gate_cli_runs_the_module_once(self):
+        # Importing repro.analysis must not import the costmodel module, or
+        # `python -m` executes it twice and runpy warns.
+        result = _python(
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.analysis.costmodel",
+            "benchmarks",
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "within their declared classes" in result.stdout
