@@ -10,7 +10,7 @@ reproduced verbatim below as the baseline).
 The second kernel demonstrates the new capacity headroom: the K_6 / r=4
 graph (27,634 states, ~819k edges) took ~14s to materialize with the seed
 implementation — far past any interactive or CI time budget — and completes
-in ~1.4s on the interned core, which makes a previously untouchable
+in ~0.5s on the interned core, which makes a previously untouchable
 clique/r configuration a routine exhaustive check.
 """
 

@@ -87,7 +87,7 @@ def identity_permutation(n: int) -> tuple[int, ...]:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """``p`` after ``q``: ``compose(p, q)[i] == p[q[i]]``."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:
@@ -105,12 +105,10 @@ def edge_permutation(
     ``None`` means ``perm`` is *not* an automorphism: some edge's image is
     not an edge.  Injectivity is automatic (``perm`` is a bijection).
     """
-    positions = []
-    for u, v in topology.edges:
-        image = (perm[u], perm[v])
-        if not topology.has_edge(*image):
-            return None
-        positions.append(topology.edge_position(image))
+    position = topology.edge_index.get
+    positions = [position((perm[u], perm[v])) for u, v in topology.edges]
+    if None in positions:
+        return None
     return tuple(positions)
 
 
@@ -347,18 +345,15 @@ class SymmetryGroup:
         return count
 
     def apply_nodes(self, g: int, nodes: Iterable[int]) -> frozenset[int]:
-        perm = self.node_perms[g]
-        return frozenset(perm[i] for i in nodes)
+        return frozenset(map(self.node_perms[g].__getitem__, nodes))
 
     def apply_labeling(self, g: int, values: Sequence[Any]) -> tuple:
         """``(g . l)[e] = l[ep^-1[e]]`` over canonical edge positions."""
-        epinv = self.edge_inverses[g]
-        return tuple(values[epinv[e]] for e in range(len(epinv)))
+        return tuple(map(values.__getitem__, self.edge_inverses[g]))
 
     def apply_per_node(self, g: int, vector: Sequence[Any]) -> tuple:
         """Per-node vectors (countdowns, outputs): ``(g . c)[i] = c[p^-1[i]]``."""
-        pinv = self.node_inverses[g]
-        return tuple(vector[pinv[i]] for i in range(len(pinv)))
+        return tuple(map(vector.__getitem__, self.node_inverses[g]))
 
     def canonicalizer(self, track_outputs: bool) -> "StateCanonicalizer":
         return StateCanonicalizer(self, track_outputs)
@@ -390,15 +385,20 @@ class StateCanonicalizer:
     function of the state on every route and in every run.
 
     With numpy, each group element's permuted vector is packed into key
-    words of ``width`` bits per column, earliest column highest, at most
-    :data:`KEY_WORD_BITS` bits per word, so vectors compare in the order
-    of their word tuples.  Word ``w`` of every element at once is the
-    float64 product ``weights[w] @ base``, exact because every key is an
-    integer below ``2**53``.  Word 0 is computed for the whole group and
-    each later word only for the elements still tied.  Keys are compared
-    only within one call, so any width covering the largest code is
-    valid: one weight set is kept and rebuilt only when a code outgrows
-    it.  ``_canonical_py`` is the numpy-free reference.
+    words, earliest column highest, at most :data:`KEY_WORD_BITS` bits
+    per word, so vectors compare in the order of their word tuples.  A
+    group element maps countdown columns to countdown columns, label
+    columns to label columns and output columns to output columns, so
+    each of those classes is packed at its own width: K_6 at r = 4 packs
+    6 countdown columns at 3 bits and 30 label columns at 1 bit into one
+    48-bit word.  Columns fill words greedily in order.  Word ``w`` of
+    every element at once is the float64 product ``weights[w] @ base``,
+    exact because every key is an integer below ``2**53``.  Word 0 is
+    computed for the whole group and each later word only for the
+    elements still tied.  Keys are compared only within one call, so any
+    widths covering each class's largest code are valid: one weight set
+    is kept and rebuilt only when a class's code outgrows its width.
+    ``_canonical_py`` is the numpy-free reference.
     """
 
     def __init__(self, group: SymmetryGroup, track_outputs: bool):
@@ -412,55 +412,71 @@ class StateCanonicalizer:
         self._output_codes: dict[Any, int] = {}
         # Column source maps: canonical_vec[c] = base_vec[cols[g][c]].
         rows = []
-        for g in range(group.order):
-            pinv = group.node_inverses[g]
-            epinv = group.edge_inverses[g]
-            row = list(pinv)
-            row.extend(n + e for e in epinv)
+        for pinv, epinv in zip(group.node_inverses, group.edge_inverses, strict=True):
+            row = [*pinv, *map(n.__add__, epinv)]
             if track_outputs:
-                row.extend(n + m + i for i in pinv)
+                row.extend(map((n + m).__add__, pinv))
             rows.append(tuple(row))
         self._rows = tuple(rows)
+        #: Column counts of the countdown, label [and output] classes.
+        self._class_sizes = (n, m, n) if track_outputs else (n, m)
         if np is not None:
             self._matrix = np.asarray(rows, dtype=np.int64)
-            self._width = 0
+            self._widths = (0,) * len(self._class_sizes)
             self._weights = None
         else:  # pragma: no cover - numpy present in CI
             self._matrix = None
 
-    def _build_weights(self, width: int) -> None:
-        """One ``(order, length)`` weight matrix per key word, ``width``
-        bits per column: ``weights[w][g, matrix[g, c]]`` is the place
-        value of column ``c`` when ``c`` falls in word ``w``."""
+    def _build_weights(self, widths: tuple[int, ...]) -> None:
+        """One ``(order, length)`` weight matrix per key word, ``widths``
+        bits per column of each class: ``weights[w][g, matrix[g, c]]`` is
+        the place value of column ``c`` when ``c`` falls in word ``w``."""
         matrix = self._matrix
         order, length = matrix.shape
-        per_word = KEY_WORD_BITS // width
-        columns = np.arange(length)
-        weights = np.zeros((-(-length // per_word), order, length))
-        weights[columns // per_word, np.arange(order)[:, None], matrix] = np.exp2(
-            width * (per_word - 1 - columns % per_word)
+        column_widths = [
+            width
+            for width, count in zip(widths, self._class_sizes, strict=True)
+            for _ in range(count)
+        ]
+        words = []
+        ends = []
+        word_bits = [0]
+        for width in column_widths:
+            if word_bits[-1] + width > KEY_WORD_BITS:
+                word_bits.append(0)
+            word_bits[-1] += width
+            words.append(len(word_bits) - 1)
+            ends.append(word_bits[-1])
+        shifts = [word_bits[w] - end for w, end in zip(words, ends, strict=True)]
+        weights = np.zeros((len(word_bits), order, length))
+        weights[np.asarray(words), np.arange(order)[:, None], matrix] = np.exp2(
+            shifts
         )
-        self._weights = weights
-        self._width = width
+        self._weights = tuple(weights)
+        self._widths = widths
 
     def _encode(self, values, outputs, countdown) -> tuple[int, ...]:
-        label_codes = self._label_codes
-        base = list(countdown)
-        for value in values:
-            code = label_codes.get(value)
-            if code is None:
-                code = len(label_codes)
-                label_codes[value] = code
-            base.append(code)
+        codes = list(map(self._label_codes.get, values))
+        if None in codes:
+            codes = self._assign(self._label_codes, values)
+        base = [*countdown, *codes]
         if self.track_outputs:
-            output_codes = self._output_codes
-            for value in outputs:
-                code = output_codes.get(value)
-                if code is None:
-                    code = len(output_codes)
-                    output_codes[value] = code
-                base.append(code)
+            codes = list(map(self._output_codes.get, outputs))
+            if None in codes:
+                codes = self._assign(self._output_codes, outputs)
+            base.extend(codes)
         return tuple(base)
+
+    @staticmethod
+    def _assign(table: dict, values) -> list[int]:
+        """Codes of ``values``, numbering unseen ones in order of sight."""
+        codes = []
+        for value in values:
+            code = table.get(value)
+            if code is None:
+                code = table[value] = len(table)
+            codes.append(code)
+        return codes
 
     def canonical(self, values, outputs, countdown) -> tuple[int, int]:
         """The minimizing group element and the number of ties."""
@@ -470,16 +486,26 @@ class StateCanonicalizer:
         return self._canonical_py(base)
 
     def _canonical_np(self, base: tuple[int, ...]) -> tuple[int, int]:
-        width = max(base).bit_length() or 1
-        if width > self._width:
-            if width > KEY_WORD_BITS:  # a code no key word can hold
+        n, m = self._n, self._m
+        needed = [
+            max(base[:n]).bit_length() or 1,
+            max(base[n : n + m], default=0).bit_length() or 1,
+        ]
+        if self.track_outputs:
+            needed.append(max(base[n + m :]).bit_length() or 1)
+        widths = tuple(map(max, needed, self._widths))
+        if widths != self._widths:
+            if max(widths) > KEY_WORD_BITS:  # a code no key word can hold
                 return self._canonical_py(base)
-            self._build_weights(width)
+            self._build_weights(widths)
         arr = np.asarray(base, dtype=np.float64)
-        weights = self._weights
-        keys = weights[0] @ arr
-        tied = np.flatnonzero(keys == keys.min())
-        for word in weights[1:]:
+        words = self._weights
+        keys = words[0] @ arr
+        best = keys.argmin()
+        if len(words) == 1:
+            return int(best), int(np.count_nonzero(keys == keys[best]))
+        tied = np.flatnonzero(keys == keys[best])
+        for word in words[1:]:
             if tied.size == 1:
                 break
             keys = word[tied] @ arr

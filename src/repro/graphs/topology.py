@@ -10,7 +10,8 @@ Nodes are ``0 .. n-1`` (the paper's 1-based node ``i`` is node ``i-1`` here).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from repro.core.reaction import Edge
 from repro.exceptions import ValidationError
@@ -65,6 +66,11 @@ class Topology:
     @property
     def nodes(self) -> range:
         return range(self._n)
+
+    @property
+    def edge_index(self) -> Mapping[Edge, int]:
+        """Read-only ``(u, v) -> canonical position`` table of all edges."""
+        return MappingProxyType(self._edge_index)
 
     def edge_position(self, edge: Edge) -> int:
         """Index of ``edge`` in the canonical order."""

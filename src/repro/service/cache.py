@@ -25,9 +25,10 @@ Two stores ship here:
   store could not guarantee for arbitrary label types.
 
 Both stores count hits and misses (:attr:`ResultCache.stats`); the service
-layer surfaces the counters in job records and shard progress.  A stored
-entry that no longer decodes (a garbled or truncated sqlite blob) is served
-as a miss and counted under ``corrupt``; recomputing the case overwrites it.
+layer surfaces the counters in job records and shard progress.  Each sqlite
+blob carries a CRC-32 of its pickle, so a garbled or truncated entry — even
+one that would still unpickle, to a wrong value — is served as a miss and
+counted under ``corrupt``; recomputing the case overwrites it.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ from __future__ import annotations
 import pickle
 import sqlite3
 import threading
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 
 #: What ``pickle.loads`` raises on garbled or truncated bytes: the
 #: documented errors, plus a mangled string or enum value (``ValueError``),
-#: a mangled callable or its arguments (``TypeError``) and a mangled length
-#: prefix asking for an impossible buffer (``OverflowError``,
-#: ``MemoryError``).
+#: a mangled callable or its arguments, or a non-blob value
+#: (``TypeError``) and a mangled length prefix asking for an impossible
+#: buffer (``OverflowError``, ``MemoryError``).
 _UNDECODABLE = (
     pickle.UnpicklingError,
     EOFError,
@@ -189,13 +191,19 @@ class InMemoryCache(ResultCache):
         return f"InMemoryCache(entries={len(self._entries)})"
 
 
+#: Bytes of the big-endian CRC-32 that prefixes every sqlite blob.
+_CHECKSUM_BYTES = 4
+
+
 class SqliteCache(ResultCache):
-    """A one-file sqlite store with pickled result blobs.
+    """A one-file sqlite store with checksummed, pickled result blobs.
 
     ``path`` may be a filesystem path or ``":memory:"``.  The connection is
     shared across threads behind the cache's lock (sqlite's own
     same-thread check is disabled); writes commit immediately so a crashed
-    job loses at most the entry being written.
+    job loses at most the entry being written.  A blob is the CRC-32 of
+    the pickle followed by the pickle; rows that fail the check, written
+    before the checksum existed included, read as undecodable.
     """
 
     def __init__(self, path):
@@ -216,13 +224,19 @@ class SqliteCache(ResultCache):
         ).fetchone()
         if row is None:
             return None
+        blob = row[0]
         try:
-            return pickle.loads(row[0])
+            payload = memoryview(blob)[_CHECKSUM_BYTES:]
+            checksum = zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
+            if blob[:_CHECKSUM_BYTES] != checksum:
+                raise UndecodableEntry(key)
+            return pickle.loads(payload)
         except _UNDECODABLE as exc:
             raise UndecodableEntry(key) from exc
 
     def _store(self, key: str, value) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big") + payload
         with self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO results (key, value) VALUES (?, ?)",

@@ -19,8 +19,9 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
 
 * **Interned components.**  Labeling value-tuples, output tuples, countdown
   vectors, and activation sets are each interned to small integer ids on
-  first sight, so a state is a triple of ints and every visited-set lookup
-  hashes three machine words instead of re-hashing ``O(m + n)`` tuples.
+  first sight, so a state is a triple of ints; visited-set lookups go
+  through a per-payload table keyed by countdown id, so an edge costs two
+  int-keyed dict lookups instead of re-hashing ``O(m + n)`` tuples.
 * **Packed edge and parent arrays.**  Successor lists and BFS-tree parent
   links live in flat append-only arrays (``array.array`` in RAM, numpy
   memmaps under ``spill_dir``) instead of one Python list-of-tuples per
@@ -36,13 +37,13 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   depend only on ``(labeling, [outputs,] T)`` — not on the countdown — so
   states that share a labeling reuse one evaluation per activation set.
 * **Frontier-parallel expansion** (``frontier="auto"``).  The BFS runs
-  level-synchronously; before expanding a level it collects every uncached
-  ``(labeling, outputs, T)`` transition the level needs, groups them by
-  activation set, and evaluates each group as one ``(B, m)`` packed-code
-  kernel call through the batch backend
-  (:meth:`repro.core.batch.BatchSimulator.step_codes`).  Results are
-  staged and *interned in the serial scan order*, so state indices, parent
-  links, successor arrays — and everything built on them — stay
+  level-synchronously; before expanding a level it groups the level by
+  payload ``(labeling, outputs)``, collects every uncached ``(payload,
+  T)`` transition once, buckets them by activation set, and evaluates each
+  bucket as one ``(B, m)`` packed-code kernel call through the batch
+  backend (:meth:`repro.core.batch.BatchSimulator.step_codes`).  Results
+  are staged and *interned in the serial scan order*, so state indices,
+  parent links, successor arrays — and everything built on them — stay
   bit-identical to the serial expansion.
 * **Symmetry quotient** (``symmetry="auto"``).  When a verified symmetry
   group is available (:func:`repro.graphs.automorphisms
@@ -216,40 +217,51 @@ class ExplorationStats:
         return record
 
 
-class _Vec:
-    """Append-only packed int vector.
+def _store(typecode: str, spill: str | None, name: str):
+    """An append-only packed int store: a plain ``array.array`` in RAM, a
+    memmap-backed :class:`_Vec` under a spill directory."""
+    if spill is None:
+        return array(typecode)
+    return _Vec(typecode, spill, name)
 
-    ``array.array`` in RAM; a capacity-doubling numpy memmap when a spill
-    directory is given, so edge/parent stores can outgrow RAM.
+
+class _Vec:
+    """Append-only packed int vector on a capacity-doubling numpy memmap.
+
+    The ``spill_dir`` store, so edge/parent arrays can outgrow RAM.  It
+    offers what consumers use of the in-RAM ``array.array`` stores:
+    ``append``, ``extend``, ``len`` and indexing (slices give lists).
     """
 
     __slots__ = ("_data", "_len", "_path")
 
     _DTYPES = {"q": "int64", "i": "int32", "B": "uint8"}
 
-    def __init__(self, typecode: str, spill_dir: str | None = None, name: str = "vec"):
+    def __init__(self, typecode: str, spill_dir: str, name: str):
         self._len = 0
-        if spill_dir is None:
-            self._path = None
-            self._data = array(typecode)
-        else:
-            self._path = os.path.join(spill_dir, f"{name}.dat")
-            self._data = np.memmap(
-                self._path, dtype=np.dtype(self._DTYPES[typecode]),
-                mode="w+", shape=(1024,),
-            )
+        self._path = os.path.join(spill_dir, f"{name}.dat")
+        self._data = np.memmap(
+            self._path, dtype=np.dtype(self._DTYPES[typecode]),
+            mode="w+", shape=(1024,),
+        )
 
     def append(self, value: int) -> None:
-        if self._path is None:
-            self._data.append(value)
-        else:
-            if self._len >= self._data.shape[0]:
-                self._grow()
-            self._data[self._len] = value
+        if self._len >= self._data.shape[0]:
+            self._grow(self._len + 1)
+        self._data[self._len] = value
         self._len += 1
 
-    def _grow(self) -> None:
+    def extend(self, values: Sequence[int]) -> None:
+        end = self._len + len(values)
+        if end > self._data.shape[0]:
+            self._grow(end)
+        self._data[self._len : end] = values
+        self._len = end
+
+    def _grow(self, needed: int) -> None:
         capacity = self._data.shape[0] * 2
+        while capacity < needed:
+            capacity *= 2
         dtype = self._data.dtype
         self._data.flush()
         del self._data
@@ -260,7 +272,9 @@ class _Vec:
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, k: int) -> int:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self._data[: self._len][k].tolist()
         if k < 0:
             k += self._len
         if not 0 <= k < self._len:
@@ -468,35 +482,37 @@ class ExplorationGraph:
 
         #: state index -> (labeling id, output id, countdown id).
         self.state_keys: list[tuple[int, int, int]] = []
-        self._index: dict[tuple[int, int, int], int] = {}
+        # Payload (labeling id, output id) -> its state table: countdown
+        # id -> state index, plus the payload itself under ``None``.
+        # Transition rows point straight at their successor's table, so an
+        # edge costs two int-keyed lookups and no key tuple.
+        self._index: dict[tuple[int, int], dict] = {}
         #: Packed edge store: edges of state k occupy the contiguous range
         #: ``edge_offsets[k]:edge_offsets[k+1]`` of edge_dst (successor
         #: index) and edge_sid (activation-set id); quotient graphs add
         #: edge_gid (group element mapping the raw successor to its
         #: canonical form) and edge_flags (bit 0: labeling changed, bit 1:
         #: outputs changed — computed before canonicalization).
-        self.edge_offsets = _Vec("q", spill, "edge_offsets")
-        self.edge_dst = _Vec("q", spill, "edge_dst")
-        self.edge_sid = _Vec("i", spill, "edge_sid")
-        self.edge_gid = _Vec("i", spill, "edge_gid") if group else None
-        self.edge_flags = _Vec("B", spill, "edge_flags") if group else None
+        self.edge_offsets = _store("q", spill, "edge_offsets")
+        self.edge_dst = _store("q", spill, "edge_dst")
+        self.edge_sid = _store("i", spill, "edge_sid")
+        self.edge_gid = _store("i", spill, "edge_gid") if group else None
+        self.edge_flags = _store("B", spill, "edge_flags") if group else None
         #: Packed parent store: BFS-tree link of state k (or -1 for roots).
         #: Quotient graphs use parent_gid for the edge's group element —
         #: and, on roots, for the element mapping the concrete initial
         #: state to its canonical form.
-        self.parent_idx = _Vec("q", spill, "parent_idx")
-        self.parent_sid = _Vec("i", spill, "parent_sid")
-        self.parent_gid = _Vec("i", spill, "parent_gid") if group else None
-        self._orbit_sizes = _Vec("q", spill, "orbit_sizes") if group else None
+        self.parent_idx = _store("q", spill, "parent_idx")
+        self.parent_sid = _store("i", spill, "parent_sid")
+        self.parent_gid = _store("i", spill, "parent_gid") if group else None
+        self._orbit_sizes = _store("q", spill, "orbit_sizes") if group else None
         self.edge_offsets.append(0)
 
         self.initial_indices: list[int] = []
         self._initial_labeling_at: dict[int, Labeling] = {}
 
-        # Per-countdown moves and counters.
-        self._moves_by_cid: dict[
-            int, tuple[tuple[frozenset[int], int, int], ...]
-        ] = {}
+        # Per-countdown moves (see _moves) and counters.
+        self._moves_by_cid: dict[int, tuple] = {}
         self._stats_counters = {
             "transition_hits": 0,
             "transition_misses": 0,
@@ -511,20 +527,18 @@ class ExplorationGraph:
         self._covered = 0
         self._frontier_mode = "serial"
 
-        # (labeling id, output id, activation-set id) -> successor.
-        # Countdown-independent, so all states sharing a labeling reuse one
-        # evaluation per set.  Plain mode stores (labeling id, output id);
-        # quotient mode stores (raw labeling id, raw output id, labeling
-        # changed, outputs changed) over separate raw pools.
-        self._transitions: dict[tuple[int, int, int], tuple] = {}
+        # (labeling id, output id) -> {activation-set id -> successor}.
+        # Countdown-independent, so all states sharing a payload reuse one
+        # evaluation per set.  Plain mode stores the successor payload's
+        # state table; quotient mode stores (changed flags, canonical row,
+        # raw labeling, raw outputs), the flags as in edge_flags.
+        self._transitions: dict[tuple[int, int], dict[int, tuple]] = {}
         if group is not None:
-            self._raw_labels: list[tuple] = []
-            self._raw_label_ids: dict[tuple, int] = {}
-            self._raw_outs: list[tuple] = [none_outputs]
-            self._raw_out_ids: dict[tuple, int] = {none_outputs: 0}
-            # (raw labeling id, raw output id, raw countdown id) ->
-            # (canonical lid, oid, cid, group element, orbit size).
-            self._canon_cache: dict[tuple[int, int, int], tuple] = {}
+            # Canonical rows, one per raw successor payload (raw labeling,
+            # raw outputs or None): raw countdown id -> (canonical payload's
+            # state table, canonical countdown id, group element, orbit
+            # size).
+            self._canon_rows: dict[tuple, dict[int, tuple]] = {}
 
         self._explore(initial_labelings, budget, name)
 
@@ -574,40 +588,52 @@ class ExplorationGraph:
         return oid
 
     def _moves(self, cid: int):
-        """(activation set, set id, successor countdown id) for a countdown.
+        """``(sets, set ids, successor countdown ids)`` for a countdown.
 
-        The activation-set enumeration comes from the shared module-wide
-        cache; the countdown arithmetic is r-specific, so it lives here.
+        Three parallel sequences over the countdown's valid activation
+        sets; the set ids are an ``array`` so a state's ``edge_sid`` block
+        is one ``extend``.  The activation-set enumeration comes from the
+        shared module-wide cache; the countdown arithmetic is r-specific,
+        so it lives here.  Built once per countdown (a miss of the
+        activation counters); callers read ``_moves_by_cid`` first.
         """
-        cached = self._moves_by_cid.get(cid)
-        if cached is not None:
-            self._stats_counters["activation_hits"] += 1
-            return cached
         self._stats_counters["activation_misses"] += 1
         countdown = self._countdowns[cid]
-        n = self.n
         r = self.r
         set_ids = self._set_ids
         sets = self._sets
-        entries = []
-        for t in _cached_activation_sets(countdown, n):
+        decremented = [c - 1 for c in countdown]
+        activation_sets = _cached_activation_sets(countdown, self.n)
+        sids = array("i")
+        next_cids = []
+        for t in activation_sets:
             tid = set_ids.get(t)
             if tid is None:
                 tid = len(sets)
                 set_ids[t] = tid
                 sets.append(t)
-            next_countdown = tuple(
-                r if i in t else countdown[i] - 1 for i in range(n)
-            )
-            entries.append((t, tid, self._intern_countdown(next_countdown)))
-        cached = tuple(entries)
-        self._moves_by_cid[cid] = cached
-        return cached
+            sids.append(tid)
+            next_countdown = decremented.copy()
+            for i in t:
+                next_countdown[i] = r
+            next_cids.append(self._intern_countdown(tuple(next_countdown)))
+        moves = (activation_sets, sids, tuple(next_cids))
+        self._moves_by_cid[cid] = moves
+        return moves
 
-    def _add_state(self, key, pred: int, sid: int, gid: int, orbit: int) -> int:
+    def _states_at(self, lid: int, oid: int) -> dict:
+        """The state table of payload ``(lid, oid)``, created on first sight."""
+        table = self._index.get((lid, oid))
+        if table is None:
+            table = self._index[(lid, oid)] = {None: (lid, oid)}
+        return table
+
+    def _add_state(
+        self, table: dict, cid: int, pred: int, sid: int, gid: int, orbit: int
+    ) -> int:
         k = len(self.state_keys)
-        self._index[key] = k
-        self.state_keys.append(key)
+        table[cid] = k
+        self.state_keys.append((*table[None], cid))
         self.parent_idx.append(pred)
         self.parent_sid.append(sid)
         if self._group is not None:
@@ -647,7 +673,6 @@ class ExplorationGraph:
     def _explore(self, initial_labelings, budget: int, name: str) -> None:
         group = self._group
         counters = self._stats_counters
-        index = self._index
 
         start_cid = self._intern_countdown((self.r,) * self.n)
         frontier: list[int] = []
@@ -657,11 +682,14 @@ class ExplorationGraph:
                 values, gid, orbit = self._canonical_root(values, start_cid)
             else:
                 gid, orbit = 0, 1
-            lid = self._intern_label(values)
-            key = (lid, 0, start_cid)
-            if key in index:
+            table = self._states_at(self._intern_label(values), 0)
+            if start_cid in table:
                 continue
-            k = self._add_state(key, -1, -1, gid, orbit)
+            if len(self.state_keys) >= budget:
+                raise SearchBudgetExceeded(
+                    f"{name} exceeded budget of {budget} states"
+                )
+            k = self._add_state(table, start_cid, -1, -1, gid, orbit)
             self.initial_indices.append(k)
             self._initial_labeling_at[k] = labeling
             frontier.append(k)
@@ -672,156 +700,174 @@ class ExplorationGraph:
                 counters["peak_frontier"], len(frontier)
             )
             pending = self._stage_level(frontier)
-            next_frontier: list[int] = []
-            for k in frontier:
-                expand(k, pending, next_frontier, budget, name)
-            frontier = next_frontier
+            frontier = expand(frontier, pending, budget, name)
 
-    def _expand(self, k, pending, next_frontier, budget, name) -> None:
-        """Expand one concrete state: the historical serial scan, with
-        staged batch results consumed at the same scan positions."""
-        counters = self._stats_counters
-        state_keys = self.state_keys
-        index = self._index
-        transitions = self._transitions
-        track_outputs = self.track_outputs
+    def _step(self, lid: int, oid: int, t, pending) -> tuple:
+        """The raw successor payload of one uncached transition: staged by
+        the batch pass, or stepped through the compiled protocol."""
+        staged = pending.pop((lid, oid, t), None) if pending else None
+        if staged is not None:
+            return staged
         step = self._compiled.step_values
-        inputs_t = self.inputs
+        if self.track_outputs:
+            return step(self._labels[lid], self._outs[oid], t, self.inputs)
+        new_values, _ = step(self._labels[lid], None, t, self.inputs)
+        return new_values, None
+
+    def _expand(self, frontier, pending, budget, name) -> list[int]:
+        """Expand one level of concrete states: the historical serial
+        scan, with staged batch results consumed at the same scan
+        positions.  Returns the next level."""
+        state_keys = self.state_keys
+        transitions = self._transitions
+        moves_by_cid = self._moves_by_cid
+        track_outputs = self.track_outputs
+        edge_offsets = self.edge_offsets
         edge_dst = self.edge_dst
         edge_sid = self.edge_sid
-
-        lid, oid, cid = state_keys[k]
-        for (t, tid, next_cid) in self._moves(cid):
-            tkey = (lid, oid, tid)
-            nxt = transitions.get(tkey)
-            if nxt is None:
-                counters["transition_misses"] += 1
-                staged = pending.pop((lid, oid, t), None) if pending else None
-                if staged is not None:
-                    new_values, new_outputs = staged
-                elif track_outputs:
-                    new_values, new_outputs = step(
-                        self._labels[lid], self._outs[oid], t, inputs_t
-                    )
-                else:
-                    new_values, _ = step(self._labels[lid], None, t, inputs_t)
-                    new_outputs = None
-                noid = self._intern_out(new_outputs) if track_outputs else 0
-                nlid = self._intern_label(new_values)
-                nxt = (nlid, noid)
-                transitions[tkey] = nxt
+        next_frontier: list[int] = []
+        lookups = misses = activation_hits = 0
+        for k in frontier:
+            lid, oid, cid = state_keys[k]
+            moves = moves_by_cid.get(cid)
+            if moves is None:
+                moves = self._moves(cid)
             else:
-                counters["transition_hits"] += 1
-            nkey = (nxt[0], nxt[1], next_cid)
-            j = index.get(nkey)
-            if j is None:
-                if len(state_keys) >= budget:
-                    raise SearchBudgetExceeded(
-                        f"{name} exceeded budget of {budget} states"
+                activation_hits += 1
+            sets, sids, next_cids = moves
+            row = transitions.get((lid, oid))
+            if row is None:
+                row = transitions[(lid, oid)] = {}
+            successors = []
+            for t, tid, next_cid in zip(sets, sids, next_cids):
+                table = row.get(tid)
+                if table is None:
+                    misses += 1
+                    new_values, new_outputs = self._step(lid, oid, t, pending)
+                    noid = self._intern_out(new_outputs) if track_outputs else 0
+                    table = row[tid] = self._states_at(
+                        self._intern_label(new_values), noid
                     )
-                j = self._add_state(nkey, k, tid, 0, 1)
-                next_frontier.append(j)
-            edge_dst.append(j)
-            edge_sid.append(tid)
-        self.edge_offsets.append(len(edge_dst))
+                j = table.get(next_cid)
+                if j is None:
+                    if len(state_keys) >= budget:
+                        raise SearchBudgetExceeded(
+                            f"{name} exceeded budget of {budget} states"
+                        )
+                    j = self._add_state(table, next_cid, k, tid, 0, 1)
+                    next_frontier.append(j)
+                successors.append(j)
+            edge_dst.extend(successors)
+            edge_sid.extend(sids)
+            edge_offsets.append(len(edge_dst))
+            lookups += len(sids)
+        self._count_level(lookups, misses, activation_hits)
+        return next_frontier
 
-    def _expand_quotient(self, k, pending, next_frontier, budget, name) -> None:
-        """Expand one canonical state, canonicalizing every raw successor.
+    def _expand_quotient(self, frontier, pending, budget, name) -> list[int]:
+        """Expand one level of canonical states, canonicalizing every raw
+        successor.  Returns the next level.
 
         The changed-labeling/changed-output flags compare the raw successor
         against the (canonical) source state *before* canonicalization —
         ``canon(u) == s`` does not imply ``u == s``, and the flags are what
         the model checker's changing-edge scan relies on.
         """
-        counters = self._stats_counters
         group = self._group
+        canonical = self._canonicalizer.canonical
         state_keys = self.state_keys
-        index = self._index
         transitions = self._transitions
+        canon_rows = self._canon_rows
+        moves_by_cid = self._moves_by_cid
+        countdowns = self._countdowns
         track_outputs = self.track_outputs
-        step = self._compiled.step_values
-        inputs_t = self.inputs
-
-        lid, oid, cid = state_keys[k]
-        for (t, tid, next_cid) in self._moves(cid):
-            tkey = (lid, oid, tid)
-            entry = transitions.get(tkey)
-            if entry is None:
-                counters["transition_misses"] += 1
-                staged = pending.pop((lid, oid, t), None) if pending else None
-                if staged is not None:
-                    new_values, new_outputs = staged
-                elif track_outputs:
-                    new_values, new_outputs = step(
-                        self._labels[lid], self._outs[oid], t, inputs_t
-                    )
-                else:
-                    new_values, _ = step(self._labels[lid], None, t, inputs_t)
-                    new_outputs = None
-                self._check_universe(new_values)
-                label_changed = new_values != self._labels[lid]
-                output_changed = bool(
-                    track_outputs and new_outputs != self._outs[oid]
-                )
-                rid = self._raw_label_ids.get(new_values)
-                if rid is None:
-                    rid = len(self._raw_labels)
-                    self._raw_label_ids[new_values] = rid
-                    self._raw_labels.append(new_values)
-                if track_outputs:
-                    roid = self._raw_out_ids.get(new_outputs)
-                    if roid is None:
-                        roid = len(self._raw_outs)
-                        self._raw_out_ids[new_outputs] = roid
-                        self._raw_outs.append(new_outputs)
-                else:
-                    roid = 0
-                entry = (rid, roid, label_changed, output_changed)
-                transitions[tkey] = entry
+        edge_offsets = self.edge_offsets
+        edge_dst = self.edge_dst
+        edge_sid = self.edge_sid
+        edge_gid = self.edge_gid
+        edge_flags = self.edge_flags
+        next_frontier: list[int] = []
+        lookups = misses = activation_hits = canonicalizations = 0
+        for k in frontier:
+            lid, oid, cid = state_keys[k]
+            moves = moves_by_cid.get(cid)
+            if moves is None:
+                moves = self._moves(cid)
             else:
-                counters["transition_hits"] += 1
-            rid, roid, label_changed, output_changed = entry
-
-            ckey = (rid, roid, next_cid)
-            canon = self._canon_cache.get(ckey)
-            if canon is None:
-                counters["canonicalizations"] += 1
-                raw_values = self._raw_labels[rid]
-                raw_outs = self._raw_outs[roid]
-                gid, ties = self._canonicalizer.canonical(
-                    raw_values,
-                    raw_outs if track_outputs else None,
-                    self._countdowns[next_cid],
-                )
-                nlid = self._intern_label(group.apply_labeling(gid, raw_values))
-                noid = (
-                    self._intern_out(group.apply_per_node(gid, raw_outs))
-                    if track_outputs
-                    else 0
-                )
-                nccid = self._intern_countdown(
-                    group.apply_per_node(gid, self._countdowns[next_cid])
-                )
-                canon = (nlid, noid, nccid, gid, group.order // ties)
-                self._canon_cache[ckey] = canon
-            else:
-                counters["canonical_hits"] += 1
-            nlid, noid, nccid, gid, orbit = canon
-
-            nkey = (nlid, noid, nccid)
-            j = index.get(nkey)
-            if j is None:
-                if len(state_keys) >= budget:
-                    raise SearchBudgetExceeded(
-                        f"{name} exceeded budget of {budget} states"
+                activation_hits += 1
+            sets, sids, next_cids = moves
+            row = transitions.get((lid, oid))
+            if row is None:
+                row = transitions[(lid, oid)] = {}
+            successors = []
+            gids = []
+            flags = []
+            for t, tid, next_cid in zip(sets, sids, next_cids):
+                entry = row.get(tid)
+                if entry is None:
+                    misses += 1
+                    new_values, new_outputs = self._step(lid, oid, t, pending)
+                    self._check_universe(new_values)
+                    flag = int(new_values != self._labels[lid])
+                    if track_outputs and new_outputs != self._outs[oid]:
+                        flag |= 2
+                    raw = (new_values, new_outputs)
+                    canon_row = canon_rows.get(raw)
+                    if canon_row is None:
+                        canon_row = canon_rows[raw] = {}
+                    entry = row[tid] = (flag, canon_row, new_values, new_outputs)
+                canon = entry[1].get(next_cid)
+                if canon is None:
+                    canonicalizations += 1
+                    _flag, canon_row, raw_values, raw_outs = entry
+                    raw_countdown = countdowns[next_cid]
+                    gid, ties = canonical(raw_values, raw_outs, raw_countdown)
+                    table = self._states_at(
+                        self._intern_label(group.apply_labeling(gid, raw_values)),
+                        self._intern_out(group.apply_per_node(gid, raw_outs))
+                        if track_outputs
+                        else 0,
                     )
-                j = self._add_state(nkey, k, tid, gid, orbit)
-                next_frontier.append(j)
-            self.edge_dst.append(j)
-            self.edge_sid.append(tid)
-            self.edge_gid.append(gid)
-            self.edge_flags.append(int(label_changed) | (int(output_changed) << 1))
-        self.edge_offsets.append(len(self.edge_dst))
+                    canon = canon_row[next_cid] = (
+                        table,
+                        self._intern_countdown(
+                            group.apply_per_node(gid, raw_countdown)
+                        ),
+                        gid,
+                        group.order // ties,
+                    )
+                table, ccid, gid, orbit = canon
+                j = table.get(ccid)
+                if j is None:
+                    if len(state_keys) >= budget:
+                        raise SearchBudgetExceeded(
+                            f"{name} exceeded budget of {budget} states"
+                        )
+                    j = self._add_state(table, ccid, k, tid, gid, orbit)
+                    next_frontier.append(j)
+                successors.append(j)
+                gids.append(gid)
+                flags.append(entry[0])
+            edge_dst.extend(successors)
+            edge_sid.extend(sids)
+            edge_gid.extend(gids)
+            edge_flags.extend(flags)
+            edge_offsets.append(len(edge_dst))
+            lookups += len(sids)
+        self._count_level(lookups, misses, activation_hits, canonicalizations)
+        return next_frontier
+
+    def _count_level(
+        self, lookups: int, misses: int, activation_hits: int, canonicalizations=0
+    ) -> None:
+        """Fold one level's edge and cache counts into the stats counters."""
+        counters = self._stats_counters
+        counters["transition_hits"] += lookups - misses
+        counters["transition_misses"] += misses
+        counters["activation_hits"] += activation_hits
+        if self._group is not None:
+            counters["canonicalizations"] += canonicalizations
+            counters["canonical_hits"] += lookups - canonicalizations
 
     # -- frontier batching ---------------------------------------------------
 
@@ -852,37 +898,53 @@ class ExplorationGraph:
     def _stage_level(self, frontier: list[int]):
         """Pass 1 of a level: batch-evaluate the level's uncached transitions.
 
-        Collects every ``(labeling, outputs, T)`` key the level will need,
-        groups the missing ones by activation set, and runs one
-        ``step_codes`` kernel call per group that clears
-        ``batch_min_rows``.  Results are staged in a dict keyed by the raw
-        activation set; pass 2 (``_expand*``) pops them at the exact serial
-        scan position.  Staging interns *nothing* (it reads the module
-        activation-set cache and only looks pools up), so the interning
-        order — and with it every id and index in the graph — is
-        bit-identical no matter which route evaluated a transition.
+        A transition depends on the payload ``(labeling, outputs)`` and the
+        activation set only, so the level is grouped by payload, and each
+        payload takes the union of its countdowns' valid activation sets.
+        Every ``(payload, T)`` pair missing from the transition cache is
+        checked once and bucketed by ``T``; one ``step_codes`` kernel call
+        runs per bucket that clears ``batch_min_rows``.  Results are
+        staged in a dict keyed by the raw activation set; pass 2
+        (``_expand*``) pops them at the exact serial scan position.
+        Staging interns *nothing* (it reads the module activation-set cache
+        and only looks pools up), so the interning order — and with it
+        every id and index in the graph — is bit-identical no matter which
+        route evaluated a transition.
         """
         engine = self._ensure_engine()
         if engine is None:
             return None
         counters = self._stats_counters
+        state_keys = self.state_keys
+        countdowns = self._countdowns
+        n = self.n
+        # A union (or a transition row) holding every nonempty subset of
+        # the nodes cannot grow (has nothing left to stage).
+        every_set = (1 << n) - 1
+        unions: dict[tuple[int, int], set[frozenset[int]]] = {}
+        for k in frontier:
+            lid, oid, cid = state_keys[k]
+            sets = unions.get((lid, oid))
+            if sets is None:
+                sets = unions[(lid, oid)] = set()
+            elif len(sets) == every_set:
+                continue
+            sets.update(_cached_activation_sets(countdowns[cid], n))
         transitions = self._transitions
         set_ids = self._set_ids
-        n = self.n
-        staged: set = set()
         buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for k in frontier:
-            lid, oid, cid = self.state_keys[k]
-            countdown = self._countdowns[cid]
-            for t in _cached_activation_sets(countdown, n):
-                tid = set_ids.get(t)
-                if tid is not None and (lid, oid, tid) in transitions:
+        for payload, sets in unions.items():
+            row = transitions.get(payload, ())
+            if len(row) == every_set:
+                continue
+            for t in sets:
+                if set_ids.get(t) in row:
                     continue
-                pkey = (lid, oid, t)
-                if pkey in staged:
-                    continue
-                staged.add(pkey)
-                buckets.setdefault(t, []).append((lid, oid))
+                bucket = buckets.get(t)
+                if bucket is None:
+                    buckets[t] = [payload]
+                else:
+                    bucket.append(payload)
 
         pending: dict[tuple[int, int, frozenset[int]], tuple] = {}
         track_outputs = self.track_outputs

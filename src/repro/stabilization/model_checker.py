@@ -173,17 +173,19 @@ def _decide(
     )
 
     # -- SCCs (iterative Tarjan) --------------------------------------------
-    scc_id = _tarjan(graph)
+    scc_id, sizes = _tarjan(graph)
 
     # -- hunt for a changing edge inside an SCC ------------------------------
     # A transition changes the monitored quantity exactly when the interned
     # labeling id differs (or, with outputs tracked, the output id — the id
-    # is constant 0 otherwise, so one combined check covers both modes).  On
-    # quotient graphs id comparison is unsound (``canon(u) == s`` does not
-    # imply ``u == s``), so the core records per-edge changed flags against
-    # the *raw* successor; label and output changes are orbit-invariant, so
-    # a flagged quotient cycle lifts to a concrete oscillation and vice
-    # versa.
+    # is constant 0 otherwise, so one combined check covers both modes).
+    # Singleton components are skipped: their only internal edge is a
+    # self-loop, which changes nothing.  On quotient graphs id comparison
+    # is unsound (``canon(u) == s`` does not imply ``u == s``), so the core
+    # records per-edge changed flags against the *raw* successor, and a
+    # flagged self-loop is a changing cycle; label and output changes are
+    # orbit-invariant, so a flagged quotient cycle lifts to a concrete
+    # oscillation and vice versa.
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst
     state_keys = graph.state_keys
@@ -191,18 +193,22 @@ def _decide(
     if graph.quotient:
         edge_flags = graph.edge_flags
         for k in range(len(graph)):
+            component = scc_id[k]
             for e in range(edge_offsets[k], edge_offsets[k + 1]):
-                if scc_id[k] == scc_id[edge_dst[e]] and edge_flags[e]:
+                if edge_flags[e] and scc_id[edge_dst[e]] == component:
                     bad_edge = (k, e)
                     break
             if bad_edge:
                 break
     else:
         for k in range(len(graph)):
+            component = scc_id[k]
+            if sizes[component] == 1:
+                continue
             lid, oid, _ = state_keys[k]
             for e in range(edge_offsets[k], edge_offsets[k + 1]):
                 j = edge_dst[e]
-                if scc_id[k] != scc_id[j]:
+                if scc_id[j] != component:
                     continue
                 jlid, joid, _ = state_keys[j]
                 if lid != jlid or oid != joid:
@@ -231,12 +237,15 @@ def _decide(
     )
 
 
-def _tarjan(graph: ExplorationGraph) -> list[int]:
+def _tarjan(graph: ExplorationGraph) -> tuple[list[int], list[int]]:
     """Iterative Tarjan SCC over the core's packed edge arrays.
 
-    Returns the component id of every vertex.  Reads ``edge_offsets`` /
-    ``edge_dst`` directly so no per-state successor lists are materialized
-    — on spilled graphs this streams straight off the memmaps.
+    Returns the component id of every vertex and the size of every
+    component.  Reads ``edge_offsets`` / ``edge_dst`` directly, one slice
+    of successors per vertex, so no per-state successor lists are kept —
+    on spilled graphs this streams straight off the memmaps.  A vertex is
+    on the Tarjan stack exactly when it is numbered but not yet assigned
+    a component.
     """
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst
@@ -244,50 +253,47 @@ def _tarjan(graph: ExplorationGraph) -> list[int]:
     ids = [-1] * size
     low = [0] * size
     order = [0] * size
-    on_stack = [False] * size
+    sizes: list[int] = []
     stack: list[int] = []
     counter = 0
-    component = 0
 
     for root in range(size):
-        if order[root] != 0:
+        if order[root]:
             continue
-        work = [(root, edge_offsets[root])]
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(edge_dst[edge_offsets[root] : edge_offsets[root + 1]]))]
         while work:
-            v, pointer = work[-1]
-            if pointer == edge_offsets[v]:
-                counter += 1
-                order[v] = counter
-                low[v] = counter
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            end = edge_offsets[v + 1]
-            while pointer < end:
-                w = edge_dst[pointer]
-                pointer += 1
-                if order[w] == 0:
-                    work[-1] = (v, pointer)
-                    work.append((w, edge_offsets[w]))
-                    advanced = True
+            v, successors = work[-1]
+            for w in successors:
+                if not order[w]:
+                    counter += 1
+                    order[w] = low[w] = counter
+                    stack.append(w)
+                    work.append(
+                        (w, iter(edge_dst[edge_offsets[w] : edge_offsets[w + 1]]))
+                    )
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    ids[w] = component
-                    if w == v:
-                        break
-                component += 1
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return ids
+                if ids[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    component = len(sizes)
+                    members = 0
+                    while True:
+                        w = stack.pop()
+                        ids[w] = component
+                        members += 1
+                        if w == v:
+                            break
+                    sizes.append(members)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return ids, sizes
 
 
 def _build_witness(bad_edge, scc_id, graph: ExplorationGraph, r):

@@ -258,15 +258,29 @@ class TestPackedCanonicalForm:
             base = data.draw(_bases(length, top=top))
             base = base[:-1] + (top,)  # the largest code reaches ``top``
             assert canon._canonical_np(base) == canon._canonical_py(base)
-            widths.append(canon._width)
+            # The last column's class holds ``top``; no class is wider.
+            widths.append(canon._widths[-1])
+            assert max(canon._widths) == canon._widths[-1]
         assert widths == [1, 1, 2, 4, 8, 17]
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    def test_each_class_packs_at_its_own_width(self, track_outputs):
+        # S_5 at r = 4: 5 countdown columns at 3 bits and 20 binary label
+        # (and 5 output) columns at 1 bit fit one key word; at one shared
+        # 3-bit width they would need two.
+        canon = _GROUPS["S5"].canonicalizer(track_outputs)
+        outputs = (1, 0, 0, 1, 1) if track_outputs else ()
+        base = (4, 1, 3, 2, 4) + (0, 1) * 10 + outputs
+        assert canon._canonical_np(base) == canon._canonical_py(base)
+        assert canon._widths == ((3, 1, 1) if track_outputs else (3, 1))
+        assert len(canon._weights) == 1
 
     def test_codes_no_key_word_holds_fall_back_to_the_scan(self):
         # A countdown of r = 2**60 is a legal, if hopeless, fairness bound.
         canon = _GROUPS["D6"].canonicalizer(track_outputs=False)
         base = (2**60,) * 6 + (0, 1) * 6
         assert canon._canonical_np(base) == canon._canonical_py(base)
-        assert canon._width == 0
+        assert canon._widths == (0, 0)
 
 
 class TestProtocolSymmetryGroup:

@@ -8,8 +8,14 @@ The reference implementation below is the seed ``StatesGraph`` BFS kept
 verbatim for comparison.
 """
 
+import json
+import os
+import random
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +256,22 @@ class TestBudgetAndValidation:
         with pytest.raises(SearchBudgetExceeded):
             StatesGraph(protocol, inputs, 2, initials, budget=len(full) - 1)
 
+    def test_budget_counts_root_states(self):
+        # At r = 1 every node fires every step, so each successor of a
+        # broadcast labeling is another broadcast root: only the 8 roots
+        # can exceed the budget.
+        protocol = example1_protocol(3)
+        inputs = default_inputs(protocol)
+        initials = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        assert len(initials) == 8
+        assert len(ExplorationGraph(protocol, inputs, 1, initials, budget=8)) == 8
+        for budget in (1, 7):
+            with pytest.raises(
+                SearchBudgetExceeded,
+                match=f"exploration exceeded budget of {budget} states",
+            ):
+                ExplorationGraph(protocol, inputs, 1, initials, budget=budget)
+
     def test_invalid_r_rejected(self):
         protocol = example1_protocol(3)
         with pytest.raises(ValidationError):
@@ -357,6 +379,169 @@ class TestGoldenWitnesses:
         assert output_verdict.witness.initial_labeling.values == (0, 0, 1)
         assert output_verdict.witness.prefix == (frozenset({0, 1, 2}),)
         assert output_verdict.witness.loop == (frozenset({0, 1, 2}),) * 3
+
+
+def _benchmark_order(protocol, task, seed=4242):
+    """Broadcast labelings in the verify-clique benchmark's seeded order."""
+    labelings = list(broadcast_labelings(protocol.topology, protocol.label_space))
+    order = random.Random(f"{seed}/{task}").sample(
+        range(len(labelings)), len(labelings)
+    )
+    return [labelings[i] for i in order]
+
+
+class TestVerifyCliqueVerdicts:
+    """The two verdicts of the verify-clique benchmark (seed 4242), pinned
+    field by field: speed work on the exploration core must move none of
+    its counters, its stores or its witness."""
+
+    def test_k5_concrete(self):
+        pytest.importorskip("numpy")  # the batch frontier's counters
+        protocol = example1_protocol(5)
+        verdict = decide_label_r_stabilizing(
+            protocol,
+            default_inputs(protocol),
+            4,
+            initial_labelings=_benchmark_order(protocol, "K5"),
+        )
+        assert not verdict.stabilizing
+        assert verdict.states_explored == 5_507
+        assert verdict.stats.as_dict() == {
+            "states": 5_507,
+            "edges": 95_862,
+            "initial_states": 32,
+            "labeling_pool": 32,
+            "output_pool": 1,
+            "countdown_pool": 781,
+            "activation_set_pool": 31,
+            "transition_cache_hits": 94_870,
+            "transition_cache_misses": 992,
+            "activation_cache_hits": 4_726,
+            "activation_cache_misses": 781,
+            "peak_frontier": 3_825,
+            "frontier_mode": "batch",
+            "batch_calls": 31,
+            "batch_rows": 992,
+            "symmetry_order": 1,
+            "covered_states": 5_507,
+            "canonicalizations": 0,
+            "canonical_cache_hits": 0,
+            "spilled": False,
+            "reduction_factor": 1.0,
+        }
+        witness = verdict.witness
+        assert witness.initial_labeling.values == (0,) * 8 + (1,) * 4 + (0,) * 8
+        assert witness.prefix == (
+            frozenset({0, 2}),
+            frozenset({0, 1}),
+            frozenset({1, 3}),
+        )
+        assert witness.loop == (
+            frozenset({3, 4}),
+            frozenset({2, 4}),
+            frozenset({0, 2}),
+            frozenset({0, 1}),
+            frozenset({1, 3}),
+        )
+
+    def test_k6_quotient(self):
+        pytest.importorskip("numpy")
+        protocol = example1_protocol(6)
+        verdict = decide_label_r_stabilizing(
+            protocol,
+            default_inputs(protocol),
+            4,
+            initial_labelings=_benchmark_order(protocol, "K6q"),
+            policy=ExecutionPolicy(symmetry="auto"),
+        )
+        assert verdict.stabilizing
+        assert verdict.witness is None
+        assert verdict.stats.as_dict() == {
+            "states": 299,
+            "edges": 10_629,
+            "initial_states": 7,
+            "labeling_pool": 31,
+            "output_pool": 1,
+            "countdown_pool": 523,
+            "activation_set_pool": 63,
+            "transition_cache_hits": 8_676,
+            "transition_cache_misses": 1_953,
+            "activation_cache_hits": 243,
+            "activation_cache_misses": 56,
+            "peak_frontier": 184,
+            "frontier_mode": "batch",
+            "batch_calls": 0,
+            "batch_rows": 0,
+            "symmetry_order": 720,
+            "covered_states": 27_634,
+            "canonicalizations": 2_352,
+            "canonical_cache_hits": 8_277,
+            "spilled": False,
+            "reduction_factor": 27_634 / 299,
+        }
+
+
+#: Decides Example 1 on K_4 at r = 3, concrete and on the quotient, and
+#: prints what the verdicts say as JSON.  ``block_numpy`` runs it as if
+#: numpy were not installed.
+_VERDICT_SCRIPT = """
+import json, sys
+if sys.argv[1] == "block_numpy":
+    sys.modules["numpy"] = None
+from repro import ExecutionPolicy
+from repro.core import default_inputs
+from repro.stabilization import (
+    broadcast_labelings, decide_label_r_stabilizing, example1_protocol,
+)
+protocol = example1_protocol(4)
+report = []
+for symmetry in ("none", "auto"):
+    verdict = decide_label_r_stabilizing(
+        protocol,
+        default_inputs(protocol),
+        3,
+        initial_labelings=broadcast_labelings(
+            protocol.topology, protocol.label_space
+        ),
+        policy=ExecutionPolicy(symmetry=symmetry),
+    )
+    witness = verdict.witness
+    report.append({
+        "stabilizing": verdict.stabilizing,
+        "states": verdict.states_explored,
+        "symmetry_order": verdict.stats.symmetry_order,
+        "initial": list(witness.initial_labeling.values),
+        "prefix": [sorted(t) for t in witness.prefix],
+        "loop": [sorted(t) for t in witness.loop],
+    })
+print(json.dumps(report))
+"""
+
+
+class TestWithoutNumpy:
+    def test_verdicts_match_the_numpy_run(self):
+        pytest.importorskip("numpy")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        reports = {}
+        for mode in ("block_numpy", "with_numpy"):
+            run = subprocess.run(
+                [sys.executable, "-c", _VERDICT_SCRIPT, mode],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            reports[mode] = json.loads(run.stdout)
+        assert reports["block_numpy"] == reports["with_numpy"]
+        concrete, quotient = reports["block_numpy"]
+        assert (concrete["states"], quotient["states"]) == (404, 44)
+        assert quotient["symmetry_order"] == 24
+        assert not concrete["stabilizing"] and not quotient["stabilizing"]
 
 
 class TestActivationSetCache:
@@ -490,6 +675,58 @@ class TestFrontierModes:
         assert ram.successors == spilled.successors
         assert spilled.stats().spilled
         assert any(tmp_path.iterdir())  # arrays actually live on disk
+
+    def test_spilled_quotient_with_outputs_matches_in_memory(self, tmp_path):
+        pytest.importorskip("numpy")
+        # 5,862 edges: the memmaps grow past their first 1,024 slots.
+        protocol = example1_protocol(5)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        ram_policy = ExecutionPolicy(symmetry="auto")
+        spill_policy = ExecutionPolicy(symmetry="auto", spill_dir=str(tmp_path))
+        ram = ExplorationGraph(
+            protocol, inputs, 4, inits, track_outputs=True, policy=ram_policy
+        )
+        spilled = ExplorationGraph(
+            protocol, inputs, 4, inits, track_outputs=True, policy=spill_policy
+        )
+        assert ram.quotient and spilled.stats().spilled
+        assert ram.num_edges == 5_862
+        assert ram.state_keys == spilled.state_keys
+        for name in (
+            "edge_offsets",
+            "edge_dst",
+            "edge_sid",
+            "edge_gid",
+            "edge_flags",
+            "parent_idx",
+            "parent_sid",
+            "parent_gid",
+            "_orbit_sizes",
+        ):
+            # RAM and spill stores differ in type; compare the values.
+            assert list(getattr(ram, name)) == list(getattr(spilled, name)), name
+        assert [ram.path_to(k) for k in range(len(ram))] == [
+            spilled.path_to(k) for k in range(len(spilled))
+        ]
+
+        # The verdict and its witness, checked off the spilled arrays.
+        ram_verdict = decide_output_r_stabilizing(
+            protocol, inputs, 4, initial_labelings=inits, policy=ram_policy
+        )
+        spill_verdict = decide_output_r_stabilizing(
+            protocol, inputs, 4, initial_labelings=inits, policy=spill_policy
+        )
+        assert spill_verdict.stats.spilled
+        assert not spill_verdict.stabilizing
+        assert spill_verdict.witness == ram_verdict.witness
+        assert spill_verdict.witness.loop == (
+            frozenset({3, 4}),
+            frozenset({0, 4}),
+            frozenset({0, 1}),
+            frozenset({1, 2}),
+            frozenset({2, 3}),
+        )
 
     def test_stats_shape(self):
         protocol = example1_protocol(3)

@@ -15,6 +15,7 @@ from contextlib import closing
 import pytest
 
 from repro.analysis import (
+    CaseResult,
     ResilienceReport,
     SweepCase,
     SweepReport,
@@ -151,6 +152,42 @@ class TestCaches:
             assert cache.contains(garbled) and cache.contains(truncated)
             assert execute_plan(plan, cache=cache) == execute_plan(plan)
             assert cache.stats.corrupt == 4
+
+
+    def test_sqlite_row_garbled_into_another_value_is_a_counted_miss(
+        self, tmp_path
+    ):
+        result = CaseResult(
+            index=-1,
+            tag=None,
+            outcome=RunOutcome.LABEL_STABLE,
+            label_rounds=3,
+            output_rounds=3,
+            steps_executed=17,
+            final_values=(0, 1, 0),
+            outputs=(0, 1, 0),
+        )
+        path = tmp_path / "cache.db"
+        with SqliteCache(path) as cache:
+            cache.put("k", result)
+        with closing(sqlite3.connect(path)) as raw, raw:
+            (blob,) = raw.execute(
+                "SELECT value FROM results WHERE key = 'k'"
+            ).fetchone()
+            # BININT1 17, the pickled steps_executed; 18 still unpickles.
+            assert blob.count(b"K\x11") == 1
+            raw.execute(
+                "UPDATE results SET value = ? WHERE key = 'k'",
+                (blob.replace(b"K\x11", b"K\x12"),),
+            )
+
+        with SqliteCache(path) as cache:
+            assert cache.get("k") is None
+            assert not cache.contains("k")
+            stats = cache.stats
+            assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+            cache.put("k", result)
+            assert cache.get("k") == result
 
 
 class TestPlanning:
