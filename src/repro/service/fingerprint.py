@@ -22,22 +22,31 @@ rules that matter for cache soundness:
   schedules, fault models and plans) have registered extractors covering
   exactly their defining state; unknown objects fall back to *all* of their
   instance attributes plus their class path; plain functions are identified
-  by module, qualified name, defaults, and recursively-canonicalized closure
-  cells.  Anonymous ``lambda``s are refused — every lambda in a module
-  shares the qualified name ``<lambda>``, so two different ones could
-  collide — use a named function for reactions that should be cacheable.
-* **Name-keyed code.**  A named reaction function is identified by *name*,
-  not bytecode (bytecode differs across interpreter versions, which would
-  shard the cache per Python minor version for no semantic reason).  Editing
-  a function's body without renaming it therefore does NOT change its
-  fingerprint: when engine or reaction semantics change, bump
-  :data:`ENGINE_VERSION` — it salts every digest and retires the whole
-  cache at once.  The golden-fingerprint fixtures in
-  ``tests/test_service_fingerprint.py`` fail when canonicalization drifts
-  accidentally.
+  by module, qualified name, source, defaults, and recursively-canonicalized
+  closure cells (a never-bound cell gets a marker no value produces).
+  Anonymous ``lambda``s are refused — every lambda in a module shares the
+  qualified name ``<lambda>``, so two different ones could collide — use a
+  named function for reactions that should be cacheable.
+* **Source-keyed code.**  A named function, and the function behind a bound
+  method, is keyed by its source tokens too: comments and blank lines are
+  dropped, line breaks and indentation kept by kind only.  Editing a body
+  changes the digest; a comment or whitespace edit does not.  Tokens, not
+  bytecode or ``ast.dump``: one set of digests holds on every supported
+  Python.  The limits: a helper called through module globals is not
+  followed; source is read (via :mod:`linecache`) at a code object's first
+  fingerprint and remembered, so a file edited after import but before that
+  fingerprint is keyed by its new text; a function without source (built by
+  ``exec``) keeps the name-only key.  For those, and for engine changes,
+  bump :data:`ENGINE_VERSION`: it salts every digest.  The golden fixtures
+  in ``tests/test_service_fingerprint.py`` catch accidental drift.
 
 Cosmetic state — protocol/topology/label-space ``name`` strings, case
 ``tag``s — is excluded: renaming a protocol must hit the same cache entry.
+
+:func:`fingerprint_offenders` runs the same walk in collecting mode: each
+refusal becomes a located :class:`~repro.exceptions.Diagnostic` and the walk
+goes on.  Paths are built only in that mode, so a clean object costs exactly
+its fingerprint.
 """
 
 from __future__ import annotations
@@ -46,7 +55,9 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import inspect
 import random
+import tokenize
 import types
 from collections.abc import Callable, Mapping, Set
 
@@ -73,7 +84,7 @@ from repro.core.schedule import (
     ShiftedSchedule,
     SynchronousSchedule,
 )
-from repro.exceptions import FingerprintError
+from repro.exceptions import Diagnostic, FingerprintError
 from repro.faults.schedules import (
     BurstFault,
     ComposedFaultSchedule,
@@ -88,12 +99,27 @@ from repro.graphs.topology import Topology
 #: the engine's observable run semantics change (or when canonicalization
 #: itself changes), which invalidates every previously cached result in one
 #: stroke instead of silently serving stale reports.
-ENGINE_VERSION = "repro-engine-1"
+ENGINE_VERSION = "repro-engine-2"
 
 #: Registered state extractors, keyed by *exact* type (subclasses fall back
 #: to the generic attribute walk so state added by a subclass is never
 #: silently dropped from the digest).
 _EXTRACTORS: dict[type, Callable] = {}
+
+#: Exact item types that make a tuple its own canonical items.
+_SCALARS = frozenset({bool, int, str, bytes, type(None)})
+#: A closure cell that was never bound; no value canonicalizes to it.
+_EMPTY_CELL = ("C",)
+
+#: Source keys by code-object *identity* (code objects compiled from two
+#: files can compare equal); each entry holds its code object, so its id is
+#: not reused.
+_SOURCE_KEYS: dict[int, tuple] = {}
+_SKIPPED_TOKENS = frozenset({tokenize.COMMENT, tokenize.NL})
+_LAYOUT_TOKENS = frozenset({tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT})
+#: Python 3.12 splits an f-string into tokens; earlier versions emit one.
+_FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+_FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 
 
 def register_fingerprint(cls: type):
@@ -115,23 +141,75 @@ def _classpath(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _canonical_function(fn, stack) -> tuple:
-    qualname = fn.__qualname__
+def _source_key(code) -> tuple:
+    """``(digest,)`` of ``code``'s source tokens, ``()`` without source."""
+    entry = _SOURCE_KEYS.get(id(code))
+    if entry is not None:
+        return entry[1]
+    try:
+        lines, _ = inspect.getsourcelines(code)
+        tokens = list(tokenize.generate_tokens(iter(lines).__next__))
+    except (OSError, TypeError, SyntaxError, tokenize.TokenError):
+        tokens = ()
+    kept, depth = [], 0
+    for token in tokens:
+        kind = token.type
+        if kind == _FSTRING_START:
+            depth += 1
+            if depth == 1:
+                start = token.start
+        elif depth:
+            if kind == _FSTRING_END:
+                depth -= 1
+            if not depth:  # fold the f-string back into one STRING token
+                text = "".join(lines[start[0] - 1 : token.end[0]])
+                end = len(text) - len(lines[token.end[0] - 1]) + token.end[1]
+                kept.append(("STRING", text[start[1] : end]))
+        elif kind not in _SKIPPED_TOKENS:
+            text = "" if kind in _LAYOUT_TOKENS else token.string
+            kept.append((tokenize.tok_name[kind], text))
+    key = (hashlib.sha256(repr(kept).encode()).hexdigest(),) if tokens else ()
+    _SOURCE_KEYS[id(code)] = (code, key)
+    return key
+
+
+def _refuse(found, where, rule, problem, path=None, line=None) -> None:
+    """Raise ``problem``, or, when collecting, record it at ``where``."""
+    if found is None:
+        raise FingerprintError(problem)
+    found.append(
+        Diagnostic(f"preflight/{rule}", "error", f"{where}: {problem}", path, line)
+    )
+
+
+def _canonical_function(fn, stack, where, found) -> tuple:
+    qualname, code = fn.__qualname__, fn.__code__
     if "<lambda>" in qualname:
-        raise FingerprintError(
-            f"cannot fingerprint lambda {fn.__module__}.{qualname}: every"
-            f" lambda in a module shares that name, so two different ones"
-            f" could collide in the cache — use a named function"
+        return _refuse(
+            found,
+            where,
+            "lambda",
+            "lambda reactions cannot be fingerprinted (every lambda in a"
+            " module shares the qualified name '<lambda>') — use a named"
+            " function",
+            code.co_filename,
+            code.co_firstlineno,
         )
-    closure = ()
-    if fn.__closure__:
-        closure = tuple(
-            _canonical(cell.cell_contents, stack) for cell in fn.__closure__
-        )
-    defaults = ()
-    if fn.__defaults__:
-        defaults = tuple(_canonical(value, stack) for value in fn.__defaults__)
-    return ("F", fn.__module__, qualname, defaults, closure)
+    defaults = tuple(
+        _canonical(value, stack, where and f"{where} default[{i}]", found)
+        for i, value in enumerate(fn.__defaults__ or ())
+    )
+    closure = []
+    for name, cell in zip(code.co_freevars, fn.__closure__ or (), strict=True):
+        try:
+            contents = cell.cell_contents
+        except ValueError:  # never bound
+            closure.append(_EMPTY_CELL)
+            continue
+        path = where and f"{where} closure[{name}]"
+        closure.append(_canonical(contents, stack, path, found))
+    key = ("F", fn.__module__, qualname, defaults, tuple(closure))
+    return (*key, *_source_key(code))
 
 
 def _object_state(obj) -> dict:
@@ -148,83 +226,98 @@ def _sort_key(tree) -> str:
     return repr(tree)
 
 
-def _canonical(obj, stack: list) -> object:
+def _named(pairs, stack, where, found) -> tuple:
+    """``(name, canonical value)`` for each attribute in ``pairs``."""
+    return tuple(
+        (name, _canonical(value, stack, where and f"{where}.{name}", found))
+        for name, value in pairs
+    )
+
+
+def _canonical(obj, stack: list, where=None, found=None) -> object:
+    """The canonical tree of ``obj``.
+
+    With ``found`` None the first refusal raises
+    :class:`~repro.exceptions.FingerprintError`; otherwise it is appended to
+    ``found``, located at ``where``, and the walk goes on.  Child paths are
+    spelled ``where and f"..."``, so they are formatted only when collecting.
+    """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
     if isinstance(obj, float):
         return ("f", repr(obj))
+    if type(obj) is tuple and _SCALARS.issuperset(map(type, obj)):
+        return ("T", obj)  # the tree the tuple branch builds, unwalked
 
     identity = id(obj)
     if identity in stack:
-        raise FingerprintError(
-            f"cannot fingerprint {type(obj).__name__}: cyclic object graph"
-        )
+        problem = "cyclic object graph cannot be canonicalized"
+        return _refuse(found, where, "cycle", problem)
     stack.append(identity)
     try:
         if isinstance(obj, (tuple, list)):
-            return ("T", tuple(_canonical(item, stack) for item in obj))
+            items = (
+                _canonical(item, stack, where and f"{where}[{i}]", found)
+                for i, item in enumerate(obj)
+            )
+            return ("T", tuple(items))
         if isinstance(obj, Set):
-            items = sorted(
-                (_canonical(item, stack) for item in obj), key=_sort_key
-            )
-            return ("S", tuple(items))
+            path = where and f"{where}{{...}}"
+            items = (_canonical(item, stack, path, found) for item in obj)
+            return ("S", tuple(sorted(items, key=_sort_key)))
         if isinstance(obj, Mapping):
-            pairs = sorted(
+            key_path = where and f"{where} key"
+            pairs = (
                 (
-                    (_canonical(key, stack), _canonical(value, stack))
-                    for key, value in obj.items()
-                ),
-                key=_sort_key,
+                    _canonical(key, stack, key_path, found),
+                    _canonical(value, stack, where and f"{where}[{key!r}]", found),
+                )
+                for key, value in obj.items()
             )
-            return ("M", tuple(pairs))
+            return ("M", tuple(sorted(pairs, key=_sort_key)))
         if isinstance(obj, enum.Enum):
             return ("E", _classpath(type(obj)), obj.name)
         if isinstance(obj, types.FunctionType):
-            return _canonical_function(obj, stack)
+            return _canonical_function(obj, stack, where, found)
         if isinstance(obj, types.MethodType):
-            return (
-                "B",
-                _canonical(obj.__self__, stack),
-                obj.__func__.__qualname__,
-            )
+            path = where and f"{where}.__self__"
+            owner = _canonical(obj.__self__, stack, path, found)
+            func = obj.__func__
+            code = getattr(func, "__code__", None)
+            return ("B", owner, func.__qualname__, *_source_key(code))
         if isinstance(obj, functools.partial):
-            return (
-                "P",
-                _canonical(obj.func, stack),
-                _canonical(obj.args, stack),
-                _canonical(dict(obj.keywords), stack),
+            keywords = dict(obj.keywords)
+            parts = [("func", obj.func), ("args", obj.args), ("keywords", keywords)]
+            return ("P", *(tree for _, tree in _named(parts, stack, where, found)))
+        if isinstance(obj, random.Random):
+            problem = (
+                "random.Random carries mutable RNG state — fingerprint the"
+                " seed, not the generator"
             )
-        if isinstance(obj, (random.Random, types.ModuleType, types.GeneratorType)):
-            raise FingerprintError(
-                f"cannot fingerprint {type(obj).__name__}: its state is"
-                f" mutable or process-local, so a digest over it would be"
-                f" unstable"
+            return _refuse(found, where, "rng-state", problem)
+        if isinstance(obj, (types.ModuleType, types.GeneratorType)):
+            problem = (
+                f"{type(obj).__name__} state is process-local and cannot be"
+                f" canonicalized"
             )
+            return _refuse(found, where, "process-local", problem)
 
         extractor = _EXTRACTORS.get(type(obj))
         if extractor is not None:
-            return (
-                "O",
-                _classpath(type(obj)),
-                _canonical(extractor(obj), stack),
-            )
+            state = _canonical(extractor(obj), stack, where, found)
+            return ("O", _classpath(type(obj)), state)
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            fields = tuple(
-                (field.name, _canonical(getattr(obj, field.name), stack))
-                for field in dataclasses.fields(obj)
-            )
-            return ("D", _classpath(type(obj)), fields)
+            pairs = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+            return ("D", _classpath(type(obj)), _named(pairs, stack, where, found))
         state = _object_state(obj)
         if not state:
-            raise FingerprintError(
-                f"cannot fingerprint {type(obj).__name__}: no registered"
-                f" extractor and no instance attributes to derive state from"
-                f" (register one with repro.service.register_fingerprint)"
+            problem = (
+                f"{_classpath(type(obj))} has no registered extractor and no"
+                f" instance attributes (register one with"
+                f" repro.service.register_fingerprint)"
             )
-        attrs = tuple(
-            (name, _canonical(value, stack))
-            for name, value in sorted(state.items())
-        )
+            return _refuse(found, where, "unregistered-type", problem)
+        attrs = _named(sorted(state.items()), stack, where, found)
         return ("O", _classpath(type(obj)), attrs)
     finally:
         stack.pop()
@@ -244,6 +337,30 @@ def fingerprint(obj) -> str:
     :data:`ENGINE_VERSION`."""
     tree = ("repro", ENGINE_VERSION, canonical(obj))
     return hashlib.sha256(repr(tree).encode()).hexdigest()
+
+
+def fingerprint_offenders(obj, where: str = "plan") -> tuple:
+    """Every refusal in ``obj``'s tree, as located error diagnostics.
+
+    :func:`canonical` raises at the first refusal, unlocated; this runs the
+    same walk collecting them all, each message prefixed with the attribute
+    path that reached it (``plan.protocol[2][0][1] closure[fn]``), lambdas
+    with their source position.  Empty exactly when ``obj`` fingerprints.
+    """
+    found: list = []
+    _canonical(obj, [], where, found)
+    return tuple(found)
+
+
+def unique_offenders(diagnostics) -> tuple:
+    """``diagnostics`` without repeats: findings that differ only in the
+    path that reached them (one lambda shared by every reaction, one RNG in
+    every spec's schedule) count once, at the first path."""
+    unique: dict = {}
+    for d in diagnostics:
+        key = (d.rule, d.path, d.line, d.message.split(": ", 1)[-1])
+        unique.setdefault(key, d)
+    return tuple(unique.values())
 
 
 # -- registered extractors for the model classes ------------------------------

@@ -235,8 +235,8 @@ class SweepService:
         check = None
         if preflight != "off":
             # Imported here: repro.statics.preflight reaches back into
-            # repro.service for the fingerprint extractor registry, so a
-            # module-level import would be circular.
+            # repro.service.fingerprint, so a module-level import would be
+            # circular.
             from repro.statics.preflight import verify_plan
 
             check = verify_plan(plan)

@@ -46,30 +46,31 @@ from repro.exceptions import (
 )
 from repro.faults.schedules import FaultSchedule
 from repro.policy import ExecutionPolicy
-from repro.service.fingerprint import ENGINE_VERSION, canonical, fingerprint
+from repro.service.fingerprint import (
+    ENGINE_VERSION,
+    canonical,
+    fingerprint,
+    fingerprint_offenders,
+    unique_offenders,
+)
 
 #: Plan kinds and the report type each aggregates into.
 PLAN_KINDS = {"sweep": SweepReport, "resilience": ResilienceReport}
 
 
-def _located_fingerprint_error(where, obj, error):
-    """Upgrade a bare :class:`FingerprintError` into a located one.
-
-    Canonicalization raises on the *first* offender with no pointer to it;
-    re-walking the object with the preflight offender collector turns the
-    same failure into a :class:`StaticAnalysisError` whose diagnostics name
-    the attribute path and (for lambdas) the source position.  Falls back
-    to the original error when the walk finds nothing (e.g. exotic state
-    only canonicalization's own recursion trips over).
-    """
-    from repro.statics.preflight import fingerprint_offenders
-
-    diagnostics = fingerprint_offenders(obj, where)
-    if not diagnostics:
-        return error
-    return StaticAnalysisError(
+def _located_error(where, error, parts) -> StaticAnalysisError:
+    """``error`` located: every offender in ``parts``, ``(suffix, obj)``
+    pairs under ``where``, found by the collecting fingerprint walk."""
+    diagnostics = unique_offenders(
+        diagnostic
+        for suffix, obj in parts
+        for diagnostic in fingerprint_offenders(obj, where + suffix)
+    )
+    located = StaticAnalysisError(
         f"cannot fingerprint {where}: {error}", diagnostics=diagnostics
     )
+    located.__cause__ = error
+    return located
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,11 @@ class SweepPlan:
     kind: str
     max_steps: int = DEFAULT_MAX_STEPS
     policy: ExecutionPolicy | None = field(default=None, compare=False)
+    # Digests and canonical components, memoized.  Not an init field, so
+    # ``dataclasses.replace`` starts an empty memo: a plan with another
+    # protocol or step budget is never served the old digests.
     _fingerprints: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):
@@ -143,23 +147,28 @@ class SweepPlan:
     def empty_report(self) -> SweepReport:
         return self.report_type(results=())
 
-    @cached_property
+    @property
     def protocol_fingerprint(self) -> str:
         """Digest of the protocol's compile-level state (topology, label
-        space, reactions) — computed once and shared by every case key.
+        space, reactions with their source) — computed once and shared by
+        every case key.
 
-        Raises :class:`~repro.exceptions.StaticAnalysisError` with located
-        diagnostics when the protocol cannot be fingerprinted (lambda
-        reactions, closed-over RNG state, ...), instead of the bare
-        :class:`~repro.exceptions.FingerprintError` canonicalization
-        produces deep inside its walk.
+        Raises :class:`~repro.exceptions.StaticAnalysisError` locating every
+        offender when the protocol cannot be fingerprinted (lambda
+        reactions, closed-over RNG state, ...); the refusal is memoized too.
         """
-        try:
-            return fingerprint(self.protocol)
-        except FingerprintError as error:
-            raise _located_fingerprint_error(
-                "plan.protocol", self.protocol, error
-            ) from error
+        digest = self._fingerprints.get("protocol")
+        if digest is None:
+            try:
+                digest = fingerprint(self.protocol)
+            except FingerprintError as error:
+                digest = _located_error(
+                    "plan.protocol", error, [("", self.protocol)]
+                )
+            self._fingerprints["protocol"] = digest
+        if isinstance(digest, StaticAnalysisError):
+            raise digest.with_traceback(None)
+        return digest
 
     def case_fingerprint(self, spec: CaseSpec) -> str:
         """The content address of one case's condensed result.
@@ -169,6 +178,12 @@ class SweepPlan:
         plan, step budget, plan kind, engine salt — and nothing it does not
         (``tag`` and ``index`` are cosmetic).  Memoized per plan: shared
         schedule objects canonicalize once, not once per case.
+
+        The same walk checks the case: the
+        :class:`~repro.exceptions.StaticAnalysisError` it raises locates
+        every offender in the covered fields (``plan.specs[3].schedule.rng``)
+        — or, for a clean case, the protocol's — and is what
+        :func:`repro.statics.verify_plan` reports.
         """
         cache_key = id(spec)
         cached = self._fingerprints.get(cache_key)
@@ -176,22 +191,33 @@ class SweepPlan:
             return cached
         case = spec.case
         try:
-            tree = (
-                "case",
-                ENGINE_VERSION,
-                self.kind,
-                self.protocol_fingerprint,
+            own = (
                 canonical(case.inputs),
                 canonical(case.labeling.values),
                 canonical(case.initial_outputs),
                 self._component_fingerprint(spec.schedule),
                 self._component_fingerprint(spec.faults),
-                self.max_steps,
             )
         except FingerprintError as error:
-            raise _located_fingerprint_error(
-                f"plan.specs[{spec.index}]", spec, error
-            ) from error
+            raise _located_error(
+                f"plan.specs[{spec.index}]",
+                error,
+                [
+                    (".case.inputs", case.inputs),
+                    (".case.labeling.values", case.labeling.values),
+                    (".case.initial_outputs", case.initial_outputs),
+                    (".schedule", spec.schedule),
+                    (".faults", spec.faults),
+                ],
+            )
+        tree = (
+            "case",
+            ENGINE_VERSION,
+            self.kind,
+            self.protocol_fingerprint,
+            *own,
+            self.max_steps,
+        )
         digest = hashlib.sha256(repr(tree).encode()).hexdigest()
         self._fingerprints[cache_key] = digest
         return digest

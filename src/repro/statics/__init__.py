@@ -19,12 +19,12 @@ discovered at runtime.
 command line with a machine-readable report (:mod:`repro.statics.__main__`).
 """
 
+from repro.service.fingerprint import fingerprint_offenders
 from repro.statics.lint import lint_paths, lint_source
 from repro.statics.preflight import (
     NodeLift,
     PlanPreflight,
     ProtocolPreflight,
-    fingerprint_offenders,
     verify_plan,
     verify_protocol,
 )

@@ -13,13 +13,15 @@ Two runtime surprises this module moves to submit time:
   private inputs), so the predicted partition is known before any work is
   enqueued.
 * **Late fingerprint failure.**  A lambda reaction, a closed-over
-  ``random.Random``, or an unregistered type inside a ``CaseSpec`` tree
-  only fails once :mod:`repro.service.fingerprint` is deep in
-  canonicalization — a bare :class:`~repro.exceptions.FingerprintError`
-  with no pointer to the offending object.  :func:`fingerprint_offenders`
-  walks the same tree shape canonicalization does, but *collects* located
-  diagnostics (lambda source positions, the attribute path that reached the
-  RNG) instead of raising on the first one.
+  ``random.Random``, or an unregistered type inside a plan only fails once
+  a case is first keyed, deep in :mod:`repro.service.fingerprint`.
+  :func:`verify_plan` keys the protocol and every case up front, through
+  :attr:`~repro.service.plan.SweepPlan.protocol_fingerprint` and
+  :meth:`~repro.service.plan.SweepPlan.case_fingerprint`, and reports
+  what their walk refused as located diagnostics (lambda source
+  positions, the attribute path that reached the RNG).  It checks exactly
+  what the key covers, and the digests stay memoized on the plan for
+  admission and the executor.
 
 The predictions must stay glued to the runtime: ``tests/test_statics.py``
 property-tests :func:`verify_plan`'s predicted partition against the
@@ -29,17 +31,11 @@ actually reports.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import functools
-import random
-import types
-from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from repro.core.compiled import compile_protocol
 from repro.exceptions import Diagnostic, StaticAnalysisError
-from repro.service.fingerprint import _EXTRACTORS
+from repro.service.fingerprint import unique_offenders
 
 try:  # batch.py self-guards its numpy import, but stay importable anywhere.
     from repro.core.batch import DEFAULT_MAX_TABLE_SIZE
@@ -234,156 +230,6 @@ def verify_protocol(
     )
 
 
-def _lambda_location(fn) -> tuple[str | None, int | None]:
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return None, None
-    return code.co_filename, code.co_firstlineno
-
-
-def _walk_offenders(obj, where: str, stack: list, out: list) -> None:
-    """Collect fingerprint offenders in ``obj``, mirroring the shape of
-    :func:`repro.service.fingerprint.canonical`'s recursion."""
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-        return
-
-    identity = id(obj)
-    if identity in stack:
-        out.append(
-            Diagnostic(
-                rule="preflight/cycle",
-                severity="error",
-                message=f"{where}: cyclic object graph cannot be"
-                f" canonicalized",
-            )
-        )
-        return
-    stack.append(identity)
-    try:
-        if isinstance(obj, (tuple, list)):
-            for i, item in enumerate(obj):
-                _walk_offenders(item, f"{where}[{i}]", stack, out)
-            return
-        if isinstance(obj, (Set, frozenset)):
-            for item in obj:
-                _walk_offenders(item, f"{where}{{...}}", stack, out)
-            return
-        if isinstance(obj, Mapping):
-            for key, value in obj.items():
-                _walk_offenders(key, f"{where} key", stack, out)
-                _walk_offenders(value, f"{where}[{key!r}]", stack, out)
-            return
-        if isinstance(obj, enum.Enum):
-            return
-        if isinstance(obj, types.FunctionType):
-            if "<lambda>" in obj.__qualname__:
-                path, line = _lambda_location(obj)
-                out.append(
-                    Diagnostic(
-                        rule="preflight/lambda",
-                        severity="error",
-                        message=f"{where}: lambda reactions cannot be"
-                        f" fingerprinted (every lambda in a module shares"
-                        f" the qualified name '<lambda>') — use a named"
-                        f" function",
-                        path=path,
-                        line=line,
-                    )
-                )
-                return
-            for i, value in enumerate(obj.__defaults__ or ()):
-                _walk_offenders(value, f"{where} default[{i}]", stack, out)
-            if obj.__closure__:
-                for name, cell in zip(
-                    obj.__code__.co_freevars, obj.__closure__
-                , strict=True):
-                    try:
-                        contents = cell.cell_contents
-                    except ValueError:
-                        continue
-                    _walk_offenders(
-                        contents, f"{where} closure[{name}]", stack, out
-                    )
-            return
-        if isinstance(obj, types.MethodType):
-            _walk_offenders(obj.__self__, f"{where}.__self__", stack, out)
-            return
-        if isinstance(obj, functools.partial):
-            _walk_offenders(obj.func, f"{where}.func", stack, out)
-            _walk_offenders(obj.args, f"{where}.args", stack, out)
-            _walk_offenders(dict(obj.keywords), f"{where}.keywords", stack, out)
-            return
-        if isinstance(obj, random.Random):
-            out.append(
-                Diagnostic(
-                    rule="preflight/rng-state",
-                    severity="error",
-                    message=f"{where}: random.Random carries mutable RNG"
-                    f" state — fingerprint the seed, not the generator",
-                )
-            )
-            return
-        if isinstance(obj, (types.ModuleType, types.GeneratorType)):
-            out.append(
-                Diagnostic(
-                    rule="preflight/process-local",
-                    severity="error",
-                    message=f"{where}: {type(obj).__name__} state is"
-                    f" process-local and cannot be canonicalized",
-                )
-            )
-            return
-
-        extractor = _EXTRACTORS.get(type(obj))
-        if extractor is not None:
-            _walk_offenders(extractor(obj), where, stack, out)
-            return
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            for field in dataclasses.fields(obj):
-                _walk_offenders(
-                    getattr(obj, field.name),
-                    f"{where}.{field.name}",
-                    stack,
-                    out,
-                )
-            return
-        state = dict(getattr(obj, "__dict__", ()) or ())
-        for cls in type(obj).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                if name != "__dict__" and hasattr(obj, name):
-                    state.setdefault(name, getattr(obj, name))
-        if not state:
-            out.append(
-                Diagnostic(
-                    rule="preflight/unregistered-type",
-                    severity="error",
-                    message=f"{where}: {type(obj).__module__}."
-                    f"{type(obj).__qualname__} has no registered extractor"
-                    f" and no instance attributes (register one with"
-                    f" repro.service.register_fingerprint)",
-                )
-            )
-            return
-        for name, value in sorted(state.items()):
-            _walk_offenders(value, f"{where}.{name}", stack, out)
-    finally:
-        stack.pop()
-
-
-def fingerprint_offenders(obj, where: str = "plan") -> tuple:
-    """Every object in ``obj``'s tree that canonicalization would refuse.
-
-    Unlike :func:`repro.service.fingerprint.canonical` — which raises on
-    the *first* offender with no location — this collects all of them as
-    located :class:`~repro.exceptions.Diagnostic` records, with the
-    attribute path (``plan.protocol.reactions[2] closure[fn]``) that
-    reached each one.
-    """
-    out: list[Diagnostic] = []
-    _walk_offenders(obj, where, [], out)
-    return tuple(out)
-
-
 def verify_plan(
     plan, max_table_size: int | None = None
 ) -> PlanPreflight:
@@ -392,7 +238,9 @@ def verify_plan(
     Combines :func:`verify_protocol` (static lift partition, honoring the
     plan policy's ``batch_min_rows``-adjacent ``max_table_size`` default),
     per-case input hashability (the dynamic half of the lift gate), and
-    :func:`fingerprint_offenders` over the protocol and every spec.
+    the fingerprint of the protocol and of every spec: the offenders their
+    walk refuses, each reported once.  A refused protocol does not hide a
+    spec's own offenders.
     """
     if max_table_size is None:
         max_table_size = DEFAULT_MAX_TABLE_SIZE
@@ -420,26 +268,22 @@ def verify_plan(
                     )
                 )
 
-    offenders = list(fingerprint_offenders(plan.protocol, "plan.protocol"))
+    offenders = []
+    try:
+        plan.protocol_fingerprint
+    except StaticAnalysisError as error:
+        offenders.extend(error.diagnostics)
     for spec in plan.specs:
-        offenders.extend(
-            fingerprint_offenders(spec, f"plan.specs[{spec.index}]")
-        )
-    # The same lambda (or RNG) is typically shared by every spec; collapse
-    # duplicate findings so the report stays one line per offender.
-    unique, seen = [], set()
-    for diagnostic in offenders:
-        key = (diagnostic.rule, diagnostic.path, diagnostic.line,
-               diagnostic.message.split(": ", 1)[-1])
-        if key not in seen:
-            seen.add(key)
-            unique.append(diagnostic)
+        try:
+            plan.case_fingerprint(spec)
+        except StaticAnalysisError as error:
+            offenders.extend(error.diagnostics)
 
     return PlanPreflight(
         kind=plan.kind,
         cases=len(plan.specs),
         protocol=protocol_preflight,
         case_demotions=tuple(demotions),
-        fingerprint_diagnostics=tuple(unique),
+        fingerprint_diagnostics=unique_offenders(offenders),
         diagnostics=tuple(diagnostics),
     )

@@ -323,10 +323,10 @@ class TestFingerprintCosmetics:
     #: fingerprint-scheme version.  Only a deliberate scheme revision may
     #: change them — policies must not.
     GOLDEN_PLAN = (
-        "cbdcba108627967d8437235397184487ebfb023f69fe4f2475adc8cea195c2ec"
+        "3261791dae0c6595cb38cb68264fff22c7a45e73b71a377f811d270ff118421c"
     )
     GOLDEN_CASE = (
-        "7ed2f577ecbbfa9f1d6b4be747ff3935c5720b58f84d2faab1b37bc2d517d324"
+        "2d7477d2ef6d072be5fc67ae31ba93e24f84377bf7a855d7a244a82192c130c6"
     )
 
     def _golden_plan(self, policy=None):

@@ -8,27 +8,45 @@ the three places it is wired in: ``SweepService.submit(preflight=)``,
 ``plan_sweep(..., preflight=True)``, and the upgraded
 :class:`~repro.exceptions.StaticAnalysisError` the fingerprint path now
 raises instead of a bare, unlocated ``FingerprintError``.
+
+Preflight and the cache key share one walk, so the offender zoo below pins
+them to each other: a plan is unsafe exactly when keying it raises, and
+both report the same located diagnostics.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from repro.analysis import SweepCase
-from repro.core import StatelessProtocol, UniformReaction, binary
+from repro.core import (
+    StatelessProtocol,
+    SynchronousSchedule,
+    UniformReaction,
+    binary,
+)
 from repro.exceptions import (
     FingerprintError,
     StaticAnalysisError,
     ValidationError,
 )
+from repro.faults.models import FaultModel
+from repro.faults.schedules import NoFaults, OneShotFault
 from repro.graphs import unidirectional_ring
-from repro.service import SweepService, plan_sweep
+from repro.service import (
+    JobState,
+    SweepService,
+    execute_plan,
+    plan_resilience_sweep,
+    plan_sweep,
+)
 from repro.statics import fingerprint_offenders, verify_plan, verify_protocol
 from tests.helpers import random_bit_labeling
-from tests.test_service_jobs import _plan, _ring, _sync
+from tests.test_service_jobs import _forward_bit, _plan, _ring, _sync
 
 
 def _lambda_ring(n=3):
@@ -220,3 +238,228 @@ class TestSubmitPreflight:
         with SweepService() as service:
             with pytest.raises(ValidationError, match="preflight"):
                 service.submit(plan, preflight="sometimes")
+
+
+# -- the offender zoo ---------------------------------------------------------
+
+
+class _CarrierSchedule(SynchronousSchedule):
+    """A synchronous schedule that also holds ``payload``."""
+
+    def __init__(self, n, payload):
+        super().__init__(n)
+        self.payload = payload
+
+
+class _CarrierFault(FaultModel):
+    """A fault model holding arbitrary attributes; never fired here."""
+
+    def __init__(self, **attributes):
+        self.__dict__.update(attributes)
+
+    def apply(self, values, topology, space, step):
+        return values
+
+
+class _Opaque:
+    """No extractor, no attributes: nothing to canonicalize."""
+
+    __slots__ = ()
+
+
+def _closing_over(payload):
+    """A named reaction that carries ``payload`` in a closure cell."""
+
+    def forward(incoming, _x):
+        (value,) = incoming.values()
+        return value, (value, payload)
+
+    return forward
+
+
+def _reaction_with_bad_cells():
+    """A named reaction closing over a lambda and an RNG."""
+    helper = lambda value: value  # noqa: E731
+    rng = random.Random(7)
+
+    def forward(incoming, _x):
+        (value,) = incoming.values()
+        return helper(value), rng.random()
+
+    return forward
+
+
+def _zoo() -> dict:
+    """Offender -> (the reaction carrying it into a protocol, the object one
+    spec carries, and the spec field that carries it)."""
+    lambda_reaction = lambda incoming, _x: (0, 0)  # noqa: E731
+    bad_cells = _reaction_with_bad_cells()
+    fault_model = _CarrierFault(module=random, stream=(i for i in range(3)))
+    loop = []
+    loop.append(loop)
+    return {
+        "lambda-reaction": (lambda_reaction, lambda_reaction, "schedule"),
+        "closure-lambda-and-rng": (bad_cells, bad_cells, "schedule"),
+        "schedule-rng": (
+            _closing_over(random.Random(11)),
+            random.Random(11),
+            "schedule",
+        ),
+        "fault-module-and-generator": (
+            _closing_over(fault_model),
+            fault_model,
+            "faults",
+        ),
+        "cycle": (_closing_over(loop), loop, "schedule"),
+        "unregistered-slotless": (
+            _closing_over(_Opaque()),
+            _Opaque(),
+            "schedule",
+        ),
+    }
+
+
+#: The rules each zoo entry must trip.
+ZOO_RULES = {
+    "lambda-reaction": {"preflight/lambda"},
+    "closure-lambda-and-rng": {"preflight/lambda", "preflight/rng-state"},
+    "schedule-rng": {"preflight/rng-state"},
+    "fault-module-and-generator": {"preflight/process-local"},
+    "cycle": {"preflight/cycle"},
+    "unregistered-slotless": {"preflight/unregistered-type"},
+}
+
+
+def zoo_plan(name: str, placement: str):
+    """A fresh three-case plan with zoo entry ``name`` in the protocol
+    (node 0's reaction) or in spec 1 (its schedule or fault plan)."""
+    reaction, payload, field = _zoo()[name]
+    topology = unidirectional_ring(3)
+    reactions = [
+        UniformReaction(topology.out_edges(i), _forward_bit) for i in range(3)
+    ]
+    if placement == "protocol":
+        reactions[0] = UniformReaction(topology.out_edges(0), reaction)
+    protocol = StatelessProtocol(topology, binary(), reactions, name="zoo")
+    in_spec = placement == "spec"
+
+    def schedule(index, case):
+        if in_spec and field == "schedule" and index == 1:
+            return _CarrierSchedule(3, payload)
+        return SynchronousSchedule(3)
+
+    def faults(index, case):
+        if in_spec and index == 1:
+            return OneShotFault(2, payload)
+        return NoFaults()
+
+    cases = _cases(protocol, count=3)
+    if field == "faults":
+        return plan_resilience_sweep(
+            protocol, cases, schedule, faults, max_steps=20
+        )
+    return plan_sweep(protocol, cases, schedule, max_steps=20)
+
+
+def _located(diagnostics) -> list:
+    return [(d.rule, d.message, d.path, d.line) for d in diagnostics]
+
+
+class TestOffenderZoo:
+    """Preflight reports exactly what keying the plan refuses."""
+
+    @pytest.mark.parametrize("placement", ["protocol", "spec"])
+    @pytest.mark.parametrize("name", sorted(ZOO_RULES))
+    def test_unsafe_exactly_when_keying_raises(self, name, placement):
+        preflight = verify_plan(zoo_plan(name, placement))
+        assert not preflight.fingerprint_safe
+        assert {d.rule for d in preflight.errors} == ZOO_RULES[name]
+        with pytest.raises(StaticAnalysisError) as excinfo:
+            zoo_plan(name, placement).plan_fingerprint
+        assert isinstance(excinfo.value.__cause__, FingerprintError)
+        assert _located(excinfo.value.diagnostics) == _located(
+            preflight.fingerprint_diagnostics
+        )
+
+    @pytest.mark.parametrize("name", sorted(ZOO_RULES))
+    def test_spec_offenders_are_located_in_their_field(self, name):
+        field = _zoo()[name][2]
+        preflight = verify_plan(zoo_plan(name, "spec"))
+        for diagnostic in preflight.fingerprint_diagnostics:
+            assert diagnostic.message.startswith(f"plan.specs[1].{field}")
+
+    @pytest.mark.parametrize("name", sorted(ZOO_RULES))
+    def test_a_refused_protocol_still_reports_spec_offenders(self, name):
+        plan = zoo_plan(name, "spec")
+        own = verify_plan(plan).fingerprint_diagnostics
+        refused = dataclasses.replace(plan, protocol=_lambda_ring(3))
+        reported = verify_plan(refused).fingerprint_diagnostics
+        assert reported[0].rule == "preflight/lambda"
+        assert reported[0].message.startswith("plan.protocol")
+        assert _located(reported[1:]) == _located(own)
+
+    def test_clean_plan_keys_and_passes(self):
+        plan = plan_sweep(
+            _ring(3), _cases(_ring(3), count=3), _sync, max_steps=20
+        )
+        assert verify_plan(plan).fingerprint_safe
+        assert len(plan.plan_fingerprint) == 64
+
+
+class TestClosureCells:
+    @staticmethod
+    def _reaction(bind: bool):
+        def forward(incoming, _x):
+            (value,) = incoming.values()
+            return value ^ bool(late), value
+
+        if bind:
+            late = None
+        return forward
+
+    def _plan(self, bind):
+        topology = unidirectional_ring(3)
+        reaction = self._reaction(bind)
+        reactions = [
+            UniformReaction(topology.out_edges(i), reaction) for i in range(3)
+        ]
+        protocol = StatelessProtocol(topology, binary(), reactions)
+        return plan_sweep(protocol, _cases(protocol), _sync, max_steps=20)
+
+    def test_an_empty_cell_fingerprints(self):
+        plan = self._plan(bind=False)
+        assert verify_plan(plan).fingerprint_safe
+        assert len(plan.plan_fingerprint) == 64
+
+    def test_an_empty_cell_differs_from_a_cell_holding_none(self):
+        empty, holding_none = self._plan(False), self._plan(True)
+        assert empty.protocol_fingerprint != holding_none.protocol_fingerprint
+
+
+class TestCosmeticFields:
+    """Preflight checks what the key covers, and nothing else."""
+
+    def _rng_tagged_plan(self):
+        protocol = _ring(3)
+        cases = [
+            SweepCase(
+                (0, 0, 0),
+                random_bit_labeling(protocol.topology, seed=s),
+                tag=random.Random(s),
+            )
+            for s in range(3)
+        ]
+        return plan_sweep(protocol, cases, _sync, max_steps=20)
+
+    def test_rng_tags_pass_preflight(self):
+        preflight = verify_plan(self._rng_tagged_plan())
+        assert preflight.fingerprint_safe
+        assert preflight.ok
+
+    def test_strict_submit_runs_a_plan_with_rng_tags(self):
+        plan = self._rng_tagged_plan()
+        with SweepService() as service:
+            job_id = service.submit(plan, preflight="strict")
+            report = service.result(job_id, timeout=30)
+            assert service.status(job_id).state is JobState.DONE
+        assert report == execute_plan(plan)

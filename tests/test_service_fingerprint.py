@@ -18,6 +18,8 @@ Two satellite suites guard the cache's content addressing:
   miss.
 """
 
+import dataclasses
+import importlib.util
 import json
 import pickle
 import random
@@ -171,6 +173,14 @@ class TestGoldenFingerprints:
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.case_fingerprints() == before
         assert clone.plan_fingerprint == plan.plan_fingerprint
+
+    def test_a_replaced_plan_starts_its_own_memo(self):
+        # The memo must not follow the plan into dataclasses.replace: a
+        # different step budget is a different key for every case.
+        plan, _ = _example1_plans()
+        before = plan.case_fingerprints()
+        longer = dataclasses.replace(plan, max_steps=plan.max_steps + 1)
+        assert set(longer.case_fingerprints()).isdisjoint(before)
 
 
 def _ring_protocol(n=3, flip=False):
@@ -334,3 +344,120 @@ class TestRefusals:
         # of scalars/tuples (no object addresses leaking in).
         tree = canonical(_zoo_components()["oneshot_t3_corrupt0.5_seed1"])
         assert "0x" not in repr(tree)
+
+
+_REACTION_MODULE = """\
+def react(incoming, x):
+    (value,) = incoming.values()
+    return value {op} x, value
+
+
+class Reactor:
+    def __init__(self):
+        self.offset = 0
+
+    def react(self, incoming, x):
+        (value,) = incoming.values()
+        return value {op} x, value
+"""
+
+# The XOR module again, with comments and blank lines added.
+_COMMENTED_MODULE = """\
+# An XOR reaction.
+def react(incoming, x):  # fold the private input in
+
+    (value,) = incoming.values()
+    return value ^ x, value  # forward
+
+
+class Reactor:
+    def __init__(self):
+        self.offset = 0
+
+    def react(self, incoming, x):
+        # As above, as a method.
+        (value,) = incoming.values()
+        return value ^ x, value
+"""
+
+_BRANCHING_MODULE = """\
+def react(incoming, x):
+    (value,) = incoming.values()
+    if x:
+        value = 1 - value
+{indent}return value, value
+"""
+
+# Python 3.12 splits f-strings into several tokens; earlier versions do not.
+_FSTRING_MODULE = """\
+def react(incoming, x):
+    (value,) = incoming.values()
+    label = f"{value!r:>3}{{x}}" + f'''{f"{x + 1}"}
+{x=}'''
+    return value, label
+"""
+
+
+def _load_reaction_module(directory, source):
+    """Import ``source`` as module ``reaction_module`` from ``directory``."""
+    directory.mkdir()
+    path = directory / "reaction_module.py"
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location("reaction_module", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _keys(module):
+    """Digests of a ring over the module's function, and of its method."""
+    topology = unidirectional_ring(3)
+    reactions = [
+        UniformReaction(topology.out_edges(i), module.react) for i in range(3)
+    ]
+    protocol = StatelessProtocol(topology, binary(), reactions)
+    return fingerprint(protocol), fingerprint(module.Reactor().react)
+
+
+class TestSourceKeyedCode:
+    """A function's body is in its key; its comments and blank lines are
+    not.  Same module name, same qualified name: only the source differs."""
+
+    def test_editing_a_body_changes_the_key(self, tmp_path):
+        xor = _load_reaction_module(tmp_path / "xor", _REACTION_MODULE.format(op="^"))
+        or_ = _load_reaction_module(tmp_path / "or", _REACTION_MODULE.format(op="|"))
+        assert xor.react.__qualname__ == or_.react.__qualname__
+        function_xor, method_xor = _keys(xor)
+        function_or, method_or = _keys(or_)
+        assert function_xor != function_or
+        assert method_xor != method_or
+
+    def test_a_comment_only_edit_keeps_the_key(self, tmp_path):
+        plain = _load_reaction_module(
+            tmp_path / "plain", _REACTION_MODULE.format(op="^")
+        )
+        commented = _load_reaction_module(tmp_path / "commented", _COMMENTED_MODULE)
+        assert _keys(plain) == _keys(commented)
+
+    def test_moving_a_statement_between_blocks_changes_the_key(self, tmp_path):
+        # Same tokens, different block structure.
+        outside = _load_reaction_module(
+            tmp_path / "outside", _BRANCHING_MODULE.format(indent="    ")
+        )
+        inside = _load_reaction_module(
+            tmp_path / "inside", _BRANCHING_MODULE.format(indent="        ")
+        )
+        assert fingerprint(outside.react) != fingerprint(inside.react)
+
+    def test_fstrings_key_alike_on_every_python(self, tmp_path):
+        module = _load_reaction_module(tmp_path / "fstrings", _FSTRING_MODULE)
+        # Pinned on Python 3.10, 3.11 and 3.12; re-pin with the golden fixture.
+        assert fingerprint(module.react) == (
+            "3cf078887bbced6300539086764c24f793dfd4fd8e8a18c4d157bf31090b1c92"
+        )
+
+    def test_functions_without_source_keep_the_name_key(self):
+        namespace = {"__name__": "generated"}
+        exec("def react(incoming, x):\n    return 0, 0\n", namespace)
+        tree = canonical(namespace["react"])
+        assert tree == ("F", "generated", "react", (), ())
