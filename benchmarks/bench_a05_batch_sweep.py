@@ -12,9 +12,6 @@ must deliver
   on this same case (7,089.5 configurations/s), i.e. the packed + fused
   kernels must beat the plain int64 lockstep backend by 3x outright.
 
-When numba is importable the compiled route (``kernel="numba"``) is benched
-as a separate table row; it must agree with the numpy route bit for bit.
-
 Workload: every node forwards its incoming bit XORed with its private input;
 the input vector has odd parity, so a stable labeling would need the labels
 around the ring to XOR to zero *and* to the input parity at once — no stable
@@ -36,7 +33,6 @@ from repro.core import (
     UniformReaction,
     binary,
 )
-from repro.core.batch_kernels import HAVE_NUMBA
 from repro.core.convergence import RunOutcome
 from repro.graphs import unidirectional_ring
 
@@ -48,7 +44,6 @@ SERIAL_CONFIGURATIONS = 2_048
 STEPS = 100
 REPEATS = 3
 BATCH = ExecutionPolicy(executor="batch")
-NUMBA = ExecutionPolicy(executor="batch", kernel="numba")
 MIN_SPEEDUP = 10.0
 #: The committed PR-4 numpy lockstep record on this exact case
 #: (BENCH history: 708,952.4 steps/s at 100 steps/configuration).
@@ -123,17 +118,6 @@ def test_a05_batch_sweep_speedup(benchmark):
     assert serial_report == batch_report
     assert all(r.outcome is RunOutcome.TIMEOUT for r in serial_report.results)
     assert all(r.steps_executed == STEPS for r in serial_report.results)
-    if HAVE_NUMBA:
-
-        def numba_kernel():
-            return run_sweep(
-                protocol, cases, factory, max_steps=STEPS, policy=NUMBA
-            )
-
-        numba_subset = run_sweep(
-            protocol, subset, factory, max_steps=STEPS, policy=NUMBA
-        )
-        assert numba_subset == serial_report
 
     # Re-measure up to three times, keeping the best median per executor
     # (min-time estimation): the gates compare genuine throughput, so a
@@ -149,9 +133,6 @@ def test_a05_batch_sweep_speedup(benchmark):
         speedup = batch_rate / serial_rate
         if speedup >= MIN_SPEEDUP and batch_rate >= record_floor:
             break
-    numba_median = None
-    if HAVE_NUMBA:
-        numba_median, _ = median_time(numba_kernel, REPEATS)
 
     rows = [
         [
@@ -167,15 +148,6 @@ def test_a05_batch_sweep_speedup(benchmark):
             f"{speedup:.1f}x",
         ],
     ]
-    if numba_median is not None:
-        rows.append(
-            [
-                "batch (numba kernels)",
-                f"{numba_median:.4f}",
-                f"{CONFIGURATIONS / numba_median:,.0f}",
-                f"{CONFIGURATIONS / numba_median / serial_rate:.1f}x",
-            ]
-        )
     print_table(
         f"A5: batch sweep throughput — {N}-node ring, {CONFIGURATIONS:,}"
         f" configurations x {STEPS} steps, random 4-fair"

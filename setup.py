@@ -16,9 +16,6 @@ setup(
     extras_require={
         # The vectorized batch-simulation backend (repro.core.batch).
         "batch": ["numpy>=1.22"],
-        # Compiled fused-window kernels (repro.core.batch_kernels);
-        # kernel="auto" picks them up whenever numba imports.
-        "numba": ["numba>=0.57", "numpy>=1.22"],
         # Everything the test suite and benchmarks need.
         "test": [
             "pytest",

@@ -33,10 +33,11 @@ distributed computation and every construction in it:
   plan preflight (predicted batch partition, fingerprint-safety), and the
   repo-invariant lint gate (``python -m repro.statics``).
 
-How any of these *run* — executor, kernel, fan-out, frontier engine,
-symmetry quotient — is described by one frozen value object,
-:class:`repro.ExecutionPolicy`, accepted uniformly by the sweep runners,
-the service layer, and the exploration core.  Policies are cosmetic:
+How any of these *run* — executor, fan-out, batch chunking, frontier
+engine, symmetry quotient — is described by one frozen value object,
+:class:`repro.ExecutionPolicy`, the only spelling of those knobs that the
+sweep runners, the service layer, and the exploration core accept
+(``policy=``).  Policies are cosmetic:
 they change how fast answers arrive, never which answers (or which cache
 keys).
 

@@ -44,7 +44,7 @@ from repro.core.protocol import Protocol
 from repro.exceptions import ValidationError
 from repro.faults.injection import run_with_faults
 from repro.faults.schedules import FaultSchedule
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 
 #: Builds the fault plan for one case: ``(case_index, case) -> FaultSchedule``.
 FaultFactory = Callable[[int, SweepCase], FaultSchedule]
@@ -200,7 +200,7 @@ def _run_fault_cases(protocol, cases, per_case, max_steps, start_index):
 
 
 def _run_fault_cases_batch(
-    protocol, cases, per_case, max_steps, start_index, kernel=None, chunk_rows=None
+    protocol, cases, per_case, max_steps, start_index, chunk_rows=None
 ):
     """Batch worker: injected cases in vectorized lockstep runs.
 
@@ -215,11 +215,7 @@ def _run_fault_cases_batch(
     for lo in range(0, len(cases), rows):
         chunk = cases[lo : lo + rows]
         chunk_per_case = per_case[lo : lo + rows]
-        simulator = BatchSimulator(
-            protocol,
-            [case.inputs for case in chunk],
-            kernel=kernel if kernel is not None else "auto",
-        )
+        simulator = BatchSimulator(protocol, [case.inputs for case in chunk])
         reports = simulator.run_batch_with_faults(
             [case.labeling for case in chunk],
             [schedule for schedule, _ in chunk_per_case],
@@ -247,7 +243,7 @@ def _run_fault_cases_batch(
     return results
 
 
-#: Injected-case backends selectable via ``run_resilience_sweep(..., executor=...)``.
+#: Injected-case backends, selected by ``ExecutionPolicy.executor``.
 EXECUTORS = {"serial": _run_fault_cases, "batch": _run_fault_cases_batch}
 
 
@@ -261,9 +257,6 @@ def run_resilience_sweep(
     policy: ExecutionPolicy | None = None,
     recovered: str | Callable[[FaultCaseResult], bool] = "label",
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
 ) -> ResilienceReport:
     """Inject faults into every case and measure certified recovery.
 
@@ -275,11 +268,10 @@ def run_resilience_sweep(
     (:class:`repro.ExecutionPolicy`) selects the case backend
     (``executor="batch"`` injects in vectorized lockstep through
     :mod:`repro.core.batch`, with fault models fired via their batch hooks
-    — reports equal to serial, case for case), the batch ``kernel``, and
-    the fan-out width, with the same serial fallback (a
+    — reports equal to serial, case for case), the fan-out width, and the
+    batch ``chunk_rows``, with the same serial fallback (a
     :class:`RuntimeWarning`, or re-raised under ``strict=True``) when the
-    sweep does not pickle.  The scattered ``processes=`` / ``executor=`` /
-    ``kernel=`` keywords are deprecated shims for the policy fields.
+    sweep does not pickle.
 
     Like :func:`run_sweep`, this is now a thin wrapper over the service
     layer's planner/executor split
@@ -291,14 +283,10 @@ def run_resilience_sweep(
     from repro.service.executor import execute_plan, resolve_plan_runner
     from repro.service.plan import plan_resilience_sweep
 
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="run_resilience_sweep",
-    )
-    # Validate executor/kernel/criterion before any factory runs, matching
-    # the one-shot runner's error order.
-    resolve_plan_runner("resilience", policy.executor, policy.kernel)
+    policy = resolve_policy(policy, api="run_resilience_sweep")
+    # Validate executor/criterion before any factory runs, matching the
+    # one-shot runner's error order.
+    resolve_plan_runner("resilience", policy.executor)
     resolve_criterion(recovered)
     plan = plan_resilience_sweep(
         protocol, cases, schedule_factory, fault_factory, max_steps=max_steps

@@ -17,18 +17,19 @@ draws from its own RNG (or any other shared state) sees exactly the same
 call sequence serial and parallel, and seeded sweeps are bit-identical
 either way.  Workers receive the materialized schedules, not the factory.
 
-Two execution backends share this module's aggregation: the default
-``executor="serial"`` runs one compiled run loop per case, while
-``executor="batch"`` hands the whole case list to the vectorized lockstep
-backend (:mod:`repro.core.batch`, requires numpy) and gets equal reports
-back at a fraction of the per-step Python cost.
+Two execution backends, chosen by :class:`repro.ExecutionPolicy`, share
+this module's aggregation: the default ``executor="serial"`` runs one
+compiled run loop per case, while ``executor="batch"`` hands the whole case
+list to the vectorized lockstep backend (:mod:`repro.core.batch`, requires
+numpy) and gets equal reports back at a fraction of the per-step Python
+cost.
 
-Optional ``multiprocessing`` fan-out: pass ``processes > 1`` to split the
-case list across worker processes.  This requires the protocol, the cases
-and the per-case schedules to be picklable (module-level reaction functions,
-no closures); when they are not — or when the platform does not support
-worker pools — the sweep transparently falls back to in-process execution,
-so callers never need to special-case the environment.
+Optional ``multiprocessing`` fan-out: a policy with ``processes > 1``
+splits the case list across worker processes.  This requires the protocol,
+the cases and the per-case schedules to be picklable (module-level reaction
+functions, no closures); when they are not — or when the platform does not
+support worker pools — the sweep transparently falls back to in-process
+execution, so callers never need to special-case the environment.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 
 #: Builds the schedule for one case: ``(case_index, case) -> Schedule``.
 ScheduleFactory = Callable[[int, "SweepCase"], Schedule]
@@ -230,7 +231,6 @@ def _run_cases_batch(
     schedules: Sequence[Schedule],
     max_steps: int,
     start_index: int,
-    kernel: str | None = None,
     chunk_rows: int | None = None,
 ) -> list[CaseResult]:
     """Run a slice of cases in lockstep through the vectorized batch backend.
@@ -247,11 +247,7 @@ def _run_cases_batch(
     results = []
     for lo in range(0, len(cases), rows):
         chunk = cases[lo : lo + rows]
-        simulator = BatchSimulator(
-            protocol,
-            [case.inputs for case in chunk],
-            kernel=kernel if kernel is not None else "auto",
-        )
+        simulator = BatchSimulator(protocol, [case.inputs for case in chunk])
         reports = simulator.run_batch(
             [case.labeling for case in chunk],
             schedules[lo : lo + rows],
@@ -274,7 +270,7 @@ def _run_cases_batch(
     return results
 
 
-#: Case-execution backends selectable via ``run_sweep(..., executor=...)``.
+#: Case-execution backends, selected by ``ExecutionPolicy.executor``.
 EXECUTORS = {"serial": _run_cases, "batch": _run_cases_batch}
 
 
@@ -310,9 +306,6 @@ def run_sweep(
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
 ) -> SweepReport:
     """Run every case through one compiled form of ``protocol``.
 
@@ -326,15 +319,12 @@ def run_sweep(
     ``policy`` (:class:`repro.ExecutionPolicy`) holds every performance
     knob — the case backend (``executor="batch"`` steps all cases in
     lockstep through the numpy backend; the resulting :class:`SweepReport`
-    is equal to the serial one, case for case), the batch compute
-    ``kernel``, the ``multiprocessing`` fan-out width ``processes`` (when
-    everything involved pickles; otherwise the sweep runs in-process,
-    emitting a :class:`RuntimeWarning` naming the reason — or, with
-    ``strict=True``, re-raising the underlying error instead of falling
-    back), and the batch ``chunk_rows``.  The policy changes how fast the
-    report is produced, never its contents.  The scattered ``processes=`` /
-    ``executor=`` / ``kernel=`` keywords are deprecated shims for the same
-    fields.
+    is equal to the serial one, case for case), the ``multiprocessing``
+    fan-out width ``processes`` (when everything involved pickles;
+    otherwise the sweep runs in-process, emitting a :class:`RuntimeWarning`
+    naming the reason — or, with ``strict=True``, re-raising the underlying
+    error instead of falling back), and the batch ``chunk_rows``.  The
+    policy changes how fast the report is produced, never its contents.
 
     Since the service layer landed, this is a thin wrapper over the
     planner/executor split: :func:`repro.service.plan_sweep` materializes
@@ -347,14 +337,10 @@ def run_sweep(
     from repro.service.executor import execute_plan, resolve_plan_runner
     from repro.service.plan import plan_sweep
 
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="run_sweep",
-    )
-    # Validate executor/kernel before invoking any factory, as the one-shot
+    policy = resolve_policy(policy, api="run_sweep")
+    # Validate the executor before invoking any factory, as the one-shot
     # runner always did.
-    resolve_plan_runner("sweep", policy.executor, policy.kernel)
+    resolve_plan_runner("sweep", policy.executor)
     plan = plan_sweep(protocol, cases, schedule_factory, max_steps=max_steps)
     return execute_plan(plan, policy=policy, strict=strict)
 

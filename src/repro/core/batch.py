@@ -26,7 +26,7 @@ The lift has two tiers, chosen per node:
   space, every lifted node is demoted to the fallback path before the next
   transition, so stale table keys can never be consulted.
 
-Three throughput layers sit on top of the lift (this module's hot loop):
+Two throughput layers sit on top of the lift (this module's hot loop):
 
 * **Packed codes.**  Code arrays and lookup-table columns are packed to the
   smallest dtype the enumerated label space allows (u8/u16/u32, int64 when
@@ -43,11 +43,6 @@ Three throughput layers sit on top of the lift (this module's hot loop):
   settles mid-window is concluded from its in-window state, and the extra
   stepped states are simply discarded).  Windows shrink to 1 near settle
   points and around fault fire times, and grow while nothing happens.
-* **Optional numba kernels.**  ``kernel="numba"`` routes the fused window
-  through :mod:`repro.core.batch_kernels`' ``@njit`` loops when numba is
-  importable (``kernel="auto"``, the default, selects it automatically);
-  the numpy route remains the reference and the two are bit-identical by
-  construction — same packed tables, same window semantics.
 
 Convergence analysis runs per row on top of the shared stepping, replicating
 ``Simulator.run`` decision-for-decision: periodic rows hash
@@ -73,7 +68,6 @@ from collections.abc import Sequence
 from itertools import product
 from typing import Any
 
-from repro.core import batch_kernels as _kernels
 from repro.core.compiled import CompiledProtocol, compile_protocol
 from repro.core.configuration import Configuration, Labeling
 from repro.core.convergence import RunOutcome, RunReport
@@ -451,13 +445,6 @@ class BatchSimulator:
     ``(labeling, schedule)`` case in lockstep and returns one
     :class:`~repro.core.convergence.RunReport` per row, equal to what the
     serial engine returns for that case.
-
-    ``kernel`` selects the compute route for the fused stepping windows:
-    ``"numpy"`` (whole-array operations, always available), ``"numba"``
-    (the ``@njit`` kernels of :mod:`repro.core.batch_kernels`; raises when
-    numba is not importable), or ``"auto"`` (numba when importable, numpy
-    otherwise — the default).  The routes are bit-identical; the knob only
-    trades compilation latency for step throughput.
     """
 
     def __init__(
@@ -468,7 +455,6 @@ class BatchSimulator:
         compiled: CompiledProtocol | None = None,
         batch_compiled: BatchCompiledProtocol | None = None,
         max_table_size: int = DEFAULT_MAX_TABLE_SIZE,
-        kernel: str = "auto",
     ):
         require_numpy()
         if compiled is None:
@@ -483,21 +469,6 @@ class BatchSimulator:
             raise ValidationError(
                 "batch compilation was built from a different compiled form"
             )
-        if kernel not in ("auto", "numpy", "numba"):
-            raise ValidationError(
-                f"unknown kernel {kernel!r};"
-                " expected 'auto', 'numpy', or 'numba'"
-            )
-        if kernel == "numba" and not _kernels.HAVE_NUMBA:
-            raise ValidationError(
-                "kernel='numba' requires numba; install the 'numba' extra"
-                " or pass kernel='numpy'"
-            )
-        self._kernel = (
-            "numba"
-            if kernel != "numpy" and _kernels.HAVE_NUMBA
-            else "numpy"
-        )
         self.protocol = protocol
         self._compiled = compiled
         self._batch = batch_compiled
@@ -550,11 +521,6 @@ class BatchSimulator:
     @property
     def batch_compiled(self) -> BatchCompiledProtocol:
         return self._batch
-
-    @property
-    def kernel(self) -> str:
-        """The resolved compute kernel ("numpy" or "numba")."""
-        return self._kernel
 
     @property
     def lifted_nodes(self) -> tuple[int, ...]:
@@ -960,27 +926,6 @@ class BatchSimulator:
                 xb = mono.xbase
             else:
                 xb = mono.xbase[live]
-            if (
-                self._kernel == "numba"
-                and _kernels.HAVE_NUMBA
-                and (mono.xbase_zero or mono.xbase_row is not None)
-                and all(mk.ndim == 1 for mk in masks)
-            ):
-                base = (
-                    np.zeros(len(flat), dtype=np.int64)
-                    if mono.xbase_zero
-                    else mono.xbase_row.astype(np.int64)
-                )
-                _kernels.mono_window(
-                    stack,
-                    ostack,
-                    np.ascontiguousarray(np.stack(masks)),
-                    np.ascontiguousarray(flat),
-                    base,
-                    table,
-                    ytab,
-                )
-                return None
             m = stack.shape[2]
             shared_xb = None
             if mono.xbase_zero:
@@ -1189,13 +1134,6 @@ class BatchSimulator:
 
     def _window_diffs(self, frames, k: int, L: int):
         """``(k, L)`` change flags: did row ``r`` change during step ``j``."""
-        if (
-            self._kernel == "numba"
-            and _kernels.HAVE_NUMBA
-            and isinstance(frames, np.ndarray)
-            and frames.flags["C_CONTIGUOUS"]
-        ):
-            return _kernels.window_changes(frames).astype(bool)
         out = np.empty((k, L), dtype=bool)
         for j in range(k):
             out[j] = (frames[j + 1] != frames[j]).any(axis=1)

@@ -43,7 +43,7 @@ from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.core.schedule import LassoSchedule, Schedule
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 from repro.stabilization.exploration import (
     DEFAULT_STATE_BUDGET,
     ExplorationGraph,
@@ -201,9 +201,6 @@ def exhaustive_worst_case_delay(
     r: int,
     budget: int = DEFAULT_STATE_BUDGET,
     policy: ExecutionPolicy | None = None,
-    symmetry=UNSET,
-    frontier: str = UNSET,
-    spill_dir=UNSET,
 ) -> WorstCaseDelay:
     """Exact worst-case delay via the Theorem 3.1 states-graph.
 
@@ -214,17 +211,14 @@ def exhaustive_worst_case_delay(
     the delay unbounded.  Exact, but exponential — paper-sized systems only
     (``budget`` guards the graph size).
 
-    With ``symmetry="auto"`` the search runs on the symmetry quotient:
-    stability is orbit-invariant and every concrete path corresponds to a
-    quotient path of the same length (and vice versa), so the delay is
-    unchanged while the graph is up to ``|G|`` times smaller.  Witness
-    schedules are lifted back to concrete activation sets before return.
+    With ``policy=ExecutionPolicy(symmetry="auto")`` the search runs on the
+    symmetry quotient: stability is orbit-invariant and every concrete path
+    corresponds to a quotient path of the same length (and vice versa), so
+    the delay is unchanged while the graph is up to ``|G|`` times smaller.
+    Witness schedules are lifted back to concrete activation sets before
+    return.
     """
-    policy = resolve_policy(
-        policy,
-        {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-        api="exhaustive_worst_case_delay",
-    )
+    policy = resolve_policy(policy, api="exhaustive_worst_case_delay")
     inputs = tuple(inputs)
     graph = ExplorationGraph(
         protocol,
@@ -373,15 +367,9 @@ class MinimaxAdversarySchedule(Schedule):
         r: int,
         budget: int = DEFAULT_STATE_BUDGET,
         policy: ExecutionPolicy | None = None,
-        symmetry=UNSET,
-        frontier: str = UNSET,
     ):
         super().__init__(protocol.n)
-        policy = resolve_policy(
-            policy,
-            {"symmetry": symmetry, "frontier": frontier},
-            api="MinimaxAdversarySchedule",
-        )
+        policy = resolve_policy(policy, api="MinimaxAdversarySchedule")
         self.worst_case = exhaustive_worst_case_delay(
             protocol,
             inputs,

@@ -8,7 +8,7 @@ input vector and commutes with every reaction, then ``pi`` maps runs to
 runs, stable labelings to stable labelings, and r-fair schedules to r-fair
 schedules.  Exhaustive analyses may therefore explore one state per
 *orbit* instead of one state per labeling, which is what
-``ExplorationGraph(symmetry=...)`` does.
+``ExplorationGraph(..., policy=ExecutionPolicy(symmetry=...))`` does.
 
 This module provides the group machinery behind that quotient:
 

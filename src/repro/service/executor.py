@@ -1,7 +1,7 @@
 """Plan execution: run a :class:`~repro.service.plan.SweepPlan`.
 
 The executor half of the planner/executor split.  It consumes plans and
-produces exactly the reports the one-shot runners produce — the legacy
+produces exactly the reports the one-shot runners produce — the one-shot
 entry points (:func:`repro.analysis.sweeps.run_sweep`,
 :func:`repro.analysis.resilience.run_resilience_sweep`) are thin wrappers
 over :func:`plan_sweep` + :func:`execute_plan`, so "plan then execute" and
@@ -38,18 +38,16 @@ from repro.analysis import sweeps as _sweeps
 from repro.analysis.resilience import ResilienceReport, resolve_criterion
 from repro.analysis.sweeps import SweepReport, fan_out, resolve_executor
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, check_count, resolve_policy
 from repro.service.cache import ResultCache
 from repro.service.plan import CaseSpec, SweepPlan
 
 
-def resolve_plan_runner(
-    kind: str, executor: str, kernel: str | None, chunk_rows: int | None = None
-):
-    """The case-runner callable for a plan kind / executor / kernel triple.
+def resolve_plan_runner(kind: str, executor: str, chunk_rows: int | None = None):
+    """The case-runner callable for a plan kind / executor pair.
 
-    Validation (and the error messages) match the legacy one-shot entry
-    points, which call this before touching cases or factories.
+    Validation (and the error messages) match the one-shot entry points,
+    which call this before touching cases or factories.
     """
     if kind == "sweep":
         table = _sweeps.EXECUTORS
@@ -60,23 +58,13 @@ def resolve_plan_runner(
             f"unknown plan kind {kind!r}; expected 'sweep' or 'resilience'"
         )
     runner = resolve_executor(executor, table)
-    batch_options = {}
-    if kernel is not None:
-        if executor != "batch":
-            raise ValidationError(
-                "kernel= selects a batch compute kernel;"
-                " it requires executor='batch'"
-            )
-        batch_options["kernel"] = kernel
     if chunk_rows is not None:
         if executor != "batch":
             raise ValidationError(
                 "chunk_rows= sizes batch sub-batches;"
                 " it requires executor='batch'"
             )
-        batch_options["chunk_rows"] = chunk_rows
-    if batch_options:
-        runner = functools.partial(runner, **batch_options)
+        runner = functools.partial(runner, chunk_rows=chunk_rows)
     return runner
 
 
@@ -186,11 +174,16 @@ def _execute_specs(plan, specs, runner, cache, processes, strict):
     return [by_index[spec.index] for spec in specs], hits, len(missing)
 
 
+def check_shard_size(shard_size: int | None) -> None:
+    """Reject a shard size that is neither ``None`` nor an integer >= 1."""
+    if shard_size is not None:
+        check_count("shard_size", shard_size)
+
+
 def _shard_bounds(total: int, shard_size: int | None) -> list[tuple[int, int]]:
+    check_shard_size(shard_size)
     if shard_size is None or shard_size >= total:
         return [(0, total)] if total else []
-    if shard_size < 1:
-        raise ValidationError("shard_size must be >= 1")
     return [
         (lo, min(lo + shard_size, total)) for lo in range(0, total, shard_size)
     ]
@@ -203,33 +196,22 @@ def iter_shards(
     shard_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
     recovered=None,
 ) -> Iterator[ShardProgress]:
     """Execute a plan shard by shard, yielding progress as each completes.
 
     ``policy`` (:class:`repro.ExecutionPolicy`) selects the case backend,
-    kernel, fan-out width, and batch chunking; when omitted, the plan's own
+    fan-out width, and batch chunking; when omitted, the plan's own
     attached policy (:attr:`SweepPlan.policy`) applies, then the defaults.
-    The scattered ``processes=`` / ``executor=`` / ``kernel=`` keywords are
-    deprecated shims for the policy fields.  ``recovered`` names (or is)
+    ``recovered`` names (or is)
     the recovery criterion for resilience plans (default ``"label"``, as in
     the one-shot runner); it is rejected for plain sweep plans.  Empty
     plans yield nothing — callers wanting a report either way use
     :func:`execute_plan`.
     """
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="iter_shards",
-        fallback=plan.policy,
-    )
+    policy = resolve_policy(policy, api="iter_shards", fallback=plan.policy)
     processes = policy.processes
-    runner = resolve_plan_runner(
-        plan.kind, policy.executor, policy.kernel, policy.chunk_rows
-    )
+    runner = resolve_plan_runner(plan.kind, policy.executor, policy.chunk_rows)
     if plan.kind == "resilience":
         criterion = resolve_criterion("label" if recovered is None else recovered)
     else:
@@ -273,25 +255,15 @@ def execute_plan(
     shard_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
     recovered=None,
 ) -> SweepReport | ResilienceReport:
     """Execute a plan to completion and return the aggregated report.
 
     With the defaults (no cache, one shard, no policy beyond the plan's
-    own) this is exactly the legacy one-shot runner on the plan's cases —
-    same runners, same fan-out, same warnings, same report.  The scattered
-    ``processes=`` / ``executor=`` / ``kernel=`` keywords are deprecated
-    shims for :class:`repro.ExecutionPolicy` fields.
+    own) this is exactly the one-shot runner on the plan's cases — same
+    runners, same fan-out, same warnings, same report.
     """
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="execute_plan",
-        fallback=plan.policy,
-    )
+    policy = resolve_policy(policy, api="execute_plan", fallback=plan.policy)
     report = plan.empty_report()
     for progress in iter_shards(
         plan,

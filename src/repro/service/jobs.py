@@ -14,7 +14,7 @@ the service's shared result cache, so
   criteria) share cached case results.
 
 Threads, not processes, carry the jobs: the simulation kernels release no
-GIL, but per-case ``processes=`` fan-out still happens *inside* a job via
+GIL, but per-case ``processes`` fan-out still happens *inside* a job via
 the executor, and the thread pool's job is overlap of cache-served jobs
 with simulating ones plus a responsive control plane (status/cancel while
 running).
@@ -40,14 +40,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import JobError, ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 from repro.service.admission import (
     AdmissionDecision,
     AdmissionPolicy,
     predict_plan_cost,
 )
 from repro.service.cache import InMemoryCache, ResultCache
-from repro.service.executor import ShardProgress, iter_shards
+from repro.service.executor import ShardProgress, check_shard_size, iter_shards
 from repro.service.plan import SweepPlan
 
 #: Oldest job-record history snapshots are dropped past this many
@@ -192,9 +192,6 @@ class SweepService:
         policy: ExecutionPolicy | None = None,
         shard_size: int | None = None,
         strict: bool = False,
-        processes: int | None = UNSET,
-        executor: str = UNSET,
-        kernel: str | None = UNSET,
         recovered=None,
         preflight: str = "warn",
     ) -> str:
@@ -202,11 +199,10 @@ class SweepService:
 
         The execution options mirror :func:`repro.service.execute_plan`:
         ``policy`` (:class:`repro.ExecutionPolicy`) carries the performance
-        knobs, defaulting to the plan's own attached policy; the scattered
-        ``processes=`` / ``executor=`` / ``kernel=`` keywords are
-        deprecated shims.  The id embeds the plan fingerprint, so identical
-        resubmissions are visibly related (``job-3-0f0b5a…`` vs
-        ``job-7-0f0b5a…``).
+        knobs, defaulting to the plan's own attached policy.  A bad
+        ``shard_size`` is rejected here, before anything is enqueued.  The
+        id embeds the plan fingerprint, so identical resubmissions are
+        visibly related (``job-3-0f0b5a…`` vs ``job-7-0f0b5a…``).
 
         ``preflight`` runs :func:`repro.statics.verify_plan` on the
         submission: ``"warn"`` (default) records the predicted batch
@@ -226,12 +222,8 @@ class SweepService:
                 f"preflight must be 'off', 'warn', or 'strict',"
                 f" not {preflight!r}"
             )
-        policy = resolve_policy(
-            policy,
-            {"processes": processes, "executor": executor, "kernel": kernel},
-            api="SweepService.submit",
-            fallback=plan.policy,
-        )
+        check_shard_size(shard_size)
+        policy = resolve_policy(policy, api="SweepService.submit", fallback=plan.policy)
         check = None
         if preflight != "off":
             # Imported here: repro.statics.preflight reaches back into

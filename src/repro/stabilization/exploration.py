@@ -96,12 +96,7 @@ from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
 from repro.graphs.automorphisms import SymmetryGroup, protocol_symmetry_group
-from repro.policy import (
-    DEFAULT_BATCH_MIN_ROWS,
-    UNSET,
-    ExecutionPolicy,
-    resolve_policy,
-)
+from repro.policy import ExecutionPolicy, resolve_policy
 
 DEFAULT_STATE_BUDGET = 400_000
 
@@ -390,10 +385,9 @@ class ExplorationGraph:
     memmaps in that directory (created if missing; files are left behind
     for post-mortem inspection).
 
-    All four knobs are fields of :class:`repro.ExecutionPolicy`; pass
-    ``policy=`` to set them together (the scattered keywords are deprecated
-    shims).  The policy is cosmetic here as everywhere: every route, every
-    quotient, every spill produces the same graph up to state order.
+    All four knobs are fields of :class:`repro.ExecutionPolicy`, passed as
+    ``policy=``.  The policy is cosmetic here as everywhere: every route,
+    every quotient, every spill produces the same graph up to state order.
 
     ``budget`` bounds the number of states; exceeding it raises
     :class:`SearchBudgetExceeded` with ``name`` in the message so callers
@@ -410,32 +404,14 @@ class ExplorationGraph:
         track_outputs: bool = False,
         name: str = "exploration",
         policy: ExecutionPolicy | None = None,
-        symmetry: str | SymmetryGroup | None = UNSET,
-        frontier: str = UNSET,
-        spill_dir: str | os.PathLike | None = UNSET,
-        batch_min_rows: int = UNSET,
     ):
-        policy = resolve_policy(
-            policy,
-            {
-                "symmetry": symmetry,
-                "frontier": frontier,
-                "spill_dir": spill_dir,
-                "batch_min_rows": batch_min_rows,
-            },
-            api="ExplorationGraph",
-        )
+        policy = resolve_policy(policy, api="ExplorationGraph")
         symmetry = policy.symmetry
         frontier = policy.frontier
         spill_dir = policy.spill_dir
         batch_min_rows = policy.batch_min_rows
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
-        if frontier not in ("auto", "batch", "serial"):
-            raise ValidationError(
-                f"unknown frontier mode {frontier!r};"
-                " expected 'auto', 'batch', or 'serial'"
-            )
         self.protocol = protocol
         self.inputs = tuple(inputs)
         self.r = r

@@ -19,12 +19,13 @@ is found the checker emits a concrete :class:`OscillationWitness` — an
 initial labeling plus an eventually periodic r-fair schedule under which the
 engine provably oscillates, replayed from the core's parent links.
 
-With ``symmetry="auto"`` the check runs on the symmetry quotient of the
-states-graph instead: states are canonical orbit representatives under the
-protocol's verified automorphism group, SCCs and the changing-edge scan run
-on the (often orders-of-magnitude smaller) quotient, and witnesses are
-lifted back to concrete schedules before they are returned — the verdict
-and the replayed witness are indistinguishable from the unquotiented check.
+With ``policy=ExecutionPolicy(symmetry="auto")`` the check runs on the
+symmetry quotient of the states-graph instead: states are canonical orbit
+representatives under the protocol's verified automorphism group, SCCs and
+the changing-edge scan run on the (often orders-of-magnitude smaller)
+quotient, and witnesses are lifted back to concrete schedules before they
+are returned — the verdict and the replayed witness are indistinguishable
+from the unquotiented check.
 
 State spaces are exponential, so callers can restrict the initial labelings
 (e.g. to broadcast labelings for clique protocols whose reactions send the
@@ -44,7 +45,7 @@ from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.core.schedule import LassoSchedule
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 from repro.stabilization.exploration import (
     DEFAULT_STATE_BUDGET,
     ExplorationGraph,
@@ -93,16 +94,9 @@ def decide_label_r_stabilizing(
     initial_labelings: Iterable[Labeling] | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
     policy: ExecutionPolicy | None = None,
-    symmetry=UNSET,
-    frontier: str = UNSET,
-    spill_dir=UNSET,
 ) -> StabilizationVerdict:
     """Exactly decide label r-stabilization by exhausting the states-graph."""
-    policy = resolve_policy(
-        policy,
-        {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-        api="decide_label_r_stabilizing",
-    )
+    policy = resolve_policy(policy, api="decide_label_r_stabilizing")
     return _decide(
         protocol,
         inputs,
@@ -121,16 +115,9 @@ def decide_output_r_stabilizing(
     initial_labelings: Iterable[Labeling] | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
     policy: ExecutionPolicy | None = None,
-    symmetry=UNSET,
-    frontier: str = UNSET,
-    spill_dir=UNSET,
 ) -> StabilizationVerdict:
     """Exactly decide output r-stabilization (states also carry outputs)."""
-    policy = resolve_policy(
-        policy,
-        {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-        api="decide_output_r_stabilizing",
-    )
+    policy = resolve_policy(policy, api="decide_output_r_stabilizing")
     return _decide(
         protocol,
         inputs,

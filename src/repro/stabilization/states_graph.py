@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy, resolve_policy
 from repro.stabilization.exploration import (
     DEFAULT_STATE_BUDGET,
     ExplorationGraph,
@@ -62,15 +62,8 @@ class StatesGraph(ExplorationGraph):
         initial_labelings: Iterable[Labeling],
         budget: int = DEFAULT_STATE_BUDGET,
         policy: ExecutionPolicy | None = None,
-        symmetry=UNSET,
-        frontier: str = UNSET,
-        spill_dir=UNSET,
     ):
-        policy = resolve_policy(
-            policy,
-            {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-            api="StatesGraph",
-        )
+        policy = resolve_policy(policy, api="StatesGraph")
         super().__init__(
             protocol,
             inputs,

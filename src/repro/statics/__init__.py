@@ -11,9 +11,8 @@ discovered at runtime.
   partition and fingerprint-safety before any work is enqueued
   (``SweepService.submit(..., preflight=)`` records the result in JOB
   records next to the admission decision).
-* :mod:`repro.statics.lint` — repo-invariant AST checks: unified-policy
-  parameters, no internal legacy keywords, no wall clocks in kernel
-  paths, and lock discipline over the threaded service.
+* :mod:`repro.statics.lint` — repo-invariant AST checks: no wall clocks
+  in kernel paths, and lock discipline over the threaded service.
 
 ``python -m repro.statics [src/ | PLAN.pkl]`` runs the passes from the
 command line with a machine-readable report (:mod:`repro.statics.__main__`).

@@ -1,18 +1,8 @@
 """Repo-invariant lint: AST checks a generic linter cannot express.
 
-Four rules, each encoding a convention this codebase relies on but ruff
+Two rules, each encoding a convention this codebase relies on but ruff
 has no vocabulary for:
 
-* ``lint/policy-parameter`` — any function carrying an ``UNSET``-defaulted
-  legacy keyword must also accept ``policy=``: the deprecation shim
-  (:func:`repro.policy.resolve_policy`) only works when there is a policy
-  to resolve *into*, so an entry point that grows a legacy knob without
-  the unified one has broken the migration contract.
-* ``lint/legacy-kwarg`` — no internal call site passes the deprecated
-  ``processes=`` / ``executor=`` / ``kernel=`` keywords to a public entry
-  point.  The shims exist for *downstream* callers; first-party code that
-  still uses them resets the deprecation clock and exercises the warning
-  path in production.
 * ``lint/wall-clock`` — no ``time.*`` / ``datetime.now`` / ``os.environ``
   reads inside the kernel and fingerprint paths.  Simulation is a pure
   function of (protocol, schedule, seeds) and fingerprints are content
@@ -42,30 +32,12 @@ from pathlib import Path
 
 from repro.exceptions import Diagnostic
 
-#: Entry points whose legacy keywords are deprecated shims.
-ENTRY_POINTS = frozenset(
-    {
-        "execute_plan",
-        "iter_shards",
-        "plan_resilience_sweep",
-        "plan_sweep",
-        "run_resilience_sweep",
-        "run_sweep",
-        "submit",
-        "submit_plan",
-    }
-)
-
-#: The deprecated scattered keywords `ExecutionPolicy` replaced.
-LEGACY_KWARGS = frozenset({"processes", "executor", "kernel"})
-
 #: Path suffixes of the kernel/fingerprint modules where wall-clock and
 #: environment reads would make pure computations run-dependent.
 KERNEL_PATH_SUFFIXES = (
     "core/engine.py",
     "core/compiled.py",
     "core/batch.py",
-    "core/batch_kernels.py",
     "service/fingerprint.py",
 )
 
@@ -82,12 +54,6 @@ LOCK_WAIVER = "Caller holds the lock."
 LOCK_CONSTRUCTORS = frozenset({"Condition", "Lock", "RLock"})
 
 
-def _is_unset_default(node) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == "UNSET"
-    return isinstance(node, ast.Attribute) and node.attr == "UNSET"
-
-
 def _call_name(func) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
@@ -97,7 +63,7 @@ def _call_name(func) -> str | None:
 
 
 class _ModuleLint(ast.NodeVisitor):
-    """One module's walk for the three module-local rules."""
+    """One module's walk for the wall-clock rule."""
 
     def __init__(self, path: str, kernel_path: bool):
         self.path = path
@@ -131,38 +97,7 @@ class _ModuleLint(ast.NodeVisitor):
                     alias.name,
                 )
 
-    def _check_function(self, node):
-        args = node.args
-        defaults = list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]
-        if any(_is_unset_default(d) for d in defaults):
-            names = {a.arg for a in args.args} | {a.arg for a in args.kwonlyargs}
-            if "policy" not in names:
-                self._flag(
-                    "lint/policy-parameter",
-                    node,
-                    f"{node.name}() takes UNSET-defaulted legacy keywords"
-                    f" but no `policy=` — the deprecation shim has nothing"
-                    f" to resolve into",
-                )
-        self.generic_visit(node)
-
-    visit_FunctionDef = _check_function
-    visit_AsyncFunctionDef = _check_function
-
     def visit_Call(self, node):
-        name = _call_name(node.func)
-        if name in ENTRY_POINTS:
-            for keyword in node.keywords:
-                if keyword.arg in LEGACY_KWARGS:
-                    self._flag(
-                        "lint/legacy-kwarg",
-                        node,
-                        f"{name}(..., {keyword.arg}=) uses a deprecated"
-                        f" legacy keyword — pass"
-                        f" policy=ExecutionPolicy({keyword.arg}=...)",
-                    )
         if self.kernel_path:
             self._check_wall_clock(node)
         self.generic_visit(node)
@@ -314,7 +249,7 @@ class _LockDiscipline:
 
 
 def lint_source(source: str, path: str = "<string>") -> tuple:
-    """All four rules over one module's source text."""
+    """Both rules over one module's source text."""
     try:
         tree = ast.parse(source)
     except SyntaxError as error:

@@ -40,7 +40,6 @@ from repro.core import (
     compile_protocol,
 )
 from repro.core.batch import LabelInterner, dtype_capacity, packed_dtype
-from repro.core.batch_kernels import HAVE_NUMBA
 from repro.exceptions import ValidationError
 from repro.faults import (
     BurstFault,
@@ -58,19 +57,7 @@ from repro.graphs import clique, unidirectional_ring
 
 np = pytest.importorskip("numpy")
 
-#: Every compute kernel the backend offers; the numba leg skip-marks cleanly
-#: when numba is absent so the plain matrix stays green unchanged.
 BATCH = ExecutionPolicy(executor="batch")
-
-KERNELS = [
-    "numpy",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not HAVE_NUMBA, reason="numba is not installed"
-        ),
-    ),
-]
 
 
 @contextlib.contextmanager
@@ -240,10 +227,9 @@ def random_rows(rng: random.Random, protocol, count: int):
 
 
 class TestRunEquivalence:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=20, deadline=None)
-    def test_arbitrary_cases_match_serial(self, kernel, seed):
+    def test_arbitrary_cases_match_serial(self, seed):
         rng = random.Random(seed)
         protocol = random_tabular_protocol(rng)
         count = rng.randrange(2, 7)
@@ -255,16 +241,15 @@ class TestRunEquivalence:
             )
             for b in range(count)
         ]
-        batch = BatchSimulator(protocol, inputs, kernel=kernel).run_batch(
+        batch = BatchSimulator(protocol, inputs).run_batch(
             labelings, schedules, max_steps=max_steps
         )
         for s, r in zip(serial, batch, strict=True):
             assert_reports_equal(s, r)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=20, deadline=None)
-    def test_arbitrary_fault_plans_match_serial(self, kernel, seed):
+    def test_arbitrary_fault_plans_match_serial(self, seed):
         rng = random.Random(seed)
         protocol = random_tabular_protocol(rng)
         space = protocol.label_space
@@ -281,15 +266,14 @@ class TestRunEquivalence:
             )
             for b in range(count)
         ]
-        batch = BatchSimulator(protocol, inputs, kernel=kernel).run_batch_with_faults(
+        batch = BatchSimulator(protocol, inputs).run_batch_with_faults(
             labelings, schedules, plans, max_steps=max_steps
         )
         for s, r in zip(serial, batch, strict=True):
             assert_reports_equal(s, r, FAULT_FIELDS)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_seed_stress(self, kernel):
-        """600-seed stress: light random cases, serial vs batch, per kernel."""
+    def test_seed_stress(self):
+        """600-seed stress: light random cases, serial vs batch."""
         for seed in range(600):
             rng = random.Random(seed)
             protocol = random_tabular_protocol(rng)
@@ -302,7 +286,7 @@ class TestRunEquivalence:
                 )
                 for b in range(count)
             ]
-            batch = BatchSimulator(protocol, inputs, kernel=kernel).run_batch(
+            batch = BatchSimulator(protocol, inputs).run_batch(
                 labelings, schedules, max_steps=max_steps
             )
             for s, r in zip(serial, batch, strict=True):
@@ -366,9 +350,8 @@ class TestSweepEquivalence:
             for k in range(count)
         ]
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_run_sweep_batch_equals_serial(self, seed, kernel):
+    def test_run_sweep_batch_equals_serial(self, seed):
         protocol = _xor_ring_protocol(8)
         cases = self._cases(protocol, 16, seed)
 
@@ -381,7 +364,7 @@ class TestSweepEquivalence:
             cases,
             factory,
             max_steps=120,
-            policy=ExecutionPolicy(executor="batch", kernel=kernel),
+            policy=BATCH,
         )
         assert serial == batch
         assert serial.outcome_counts == batch.outcome_counts
@@ -389,9 +372,8 @@ class TestSweepEquivalence:
         assert [r.index for r in batch] == list(range(len(cases)))
         assert [r.tag for r in batch] == [case.tag for case in cases]
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("criterion", ["label", "orbit"])
-    def test_resilience_sweep_batch_equals_serial(self, criterion, kernel):
+    def test_resilience_sweep_batch_equals_serial(self, criterion):
         protocol = _xor_ring_protocol(7)
         cases = self._cases(protocol, 12, 3)
         edges = protocol.topology.edges
@@ -425,7 +407,7 @@ class TestSweepEquivalence:
             fault_factory,
             max_steps=100,
             recovered=criterion,
-            policy=ExecutionPolicy(executor="batch", kernel=kernel),
+            policy=BATCH,
         )
         assert serial == batch
         assert serial.recovery_rate == batch.recovery_rate
@@ -485,78 +467,33 @@ class TestSweepEquivalence:
             )
 
 
-# -- kernel selection ---------------------------------------------------------
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        protocol = _xor_ring_protocol(4)
-        with pytest.raises(ValidationError, match="unknown kernel"):
-            BatchSimulator(protocol, [(0,) * 4], kernel="gpu")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_numba_kernel_without_numba_is_an_error(self):
-        protocol = _xor_ring_protocol(4)
-        with pytest.raises(ValidationError, match="requires numba"):
-            BatchSimulator(protocol, [(0,) * 4], kernel="numba")
-
-    def test_auto_resolves_to_an_available_kernel(self):
-        protocol = _xor_ring_protocol(4)
-        simulator = BatchSimulator(protocol, [(0,) * 4])
-        assert simulator.kernel == ("numba" if HAVE_NUMBA else "numpy")
-        forced = BatchSimulator(protocol, [(0,) * 4], kernel="numpy")
-        assert forced.kernel == "numpy"
-
-    def test_sweep_kernel_requires_batch_executor(self):
-        protocol = _xor_ring_protocol(4)
-        cases = [SweepCase((0,) * 4, Labeling.uniform(protocol.topology, 0))]
-
-        def factory(index, case):
-            return SynchronousSchedule(4)
-
-        with pytest.raises(ValidationError, match="executor='batch'"):
-            run_sweep(
-                protocol, cases, factory, policy=ExecutionPolicy(kernel="numpy")
-            )
-        with pytest.raises(ValidationError, match="executor='batch'"):
-            run_resilience_sweep(
-                protocol,
-                cases,
-                factory,
-                lambda i, c: NoFaults(),
-                policy=ExecutionPolicy(kernel="numpy"),
-            )
-
-
 # -- fused windows ------------------------------------------------------------
 
 
 class TestFusedWindows:
     """Fused k-step windows must equal k single steps, case for case."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=15, deadline=None)
-    def test_fused_equals_single_step_windows(self, kernel, seed):
+    def test_fused_equals_single_step_windows(self, seed):
         rng = random.Random(seed)
         protocol = random_tabular_protocol(rng)
         count = rng.randrange(2, 6)
         max_steps = rng.choice([30, 120])
         labelings, inputs, schedules = random_rows(rng, protocol, count)
-        fused = BatchSimulator(protocol, inputs, kernel=kernel).run_batch(
+        fused = BatchSimulator(protocol, inputs).run_batch(
             labelings, schedules, max_steps=max_steps
         )
         with fuse_cap(1):
-            single = BatchSimulator(protocol, inputs, kernel=kernel).run_batch(
+            single = BatchSimulator(protocol, inputs).run_batch(
                 labelings, schedules, max_steps=max_steps
             )
         for f, s in zip(fused, single, strict=True):
             assert_reports_equal(s, f)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=15, deadline=None)
-    def test_faults_split_fused_windows(self, kernel, seed):
+    def test_faults_split_fused_windows(self, seed):
         # Fault plans fire at arbitrary steps, so plans landing inside a
         # fused window force a split; the split must be invisible in the
         # report.
@@ -570,20 +507,17 @@ class TestFusedWindows:
             random_fault_plan(rng, protocol.topology, space, max_steps)
             for _ in range(count)
         ]
-        fused = BatchSimulator(protocol, inputs, kernel=kernel).run_batch_with_faults(
+        fused = BatchSimulator(protocol, inputs).run_batch_with_faults(
             labelings, schedules, plans, max_steps=max_steps
         )
         with fuse_cap(1):
-            single = BatchSimulator(
-                protocol, inputs, kernel=kernel
-            ).run_batch_with_faults(
+            single = BatchSimulator(protocol, inputs).run_batch_with_faults(
                 labelings, schedules, plans, max_steps=max_steps
             )
         for f, s in zip(fused, single, strict=True):
             assert_reports_equal(s, f, FAULT_FIELDS)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_finished_rows_leave_mid_window(self, kernel):
+    def test_finished_rows_leave_mid_window(self):
         # A forwarding ring: the all-zeros labeling is stable immediately,
         # a single token circulates forever, and intermediate labelings
         # settle at different times — rows retire mid-window while others
@@ -608,12 +542,12 @@ class TestFusedWindows:
         ]
         inputs = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(8)]
         schedule = SynchronousSchedule(n)
-        simulator = BatchSimulator(protocol, inputs, kernel=kernel)
+        simulator = BatchSimulator(protocol, inputs)
         batch = simulator.run_batch(labelings, schedule, max_steps=100)
         with fuse_cap(1):
-            single = BatchSimulator(
-                protocol, inputs, kernel=kernel
-            ).run_batch(labelings, schedule, max_steps=100)
+            single = BatchSimulator(protocol, inputs).run_batch(
+                labelings, schedule, max_steps=100
+            )
         settle_steps = set()
         for b, (labeling, report) in enumerate(zip(labelings, batch, strict=True)):
             serial = Simulator(protocol, inputs[b]).run(
@@ -676,8 +610,7 @@ class TestPackedInterner:
         assert interner.bulk_encode([[0, 1], [2]]) is None
         assert interner.bulk_encode([[0.5, 1.0]]) is None
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_mid_run_widening_never_overflows(self, kernel):
+    def test_mid_run_widening_never_overflows(self):
         # A counter ring whose labels escape the declared 2-label space and
         # keep growing: the interner crosses the u8 capacity mid-run, so the
         # packed code arrays must widen (never wrap) to stay serial-equal.
@@ -702,7 +635,7 @@ class TestPackedInterner:
             Labeling(topology, (1, 1, 1)),
         ]
         schedule = SynchronousSchedule(n)
-        simulator = BatchSimulator(protocol, [(0,) * n] * 2, kernel=kernel)
+        simulator = BatchSimulator(protocol, [(0,) * n] * 2)
         batch = simulator.run_batch(labelings, schedule, max_steps=300)
         for labeling, report in zip(labelings, batch, strict=True):
             serial = Simulator(protocol, (0,) * n).run(

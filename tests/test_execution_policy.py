@@ -1,11 +1,12 @@
 """Tests for the unified :class:`repro.ExecutionPolicy` API.
 
+Every execution knob has one spelling: a field of the policy, passed as
+``policy=``.  No entry point takes a knob as a keyword of its own, so such
+a keyword is a :class:`TypeError`; one parametrized test pins that for
+every entry point that once accepted one.
+
 The whole module runs under ``-W error::DeprecationWarning`` (scoped via
-``pytestmark``): any *internal* code path that still routes through a
-legacy scattered keyword blows up here.  Legacy spellings are exercised
-only inside explicit ``pytest.warns(DeprecationWarning)`` blocks, where the
-shim contract is the thing under test: same report, bit for bit, plus one
-warning naming the replacement.
+``pytestmark``), so no code path it drives may emit one.
 
 The golden-fingerprint tests pin the policy's cosmetic contract: no policy
 field may ever reach a cache key.  If they fail, either a policy field
@@ -21,14 +22,17 @@ import pytest
 from repro import DEFAULT_POLICY, ExecutionPolicy
 from repro.analysis import SweepCase, run_resilience_sweep, run_sweep
 from repro.core import Labeling
+from repro.core.batch import BatchSimulator
 from repro.exceptions import ValidationError
+from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
 from repro.faults.schedules import NoFaults
-from repro.policy import UNSET, resolve_policy
-from repro.service import SweepService, execute_plan, plan_sweep
+from repro.policy import resolve_policy
+from repro.service import SweepService, execute_plan, iter_shards, plan_sweep
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
     decide_label_r_stabilizing,
+    decide_output_r_stabilizing,
 )
 from repro.stabilization.example_clique import example1_protocol
 
@@ -54,8 +58,8 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy == DEFAULT_POLICY
         assert policy.executor == "serial"
-        assert policy.kernel is None
         assert policy.processes is None
+        assert policy.chunk_rows is None
         assert policy.frontier == "auto"
         assert policy.symmetry == "none"
 
@@ -68,11 +72,11 @@ class TestExecutionPolicy:
 
     def test_merged_derives_and_revalidates(self):
         base = ExecutionPolicy(executor="batch")
-        derived = base.merged(kernel="numpy", processes=2)
-        assert derived.kernel == "numpy"
-        assert base.kernel is None  # original untouched
+        derived = base.merged(chunk_rows=512, processes=2)
+        assert derived.chunk_rows == 512
+        assert base.chunk_rows is None  # original untouched
         with pytest.raises(ValidationError, match="executor='batch'"):
-            DEFAULT_POLICY.merged(kernel="numpy")
+            DEFAULT_POLICY.merged(chunk_rows=512)
 
     def test_describe_names_only_the_changed_fields(self):
         assert ExecutionPolicy().describe() == "ExecutionPolicy(defaults)"
@@ -85,13 +89,18 @@ class TestExecutionPolicy:
         "fields, match",
         [
             ({"executor": "gpu"}, "unknown executor"),
-            ({"executor": "batch", "kernel": "metal"}, "unknown kernel"),
-            ({"kernel": "numpy"}, "executor='batch'"),
+            ({"processes": 2.5}, "processes must be an integer"),
+            (
+                {"executor": "batch", "chunk_rows": 1.5},
+                "chunk_rows must be an integer",
+            ),
             ({"chunk_rows": 512}, "executor='batch'"),
             ({"executor": "batch", "chunk_rows": 0}, "chunk_rows"),
             ({"processes": 0}, "processes"),
             ({"frontier": "threads"}, "unknown frontier"),
             ({"batch_min_rows": 0}, "batch_min_rows"),
+            ({"processes": "2"}, "processes must be an integer"),
+            ({"batch_min_rows": 8.0}, "batch_min_rows must be an integer"),
         ],
     )
     def test_validation(self, fields, match):
@@ -102,136 +111,112 @@ class TestExecutionPolicy:
 class TestResolvePolicy:
     def test_explicit_policy_wins(self):
         policy = ExecutionPolicy(processes=2)
-        resolved = resolve_policy(policy, {"processes": UNSET}, api="f")
-        assert resolved is policy
+        assert resolve_policy(policy, api="f") is policy
+        fallback = ExecutionPolicy(executor="batch")
+        assert resolve_policy(policy, api="f", fallback=fallback) is policy
 
     def test_defaults_apply_without_any_input(self):
-        assert resolve_policy(None, {}, api="f") is DEFAULT_POLICY
+        assert resolve_policy(None, api="f") is DEFAULT_POLICY
         fallback = ExecutionPolicy(executor="batch")
-        assert resolve_policy(None, {}, api="f", fallback=fallback) is fallback
-
-    def test_unset_legacy_values_are_not_passed(self):
-        # No warning may escape (the module-level error filter enforces it).
-        resolved = resolve_policy(
-            None, {"processes": UNSET, "executor": UNSET}, api="f"
-        )
-        assert resolved is DEFAULT_POLICY
-
-    def test_legacy_keywords_warn_and_fold_into_the_fallback(self):
-        fallback = ExecutionPolicy(executor="batch", kernel="numpy")
-        with pytest.warns(DeprecationWarning, match="f: the processes"):
-            resolved = resolve_policy(
-                None, {"processes": 3, "executor": UNSET}, api="f",
-                fallback=fallback,
-            )
-        assert resolved == fallback.merged(processes=3)
-
-    def test_warning_names_every_passed_keyword(self):
-        with pytest.warns(
-            DeprecationWarning, match="executor, kernel.*deprecated"
-        ):
-            resolve_policy(
-                None,
-                {"executor": "batch", "kernel": "numpy", "processes": UNSET},
-                api="f",
-            )
-
-    def test_policy_plus_legacy_is_ambiguous(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_policy(
-                DEFAULT_POLICY, {"processes": 2}, api="run_sweep"
-            )
+        assert resolve_policy(None, api="f", fallback=fallback) is fallback
 
     def test_policy_type_is_checked(self):
         with pytest.raises(ValidationError, match="must be an ExecutionPolicy"):
-            resolve_policy("batch", {}, api="run_sweep")
+            resolve_policy("batch", api="run_sweep")
 
 
-class TestSweepShims:
-    """Legacy keywords on the sweep runners: warn once, same report."""
+def _faults(index, case):
+    return NoFaults()
 
-    def test_run_sweep_legacy_executor_matches_policy(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
-        via_policy = run_sweep(
-            protocol,
-            cases,
-            _sync,
-            max_steps=60,
-            policy=ExecutionPolicy(executor="batch"),
-        )
-        with pytest.warns(DeprecationWarning, match="run_sweep: the executor"):
-            via_legacy = run_sweep(
-                protocol, cases, _sync, max_steps=60, executor="batch"
-            )
-        assert via_legacy == via_policy
-        # ... and both match the plain serial default.
-        assert via_policy == run_sweep(protocol, cases, _sync, max_steps=60)
 
-    def test_run_sweep_legacy_processes_matches_policy(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
-        via_policy = run_sweep(
-            protocol,
-            cases,
-            _sync,
-            max_steps=60,
-            policy=ExecutionPolicy(processes=2),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="pass policy=ExecutionPolicy"
-        ):
-            via_legacy = run_sweep(
-                protocol, cases, _sync, max_steps=60, processes=2
-            )
-        assert via_legacy == via_policy
+K3 = example1_protocol(3)
+K3_START = random_bit_labeling(K3.topology, seed=7)
 
-    def test_run_sweep_rejects_policy_plus_legacy(self):
-        protocol = _ring(4)
-        with pytest.raises(ValidationError, match="not both"):
-            run_sweep(
-                protocol,
-                _cases(protocol, 2),
-                _sync,
-                max_steps=60,
-                policy=ExecutionPolicy(executor="batch"),
-                executor="batch",
-            )
 
-    def test_run_resilience_sweep_shim(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
+def _submit(**keywords):
+    plan, _, _ = _plan()
+    with SweepService() as service:
+        service.submit(plan, **keywords)
 
-        def faults(index, case):
-            return NoFaults()
 
-        via_policy = run_resilience_sweep(
-            protocol,
-            cases,
-            _sync,
-            faults,
-            max_steps=60,
-            policy=ExecutionPolicy(executor="batch"),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="run_resilience_sweep: the executor"
-        ):
-            via_legacy = run_resilience_sweep(
-                protocol, cases, _sync, faults, max_steps=60, executor="batch"
-            )
-        assert via_legacy == via_policy
+#: Every former shim entry point with one of its retired keywords (plus the
+#: retired batch compute-route keyword), a value it used to accept, and an
+#: otherwise valid call.
+RETIRED_KEYWORDS = [
+    (
+        "run_sweep",
+        "processes",
+        2,
+        lambda **kw: run_sweep(_ring(4), _cases(_ring(4), 2), _sync, **kw),
+    ),
+    (
+        "run_resilience_sweep",
+        "executor",
+        "batch",
+        lambda **kw: run_resilience_sweep(
+            _ring(4), _cases(_ring(4), 2), _sync, _faults, **kw
+        ),
+    ),
+    ("iter_shards", "kernel", "numpy", lambda **kw: iter_shards(_plan()[0], **kw)),
+    ("execute_plan", "executor", "batch", lambda **kw: execute_plan(_plan()[0], **kw)),
+    ("SweepService.submit", "processes", 2, _submit),
+    (
+        "ExplorationGraph",
+        "symmetry",
+        "auto",
+        lambda **kw: ExplorationGraph(K3, (0,) * 3, 2, [K3_START], **kw),
+    ),
+    (
+        "StatesGraph",
+        "frontier",
+        "serial",
+        lambda **kw: StatesGraph(K3, (0,) * 3, 2, [K3_START], **kw),
+    ),
+    (
+        "decide_label_r_stabilizing",
+        "symmetry",
+        "auto",
+        lambda **kw: decide_label_r_stabilizing(K3, (0,) * 3, 2, **kw),
+    ),
+    (
+        "decide_output_r_stabilizing",
+        "spill_dir",
+        None,
+        lambda **kw: decide_output_r_stabilizing(K3, (0,) * 3, 2, **kw),
+    ),
+    (
+        "exhaustive_worst_case_delay",
+        "frontier",
+        "serial",
+        lambda **kw: exhaustive_worst_case_delay(K3, (0,) * 3, K3_START, 2, **kw),
+    ),
+    (
+        "MinimaxAdversarySchedule",
+        "symmetry",
+        "auto",
+        lambda **kw: MinimaxAdversarySchedule(K3, (0,) * 3, K3_START, 2, **kw),
+    ),
+    (
+        "BatchSimulator",
+        "kernel",
+        "numpy",
+        lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "keyword, value, call",
+    [entry[1:] for entry in RETIRED_KEYWORDS],
+    ids=[entry[0] for entry in RETIRED_KEYWORDS],
+)
+def test_retired_keywords_are_rejected(keyword, value, call):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        call(**{keyword: value})
 
 
 class TestServiceShims:
-    def test_execute_plan_shim(self):
-        plan, _, _ = _plan()
-        via_policy = execute_plan(plan, policy=ExecutionPolicy(executor="batch"))
-        with pytest.warns(
-            DeprecationWarning, match="execute_plan: the executor"
-        ):
-            via_legacy = execute_plan(plan, executor="batch")
-        assert via_legacy == via_policy
-        assert via_policy == execute_plan(plan)
+    """The service takes its knobs from the plan or from ``policy=``."""
 
     def test_plan_attached_policy_needs_no_keywords_at_all(self):
         bare, protocol, cases = _plan()
@@ -242,43 +227,11 @@ class TestServiceShims:
             max_steps=60,
             policy=ExecutionPolicy(executor="batch"),
         )
-        # Executing the plan touches no legacy path and emits no warning.
         assert execute_plan(plan) == execute_plan(bare)
-
-    def test_service_submit_shim(self):
-        plan, _, _ = _plan()
-        with SweepService() as service:
-            via_policy = service.result(
-                service.submit(plan, policy=ExecutionPolicy(executor="batch")),
-                timeout=30,
-            )
-            with pytest.warns(
-                DeprecationWarning, match="SweepService.submit: the executor"
-            ):
-                legacy_id = service.submit(plan, executor="batch")
-            assert service.result(legacy_id, timeout=30) == via_policy
 
 
 class TestExplorationShims:
-    def test_exploration_graph_legacy_symmetry_matches_policy(self):
-        protocol = example1_protocol(3)
-        inputs = (0,) * 3
-        inits = [random_bit_labeling(protocol.topology, seed=7)]
-        via_policy = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            policy=ExecutionPolicy(symmetry="auto", frontier="serial"),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="ExplorationGraph: the .*symmetry"
-        ):
-            via_legacy = ExplorationGraph(
-                protocol, inputs, 2, inits, symmetry="auto", frontier="serial"
-            )
-        assert via_legacy.state_keys == via_policy.state_keys
-        assert len(via_legacy.edge_dst) == len(via_policy.edge_dst)
+    """The exploration entry points take their knobs from ``policy=``."""
 
     def test_states_graph_accepts_a_policy(self):
         protocol = example1_protocol(3)
@@ -293,11 +246,6 @@ class TestExplorationShims:
             policy=ExecutionPolicy(symmetry="auto"),
         )
         assert len(quotient.state_keys) <= len(plain.state_keys)
-        with pytest.warns(DeprecationWarning, match="StatesGraph"):
-            legacy = StatesGraph(
-                protocol, inputs, r=2, initial_labelings=inits, symmetry="auto"
-            )
-        assert len(legacy.state_keys) == len(quotient.state_keys)
 
     def test_model_checker_accepts_a_policy(self):
         protocol = example1_protocol(3)
@@ -307,13 +255,6 @@ class TestExplorationShims:
             protocol, inputs, 2, policy=ExecutionPolicy(symmetry="auto")
         )
         assert via_policy.stabilizing == plain.stabilizing
-        with pytest.warns(
-            DeprecationWarning, match="decide_label_r_stabilizing"
-        ):
-            via_legacy = decide_label_r_stabilizing(
-                protocol, inputs, 2, symmetry="auto"
-            )
-        assert via_legacy.stabilizing == plain.stabilizing
 
 
 class TestFingerprintCosmetics:
@@ -345,12 +286,12 @@ class TestFingerprintCosmetics:
         [
             None,
             ExecutionPolicy(),
-            ExecutionPolicy(executor="batch", kernel="numba", processes=4),
+            ExecutionPolicy(executor="batch", chunk_rows=64, processes=4),
             ExecutionPolicy(
                 frontier="serial", symmetry="auto", batch_min_rows=1
             ),
         ],
-        ids=["none", "default", "batch-numba-fanout", "exploration-knobs"],
+        ids=["none", "default", "batch-chunked-fanout", "exploration-knobs"],
     )
     def test_golden_fingerprints_ignore_every_policy_spelling(self, policy):
         plan = self._golden_plan(policy)

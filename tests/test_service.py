@@ -313,7 +313,7 @@ class TestExecutorEquivalence:
                 protocol,
                 _population(protocol, 2),
                 exploding_factory,
-                policy=ExecutionPolicy(kernel="numba"),
+                policy=ExecutionPolicy(chunk_rows=64),
             )
         with pytest.raises(ValidationError, match="unknown recovery"):
             run_resilience_sweep(

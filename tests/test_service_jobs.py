@@ -180,6 +180,14 @@ class TestSweepService:
         with pytest.raises(ValidationError, match="workers"):
             SweepService(workers=0)
 
+    @pytest.mark.parametrize("shard_size", [0, 2.5])
+    def test_bad_shard_size_is_rejected_before_anything_is_queued(self, shard_size):
+        plan, _, _ = _plan(count=2)
+        with SweepService() as service:
+            with pytest.raises(ValidationError, match="shard_size"):
+                service.submit(plan, shard_size=shard_size)
+            assert service.jobs() == []
+
     def test_two_workers_share_one_cache(self):
         plan, _, _ = _plan()
         distinct = len(set(plan.case_fingerprints()))

@@ -295,30 +295,6 @@ class TestDiagnosticRecord:
 
 
 class TestLintRules:
-    def test_unset_default_requires_policy_parameter(self):
-        source = (
-            "def run(protocol, *, processes=UNSET):\n"
-            "    return protocol\n"
-        )
-        rules = {d.rule for d in lint_source(source, "api.py")}
-        assert "lint/policy-parameter" in rules
-
-    def test_unset_default_with_policy_is_clean(self):
-        source = (
-            "def run(protocol, *, policy=None, processes=UNSET):\n"
-            "    return protocol\n"
-        )
-        assert not lint_source(source, "api.py")
-
-    def test_internal_legacy_kwarg_is_flagged(self):
-        source = "report = run_sweep(protocol, cases, factory, executor='batch')\n"
-        diagnostics = lint_source(source, "caller.py")
-        assert [d.rule for d in diagnostics] == ["lint/legacy-kwarg"]
-
-    def test_policy_kwarg_is_clean(self):
-        source = "report = run_sweep(protocol, cases, factory, policy=policy)\n"
-        assert not lint_source(source, "caller.py")
-
     def test_wall_clock_in_kernel_path_is_flagged(self):
         source = "import time\n\nstart = time.perf_counter()\n"
         diagnostics = lint_source(source, "src/repro/core/engine.py")
@@ -432,12 +408,7 @@ class TestPredictedPartition:
     ):
         protocol = _tabular_protocol(n, k, use_clique, seed)
         predicted = verify_protocol(protocol, max_table_size=max_table_size)
-        simulator = BatchSimulator(
-            protocol,
-            [(0,) * n],
-            max_table_size=max_table_size,
-            kernel="numpy",
-        )
+        simulator = BatchSimulator(protocol, [(0,) * n], max_table_size=max_table_size)
         actual_fallback = set(range(n)) - set(simulator.lifted_nodes)
         assert set(predicted.predicted_fallback) == actual_fallback
         assert set(predicted.predicted_lifted) == set(simulator.lifted_nodes)
