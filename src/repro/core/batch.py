@@ -42,23 +42,30 @@ Two throughput layers sit on top of the lift (this module's hot loop):
   intermediate states, which keeps it exactly serial-equivalent (a row that
   settles mid-window is concluded from its in-window state, and the extra
   stepped states are simply discarded).  Windows shrink to 1 near settle
-  points and around fault fire times, and grow while nothing happens.
+  points and around fault fire times, and grow while nothing happens.  On
+  the ring route with per-row masks the kernel works on flat frame buffers
+  (rows there are a few bytes wide, so per-row inner loops would cost more
+  than the data).
 
-Convergence analysis runs per row on top of the shared stepping, replicating
-``Simulator.run`` decision-for-decision: periodic rows hash
-``(state bytes, phase)`` for exact cycle detection and classify through the
-engine's own :func:`~repro.core.engine.classify_cycle`; aperiodic rows carry
-vectorized witness masks for the fixed-point certifier; finished rows leave
-the live set and stop costing work while the rest keep stepping.  Reports are
-equal (``==``) to the serial engine's, field for field.
+Rows are grouped by schedule object: a window queries each live schedule
+once per step into one ``(k, G, n)`` activation block, and per-row masks are
+one gather from it.  Convergence analysis runs per row on top of the shared
+stepping, replicating ``Simulator.run`` decision-for-decision: periodic rows
+hash ``(state bytes, phase)`` for exact cycle detection and classify through
+the engine's own :func:`~repro.core.engine.classify_cycle`; aperiodic rows
+are certified for a whole window at once from a per-group activation clock
+and their change flags, with no per-step loop; finished rows leave the live
+set and stop costing work while the rest keep stepping.  Reports are equal
+(``==``) to the serial engine's, field for field.
 
 Fault injection (:meth:`BatchSimulator.run_batch_with_faults`) mirrors
 :func:`repro.faults.injection.run_with_faults`: raw stepping through each
 row's fault window, models fired through
 :meth:`repro.faults.models.FaultModel.fire_batch` (which reproduces the
 serial ``(seed, fire time)`` RNG derivation row by row), then the certified
-analysis tail relative to each row's last fault.  A fault fire time inside a
-fused window splits the window: fires always land exactly at window starts.
+analysis tail relative to each row's last fault.  Fires are grouped by time
+before the run; a fault fire time inside a fused window splits the window,
+so fires always land exactly at window starts.
 """
 
 from __future__ import annotations
@@ -85,7 +92,8 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #: ``|Sigma| ** in_degree`` stays at or below this many rows.
 DEFAULT_MAX_TABLE_SIZE = 1 << 16
 
-#: Upper bound on the adaptive fused-window length (``fuse="auto"``).
+#: Upper bound on the adaptive fused-window length.  In-window step
+#: indices are int8, so it must stay below 127.
 MAX_FUSE_WINDOW = 64
 
 #: Resident-stack budget for one fused window, in bytes; the window length
@@ -397,6 +405,103 @@ def batch_compile(
     return batch
 
 
+def _shift_rows(src, s, out, base=None, base_flat=None) -> None:
+    """``out[:, i] = src[:, (i + s) % m]``, xor ``base[i]`` when given.
+
+    ``src``/``out`` are contiguous ``(h, m)`` frames, handled as flat
+    ``h*m`` buffers: one contiguous op moves every element by ``s`` (or
+    ``s - m``) places, then one strided op repairs the ``min(s, m - s)``
+    columns whose source wrapped across a row boundary.  ``base_flat`` is
+    ``base`` tiled to at least ``h*m`` entries.
+    """
+    h, m = src.shape
+    size = h * m
+    flat_src = src.reshape(-1)
+    flat_out = out.reshape(-1)
+    if 2 * s <= m:
+        # Columns below m - s read s places ahead; the last s wrapped.
+        body_src, body_out = flat_src[s:], flat_out[: size - s]
+        body_cols = slice(0, size - s)
+        fix_src, fix_out, fix_cols = src[:, :s], out[:, m - s :], slice(m - s, m)
+    else:
+        # Columns from m - s read m - s places behind; the first m - s wrapped.
+        a = m - s
+        body_src, body_out = flat_src[: size - a], flat_out[a:]
+        body_cols = slice(a, size)
+        fix_src, fix_out, fix_cols = src[:, s:], out[:, :a], slice(0, a)
+    if base is None:
+        np.copyto(body_out, body_src)
+        if fix_src.size:
+            np.copyto(fix_out, fix_src)
+    else:
+        np.bitwise_xor(body_src, base_flat[body_cols], out=body_out)
+        if fix_src.size:
+            np.bitwise_xor(fix_src, base[fix_cols], out=fix_out)
+
+
+def _blend(new, old, mask) -> None:
+    """Keep ``old`` where the flat byte ``mask`` is 0x00, ``new`` where 0xFF.
+
+    ``new = old ^ ((new ^ old) & mask)`` in place: three contiguous ops,
+    where ``copyto(where=)`` walks the mask one element at a time.
+    """
+    new = new.reshape(-1)
+    old = old.reshape(-1)
+    np.bitwise_xor(new, old, out=new)
+    np.bitwise_and(new, mask, out=new)
+    np.bitwise_xor(new, old, out=new)
+
+
+def _row_changes(frames, out) -> None:
+    """Set ``out[j, r]``: did row ``r`` change between frames ``j`` and ``j+1``.
+
+    ``frames`` is a ``(k+1, L, w)`` stack (last axis contiguous) and ``out``
+    a ``(k, L)`` bool array.  Rows are compared as the widest unsigned words
+    their byte width divides into, one op per word column over the whole
+    window: reducing a narrow last axis with ``any`` would pay one inner
+    loop per row.
+    """
+    after, before = frames[1:], frames[:-1]
+    width = after.shape[-1] * after.itemsize
+    if not width:
+        out[...] = False
+        return
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    word_dt = np.dtype(f"u{word}")
+    after = after.view(word_dt)
+    before = before.view(word_dt)
+    if after.shape[-1] > 8:
+        np.any(after != before, axis=-1, out=out)
+        return
+    np.not_equal(after[..., 0], before[..., 0], out=out)
+    for q in range(1, after.shape[-1]):
+        out |= after[..., q] != before[..., q]
+
+
+#: In-window step indices (and ranks), int8: windows never exceed
+#: ``MAX_FUSE_WINDOW`` steps.
+_STEPS = np.arange(128, dtype=np.int8) if np is not None else None
+
+
+def _scan(op, a):
+    """Inclusive prefix scan of ``a`` along axis 0 under the ufunc ``op``.
+
+    Doubling (Hillis-Steele): ``ceil(log2 k)`` whole-array calls,
+    alternating between ``a`` (overwritten) and one spare array; returns
+    whichever holds the result.  ``ufunc.accumulate`` along axis 0 runs one
+    column at a time, which costs more than this on wide arrays.
+    """
+    k = a.shape[0]
+    spare = np.empty_like(a) if k > 1 else None
+    d = 1
+    while d < k:
+        spare[:d] = a[:d]
+        op(a[d:], a[:-d], out=spare[d:])
+        a, spare = spare, a
+        d *= 2
+    return a
+
+
 class _Group:
     """One set of lifted nodes sharing an (in-degree, out-degree) shape."""
 
@@ -421,6 +526,7 @@ class _Group:
         "s2",
         "y_cast",
         "shift",
+        "s2_tiled",
     )
 
 
@@ -654,6 +760,7 @@ class BatchSimulator:
             group.in_pos_flat = group.in_pos[:, 0] if degree == 1 else None
             group.comb = None  # lazy: fused (label | output << 8) table
             group.s2 = None  # lazy: binary-space arithmetic constants
+            group.s2_tiled = None  # lazy: s2 constants tiled over flat frames
             group.y_cast = None  # lazy: y_table cast to the run's y dtype
             # Cyclic-shift reads (ring families): the per-step gather
             # becomes two contiguous slice copies instead of a random take.
@@ -900,15 +1007,15 @@ class BatchSimulator:
         """Fuse ``k = len(masks)`` steps into one resident-stack kernel run.
 
         ``stack``/``ostack`` are ``(k+1, L, m)`` / ``(k+1, L, n)`` state
-        stacks whose slice 0 holds the current codes; every mask is either a
-        shared ``(n,)`` activation vector or a per-row ``(L, n)`` array.
-        Only called when every node is lifted (no fallback), so the interner
-        cannot grow mid-window and the packed dtypes are stable.
+        stacks whose slice 0 holds the current codes; ``masks`` is either a
+        shared ``(k, n)`` activation block (one vector per step, every row)
+        or a per-row ``(k, L, n)`` block.  Only called when every node is
+        lifted (no fallback), so the interner cannot grow mid-window and the
+        packed dtypes are stable.
 
-        Returns ``(diffs, odiffs)`` — the ``(k, L)`` per-step change flags —
-        when the kernel computed them as a by-product (the tiled mono route,
-        where the frames are still cache-resident), else ``None`` and the
-        caller falls back to :meth:`_window_diffs`.
+        Returns the ``(2, k, L)`` per-step change flags: ``[0, j, r]``
+        whether row ``r``'s labels changed in step ``j``, ``[1, j, r]`` its
+        outputs.
         """
         L = stack.shape[1]
         n = self._batch.n
@@ -980,6 +1087,8 @@ class BatchSimulator:
                         else ytab.astype(ostack.dtype)
                     )
                 ytab_cast = mono.y_cast
+            if variant == "s2" and shift is not None and masks.ndim == 3:
+                return self._fill_flat(stack, ostack, masks)
             #: Columns each step's mask leaves inactive (gathers write every
             #: column; the blend copies these back) — None for 2D masks.
             inactive = [
@@ -994,14 +1103,7 @@ class BatchSimulator:
             tile = max(1, MONO_TILE_BYTES // (m * stack.dtype.itemsize))
             tile = min(tile, L)
             k = len(masks)
-            diffs = np.empty((k, L), dtype=bool)
-            odiffs = np.empty((k, L), dtype=bool)
-            neq = np.empty((tile, m), dtype=bool)
-            # Change detection compares whole rows; viewing each packed row
-            # as u64 words compares 8 bytes per lane and shrinks the any()
-            # reduction by the same factor.
-            s_words = (m * stack.dtype.itemsize) % 8 == 0
-            o_words = (m * ostack.dtype.itemsize) % 8 == 0
+            flags = np.empty((2, k, L), dtype=bool)
             gather = np.empty((tile, m), dtype=stack.dtype)
             wide = (
                 np.empty((tile, m), dtype=np.uint16)
@@ -1109,35 +1211,77 @@ class BatchSimulator:
                         off = ~mk[r0:r1]
                         np.copyto(st[j + 1], st[j], where=off)
                         np.copyto(ost[j + 1], ost[j], where=off)
-                    sa, sb = st[j + 1], st[j]
-                    if s_words:
-                        sa = sa.view(np.uint64)
-                        sb = sb.view(np.uint64)
-                    n_ = neq[:height, : sa.shape[1]]
-                    np.not_equal(sa, sb, out=n_)
-                    np.any(n_, axis=1, out=diffs[j, r0:r1])
-                    oa, ob = ost[j + 1], ost[j]
-                    if o_words:
-                        oa = oa.view(np.uint64)
-                        ob = ob.view(np.uint64)
-                    n_ = neq[:height, : oa.shape[1]]
-                    np.not_equal(oa, ob, out=n_)
-                    np.any(n_, axis=1, out=odiffs[j, r0:r1])
-            return diffs, odiffs
+                _row_changes(st, flags[0, :, r0:r1])
+                _row_changes(ost, flags[1, :, r0:r1])
+            return flags
         for j, mk in enumerate(masks):
             if mk.ndim == 1:
                 mk = np.broadcast_to(mk, (L, n))
             np.copyto(stack[j + 1], stack[j])
             np.copyto(ostack[j + 1], ostack[j])
             self._apply_groups(stack[j], stack[j + 1], ostack[j + 1], mk, live)
-        return None
+        flags = np.empty((2, len(masks), L), dtype=bool)
+        _row_changes(stack, flags[0])
+        _row_changes(ostack, flags[1])
+        return flags
 
-    def _window_diffs(self, frames, k: int, L: int):
-        """``(k, L)`` change flags: did row ``r`` change during step ``j``."""
-        out = np.empty((k, L), dtype=bool)
-        for j in range(k):
-            out[j] = (frames[j + 1] != frames[j]).any(axis=1)
-        return out
+    def _fill_flat(self, stack, ostack, masks):
+        """The binary cyclic-shift kernel under per-row masks, on flat frames.
+
+        Rows here are a few bytes wide, so numpy's per-row inner loops cost
+        more than the data: every tile frame is handled as one contiguous
+        ``h*m`` buffer instead.  The shift is one flat op plus one strided
+        column fix (:func:`_shift_rows`), per-column constants are tiled to
+        the buffer length once, and a mask blends by byte arithmetic
+        (:func:`_blend`).
+        """
+        mono = self._mono
+        shift = mono.shift
+        k, L, m = masks.shape  # the mono route owns edge i at node i: m == n
+        base_row, flip, ybase, yflip, flip_unit, yflip_unit = mono.s2
+        #: 0xFF where a row's node is active, 0x00 where it holds.
+        ones = np.negative(masks.view(np.uint8))
+        tile = max(1, min(L, MONO_TILE_BYTES // ((k + 1) * m)))
+        if mono.s2_tiled is None or mono.s2_tiled[0].size < tile * m:
+            mono.s2_tiled = tuple(
+                np.tile(row, tile) for row in (base_row, flip, ybase, yflip)
+            )
+        base_t, flip_t, ybase_t, yflip_t = mono.s2_tiled
+        fused = flip_unit and yflip_unit
+        gather = None if fused else np.empty((tile, m), dtype=np.uint8)
+        flags = np.empty((2, k, L), dtype=bool)
+        for r0 in range(0, L, tile):
+            r1 = min(L, r0 + tile)
+            size = (r1 - r0) * m
+            st = stack[:, r0:r1]
+            ost = ostack[:, r0:r1]
+            for j in range(k):
+                src = st[j]
+                if fused:
+                    # Ring xor family: each select is a plain xor, so the
+                    # shift writes the stepped frames directly.
+                    _shift_rows(src, shift, st[j + 1], base_row, base_t)
+                    _shift_rows(src, shift, ost[j + 1], ybase, ybase_t)
+                else:
+                    g = gather[: r1 - r0]
+                    _shift_rows(src, shift, g)
+                    flat = g.reshape(-1)
+                    for out, unit, flips, base in (
+                        (st[j + 1], flip_unit, flip_t, base_t),
+                        (ost[j + 1], yflip_unit, yflip_t, ybase_t),
+                    ):
+                        out = out.reshape(-1)
+                        if unit:
+                            np.bitwise_xor(flat, base[:size], out=out)
+                        else:
+                            np.multiply(flat, flips[:size], out=out)
+                            np.bitwise_xor(out, base[:size], out=out)
+                mask = ones[j, r0:r1].reshape(-1)
+                _blend(st[j + 1], src, mask)
+                _blend(ost[j + 1], ost[j], mask)
+            _row_changes(st, flags[0, :, r0:r1])
+            _row_changes(ost, flags[1, :, r0:r1])
+        return flags
 
     # -- runs --------------------------------------------------------------
 
@@ -1211,21 +1355,16 @@ class BatchSimulator:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         initial_outputs: Sequence[Sequence[Any] | None] | None = None,
-        fuse: int | str = "auto",
     ) -> list[RunReport]:
         """Run every row's case to a verdict; one ``RunReport`` per row.
 
         ``schedules`` is one schedule per row (a single schedule object is
         shared by every row — only sound for stateless-in-time schedules,
-        which all of :mod:`repro.core.schedule` are).  ``fuse`` bounds the
-        fused stepping window: ``"auto"`` (adaptive, the default), or a
-        fixed positive step count (``1`` disables fusion; any value is
-        serial-equivalent, the knob only exists for benchmarking and
-        bisection).  Traces are not recorded; use the serial engine for
-        ``record_trace`` runs.
+        which all of :mod:`repro.core.schedule` are).  Traces are not
+        recorded; use the serial engine for ``record_trace`` runs.
         """
         reports = self._run_lockstep(
-            labelings, schedules, None, max_steps, initial_outputs, fuse
+            labelings, schedules, None, max_steps, initial_outputs
         )
         return [report for report, _, _ in reports]
 
@@ -1237,7 +1376,6 @@ class BatchSimulator:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         initial_outputs: Sequence[Sequence[Any] | None] | None = None,
-        fuse: int | str = "auto",
     ):
         """Injected batch runs; one ``FaultRunReport`` per row.
 
@@ -1249,7 +1387,7 @@ class BatchSimulator:
         from repro.faults.injection import FaultRunReport
 
         reports = self._run_lockstep(
-            labelings, schedules, fault_plans, max_steps, initial_outputs, fuse
+            labelings, schedules, fault_plans, max_steps, initial_outputs
         )
         out = []
         for report, fault_times, base in reports:
@@ -1272,11 +1410,54 @@ class BatchSimulator:
         return out
 
     def _run_lockstep(
-        self, labelings, schedules, fault_plans, max_steps, initial_outputs,
-        fuse="auto",
+        self, labelings, schedules, fault_plans, max_steps, initial_outputs
     ):
-        B = self.batch_size
-        n = self.protocol.n
+        """Advance every row in fused windows of ``k >= 1`` steps.
+
+        Each window runs the phases of :class:`_Lockstep` in order.  Windows
+        grow while nothing happens and shrink to one step the moment rows
+        settle (conclusions cluster, and a short window wastes no
+        speculative stepping near them); fault fire times and the step
+        budget truncate them.  Returns ``(report, fault_times, t0)`` per row.
+        """
+        run = _Lockstep(
+            self, labelings, schedules, fault_plans, max_steps, initial_outputs
+        )
+        t = 0
+        window = 1
+        while t < max_steps and run.live.size:
+            run.fire(t)
+            block = run.masks(t, run.window_length(t, window))
+            if block is None:
+                # Offset-0 exhaustion: the window was concluded away, not
+                # stepped.  Re-enter with the surviving rows, same t.
+                continue
+            frames, oframes, flags = run.step(block)
+            finished = run.settle_aperiodic(t, block, frames, oframes, flags)
+            finished += run.settle_periodic(t, frames, oframes)
+            run.commit(frames, oframes, finished)
+            t += block.shape[0]
+            window = 1 if finished else min(window * 2, MAX_FUSE_WINDOW)
+        return run.timeout()
+
+
+class _Lockstep:
+    """The per-row state of one lockstep run and its window phases.
+
+    Rows are grouped by schedule object (``gid``; a shared schedule is one
+    group), so a window queries each live schedule once per step and builds
+    one ``(k, G, n)`` activation block.  Aperiodic rows carry no witness
+    set: the serial certifier's witness is every node active since the
+    row's last label change, so a row is certified at step ``j`` exactly
+    when its group's oldest "latest activation" reaches that segment start
+    (see :meth:`settle_aperiodic`).  Fault fires are grouped by time up
+    front, so a fire time costs one staging copy and one write-back.
+    """
+
+    def __init__(
+        self, sim, labelings, schedules, fault_plans, max_steps, initial_outputs
+    ):
+        B = sim.batch_size
         if isinstance(schedules, Schedule):
             schedules = [schedules] * B
         else:
@@ -1291,24 +1472,71 @@ class BatchSimulator:
             initial_outputs = [None] * B
         elif len(initial_outputs) != B:
             raise ValidationError("outputs must have one entry per row")
-        if fuse != "auto" and (
-            isinstance(fuse, bool) or not isinstance(fuse, int) or fuse < 1
-        ):
-            raise ValidationError(
-                "fuse must be 'auto' or a positive step count"
-            )
-        adaptive = fuse == "auto"
+        self.sim = sim
+        self.B = B
+        self.n = sim.protocol.n
+        self.m = sim.protocol.topology.m
+        self.max_steps = max_steps
+        self._encode(labelings, initial_outputs)
+        self._plan_faults(fault_plans)
 
-        interner = self._interner
-        y_interners = self._y_interners
-        m = self.protocol.topology.m
+        # Schedule groups, by object identity.
+        index: dict[int, int] = {}
+        self.schedules: list[Schedule] = []
+        gid = []
+        for schedule in schedules:
+            g = index.setdefault(id(schedule), len(index))
+            if g == len(self.schedules):
+                self.schedules.append(schedule)
+            gid.append(g)
+        G = len(self.schedules)
+        self.gid = np.asarray(gid, dtype=np.intp)
+        #: Live rows per group; a group without any is never queried.
+        self.group_rows = np.bincount(self.gid, minlength=G)
+        #: One plus the latest step each node was active, per group (0 =
+        #: never), as of the last window with aperiodic rows in analysis.
+        self.last_active = np.zeros((G, self.n), dtype=np.int64)
+        #: Absolute times ``0..max_steps``, sliced per window.
+        self.times = np.arange(max_steps + 1, dtype=np.int64)
 
-        # -- encode the starting population.  Labels first, dtypes second:
-        # the code arrays are allocated only after every starting label has
-        # been interned, so an out-of-range code can never wrap into a
-        # too-narrow packed array.
+        # Per-row analysis state.  Rows enter analysis at t0: at 0, or
+        # right after their last fault fires.  ``segs[0]``/``segs[1]`` are
+        # the first steps after the last label/output change (t0 when
+        # none), so the report's rounds are ``segs - t0``.
+        self.t0 = np.zeros(B, dtype=np.int64)
+        self.segs = np.zeros((2, B), dtype=np.int64)
+        self.aper = np.zeros(B, dtype=bool)  # aperiodic rows in analysis
+        self.per = np.zeros(B, dtype=bool)  # periodic rows in analysis
+        self.analysis: list[_RowAnalysis | None] = [None] * B
+        self.results: list[Any] = [None] * B
+        self.alive = np.ones(B, dtype=bool)
+        self.live = np.arange(B)
+        self.stack_buf = None
+        self.ostack_buf = None
+        ready = np.ones(B, dtype=bool)
+        ready[list(self.last_fire)] = False
+        periodic = np.asarray(
+            [schedule.period is not None for schedule in self.schedules]
+        )[self.gid]
+        self.aper[:] = ready & ~periodic
+        for slot in np.flatnonzero(ready & periodic).tolist():
+            self.start(slot, 0)
+
+    # -- setup -----------------------------------------------------------
+
+    def _encode(self, labelings, initial_outputs) -> None:
+        """The starting code arrays.
+
+        Labels first, dtypes second: the code arrays are allocated only
+        after every starting label has been interned, so an out-of-range
+        code can never wrap into a too-narrow packed array.
+        """
+        sim = self.sim
+        B, n, m = self.B, self.n, self.m
+        interner = sim._interner
+        y_interners = sim._y_interners
         for labeling in labelings:
-            self._check_topology(labeling)
+            sim._check_topology(labeling)
         bulk = interner.bulk_encode(
             [labeling.values for labeling in labelings]
         )
@@ -1322,8 +1550,7 @@ class BatchSimulator:
             ]
         output_rows = []
         none_row = None
-        for b in range(B):
-            outs = initial_outputs[b]
+        for outs in initial_outputs:
             if outs is None:
                 if none_row is None:
                     none_row = [y_interners[i].encode(None) for i in range(n)]
@@ -1338,11 +1565,11 @@ class BatchSimulator:
                     [y_interners[i].encode(outs[i]) for i in range(n)]
                 )
 
-        if self._space_size == 0:
+        if sim._space_size == 0:
             code_dt = np.dtype(np.int64)
         else:
             code_dt = np.dtype(
-                packed_dtype(max(self._space_size, interner.size))
+                packed_dtype(max(sim._space_size, interner.size))
             )
         y_dt = np.dtype(
             packed_dtype(
@@ -1356,595 +1583,480 @@ class BatchSimulator:
         )
         if codes.base is not None or codes.dtype != code_dt:
             codes = np.ascontiguousarray(codes, dtype=code_dt)
-        ocodes = np.asarray(output_rows, dtype=y_dt)
+        self.codes = codes
+        self.ocodes = np.asarray(output_rows, dtype=y_dt)
+        self.code_dt = code_dt
+        self.y_dt = y_dt
+        self.code_cap = dtype_capacity(code_dt)
 
-        # Fault fire lists, validated by the serial injector's own check so
-        # the two executors accept exactly the same fault plans.
-        if fault_plans is not None:
-            from repro.faults.injection import validate_fires
+    def _plan_faults(self, fault_plans) -> None:
+        """Group every row's fire list by time: ``t -> {slot: [models]}``.
 
-            fault_plans = list(fault_plans)
-            if len(fault_plans) != B:
-                raise ValidationError("need one fault plan per row")
-            pending = []
-            for plan in fault_plans:
-                fires = plan.fires_within(max_steps)
-                validate_fires(fires, max_steps)
-                pending.append(fires)
-        else:
+        Fire lists are validated by the serial injector's own check, so the
+        two executors accept exactly the same fault plans.
+        """
+        self.timeline: dict[int, dict[int, list]] = {}
+        #: Slot -> its last fire time (the rows that start analysis late).
+        self.last_fire: dict[int, int] = {}
+        if fault_plans is None:
             # Fault-free rows never append; sharing one immutable empty per
-            # row skips 2B list allocations at sweep scale.
-            pending = [()] * B
-        fault_times: list = (
-            [[] for _ in range(B)] if fault_plans is not None else [()] * B
-        )
+            # row skips B list allocations at sweep scale.
+            self.fault_times: list = [()] * self.B
+            self.fire_times: list[int] = []
+            return
+        from repro.faults.injection import validate_fires
 
-        # Per-row analysis state.
-        t0 = np.zeros(B, dtype=np.int64)
-        witnessed = np.zeros((B, n), dtype=bool)
-        llc = np.full(B, -1, dtype=np.int64)  # last label change, local time
-        loc = np.full(B, -1, dtype=np.int64)  # last output change, local time
-        analysis: list[_RowAnalysis | None] = [None] * B
-        is_periodic = np.zeros(B, dtype=bool)
-        in_analysis = np.zeros(B, dtype=bool)
-        results: list[Any] = [None] * B
-
-        def start_analysis(slot: int, t: int) -> None:
-            t0[slot] = t
-            in_analysis[slot] = True
-            schedule = schedules[slot]
-            period = schedule.period
-            if period is not None:
-                is_periodic[slot] = True
-                preperiod = max(0, schedule.preperiod - t)
-                state = (codes[slot].tobytes(), ocodes[slot].tobytes())
-                analysis[slot] = _RowAnalysis(preperiod, period, state)
-            else:
-                witnessed[slot] = False
-                llc[slot] = -1
-                loc[slot] = -1
-
-        raw_rows = []
-        if (
-            fault_plans is None
-            and all(s is schedules[0] for s in schedules)
-            and schedules[0].period is None
-        ):
-            # The common sweep shape — one shared aperiodic schedule, no
-            # faults: every row starts analysis at t=0 and the per-row state
-            # arrays already hold exactly what start_analysis would write.
-            in_analysis[:] = True
-        else:
-            for slot in range(B):
-                if pending[slot]:
-                    raw_rows.append(slot)
-                else:
-                    start_analysis(slot, 0)
-
-        alive = np.ones(B, dtype=bool)
-        live = np.arange(B)
-        setvec_cache: dict[frozenset, Any] = {}
-        topology = self._topology
-        space = self.protocol.label_space
-
-        # -- widening: re-code the byte-hashed cycle history when the code
-        # arrays grow a dtype (packed runs demote or widen, never wrap).
-        def recode_histories(part: int, old_dt, new_dt) -> None:
-            for slot in range(B):
-                if not alive[slot]:
-                    continue
-                state = analysis[slot]
-                if state is None:
-                    continue
-
-                def recode(raw: bytes) -> bytes:
-                    return (
-                        np.frombuffer(raw, dtype=old_dt)
-                        .astype(new_dt)
-                        .tobytes()
-                    )
-
-                if part == 0:
-                    state.history = [
-                        (recode(vb), ob) for vb, ob in state.history
-                    ]
-                    state.seen = {
-                        (recode(vb), ob, phase): when
-                        for (vb, ob, phase), when in state.seen.items()
-                    }
-                else:
-                    state.history = [
-                        (vb, recode(ob)) for vb, ob in state.history
-                    ]
-                    state.seen = {
-                        (vb, recode(ob), phase): when
-                        for (vb, ob, phase), when in state.seen.items()
-                    }
-
-        def widen_codes_to(new_dt) -> None:
-            nonlocal codes, code_dt
-            new_dt = np.dtype(new_dt)
-            if new_dt == code_dt:
-                return
-            recode_histories(0, code_dt, new_dt)
-            codes = codes.astype(new_dt)
-            code_dt = new_dt
-
-        def widen_ocodes_to(new_dt) -> None:
-            nonlocal ocodes, y_dt
-            new_dt = np.dtype(new_dt)
-            if new_dt == y_dt:
-                return
-            recode_histories(1, y_dt, new_dt)
-            ocodes = ocodes.astype(new_dt)
-            y_dt = new_dt
-
-        # Group rows by schedule object: a schedule shared across rows (the
-        # run_batch broadcast, or a factory returning one object) is queried
-        # once per step and its activation vector assigned to all its rows.
-        by_schedule: dict[int, tuple[Schedule, list[int]]] = {}
-        for slot, schedule in enumerate(schedules):
-            by_schedule.setdefault(id(schedule), (schedule, []))[1].append(slot)
-        sched_groups = [
-            (schedule, np.asarray(slots, dtype=np.int64))
-            for schedule, slots in by_schedule.values()
-        ]
-        shared_schedule = len(sched_groups) == 1
-        mask_full = np.zeros((B, n), dtype=bool)
-
-        def activation_vector(active):
-            vec = setvec_cache.get(active)
-            if vec is None:
-                vec = np.zeros(n, dtype=bool)
-                vec[list(active)] = True
-                setvec_cache[active] = vec
-            return vec
-
-        def build_masks(t: int, k: int):
-            """Activation masks for window offsets ``0..k-1``.
-
-            Returns ``(masks, k_eff, exhausted)``: the per-step masks (a
-            shared ``(n,)`` vector per step, or a per-row ``(L, n)`` array
-            when rows follow different schedules), the window truncated at
-            the first offset whose schedule ran dry, and — only when that
-            offset is 0 — the rows to conclude ``SCHEDULE_EXHAUSTED`` now.
-            """
-            masks = []
-            exhausted: list[int] = []
-            if shared_schedule:
-                schedule, _ = sched_groups[0]
-                for j in range(k):
-                    try:
-                        active = schedule.active(t + j)
-                    except ScheduleError:
-                        if j == 0:
-                            exhausted = [int(s) for s in live]
-                        return masks, j, exhausted
-                    masks.append(activation_vector(active))
-                return masks, k, exhausted
-            for j in range(k):
-                mask_full[live] = False
-                failed = False
-                for schedule, slots in sched_groups:
-                    current = slots[alive[slots]]
-                    if not current.size:
-                        continue
-                    try:
-                        active = schedule.active(t + j)
-                    except ScheduleError:
-                        failed = True
-                        if j == 0:
-                            exhausted.extend(int(s) for s in current)
-                        continue
-                    mask_full[current] = activation_vector(active)
-                if failed:
-                    return masks, j, exhausted
-                masks.append(mask_full[live].copy())
-            return masks, k, exhausted
-
-        # -- main loop, in fused windows of k >= 1 steps ------------------
-        t = 0
-        window = 1 if adaptive else int(fuse)
-        stack_buf = None
-        ostack_buf = None
-        while t < max_steps and live.size:
-            # 1. Fire faults scheduled for time t (before sigma(t) applies).
-            if raw_rows:
-                buckets: dict[tuple, tuple[list, list]] = {}
-                started = []
-                for slot in raw_rows:
-                    fires = pending[slot]
-                    count = 0
-                    while count < len(fires) and fires[count][0] == t:
-                        count += 1
-                    if not count:
-                        continue
-                    now_models = [model for _, model in fires[:count]]
-                    pending[slot] = fires[count:]
-                    fault_times[slot].extend([t] * count)
-                    signature = tuple(id(model) for model in now_models)
-                    bucket = buckets.setdefault(signature, (now_models, []))
-                    bucket[1].append(slot)
-                    if not pending[slot]:
-                        started.append(slot)
-                for models, slots in buckets.values():
-                    if code_dt.itemsize == 8:
-                        for model in models:
-                            model.fire_batch(
-                                codes, slots, topology, space, interner, t
-                            )
-                    else:
-                        # Fire into an int64 staging copy of just these rows:
-                        # a model interning labels past the packed range then
-                        # widens the master array before commit instead of
-                        # wrapping inside it.
-                        staging = codes[slots].astype(np.int64)
-                        local = list(range(len(slots)))
-                        for model in models:
-                            model.fire_batch(
-                                staging, local, topology, space, interner, t
-                            )
-                        if interner.size > dtype_capacity(code_dt):
-                            widen_codes_to(
-                                packed_dtype(
-                                    max(self._space_size, interner.size)
-                                )
-                            )
-                        codes[slots] = staging
-                for slot in started:
-                    raw_rows.remove(slot)
-                    start_analysis(slot, t)
-
-            # 2. Table soundness and packing gates (fault or prior-run
-            # growth): demote when the interner left the enumerated space,
-            # widen when it left the packed range.
-            if self._groups and interner.size > self._space_size:
-                self._demote_all()
-            if interner.size > dtype_capacity(code_dt):
-                widen_codes_to(
-                    packed_dtype(max(self._space_size, interner.size))
-                )
-
-            # 3. Window length: fused only while every node is lifted; a
-            # pending fault fire or the step budget truncates, and the stack
-            # budget bounds residency.
-            if self._fallback:
-                k = 1
-            else:
-                k = min(window, max_steps - t)
-                if raw_rows:
-                    next_fire = min(
-                        pending[slot][0][0] for slot in raw_rows
-                    )
-                    k = min(k, next_fire - t)
-                if k > 1:
-                    per_step = live.size * (
-                        m * code_dt.itemsize + n * y_dt.itemsize
-                    )
-                    if not shared_schedule:
-                        per_step += live.size * n
-                    k = min(k, max(1, STACK_BUDGET_BYTES // per_step))
-                k = max(int(k), 1)
-
-            # 4. Activation masks (a finite schedule may run dry here).
-            masks, k, exhausted = build_masks(t, k)
-            if exhausted:
-                finals = self._materialize_many(
-                    codes[exhausted], ocodes[exhausted]
-                )
-                for slot, final in zip(exhausted, finals, strict=True):
-                    results[slot] = (
-                        RunReport(
-                            outcome=RunOutcome.SCHEDULE_EXHAUSTED,
-                            label_rounds=None,
-                            output_rounds=None,
-                            final=final,
-                            steps_executed=t - int(t0[slot]),
-                        ),
-                        fault_times[slot],
-                        int(t0[slot]),
-                    )
-                    alive[slot] = False
-                    if slot in raw_rows:
-                        raw_rows.remove(slot)
-                live = live[alive[live]]
-            if k == 0:
-                # Offset-0 exhaustion: the window was concluded away, not
-                # stepped.  Re-enter with the surviving rows, same t.
+        fault_plans = list(fault_plans)
+        if len(fault_plans) != self.B:
+            raise ValidationError("need one fault plan per row")
+        for slot, plan in enumerate(fault_plans):
+            fires = plan.fires_within(self.max_steps)
+            validate_fires(fires, self.max_steps)
+            if not fires:
                 continue
+            self.last_fire[slot] = fires[-1][0]
+            for time, model in fires:
+                due = self.timeline.setdefault(time, {})
+                due.setdefault(slot, []).append(model)
+        self.fault_times = [[] for _ in range(self.B)]
+        #: Pending fire times, latest first (the next one is last).
+        self.fire_times = sorted(self.timeline, reverse=True)
 
-            # 5. k fused transitions over the live rows.
-            L = live.size
-            full = L == B
-            if k == 1:
-                sub = codes if full else codes[live]
-                osub = ocodes if full else ocodes[live]
-                mk = masks[0]
-                mk2 = (
-                    np.broadcast_to(mk, (L, n)) if mk.ndim == 1 else mk
-                )
-                new_sub, new_osub = self._step_rows(sub, osub, mk2, live)
-                if new_sub.dtype != code_dt:
-                    widen_codes_to(new_sub.dtype)
-                if new_osub.dtype != y_dt:
-                    widen_ocodes_to(new_osub.dtype)
-                frames: Any = (sub, new_sub)
-                oframes: Any = (osub, new_osub)
-                window_diffs = None
-            else:
-                # Window stacks are reused across windows (first-axis slices
-                # of the cached buffers stay contiguous); reallocating each
-                # window would page-fault fresh memory every few steps.
-                if (
-                    stack_buf is None
-                    or stack_buf.dtype != code_dt
-                    or stack_buf.shape[1] != L
-                    or stack_buf.shape[0] < k + 1
-                ):
-                    stack_buf = np.empty((k + 1, L, m), dtype=code_dt)
-                if (
-                    ostack_buf is None
-                    or ostack_buf.dtype != y_dt
-                    or ostack_buf.shape[1] != L
-                    or ostack_buf.shape[0] < k + 1
-                ):
-                    ostack_buf = np.empty((k + 1, L, n), dtype=y_dt)
-                stack = stack_buf[: k + 1]
-                ostack = ostack_buf[: k + 1]
-                stack[0] = codes if full else codes[live]
-                ostack[0] = ocodes if full else ocodes[live]
-                window_diffs = self._fill_stack(stack, ostack, masks, live)
-                frames = stack
-                oframes = ostack
+    def start(self, slot: int, t: int) -> None:
+        """Enter row ``slot`` into the analyzed run at time ``t``."""
+        self.t0[slot] = t
+        schedule = self.schedules[self.gid[slot]]
+        period = schedule.period
+        if period is None:
+            self.aper[slot] = True
+            self.segs[:, slot] = t
+            return
+        self.per[slot] = True
+        preperiod = max(0, schedule.preperiod - t)
+        state = (self.codes[slot].tobytes(), self.ocodes[slot].tobytes())
+        self.analysis[slot] = _RowAnalysis(preperiod, period, state)
 
-            # 6. Convergence bookkeeping, replicated from Simulator.run and
-            # evaluated per window step from the stored intermediate states
-            # (rollback-free: a row settling at offset j concludes from
-            # frames[j + 1], its later stepped states are discarded).
-            dead = []
-            finished_any = False
-            aper = in_analysis[live] & ~is_periodic[live]
-            if aper.any():
-                rows = np.flatnonzero(aper)
-                slots = live[rows]
-                all_rows = rows.size == L
-                if window_diffs is not None:
-                    diffs, odiffs = window_diffs
-                else:
-                    diffs = self._window_diffs(frames, k, L)
-                    odiffs = self._window_diffs(oframes, k, L)
-                if not all_rows:
-                    diffs = diffs[:, rows]
-                    odiffs = odiffs[:, rows]
-                wit = witnessed[slots]
-                llc_local = llc[slots]
-                loc_local = loc[slots]
-                t0_local = t0[slots]
-                open_ = np.ones(rows.size, dtype=bool)
-                fin: list[tuple[int, int, int, int, int]] = []
-                if all(mk.ndim == 1 for mk in masks):
-                    # Shared-schedule windows: the witness evolution between
-                    # two label changes depends only on the masks, not the
-                    # row, so coverage is precomputed per window (tiny (k, n)
-                    # scans) and the per-step work drops to O(rows) integer
-                    # ops — a row finishes at step j exactly when j is its
-                    # segment's precomputed full-coverage step.
-                    mask_block = np.stack(masks)
-                    prefix = np.logical_or.accumulate(mask_block, axis=0)
-                    #: First window step covering each node (k = never).
-                    first_cover = np.where(
-                        prefix[-1], np.argmax(prefix, axis=0), k
-                    ).astype(np.int16)  # shrinks the (rows, n) temp below 4x
-                    suffix = np.zeros((k + 1, n), dtype=bool)
-                    for s in range(k - 1, -1, -1):
-                        suffix[s] = suffix[s + 1] | mask_block[s]
-                    #: nextfull[s] = first j >= s with mk[s..j] covering every
-                    #: node (k = not in this window).
-                    nextfull = np.full(k + 1, k, dtype=np.int64)
-                    for s in range(k):
-                        if not suffix[s].all():
-                            break
-                        acc = mask_block[s].copy()
-                        j2 = s
-                        while not acc.all():
-                            j2 += 1
-                            acc |= mask_block[j2]
-                        nextfull[s] = j2
-                    # A row's pending finish step: while it has not changed
-                    # in-window, the first step whose mask prefix covers
-                    # everything its carried witness set is missing.
-                    pending = np.maximum(
-                        np.where(~wit, first_cover, -1).max(axis=1), 0
+    def retire(self, slots) -> None:
+        """Drop concluded rows from the live set."""
+        slots = np.asarray(slots, dtype=np.intp)
+        self.alive[slots] = False
+        self.group_rows -= np.bincount(
+            self.gid[slots], minlength=self.group_rows.size
+        )
+        self.live = self.live[self.alive[self.live]]
+
+    # -- widening: re-code the byte-hashed cycle history when the code
+    # arrays grow a dtype (packed runs demote or widen, never wrap).
+
+    def _recode_histories(self, part: int, old_dt, new_dt) -> None:
+        """Re-code part 0 (labels) or 1 (outputs) of every cycle history."""
+
+        def recode(vb: bytes, ob: bytes) -> tuple[bytes, bytes]:
+            pair = [vb, ob]
+            raw = np.frombuffer(pair[part], dtype=old_dt)
+            pair[part] = raw.astype(new_dt).tobytes()
+            return pair[0], pair[1]
+
+        for slot in np.flatnonzero(self.alive & self.per).tolist():
+            state = self.analysis[slot]
+            state.history = [recode(vb, ob) for vb, ob in state.history]
+            state.seen = {
+                (*recode(vb, ob), phase): when
+                for (vb, ob, phase), when in state.seen.items()
+            }
+
+    def widen_codes(self, new_dt) -> None:
+        new_dt = np.dtype(new_dt)
+        if new_dt == self.code_dt:
+            return
+        self._recode_histories(0, self.code_dt, new_dt)
+        self.codes = self.codes.astype(new_dt)
+        self.code_dt = new_dt
+        self.code_cap = dtype_capacity(new_dt)
+
+    def widen_outputs(self, new_dt) -> None:
+        new_dt = np.dtype(new_dt)
+        if new_dt == self.y_dt:
+            return
+        self._recode_histories(1, self.y_dt, new_dt)
+        self.ocodes = self.ocodes.astype(new_dt)
+        self.y_dt = new_dt
+
+    def _widen_for_interner(self) -> None:
+        size = self.sim._interner.size
+        if size > self.code_cap:
+            self.widen_codes(packed_dtype(max(self.sim._space_size, size)))
+
+    # -- phases ----------------------------------------------------------
+
+    def fire(self, t: int) -> None:
+        """Fire the faults due at ``t`` (before sigma(t) applies), then
+        re-check the table and packing gates.
+
+        Every live row firing at ``t`` is staged in one int64 copy (a model
+        interning labels past the packed range then widens the master array
+        before the write-back instead of wrapping inside it).  Rows firing
+        the same model objects in the same order share one ``fire_batch``
+        call per model, which keeps each model's ``(seed, t)`` draws and
+        the fired count exactly the serial ones.
+        """
+        sim = self.sim
+        if self.fire_times and self.fire_times[-1] == t:
+            self.fire_times.pop()
+            alive = self.alive
+            due = [
+                (slot, models)
+                for slot, models in self.timeline.pop(t).items()
+                if alive[slot]
+            ]
+            if due:
+                slots = [slot for slot, _ in due]
+                staging = self.codes[slots].astype(np.int64)
+                buckets: dict[tuple, tuple[list, list]] = {}
+                for row, (slot, models) in enumerate(due):
+                    self.fault_times[slot].extend([t] * len(models))
+                    key = tuple(id(model) for model in models)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = (models, [row])
+                    else:
+                        bucket[1].append(row)
+                topology = sim._topology
+                space = sim.protocol.label_space
+                interner = sim._interner
+                for models, rows in buckets.values():
+                    for model in models:
+                        model.fire_batch(
+                            staging, rows, topology, space, interner, t
+                        )
+                self._widen_for_interner()
+                self.codes[slots] = staging
+                last_fire = self.last_fire
+                for slot in slots:
+                    if last_fire[slot] == t:
+                        self.start(slot, t)
+        # Table soundness and packing gates (fault or prior-run growth):
+        # demote when the interner left the enumerated space, widen when it
+        # left the packed range.
+        if sim._groups and sim._interner.size > sim._space_size:
+            sim._demote_all()
+        self._widen_for_interner()
+
+    def window_length(self, t: int, window: int) -> int:
+        """Steps to fuse from ``t``: one while any node runs the Python
+        fallback; else the adaptive ``window``, truncated at the next fault
+        fire time and the step budget and bounded by the stack budget."""
+        if self.sim._fallback:
+            return 1
+        k = min(window, self.max_steps - t)
+        if self.fire_times:
+            k = min(k, self.fire_times[-1] - t)
+        if k > 1:
+            L = self.live.size
+            per_step = L * (
+                self.m * self.code_dt.itemsize + self.n * self.y_dt.itemsize
+            )
+            if np.count_nonzero(self.group_rows) > 1:
+                per_step += L * self.n
+            k = min(k, max(1, STACK_BUDGET_BYTES // per_step))
+        return max(int(k), 1)
+
+    def masks(self, t: int, k: int):
+        """The ``(k', G, n)`` activation block of steps ``t .. t+k'-1``.
+
+        Each schedule with live rows is queried once per step, and the
+        block is filled by one scatter (groups without live rows stay
+        all-False).  A finite schedule running dry truncates the window at
+        that offset; at offset 0 its rows conclude ``SCHEDULE_EXHAUSTED``
+        now and ``None`` is returned (nothing to step).
+        """
+        G = len(self.schedules)
+        cells: list[int] = []
+        nodes: list[int] = []
+        exhausted: list[int] = []
+        steps = k
+        for g, schedule in enumerate(self.schedules):
+            if not self.group_rows[g]:
+                continue
+            for j in range(k):
+                try:
+                    active = schedule.active(t + j)
+                except ScheduleError:
+                    if j == 0:
+                        exhausted.append(g)
+                    k = j
+                    break
+                cells.extend([j * G + g] * len(active))
+                nodes.extend(active)
+        if exhausted:
+            self._exhaust(t, exhausted)
+        if not k:
+            return None
+        block = np.zeros((steps * G, self.n), dtype=bool)
+        block[cells, nodes] = True
+        return block.reshape(steps, G, self.n)[:k]
+
+    def _exhaust(self, t: int, groups: list[int]) -> None:
+        live = self.live
+        slots = live[np.isin(self.gid[live], groups)]
+        self._conclude(slots, RunOutcome.SCHEDULE_EXHAUSTED, t)
+        self.retire(slots)
+
+    def _conclude(self, slots, outcome, t: int) -> None:
+        """Report ``slots`` unsettled at time ``t``, from their current state."""
+        finals = self.sim._materialize_many(
+            self.codes[slots], self.ocodes[slots]
+        )
+        for slot, final in zip(slots.tolist(), finals, strict=True):
+            t0 = int(self.t0[slot])
+            self.results[slot] = (
+                RunReport(
+                    outcome=outcome,
+                    label_rounds=None,
+                    output_rounds=None,
+                    final=final,
+                    steps_executed=t - t0,
+                ),
+                self.fault_times[slot],
+                t0,
+            )
+
+    def step(self, block):
+        """``k`` fused transitions of the live rows.
+
+        Returns ``(frames, oframes, flags)``: the ``(k+1, L, .)`` label and
+        output stacks (slice 0 the window's start) and the ``(2, k, L)``
+        per-step change flags of labels and outputs.  Masks stay one shared
+        vector per step while a single schedule group is live, else they
+        are gathered per row from ``block``.
+        """
+        sim = self.sim
+        k = block.shape[0]
+        live = self.live
+        L = live.size
+        full = L == self.B
+        groups = np.flatnonzero(self.group_rows)
+        if groups.size == 1:
+            masks = block[:, groups[0]]
+        else:
+            masks = block[:, self.gid[live]]
+        if sim._fallback:
+            sub = self.codes if full else self.codes[live]
+            osub = self.ocodes if full else self.ocodes[live]
+            mask = masks[0]
+            if mask.ndim == 1:
+                mask = np.broadcast_to(mask, (L, self.n))
+            new_sub, new_osub = sim._step_rows(sub, osub, mask, live)
+            if new_sub.dtype != self.code_dt:
+                self.widen_codes(new_sub.dtype)
+            if new_osub.dtype != self.y_dt:
+                self.widen_outputs(new_osub.dtype)
+            frames = np.stack((sub, new_sub))
+            oframes = np.stack((osub, new_osub))
+            flags = np.empty((2, 1, L), dtype=bool)
+            _row_changes(frames, flags[0])
+            _row_changes(oframes, flags[1])
+            return frames, oframes, flags
+        # Window stacks are reused across windows (first-axis slices of the
+        # cached buffers stay contiguous); reallocating each window would
+        # page-fault fresh memory every few steps.
+        if (
+            self.stack_buf is None
+            or self.stack_buf.dtype != self.code_dt
+            or self.stack_buf.shape[1] != L
+            or self.stack_buf.shape[0] < k + 1
+        ):
+            self.stack_buf = np.empty((k + 1, L, self.m), dtype=self.code_dt)
+        if (
+            self.ostack_buf is None
+            or self.ostack_buf.dtype != self.y_dt
+            or self.ostack_buf.shape[1] != L
+            or self.ostack_buf.shape[0] < k + 1
+        ):
+            self.ostack_buf = np.empty((k + 1, L, self.n), dtype=self.y_dt)
+        stack = self.stack_buf[: k + 1]
+        ostack = self.ostack_buf[: k + 1]
+        stack[0] = self.codes if full else self.codes[live]
+        ostack[0] = self.ocodes if full else self.ocodes[live]
+        return stack, ostack, sim._fill_stack(stack, ostack, masks, live)
+
+    def _clock(self, t: int, block):
+        """The per-group coverage clock of one window.
+
+        ``clock[j, g]`` is one plus the oldest of the nodes' latest
+        activations up to step ``t + j`` under group ``g``'s schedule (0
+        while some node was never active); it is nondecreasing in ``j``.
+        Returns ``(clock, after)``, with ``after[c, g]`` the first step
+        ``j`` whose clock passes ``t + c + 1`` (``k`` when none does in this
+        window): where a row whose label last changed at step ``c`` is due
+        to finish.
+        """
+        times = self.times[t + 1 : t + block.shape[0] + 1]
+        latest = block * times[:, None, None]
+        np.maximum(latest[0], self.last_active, out=latest[0])
+        latest = _scan(np.maximum, latest)
+        self.last_active = latest[-1]
+        clock = latest.min(axis=2)
+        after = (clock <= times[:, None, None]).sum(axis=1, dtype=np.int8)
+        return clock, after
+
+    def settle_aperiodic(self, t, block, frames, oframes, flags):
+        """Certify the aperiodic rows that reached a fixed point in-window.
+
+        ``Simulator.run``'s witness set after step ``T`` is every node
+        active in ``[seg, T]``, ``seg`` being the row's first step after its
+        last label change (or its analysis start).  So a row is certified
+        at ``T`` exactly when its group's clock (:meth:`_clock`) at ``T``
+        has passed ``seg``: no witness set is carried.  While a row stays
+        unchanged it is due to finish at the number of window steps whose
+        clock has not; once it changed at ``c``, at ``after[c]``.  ``seg``
+        only grows and a later segment finishes no earlier, so ``due[j]``
+        over the window is one running maximum, and a row finishes at the
+        first ``j`` with ``due[j] == j``.  In-window indices are int8
+        (``k <= MAX_FUSE_WINDOW``).  Returns the finished slots.
+        """
+        live = self.live
+        aper = self.aper[live]
+        if aper.all():
+            rows, slots = None, live
+        else:
+            rows = np.flatnonzero(aper)
+            if not rows.size:
+                return []
+            slots = live[rows]
+            flags = flags[:, :, rows]
+        k, G, _ = block.shape
+        clock, after = self._clock(t, block)
+        if G > 1:
+            grp = self.gid[slots]
+            clock = clock[:, grp]
+            after = after[:, grp]
+        segs = self.segs[:, slots]
+        pending = (clock <= segs[0]).sum(axis=0, dtype=np.int8)
+        due = np.subtract(after, pending)
+        due *= flags[0]
+        due += pending
+        due = _scan(np.maximum, due)
+        steps = _STEPS[:k, None]
+        hit = due == steps
+        done = np.flatnonzero(hit.any(axis=0))
+        # The last change per row, as its in-window step + 1 (0 = none):
+        # the new segment starts at ``t`` plus that.
+        ranks = _STEPS[1 : k + 1, None]
+        marks = (flags * ranks).max(axis=1)
+        self.segs[:, slots] = np.where(
+            marks > 0, np.add(marks, t, dtype=np.int64), segs
+        )
+        if not done.size:
+            return []
+        at = hit[:, done].argmax(axis=0)
+        marks = ((flags[:, :, done] & (steps <= at)) * ranks).max(axis=1)
+        finished = slots[done]
+        t0 = self.t0[finished]
+        rounds = (
+            np.where(marks > 0, np.add(marks, t, dtype=np.int64), segs[:, done])
+            - t0
+        )
+        picked = done if rows is None else rows[done]
+        finals = self.sim._materialize_many(
+            frames[at + 1, picked], oframes[at + 1, picked]
+        )
+        finished = finished.tolist()
+        for slot, j, start, label, output, final in zip(
+            finished,
+            at.tolist(),
+            t0.tolist(),
+            *rounds.tolist(),
+            finals,
+            strict=True,
+        ):
+            self.results[slot] = (
+                RunReport(
+                    outcome=RunOutcome.LABEL_STABLE,
+                    label_rounds=label,
+                    output_rounds=output,
+                    final=final,
+                    steps_executed=t + j - start + 1,
+                ),
+                self.fault_times[slot],
+                start,
+            )
+        return finished
+
+    def settle_periodic(self, t, frames, oframes):
+        """Exact cycle detection for the periodic rows, step by step.
+
+        Hashes ``(state bytes, phase)`` and classifies a revisit through
+        the engine's own :func:`~repro.core.engine.classify_cycle`.
+        Returns the finished slots.
+        """
+        finished = []
+        live = self.live
+        k = frames.shape[0] - 1
+        for row in np.flatnonzero(self.per[live]).tolist():
+            slot = int(live[row])
+            state = self.analysis[slot]
+            t0 = int(self.t0[slot])
+            for j in range(k):
+                vb = frames[j + 1, row].tobytes()
+                ob = oframes[j + 1, row].tobytes()
+                local_now = (t + j) - t0 + 1
+                if local_now >= state.preperiod:
+                    key = (
+                        vb,
+                        ob,
+                        (local_now - state.preperiod) % state.period,
                     )
-                    lastc = np.full(rows.size, -1, dtype=np.int64)
-                    olastc = np.full(rows.size, -1, dtype=np.int64)
-                    for j in range(k):
-                        ch = diffs[j] & open_
-                        if ch.any():
-                            lastc[ch] = j
-                            pending[ch] = nextfull[j + 1]
-                        och = odiffs[j] & open_
-                        if och.any():
-                            olastc[och] = j
-                        done = open_ & (pending == j) & ~diffs[j]
-                        if done.any():
-                            finished_any = True
-                            for ii in np.flatnonzero(done).tolist():
-                                lc = int(lastc[ii])
-                                label_last = (
-                                    t + lc - int(t0_local[ii])
-                                    if lc >= 0
-                                    else int(llc_local[ii])
-                                )
-                                oc = int(olastc[ii])
-                                output_last = (
-                                    t + oc - int(t0_local[ii])
-                                    if oc >= 0
-                                    else int(loc_local[ii])
-                                )
-                                fin.append(
-                                    (
-                                        int(slots[ii]),
-                                        int(rows[ii]),
-                                        j,
-                                        label_last + 1,
-                                        output_last + 1,
-                                    )
-                                )
-                            open_[done] = False
-                    np.copyto(llc_local, t + lastc - t0_local, where=lastc >= 0)
-                    np.copyto(
-                        loc_local, t + olastc - t0_local, where=olastc >= 0
-                    )
-                    # Witness at window exit: the mask union since the last
-                    # change, plus the carried set for never-changed rows.
-                    wit_out = suffix[lastc + 1]
-                    first_seg = lastc < 0
-                    wit_out[first_seg] |= wit[first_seg]
-                    wit = wit_out
-                else:
-                    for j in range(k):
-                        changed = diffs[j] & open_
-                        if changed.any():
-                            llc_local[changed] = (t + j) - t0_local[changed]
-                            wit[changed] = False
-                        unchanged = open_ & ~diffs[j]
-                        ochanged = odiffs[j] & open_
-                        if ochanged.any():
-                            loc_local[ochanged] = (t + j) - t0_local[ochanged]
-                        if unchanged.any():
-                            mk = masks[j]
-                            wit[unchanged] |= mk[rows[unchanged]]
-                            candidates = np.flatnonzero(unchanged)
-                            done = candidates[wit[candidates].all(axis=1)]
-                            if done.size:
-                                finished_any = True
-                                for ii in done.tolist():
-                                    fin.append(
-                                        (
-                                            int(slots[ii]),
-                                            int(rows[ii]),
-                                            j,
-                                            int(llc_local[ii]) + 1,
-                                            int(loc_local[ii]) + 1,
-                                        )
-                                    )
-                                open_[done] = False
-                witnessed[slots] = wit
-                llc[slots] = llc_local
-                loc[slots] = loc_local
-                if fin:
-                    finals = self._materialize_many(
-                        np.stack([frames[j + 1][row] for _, row, j, _, _ in fin]),
-                        np.stack([oframes[j + 1][row] for _, row, j, _, _ in fin]),
-                    )
-                    for (slot, _, j, label_rounds, output_rounds), final in zip(
-                        fin, finals
-                    , strict=True):
-                        results[slot] = (
+                    cycle_start = state.seen.get(key)
+                    if cycle_start is not None:
+                        outcome, label_rounds, output_rounds, final = (
+                            classify_cycle(state.history, cycle_start, local_now)
+                        )
+                        final_values = np.frombuffer(final[0], dtype=self.code_dt)
+                        final_outputs = np.frombuffer(final[1], dtype=self.y_dt)
+                        self.results[slot] = (
                             RunReport(
-                                outcome=RunOutcome.LABEL_STABLE,
+                                outcome=outcome,
                                 label_rounds=label_rounds,
                                 output_rounds=output_rounds,
-                                final=final,
-                                steps_executed=(t + j) - int(t0[slot]) + 1,
+                                final=self.sim._materialize(
+                                    final_values, final_outputs
+                                ),
+                                steps_executed=local_now,
+                                cycle_start=cycle_start,
+                                cycle_length=max(local_now - cycle_start, 1),
                             ),
-                            fault_times[slot],
-                            int(t0[slot]),
+                            self.fault_times[slot],
+                            t0,
                         )
-                        dead.append(slot)
-            per = in_analysis[live] & is_periodic[live]
-            if per.any():
-                for row in np.flatnonzero(per):
-                    slot = int(live[row])
-                    state = analysis[slot]
-                    t0_slot = int(t0[slot])
-                    for j in range(k):
-                        vb = frames[j + 1][row].tobytes()
-                        ob = oframes[j + 1][row].tobytes()
-                        local_now = (t + j) - t0_slot + 1
-                        if local_now >= state.preperiod:
-                            key = (
-                                vb,
-                                ob,
-                                (local_now - state.preperiod) % state.period,
-                            )
-                            cycle_start = state.seen.get(key)
-                            if cycle_start is not None:
-                                outcome, label_rounds, output_rounds, final = (
-                                    classify_cycle(
-                                        state.history, cycle_start, local_now
-                                    )
-                                )
-                                final_values = np.frombuffer(
-                                    final[0], dtype=code_dt
-                                )
-                                final_outputs = np.frombuffer(
-                                    final[1], dtype=y_dt
-                                )
-                                results[slot] = (
-                                    RunReport(
-                                        outcome=outcome,
-                                        label_rounds=label_rounds,
-                                        output_rounds=output_rounds,
-                                        final=self._materialize(
-                                            final_values, final_outputs
-                                        ),
-                                        steps_executed=local_now,
-                                        cycle_start=cycle_start,
-                                        cycle_length=max(
-                                            local_now - cycle_start, 1
-                                        ),
-                                    ),
-                                    fault_times[slot],
-                                    t0_slot,
-                                )
-                                dead.append(slot)
-                                finished_any = True
-                                break
-                            state.seen[key] = local_now
-                        state.history.append((vb, ob))
+                        finished.append(slot)
+                        break
+                    state.seen[key] = local_now
+                state.history.append((vb, ob))
+        return finished
 
-            # 7. Commit the post-window state and drop finished rows.
-            if full:
-                if k == 1:
-                    codes = frames[1]
-                    ocodes = oframes[1]
-                else:
-                    # Aliasing the reused stack buffer is safe: the next
-                    # window copies ``codes`` into slice 0 before the fill
-                    # touches slices 1..k, and any L/dtype change reallocates
-                    # the buffer (the alias keeps the old one alive).
-                    codes = frames[k]
-                    ocodes = oframes[k]
-            else:
-                codes[live] = frames[k]
-                ocodes[live] = oframes[k]
-            if dead:
-                for slot in dead:
-                    alive[slot] = False
-                live = live[alive[live]]
-            t += k
-            if adaptive:
-                # Grow while the window is event-free, shrink to single
-                # steps the moment rows settle: conclusions cluster, and a
-                # short window wastes no speculative stepping near them.
-                window = (
-                    1 if finished_any else min(window * 2, MAX_FUSE_WINDOW)
-                )
+    def commit(self, frames, oframes, finished) -> None:
+        """Store the post-window state and drop finished rows.
 
-        if live.size:
-            finals = self._materialize_many(codes[live], ocodes[live])
-            for slot, final in zip(live.tolist(), finals, strict=True):
-                results[slot] = (
-                    RunReport(
-                        outcome=RunOutcome.TIMEOUT,
-                        label_rounds=None,
-                        output_rounds=None,
-                        final=final,
-                        steps_executed=max_steps - int(t0[slot]),
-                    ),
-                    fault_times[slot],
-                    int(t0[slot]),
-                )
-        return results
+        Rows that finished mid-window concluded from their in-window state;
+        their later stepped states are simply discarded.
+        """
+        k = frames.shape[0] - 1
+        if self.live.size == self.B:
+            # Aliasing the reused stack buffer is safe: the next window
+            # copies ``codes`` into slice 0 before the fill touches slices
+            # 1..k, and any L/dtype change reallocates the buffer (the alias
+            # keeps the old one alive).
+            self.codes = frames[k]
+            self.ocodes = oframes[k]
+        else:
+            self.codes[self.live] = frames[k]
+            self.ocodes[self.live] = oframes[k]
+        if finished:
+            self.retire(finished)
+
+    def timeout(self) -> list:
+        """Conclude the rows still live at the step budget; all results."""
+        if self.live.size:
+            self._conclude(self.live, RunOutcome.TIMEOUT, self.max_steps)
+        return self.results

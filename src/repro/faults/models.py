@@ -41,10 +41,14 @@ def _scatter_rows(codes, rows, positions, new_codes) -> None:
     """Write ``new_codes`` into ``codes[rows x positions]`` in one scatter.
 
     The vectorized counterpart of ``for row in rows: codes[row, positions] =
-    new_codes``.  numpy is imported lazily: this module stays importable
-    without it, and ``fire_batch`` is only ever reached from the batch
-    backend, which requires numpy anyway.
+    new_codes``; a single row (each row its own fault plan, the usual
+    resilience sweep) is one plain row write.  numpy is imported lazily:
+    this module stays importable without it, and ``fire_batch`` is only
+    ever reached from the batch backend, which requires numpy anyway.
     """
+    if len(rows) == 1:
+        codes[rows[0], positions] = new_codes
+        return
     import numpy as np
 
     grid = np.ix_(

@@ -10,6 +10,7 @@ schedules, and fault plans, plus directed tests for each lift/fallback tier.
 from __future__ import annotations
 
 import contextlib
+import operator
 import random
 from itertools import product
 
@@ -53,7 +54,7 @@ from repro.faults import (
     TargetedCorruption,
     WindowFault,
 )
-from repro.graphs import clique, unidirectional_ring
+from repro.graphs import Topology, clique, unidirectional_ring
 
 np = pytest.importorskip("numpy")
 
@@ -71,6 +72,36 @@ def fuse_cap(value: int):
         yield
     finally:
         batch_module.MAX_FUSE_WINDOW = saved
+
+
+@contextlib.contextmanager
+def tile_cap(value: int):
+    """Temporarily shrink the mono kernels' row tiles (``MONO_TILE_BYTES``),
+    so one run spans several tiles."""
+    import repro.core.batch as batch_module
+
+    saved = batch_module.MONO_TILE_BYTES
+    batch_module.MONO_TILE_BYTES = value
+    try:
+        yield
+    finally:
+        batch_module.MONO_TILE_BYTES = saved
+
+
+#: How rows share schedule objects: one object per row, a pool of 2-3
+#: objects, or one object for all rows.  The batch backend groups rows by
+#: schedule object, so each mode is a different group shape; the property
+#: tests run every mode on every drawn case.
+SHARING = ("per-row", "pool", "shared")
+
+
+def share_schedules(rng: random.Random, schedules, sharing: str):
+    if sharing == "per-row":
+        return schedules
+    if sharing == "shared":
+        return [schedules[0]] * len(schedules)
+    pool = schedules[: rng.randrange(2, 4)]
+    return [rng.choice(pool) for _ in schedules]
 
 
 RUN_FIELDS = (
@@ -234,18 +265,25 @@ class TestRunEquivalence:
         protocol = random_tabular_protocol(rng)
         count = rng.randrange(2, 7)
         max_steps = rng.choice([4, 30, 120])
-        labelings, inputs, schedules = random_rows(rng, protocol, count)
-        serial = [
-            Simulator(protocol, inputs[b]).run(
-                labelings[b], schedules[b], max_steps=max_steps
+        labelings, inputs, per_row = random_rows(rng, protocol, count)
+        for sharing in SHARING:
+            schedules = share_schedules(rng, per_row, sharing)
+            serial = [
+                Simulator(protocol, inputs[b]).run(
+                    labelings[b], schedules[b], max_steps=max_steps
+                )
+                for b in range(count)
+            ]
+            batch = BatchSimulator(protocol, inputs).run_batch(
+                labelings, schedules, max_steps=max_steps
             )
-            for b in range(count)
-        ]
-        batch = BatchSimulator(protocol, inputs).run_batch(
-            labelings, schedules, max_steps=max_steps
-        )
-        for s, r in zip(serial, batch, strict=True):
-            assert_reports_equal(s, r)
+            with fuse_cap(1):
+                single = BatchSimulator(protocol, inputs).run_batch(
+                    labelings, schedules, max_steps=max_steps
+                )
+            for s, r, r1 in zip(serial, batch, single, strict=True):
+                assert_reports_equal(s, r)
+                assert_reports_equal(s, r1)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=20, deadline=None)
@@ -255,22 +293,29 @@ class TestRunEquivalence:
         space = protocol.label_space
         count = rng.randrange(2, 6)
         max_steps = rng.choice([20, 80])
-        labelings, inputs, schedules = random_rows(rng, protocol, count)
+        labelings, inputs, per_row = random_rows(rng, protocol, count)
         plans = [
             random_fault_plan(rng, protocol.topology, space, max_steps)
             for _ in range(count)
         ]
-        serial = [
-            Simulator(protocol, inputs[b]).run_with_faults(
-                labelings[b], schedules[b], plans[b], max_steps=max_steps
+        for sharing in SHARING:
+            schedules = share_schedules(rng, per_row, sharing)
+            serial = [
+                Simulator(protocol, inputs[b]).run_with_faults(
+                    labelings[b], schedules[b], plans[b], max_steps=max_steps
+                )
+                for b in range(count)
+            ]
+            batch = BatchSimulator(protocol, inputs).run_batch_with_faults(
+                labelings, schedules, plans, max_steps=max_steps
             )
-            for b in range(count)
-        ]
-        batch = BatchSimulator(protocol, inputs).run_batch_with_faults(
-            labelings, schedules, plans, max_steps=max_steps
-        )
-        for s, r in zip(serial, batch, strict=True):
-            assert_reports_equal(s, r, FAULT_FIELDS)
+            with fuse_cap(1):
+                single = BatchSimulator(protocol, inputs).run_batch_with_faults(
+                    labelings, schedules, plans, max_steps=max_steps
+                )
+            for s, r, r1 in zip(serial, batch, single, strict=True):
+                assert_reports_equal(s, r, FAULT_FIELDS)
+                assert_reports_equal(s, r1, FAULT_FIELDS)
 
     def test_seed_stress(self):
         """600-seed stress: light random cases, serial vs batch."""
@@ -319,18 +364,34 @@ class TestRunEquivalence:
 # -- sweep-level equivalence -------------------------------------------------
 
 
-def _xor_ring_protocol(n: int) -> StatelessProtocol:
-    topology = unidirectional_ring(n)
+def _xor_ring_protocol(
+    n: int, reverse: bool = False, op=operator.xor
+) -> StatelessProtocol:
+    """Every node forwards ``op(incoming bit, its input)``.
+
+    Edge ``i`` is owned by node ``i`` either way; node ``i`` reads edge
+    ``i - 1`` on the unidirectional ring (a cyclic shift by ``m - 1``) and
+    edge ``i + 1`` on the reversed ring (a shift by 1).
+    """
+    if reverse:
+        topology = Topology(
+            n, [(i, (i - 1) % n) for i in range(n)], name=f"rev-ring({n})"
+        )
+    else:
+        topology = unidirectional_ring(n)
 
     def make(i):
         def fn(incoming, x):
             (value,) = incoming.values()
-            return value ^ x, value
+            return op(value, x), value
 
         return UniformReaction(topology.out_edges(i), fn)
 
     return StatelessProtocol(
-        topology, binary(), [make(i) for i in range(n)], name=f"xor-ring({n})"
+        topology,
+        binary(),
+        [make(i) for i in range(n)],
+        name=f"{op.__name__}-ring({n})",
     )
 
 
@@ -413,6 +474,35 @@ class TestSweepEquivalence:
         assert serial.recovery_rate == batch.recovery_rate
         assert serial.recovery_histogram() == batch.recovery_histogram()
 
+    def test_shared_schedule_resilience_sweep(self):
+        # One schedule object for every row, faults at staggered times: rows
+        # already in their analyzed tail must not disturb later fires.
+        protocol = _xor_ring_protocol(6)
+        cases = self._cases(protocol, 4, 0)
+        schedule = RandomRFairSchedule(6, r=3, seed=5)
+
+        def schedule_factory(index, case):
+            return schedule
+
+        def fault_factory(index, case):
+            return BurstFault((2 + 30 * index,), RandomCorruption(0.5, seed=index))
+
+        serial = run_resilience_sweep(
+            protocol, cases, schedule_factory, fault_factory, max_steps=200
+        )
+        batch = run_resilience_sweep(
+            protocol,
+            cases,
+            schedule_factory,
+            fault_factory,
+            max_steps=200,
+            policy=BATCH,
+        )
+        assert serial == batch
+        assert [r.last_fault_time for r in batch] == [
+            2 + 30 * index for index in range(4)
+        ]
+
     def test_chunked_batch_sweep_equals_serial(self, monkeypatch):
         # Force several sub-batches (chunk boundaries inside the case list)
         # and check the stitched report is still equal, indexes included.
@@ -467,6 +557,95 @@ class TestSweepEquivalence:
             )
 
 
+# -- schedule groups ----------------------------------------------------------
+
+
+class TestScheduleGroups:
+    """Rows grouped by schedule object, on the flat narrow-row ring kernel."""
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["plain", "faults"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["shift-m-1", "shift-1"])
+    def test_xor_ring_schedule_pools_match_serial(self, reverse, faults):
+        self._check_ring_pools(operator.xor, reverse, faults)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["shift-m-1", "shift-1"])
+    def test_and_ring_schedule_pools_match_serial(self, reverse):
+        # ``value & x`` is no plain xor (its flip row is the input vector),
+        # so the flat kernel stages the shift and selects arithmetically.
+        self._check_ring_pools(operator.and_, reverse, faults=True)
+
+    def _check_ring_pools(self, op, reverse, faults):
+        n = 12
+        count = 48
+        max_steps = 150
+        protocol = _xor_ring_protocol(n, reverse=reverse, op=op)
+        topology = protocol.topology
+        rng = random.Random(17 + reverse)
+        bits = [rng.randrange(2) for _ in range(n - 1)]
+        # Even parity: stable labelings exist, and rows reach them at
+        # different steps.
+        inputs = (*bits, sum(bits) % 2)
+        pool = [
+            RandomRFairSchedule(n, r=3, seed=rng.randrange(1 << 20))
+            for _ in range(3)
+        ]
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(2) for _ in range(n)))
+            for _ in range(count)
+        ]
+        schedules = [rng.choice(pool) for _ in range(count)]
+        plans = None
+        if faults:
+            plans = []
+            for b in range(count):
+                start = rng.randrange(2, 40)
+                plans.append(
+                    BurstFault(
+                        (start, start + 3), RandomCorruption(0.5, seed=b)
+                    )
+                )
+
+        def run_serial(b):
+            simulator = Simulator(protocol, inputs)
+            if plans is None:
+                return simulator.run(
+                    labelings[b], schedules[b], max_steps=max_steps
+                )
+            return simulator.run_with_faults(
+                labelings[b], schedules[b], plans[b], max_steps=max_steps
+            )
+
+        def run_batch():
+            simulator = BatchSimulator(protocol, [inputs] * count)
+            assert simulator._mono.shift == (1 if reverse else n - 1)
+            if plans is None:
+                reports = simulator.run_batch(
+                    labelings, schedules, max_steps=max_steps
+                )
+            else:
+                reports = simulator.run_batch_with_faults(
+                    labelings, schedules, plans, max_steps=max_steps
+                )
+            # Per-row masks on a binary shift ring take the flat kernel.
+            assert simulator._mono.s2_tiled is not None
+            return reports
+
+        serial = [run_serial(b) for b in range(count)]
+        fields = FAULT_FIELDS if faults else RUN_FIELDS
+        runs = [run_batch()]
+        with tile_cap(5 * n):
+            runs.append(run_batch())
+        with fuse_cap(1):
+            runs.append(run_batch())
+        for reports in runs:
+            for s, r in zip(serial, reports, strict=True):
+                assert_reports_equal(s, r, fields)
+        settled = {
+            r.steps_executed for r in serial if r.outcome.value == "label-stable"
+        }
+        assert len(settled) > 1
+
+
 # -- fused windows ------------------------------------------------------------
 
 
@@ -502,20 +681,22 @@ class TestFusedWindows:
         space = protocol.label_space
         count = rng.randrange(2, 5)
         max_steps = 80
-        labelings, inputs, schedules = random_rows(rng, protocol, count)
+        labelings, inputs, per_row = random_rows(rng, protocol, count)
         plans = [
             random_fault_plan(rng, protocol.topology, space, max_steps)
             for _ in range(count)
         ]
-        fused = BatchSimulator(protocol, inputs).run_batch_with_faults(
-            labelings, schedules, plans, max_steps=max_steps
-        )
-        with fuse_cap(1):
-            single = BatchSimulator(protocol, inputs).run_batch_with_faults(
+        for sharing in SHARING:
+            schedules = share_schedules(rng, per_row, sharing)
+            fused = BatchSimulator(protocol, inputs).run_batch_with_faults(
                 labelings, schedules, plans, max_steps=max_steps
             )
-        for f, s in zip(fused, single, strict=True):
-            assert_reports_equal(s, f, FAULT_FIELDS)
+            with fuse_cap(1):
+                single = BatchSimulator(protocol, inputs).run_batch_with_faults(
+                    labelings, schedules, plans, max_steps=max_steps
+                )
+            for f, s in zip(fused, single, strict=True):
+                assert_reports_equal(s, f, FAULT_FIELDS)
 
     def test_finished_rows_leave_mid_window(self):
         # A forwarding ring: the all-zeros labeling is stable immediately,
@@ -644,6 +825,41 @@ class TestPackedInterner:
             assert_reports_equal(serial, report)
         # The run genuinely outgrew the u8 code range.
         assert simulator._interner.size > dtype_capacity(np.uint8)
+
+    def test_widening_keeps_cycle_detection(self):
+        # Labels count modulo 300: the interner outgrows u8 mid-run, and the
+        # first revisit comes only after that, so exact cycle detection
+        # must match the states it hashed before the widening.
+        n = 3
+        topology = unidirectional_ring(n)
+
+        def make(i):
+            def fn(incoming, x):
+                (value,) = incoming.values()
+                return (value + 1) % 300, value % 5
+
+            return UniformReaction(topology.out_edges(i), fn)
+
+        protocol = StatelessProtocol(
+            topology,
+            ExplicitLabelSpace((0, 1)),
+            [make(i) for i in range(n)],
+            name="mod-counter-ring",
+        )
+        labelings = [
+            Labeling(topology, values)
+            for values in ((0, 1, 0), (1, 1, 1), (0, 0, 0))
+        ]
+        for schedule in (SynchronousSchedule(n), RoundRobinSchedule(n)):
+            batch = BatchSimulator(protocol, [(0,) * n] * 3).run_batch(
+                labelings, schedule, max_steps=1000
+            )
+            for labeling, report in zip(labelings, batch, strict=True):
+                serial = Simulator(protocol, (0,) * n).run(
+                    labeling, schedule, max_steps=1000
+                )
+                assert_reports_equal(serial, report)
+                assert report.cycle_length == 300
 
 
 # -- lift tiers and fallbacks ------------------------------------------------

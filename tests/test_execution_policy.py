@@ -21,7 +21,7 @@ import pytest
 
 from repro import DEFAULT_POLICY, ExecutionPolicy
 from repro.analysis import SweepCase, run_resilience_sweep, run_sweep
-from repro.core import Labeling
+from repro.core import Labeling, SynchronousSchedule
 from repro.core.batch import BatchSimulator
 from repro.exceptions import ValidationError
 from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
@@ -131,6 +131,7 @@ def _faults(index, case):
 
 K3 = example1_protocol(3)
 K3_START = random_bit_labeling(K3.topology, seed=7)
+K4_START = random_bit_labeling(_ring(4).topology, seed=7)
 
 
 def _submit(**keywords):
@@ -140,8 +141,8 @@ def _submit(**keywords):
 
 
 #: Every former shim entry point with one of its retired keywords (plus the
-#: retired batch compute-route keyword), a value it used to accept, and an
-#: otherwise valid call.
+#: retired batch compute-route and fused-window keywords), a value it used to
+#: accept, and an otherwise valid call.
 RETIRED_KEYWORDS = [
     (
         "run_sweep",
@@ -201,6 +202,22 @@ RETIRED_KEYWORDS = [
         "kernel",
         "numpy",
         lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
+    ),
+    (
+        "BatchSimulator.run_batch",
+        "fuse",
+        1,
+        lambda **kw: BatchSimulator(_ring(4), [(0,) * 4]).run_batch(
+            [K4_START], SynchronousSchedule(4), **kw
+        ),
+    ),
+    (
+        "BatchSimulator.run_batch_with_faults",
+        "fuse",
+        "auto",
+        lambda **kw: BatchSimulator(_ring(4), [(0,) * 4]).run_batch_with_faults(
+            [K4_START], SynchronousSchedule(4), [NoFaults()], **kw
+        ),
     ),
 ]
 
