@@ -41,11 +41,12 @@ Two throughput layers sit on top of the lift (this module's hot loop):
   convergence bookkeeping is then evaluated once per window from the stored
   intermediate states, which keeps it exactly serial-equivalent (a row that
   settles mid-window is concluded from its in-window state, and the extra
-  stepped states are simply discarded).  Windows shrink to 1 near settle
-  points and around fault fire times, and grow while nothing happens.  On
-  the ring route with per-row masks the kernel works on flat frame buffers
-  (rows there are a few bytes wide, so per-row inner loops would cost more
-  than the data).
+  stepped states are simply discarded).  Windows double up to
+  ``MAX_FUSE_WINDOW``; after a window in which rows concluded they keep
+  doubling while the window's frames fit one kernel tile and halve beyond
+  it, and fault fire times split them.  On the ring route with per-row
+  masks the kernel works on flat frame buffers (rows there are a few bytes
+  wide, so per-row inner loops would cost more than the data).
 
 Rows are grouped by schedule object: a window queries each live schedule
 once per step into one ``(k, G, n)`` activation block, and per-row masks are
@@ -1414,11 +1415,13 @@ class BatchSimulator:
     ):
         """Advance every row in fused windows of ``k >= 1`` steps.
 
-        Each window runs the phases of :class:`_Lockstep` in order.  Windows
-        grow while nothing happens and shrink to one step the moment rows
-        settle (conclusions cluster, and a short window wastes no
-        speculative stepping near them); fault fire times and the step
-        budget truncate them.  Returns ``(report, fault_times, t0)`` per row.
+        Each window runs the phases of :class:`_Lockstep` in order, and
+        :meth:`_Lockstep.grow` sizes the next one: windows double, and
+        after rows conclude they halve only once a window outgrows one
+        kernel tile.  Rows that conclude mid-window are settled exactly
+        either way, so the rule only trades speculative stepping against
+        per-window overhead.  Fault fire times and the step budget truncate
+        windows.  Returns ``(report, fault_times, t0)`` per row.
         """
         run = _Lockstep(
             self, labelings, schedules, fault_plans, max_steps, initial_outputs
@@ -1437,7 +1440,7 @@ class BatchSimulator:
             finished += run.settle_periodic(t, frames, oframes)
             run.commit(frames, oframes, finished)
             t += block.shape[0]
-            window = 1 if finished else min(window * 2, MAX_FUSE_WINDOW)
+            window = run.grow(window, finished)
         return run.timeout()
 
 
@@ -1760,6 +1763,24 @@ class _Lockstep:
                 per_step += L * self.n
             k = min(k, max(1, STACK_BUDGET_BYTES // per_step))
         return max(int(k), 1)
+
+    def grow(self, window: int, finished) -> int:
+        """The adaptive window length after a window of ``window`` steps.
+
+        Doubling is capped at ``MAX_FUSE_WINDOW``.  After a window in which
+        rows concluded, the doubled window is kept only while its label
+        frames, ``(k+1)·L·m`` codes of the live rows, fit one kernel tile
+        (``MONO_TILE_BYTES``): within a tile a longer window adds no numpy
+        calls per step, while past it the tiles shrink as ``k`` grows, so
+        the window halves instead.
+        """
+        grown = min(window * 2, MAX_FUSE_WINDOW)
+        if not finished:
+            return grown
+        frame = self.live.size * self.m * self.code_dt.itemsize
+        if (grown + 1) * frame <= MONO_TILE_BYTES:
+            return grown
+        return max(window // 2, 1)
 
     def masks(self, t: int, k: int):
         """The ``(k', G, n)`` activation block of steps ``t .. t+k'-1``.

@@ -172,8 +172,9 @@ def predict_plan_cost(
     plan: node count and maximum in-degree from the plan's protocol, the
     plan's step budget as the per-case work bound, and — when a
     ``cache`` (:class:`~repro.service.cache.ResultCache`) is given — each
-    case fingerprint probed with :meth:`~ResultCache.contains` (stat-free)
-    so stored cases are discounted to a cache-hit lookup.  ``policy``
+    case fingerprint probed with :meth:`~ResultCache.contains` (stat-free,
+    and on sqlite a checksum check that never unpickles) so stored cases
+    are discounted to a cache-hit lookup.  ``policy``
     defaults to the plan's own attached policy, then the library default.
     Returns a :class:`~repro.analysis.costmodel.CostEstimate`.
     """

@@ -7,12 +7,14 @@ including the engine version salt — a hit can be served without looking at
 the case again, and re-submitting an identical sweep costs one lookup per
 case instead of one simulation.
 
-Values are stored in *normalized* form (``index=-1``, ``tag=None``; for
-resilience results additionally ``recovered=False``): the same physical
-case may appear at different positions, with different tags, or under
-different recovery criteria in different sweeps, and all of those variants
-share one entry.  The executor re-attaches position, tag, and criterion
-verdict on the way out.
+The executor stores each result as a *row*: a plain tuple of the
+result's non-cosmetic fields, the outcome spelled by its value string, with
+no position, tag or recovery verdict.  The same physical case may appear at
+different positions, with different tags, or under different recovery
+criteria in different sweeps, and all of those variants share one entry;
+the executor builds the result from the row with its own position, tag and
+verdict.  A plain tuple pickles and unpickles several times faster than the
+frozen result dataclass it stands for.
 
 Two stores ship here:
 
@@ -28,7 +30,9 @@ Both stores count hits and misses (:attr:`ResultCache.stats`); the service
 layer surfaces the counters in job records and shard progress.  Each sqlite
 blob carries a CRC-32 of its pickle, so a garbled or truncated entry — even
 one that would still unpickle, to a wrong value — is served as a miss and
-counted under ``corrupt``; recomputing the case overwrites it.
+counted under ``corrupt``; recomputing the case overwrites it.  The
+admission probe (:meth:`ResultCache.contains`) checks that checksum and
+never unpickles.
 """
 
 from __future__ import annotations
@@ -135,18 +139,27 @@ class ResultCache(ABC):
                 self._hits += 1
             return value
 
+    def _probe(self, key: str) -> bool:
+        """Whether ``key`` holds an entry :meth:`get` would serve: by
+        default a full load (a dict lookup in memory), which a store whose
+        load decodes overrides with a cheaper check."""
+        try:
+            return self._load(key) is not None
+        except UndecodableEntry:
+            return False
+
     def contains(self, key: str) -> bool:
         """Whether ``key`` is stored, *without* counting a hit or miss.
 
         Admission control probes the store to predict a plan's warm-case
         discount before deciding whether to run it; a probe is a prophecy,
-        not a lookup, and must not skew the hit-rate counters.
+        not a lookup, and must not skew the hit-rate counters.  It checks
+        an sqlite row's checksum but does not unpickle it, so a row whose
+        checksum holds yet whose pickle does not load counts as warm here,
+        while :meth:`get` serves it as a counted corrupt miss.
         """
         with self._lock:
-            try:
-                return self._load(key) is not None
-            except UndecodableEntry:
-                return False
+            return self._probe(key)
 
     def put(self, key: str, value) -> None:
         with self._lock:
@@ -218,7 +231,11 @@ class SqliteCache(ResultCache):
                 " (key TEXT PRIMARY KEY, value BLOB NOT NULL)"
             )
 
-    def _load(self, key: str):
+    def _payload(self, key: str):
+        """The checked pickle stored under ``key`` (``None`` when absent).
+
+        Raises :class:`UndecodableEntry` when the checksum does not hold.
+        """
         row = self._connection.execute(
             "SELECT value FROM results WHERE key = ?", (key,)
         ).fetchone()
@@ -228,11 +245,26 @@ class SqliteCache(ResultCache):
         try:
             payload = memoryview(blob)[_CHECKSUM_BYTES:]
             checksum = zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
-            if blob[:_CHECKSUM_BYTES] != checksum:
-                raise UndecodableEntry(key)
+        except TypeError as exc:  # not a blob
+            raise UndecodableEntry(key) from exc
+        if blob[:_CHECKSUM_BYTES] != checksum:
+            raise UndecodableEntry(key)
+        return payload
+
+    def _load(self, key: str):
+        payload = self._payload(key)
+        if payload is None:
+            return None
+        try:
             return pickle.loads(payload)
         except _UNDECODABLE as exc:
             raise UndecodableEntry(key) from exc
+
+    def _probe(self, key: str) -> bool:
+        try:
+            return self._payload(key) is not None
+        except UndecodableEntry:
+            return False
 
     def _store(self, key: str, value) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)

@@ -14,11 +14,13 @@ capabilities:
   (:mod:`repro.service.cache`), every case is first looked up by its
   fingerprint; only misses are simulated (through the ordinary serial or
   batch runners, with the usual ``processes`` fan-out), and their results
-  are stored for next time.  Hits are re-attached to their position/tag (and
-  for resilience sweeps re-judged under the sweep's recovery criterion), so
-  a fully warm execution returns a report equal to a cold one, bit for bit.
-  Fingerprints are only computed when a cache is present — cacheless
-  execution pays nothing for the machinery.
+  are stored for next time as *rows*: plain tuples of the fields a result
+  shares with every other sweep holding the same case (no position, tag or
+  recovery verdict).  A hit is built from its row once, directly with its
+  position, tag and (for resilience sweeps) the verdict of this sweep's
+  recovery criterion, so a fully warm execution returns a report equal to
+  a cold one, bit for bit.  Fingerprints are only computed when a cache is
+  present — cacheless execution pays nothing for the machinery.
 * **Incremental aggregation.**  :func:`iter_shards` splits the plan into
   contiguous shards and yields a :class:`ShardProgress` as each completes:
   the shard's own results, the running merged report
@@ -30,13 +32,24 @@ capabilities:
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from repro.analysis import resilience as _resilience
 from repro.analysis import sweeps as _sweeps
-from repro.analysis.resilience import ResilienceReport, resolve_criterion
-from repro.analysis.sweeps import SweepReport, fan_out, resolve_executor
+from repro.analysis.resilience import (
+    FaultCaseResult,
+    ResilienceReport,
+    resolve_criterion,
+)
+from repro.analysis.sweeps import (
+    CaseResult,
+    SweepReport,
+    fan_out,
+    resolve_executor,
+)
+from repro.core.convergence import RunOutcome
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy, check_count, resolve_policy
 from repro.service.cache import ResultCache
@@ -99,26 +112,66 @@ class ShardProgress:
         )
 
 
-def _normalize_for_cache(result):
-    """Strip position, tag, and criterion verdict before storing.
+#: Result type per plan kind.
+_RESULT_TYPES = {"sweep": CaseResult, "resilience": FaultCaseResult}
+#: Outcomes by value: a cache row spells its outcome by value string.
+_OUTCOMES = {outcome.value: outcome for outcome in RunOutcome}
 
-    The same physical case may appear at another index, with another tag,
-    or under another recovery criterion in a later sweep; the stored entry
-    must serve all of them.
+
+class _Results:
+    """Builds each of a plan's results once, with its final position, tag
+    and recovery verdict.
+
+    Results are built positionally: ``index``, ``tag`` and ``outcome``
+    lead both result types, and ``recovered`` closes a resilience result.
+    A cache row is ``(outcome value, *fields)`` with the fields between
+    them, so every position, tag and criterion shares one entry.
+    ``criterion`` judges a resilience result as built (with
+    ``recovered=False``, as a runner builds it); a recovered case costs one
+    more construction.
     """
-    updates = {"index": -1, "tag": None}
-    if isinstance(result, _resilience.FaultCaseResult):
-        updates["recovered"] = False
-    return replace(result, **updates)
+
+    def __init__(self, kind: str, criterion):
+        self.type = _RESULT_TYPES[kind]
+        self.criterion = criterion
+        own = ("index", "tag", "outcome", "recovered")
+        shared = [f.name for f in fields(self.type) if f.name not in own]
+        self._shared = operator.attrgetter(*shared)
+
+    def row(self, result) -> tuple:
+        """The cache row of ``result``."""
+        return (result.outcome.value, *self._shared(result))
+
+    def from_row(self, spec, row):
+        """The result a cache ``row`` stands for at ``spec``."""
+        return self._judged(spec, _OUTCOMES[row[0]], row[1:])
+
+    def finish(self, spec, result):
+        """A runner's ``result`` for ``spec``: kept when its index and
+        verdict already hold, else built once more with them."""
+        if result.index != spec.index:
+            return self._judged(spec, result.outcome, self._shared(result))
+        criterion = self.criterion
+        if criterion is None or not criterion(result):
+            return result
+        values = self._shared(result)
+        return self.type(spec.index, spec.case.tag, result.outcome, *values, True)
+
+    def _judged(self, spec, outcome, values):
+        result = self.type(spec.index, spec.case.tag, outcome, *values)
+        criterion = self.criterion
+        if criterion is not None and criterion(result):
+            # ``recovered`` is the last field of a resilience result.
+            result = self.type(spec.index, spec.case.tag, outcome, *values, True)
+        return result
 
 
 def _run_specs(plan, specs, runner, processes, strict):
-    """Simulate a list of specs through the plan's runner.
+    """Simulate a list of specs through the plan's runner, in spec order.
 
-    Results come back in spec order with each result's ``index`` taken from
-    its spec (the runner numbers a slice contiguously from a start index,
-    which only matches when the specs are contiguous — cache-miss lists are
-    not, so indices are always re-attached here).
+    The runner numbers its slice contiguously from the first spec's index,
+    so a contiguous list (a cacheless shard, a run of misses) comes back
+    with every index right; :meth:`_Results.finish` rebuilds the others.
     """
     if not specs:
         return []
@@ -136,42 +189,40 @@ def _run_specs(plan, specs, runner, processes, strict):
             strict=strict,
         )
     if results is None:
-        results = runner(plan.protocol, cases, per_case, plan.max_steps, 0)
-    return [
-        result if result.index == spec.index else replace(result, index=spec.index)
-        for spec, result in zip(specs, results, strict=True)
-    ]
+        results = runner(
+            plan.protocol, cases, per_case, plan.max_steps, specs[0].index
+        )
+    return results
 
 
-def _execute_specs(plan, specs, runner, cache, processes, strict):
+def _execute_specs(plan, specs, runner, cache, processes, strict, build):
     """One shard: cache lookups, simulate the misses, fill the store.
 
-    Returns ``(results, hits, misses)`` with results in spec order.
+    Returns ``(results, hits, misses)`` with results in spec order, each
+    built by ``build`` (:class:`_Results`).
     """
     if cache is None:
-        return _run_specs(plan, specs, runner, processes, strict), 0, 0
+        results = _run_specs(plan, specs, runner, processes, strict)
+        pairs = zip(specs, results, strict=True)
+        return [build.finish(spec, result) for spec, result in pairs], 0, 0
 
-    by_index: dict[int, object] = {}
-    missing: list[tuple[CaseSpec, str]] = []
-    hits = 0
-    for spec in specs:
+    results = [None] * len(specs)
+    missing: list[tuple[int, CaseSpec, str]] = []
+    for position, spec in enumerate(specs):
         key = plan.case_fingerprint(spec)
-        value = cache.get(key)
-        if value is None:
-            missing.append((spec, key))
+        row = cache.get(key)
+        if row is None:
+            missing.append((position, spec, key))
         else:
-            hits += 1
-            by_index[spec.index] = replace(
-                value, index=spec.index, tag=spec.case.tag
-            )
+            results[position] = build.from_row(spec, row)
     if missing:
         computed = _run_specs(
-            plan, [spec for spec, _ in missing], runner, processes, strict
+            plan, [spec for _, spec, _ in missing], runner, processes, strict
         )
-        for (spec, key), result in zip(missing, computed, strict=True):
-            cache.put(key, _normalize_for_cache(result))
-            by_index[spec.index] = result
-    return [by_index[spec.index] for spec in specs], hits, len(missing)
+        for (position, spec, key), result in zip(missing, computed, strict=True):
+            cache.put(key, build.row(result))
+            results[position] = build.finish(spec, result)
+    return results, len(specs) - len(missing), len(missing)
 
 
 def check_shard_size(shard_size: int | None) -> None:
@@ -222,26 +273,22 @@ def iter_shards(
             )
         criterion = None
 
+    build = _Results(plan.kind, criterion)
     bounds = _shard_bounds(len(plan.specs), shard_size)
     aggregate = plan.empty_report()
     hits = misses = 0
     for shard, (lo, hi) in enumerate(bounds):
         results, shard_hits, shard_misses = _execute_specs(
-            plan, plan.specs[lo:hi], runner, cache, processes, strict
+            plan, plan.specs[lo:hi], runner, cache, processes, strict, build
         )
         hits += shard_hits
         misses += shard_misses
-        if criterion is not None:
-            results = [
-                replace(result, recovered=criterion(result))
-                for result in results
-            ]
-        shard_report = type(aggregate)(results=tuple(results))
-        aggregate = aggregate.merge(shard_report)
+        results = tuple(results)
+        aggregate = aggregate.merge(type(aggregate)(results=results))
         yield ShardProgress(
             shard=shard,
             total_shards=len(bounds),
-            results=tuple(results),
+            results=results,
             aggregate=aggregate,
             cache_hits=hits,
             cache_misses=misses,

@@ -99,7 +99,7 @@ from repro.graphs.topology import Topology
 #: the engine's observable run semantics change (or when canonicalization
 #: itself changes), which invalidates every previously cached result in one
 #: stroke instead of silently serving stale reports.
-ENGINE_VERSION = "repro-engine-2"
+ENGINE_VERSION = "repro-engine-3"
 
 #: Registered state extractors, keyed by *exact* type (subclasses fall back
 #: to the generic attribute walk so state added by a subclass is never
@@ -137,8 +137,15 @@ def register_fingerprint(cls: type):
     return decorate
 
 
+#: ``module.qualname`` by class, memoized: every object of a class spells it.
+_CLASSPATHS: dict[type, str] = {}
+
+
 def _classpath(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
+    path = _CLASSPATHS.get(cls)
+    if path is None:
+        path = _CLASSPATHS[cls] = f"{cls.__module__}.{cls.__qualname__}"
+    return path
 
 
 def _source_key(code) -> tuple:
@@ -255,6 +262,13 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
         return _refuse(found, where, "cycle", problem)
     stack.append(identity)
     try:
+        # An exact-type extractor first.  No registered model class is a
+        # container, enum, function, partial or RNG, so the generic
+        # branches below would never have claimed one: the trees are equal.
+        extractor = _EXTRACTORS.get(type(obj))
+        if extractor is not None:
+            state = _canonical(extractor(obj), stack, where, found)
+            return ("O", _classpath(type(obj)), state)
         if isinstance(obj, (tuple, list)):
             items = (
                 _canonical(item, stack, where and f"{where}[{i}]", found)
@@ -302,10 +316,6 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
             )
             return _refuse(found, where, "process-local", problem)
 
-        extractor = _EXTRACTORS.get(type(obj))
-        if extractor is not None:
-            state = _canonical(extractor(obj), stack, where, found)
-            return ("O", _classpath(type(obj)), state)
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             pairs = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
             return ("D", _classpath(type(obj)), _named(pairs, stack, where, found))

@@ -110,7 +110,7 @@ class SweepPlan:
     kind: str
     max_steps: int = DEFAULT_MAX_STEPS
     policy: ExecutionPolicy | None = field(default=None, compare=False)
-    # Digests and canonical components, memoized.  Not an init field, so
+    # Digests and spelled key parts, memoized.  Not an init field, so
     # ``dataclasses.replace`` starts an empty memo: a plan with another
     # protocol or step budget is never served the old digests.
     _fingerprints: dict = field(
@@ -176,8 +176,11 @@ class SweepPlan:
         Covers everything the result depends on — protocol digest, inputs,
         initial labeling values, initial outputs, realized schedule, fault
         plan, step budget, plan kind, engine salt — and nothing it does not
-        (``tag`` and ``index`` are cosmetic).  Memoized per plan: shared
-        schedule objects canonicalize once, not once per case.
+        (``tag`` and ``index`` are cosmetic).  Memoized per plan, and so
+        are the parts of the key text: the head (salt, kind, protocol
+        digest) is spelled once, and a shared schedule, fault plan or
+        inputs tuple is canonicalized and spelled once, not once per case.
+        The digest is the SHA-256 of exactly ``repr`` of the key tree.
 
         The same walk checks the case: the
         :class:`~repro.exceptions.StaticAnalysisError` it raises locates
@@ -190,13 +193,17 @@ class SweepPlan:
         if cached is not None:
             return cached
         case = spec.case
+        inputs = case.inputs
         try:
             own = (
-                canonical(case.inputs),
-                canonical(case.labeling.values),
-                canonical(case.initial_outputs),
-                self._component_fingerprint(spec.schedule),
-                self._component_fingerprint(spec.faults),
+                # Only a tuple is memoized: anything mutable is spelled anew.
+                self._shared_text(inputs)
+                if type(inputs) is tuple
+                else repr(canonical(inputs)),
+                repr(canonical(case.labeling.values)),
+                repr(canonical(case.initial_outputs)),
+                self._shared_text(spec.schedule),
+                self._shared_text(spec.faults),
             )
         except FingerprintError as error:
             raise _located_error(
@@ -210,27 +217,27 @@ class SweepPlan:
                     (".faults", spec.faults),
                 ],
             )
-        tree = (
-            "case",
-            ENGINE_VERSION,
-            self.kind,
-            self.protocol_fingerprint,
-            *own,
-            self.max_steps,
-        )
-        digest = hashlib.sha256(repr(tree).encode()).hexdigest()
+        # ``repr(("case", ENGINE_VERSION, kind, protocol digest, *own,
+        # max_steps))``, spelled from its parts.
+        head = self._fingerprints.get("head")
+        if head is None:
+            key = ("case", ENGINE_VERSION, self.kind, self.protocol_fingerprint)
+            head = self._fingerprints["head"] = repr(key)[:-1] + ", "
+        text = f"{head}{', '.join(own)}, {self.max_steps!r})"
+        digest = hashlib.sha256(text.encode()).hexdigest()
         self._fingerprints[cache_key] = digest
         return digest
 
-    def _component_fingerprint(self, component) -> object:
-        """Canonicalize a (possibly shared) schedule or fault plan once."""
+    def _shared_text(self, component) -> str:
+        """``repr`` of a (possibly shared) component's canonical tree,
+        memoized by identity: many specs hold one schedule object."""
         if component is None:
-            return None
+            return "None"
         cache_key = id(component)
-        cached = self._fingerprints.get(cache_key)
-        if cached is None:
-            cached = self._fingerprints[cache_key] = canonical(component)
-        return cached
+        text = self._fingerprints.get(cache_key)
+        if text is None:
+            text = self._fingerprints[cache_key] = repr(canonical(component))
+        return text
 
     def case_fingerprints(self) -> list[str]:
         """All case fingerprints, in case order."""

@@ -230,6 +230,28 @@ def verify_protocol(
     )
 
 
+def _unhashable_inputs(inputs, lifted) -> list:
+    """``(node, input)`` for each lifted node whose private input does not
+    hash.  A tuple that hashes has no such input (hashing it hashes every
+    item), so its items are walked only when that fails."""
+    if type(inputs) is tuple:
+        try:
+            hash(inputs)
+        except Exception:
+            pass  # the walk below reports or raises item by item, as ever
+        else:
+            return []
+    found = []
+    for node, x in enumerate(inputs):
+        if node not in lifted:
+            continue
+        try:
+            hash(x)
+        except TypeError:
+            found.append((node, x))
+    return found
+
+
 def verify_plan(
     plan, max_table_size: int | None = None
 ) -> PlanPreflight:
@@ -249,24 +271,25 @@ def verify_plan(
     demotions = []
     diagnostics = []
     lifted = set(protocol_preflight.predicted_lifted)
+    #: Unhashable lifted inputs by inputs object: cases share one tuple.
+    unhashable: dict[int, list] = {}
     for spec in plan.specs:
-        for node, x in enumerate(spec.case.inputs):
-            if node not in lifted:
-                continue
-            try:
-                hash(x)
-            except TypeError:
-                demotions.append((spec.index, node))
-                diagnostics.append(
-                    Diagnostic(
-                        rule="preflight/unhashable-input",
-                        severity="warning",
-                        message=f"case {spec.index}, node {node}: private"
-                        f" input of type {type(x).__name__} is unhashable —"
-                        f" this node falls back to per-row Python apply for"
-                        f" this case",
-                    )
+        inputs = spec.case.inputs
+        found = unhashable.get(id(inputs))
+        if found is None:
+            found = unhashable[id(inputs)] = _unhashable_inputs(inputs, lifted)
+        for node, x in found:
+            demotions.append((spec.index, node))
+            diagnostics.append(
+                Diagnostic(
+                    rule="preflight/unhashable-input",
+                    severity="warning",
+                    message=f"case {spec.index}, node {node}: private"
+                    f" input of type {type(x).__name__} is unhashable —"
+                    f" this node falls back to per-row Python apply for"
+                    f" this case",
                 )
+            )
 
     offenders = []
     try:

@@ -40,7 +40,13 @@ from repro.core import (
     binary,
     compile_protocol,
 )
-from repro.core.batch import LabelInterner, dtype_capacity, packed_dtype
+from repro.core.batch import (
+    MAX_FUSE_WINDOW,
+    LabelInterner,
+    _Lockstep,
+    dtype_capacity,
+    packed_dtype,
+)
 from repro.exceptions import ValidationError
 from repro.faults import (
     BurstFault,
@@ -739,6 +745,136 @@ class TestFusedWindows:
             settle_steps.add(report.steps_executed)
         # The point of the test: rows genuinely finished at distinct times.
         assert len(settle_steps) > 1
+
+
+# -- window rule --------------------------------------------------------------
+
+
+def _even_parity_ring(rng: random.Random, n: int):
+    """An xor ring whose inputs have even parity: stable labelings exist,
+    and rows reach them at many different steps."""
+    bits = [rng.randrange(2) for _ in range(n - 1)]
+    return _xor_ring_protocol(n), (*bits, sum(bits) % 2)
+
+
+class TestWindowRule:
+    """After rows conclude, a window keeps doubling while its frames fit
+    one kernel tile and halves past it; rows settle exactly either way."""
+
+    N = 12
+    ROWS = 64
+    STEPS = 150
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["plain", "faults"])
+    @pytest.mark.parametrize("sharing", SHARING)
+    def test_batch_equals_serial_on_both_sides_of_the_tile(
+        self, sharing, faults, monkeypatch
+    ):
+        rng = random.Random(31 + 2 * SHARING.index(sharing) + faults)
+        protocol, inputs = _even_parity_ring(rng, self.N)
+        topology = protocol.topology
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(2) for _ in range(self.N)))
+            for _ in range(self.ROWS)
+        ]
+        per_row = [
+            RandomRFairSchedule(self.N, r=3, seed=rng.randrange(1 << 20))
+            for _ in range(self.ROWS)
+        ]
+        schedules = share_schedules(rng, per_row, sharing)
+        plans = None
+        if faults:
+            plans = []
+            for b in range(self.ROWS):
+                start = rng.randrange(2, 40)
+                model = RandomCorruption(0.5, seed=b)
+                plans.append(BurstFault((start, start + 3), model))
+
+        def run_serial(b):
+            simulator = Simulator(protocol, inputs)
+            if plans is None:
+                return simulator.run(
+                    labelings[b], schedules[b], max_steps=self.STEPS
+                )
+            return simulator.run_with_faults(
+                labelings[b], schedules[b], plans[b], max_steps=self.STEPS
+            )
+
+        def run_batch():
+            simulator = BatchSimulator(protocol, [inputs] * self.ROWS)
+            if plans is None:
+                return simulator.run_batch(
+                    labelings, schedules, max_steps=self.STEPS
+                )
+            return simulator.run_batch_with_faults(
+                labelings, schedules, plans, max_steps=self.STEPS
+            )
+
+        log = []
+        grow = _Lockstep.grow
+
+        def logged(run, window, finished):
+            after = grow(run, window, finished)
+            log.append((window, len(finished), after))
+            return after
+
+        monkeypatch.setattr(_Lockstep, "grow", logged)
+        serial = [run_serial(b) for b in range(self.ROWS)]
+        fields = FAULT_FIELDS if faults else RUN_FIELDS
+
+        # Default tiles: every window fits one, so it doubles on through
+        # the conclusions.
+        reports = run_batch()
+        concluded = [(w, after) for w, done, after in log if done]
+        assert len(concluded) >= 3
+        assert all(after == min(2 * w, MAX_FUSE_WINDOW) for w, _, after in log)
+        for s, r in zip(serial, reports, strict=True):
+            assert_reports_equal(s, r, fields)
+
+        # A tile smaller than one frame: a window that concludes rows
+        # halves.
+        log.clear()
+        with tile_cap(4 * self.N):
+            reports = run_batch()
+        # (The last window may leave no live rows: nothing to halve for.)
+        concluded = [(w, after) for w, done, after in log[:-1] if done]
+        assert len(concluded) >= 3
+        assert all(after == max(w // 2, 1) for w, after in concluded)
+        assert any(after < w for w, after in concluded)
+        for s, r in zip(serial, reports, strict=True):
+            assert_reports_equal(s, r, fields)
+
+    def test_service_shape_runs_in_few_windows(self, monkeypatch):
+        # 256 rows of a 16-node xor ring over a pool of 8 schedules: rows
+        # conclude in most windows, so a window that restarts at one step
+        # on every conclusion ran 61 of them over the 200 steps.
+        n, rows = 16, 256
+        rng = random.Random(4242)
+        protocol, inputs = _even_parity_ring(rng, n)
+        pool = [
+            RandomRFairSchedule(n, r=4, seed=rng.getrandbits(32), p=0.5)
+            for _ in range(8)
+        ]
+        labelings = [
+            Labeling(
+                protocol.topology, tuple(rng.randrange(2) for _ in range(n))
+            )
+            for _ in range(rows)
+        ]
+        schedules = [pool[b % 8] for b in range(rows)]
+        windows = []
+        masks = _Lockstep.masks
+
+        def counted(run, t, k):
+            windows.append(k)
+            return masks(run, t, k)
+
+        monkeypatch.setattr(_Lockstep, "masks", counted)
+        reports = BatchSimulator(protocol, [inputs] * rows).run_batch(
+            labelings, schedules, max_steps=200
+        )
+        assert len(windows) <= 16
+        assert len({r.steps_executed for r in reports}) > 16
 
 
 # -- packed interner ----------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.exceptions import (
 )
 from repro.faults.models import FaultModel
 from repro.faults.schedules import NoFaults, OneShotFault
-from repro.graphs import unidirectional_ring
+from repro.graphs import Topology, unidirectional_ring
 from repro.service import (
     JobState,
     SweepService,
@@ -57,6 +57,34 @@ def _lambda_ring(n=3):
         for i in range(n)
     ]
     return StatelessProtocol(topology, binary(), reactions, name="lambda-ring")
+
+
+def _parity(incoming, _x):
+    value = sum(incoming.values()) % 2
+    return value, value
+
+
+def _two_degree_protocol():
+    """Nodes 0 and 1 read one edge, node 2 reads two: under a two-row table
+    budget, nodes 0 and 1 lift and node 2 does not."""
+    topology = Topology(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+    reactions = [
+        UniformReaction(topology.out_edges(i), _parity) for i in range(3)
+    ]
+    return StatelessProtocol(topology, binary(), reactions, name="two-degree")
+
+
+class _CountedHash:
+    """A hashable input that counts how often it is hashed."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        type(self).calls += 1
+        return hash(self.value)
 
 
 def _cases(protocol, count=2):
@@ -153,6 +181,52 @@ class TestVerifyPlan:
             "preflight/unhashable-input"
         ]
         # Demotion is a performance warning, not a blocker.
+        assert preflight.ok
+
+    def test_each_inputs_object_is_hashed_once(self):
+        protocol = _two_degree_protocol()
+        labeling = random_bit_labeling(protocol.topology, seed=0)
+        _CountedHash.calls = 0
+        shared = (_CountedHash(0), 0, 0)
+        inputs = [
+            shared,
+            [0, 1, 0],  # a list input with hashable items
+            shared,
+            (0, [1], 0),  # unhashable at a lifted node
+            (0, 0, {2}),  # unhashable at the non-lifted node only
+            [[0], 1, [2]],  # a list unhashable at a lifted and the other node
+            shared,
+        ]
+        plan = plan_sweep(
+            protocol,
+            [SweepCase(x, labeling) for x in inputs],
+            _sync,
+            max_steps=20,
+        )
+        preflight = verify_plan(plan, max_table_size=2)
+        assert preflight.protocol.predicted_lifted == (0, 1)
+        # Three cases share one tuple; it is hashed once.
+        assert _CountedHash.calls == 1
+
+        # The diagnostics are the per-case, per-node walk's, in its order.
+        expected = []
+        for spec in plan.specs:
+            for node, x in enumerate(spec.case.inputs):
+                if node in (0, 1):
+                    try:
+                        hash(x)
+                    except TypeError:
+                        expected.append((spec.index, node, type(x).__name__))
+        assert [(i, node) for i, node, _ in expected] == [(3, 1), (5, 0)]
+        assert preflight.case_demotions == tuple(
+            (i, node) for i, node, _ in expected
+        )
+        assert [d.message for d in preflight.diagnostics] == [
+            f"case {i}, node {node}: private input of type {name} is"
+            f" unhashable — this node falls back to per-row Python apply"
+            f" for this case"
+            for i, node, name in expected
+        ]
         assert preflight.ok
 
     def test_record_sits_next_to_admission_shape(self):

@@ -7,6 +7,7 @@ resubmissions bit for bit, and incremental shard aggregates merge to
 exactly the one-shot report.
 """
 
+import dataclasses
 import pickle
 import random
 import sqlite3
@@ -22,6 +23,7 @@ from repro.analysis import (
     run_resilience_sweep,
     run_sweep,
 )
+from repro.analysis.resilience import resolve_criterion
 from repro.core import (
     Labeling,
     RandomRFairSchedule,
@@ -83,6 +85,18 @@ def _fault_factory(i, case):
     if i % 2:
         return OneShotFault(3, RandomCorruption(0.5, seed=i))
     return NoFaults()
+
+
+def _faults_by_tag(i, case):
+    """:func:`_fault_factory` keyed by the case's tag, not its position, so
+    a case keeps its key in any plan."""
+    return _fault_factory(case.tag, case)
+
+
+def _odd_tags(result):
+    """A criterion that reads the cosmetic tag: a verdict must be decided
+    on the result as the sweep returns it."""
+    return result.tag % 2 == 1
 
 
 class TestCaches:
@@ -188,6 +202,46 @@ class TestCaches:
             assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
             cache.put("k", result)
             assert cache.get("k") == result
+
+
+    def test_sqlite_probe_checks_the_checksum_without_unpickling(
+        self, tmp_path, monkeypatch
+    ):
+        row = ("label-stable", 1, 1, 3, (0, 1, 0), (0, 1, 0))
+        path = tmp_path / "cache.db"
+        with SqliteCache(path) as cache:
+            for key in ("intact", "garbled", "truncated"):
+                cache.put(key, row)
+        with closing(sqlite3.connect(path)) as raw, raw:
+            (blob,) = raw.execute(
+                "SELECT value FROM results WHERE key = 'intact'"
+            ).fetchone()
+            raw.execute(
+                "UPDATE results SET value = ? WHERE key = 'garbled'",
+                (bytes(b ^ 0xFF for b in blob),),
+            )
+            raw.execute(
+                "UPDATE results SET value = ? WHERE key = 'truncated'",
+                (blob[: len(blob) // 2],),
+            )
+
+        def refuse(data, *args, **kwargs):
+            raise pickle.UnpicklingError("the probe must not unpickle")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with SqliteCache(path) as cache:
+            assert cache.contains("intact")
+            assert not cache.contains("garbled")
+            assert not cache.contains("truncated")
+            assert cache.stats == type(cache.stats)()  # probes count nothing
+            # A row whose checksum holds but whose pickle does not load is
+            # warm to the probe and a counted corrupt miss to ``get``.
+            assert cache.get("intact") is None
+            stats = cache.stats
+            assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+        monkeypatch.undo()
+        with SqliteCache(path) as cache:
+            assert cache.get("intact") == row
 
 
 class TestPlanning:
@@ -443,6 +497,47 @@ class TestResultCacheIntegration:
         assert [r.outcome for r in never.results] == [
             r.outcome for r in label.results
         ]
+
+    @pytest.mark.parametrize("shard_size", [2, None], ids=["shards-of-2", "one"])
+    @pytest.mark.parametrize("recovered", ["label", _odd_tags], ids=["label", "tag"])
+    def test_batch_hits_and_misses_carry_index_tag_and_verdict(
+        self, recovered, shard_size
+    ):
+        protocol = or_clique_protocol(clique(4))
+        population = _population(protocol, 8)
+        batch = ExecutionPolicy(executor="batch")
+
+        def plan(cases):
+            return plan_resilience_sweep(
+                protocol, cases, _sync, _faults_by_tag, max_steps=80
+            )
+
+        # Warm a scattered half: shards mix hits and misses, and in one
+        # shard the misses are not contiguous, so the runner numbers some
+        # of them wrong.
+        cache = InMemoryCache()
+        warm = [population[i] for i in (0, 3, 4, 7)]
+        execute_plan(plan(warm), cache=cache, policy=batch)
+        full = plan(population)
+        reference = execute_plan(full, recovered=recovered)
+        judge = resolve_criterion(recovered)
+        for rerun in range(2):  # half warm, then fully warm
+            report = execute_plan(
+                full,
+                cache=cache,
+                policy=batch,
+                shard_size=shard_size,
+                recovered=recovered,
+            )
+            assert report == reference
+            for i, result in enumerate(report.results):
+                assert result.index == i
+                assert result.tag == population[i].tag
+                unjudged = dataclasses.replace(result, recovered=False)
+                assert result.recovered == judge(unjudged)
+        assert (cache.stats.hits, cache.stats.misses) == (4 + 8, 4 + 4)
+        if recovered is _odd_tags:
+            assert {r.recovered for r in reference.results} == {False, True}
 
     def test_sqlite_cache_serves_a_new_process_shape(self, tmp_path):
         # Plan pickled + cache on disk: the full submit-elsewhere story.

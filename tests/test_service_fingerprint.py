@@ -453,7 +453,7 @@ class TestSourceKeyedCode:
         module = _load_reaction_module(tmp_path / "fstrings", _FSTRING_MODULE)
         # Pinned on Python 3.10, 3.11 and 3.12; re-pin with the golden fixture.
         assert fingerprint(module.react) == (
-            "3cf078887bbced6300539086764c24f793dfd4fd8e8a18c4d157bf31090b1c92"
+            "7aae74b482a519d43a84ee5ef993c3b98a99b2d85826b65044a2ff0c78d3242d"
         )
 
     def test_functions_without_source_keep_the_name_key(self):
