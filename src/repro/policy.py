@@ -28,7 +28,6 @@ policy value can drive a whole pipeline.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass, fields, replace
 
 from repro.exceptions import ValidationError
@@ -71,8 +70,6 @@ class ExecutionPolicy:
       or ``"serial"``.
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
-    * ``spill_dir`` — directory for disk-backed (memmap) edge/parent
-      arrays in the exploration core; ``None`` keeps them in memory.
     * ``batch_min_rows`` — smallest frontier group worth a kernel call.
 
     Frozen and value-compared; derive variants with :meth:`merged`.
@@ -83,7 +80,6 @@ class ExecutionPolicy:
     chunk_rows: int | None = None
     frontier: str = "auto"
     symmetry: object = "none"
-    spill_dir: str | os.PathLike | None = None
     batch_min_rows: int = DEFAULT_BATCH_MIN_ROWS
 
     def __post_init__(self):

@@ -27,10 +27,12 @@ rules that matter for cache soundness:
   Anonymous ``lambda``s are refused — every lambda in a module shares the
   qualified name ``<lambda>``, so two different ones could collide — use a
   named function for reactions that should be cacheable.
-* **Source-keyed code.**  A named function, and the function behind a bound
-  method, is keyed by its source tokens too: comments and blank lines are
-  dropped, line breaks and indentation kept by kind only.  Editing a body
-  changes the digest; a comment or whitespace edit does not.  Tokens, not
+* **Source-keyed code.**  A named function, the function behind a bound
+  method, and the hooks an unregistered reaction class overrides
+  (:func:`reaction_hooks`) are keyed by their source tokens too: comments
+  and blank lines are dropped, line breaks and indentation kept by kind
+  only.  Editing a body changes the digest; a comment or whitespace edit
+  does not.  Tokens, not
   bytecode or ``ast.dump``: one set of digests holds on every supported
   Python.  The limits: a helper called through module globals is not
   followed; source is read (via :mod:`linecache`) at a code object's first
@@ -45,8 +47,11 @@ Cosmetic state — protocol/topology/label-space ``name`` strings, case
 
 :func:`fingerprint_offenders` runs the same walk in collecting mode: each
 refusal becomes a located :class:`~repro.exceptions.Diagnostic` and the walk
-goes on.  Paths are built only in that mode, so a clean object costs exactly
-its fingerprint.
+goes on, into a refused lambda's defaults and closure too.  Paths are built
+only in that mode, so a clean object costs exactly its fingerprint.  The
+same mode lists every function the walk reaches (:func:`reached_functions`):
+that is the code :mod:`repro.statics.purity` reads, so the purity verdict
+covers what the key covers.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ from repro.core.reaction import (
     ConstantReaction,
     LambdaReaction,
     LambdaStatefulReaction,
+    ReactionFunction,
+    StatefulReactionFunction,
     TabularReaction,
     UniformReaction,
 )
@@ -180,6 +187,40 @@ def _source_key(code) -> tuple:
     return key
 
 
+def reaction_hooks(reaction) -> tuple:
+    """The methods that run when ``reaction`` fires and that no instance
+    attribute holds: the ``react``/``__call__``/``compile_fast_path`` a
+    reaction class overrides, or a callable instance's own ``__call__``."""
+    cls = type(reaction)
+    for base in (ReactionFunction, StatefulReactionFunction):
+        if issubclass(cls, base):
+            return tuple(
+                getattr(cls, name)
+                for name in ("react", "__call__", "compile_fast_path")
+                if getattr(cls, name) is not getattr(base, name)
+            )
+    call = getattr(cls, "__call__", None)
+    return (call,) if isinstance(call, types.FunctionType) else ()
+
+
+#: Hook keys by class, memoized like class paths; ``()`` for a class that
+#: is not a reaction.
+_HOOK_KEYS: dict[type, tuple] = {}
+
+
+def _hook_keys(obj) -> tuple:
+    """``(("H", source key per overridden hook),)`` for a reaction, else
+    ``()``: a custom reaction class is keyed by its code, not its name."""
+    keys = _HOOK_KEYS.get(type(obj))
+    if keys is None:
+        keys = ()
+        if isinstance(obj, (ReactionFunction, StatefulReactionFunction)):
+            hooks = reaction_hooks(obj)
+            keys = (("H", *(_source_key(getattr(f, "__code__", None)) for f in hooks)),)
+        _HOOK_KEYS[type(obj)] = keys
+    return keys
+
+
 def _refuse(found, where, rule, problem, path=None, line=None) -> None:
     """Raise ``problem``, or, when collecting, record it at ``where``."""
     if found is None:
@@ -191,8 +232,10 @@ def _refuse(found, where, rule, problem, path=None, line=None) -> None:
 
 def _canonical_function(fn, stack, where, found) -> tuple:
     qualname, code = fn.__qualname__, fn.__code__
-    if "<lambda>" in qualname:
-        return _refuse(
+    if found is not None:
+        found.append(fn)
+    if "<lambda>" in qualname:  # raises unless collecting; then walk on
+        _refuse(
             found,
             where,
             "lambda",
@@ -245,9 +288,11 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
     """The canonical tree of ``obj``.
 
     With ``found`` None the first refusal raises
-    :class:`~repro.exceptions.FingerprintError`; otherwise it is appended to
-    ``found``, located at ``where``, and the walk goes on.  Child paths are
-    spelled ``where and f"..."``, so they are formatted only when collecting.
+    :class:`~repro.exceptions.FingerprintError`.  Otherwise the walk
+    collects: each refusal is appended to ``found`` as a diagnostic located
+    at ``where``, each function reached is appended too, and the walk goes
+    on.  Child paths are spelled ``where and f"..."``, so they are
+    formatted only when collecting.
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
@@ -294,9 +339,11 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
         if isinstance(obj, types.FunctionType):
             return _canonical_function(obj, stack, where, found)
         if isinstance(obj, types.MethodType):
+            func = obj.__func__
+            if found is not None:
+                found.append(func)
             path = where and f"{where}.__self__"
             owner = _canonical(obj.__self__, stack, path, found)
-            func = obj.__func__
             code = getattr(func, "__code__", None)
             return ("B", owner, func.__qualname__, *_source_key(code))
         if isinstance(obj, functools.partial):
@@ -316,9 +363,11 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
             )
             return _refuse(found, where, "process-local", problem)
 
+        hooks = _hook_keys(obj)
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             pairs = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-            return ("D", _classpath(type(obj)), _named(pairs, stack, where, found))
+            named = _named(pairs, stack, where, found)
+            return ("D", _classpath(type(obj)), named, *hooks)
         state = _object_state(obj)
         if not state:
             problem = (
@@ -328,7 +377,7 @@ def _canonical(obj, stack: list, where=None, found=None) -> object:
             )
             return _refuse(found, where, "unregistered-type", problem)
         attrs = _named(sorted(state.items()), stack, where, found)
-        return ("O", _classpath(type(obj)), attrs)
+        return ("O", _classpath(type(obj)), attrs, *hooks)
     finally:
         stack.pop()
 
@@ -359,7 +408,20 @@ def fingerprint_offenders(obj, where: str = "plan") -> tuple:
     """
     found: list = []
     _canonical(obj, [], where, found)
-    return tuple(found)
+    return tuple(item for item in found if isinstance(item, Diagnostic))
+
+
+def reached_functions(obj) -> tuple:
+    """Every function ``obj``'s key reaches, each once, in walk order.
+
+    The collecting walk of :func:`fingerprint_offenders`: closures and
+    defaults to any depth, containers, instance attributes, the function
+    behind a bound method, and refused lambdas too.
+    """
+    found: list = []
+    _canonical(obj, [], "", found)  # collecting; an empty path builds none
+    unique = {id(fn): fn for fn in found if not isinstance(fn, Diagnostic)}
+    return tuple(unique.values())
 
 
 def unique_offenders(diagnostics) -> tuple:

@@ -116,10 +116,19 @@ class JobStatus:
 
 @dataclass
 class _Job:
-    """Mutable per-job record; every field is guarded by the service lock."""
+    """Mutable per-job record; every field is guarded by the service lock.
+
+    ``plan`` is dropped when the job reaches a terminal state; the plan's
+    ``kind``, case count, ``max_steps`` and fingerprint stay, for
+    :meth:`SweepService.status` and the JOB record.
+    """
 
     job_id: str
-    plan: SweepPlan
+    plan: SweepPlan | None
+    kind: str
+    cases: int
+    max_steps: int
+    plan_fingerprint: str
     options: dict
     state: JobState = JobState.PENDING
     progress: list[ShardProgress] = field(default_factory=list)
@@ -245,6 +254,10 @@ class SweepService:
             job = _Job(
                 job_id=job_id,
                 plan=plan,
+                kind=plan.kind,
+                cases=len(plan),
+                max_steps=plan.max_steps,
+                plan_fingerprint=plan.plan_fingerprint,
                 options={
                     "shard_size": shard_size,
                     "policy": policy,
@@ -276,8 +289,8 @@ class SweepService:
             return JobStatus(
                 job_id=job.job_id,
                 state=job.state,
-                kind=job.plan.kind,
-                total_cases=len(job.plan),
+                kind=job.kind,
+                total_cases=job.cases,
                 cases_done=len(latest.aggregate) if latest else 0,
                 shards_done=len(job.progress),
                 total_shards=latest.total_shards if latest else None,
@@ -423,12 +436,14 @@ class SweepService:
         return job
 
     def _finish(self, job: _Job, state: JobState) -> None:
-        """Move a job to a terminal state and wake every waiter.
+        """Move a job to a terminal state, release its plan, and wake every
+        waiter.
 
         Caller holds the lock.
         """
         job.state = state
         job.finished_at = time.time()
+        job.plan = None
         self._updated.notify_all()
 
     def _worker(self) -> None:
@@ -473,9 +488,8 @@ class SweepService:
                     if job_id in self._held:
                         self._held.remove(job_id)
                     continue
-            estimate = predict_plan_cost(
-                job.plan, job.options["policy"], cache=self.cache
-            )
+                plan = job.plan
+            estimate = predict_plan_cost(plan, job.options["policy"], cache=self.cache)
             decision = self.admission.decide(estimate)
             release = decision.action == "accept"
             with self._updated:
@@ -522,12 +536,10 @@ class SweepService:
         if self.records_dir is None:
             return
         self.records_dir.mkdir(parents=True, exist_ok=True)
-        out_path = (
-            self.records_dir / f"JOB_{job.plan.plan_fingerprint[:16]}.json"
-        )
+        out_path = self.records_dir / f"JOB_{job.plan_fingerprint[:16]}.json"
         record = {
             "job": job.job_id,
-            "plan_fingerprint": job.plan.plan_fingerprint,
+            "plan_fingerprint": job.plan_fingerprint,
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "entries": self._record_entries(job),
         }
@@ -542,10 +554,10 @@ class SweepService:
         policy = job.options["policy"]
         entries = {
             "state": job.state.value,
-            "kind": job.plan.kind,
-            "cases": len(job.plan),
+            "kind": job.kind,
+            "cases": job.cases,
             "cases_done": len(latest.aggregate) if latest else 0,
-            "max_steps": job.plan.max_steps,
+            "max_steps": job.max_steps,
             "executor": policy.executor if policy else "serial",
             "shard_size": job.options["shard_size"],
             "elapsed_s": elapsed,
@@ -564,7 +576,7 @@ class SweepService:
                     result.outcome.value for result in latest.aggregate.results
                 )
             )
-            if job.plan.kind == "resilience":
+            if job.kind == "resilience":
                 entries["recovered"] = latest.aggregate.recovered_count
         return entries
 

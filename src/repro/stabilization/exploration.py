@@ -23,10 +23,9 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   through a per-payload table keyed by countdown id, so an edge costs two
   int-keyed dict lookups instead of re-hashing ``O(m + n)`` tuples.
 * **Packed edge and parent arrays.**  Successor lists and BFS-tree parent
-  links live in flat append-only arrays (``array.array`` in RAM, numpy
-  memmaps under ``spill_dir``) instead of one Python list-of-tuples per
-  state; :attr:`successors` and :attr:`parent` are lazy views with the
-  historical shape.  Graphs outgrow RAM by spilling, not by crashing.
+  links live in flat append-only ``array.array`` stores instead of one
+  Python list-of-tuples per state; :attr:`successors` and :attr:`parent`
+  are lazy views with the historical shape.
 * **A shared activation-set cache** with second-chance eviction
   (:func:`valid_activation_sets`): the valid activation sets of a countdown
   vector are enumerated once per distinct countdown and cached module-wide;
@@ -79,7 +78,6 @@ top), and ``repro.faults.adversary.exhaustive_worst_case_delay`` /
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
@@ -199,7 +197,6 @@ class ExplorationStats:
     covered_states: int
     canonicalizations: int
     canonical_cache_hits: int
-    spilled: bool
 
     @property
     def reduction_factor(self) -> float:
@@ -210,71 +207,6 @@ class ExplorationStats:
         record = asdict(self)
         record["reduction_factor"] = self.reduction_factor
         return record
-
-
-def _store(typecode: str, spill: str | None, name: str):
-    """An append-only packed int store: a plain ``array.array`` in RAM, a
-    memmap-backed :class:`_Vec` under a spill directory."""
-    if spill is None:
-        return array(typecode)
-    return _Vec(typecode, spill, name)
-
-
-class _Vec:
-    """Append-only packed int vector on a capacity-doubling numpy memmap.
-
-    The ``spill_dir`` store, so edge/parent arrays can outgrow RAM.  It
-    offers what consumers use of the in-RAM ``array.array`` stores:
-    ``append``, ``extend``, ``len`` and indexing (slices give lists).
-    """
-
-    __slots__ = ("_data", "_len", "_path")
-
-    _DTYPES = {"q": "int64", "i": "int32", "B": "uint8"}
-
-    def __init__(self, typecode: str, spill_dir: str, name: str):
-        self._len = 0
-        self._path = os.path.join(spill_dir, f"{name}.dat")
-        self._data = np.memmap(
-            self._path, dtype=np.dtype(self._DTYPES[typecode]),
-            mode="w+", shape=(1024,),
-        )
-
-    def append(self, value: int) -> None:
-        if self._len >= self._data.shape[0]:
-            self._grow(self._len + 1)
-        self._data[self._len] = value
-        self._len += 1
-
-    def extend(self, values: Sequence[int]) -> None:
-        end = self._len + len(values)
-        if end > self._data.shape[0]:
-            self._grow(end)
-        self._data[self._len : end] = values
-        self._len = end
-
-    def _grow(self, needed: int) -> None:
-        capacity = self._data.shape[0] * 2
-        while capacity < needed:
-            capacity *= 2
-        dtype = self._data.dtype
-        self._data.flush()
-        del self._data
-        with open(self._path, "r+b") as handle:
-            handle.truncate(capacity * dtype.itemsize)
-        self._data = np.memmap(self._path, dtype=dtype, mode="r+", shape=(capacity,))
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return self._data[: self._len][k].tolist()
-        if k < 0:
-            k += self._len
-        if not 0 <= k < self._len:
-            raise IndexError(k)
-        return int(self._data[k])
 
 
 class _SuccessorsView(Sequence):
@@ -381,13 +313,10 @@ class ExplorationGraph:
     graphs store one canonical state per orbit; witnesses are lifted back
     to concrete runs via the per-edge group elements.
 
-    ``spill_dir`` moves the packed edge/parent arrays onto disk-backed
-    memmaps in that directory (created if missing; files are left behind
-    for post-mortem inspection).
-
-    All four knobs are fields of :class:`repro.ExecutionPolicy`, passed as
-    ``policy=``.  The policy is cosmetic here as everywhere: every route,
-    every quotient, every spill produces the same graph up to state order.
+    ``frontier``, ``symmetry`` and ``batch_min_rows`` are fields of
+    :class:`repro.ExecutionPolicy`, passed as ``policy=``.  The policy is
+    cosmetic here as everywhere: every route and every quotient produces
+    the same graph up to state order.
 
     ``budget`` bounds the number of states; exceeding it raises
     :class:`SearchBudgetExceeded` with ``name`` in the message so callers
@@ -408,7 +337,6 @@ class ExplorationGraph:
         policy = resolve_policy(policy, api="ExplorationGraph")
         symmetry = policy.symmetry
         frontier = policy.frontier
-        spill_dir = policy.spill_dir
         batch_min_rows = policy.batch_min_rows
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
@@ -426,14 +354,6 @@ class ExplorationGraph:
         self._canonicalizer = (
             group.canonicalizer(track_outputs) if group is not None else None
         )
-
-        spill = None
-        if spill_dir is not None:
-            if np is None:
-                raise ValidationError("spill_dir requires numpy (memmap backing)")
-            spill = os.fspath(spill_dir)
-            os.makedirs(spill, exist_ok=True)
-        self.spill_dir = spill
 
         self._frontier_requested = frontier
         if frontier == "batch" and np is None:
@@ -469,19 +389,19 @@ class ExplorationGraph:
         #: edge_gid (group element mapping the raw successor to its
         #: canonical form) and edge_flags (bit 0: labeling changed, bit 1:
         #: outputs changed — computed before canonicalization).
-        self.edge_offsets = _store("q", spill, "edge_offsets")
-        self.edge_dst = _store("q", spill, "edge_dst")
-        self.edge_sid = _store("i", spill, "edge_sid")
-        self.edge_gid = _store("i", spill, "edge_gid") if group else None
-        self.edge_flags = _store("B", spill, "edge_flags") if group else None
+        self.edge_offsets = array("q")
+        self.edge_dst = array("q")
+        self.edge_sid = array("i")
+        self.edge_gid = array("i") if group else None
+        self.edge_flags = array("B") if group else None
         #: Packed parent store: BFS-tree link of state k (or -1 for roots).
         #: Quotient graphs use parent_gid for the edge's group element —
         #: and, on roots, for the element mapping the concrete initial
         #: state to its canonical form.
-        self.parent_idx = _store("q", spill, "parent_idx")
-        self.parent_sid = _store("i", spill, "parent_sid")
-        self.parent_gid = _store("i", spill, "parent_gid") if group else None
-        self._orbit_sizes = _store("q", spill, "orbit_sizes") if group else None
+        self.parent_idx = array("q")
+        self.parent_sid = array("i")
+        self.parent_gid = array("i") if group else None
+        self._orbit_sizes = array("q") if group else None
         self.edge_offsets.append(0)
 
         self.initial_indices: list[int] = []
@@ -1054,7 +974,6 @@ class ExplorationGraph:
             covered_states=self._covered,
             canonicalizations=counters["canonicalizations"],
             canonical_cache_hits=counters["canonical_hits"],
-            spilled=self.spill_dir is not None,
         )
 
     # -- witness replay ------------------------------------------------------

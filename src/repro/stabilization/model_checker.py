@@ -229,10 +229,9 @@ def _tarjan(graph: ExplorationGraph) -> tuple[list[int], list[int]]:
 
     Returns the component id of every vertex and the size of every
     component.  Reads ``edge_offsets`` / ``edge_dst`` directly, one slice
-    of successors per vertex, so no per-state successor lists are kept —
-    on spilled graphs this streams straight off the memmaps.  A vertex is
-    on the Tarjan stack exactly when it is numbered but not yet assigned
-    a component.
+    of successors per vertex, so no per-state successor lists are kept.
+    A vertex is on the Tarjan stack exactly when it is numbered but not
+    yet assigned a component.
     """
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst

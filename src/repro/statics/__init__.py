@@ -5,14 +5,16 @@ reactions, and promises like that should be checked at the boundary, not
 discovered at runtime.
 
 * :mod:`repro.statics.purity` — classify every reaction ``PURE /
-  STATEFUL / UNKNOWN`` by AST + closure inspection, cross-checked against
-  the protocol's declared ``is_stateful`` flag.
+  STATEFUL / UNKNOWN`` by AST + closure inspection of the code its cache
+  key reaches, cross-checked against the protocol's declared
+  ``is_stateful`` flag.
 * :mod:`repro.statics.preflight` — predict a plan's batch liftability
   partition and fingerprint-safety before any work is enqueued
   (``SweepService.submit(..., preflight=)`` records the result in JOB
   records next to the admission decision).
 * :mod:`repro.statics.lint` — repo-invariant AST checks: no wall clocks
-  in kernel paths, and lock discipline over the threaded service.
+  or environment reads in kernel paths (purity's hidden-input table), and
+  lock discipline over the threaded service.
 
 ``python -m repro.statics [src/ | PLAN.pkl]`` runs the passes from the
 command line with a machine-readable report (:mod:`repro.statics.__main__`).

@@ -125,14 +125,12 @@ def main(argv=None) -> int:
             print(diagnostic.describe())
         for entry in report["preflight"]:
             preflight = entry["preflight"]
-            purity = entry["purity"]
-            fallback = preflight.get("protocol", preflight).get(
-                "predicted_fallback", []
-            )
+            if entry["kind"] == "plan":
+                preflight = preflight["protocol"]
             print(
                 f"{entry['target']}: {entry['kind']} preflight —"
-                f" {len(fallback)} predicted fallback node(s),"
-                f" purity {purity['counts']}"
+                f" {len(preflight['predicted_fallback'])} predicted fallback"
+                f" node(s), purity {entry['purity']['counts']}"
             )
         status = "FAIL" if failed else "ok"
         print(

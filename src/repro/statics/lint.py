@@ -3,11 +3,15 @@
 Two rules, each encoding a convention this codebase relies on but ruff
 has no vocabulary for:
 
-* ``lint/wall-clock`` — no ``time.*`` / ``datetime.now`` / ``os.environ``
-  reads inside the kernel and fingerprint paths.  Simulation is a pure
-  function of (protocol, schedule, seeds) and fingerprints are content
-  addresses; a clock or environment read in either would make results
-  run-dependent.
+* ``lint/wall-clock`` — no wall-clock or environment reads inside the
+  kernel and fingerprint paths: the ``wall-clock`` and ``environ-read``
+  rows of :data:`repro.statics.purity.HIDDEN_INPUTS`, the table purity
+  checks reactions against, resolved through the module's imports
+  (``time.perf_counter()``, ``from datetime import datetime`` then
+  ``datetime.now()``, ``from os import environ``, ``os.getenv``).
+  Simulation is a pure function of (protocol, schedule, seeds) and
+  fingerprints are content addresses; a clock or environment read in
+  either would make results run-dependent.
 * ``lint/lock-discipline`` — a lightweight static race detector for
   classes that construct their own ``threading.Lock``/``Condition`` in
   ``__init__`` (the :class:`~repro.service.jobs.SweepService` shape).  Any
@@ -31,6 +35,7 @@ import ast
 from pathlib import Path
 
 from repro.exceptions import Diagnostic
+from repro.statics.purity import hidden_inputs, import_bindings
 
 #: Path suffixes of the kernel/fingerprint modules where wall-clock and
 #: environment reads would make pure computations run-dependent.
@@ -39,11 +44,6 @@ KERNEL_PATH_SUFFIXES = (
     "core/compiled.py",
     "core/batch.py",
     "service/fingerprint.py",
-)
-
-#: ``time``-module calls that read the wall clock.
-WALL_CLOCK_FUNCTIONS = frozenset(
-    {"monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "time", "time_ns"}
 )
 
 #: Docstring sentence that waives the lock-discipline check for a method
@@ -60,88 +60,6 @@ def _call_name(func) -> str | None:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-class _ModuleLint(ast.NodeVisitor):
-    """One module's walk for the wall-clock rule."""
-
-    def __init__(self, path: str, kernel_path: bool):
-        self.path = path
-        self.kernel_path = kernel_path
-        self.diagnostics: list[Diagnostic] = []
-        #: local alias -> imported module name ("t" -> "time").
-        self.module_aliases: dict[str, str] = {}
-        #: local name -> (module, original name) for from-imports.
-        self.from_imports: dict[str, tuple[str, str]] = {}
-
-    def _flag(self, rule, node, message):
-        self.diagnostics.append(
-            Diagnostic(
-                rule=rule,
-                severity="error",
-                message=message,
-                path=self.path,
-                line=getattr(node, "lineno", None),
-            )
-        )
-
-    def visit_Import(self, node):
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name] = alias.name
-
-    def visit_ImportFrom(self, node):
-        if node.module:
-            for alias in node.names:
-                self.from_imports[alias.asname or alias.name] = (
-                    node.module,
-                    alias.name,
-                )
-
-    def visit_Call(self, node):
-        if self.kernel_path:
-            self._check_wall_clock(node)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node):
-        if self.kernel_path and isinstance(node.value, ast.Name):
-            module = self.module_aliases.get(node.value.id)
-            if module == "os" and node.attr == "environ":
-                self._flag(
-                    "lint/wall-clock",
-                    node,
-                    "os.environ read in a kernel/fingerprint path — the"
-                    " environment must not influence pure computations",
-                )
-        self.generic_visit(node)
-
-    def _check_wall_clock(self, node):
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            module = self.module_aliases.get(func.value.id)
-            if module == "time" and func.attr in WALL_CLOCK_FUNCTIONS:
-                self._flag(
-                    "lint/wall-clock",
-                    node,
-                    f"time.{func.attr}() in a kernel/fingerprint path —"
-                    f" results must not depend on the wall clock",
-                )
-            elif module == "datetime" and func.attr in ("now", "utcnow", "today"):
-                self._flag(
-                    "lint/wall-clock",
-                    node,
-                    f"datetime {func.attr}() in a kernel/fingerprint path",
-                )
-        elif isinstance(func, ast.Name):
-            origin = self.from_imports.get(func.id)
-            if origin is not None:
-                module, original = origin
-                if module == "time" and original in WALL_CLOCK_FUNCTIONS:
-                    self._flag(
-                        "lint/wall-clock",
-                        node,
-                        f"time.{original}() in a kernel/fingerprint path —"
-                        f" results must not depend on the wall clock",
-                    )
 
 
 class _LockDiscipline:
@@ -262,10 +180,21 @@ def lint_source(source: str, path: str = "<string>") -> tuple:
                 line=error.lineno,
             ),
         )
-    kernel_path = path.replace("\\", "/").endswith(KERNEL_PATH_SUFFIXES)
-    walker = _ModuleLint(path, kernel_path)
-    walker.visit(tree)
-    diagnostics = list(walker.diagnostics)
+    diagnostics = []
+    if path.replace("\\", "/").endswith(KERNEL_PATH_SUFFIXES):
+        for node, name, kind in hidden_inputs(tree, import_bindings(tree)):
+            if kind in ("wall-clock", "environ-read"):
+                diagnostics.append(
+                    Diagnostic(
+                        rule="lint/wall-clock",
+                        severity="error",
+                        message=f"{name} ({kind}) in a kernel/fingerprint path"
+                        f" — results must not depend on the clock or the"
+                        f" environment",
+                        path=path,
+                        line=node.lineno,
+                    )
+                )
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             analysis = _LockDiscipline(path, node)

@@ -17,12 +17,23 @@ What the verifier flags as **hidden state** (verdict ``STATEFUL``):
 * mutation of closed-over cells (``.append``/``.update``/... or a
   subscript store on a free variable);
 * mutable default arguments (the classic accumulating-default trap);
-* unseeded module-level RNG calls (``random.random()``,
-  ``numpy.random.*``) and ``random.Random`` instances reachable through
-  the closure;
-* wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
-  ``datetime.now``) and ``os.environ`` reads — time and environment are
-  state the node does not receive on its incoming edges.
+* ``random.Random`` instances reachable through the function's scope;
+* a read of any :data:`HIDDEN_INPUTS` row — wall clocks, ``os.environ``/
+  ``os.getenv``, draws from the global ``random``/``numpy.random``
+  generators — however it was imported (``import time``, ``from time
+  import perf_counter``, ``from datetime import datetime``, a function-local
+  import).  Time, environment and coins are state the node does not
+  receive on its incoming edges.  The lint
+  (:mod:`repro.statics.lint`) reads the same table.
+
+**What is read.**  The hooks a reaction class overrides
+(:func:`~repro.service.fingerprint.reaction_hooks`) plus every function the
+reaction's cache key reaches
+(:func:`~repro.service.fingerprint.reached_functions`): closures and
+defaults to any depth, containers, instance attributes, ``functools.partial``
+and bound-method targets.  So a verdict covers exactly the code the key
+covers, and the one limit is shared: a helper called through module
+globals is followed by neither.
 
 Reactions whose source cannot be inspected (C extensions, ``exec``-built
 code) or that use dynamic features the analysis cannot see through come
@@ -30,8 +41,8 @@ back ``UNKNOWN`` — the verifier fails open on *verdicts* but never claims
 ``PURE`` without having read the code.  Closure cells holding mutable
 containers that are only ever read are reported as ``info`` diagnostics
 (purity then depends on nobody mutating the cell) without demoting the
-verdict; calls into closed-over model objects are assumed pure, matching
-the runtime contract that protocol parameters are frozen after
+verdict; method calls on closed-over model objects are assumed pure,
+matching the runtime contract that protocol parameters are frozen after
 construction.
 
 Declared statefulness is handled by declaration, not inspection: a
@@ -47,14 +58,16 @@ from __future__ import annotations
 
 import ast
 import enum
-import functools
 import inspect
+import random
+import sys
 import textwrap
 import types
 from dataclasses import dataclass
 
-from repro.core.reaction import ReactionFunction, StatefulReactionFunction
+from repro.core.reaction import StatefulReactionFunction
 from repro.exceptions import Diagnostic
+from repro.service.fingerprint import reached_functions, reaction_hooks
 
 #: Method names whose call on a closed-over (or ``self``-reachable) object
 #: mutates it in place.
@@ -78,60 +91,112 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-#: ``random``-module functions that draw from the hidden global generator.
-UNSEEDED_RNG_FUNCTIONS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gauss",
-        "getrandbits",
-        "randbytes",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-    }
-)
 
-#: ``time``-module wall-clock reads.
-WALL_CLOCK_FUNCTIONS = frozenset(
-    {"monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "time", "time_ns"}
-)
+def _rows(kind: str, owner: str, names: str) -> dict:
+    return {f"{owner}.{name}": kind for name in names.split()}
 
-#: ``numpy.random`` module-level draw functions (the legacy global
-#: generator).  Seeding helpers (``seed``, ``default_rng``) are
-#: deliberately absent: constructing a seeded generator is not a draw.
-NUMPY_RNG_FUNCTIONS = frozenset(
-    {
-        "binomial",
-        "choice",
-        "exponential",
-        "normal",
-        "permutation",
-        "poisson",
-        "rand",
-        "randint",
-        "randn",
+
+#: Hidden inputs by qualified name, each with its rule kind.  Purity
+#: reports every row as ``purity/<kind>``; the lint reports the
+#: ``wall-clock`` and ``environ-read`` rows in the kernel paths.  Seeding
+#: helpers (``random.seed``, ``numpy.random.default_rng``) are absent:
+#: building a seeded generator is not a draw.
+HIDDEN_INPUTS = {
+    **_rows(
+        "wall-clock",
+        "time",
+        "monotonic monotonic_ns perf_counter perf_counter_ns time time_ns",
+    ),
+    **_rows("wall-clock", "datetime.datetime", "now utcnow today"),
+    **_rows("wall-clock", "datetime.date", "today"),
+    **_rows("environ-read", "os", "environ getenv"),
+    **_rows(
+        "unseeded-rng",
         "random",
-        "random_sample",
-        "shuffle",
-        "standard_normal",
-        "uniform",
-    }
-)
+        "betavariate choice choices expovariate gauss getrandbits randbytes"
+        " randint random randrange sample shuffle triangular uniform"
+        " vonmisesvariate",
+    ),
+    **_rows(
+        "unseeded-rng",
+        "numpy.random",
+        "binomial choice exponential normal permutation poisson rand randint"
+        " randn random random_sample shuffle standard_normal uniform",
+    ),
+}
+
+
+def import_bindings(tree) -> dict:
+    """Local name -> qualified name for every import in ``tree``.
+
+    ``import a.b`` binds ``a``; ``import a.b as c`` and ``from a import b
+    as c`` bind ``c`` to ``a.b``.  Relative imports bind nothing.
+    """
+    bindings = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bindings[alias.asname] = alias.name
+                else:
+                    root = alias.name.partition(".")[0]
+                    bindings[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bindings
+
+
+def _qualified(node, bindings) -> str | None:
+    """The qualified name a ``Name``/``Attribute`` load resolves to."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in bindings:
+        return None
+    return ".".join([bindings[node.id], *reversed(attrs)])
+
+
+def hidden_inputs(tree, bindings) -> list:
+    """``(node, qualified name, kind)`` for each name or attribute load in
+    ``tree`` that ``bindings`` resolves to a :data:`HIDDEN_INPUTS` row, in
+    source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+            node.ctx, ast.Load
+        ):
+            name = _qualified(node, bindings)
+            if name in HIDDEN_INPUTS:
+                found.append((node, name, HIDDEN_INPUTS[name]))
+    found.sort(key=lambda item: (item[0].lineno, item[0].col_offset))
+    return found
+
+
+def _table_objects() -> dict:
+    """``id -> qualified name`` of every non-module object a row of
+    :data:`HIDDEN_INPUTS`, or a prefix of one, names in an imported module
+    (``time.perf_counter``, ``os.environ``, the ``datetime.datetime``
+    class): a scope name bound to one of them binds to that row."""
+    objects = {}
+    for row in HIDDEN_INPUTS:
+        parts = row.split(".")
+        obj = sys.modules.get(parts[0])
+        for depth in range(2, len(parts) + 1):
+            obj = getattr(obj, "__dict__", {}).get(parts[depth - 1])
+            if obj is None:
+                break
+            if not isinstance(obj, types.ModuleType):
+                objects[id(obj)] = ".".join(parts[:depth])
+    return objects
+
 
 #: Builtin container types whose closure cells are flagged as mutable.
 MUTABLE_CELL_TYPES = (list, dict, set, bytearray)
 
-#: How deep the analysis follows closure-cell functions (``make_reaction``
-#: factories nest one or two levels; anything deeper is exotic).
-MAX_DEPTH = 6
+#: The AST nodes a function's source parses to.
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 class Purity(enum.Enum):
@@ -241,19 +306,21 @@ class _FunctionAnalysis(ast.NodeVisitor):
     """One function's AST walk: collect hidden-state evidence.
 
     ``free_names`` are the function's closure variables (mutating them
-    leaks state across calls); ``module_refs`` maps local names to the
-    modules they resolve to through globals/closure, so ``random.random()``
-    is recognized whatever the module was imported as.
+    leaks state across calls); ``bindings`` maps names in the function's
+    runtime scope and its own imports to qualified names, so
+    :data:`HIDDEN_INPUTS` rows are recognized however they were imported.
     """
 
     def __init__(self, analyzer, fn, tree):
-        import random as _random
-
         self.analyzer = analyzer
         self.fn = fn
         self.path = fn.__code__.co_filename
         self.free_names = set(fn.__code__.co_freevars)
-        self.module_refs: dict[str, str] = {}
+        #: A constructor's ``self`` is the object being built, not state
+        #: that survives activations (a class the key reaches is read
+        #: method by method).
+        self.self_is_state = fn.__name__ not in ("__init__", "__new__", "__post_init__")
+        self.bindings: dict[str, str] = {}
         #: Names that resolve to live ``random.Random`` instances (globals
         #: or closure cells): any method call on one is a stateful draw.
         self.rng_names: set[str] = set()
@@ -267,11 +334,14 @@ class _FunctionAnalysis(ast.NodeVisitor):
         scope.update(self.analyzer.closure_values(fn))
         for name, value in scope.items():
             if isinstance(value, types.ModuleType):
-                self.module_refs[name] = value.__name__
-            elif isinstance(value, _random.Random):
+                self.bindings[name] = value.__name__
+            elif id(value) in analyzer.table_objects:
+                self.bindings[name] = analyzer.table_objects[id(value)]
+            elif isinstance(value, random.Random):
                 self.rng_names.add(name)
             elif isinstance(value, MUTABLE_CELL_TYPES):
                 self.mutable_names.add(name)
+        self.bindings.update(import_bindings(tree))
         self._tree = tree
 
     # -- helpers -----------------------------------------------------------
@@ -301,22 +371,6 @@ class _FunctionAnalysis(ast.NodeVisitor):
         if severity == "warning":
             self.analyzer.unknown = True
 
-    def _module_of(self, node) -> str | None:
-        """The module a dotted reference is rooted in, if resolvable."""
-        root = node
-        while isinstance(root, ast.Attribute):
-            root = root.value
-        if isinstance(root, ast.Name):
-            return self.module_refs.get(root.id)
-        return None
-
-    def _attr_chain(self, node) -> list[str]:
-        chain: list[str] = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        return list(reversed(chain))
-
     def _is_state_root(self, node) -> str | None:
         """``"self"``/``"closure"`` when a store target reaches shared state."""
         while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -325,7 +379,7 @@ class _FunctionAnalysis(ast.NodeVisitor):
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"
             ):
-                return "self"
+                return "self" if self.self_is_state else None
             node = node.value
         if isinstance(node, ast.Name) and node.id in self.free_names:
             return "closure"
@@ -355,21 +409,6 @@ class _FunctionAnalysis(ast.NodeVisitor):
             )
 
     # -- visitors ----------------------------------------------------------
-
-    def visit_Import(self, node):
-        # Function-local imports must not defeat module resolution.
-        for alias in node.names:
-            self.module_refs[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node):
-        if node.module is not None:
-            for alias in node.names:
-                if alias.name == "random" and node.module == "numpy":
-                    self.module_refs[alias.asname or alias.name] = (
-                        "numpy.random"
-                    )
-        self.generic_visit(node)
 
     def visit_Global(self, node):
         self._flag(
@@ -404,22 +443,9 @@ class _FunctionAnalysis(ast.NodeVisitor):
             self._check_store_target(target)
         self.generic_visit(node)
 
-    def visit_Attribute(self, node):
-        module = self._module_of(node)
-        if module == "os" and self._attr_chain(node)[:1] == ["environ"]:
-            self._flag(
-                "purity/environ-read",
-                node,
-                "reaction reads os.environ — the environment is state the"
-                " node does not receive on its incoming edges",
-            )
-        self.generic_visit(node)
-
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Attribute):
-            module = self._module_of(func)
-            chain = self._attr_chain(func)
             root = func.value
             while isinstance(root, (ast.Attribute, ast.Subscript)):
                 root = root.value
@@ -430,39 +456,6 @@ class _FunctionAnalysis(ast.NodeVisitor):
                     f"{root.id}.{func.attr}() draws from a random.Random"
                     f" the reaction reaches through its scope — the"
                     f" reaction carries RNG state",
-                )
-            elif module == "random" and func.attr in UNSEEDED_RNG_FUNCTIONS:
-                self._flag(
-                    "purity/unseeded-rng",
-                    node,
-                    f"random.{func.attr}() draws from the hidden global"
-                    f" generator — reactions must be deterministic",
-                )
-            elif (
-                module == "numpy"
-                and "random" in chain[:-1]
-                and func.attr in NUMPY_RNG_FUNCTIONS
-            ) or (
-                module == "numpy.random" and func.attr in NUMPY_RNG_FUNCTIONS
-            ):
-                self._flag(
-                    "purity/unseeded-rng",
-                    node,
-                    f"numpy.random.{func.attr}() draws from numpy's global"
-                    f" generator — reactions must be deterministic",
-                )
-            elif module == "time" and func.attr in WALL_CLOCK_FUNCTIONS:
-                self._flag(
-                    "purity/wall-clock",
-                    node,
-                    f"time.{func.attr}() reads the wall clock — time is"
-                    f" state the node does not receive on its edges",
-                )
-            elif module == "datetime" and func.attr in ("now", "utcnow", "today"):
-                self._flag(
-                    "purity/wall-clock",
-                    node,
-                    f"datetime {func.attr}() reads the wall clock",
                 )
             elif func.attr in MUTATING_METHODS:
                 state_root = self._is_state_root(func)
@@ -509,6 +502,13 @@ class _FunctionAnalysis(ast.NodeVisitor):
     def run(self):
         self._check_defaults()
         self.visit(self._tree)
+        for node, name, kind in hidden_inputs(self._tree, self.bindings):
+            self._flag(
+                f"purity/{kind}",
+                node,
+                f"{name} is a hidden input ({kind}) — state the node does"
+                f" not receive on its incoming edges",
+            )
 
     def _check_defaults(self):
         args = self._tree.args
@@ -528,13 +528,13 @@ class _FunctionAnalysis(ast.NodeVisitor):
 
 
 class _Analyzer:
-    """Drives the per-function walks over one reaction's callable graph."""
+    """Drives the per-function walks over one reaction's functions."""
 
     def __init__(self):
         self.diagnostics: list[Diagnostic] = []
         self.stateful = False
         self.unknown = False
-        self._seen: set[int] = set()
+        self.table_objects = _table_objects()
 
     def closure_values(self, fn) -> dict:
         values: dict = {}
@@ -546,9 +546,7 @@ class _Analyzer:
                     continue
         return values
 
-    def analyze_function(self, fn, depth: int = 0) -> None:
-        if not isinstance(fn, types.FunctionType):
-            fn = getattr(fn, "__func__", fn)
+    def analyze_function(self, fn) -> None:
         if not isinstance(fn, types.FunctionType):
             self.unknown = True
             self.diagnostics.append(
@@ -560,9 +558,6 @@ class _Analyzer:
                 )
             )
             return
-        if id(fn) in self._seen or depth > MAX_DEPTH:
-            return
-        self._seen.add(id(fn))
 
         path, line = _source_location(fn)
         try:
@@ -584,28 +579,15 @@ class _Analyzer:
                 )
             )
             return
+        # The def, or for a lambda the first lambda of the statement its
+        # source line belongs to.
         function_node = next(
-            (
-                node
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ),
-            None,
+            (n for n in ast.walk(tree) if isinstance(n, _FUNCTION_NODES)), None
         )
         if function_node is None:
-            # A lambda: the parsed source is an expression (or a statement
-            # the lambda was embedded in); walk the Lambda node instead.
-            lambda_node = next(
-                (n for n in ast.walk(tree) if isinstance(n, ast.Lambda)), None
-            )
-            if lambda_node is None:
-                self.unknown = True
-                return
-            walker = _FunctionAnalysis(self, fn, lambda_node.body)
-            walker.visit(lambda_node.body)
-        else:
-            walker = _FunctionAnalysis(self, fn, function_node)
-            walker.run()
+            self.unknown = True
+            return
+        _FunctionAnalysis(self, fn, function_node).run()
 
         # Runtime defaults: the AST check catches literals; this catches
         # mutable defaults computed elsewhere and passed through.
@@ -623,13 +605,11 @@ class _Analyzer:
                     )
                 )
 
-        self._inspect_closure(fn, path, line, depth)
+        self._inspect_closure(fn, path, line)
 
-    def _inspect_closure(self, fn, path, line, depth) -> None:
-        import random as _random
-
+    def _inspect_closure(self, fn, path, line) -> None:
         for name, value in self.closure_values(fn).items():
-            if isinstance(value, _random.Random):
+            if isinstance(value, random.Random):
                 self.stateful = True
                 self.diagnostics.append(
                     Diagnostic(
@@ -653,48 +633,6 @@ class _Analyzer:
                         line=line,
                     )
                 )
-            elif isinstance(value, types.FunctionType):
-                self.analyze_function(value, depth + 1)
-
-
-def _reaction_callables(reaction) -> list:
-    """The functions that execute when this reaction fires.
-
-    For :class:`ReactionFunction` subclasses that is every overridden hook
-    (``react``, ``__call__``, ``compile_fast_path``) plus any plain
-    function stored on the instance (the ``_fn`` of the wrapper classes);
-    for a bare callable, the callable itself.
-    """
-    if isinstance(reaction, (ReactionFunction, StatefulReactionFunction)):
-        base = (
-            StatefulReactionFunction
-            if isinstance(reaction, StatefulReactionFunction)
-            else ReactionFunction
-        )
-        callables = []
-        for name in ("react", "__call__", "compile_fast_path"):
-            method = getattr(type(reaction), name, None)
-            if method is not None and method is not getattr(base, name, None):
-                callables.append(method)
-        for value in vars(reaction).values():
-            if isinstance(value, types.FunctionType):
-                callables.append(value)
-        return callables
-    if isinstance(reaction, functools.partial):
-        return _reaction_callables(reaction.func)
-    if not isinstance(reaction, (types.FunctionType, types.MethodType)):
-        # An arbitrary callable instance: analyze its __call__ plus any
-        # plain functions it stores.  Builtins (and C extension callables)
-        # have neither a __dict__ nor a Python-level __call__ worth
-        # analyzing — fall through and let the no-source path say UNKNOWN.
-        call = getattr(type(reaction), "__call__", None)
-        if isinstance(call, types.FunctionType):
-            return [call] + [
-                value
-                for value in getattr(reaction, "__dict__", {}).values()
-                if isinstance(value, types.FunctionType)
-            ]
-    return [reaction]
 
 
 def verify_reaction(
@@ -702,16 +640,17 @@ def verify_reaction(
 ) -> ReactionVerdict:
     """Classify one reaction callable as PURE / STATEFUL / UNKNOWN.
 
-    ``declared_stateful`` marks reactions reached through a protocol whose
-    ``is_stateful`` flag is set; they (and any
-    :class:`~repro.core.reaction.StatefulReactionFunction`) classify
-    ``STATEFUL`` by declaration, without needing body evidence.
+    Reads, once each, the hooks the reaction's class overrides and every
+    function its cache key reaches; with none of them (a builtin, a C
+    callable) the verdict is ``UNKNOWN``.  ``declared_stateful`` marks
+    reactions reached through a protocol whose ``is_stateful`` flag is set;
+    they (and any :class:`~repro.core.reaction.StatefulReactionFunction`)
+    classify ``STATEFUL`` by declaration, without needing body evidence.
     """
     target = _classpath(reaction)
-    primary = next(iter(_reaction_callables(reaction)), None)
-    path, line = (None, None)
-    if primary is not None:
-        path, line = _source_location(primary)
+    reached = (*reaction_hooks(reaction), *reached_functions(reaction))
+    functions = tuple({id(fn): fn for fn in reached}.values())
+    path, line = _source_location(functions[0]) if functions else (None, None)
 
     if declared_stateful or isinstance(reaction, StatefulReactionFunction):
         return ReactionVerdict(
@@ -733,7 +672,7 @@ def verify_reaction(
         )
 
     analyzer = _Analyzer()
-    for fn in _reaction_callables(reaction):
+    for fn in functions or (reaction,):
         analyzer.analyze_function(fn)
     if analyzer.stateful:
         verdict = Purity.STATEFUL

@@ -141,9 +141,11 @@ def _submit(**keywords):
 
 
 #: Every former shim entry point with one of its retired keywords (plus the
-#: retired batch compute-route and fused-window keywords), a value it used to
-#: accept, and an otherwise valid call.
+#: retired batch compute-route and fused-window keywords, and the retired
+#: ``spill_dir`` policy field), a value it used to accept, and an otherwise
+#: valid call.
 RETIRED_KEYWORDS = [
+    ("ExecutionPolicy", "spill_dir", "spill", ExecutionPolicy),
     (
         "run_sweep",
         "processes",

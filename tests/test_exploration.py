@@ -426,7 +426,6 @@ class TestVerifyCliqueVerdicts:
             "covered_states": 5_507,
             "canonicalizations": 0,
             "canonical_cache_hits": 0,
-            "spilled": False,
             "reduction_factor": 1.0,
         }
         witness = verdict.witness
@@ -476,7 +475,6 @@ class TestVerifyCliqueVerdicts:
             "covered_states": 27_634,
             "canonicalizations": 2_352,
             "canonical_cache_hits": 8_277,
-            "spilled": False,
             "reduction_factor": 27_634 / 299,
         }
 
@@ -657,76 +655,6 @@ class TestFrontierModes:
         assert [serial.outputs_of(k) for k in range(len(serial))] == [
             batch.outputs_of(k) for k in range(len(batch))
         ]
-
-    def test_spilled_graph_matches_in_memory(self, tmp_path):
-        pytest.importorskip("numpy")
-        protocol = or_clique_protocol(clique(4))
-        inputs = default_inputs(protocol)
-        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        ram = ExplorationGraph(protocol, inputs, 3, inits)
-        spilled = ExplorationGraph(
-            protocol,
-            inputs,
-            3,
-            inits,
-            policy=ExecutionPolicy(spill_dir=str(tmp_path)),
-        )
-        assert ram.state_keys == spilled.state_keys
-        assert ram.successors == spilled.successors
-        assert spilled.stats().spilled
-        assert any(tmp_path.iterdir())  # arrays actually live on disk
-
-    def test_spilled_quotient_with_outputs_matches_in_memory(self, tmp_path):
-        pytest.importorskip("numpy")
-        # 5,862 edges: the memmaps grow past their first 1,024 slots.
-        protocol = example1_protocol(5)
-        inputs = default_inputs(protocol)
-        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        ram_policy = ExecutionPolicy(symmetry="auto")
-        spill_policy = ExecutionPolicy(symmetry="auto", spill_dir=str(tmp_path))
-        ram = ExplorationGraph(
-            protocol, inputs, 4, inits, track_outputs=True, policy=ram_policy
-        )
-        spilled = ExplorationGraph(
-            protocol, inputs, 4, inits, track_outputs=True, policy=spill_policy
-        )
-        assert ram.quotient and spilled.stats().spilled
-        assert ram.num_edges == 5_862
-        assert ram.state_keys == spilled.state_keys
-        for name in (
-            "edge_offsets",
-            "edge_dst",
-            "edge_sid",
-            "edge_gid",
-            "edge_flags",
-            "parent_idx",
-            "parent_sid",
-            "parent_gid",
-            "_orbit_sizes",
-        ):
-            # RAM and spill stores differ in type; compare the values.
-            assert list(getattr(ram, name)) == list(getattr(spilled, name)), name
-        assert [ram.path_to(k) for k in range(len(ram))] == [
-            spilled.path_to(k) for k in range(len(spilled))
-        ]
-
-        # The verdict and its witness, checked off the spilled arrays.
-        ram_verdict = decide_output_r_stabilizing(
-            protocol, inputs, 4, initial_labelings=inits, policy=ram_policy
-        )
-        spill_verdict = decide_output_r_stabilizing(
-            protocol, inputs, 4, initial_labelings=inits, policy=spill_policy
-        )
-        assert spill_verdict.stats.spilled
-        assert not spill_verdict.stabilizing
-        assert spill_verdict.witness == ram_verdict.witness
-        assert spill_verdict.witness.loop == (
-            frozenset({3, 4}),
-            frozenset({0, 4}),
-            frozenset({0, 1}),
-            frozenset({1, 2}),
-            frozenset({2, 3}),
-        )
 
     def test_stats_shape(self):
         protocol = example1_protocol(3)

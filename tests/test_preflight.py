@@ -44,6 +44,7 @@ from repro.service import (
     plan_resilience_sweep,
     plan_sweep,
 )
+from repro.service.fingerprint import fingerprint
 from repro.statics import fingerprint_offenders, verify_plan, verify_protocol
 from tests.helpers import random_bit_labeling
 from tests.test_service_jobs import _forward_bit, _plan, _ring, _sync
@@ -132,6 +133,18 @@ class TestFingerprintOffenders:
         (diagnostic,) = fingerprint_offenders(Holder(), "case")
         assert diagnostic.rule == "preflight/rng-state"
         assert "case.rng" in diagnostic.message
+
+    def test_a_refused_lambda_is_walked_on(self):
+        rng = random.Random(5)
+        reaction = lambda incoming, _x: (0, rng.random())  # noqa: E731
+        offenders = fingerprint_offenders(reaction, "case")
+        assert [d.rule for d in offenders] == [
+            "preflight/lambda",
+            "preflight/rng-state",
+        ]
+        assert offenders[1].message.startswith("case closure[rng]: ")
+        with pytest.raises(FingerprintError, match="lambda"):
+            fingerprint(reaction)
 
     def test_unregistered_opaque_type_is_flagged(self):
         class Opaque:

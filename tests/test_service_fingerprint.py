@@ -347,6 +347,9 @@ class TestRefusals:
 
 
 _REACTION_MODULE = """\
+from repro.core.reaction import ReactionFunction
+
+
 def react(incoming, x):
     (value,) = incoming.values()
     return value {op} x, value
@@ -359,10 +362,22 @@ class Reactor:
     def react(self, incoming, x):
         (value,) = incoming.values()
         return value {op} x, value
+
+
+class Forward(ReactionFunction):
+    def __init__(self, out_edges):
+        self.out_edges = tuple(out_edges)
+
+    def react(self, incoming, x):
+        (value,) = incoming.values()
+        return {{edge: value {op} x for edge in self.out_edges}}, value
 """
 
 # The XOR module again, with comments and blank lines added.
 _COMMENTED_MODULE = """\
+from repro.core.reaction import ReactionFunction
+
+
 # An XOR reaction.
 def react(incoming, x):  # fold the private input in
 
@@ -378,6 +393,16 @@ class Reactor:
         # As above, as a method.
         (value,) = incoming.values()
         return value ^ x, value
+
+
+class Forward(ReactionFunction):
+    def __init__(self, out_edges):
+        self.out_edges = tuple(out_edges)
+
+    def react(self, incoming, x):
+        (value,) = incoming.values()
+        # As above, as a reaction class.
+        return {edge: value ^ x for edge in self.out_edges}, value
 """
 
 _BRANCHING_MODULE = """\
@@ -410,13 +435,20 @@ def _load_reaction_module(directory, source):
 
 
 def _keys(module):
-    """Digests of a ring over the module's function, and of its method."""
+    """Digests of a ring over the module's function, of its method, and of
+    a ring of its reaction class."""
     topology = unidirectional_ring(3)
     reactions = [
         UniformReaction(topology.out_edges(i), module.react) for i in range(3)
     ]
     protocol = StatelessProtocol(topology, binary(), reactions)
-    return fingerprint(protocol), fingerprint(module.Reactor().react)
+    forwards = [module.Forward(topology.out_edges(i)) for i in range(3)]
+    custom = StatelessProtocol(topology, binary(), forwards)
+    return (
+        fingerprint(protocol),
+        fingerprint(module.Reactor().react),
+        fingerprint(custom),
+    )
 
 
 class TestSourceKeyedCode:
@@ -427,10 +459,11 @@ class TestSourceKeyedCode:
         xor = _load_reaction_module(tmp_path / "xor", _REACTION_MODULE.format(op="^"))
         or_ = _load_reaction_module(tmp_path / "or", _REACTION_MODULE.format(op="|"))
         assert xor.react.__qualname__ == or_.react.__qualname__
-        function_xor, method_xor = _keys(xor)
-        function_or, method_or = _keys(or_)
+        function_xor, method_xor, class_xor = _keys(xor)
+        function_or, method_or, class_or = _keys(or_)
         assert function_xor != function_or
         assert method_xor != method_or
+        assert class_xor != class_or
 
     def test_a_comment_only_edit_keeps_the_key(self, tmp_path):
         plain = _load_reaction_module(

@@ -4,10 +4,12 @@ Lifecycle (submit/status/stream/result/cancel), cache-served resubmission,
 BENCH-style job records, and the ``python -m repro.service`` entry point.
 """
 
+import gc
 import io
 import json
 import pickle
 import threading
+import weakref
 
 import pytest
 
@@ -161,6 +163,25 @@ class TestSweepService:
             gate.set()
             service.result(blocker, timeout=30)
             assert service.status(victim).shards_done == 0
+
+    def test_a_finished_job_releases_its_plan(self):
+        plan, protocol, cases = _plan()
+        one_shot = run_sweep(protocol, cases, _sync, max_steps=60)
+        released = weakref.ref(plan)
+        with SweepService() as service:
+            job_id = service.submit(plan, shard_size=3)
+            service.result(job_id, timeout=30)
+        del plan
+        gc.collect()
+        assert released() is None
+        status = service.status(job_id)
+        assert status.state is JobState.DONE
+        assert (status.kind, status.total_cases, status.cases_done) == ("sweep", 8, 8)
+        assert service.result(job_id) == one_shot
+        progress = list(service.stream(job_id))
+        assert len(progress) == status.shards_done == 3
+        assert progress[-1].aggregate == one_shot
+        assert service.jobs() == [status]
 
     def test_closed_service_rejects_submissions(self):
         plan, _, _ = _plan(count=1)

@@ -20,10 +20,15 @@ Three layers of evidence that :mod:`repro.statics` tells the truth:
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import time
+from datetime import date, datetime
 from itertools import product
+from os import environ
 from pathlib import Path
+from time import perf_counter
+from time import time as now
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +48,7 @@ from repro.statics import (
     verify_protocol_purity,
     verify_reaction,
 )
+from repro.statics.__main__ import main as statics_main
 from tests.test_service_fingerprint import _zoo_protocols
 
 np = pytest.importorskip("numpy")
@@ -50,6 +56,7 @@ from repro.core.batch import BatchSimulator  # noqa: E402 - needs numpy
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_statics.json"
 SRC = Path(__file__).parent.parent / "src"
+PLANS = Path(__file__).parent.parent / "examples" / "plans"
 
 
 # -- adversarial reactions ----------------------------------------------------
@@ -60,7 +67,7 @@ SRC = Path(__file__).parent.parent / "src"
 
 class _SelfWriter:
     def __call__(self, labels, x):
-        self.count = getattr(self, "count", 0) + 1
+        self.count = getattr(self, "count", 0) + 1  # <- self-write
         return labels, self.count
 
 
@@ -68,7 +75,7 @@ def _nonlocal_counter():
     n = 0
 
     def react(labels, x):
-        nonlocal n
+        nonlocal n  # <- nonlocal-counter
         n += 1
         return labels, n
 
@@ -76,42 +83,42 @@ def _nonlocal_counter():
 
 
 def _global_writer(labels, x):
-    global _SOME_GLOBAL
+    global _SOME_GLOBAL  # <- global-write
     _SOME_GLOBAL = x
     return labels, x
 
 
-def _mutable_default(labels, x, acc=[]):  # noqa: B006 - the point of the test
+def _mutable_default(labels, x, acc=[]):  # noqa: B006  # <- mutable-default
     acc.append(x)
     return labels, len(acc)
 
 
 def _unseeded_rng(labels, x):
-    return labels, random.random()
+    return labels, random.random()  # <- unseeded-rng
 
 
 def _wall_clock(labels, x):
-    return labels, time.time()
+    return labels, time.time()  # <- wall-clock
 
 
 def _environ_reader(labels, x):
     import os
 
-    return labels, os.environ.get("HOME")
+    return labels, os.environ.get("HOME")  # <- environ-read
 
 
 _MODULE_RNG = random.Random(7)
 
 
 def _rng_through_global(labels, x):
-    return labels, _MODULE_RNG.random()
+    return labels, _MODULE_RNG.random()  # <- rng-global
 
 
 def _rng_in_closure():
     rng = random.Random(3)
 
     def react(labels, x):
-        return labels, rng.random()
+        return labels, rng.random()  # <- rng-closure
 
     return react
 
@@ -119,15 +126,126 @@ def _rng_in_closure():
 def _numpy_global_rng(labels, x):
     import numpy
 
-    return labels, numpy.random.rand()
+    return labels, numpy.random.rand()  # <- numpy-global-rng
 
 
 def _cell_mutator():
     seen = []
 
     def react(labels, x):
-        seen.append(x)
+        seen.append(x)  # <- cell-mutator
         return labels, len(seen)
+
+    return react
+
+
+# Hidden inputs spelled through from-imports, module-level or local.
+
+
+def _from_perf_counter(labels, x):
+    return labels, perf_counter()  # <- from-perf-counter
+
+
+def _from_time_as_now(labels, x):
+    return labels, now()  # <- from-time-as-now
+
+
+def _from_random_random(labels, x):
+    from random import random
+
+    return labels, random()  # <- from-random-random
+
+
+def _from_os_environ(labels, x):
+    return labels, environ.get("HOME")  # <- from-os-environ
+
+
+def _datetime_now(labels, x):
+    return labels, datetime.now().second  # <- datetime-now
+
+
+def _date_today(labels, x):
+    return labels, date.today().day  # <- date-today
+
+
+def _os_getenv(labels, x):
+    import os
+
+    return labels, os.getenv("HOME")  # <- os-getenv
+
+
+# Stateful functions a reaction reaches the way its cache key does.
+
+
+def _forwarding(inner):
+    def react(labels, x):
+        return inner(labels, x)
+
+    return react
+
+
+def _deep_draw(labels, x):
+    return labels, random.getrandbits(1)  # <- closure-depth-8
+
+
+def _closure_depth_8():
+    react = _deep_draw
+    for _ in range(8):
+        react = _forwarding(react)
+    return react
+
+
+def _dispatched_clock(labels, x):
+    return labels, time.perf_counter_ns()  # <- closed-over-dict
+
+
+def _closed_over_dict():
+    handlers = {"step": _dispatched_clock}
+
+    def react(labels, x):
+        return handlers["step"](labels, x)
+
+    return react
+
+
+class _Holder:
+    def __init__(self, step):
+        self.step = step
+
+
+def _held_environ(labels, x):
+    import os
+
+    return labels, os.environ["HOME"]  # <- closed-over-attribute
+
+
+def _closed_over_attribute():
+    holder = _Holder(_held_environ)
+
+    def react(labels, x):
+        return holder.step(labels, x)
+
+    return react
+
+
+def _default_draw(labels, x):
+    return labels, random.randint(0, 1)  # <- default-argument
+
+
+def _default_argument(labels, x, draw=_default_draw):
+    return draw(labels, x)
+
+
+class _Box:
+    def __init__(self, value):
+        self.value = value
+
+
+def _closed_over_class():
+    box = _Box
+
+    def react(labels, x):
+        return box(labels).value, x
 
     return react
 
@@ -153,7 +271,27 @@ STATEFUL_REACTIONS = [
     ("rng-closure", _rng_in_closure(), "purity/rng-state"),
     ("numpy-global-rng", _numpy_global_rng, "purity/unseeded-rng"),
     ("cell-mutator", _cell_mutator(), "purity/closure-mutation"),
+    ("from-perf-counter", _from_perf_counter, "purity/wall-clock"),
+    ("from-time-as-now", _from_time_as_now, "purity/wall-clock"),
+    ("from-random-random", _from_random_random, "purity/unseeded-rng"),
+    ("from-os-environ", _from_os_environ, "purity/environ-read"),
+    ("datetime-now", _datetime_now, "purity/wall-clock"),
+    ("date-today", _date_today, "purity/wall-clock"),
+    ("os-getenv", _os_getenv, "purity/environ-read"),
+    ("closure-depth-8", _closure_depth_8(), "purity/unseeded-rng"),
+    ("closed-over-dict", _closed_over_dict(), "purity/wall-clock"),
+    ("closed-over-attribute", _closed_over_attribute(), "purity/environ-read"),
+    ("default-argument", _default_argument, "purity/unseeded-rng"),
 ]
+
+
+def _marked_line(name: str) -> int:
+    """The line of this file that ends with ``# <- name``: where the
+    reaction named ``name`` in :data:`STATEFUL_REACTIONS` reads or writes
+    hidden state."""
+    lines = Path(__file__).read_text().splitlines()
+    (line,) = [i for i, text in enumerate(lines, 1) if text.endswith(f"# <- {name}")]
+    return line
 
 
 class TestAdversarialReactions:
@@ -170,21 +308,28 @@ class TestAdversarialReactions:
         assert rule in {d.rule for d in verdict.diagnostics}
 
     @pytest.mark.parametrize(
-        "reaction",
-        [fn for _, fn, __ in STATEFUL_REACTIONS],
+        "name,reaction,rule",
+        STATEFUL_REACTIONS,
         ids=[name for name, _, __ in STATEFUL_REACTIONS],
     )
-    def test_diagnostics_carry_source_locations(self, reaction):
+    def test_diagnostics_carry_source_locations(self, name, reaction, rule):
         verdict = verify_reaction(reaction)
         located = [d for d in verdict.errors if d.path and d.line]
         assert located, "stateful evidence must point at source"
         assert all(d.path.endswith("test_statics.py") for d in located)
+        assert (rule, _marked_line(name)) in {(d.rule, d.line) for d in located}
 
     def test_pure_closure_stays_pure(self):
         verdict = verify_reaction(_pure_table_closure())
         assert verdict.verdict is Purity.PURE
         # The read-only mutable cell is advisory, never demoting.
         assert {d.severity for d in verdict.diagnostics} <= {"info"}
+
+    def test_a_closed_over_class_stays_pure(self):
+        # The key reaches the class's methods; building an instance writes
+        # the new object's attributes, not state across activations.
+        verdict = verify_reaction(_closed_over_class())
+        assert verdict.verdict is Purity.PURE
 
     def test_unknown_when_source_is_unavailable(self):
         verdict = verify_reaction(len)  # a C builtin: nothing to parse
@@ -309,6 +454,20 @@ class TestLintRules:
         diagnostics = lint_source(source, "src/repro/service/fingerprint.py")
         assert [d.rule for d in diagnostics] == ["lint/wall-clock"]
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from datetime import datetime\n\nstamp = datetime.now()\n",
+            "from os import environ\n\nhome = environ.get('HOME')\n",
+            "import os\n\nhome = os.getenv('HOME')\n",
+        ],
+        ids=["datetime-now", "from-os-environ", "os-getenv"],
+    )
+    def test_imported_spellings_are_flagged_in_kernel_paths(self, source):
+        diagnostics = lint_source(source, "src/repro/core/engine.py")
+        assert [(d.rule, d.line) for d in diagnostics] == [("lint/wall-clock", 3)]
+        assert not lint_source(source, "src/repro/service/jobs.py")
+
     def test_syntax_error_is_reported_not_raised(self):
         diagnostics = lint_source("def broken(:\n", "bad.py")
         assert [d.rule for d in diagnostics] == ["lint/syntax"]
@@ -368,6 +527,23 @@ class TestRepoIsClean:
     def test_src_tree_passes_the_lint_gate(self):
         diagnostics = lint_paths([SRC])
         assert diagnostics == ()
+
+    def test_example_plans_pass_the_preflight_gate(self):
+        plans = sorted(str(path) for path in PLANS.glob("PLAN_*.pkl"))
+        assert plans
+        assert statics_main([*plans, "--strict"]) == 0
+
+    def test_a_clock_reading_protocol_fails_the_gate(self, tmp_path, capsys):
+        topology = unidirectional_ring(3)
+        reactions = [
+            UniformReaction(topology.out_edges(i), _from_perf_counter)
+            for i in range(3)
+        ]
+        path = tmp_path / "clock.pkl"
+        protocol = StatelessProtocol(topology, binary(), reactions)
+        path.write_bytes(pickle.dumps(protocol))
+        assert statics_main([str(path)]) == 1
+        assert "purity/wall-clock" in capsys.readouterr().out
 
 
 # -- predicted vs. actual batch partitions ------------------------------------
