@@ -338,8 +338,7 @@ class CostEstimate:
     ``predicted_work`` discounts warm cases to ``cache_hit_work``;
     ``cold_work`` is the no-cache figure (what the same sweep would cost
     against an empty store).  ``predicted_seconds`` applies the layer's
-    calibration constant and, for fan-out policies, divides by the process
-    count (work is conserved; wall time is not).
+    calibration constant.
     """
 
     cases: int
@@ -399,8 +398,7 @@ def estimate_sweep_cost(
     uncached = cases - cached_cases
     predicted_work = uncached * unit_work + cached_cases * DEFAULT_CACHE_HIT_WORK
     cold_work = cases * unit_work
-    span = max(policy.processes or 1, 1)
-    predicted_seconds = predicted_work * DEFAULT_SECONDS_PER_UNIT[layer] / span
+    predicted_seconds = predicted_work * DEFAULT_SECONDS_PER_UNIT[layer]
     return CostEstimate(
         cases=cases,
         cached_cases=cached_cases,

@@ -7,10 +7,10 @@ compiled protocol, each run injected and recovery-certified, aggregated into
 a :class:`ResilienceReport` (recovery rate, recovery-round histogram, worst
 case, non-recovery census).
 
-Both the schedule factory and the fault factory are invoked in the parent
-process in case order, and seeded fault models derive their RNG from
-``(seed, fire time)``, so a seeded resilience sweep is bit-identical whether
-it runs serially or fanned out over ``multiprocessing``.
+Both the schedule factory and the fault factory are invoked in case order
+before any case runs, and seeded fault models derive their RNG from
+``(seed, fire time)``, so a seeded resilience sweep is bit-identical on
+every executor.
 
 What counts as "recovered" is construction-dependent — the paper's
 self-stabilizing constructions settle into three different shapes — so the
@@ -21,8 +21,7 @@ criterion is a parameter:
 * ``"orbit"`` — the run provably re-entered a recurrent orbit, i.e. any
   exact verdict except timeout (the D-counter family, whose whole point is
   to keep counting);
-* any callable ``FaultCaseResult -> bool`` for sharper domain checks (it is
-  applied in the parent after the sweep, so it need not pickle).
+* any callable ``FaultCaseResult -> bool`` for sharper domain checks.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from repro.analysis.sweeps import (
     ScheduleFactory,
     SweepCase,
     SweepReport,
+    _batch_chunks,
 )
 from repro.core.compiled import compile_protocol
 from repro.core.convergence import RunOutcome
@@ -164,86 +164,46 @@ class ResilienceReport(SweepReport):
         )
 
 
-def _run_fault_cases(protocol, cases, per_case, max_steps, start_index):
-    """Worker: run a slice of injected cases through one compiled protocol."""
+def _run_fault_cases(protocol, specs, max_steps):
+    """Run planned injected cases in-process through one compiled protocol;
+    one ``FaultRunReport`` per spec, in order."""
     compiled = compile_protocol(protocol)
-    results = []
-    for offset, (case, (schedule, faults)) in enumerate(
-        zip(cases, per_case, strict=True)
-    ):
+    reports = []
+    for spec in specs:
+        case = spec.case
         simulator = Simulator(protocol, case.inputs, compiled=compiled)
-        report = run_with_faults(
-            simulator,
-            case.labeling,
-            schedule,
-            faults,
-            max_steps=max_steps,
-            initial_outputs=case.initial_outputs,
-        )
-        results.append(
-            FaultCaseResult(
-                index=start_index + offset,
-                tag=case.tag,
-                outcome=report.outcome,
-                label_rounds=report.recovery_rounds,
-                output_rounds=report.output_recovery_rounds,
-                steps_executed=report.steps_executed,
-                final_values=report.final.labeling.values,
-                outputs=report.final.outputs,
-                faults_fired=report.faults_fired,
-                last_fault_time=report.last_fault_time,
-                cycle_start=report.cycle_start,
-                cycle_length=report.cycle_length,
+        reports.append(
+            run_with_faults(
+                simulator,
+                case.labeling,
+                spec.schedule,
+                spec.faults,
+                max_steps=max_steps,
+                initial_outputs=case.initial_outputs,
             )
         )
-    return results
+    return reports
 
 
-def _run_fault_cases_batch(
-    protocol, cases, per_case, max_steps, start_index, chunk_rows=None
-):
-    """Batch worker: injected cases in vectorized lockstep runs.
-
-    Large case lists run as sub-batches of ``chunk_rows`` (default
-    ``SWEEP_CHUNK_ROWS``) for cache residency, mirroring
-    :func:`repro.analysis.sweeps._run_cases_batch`.
-    """
-    from repro.core.batch import SWEEP_CHUNK_ROWS, BatchSimulator
-
-    rows = chunk_rows if chunk_rows is not None else SWEEP_CHUNK_ROWS
-    results = []
-    for lo in range(0, len(cases), rows):
-        chunk = cases[lo : lo + rows]
-        chunk_per_case = per_case[lo : lo + rows]
-        simulator = BatchSimulator(protocol, [case.inputs for case in chunk])
-        reports = simulator.run_batch_with_faults(
-            [case.labeling for case in chunk],
-            [schedule for schedule, _ in chunk_per_case],
-            [faults for _, faults in chunk_per_case],
-            max_steps=max_steps,
-            initial_outputs=[case.initial_outputs for case in chunk],
-        )
-        results.extend(
-            FaultCaseResult(
-                index=start_index + lo + offset,
-                tag=case.tag,
-                outcome=report.outcome,
-                label_rounds=report.recovery_rounds,
-                output_rounds=report.output_recovery_rounds,
-                steps_executed=report.steps_executed,
-                final_values=report.final.labeling.values,
-                outputs=report.final.outputs,
-                faults_fired=report.faults_fired,
-                last_fault_time=report.last_fault_time,
-                cycle_start=report.cycle_start,
-                cycle_length=report.cycle_length,
+def _run_fault_cases_batch(protocol, specs, max_steps):
+    """Injected cases in vectorized lockstep runs, fault models fired via
+    their batch hooks; the reports equal :func:`_run_fault_cases`'s."""
+    reports = []
+    for simulator, chunk in _batch_chunks(protocol, specs):
+        reports.extend(
+            simulator.run_batch_with_faults(
+                [spec.case.labeling for spec in chunk],
+                [spec.schedule for spec in chunk],
+                [spec.faults for spec in chunk],
+                max_steps=max_steps,
+                initial_outputs=[spec.case.initial_outputs for spec in chunk],
             )
-            for offset, (case, report) in enumerate(zip(chunk, reports, strict=True))
         )
-    return results
+    return reports
 
 
-#: Injected-case backends, selected by ``ExecutionPolicy.executor``.
+#: Injected-case backends, selected by ``ExecutionPolicy.executor``, with
+#: the signature of :data:`repro.analysis.sweeps.EXECUTORS`.
 EXECUTORS = {"serial": _run_fault_cases, "batch": _run_fault_cases_batch}
 
 
@@ -256,22 +216,18 @@ def run_resilience_sweep(
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
     recovered: str | Callable[[FaultCaseResult], bool] = "label",
-    strict: bool = False,
 ) -> ResilienceReport:
     """Inject faults into every case and measure certified recovery.
 
     ``fault_factory(index, case)`` returns the fault plan for one case
     (return :class:`repro.faults.NoFaults` for fault-free controls);
     ``recovered`` names a criterion from :data:`RECOVERY_CRITERIA` or is a
-    predicate applied in the parent process.  Everything else matches
+    predicate over each :class:`FaultCaseResult`.  Everything else matches
     :func:`repro.analysis.sweeps.run_sweep`: ``policy``
     (:class:`repro.ExecutionPolicy`) selects the case backend
     (``executor="batch"`` injects in vectorized lockstep through
     :mod:`repro.core.batch`, with fault models fired via their batch hooks
-    — reports equal to serial, case for case), the fan-out width, and the
-    batch ``chunk_rows``, with the same serial fallback (a
-    :class:`RuntimeWarning`, or re-raised under ``strict=True``) when the
-    sweep does not pickle.
+    — reports equal to serial, case for case).
 
     Like :func:`run_sweep`, this is now a thin wrapper over the service
     layer's planner/executor split
@@ -280,15 +236,13 @@ def run_resilience_sweep(
     """
     # Lazy import — see run_sweep: only the compatibility wrapper reaches
     # back up into the service layer.
-    from repro.service.executor import execute_plan, resolve_plan_runner
+    from repro.service.executor import execute_plan
     from repro.service.plan import plan_resilience_sweep
 
+    # Check the policy and criterion before any factory runs.
     policy = resolve_policy(policy, api="run_resilience_sweep")
-    # Validate executor/criterion before any factory runs, matching the
-    # one-shot runner's error order.
-    resolve_plan_runner("resilience", policy.executor)
     resolve_criterion(recovered)
     plan = plan_resilience_sweep(
         protocol, cases, schedule_factory, fault_factory, max_steps=max_steps
     )
-    return execute_plan(plan, policy=policy, strict=strict, recovered=recovered)
+    return execute_plan(plan, policy=policy, recovered=recovered)

@@ -11,31 +11,22 @@ histograms).
 
 Schedules are stateful (seeded random schedules memoize their realized
 steps), so cases carry no schedule; instead ``schedule_factory(index, case)``
-builds a fresh one per case.  The factory is always invoked **in the parent
-process, in case order** — even when the sweep fans out — so a factory that
-draws from its own RNG (or any other shared state) sees exactly the same
-call sequence serial and parallel, and seeded sweeps are bit-identical
-either way.  Workers receive the materialized schedules, not the factory.
+builds a fresh one per case.  The factory is always invoked in case order,
+before any case runs, so a factory that draws from its own RNG (or any
+other shared state) sees the same call sequence whatever the executor, and
+seeded sweeps are bit-identical across executors.
 
 Two execution backends, chosen by :class:`repro.ExecutionPolicy`, share
 this module's aggregation: the default ``executor="serial"`` runs one
 compiled run loop per case, while ``executor="batch"`` hands the whole case
 list to the vectorized lockstep backend (:mod:`repro.core.batch`, requires
 numpy) and gets equal reports back at a fraction of the per-step Python
-cost.
-
-Optional ``multiprocessing`` fan-out: a policy with ``processes > 1``
-splits the case list across worker processes.  This requires the protocol,
-the cases and the per-case schedules to be picklable (module-level reaction
-functions, no closures); when they are not — or when the platform does not
-support worker pools — the sweep transparently falls back to in-process
-execution, so callers never need to special-case the environment.
+cost.  A backend (an :data:`EXECUTORS` entry) returns the engine's reports;
+the service executor condenses each into a result.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -191,111 +182,60 @@ def _coerce_case(case) -> SweepCase:
     return SweepCase(*case)
 
 
-def _run_cases(
-    protocol: Protocol,
-    cases: Sequence[SweepCase],
-    schedules: Sequence[Schedule],
-    max_steps: int,
-    start_index: int,
-) -> list[CaseResult]:
-    """Run a slice of cases in-process through one compiled protocol."""
+def _run_cases(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
+    """Run planned cases (:class:`repro.service.plan.CaseSpec`) in-process
+    through one compiled protocol; one ``RunReport`` per spec, in order."""
     compiled = compile_protocol(protocol)
-    results = []
-    for offset, (case, schedule) in enumerate(zip(cases, schedules, strict=True)):
-        index = start_index + offset
+    reports = []
+    for spec in specs:
+        case = spec.case
         simulator = Simulator(protocol, case.inputs, compiled=compiled)
-        report = simulator.run(
-            case.labeling,
-            schedule,
-            max_steps=max_steps,
-            initial_outputs=case.initial_outputs,
-        )
-        results.append(
-            CaseResult(
-                index=index,
-                tag=case.tag,
-                outcome=report.outcome,
-                label_rounds=report.label_rounds,
-                output_rounds=report.output_rounds,
-                steps_executed=report.steps_executed,
-                final_values=report.final.labeling.values,
-                outputs=report.final.outputs,
+        reports.append(
+            simulator.run(
+                case.labeling,
+                spec.schedule,
+                max_steps=max_steps,
+                initial_outputs=case.initial_outputs,
             )
         )
-    return results
+    return reports
 
 
-def _run_cases_batch(
-    protocol: Protocol,
-    cases: Sequence[SweepCase],
-    schedules: Sequence[Schedule],
-    max_steps: int,
-    start_index: int,
-    chunk_rows: int | None = None,
-) -> list[CaseResult]:
-    """Run a slice of cases in lockstep through the vectorized batch backend.
+def _batch_chunks(protocol: Protocol, specs: Sequence):
+    """Yield ``(BatchSimulator, chunk)`` for consecutive slices of
+    :data:`repro.core.batch.SWEEP_CHUNK_ROWS` specs.
 
-    Same contract as :func:`_run_cases` (the reports are equal case for
-    case); the import is deferred so the serial sweep path never requires
-    numpy.  Large case lists run as several sub-batches of ``chunk_rows``
-    (default ``SWEEP_CHUNK_ROWS``) — cases are independent, so slicing
-    changes nothing but cache residency.
+    Cases are independent, so slicing changes nothing but cache residency.
+    The import is deferred so the serial sweep path never requires numpy.
     """
-    from repro.core.batch import SWEEP_CHUNK_ROWS, BatchSimulator
+    from repro.core import batch
 
-    rows = chunk_rows if chunk_rows is not None else SWEEP_CHUNK_ROWS
-    results = []
-    for lo in range(0, len(cases), rows):
-        chunk = cases[lo : lo + rows]
-        simulator = BatchSimulator(protocol, [case.inputs for case in chunk])
-        reports = simulator.run_batch(
-            [case.labeling for case in chunk],
-            schedules[lo : lo + rows],
-            max_steps=max_steps,
-            initial_outputs=[case.initial_outputs for case in chunk],
-        )
-        results.extend(
-            CaseResult(
-                index=start_index + lo + offset,
-                tag=case.tag,
-                outcome=report.outcome,
-                label_rounds=report.label_rounds,
-                output_rounds=report.output_rounds,
-                steps_executed=report.steps_executed,
-                final_values=report.final.labeling.values,
-                outputs=report.final.outputs,
+    rows = batch.SWEEP_CHUNK_ROWS
+    for lo in range(0, len(specs), rows):
+        chunk = specs[lo : lo + rows]
+        inputs = [spec.case.inputs for spec in chunk]
+        yield batch.BatchSimulator(protocol, inputs), chunk
+
+
+def _run_cases_batch(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
+    """Run planned cases in lockstep through the vectorized batch backend;
+    the reports equal :func:`_run_cases`'s, case for case."""
+    reports = []
+    for simulator, chunk in _batch_chunks(protocol, specs):
+        reports.extend(
+            simulator.run_batch(
+                [spec.case.labeling for spec in chunk],
+                [spec.schedule for spec in chunk],
+                max_steps=max_steps,
+                initial_outputs=[spec.case.initial_outputs for spec in chunk],
             )
-            for offset, (case, report) in enumerate(zip(chunk, reports, strict=True))
         )
-    return results
+    return reports
 
 
-#: Case-execution backends, selected by ``ExecutionPolicy.executor``.
+#: Case-execution backends, selected by ``ExecutionPolicy.executor``: each
+#: takes ``(protocol, specs, max_steps)`` and returns one report per spec.
 EXECUTORS = {"serial": _run_cases, "batch": _run_cases_batch}
-
-
-def resolve_executor(executor: str, executors=None):
-    """Map an executor name to its case runner (shared with resilience)."""
-    table = EXECUTORS if executors is None else executors
-    runner = table.get(executor)
-    if runner is None:
-        raise ValidationError(
-            f"unknown executor {executor!r}; expected one of {sorted(table)}"
-        )
-    return runner
-
-
-def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into at most ``chunks`` contiguous slices."""
-    chunks = min(chunks, total)
-    base, extra = divmod(total, chunks)
-    bounds = []
-    start = 0
-    for k in range(chunks):
-        size = base + (1 if k < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
 
 
 def run_sweep(
@@ -305,26 +245,21 @@ def run_sweep(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
-    strict: bool = False,
 ) -> SweepReport:
     """Run every case through one compiled form of ``protocol``.
 
     ``cases`` may hold :class:`SweepCase` objects or plain tuples in
     ``SweepCase`` field order (``(inputs, labeling[, initial_outputs[,
     tag]])``).  ``schedule_factory(index, case)`` must return a *fresh*
-    schedule per case; it is invoked in the parent process in case order
-    regardless of fan-out, so stateful (seeded) factories produce
-    bit-identical sweeps serial and parallel.
+    schedule per case; it is invoked in case order before any case runs,
+    so stateful (seeded) factories produce bit-identical sweeps on every
+    executor.
 
-    ``policy`` (:class:`repro.ExecutionPolicy`) holds every performance
-    knob — the case backend (``executor="batch"`` steps all cases in
-    lockstep through the numpy backend; the resulting :class:`SweepReport`
-    is equal to the serial one, case for case), the ``multiprocessing``
-    fan-out width ``processes`` (when everything involved pickles;
-    otherwise the sweep runs in-process, emitting a :class:`RuntimeWarning`
-    naming the reason — or, with ``strict=True``, re-raising the underlying
-    error instead of falling back), and the batch ``chunk_rows``.  The
-    policy changes how fast the report is produced, never its contents.
+    ``policy`` (:class:`repro.ExecutionPolicy`) selects the case backend:
+    ``executor="batch"`` steps all cases in lockstep through the numpy
+    backend, and the resulting :class:`SweepReport` is equal to the serial
+    one, case for case.  The policy changes how fast the report is
+    produced, never its contents.
 
     Since the service layer landed, this is a thin wrapper over the
     planner/executor split: :func:`repro.service.plan_sweep` materializes
@@ -334,66 +269,10 @@ def run_sweep(
     """
     # Imported lazily: the service layer sits above analysis in the stack,
     # and only this compatibility wrapper reaches back down into it.
-    from repro.service.executor import execute_plan, resolve_plan_runner
+    from repro.service.executor import execute_plan
     from repro.service.plan import plan_sweep
 
+    # Check the policy before invoking any factory.
     policy = resolve_policy(policy, api="run_sweep")
-    # Validate the executor before invoking any factory, as the one-shot
-    # runner always did.
-    resolve_plan_runner("sweep", policy.executor)
     plan = plan_sweep(protocol, cases, schedule_factory, max_steps=max_steps)
-    return execute_plan(plan, policy=policy, strict=strict)
-
-
-def fan_out(runner, protocol, case_list, per_case, max_steps, processes, strict=False):
-    """Fan a case list out over a process pool; None means 'run serially'.
-
-    Shared by :func:`run_sweep` and the resilience sweep.  ``runner`` must be
-    a picklable module-level callable ``(protocol, cases, per_case,
-    max_steps, start_index) -> list``; ``per_case`` holds one
-    already-materialized work item (schedule, fault plan, ...) per case.
-
-    Degrading to serial execution is never silent: each fallback path emits
-    a :class:`RuntimeWarning` carrying the offending error, so a sweep that
-    was asked for 8 processes and ran on one core says why.  ``strict=True``
-    re-raises the underlying error instead of falling back.
-    """
-    try:
-        pickle.dumps((protocol, case_list, per_case))
-    except Exception as error:
-        if strict:
-            raise
-        warnings.warn(
-            f"sweep fan-out disabled, running serially: the protocol, cases,"
-            f" or per-case work items do not pickle ({error!r}); use"
-            f" module-level reactions and factories to enable fan-out",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    try:
-        import multiprocessing
-
-        bounds = _chunk_bounds(len(case_list), processes)
-        with multiprocessing.Pool(len(bounds)) as pool:
-            chunk_results = pool.starmap(
-                runner,
-                [
-                    (protocol, case_list[lo:hi], per_case[lo:hi], max_steps, lo)
-                    for lo, hi in bounds
-                ],
-            )
-    except (OSError, ImportError, PermissionError, RuntimeError) as error:
-        # Restricted environments (no /dev/shm, no fork) cannot build pools,
-        # and spawn-start platforms raise RuntimeError when the caller has no
-        # __main__ guard — fall back to in-process execution either way.
-        if strict:
-            raise
-        warnings.warn(
-            f"sweep fan-out disabled, running serially: worker pool"
-            f" unavailable ({error!r})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return [result for chunk in chunk_results for result in chunk]
+    return execute_plan(plan, policy=policy)

@@ -12,10 +12,11 @@ Contracts shared by every model:
   on its arguments and the model's own constructor parameters.  Randomized
   models derive their RNG from ``(seed, step)``, so the same fault at the
   same time produces the same corruption no matter how many times — or in
-  which process — it is evaluated.  This is what lets resilience sweeps fan
-  out over ``multiprocessing`` and stay bit-identical to serial runs.
+  which process — it is evaluated.  This is what keeps batch resilience
+  sweeps, which fire a model for many rows at once, bit-identical to serial
+  runs.
 * **Picklable.**  Models hold only plain data (no closures, no RNG state),
-  so they ship to worker processes as-is.
+  so plans holding them pickle into job submissions as-is.
 * **Identity-preserving.**  A model that changes nothing returns the input
   tuple object unchanged, keeping the engine's ``is``-based fast paths
   intact.

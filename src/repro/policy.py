@@ -21,7 +21,7 @@ construction, so identical physics shares cache entries across executors
 and policy spellings.
 
 Fields that a consumer does not use are ignored (a sweep does not read
-``frontier``; an exploration graph does not read ``processes``), so one
+``frontier``; an exploration graph does not read ``executor``), so one
 policy value can drive a whole pipeline.
 """
 
@@ -36,9 +36,6 @@ from repro.exceptions import ValidationError
 SWEEP_EXECUTORS = ("serial", "batch")
 #: Frontier-expansion engines for the exploration core.
 FRONTIER_MODES = ("auto", "batch", "serial")
-#: Below this many rows, frontier groups step serially (kernel dispatch
-#: overhead would dominate).  Shared default with the exploration core.
-DEFAULT_BATCH_MIN_ROWS = 32
 
 
 def check_count(name: str, value) -> None:
@@ -60,27 +57,17 @@ class ExecutionPolicy:
 
     * ``executor`` — sweep case backend: ``"serial"`` (one compiled run
       loop per case) or ``"batch"`` (vectorized lockstep, requires numpy).
-    * ``processes`` — ``multiprocessing`` fan-out width for sweeps
-      (``None``/``1`` means in-process).
-    * ``chunk_rows`` — batch sub-batch size (rows per resident stack);
-      ``None`` uses the backend default
-      (:data:`repro.core.batch.SWEEP_CHUNK_ROWS`); requires
-      ``executor="batch"``.
     * ``frontier`` — exploration expansion engine: ``"auto"``, ``"batch"``,
       or ``"serial"``.
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
-    * ``batch_min_rows`` — smallest frontier group worth a kernel call.
 
     Frozen and value-compared; derive variants with :meth:`merged`.
     """
 
     executor: str = "serial"
-    processes: int | None = None
-    chunk_rows: int | None = None
     frontier: str = "auto"
     symmetry: object = "none"
-    batch_min_rows: int = DEFAULT_BATCH_MIN_ROWS
 
     def __post_init__(self):
         if self.executor not in SWEEP_EXECUTORS:
@@ -88,21 +75,11 @@ class ExecutionPolicy:
                 f"unknown executor {self.executor!r};"
                 f" expected one of {sorted(SWEEP_EXECUTORS)}"
             )
-        if self.chunk_rows is not None:
-            if self.executor != "batch":
-                raise ValidationError(
-                    "chunk_rows= sizes batch sub-batches;"
-                    " it requires executor='batch'"
-                )
-            check_count("chunk_rows", self.chunk_rows)
-        if self.processes is not None:
-            check_count("processes", self.processes)
         if self.frontier not in FRONTIER_MODES:
             raise ValidationError(
                 f"unknown frontier mode {self.frontier!r};"
                 f" expected one of {sorted(FRONTIER_MODES)}"
             )
-        check_count("batch_min_rows", self.batch_min_rows)
 
     def merged(self, **overrides) -> "ExecutionPolicy":
         """A copy with the given fields replaced (and re-validated)."""

@@ -43,7 +43,6 @@ from repro.service.executor import (
     ShardProgress,
     execute_plan,
     iter_shards,
-    resolve_plan_runner,
 )
 from repro.service.fingerprint import (
     ENGINE_VERSION,
@@ -73,7 +72,6 @@ __all__ = [
     "ShardProgress",
     "execute_plan",
     "iter_shards",
-    "resolve_plan_runner",
     "ENGINE_VERSION",
     "canonical",
     "fingerprint",

@@ -13,11 +13,9 @@ the service's shared result cache, so
 * overlapping plans (same cases at different positions, tags, or recovery
   criteria) share cached case results.
 
-Threads, not processes, carry the jobs: the simulation kernels release no
-GIL, but per-case ``processes`` fan-out still happens *inside* a job via
-the executor, and the thread pool's job is overlap of cache-served jobs
-with simulating ones plus a responsive control plane (status/cancel while
-running).
+Threads carry the jobs: the simulation kernels release no GIL, so the
+thread pool's job is overlap of cache-served jobs with simulating ones plus
+a responsive control plane (status/cancel while running).
 
 Completed jobs can leave a BENCH-style JSON record behind (``records_dir``):
 ``JOB_<plan-fingerprint prefix>.json`` with the latest run under
@@ -47,7 +45,12 @@ from repro.service.admission import (
     predict_plan_cost,
 )
 from repro.service.cache import InMemoryCache, ResultCache
-from repro.service.executor import ShardProgress, check_shard_size, iter_shards
+from repro.service.executor import (
+    ShardProgress,
+    check_shard_size,
+    iter_shards,
+    plan_criterion,
+)
 from repro.service.plan import SweepPlan
 
 #: Oldest job-record history snapshots are dropped past this many
@@ -200,7 +203,6 @@ class SweepService:
         *,
         policy: ExecutionPolicy | None = None,
         shard_size: int | None = None,
-        strict: bool = False,
         recovered=None,
         preflight: str = "warn",
     ) -> str:
@@ -209,9 +211,10 @@ class SweepService:
         The execution options mirror :func:`repro.service.execute_plan`:
         ``policy`` (:class:`repro.ExecutionPolicy`) carries the performance
         knobs, defaulting to the plan's own attached policy.  A bad
-        ``shard_size`` is rejected here, before anything is enqueued.  The
-        id embeds the plan fingerprint, so identical resubmissions are
-        visibly related (``job-3-0f0b5a…`` vs ``job-7-0f0b5a…``).
+        ``shard_size`` or ``recovered`` is rejected here, before anything
+        is enqueued.  The id embeds the plan fingerprint, so identical
+        resubmissions are visibly related (``job-3-0f0b5a…`` vs
+        ``job-7-0f0b5a…``).
 
         ``preflight`` runs :func:`repro.statics.verify_plan` on the
         submission: ``"warn"`` (default) records the predicted batch
@@ -232,6 +235,7 @@ class SweepService:
                 f" not {preflight!r}"
             )
         check_shard_size(shard_size)
+        plan_criterion(plan.kind, recovered)
         policy = resolve_policy(policy, api="SweepService.submit", fallback=plan.policy)
         check = None
         if preflight != "off":
@@ -261,7 +265,6 @@ class SweepService:
                 options={
                     "shard_size": shard_size,
                     "policy": policy,
-                    "strict": strict,
                     "recovered": recovered,
                 },
                 admission=decision,

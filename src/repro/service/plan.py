@@ -77,10 +77,10 @@ def _located_error(where, error, parts) -> StaticAnalysisError:
 class CaseSpec:
     """One unit of planned work: a case plus its realized schedule.
 
-    Self-describing and picklable (given module-level reactions), so specs
-    ship to worker processes and serialize into job submissions as-is.
-    ``faults`` is ``None`` exactly on plain-sweep plans; resilience plans
-    carry a :class:`~repro.faults.schedules.FaultSchedule` (possibly
+    Self-describing and picklable (given module-level reactions), so plans
+    serialize into job submissions as-is.  ``faults`` is ``None`` exactly on
+    plain-sweep plans; resilience plans carry a
+    :class:`~repro.faults.schedules.FaultSchedule` (possibly
     :class:`~repro.faults.NoFaults`) per spec.
     """
 
@@ -88,10 +88,6 @@ class CaseSpec:
     case: SweepCase
     schedule: Schedule
     faults: FaultSchedule | None = None
-
-    def work_item(self):
-        """The per-case payload the sweep runners expect."""
-        return self.schedule if self.faults is None else (self.schedule, self.faults)
 
 
 @dataclass(frozen=True)

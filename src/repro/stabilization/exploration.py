@@ -97,6 +97,10 @@ from repro.graphs.automorphisms import SymmetryGroup, protocol_symmetry_group
 from repro.policy import ExecutionPolicy, resolve_policy
 
 DEFAULT_STATE_BUDGET = 400_000
+#: Under ``frontier="auto"``, an activation-set bucket of fewer rows steps
+#: serially (kernel dispatch would dominate); ``"batch"`` batches every
+#: bucket.
+AUTO_BATCH_MIN_ROWS = 32
 
 #: Module-wide activation-set cache, shared by every consumer (states-graph
 #: construction, model checking, adversary search, greedy candidate
@@ -303,7 +307,8 @@ class ExplorationGraph:
     level's uncached transitions as packed-code kernel calls grouped by
     activation set (requires numpy); ``"auto"`` (default) uses the batch
     route when it is available and the protocol's reactions lift to lookup
-    tables.  All routes produce bit-identical graphs.
+    tables, for groups of at least :data:`AUTO_BATCH_MIN_ROWS` rows.  All
+    routes produce bit-identical graphs.
 
     ``symmetry`` opts into the automorphism quotient: ``"none"`` (default)
     explores concrete states; ``"auto"`` discovers and *verifies* the
@@ -313,7 +318,7 @@ class ExplorationGraph:
     graphs store one canonical state per orbit; witnesses are lifted back
     to concrete runs via the per-edge group elements.
 
-    ``frontier``, ``symmetry`` and ``batch_min_rows`` are fields of
+    ``frontier`` and ``symmetry`` are fields of
     :class:`repro.ExecutionPolicy`, passed as ``policy=``.  The policy is
     cosmetic here as everywhere: every route and every quotient produces
     the same graph up to state order.
@@ -337,7 +342,6 @@ class ExplorationGraph:
         policy = resolve_policy(policy, api="ExplorationGraph")
         symmetry = policy.symmetry
         frontier = policy.frontier
-        batch_min_rows = policy.batch_min_rows
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
         self.protocol = protocol
@@ -362,7 +366,7 @@ class ExplorationGraph:
             )
         self._engine = None
         self._engine_enabled = frontier != "serial" and np is not None
-        self._batch_min_rows = max(1, batch_min_rows)
+        self._min_bucket_rows = 1 if frontier == "batch" else AUTO_BATCH_MIN_ROWS
 
         # Interning pools: id -> value, value -> id.
         none_outputs = (None,) * n
@@ -635,7 +639,9 @@ class ExplorationGraph:
             if row is None:
                 row = transitions[(lid, oid)] = {}
             successors = []
-            for t, tid, next_cid in zip(sets, sids, next_cids):
+            # Three parallel sequences from ``_moves``; ``strict=`` would
+            # cost a keyword parse per state on this path.
+            for t, tid, next_cid in zip(sets, sids, next_cids):  # noqa: B905
                 table = row.get(tid)
                 if table is None:
                     misses += 1
@@ -698,7 +704,7 @@ class ExplorationGraph:
             successors = []
             gids = []
             flags = []
-            for t, tid, next_cid in zip(sets, sids, next_cids):
+            for t, tid, next_cid in zip(sets, sids, next_cids):  # noqa: B905
                 entry = row.get(tid)
                 if entry is None:
                     misses += 1
@@ -799,7 +805,7 @@ class ExplorationGraph:
         payload takes the union of its countdowns' valid activation sets.
         Every ``(payload, T)`` pair missing from the transition cache is
         checked once and bucketed by ``T``; one ``step_codes`` kernel call
-        runs per bucket that clears ``batch_min_rows``.  Results are
+        runs per bucket that clears the frontier mode's minimum.  Results are
         staged in a dict keyed by the raw activation set; pass 2
         (``_expand*``) pops them at the exact serial scan position.
         Staging interns *nothing* (it reads the module activation-set cache
@@ -847,7 +853,7 @@ class ExplorationGraph:
         interner = engine.batch_compiled.interner
         y_interners = engine.batch_compiled.y_interners
         for t, rows in buckets.items():
-            if len(rows) < self._batch_min_rows:
+            if len(rows) < self._min_bucket_rows:
                 continue
             label_rows = [self._labels[lid] for (lid, _oid) in rows]
             codes = interner.bulk_encode(label_rows)

@@ -257,8 +257,8 @@ def verify_plan(
 ) -> PlanPreflight:
     """Full preflight of a :class:`~repro.service.plan.SweepPlan`.
 
-    Combines :func:`verify_protocol` (static lift partition, honoring the
-    plan policy's ``batch_min_rows``-adjacent ``max_table_size`` default),
+    Combines :func:`verify_protocol` (static lift partition under
+    ``max_table_size``, by default the batch backend's),
     per-case input hashability (the dynamic half of the lift gate), and
     the fingerprint of the protocol and of every spec: the offenders their
     walk refuses, each reported once.  A refused protocol does not hide a

@@ -330,20 +330,6 @@ class TestEstimateSweepCost:
         assert batch.predicted_work == serial.predicted_work
         assert batch.predicted_seconds < serial.predicted_seconds
 
-    def test_fan_out_divides_wall_time_not_work(self):
-        one = estimate_sweep_cost(cases=10, nodes=16, degree=2, max_steps=100)
-        four = estimate_sweep_cost(
-            cases=10,
-            nodes=16,
-            degree=2,
-            max_steps=100,
-            policy=ExecutionPolicy(processes=4),
-        )
-        assert four.predicted_work == one.predicted_work
-        assert four.predicted_seconds == pytest.approx(
-            one.predicted_seconds / 4
-        )
-
     def test_describe_mentions_the_essentials(self):
         estimate = estimate_sweep_cost(
             cases=10, nodes=16, degree=2, max_steps=100, cached_cases=3

@@ -58,10 +58,10 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy == DEFAULT_POLICY
         assert policy.executor == "serial"
-        assert policy.processes is None
-        assert policy.chunk_rows is None
         assert policy.frontier == "auto"
         assert policy.symmetry == "none"
+        names = [field.name for field in dataclasses.fields(policy)]
+        assert names == ["executor", "frontier", "symmetry"]
 
     def test_frozen_value_object(self):
         policy = ExecutionPolicy(executor="batch")
@@ -72,35 +72,24 @@ class TestExecutionPolicy:
 
     def test_merged_derives_and_revalidates(self):
         base = ExecutionPolicy(executor="batch")
-        derived = base.merged(chunk_rows=512, processes=2)
-        assert derived.chunk_rows == 512
-        assert base.chunk_rows is None  # original untouched
-        with pytest.raises(ValidationError, match="executor='batch'"):
-            DEFAULT_POLICY.merged(chunk_rows=512)
+        derived = base.merged(frontier="serial", symmetry="auto")
+        assert (derived.executor, derived.frontier) == ("batch", "serial")
+        assert base.frontier == "auto"  # original untouched
+        with pytest.raises(ValidationError, match="unknown frontier"):
+            DEFAULT_POLICY.merged(frontier="threads")
 
     def test_describe_names_only_the_changed_fields(self):
         assert ExecutionPolicy().describe() == "ExecutionPolicy(defaults)"
-        text = ExecutionPolicy(executor="batch", processes=2).describe()
+        text = ExecutionPolicy(executor="batch", symmetry="auto").describe()
         assert "executor='batch'" in text
-        assert "processes=2" in text
+        assert "symmetry='auto'" in text
         assert "frontier" not in text
 
     @pytest.mark.parametrize(
         "fields, match",
         [
             ({"executor": "gpu"}, "unknown executor"),
-            ({"processes": 2.5}, "processes must be an integer"),
-            (
-                {"executor": "batch", "chunk_rows": 1.5},
-                "chunk_rows must be an integer",
-            ),
-            ({"chunk_rows": 512}, "executor='batch'"),
-            ({"executor": "batch", "chunk_rows": 0}, "chunk_rows"),
-            ({"processes": 0}, "processes"),
             ({"frontier": "threads"}, "unknown frontier"),
-            ({"batch_min_rows": 0}, "batch_min_rows"),
-            ({"processes": "2"}, "processes must be an integer"),
-            ({"batch_min_rows": 8.0}, "batch_min_rows must be an integer"),
         ],
     )
     def test_validation(self, fields, match):
@@ -110,7 +99,7 @@ class TestExecutionPolicy:
 
 class TestResolvePolicy:
     def test_explicit_policy_wins(self):
-        policy = ExecutionPolicy(processes=2)
+        policy = ExecutionPolicy(symmetry="auto")
         assert resolve_policy(policy, api="f") is policy
         fallback = ExecutionPolicy(executor="batch")
         assert resolve_policy(policy, api="f", fallback=fallback) is policy
@@ -141,11 +130,42 @@ def _submit(**keywords):
 
 
 #: Every former shim entry point with one of its retired keywords (plus the
-#: retired batch compute-route and fused-window keywords, and the retired
-#: ``spill_dir`` policy field), a value it used to accept, and an otherwise
-#: valid call.
+#: retired batch compute-route and fused-window keywords, the retired
+#: ``spill_dir``, ``processes``, ``chunk_rows`` and ``batch_min_rows`` policy
+#: fields, and the retired ``strict`` fan-out keyword), a value it used to
+#: accept, and an otherwise valid call.
 RETIRED_KEYWORDS = [
     ("ExecutionPolicy", "spill_dir", "spill", ExecutionPolicy),
+    ("ExecutionPolicy-processes", "processes", 2, ExecutionPolicy),
+    (
+        "ExecutionPolicy-chunk_rows",
+        "chunk_rows",
+        64,
+        lambda **kw: ExecutionPolicy(executor="batch", **kw),
+    ),
+    ("ExecutionPolicy-batch_min_rows", "batch_min_rows", 1, ExecutionPolicy),
+    (
+        "run_sweep-strict",
+        "strict",
+        True,
+        lambda **kw: run_sweep(_ring(4), _cases(_ring(4), 2), _sync, **kw),
+    ),
+    (
+        "run_resilience_sweep-strict",
+        "strict",
+        True,
+        lambda **kw: run_resilience_sweep(
+            _ring(4), _cases(_ring(4), 2), _sync, _faults, **kw
+        ),
+    ),
+    ("iter_shards-strict", "strict", True, lambda **kw: iter_shards(_plan()[0], **kw)),
+    (
+        "execute_plan-strict",
+        "strict",
+        True,
+        lambda **kw: execute_plan(_plan()[0], **kw),
+    ),
+    ("SweepService.submit-strict", "strict", True, _submit),
     (
         "run_sweep",
         "processes",
@@ -305,12 +325,10 @@ class TestFingerprintCosmetics:
         [
             None,
             ExecutionPolicy(),
-            ExecutionPolicy(executor="batch", chunk_rows=64, processes=4),
-            ExecutionPolicy(
-                frontier="serial", symmetry="auto", batch_min_rows=1
-            ),
+            ExecutionPolicy(executor="batch"),
+            ExecutionPolicy(frontier="serial", symmetry="auto"),
         ],
-        ids=["none", "default", "batch-chunked-fanout", "exploration-knobs"],
+        ids=["none", "default", "batch", "exploration-knobs"],
     )
     def test_golden_fingerprints_ignore_every_policy_spelling(self, policy):
         plan = self._golden_plan(policy)

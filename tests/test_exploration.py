@@ -622,7 +622,7 @@ class TestFrontierModes:
             inputs,
             r,
             inits,
-            policy=ExecutionPolicy(frontier="batch", batch_min_rows=1),
+            policy=ExecutionPolicy(frontier="batch"),
         )
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors
@@ -648,7 +648,7 @@ class TestFrontierModes:
             2,
             inits,
             track_outputs=True,
-            policy=ExecutionPolicy(frontier="batch", batch_min_rows=1),
+            policy=ExecutionPolicy(frontier="batch"),
         )
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors

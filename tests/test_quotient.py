@@ -220,9 +220,7 @@ class TestGoldenZoo:
             inputs,
             3,
             inits,
-            policy=ExecutionPolicy(
-                symmetry="auto", frontier="batch", batch_min_rows=1
-            ),
+            policy=ExecutionPolicy(symmetry="auto", frontier="batch"),
         )
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors

@@ -4,15 +4,14 @@ Every self-stabilizing construction in the library (generic protocol,
 D-counter, TM-on-ring, circuit-on-ring, safe BGP) shows **100% recovery**
 under ``RandomCorruption``; the non-stabilizing oscillation gadgets
 (Example 1 under its (n-1)-fair schedule, the rotating copy-ring, the BGP
-bad gadget) show **non-recovery**.  Plus the multiprocessing regression:
-seeded resilience sweeps are bit-identical serial vs. fanned out.
+bad gadget) show **non-recovery**.  Plus the sweep mechanics: criteria,
+the no-fault control, and the report surface.
 """
 
 import random
 
 import pytest
 
-from repro import ExecutionPolicy
 from repro.analysis import (
     RECOVERY_CRITERIA,
     ResilienceReport,
@@ -267,7 +266,7 @@ class TestOscillationGadgetsDoNotRecover:
         assert report.recovery_rate == 0.0
 
 
-# -- multiprocessing reproducibility (module-level pieces so it pickles) -----
+# -- sweep mechanics ----------------------------------------------------------
 
 
 def _forward_bit(incoming, _x):
@@ -287,57 +286,7 @@ def _seeded_random_schedule(index, case):
     return RandomRFairSchedule(len(case.inputs), r=3, seed=index)
 
 
-def _seeded_corruption(index, case):
-    return BurstFault([4, 11], RandomCorruption(0.5, seed=1000 + index))
-
-
 class TestResilienceSweepMechanics:
-    def test_serial_and_parallel_reports_bit_identical(self):
-        # The PR-2 regression: seeded random schedules and fault models
-        # must produce the same report whether the sweep runs in-process or
-        # fans out over a pool (everything here pickles; on platforms
-        # without pools the fallback makes this vacuous but still true).
-        protocol = _copy_ring(4)
-        cases = [
-            SweepCase((0,) * 4, random_bit_labeling(protocol.topology, seed=s), tag=s)
-            for s in range(9)
-        ]
-        serial = run_resilience_sweep(
-            protocol,
-            cases,
-            _seeded_random_schedule,
-            _seeded_corruption,
-            max_steps=80,
-        )
-        parallel = run_resilience_sweep(
-            protocol,
-            cases,
-            _seeded_random_schedule,
-            _seeded_corruption,
-            max_steps=80,
-            policy=ExecutionPolicy(processes=3),
-        )
-        assert serial == parallel
-
-    def test_unpicklable_sweep_falls_back_to_serial(self):
-        protocol = example1_protocol(3)  # closure reactions: not picklable
-        cases = [
-            SweepCase(
-                (0,) * 3, random_bit_labeling(protocol.topology, seed=s), tag=s
-            )
-            for s in range(3)
-        ]
-        with pytest.warns(RuntimeWarning, match="do not pickle"):
-            report = run_resilience_sweep(
-                protocol,
-                cases,
-                _sync,
-                lambda i, c: OneShotFault(2, RandomCorruption(0.5, seed=i)),
-                max_steps=50,
-                policy=ExecutionPolicy(processes=4),
-            )
-        assert len(report) == 3
-
     def test_no_fault_control_matches_plain_sweep(self):
         from repro.analysis import run_sweep
 

@@ -39,7 +39,6 @@ from repro.faults.models import RandomCorruption
 from repro.faults.schedules import NoFaults, OneShotFault
 from repro.graphs import clique, unidirectional_ring
 from repro.service import (
-    CaseSpec,
     InMemoryCache,
     SqliteCache,
     SweepPlan,
@@ -52,7 +51,7 @@ from repro.service import (
 from tests.helpers import or_clique_protocol, random_bit_labeling
 
 
-# Module-level pieces so plans pickle and the multiprocessing path works.
+# Module-level pieces so plans pickle.
 def _xor_bit(incoming, _x):
     (value,) = incoming.values()
     return value, value
@@ -263,8 +262,7 @@ class TestPlanning:
         assert plan.kind == "resilience"
         assert plan.report_type is ResilienceReport
         assert all(spec.faults is not None for spec in plan.specs)
-        schedule, faults = plan.specs[1].work_item()
-        assert isinstance(faults, OneShotFault)
+        assert isinstance(plan.specs[1].faults, OneShotFault)
 
     def test_unknown_plan_kind_is_rejected(self):
         protocol = _ring(3)
@@ -336,38 +334,23 @@ class TestExecutorEquivalence:
         )
         assert execute_plan(plan) == one_shot
 
-    def test_processes_fan_out_matches_serial(self):
-        protocol = _ring(4)
-        cases = _population(protocol, 6)
-        plan = plan_sweep(protocol, cases, _sync, max_steps=50)
-        assert execute_plan(
-            plan, policy=ExecutionPolicy(processes=2)
-        ) == execute_plan(plan)
-
     def test_empty_plan_returns_empty_report(self):
         plan = plan_sweep(_ring(3), [], _sync)
         assert execute_plan(plan) == SweepReport(results=())
         assert list(iter_shards(plan)) == []
 
     def test_validation_happens_before_factories(self):
-        # A bad policy errors without touching cases.
+        # A bad policy or criterion errors without touching cases.
         def exploding_factory(i, c):
             raise AssertionError("factory must not run")
 
         protocol = _ring(3)
-        with pytest.raises(ValidationError, match="unknown executor"):
+        with pytest.raises(ValidationError, match="must be an ExecutionPolicy"):
             run_sweep(
                 protocol,
                 _population(protocol, 2),
                 exploding_factory,
-                policy=ExecutionPolicy(executor="gpu"),
-            )
-        with pytest.raises(ValidationError, match="executor='batch'"):
-            run_sweep(
-                protocol,
-                _population(protocol, 2),
-                exploding_factory,
-                policy=ExecutionPolicy(chunk_rows=64),
+                policy="batch",
             )
         with pytest.raises(ValidationError, match="unknown recovery"):
             run_resilience_sweep(
@@ -583,13 +566,54 @@ class TestResultCacheIntegration:
         assert warm.results[0].steps_executed == cold.results[0].steps_executed
 
 
-class TestCaseSpec:
-    def test_work_item_shape(self):
-        topology = _ring(2).topology
-        case = SweepCase((0, 0), Labeling(topology, (0,) * topology.m))
-        schedule = SynchronousSchedule(2)
-        assert CaseSpec(0, case, schedule).work_item() is schedule
-        spec = CaseSpec(0, case, schedule, faults=NoFaults())
-        schedule_out, faults = spec.work_item()
-        assert schedule_out is schedule
-        assert isinstance(faults, NoFaults)
+def _fair_by_tag(i, case):
+    """A seeded fair schedule keyed by the case's tag (see
+    :func:`_faults_by_tag`)."""
+    return RandomRFairSchedule(len(case.inputs), r=2, seed=case.tag)
+
+
+class TestBatchChunkBoundaries:
+    """The batch runners run ``SWEEP_CHUNK_ROWS`` rows at a time; a run that
+    spans several slices reports exactly what the serial runner does, with
+    or without a cache, and with its misses scattered among hits."""
+
+    @pytest.mark.parametrize("kind", ["sweep", "resilience"])
+    def test_sliced_batch_runs_match_serial(self, monkeypatch, kind):
+        from repro.core import batch
+
+        rows = []
+
+        class Recording(batch.BatchSimulator):
+            def __init__(self, protocol, inputs, *args, **kwargs):
+                rows.append(len(inputs))
+                super().__init__(protocol, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "SWEEP_CHUNK_ROWS", 4)
+        monkeypatch.setattr(batch, "BatchSimulator", Recording)
+        protocol = _ring(5)
+
+        def plan_of(cases):
+            if kind == "sweep":
+                return plan_sweep(protocol, cases, _fair_by_tag, max_steps=15)
+            return plan_resilience_sweep(
+                protocol, cases, _fair_by_tag, _faults_by_tag, max_steps=15
+            )
+
+        cases = _population(protocol, 10)
+        plan = plan_of(cases)
+        serial = execute_plan(plan)
+        # Half the cases time out, so a result out of place would show.
+        assert len(serial.outcome_counts) == 2
+        policy = ExecutionPolicy(executor="batch")
+        assert execute_plan(plan, policy=policy) == serial
+        assert rows == [4, 4, 2]
+
+        rows.clear()
+        cache = InMemoryCache()
+        execute_plan(plan_of(cases[::2]), cache=cache)
+        scattered = execute_plan(plan, cache=cache, policy=policy)
+        warm = execute_plan(plan, cache=cache, policy=policy)
+        assert scattered == serial
+        assert warm == serial
+        assert rows == [4, 1]  # the five odd cases missed
+        assert (cache.stats.hits, cache.stats.misses) == (15, 10)

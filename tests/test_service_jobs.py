@@ -110,15 +110,20 @@ class TestSweepService:
 
     def test_failed_job_surfaces_its_error(self):
         plan, _, _ = _plan(count=2)
-        with SweepService() as service:
-            # recovered= is invalid for a plain sweep plan -> the worker
-            # fails the job instead of crashing the service.
-            job_id = service.submit(plan, recovered="label")
+
+        class BrokenCache(InMemoryCache):
+            def _load(self, key):
+                raise OSError("store unavailable")
+
+        with SweepService(cache=BrokenCache()) as service:
+            # The store fails at run time -> the worker fails the job
+            # instead of crashing the service.
+            job_id = service.submit(plan)
             with pytest.raises(JobError, match="failed"):
                 service.result(job_id, timeout=30)
             status = service.status(job_id)
             assert status.state is JobState.FAILED
-            assert "resilience criterion" in status.error
+            assert "store unavailable" in status.error
             # the stream sees the same terminal failure
             with pytest.raises(JobError, match="failed"):
                 list(service.stream(job_id))
@@ -207,6 +212,18 @@ class TestSweepService:
         with SweepService() as service:
             with pytest.raises(ValidationError, match="shard_size"):
                 service.submit(plan, shard_size=shard_size)
+            assert service.jobs() == []
+
+    def test_bad_recovered_is_rejected_before_anything_is_queued(self):
+        plan, protocol, cases = _plan(count=2)
+        resilience = plan_resilience_sweep(
+            protocol, cases, _sync, lambda i, c: NoFaults(), max_steps=60
+        )
+        with SweepService() as service:
+            with pytest.raises(ValidationError, match="resilience criterion"):
+                service.submit(plan, recovered="label")
+            with pytest.raises(ValidationError, match="unknown recovery"):
+                service.submit(resilience, recovered="sometimes")
             assert service.jobs() == []
 
     def test_two_workers_share_one_cache(self):

@@ -1,7 +1,5 @@
 """Tests for the sweep runner (repro.analysis.sweeps)."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +22,7 @@ from repro.graphs import clique, unidirectional_ring
 from tests.helpers import or_clique_protocol, random_bit_labeling
 
 
-# Module-level pieces so the protocol and factory pickle for the
-# multiprocessing path.
+# Module-level pieces, shared by the tests below.
 def _forward_bit(incoming, _x):
     (value,) = incoming.values()
     return value, value
@@ -41,25 +38,6 @@ def _copy_ring(n):
 
 def _sync_factory(index, case):
     return SynchronousSchedule(len(case.inputs))
-
-
-class _StatefulRandomFactory:
-    """A schedule factory drawing per-case seeds from its own shared RNG.
-
-    The regression shape for the parallel-reproducibility fix: because the
-    factory is stateful, its results depend on the order (and process) in
-    which it is invoked.  ``run_sweep`` must therefore invoke it in the
-    parent, in case order — otherwise each worker chunk would re-run the
-    RNG from its pickled initial state and diverge from the serial sweep.
-    """
-
-    def __init__(self, n, r, seed):
-        self.n = n
-        self.r = r
-        self._rng = random.Random(seed)
-
-    def __call__(self, index, case):
-        return RandomRFairSchedule(self.n, self.r, seed=self._rng.randrange(2**32))
 
 
 class TestRunSweep:
@@ -160,52 +138,6 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             report.round_histogram("nonsense")
 
-    def test_parallel_matches_serial(self):
-        # Everything here pickles (module-level reactions and factory), so
-        # the pool path is exercised where the platform allows it; on
-        # restricted platforms run_sweep silently falls back to serial and
-        # the equality still holds.
-        protocol = _copy_ring(4)
-        cases = [
-            SweepCase(
-                (0,) * 4,
-                random_bit_labeling(protocol.topology, seed=s),
-                tag=s,
-            )
-            for s in range(8)
-        ]
-        serial = run_sweep(protocol, cases, _sync_factory)
-        parallel = run_sweep(
-            protocol, cases, _sync_factory, policy=ExecutionPolicy(processes=2)
-        )
-        assert serial == parallel
-
-    def test_seeded_random_schedules_bit_identical_serial_vs_parallel(self):
-        # PR-2 regression: a stateful seeded factory must yield the exact
-        # same report fanned out as in-process, because run_sweep invokes
-        # the factory in the parent in case order and ships materialized
-        # schedules to the workers.
-        protocol = _copy_ring(4)
-        cases = [
-            SweepCase(
-                (0,) * 4,
-                random_bit_labeling(protocol.topology, seed=s),
-                tag=s,
-            )
-            for s in range(10)
-        ]
-        serial = run_sweep(
-            protocol, cases, _StatefulRandomFactory(4, 3, seed=42), max_steps=60
-        )
-        parallel = run_sweep(
-            protocol,
-            cases,
-            _StatefulRandomFactory(4, 3, seed=42),
-            max_steps=60,
-            policy=ExecutionPolicy(processes=3),
-        )
-        assert serial == parallel
-
     def test_factory_invoked_in_parent_in_case_order_despite_fanout(self):
         protocol = _copy_ring(4)
         seen = []
@@ -218,33 +150,14 @@ class TestRunSweep:
             SweepCase((0,) * 4, random_bit_labeling(protocol.topology, seed=s))
             for s in range(6)
         ]
-        run_sweep(
-            protocol, cases, factory, policy=ExecutionPolicy(processes=3)
-        )
-        # the closure does not pickle, but it ran in this process either
-        # way: one invocation per case, in order
+        run_sweep(protocol, cases, factory, policy=ExecutionPolicy(executor="batch"))
+        # one invocation per case, in order, before any case runs
         assert seen == [0, 1, 2, 3, 4, 5]
-
-    def test_unpicklable_protocol_falls_back_to_serial(self):
-        protocol = or_clique_protocol(clique(3))  # closure reactions
-        cases = [
-            SweepCase((0, 0, 0), random_bit_labeling(protocol.topology, seed=s))
-            for s in range(3)
-        ]
-        with pytest.warns(RuntimeWarning, match="do not pickle"):
-            report = run_sweep(
-                protocol,
-                cases,
-                _sync_factory,
-                policy=ExecutionPolicy(processes=4),
-            )
-        assert len(report) == 3
 
 
 class TestFanOutDiagnostics:
-    """The serial fallback is never silent: it warns, or raises under
-    ``strict=True`` (regression for the bare ``except Exception`` that made
-    an 8-process sweep run on one core with no explanation)."""
+    """A sweep runs in-process, so closure reactions, which do not pickle,
+    run without a warning."""
 
     def _unpicklable_cases(self):
         protocol = or_clique_protocol(clique(3))  # closure reactions
@@ -254,59 +167,14 @@ class TestFanOutDiagnostics:
         ]
         return protocol, cases
 
-    def test_pickle_failure_warns_with_the_offending_error(self):
-        protocol, cases = self._unpicklable_cases()
-        with pytest.warns(RuntimeWarning) as captured:
-            report = run_sweep(
-                protocol,
-                cases,
-                _sync_factory,
-                policy=ExecutionPolicy(processes=2),
-            )
-        assert len(report) == 4
-        message = str(captured[0].message)
-        assert "do not pickle" in message
-        # the underlying pickle error is carried in the warning text
-        assert "pickle" in message.lower()
-
-    def test_strict_reraises_the_pickle_error(self):
-        import pickle as _pickle
-
-        protocol, cases = self._unpicklable_cases()
-        with pytest.raises((AttributeError, TypeError, _pickle.PicklingError)):
-            run_sweep(
-                protocol,
-                cases,
-                _sync_factory,
-                policy=ExecutionPolicy(processes=2),
-                strict=True,
-            )
-
     def test_serial_run_never_warns(self):
         import warnings as _warnings
 
         protocol, cases = self._unpicklable_cases()
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            report = run_sweep(protocol, cases, _sync_factory)  # no processes
+            report = run_sweep(protocol, cases, _sync_factory)
         assert len(report) == 4
-
-    def test_resilience_sweep_plumbs_strict(self):
-        import pickle as _pickle
-
-        from repro.analysis import run_resilience_sweep
-        from repro.faults import NoFaults
-
-        protocol, cases = self._unpicklable_cases()
-        with pytest.raises((AttributeError, TypeError, _pickle.PicklingError)):
-            run_resilience_sweep(
-                protocol,
-                cases,
-                _sync_factory,
-                lambda i, c: NoFaults(),
-                policy=ExecutionPolicy(processes=2),
-                strict=True,
-            )
 
 
 class TestSweepReportMerge:
