@@ -44,9 +44,19 @@ Two throughput layers sit on top of the lift (this module's hot loop):
   stepped states are simply discarded).  Windows double up to
   ``MAX_FUSE_WINDOW``; after a window in which rows concluded they keep
   doubling while the window's frames fit one kernel tile and halve beyond
-  it, and fault fire times split them.  On the ring route with per-row
-  masks the kernel works on flat frame buffers (rows there are a few bytes
-  wide, so per-row inner loops would cost more than the data).
+  it, and fault fire times split them.
+
+The **ring route** takes every window of a protocol whose nodes all lift
+into one degree-1, out-degree-1 group that reads its in-edge by a cyclic
+shift and owns edge ``i`` at node ``i``, over one-byte label and output
+codes.  One kernel (:meth:`BatchSimulator._fill_ring`) runs it on flat frame
+buffers (rows there are a few bytes wide, so per-row inner loops would cost
+more than the data): a step is the shift plus one lookup per edge, the
+binary select when the alphabet is binary and every row shares one input
+vector, else one take from a u16 label|output table at the code plus a
+shared or per-row input base.  Every other protocol, including rings with
+wider codes and degree-1 graphs whose in-edge map is no rotation, takes the
+group route, the general table path.
 
 Rows are grouped by schedule object: a window queries each live schedule
 once per step into one ``(k, G, n)`` activation block, and per-row masks are
@@ -74,7 +84,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from itertools import product
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.compiled import CompiledProtocol, compile_protocol
 from repro.core.configuration import Configuration, Labeling
@@ -103,9 +113,9 @@ MAX_FUSE_WINDOW = 64
 #: populations of 10^5 packed rows.
 STACK_BUDGET_BYTES = 128 << 20
 
-#: Row-tile footprint for the fused mono kernels: one frame slice of this
-#: many bytes (times the handful of live arrays per step) stays resident in
-#: the outer cache levels while a tile runs all k steps.
+#: Row-tile footprint for the ring kernel: a tile's ``k+1`` label frames
+#: fit in this many bytes, so they stay resident in the outer cache levels
+#: while the tile runs all k steps.
 MONO_TILE_BYTES = 1 << 20
 
 #: Preferred sub-batch size for sweep-level drivers: populations larger than
@@ -406,14 +416,14 @@ def batch_compile(
     return batch
 
 
-def _shift_rows(src, s, out, base=None, base_flat=None) -> None:
+def _shift_rows(src, s, out, base=None) -> None:
     """``out[:, i] = src[:, (i + s) % m]``, xor ``base[i]`` when given.
 
     ``src``/``out`` are contiguous ``(h, m)`` frames, handled as flat
     ``h*m`` buffers: one contiguous op moves every element by ``s`` (or
     ``s - m``) places, then one strided op repairs the ``min(s, m - s)``
-    columns whose source wrapped across a row boundary.  ``base_flat`` is
-    ``base`` tiled to at least ``h*m`` entries.
+    columns whose source wrapped across a row boundary.  ``base`` is a
+    per-column row tiled to at least ``h*m`` entries.
     """
     h, m = src.shape
     size = h * m
@@ -435,7 +445,7 @@ def _shift_rows(src, s, out, base=None, base_flat=None) -> None:
         if fix_src.size:
             np.copyto(fix_out, fix_src)
     else:
-        np.bitwise_xor(body_src, base_flat[body_cols], out=body_out)
+        np.bitwise_xor(body_src, base[body_cols], out=body_out)
         if fix_src.size:
             np.bitwise_xor(fix_src, base[fix_cols], out=fix_out)
 
@@ -523,12 +533,29 @@ class _Group:
         "n_out",
         "degree",
         "covers_all",
-        "comb",
-        "s2",
-        "y_cast",
         "shift",
-        "s2_tiled",
+        "ring",
     )
+
+
+class _Ring(NamedTuple):
+    """The ring kernel's constants for one group, built on first use.
+
+    With a binary alphabet and one input vector shared by every row, each
+    edge's table holds two entries, so a lookup is the select
+    ``base ^ code * flip`` (labels) and ``ybase ^ code * yflip`` (outputs):
+    ``rows`` is ``(base, flip, ybase, yflip)`` and ``units`` flags which
+    flip rows are all ones (the multiply is then an identity).  Otherwise
+    a lookup is one take from ``table``, the label and output tables fused
+    to u16 (``label | output << 8``), at the code plus the input base:
+    ``rows`` is ``(base,)`` for one shared input vector and empty when each
+    row has its own, and ``units`` is None.  ``rows`` are tiled to the
+    longest flat frame so far.
+    """
+
+    rows: tuple
+    units: tuple | None
+    table: Any
 
 
 class _RowAnalysis:
@@ -759,12 +786,9 @@ class BatchSimulator:
                 group.xbase_row = xbase[0]
             group.degree = degree
             group.in_pos_flat = group.in_pos[:, 0] if degree == 1 else None
-            group.comb = None  # lazy: fused (label | output << 8) table
-            group.s2 = None  # lazy: binary-space arithmetic constants
-            group.s2_tiled = None  # lazy: s2 constants tiled over flat frames
-            group.y_cast = None  # lazy: y_table cast to the run's y dtype
-            # Cyclic-shift reads (ring families): the per-step gather
-            # becomes two contiguous slice copies instead of a random take.
+            group.ring = None  # lazy: the ring kernel's constants
+            # Cyclic-shift reads (ring families): the ring route's gather is
+            # a shift of the flat frame instead of a random take.
             group.shift = None
             if group.in_pos_flat is not None:
                 width = group.in_pos_flat.size
@@ -778,21 +802,22 @@ class BatchSimulator:
             )
             self._groups.append(group)
 
-        # Monolithic fast route: every node lifted into one degree-1,
-        # out-degree-1 group whose out edges sit in identity layout (edge i
-        # owned by node i — rings and other functional graphs).  The whole
-        # transition then reduces to gather → table → blend with no scatter.
+        # Ring route (_fill_ring): every node lifted into one out-degree-1
+        # group that reads its in-edge by a cyclic shift and owns edge i at
+        # node i, over one-byte label codes.  (Output frames can still widen
+        # after assembly, so their width is checked per window.)
         self._mono = None
+        ring = self._groups[0] if len(self._groups) == 1 else None
         if (
-            not self._fallback
-            and len(self._groups) == 1
-            and self._groups[0].covers_all
-            and self._groups[0].degree == 1
-            and self._groups[0].n_out == 1
-            and self._groups[0].all_valid
-            and np.array_equal(self._groups[0].out_cols, np.arange(batch.m))
+            ring is not None
+            and ring.covers_all
+            and ring.shift is not None
+            and ring.n_out == 1
+            and ring.all_valid
+            and batch.code_dtype.itemsize == 1
+            and np.array_equal(ring.out_cols, np.arange(batch.m))
         ):
-            self._mono = self._groups[0]
+            self._mono = ring
         self._refresh_fallback_cache()
 
     def _demote_all(self) -> None:
@@ -899,21 +924,6 @@ class BatchSimulator:
         """
         if self._groups and self._interner.size > self._space_size:
             self._demote_all()
-        mono = self._mono
-        if mono is not None:
-            keys = sub[:, mono.in_pos_flat]
-            if not mono.xbase_zero:
-                if mono.xbase_row is not None:
-                    keys = keys + mono.xbase_row
-                elif mono.xbase.shape[0] == sub.shape[0]:
-                    keys = keys + mono.xbase
-                else:
-                    keys = keys + mono.xbase[live_slots]
-            updates = mono.out_flat[keys]
-            ys = mono.y_table[keys]
-            if mask.all():
-                return updates, ys
-            return np.where(mask, updates, sub), np.where(mask, ys, osub)
         new_sub = sub.copy()
         new_osub = osub.copy()
         self._apply_groups(sub, new_sub, new_osub, mask, live_slots)
@@ -1018,203 +1028,10 @@ class BatchSimulator:
         whether row ``r``'s labels changed in step ``j``, ``[1, j, r]`` its
         outputs.
         """
+        if self._mono is not None and stack.itemsize == ostack.itemsize == 1:
+            return self._fill_ring(stack, ostack, masks, live)
         L = stack.shape[1]
         n = self._batch.n
-        mono = self._mono
-        if mono is not None:
-            flat = mono.in_pos_flat
-            shift = mono.shift
-            table = mono.out_flat
-            ytab = mono.y_table
-            if mono.xbase_zero:
-                xb = None
-            elif mono.xbase_row is not None:
-                xb = mono.xbase_row
-            elif mono.xbase.shape[0] == L:
-                xb = mono.xbase
-            else:
-                xb = mono.xbase[live]
-            m = stack.shape[2]
-            shared_xb = None
-            if mono.xbase_zero:
-                shared_xb = np.zeros(m, dtype=np.int64)
-            elif mono.xbase_row is not None:
-                shared_xb = mono.xbase_row.astype(np.int64)
-            packed_u8 = (
-                stack.dtype == np.uint8
-                and ostack.dtype == np.uint8
-                and table.dtype == np.uint8
-                and ytab.dtype == np.uint8
-            )
-            if packed_u8 and self._space_size == 2 and shared_xb is not None:
-                # Binary alphabet: each per-edge table holds two entries, so
-                # the lookup collapses to arithmetic select over the packed
-                # u8 arrays — ``entry0 ^ code * (entry0 ^ entry1)`` — with
-                # no index conversion at all.
-                variant = "s2"
-                if mono.s2 is None:
-                    a0 = table[shared_xb]
-                    a1 = table[shared_xb + 1]
-                    y0 = ytab[shared_xb]
-                    y1 = ytab[shared_xb + 1]
-                    flip = a0 ^ a1
-                    yflip = y0 ^ y1
-                    # All-ones flips (both table entries differ everywhere,
-                    # e.g. xor rings) make the multiply an identity.
-                    mono.s2 = (
-                        a0,
-                        flip,
-                        y0,
-                        yflip,
-                        bool((flip == 1).all()),
-                        bool((yflip == 1).all()),
-                    )
-                base_row, flip, ybase, yflip, flip_unit, yflip_unit = mono.s2
-            elif packed_u8:
-                # Fuse the label and output tables into one u16 lookup: one
-                # gather per step instead of two, split by cheap bit ops.
-                variant = "comb"
-                if mono.comb is None:
-                    mono.comb = table.astype(np.uint16) | (
-                        ytab.astype(np.uint16) << 8
-                    )
-                comb = mono.comb
-            else:
-                variant = "takes"
-                if mono.y_cast is None or mono.y_cast.dtype != ostack.dtype:
-                    mono.y_cast = (
-                        ytab
-                        if ytab.dtype == ostack.dtype
-                        else ytab.astype(ostack.dtype)
-                    )
-                ytab_cast = mono.y_cast
-            if variant == "s2" and shift is not None and masks.ndim == 3:
-                return self._fill_flat(stack, ostack, masks)
-            #: Columns each step's mask leaves inactive (gathers write every
-            #: column; the blend copies these back) — None for 2D masks.
-            inactive = [
-                np.flatnonzero(~mk)
-                if mk.ndim == 1 and not mk.all()
-                else None
-                for mk in masks
-            ]
-            # Tile the window over row blocks so a tile's frames stay
-            # cache-resident across the whole k-step loop instead of
-            # streaming every frame through DRAM once per pass.
-            tile = max(1, MONO_TILE_BYTES // (m * stack.dtype.itemsize))
-            tile = min(tile, L)
-            k = len(masks)
-            flags = np.empty((2, k, L), dtype=bool)
-            gather = np.empty((tile, m), dtype=stack.dtype)
-            wide = (
-                np.empty((tile, m), dtype=np.uint16)
-                if variant == "comb"
-                else None
-            )
-            idx = (
-                np.empty((tile, m), dtype=np.intp)
-                if variant != "s2"
-                else None
-            )
-            for r0 in range(0, L, tile):
-                r1 = min(L, r0 + tile)
-                height = r1 - r0
-                st = stack[:, r0:r1]
-                ost = ostack[:, r0:r1]
-                g = gather[:height]
-                xb_t = None
-                if shared_xb is None and xb is not None:
-                    xb_t = xb[r0:r1]
-                fused_shift = (
-                    shift is not None
-                    and variant == "s2"
-                    and flip_unit
-                    and yflip_unit
-                )
-                for j, mk in enumerate(masks):
-                    src = st[j]
-                    if fused_shift:
-                        # Ring xor family: the gather is a cyclic shift and
-                        # both selects are plain xors, so each step is two
-                        # segment xors per stack — no staging buffer at all.
-                        a = m - shift
-                        np.bitwise_xor(
-                            src[:, shift:], base_row[:a], out=st[j + 1][:, :a]
-                        )
-                        np.bitwise_xor(
-                            src[:, shift:], ybase[:a], out=ost[j + 1][:, :a]
-                        )
-                        if shift:
-                            np.bitwise_xor(
-                                src[:, :shift],
-                                base_row[a:],
-                                out=st[j + 1][:, a:],
-                            )
-                            np.bitwise_xor(
-                                src[:, :shift],
-                                ybase[a:],
-                                out=ost[j + 1][:, a:],
-                            )
-                    elif shift is not None:
-                        # Cyclic-shift gather: two contiguous block copies.
-                        g[:, : m - shift] = src[:, shift:]
-                        if shift:
-                            g[:, m - shift :] = src[:, :shift]
-                    else:
-                        # mode="clip" skips the bounds check; ``flat`` is a
-                        # compile-time permutation, always in range.
-                        np.take(src, flat, axis=1, out=g, mode="clip")
-                    if fused_shift:
-                        pass
-                    elif variant == "s2":
-                        if flip_unit:
-                            np.bitwise_xor(g, base_row, out=st[j + 1])
-                        else:
-                            np.multiply(g, flip, out=st[j + 1])
-                            np.bitwise_xor(st[j + 1], base_row, out=st[j + 1])
-                        if yflip_unit:
-                            np.bitwise_xor(g, ybase, out=ost[j + 1])
-                        else:
-                            np.multiply(g, yflip, out=ost[j + 1])
-                            np.bitwise_xor(ost[j + 1], ybase, out=ost[j + 1])
-                    elif variant == "comb":
-                        i_ = idx[:height]
-                        w_ = wide[:height]
-                        np.add(
-                            g,
-                            shared_xb if shared_xb is not None else xb_t,
-                            out=i_,
-                            casting="unsafe",
-                        )
-                        np.take(comb, i_, out=w_, mode="clip")
-                        np.bitwise_and(
-                            w_, 0xFF, out=st[j + 1], casting="unsafe"
-                        )
-                        np.right_shift(w_, 8, out=w_)
-                        np.copyto(ost[j + 1], w_, casting="unsafe")
-                    else:
-                        i_ = idx[:height]
-                        if shared_xb is not None:
-                            np.add(g, shared_xb, out=i_, casting="unsafe")
-                        elif xb_t is not None:
-                            np.add(g, xb_t, out=i_, casting="unsafe")
-                        else:
-                            np.copyto(i_, g, casting="unsafe")
-                        np.take(table, i_, out=st[j + 1], mode="clip")
-                        np.take(ytab_cast, i_, out=ost[j + 1], mode="clip")
-                    mk = masks[j]
-                    if mk.ndim == 1:
-                        cols = inactive[j]
-                        if cols is not None:
-                            st[j + 1][:, cols] = st[j][:, cols]
-                            ost[j + 1][:, cols] = ost[j][:, cols]
-                    else:
-                        off = ~mk[r0:r1]
-                        np.copyto(st[j + 1], st[j], where=off)
-                        np.copyto(ost[j + 1], ost[j], where=off)
-                _row_changes(st, flags[0, :, r0:r1])
-                _row_changes(ost, flags[1, :, r0:r1])
-            return flags
         for j, mk in enumerate(masks):
             if mk.ndim == 1:
                 mk = np.broadcast_to(mk, (L, n))
@@ -1226,60 +1043,115 @@ class BatchSimulator:
         _row_changes(ostack, flags[1])
         return flags
 
-    def _fill_flat(self, stack, ostack, masks):
-        """The binary cyclic-shift kernel under per-row masks, on flat frames.
+    def _ring_constants(self, size) -> _Ring:
+        """The ring group's :class:`_Ring`, its rows tiled to ``size``."""
+        mono = self._mono
+        ring = mono.ring
+        if ring is None:
+            labels, outputs = mono.out_flat, mono.y_table
+            shared = mono.xbase_zero or mono.xbase_row is not None
+            base = mono.xbase[0].astype(np.intp)
+            if shared and self._space_size == 2:
+                flip = labels[base] ^ labels[base + 1]
+                yflip = outputs[base] ^ outputs[base + 1]
+                ring = _Ring(
+                    (labels[base], flip, outputs[base], yflip),
+                    (bool((flip == 1).all()), bool((yflip == 1).all())),
+                    None,
+                )
+            else:
+                table = labels.astype(np.uint16) | (outputs.astype(np.uint16) << 8)
+                ring = _Ring((base,) if shared else (), None, table)
+            mono.ring = ring
+        m = mono.nodes.size
+        if ring.rows and ring.rows[0].size < size:
+            rows = tuple(np.tile(row[:m], size // m) for row in ring.rows)
+            ring = mono.ring = ring._replace(rows=rows)
+        return ring
 
-        Rows here are a few bytes wide, so numpy's per-row inner loops cost
-        more than the data: every tile frame is handled as one contiguous
-        ``h*m`` buffer instead.  The shift is one flat op plus one strided
-        column fix (:func:`_shift_rows`), per-column constants are tiled to
-        the buffer length once, and a mask blends by byte arithmetic
-        (:func:`_blend`).
+    def _fill_ring(self, stack, ostack, masks, live):
+        """Every ring-route window, on flat frames (see :meth:`_fill_stack`).
+
+        Rows here are a few bytes wide, so numpy's per-row inner loops would
+        cost more than the data: each row tile's frame is handled as one
+        contiguous ``h*m`` buffer.  A step shifts the frame
+        (:func:`_shift_rows`: one flat op plus one strided fix of the
+        columns that wrapped) and looks every edge up (:class:`_Ring`): the
+        binary select, xored into the shift itself when both flip rows are
+        all ones, or one take from the u16 table.  Nodes a step leaves
+        inactive keep their codes by a byte-arithmetic blend (:func:`_blend`),
+        with a shared mask tiled over one tile's rows.
         """
         mono = self._mono
         shift = mono.shift
-        k, L, m = masks.shape  # the mono route owns edge i at node i: m == n
-        base_row, flip, ybase, yflip, flip_unit, yflip_unit = mono.s2
-        #: 0xFF where a row's node is active, 0x00 where it holds.
-        ones = np.negative(masks.view(np.uint8))
+        k = len(masks)
+        L, m = stack.shape[1:]  # the ring owns edge i at node i: m == n
         tile = max(1, min(L, MONO_TILE_BYTES // ((k + 1) * m)))
-        if mono.s2_tiled is None or mono.s2_tiled[0].size < tile * m:
-            mono.s2_tiled = tuple(
-                np.tile(row, tile) for row in (base_row, flip, ybase, yflip)
-            )
-        base_t, flip_t, ybase_t, yflip_t = mono.s2_tiled
-        fused = flip_unit and yflip_unit
-        gather = None if fused else np.empty((tile, m), dtype=np.uint8)
+        ring = self._ring_constants(tile * m)
+        table = ring.table
+        fused = table is None and all(ring.units)
+        if table is None:
+            base, flip, ybase, yflip = ring.rows
+        else:
+            idx = np.empty(tile * m, dtype=np.intp)
+            wide = np.empty(tile * m, dtype=np.uint16)
+            xbase = None if ring.rows else mono.xbase[live]
+        gather = None if fused else np.empty(tile * m, dtype=np.uint8)
+        #: Blend masks, 0xFF where a row's node is active and 0x00 where it
+        #: holds, and the steps that need one.
+        ones = np.negative(masks.view(np.uint8))
+        if masks.ndim == 2:
+            held = ~masks.all(axis=1)
+            ones = np.tile(ones[:, None], (1, tile, 1))
+        else:
+            held = np.ones(k, dtype=bool)
         flags = np.empty((2, k, L), dtype=bool)
         for r0 in range(0, L, tile):
             r1 = min(L, r0 + tile)
             size = (r1 - r0) * m
             st = stack[:, r0:r1]
             ost = ostack[:, r0:r1]
+            first = r0 if masks.ndim == 3 else 0
+            if table is not None:
+                offsets = (
+                    ring.rows[0][:size]
+                    if xbase is None
+                    else xbase[r0:r1].reshape(-1)
+                )
             for j in range(k):
-                src = st[j]
+                src, out, oout = st[j], st[j + 1], ost[j + 1]
                 if fused:
                     # Ring xor family: each select is a plain xor, so the
                     # shift writes the stepped frames directly.
-                    _shift_rows(src, shift, st[j + 1], base_row, base_t)
-                    _shift_rows(src, shift, ost[j + 1], ybase, ybase_t)
+                    _shift_rows(src, shift, out, base)
+                    _shift_rows(src, shift, oout, ybase)
                 else:
-                    g = gather[: r1 - r0]
-                    _shift_rows(src, shift, g)
-                    flat = g.reshape(-1)
-                    for out, unit, flips, base in (
-                        (st[j + 1], flip_unit, flip_t, base_t),
-                        (ost[j + 1], yflip_unit, yflip_t, ybase_t),
-                    ):
-                        out = out.reshape(-1)
-                        if unit:
-                            np.bitwise_xor(flat, base[:size], out=out)
-                        else:
-                            np.multiply(flat, flips[:size], out=out)
-                            np.bitwise_xor(out, base[:size], out=out)
-                mask = ones[j, r0:r1].reshape(-1)
-                _blend(st[j + 1], src, mask)
-                _blend(ost[j + 1], ost[j], mask)
+                    codes = gather[:size]
+                    _shift_rows(src, shift, codes.reshape(-1, m))
+                    if table is None:
+                        for frame, unit, flips, bases in (
+                            (out, ring.units[0], flip, base),
+                            (oout, ring.units[1], yflip, ybase),
+                        ):
+                            frame = frame.reshape(-1)
+                            if unit:
+                                np.bitwise_xor(codes, bases[:size], out=frame)
+                            else:
+                                np.multiply(codes, flips[:size], out=frame)
+                                np.bitwise_xor(frame, bases[:size], out=frame)
+                    else:
+                        i_, w_ = idx[:size], wide[:size]
+                        np.add(codes, offsets, out=i_, casting="unsafe")
+                        np.take(table, i_, out=w_, mode="clip")
+                        np.bitwise_and(
+                            w_, 0xFF, out=out.reshape(-1), casting="unsafe"
+                        )
+                        np.right_shift(w_, 8, out=w_)
+                        np.copyto(oout.reshape(-1), w_, casting="unsafe")
+                if held[j]:
+                    mask = ones[j, first : first + r1 - r0].reshape(-1)
+                    _blend(out, src, mask)
+                    _blend(oout, ost[j], mask)
             _row_changes(st, flags[0, :, r0:r1])
             _row_changes(ost, flags[1, :, r0:r1])
         return flags

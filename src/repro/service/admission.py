@@ -30,6 +30,8 @@ headroom).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from repro.analysis.costmodel import estimate_sweep_cost
@@ -79,7 +81,8 @@ class AdmissionPolicy:
 
     ``max_work`` bounds the predicted work units, ``max_seconds`` the
     predicted wall time; either may be ``None`` (unbounded), but not both —
-    a policy that cannot refuse anything is a configuration error.
+    a policy that cannot refuse anything is a configuration error.  A set
+    bound is a finite positive real number (not a bool).
     ``over_budget`` picks what happens to a plan that exceeds any set
     bound: ``"reject"`` refuses it outright, ``"queue"`` holds it until
     cache warming brings its prediction within budget.
@@ -99,8 +102,17 @@ class AdmissionPolicy:
             ("max_work", self.max_work),
             ("max_seconds", self.max_seconds),
         ):
-            if value is not None and value <= 0:
-                raise ValidationError(f"{name} must be positive; got {value}")
+            # NaN and infinity compare false or never exceed, so such a
+            # bound could never refuse a plan.
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not 0 < value < math.inf
+            ):
+                raise ValidationError(
+                    f"{name} must be positive and finite, a real number"
+                    f" and not a bool; got {value!r}"
+                )
         if self.over_budget not in OVER_BUDGET_ACTIONS:
             raise ValidationError(
                 f"unknown over_budget action {self.over_budget!r};"

@@ -262,13 +262,34 @@ def _canonical_function(fn, stack, where, found) -> tuple:
     return (*key, *_source_key(code))
 
 
+#: Slot names by class, memoized like class paths: every ``__slots__``
+#: along the MRO but ``__dict__``, a string being one name and a private
+#: name spelled as it is stored (``__p`` of class ``C`` is ``_C__p``).
+_SLOT_NAMES: dict[type, tuple] = {}
+
+
+def _slot_names(cls: type) -> tuple:
+    names = _SLOT_NAMES.get(cls)
+    if names is None:
+        found: dict[str, None] = {}
+        for klass in cls.__mro__:
+            slots = vars(klass).get("__slots__", ())
+            owner = klass.__name__.lstrip("_")
+            for name in (slots,) if isinstance(slots, str) else slots:
+                if owner and name.startswith("__") and not name.endswith("__"):
+                    name = f"_{owner}{name}"
+                found[name] = None
+        found.pop("__dict__", None)
+        names = _SLOT_NAMES[cls] = tuple(found)
+    return names
+
+
 def _object_state(obj) -> dict:
     """Every instance attribute of ``obj`` (``__dict__`` plus slots)."""
     state = dict(getattr(obj, "__dict__", ()) or ())
-    for cls in type(obj).__mro__:
-        for name in getattr(cls, "__slots__", ()):
-            if name != "__dict__" and hasattr(obj, name):
-                state.setdefault(name, getattr(obj, name))
+    for name in _slot_names(type(obj)):
+        if name not in state and hasattr(obj, name):
+            state[name] = getattr(obj, name)
     return state
 
 

@@ -57,6 +57,27 @@ class TestAdmissionPolicy:
         with pytest.raises(ValidationError, match="max_seconds"):
             AdmissionPolicy(max_seconds=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_work", float("nan")),
+            ("max_seconds", float("nan")),
+            ("max_work", float("inf")),
+            ("max_seconds", float("inf")),
+            ("max_work", "10"),
+            ("max_work", True),
+            ("max_seconds", True),
+        ],
+    )
+    def test_bounds_must_be_finite_real_numbers(self, field, value):
+        # Each of these either admits everything or is no number at all.
+        with pytest.raises(ValidationError, match=f"{field} must be positive"):
+            AdmissionPolicy(**{field: value})
+
+    def test_huge_finite_bounds_stay_valid(self):
+        decision = AdmissionPolicy(max_work=1e30).decide(_estimate())
+        assert decision.action == "accept"
+
     def test_over_budget_action_is_validated(self):
         with pytest.raises(ValidationError, match="unknown over_budget"):
             AdmissionPolicy(max_work=1.0, over_budget="shrug")

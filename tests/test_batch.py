@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import operator
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core import (
     BitStrings,
     ExplicitLabelSpace,
     ExplicitSchedule,
+    IntegerRange,
     Labeling,
     LambdaStatefulReaction,
     LassoSchedule,
@@ -82,7 +84,7 @@ def fuse_cap(value: int):
 
 @contextlib.contextmanager
 def tile_cap(value: int):
-    """Temporarily shrink the mono kernels' row tiles (``MONO_TILE_BYTES``),
+    """Temporarily shrink the ring kernel's row tiles (``MONO_TILE_BYTES``),
     so one run spans several tiles."""
     import repro.core.batch as batch_module
 
@@ -92,6 +94,21 @@ def tile_cap(value: int):
         yield
     finally:
         batch_module.MONO_TILE_BYTES = saved
+
+
+def count_routes(monkeypatch) -> Counter:
+    """Count kernel calls per route from here on: ``"ring"`` for the ring
+    kernel's windows, ``"groups"`` for the group route's steps."""
+    calls: Counter = Counter()
+    for route, name in (("ring", "_fill_ring"), ("groups", "_apply_groups")):
+        original = getattr(BatchSimulator, name)
+
+        def counted(self, *args, _route=route, _original=original):
+            calls[_route] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(BatchSimulator, name, counted)
+    return calls
 
 
 #: How rows share schedule objects: one object per row, a pool of 2-3
@@ -571,16 +588,18 @@ class TestScheduleGroups:
 
     @pytest.mark.parametrize("faults", [False, True], ids=["plain", "faults"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["shift-m-1", "shift-1"])
-    def test_xor_ring_schedule_pools_match_serial(self, reverse, faults):
-        self._check_ring_pools(operator.xor, reverse, faults)
+    def test_xor_ring_schedule_pools_match_serial(
+        self, reverse, faults, monkeypatch
+    ):
+        self._check_ring_pools(operator.xor, reverse, faults, monkeypatch)
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["shift-m-1", "shift-1"])
-    def test_and_ring_schedule_pools_match_serial(self, reverse):
+    def test_and_ring_schedule_pools_match_serial(self, reverse, monkeypatch):
         # ``value & x`` is no plain xor (its flip row is the input vector),
-        # so the flat kernel stages the shift and selects arithmetically.
-        self._check_ring_pools(operator.and_, reverse, faults=True)
+        # so the ring kernel stages the shift and selects arithmetically.
+        self._check_ring_pools(operator.and_, reverse, True, monkeypatch)
 
-    def _check_ring_pools(self, op, reverse, faults):
+    def _check_ring_pools(self, op, reverse, faults, monkeypatch):
         n = 12
         count = 48
         max_steps = 150
@@ -632,11 +651,10 @@ class TestScheduleGroups:
                 reports = simulator.run_batch_with_faults(
                     labelings, schedules, plans, max_steps=max_steps
                 )
-            # Per-row masks on a binary shift ring take the flat kernel.
-            assert simulator._mono.s2_tiled is not None
             return reports
 
         serial = [run_serial(b) for b in range(count)]
+        calls = count_routes(monkeypatch)
         fields = FAULT_FIELDS if faults else RUN_FIELDS
         runs = [run_batch()]
         with tile_cap(5 * n):
@@ -646,10 +664,215 @@ class TestScheduleGroups:
         for reports in runs:
             for s, r in zip(serial, reports, strict=True):
                 assert_reports_equal(s, r, fields)
+        # Every window of a binary shift ring takes the ring kernel.
+        assert calls["ring"] and not calls["groups"]
         settled = {
             r.steps_executed for r in serial if r.outcome.value == "label-stable"
         }
         assert len(settled) > 1
+
+
+def _add_mod3(incoming, x):
+    (value,) = incoming.values()
+    return (value + x) % 3, value
+
+
+#: Binary ring reactions: with one input vector, xor rings take the fused
+#: select and and rings the staged one.  Mod-3 rings (``_add_mod3``), and
+#: every ring with per-row input vectors, take the u16 table.
+BINARY_RING_OPS = {"xor": operator.xor, "and": operator.and_}
+
+#: Pairwise coverage of reaction x input vectors x schedule objects x
+#: faults x tiles.
+RING_CASES = (
+    ("xor", 1, 1, False, "default"),
+    ("xor", 4, 8, True, "tiles"),
+    ("and", 1, 1, True, "fuse-1"),
+    ("mod3", 4, 8, False, "fuse-1"),
+    ("and", 1, 8, False, "tiles"),
+    ("mod3", 4, 1, True, "default"),
+    ("and", 4, 8, False, "default"),
+    ("mod3", 1, 1, False, "tiles"),
+    ("xor", 1, 1, False, "fuse-1"),
+)
+
+
+def _ring_of(op: str, n: int, space=None) -> StatelessProtocol:
+    if op in BINARY_RING_OPS:
+        return _xor_ring_protocol(n, op=BINARY_RING_OPS[op])
+    topology = unidirectional_ring(n)
+    reactions = [
+        UniformReaction(topology.out_edges(i), _add_mod3) for i in range(n)
+    ]
+    return StatelessProtocol(
+        topology, space or IntegerRange(3), reactions, name=f"{op}-ring({n})"
+    )
+
+
+def _equals_serial(protocol, inputs, labelings, schedules, plans, steps):
+    """Run the batch and check it report for report against serial runs;
+    returns the simulator."""
+    simulator = BatchSimulator(protocol, inputs)
+    if plans is None:
+        reports = simulator.run_batch(labelings, schedules, max_steps=steps)
+    else:
+        reports = simulator.run_batch_with_faults(
+            labelings, schedules, plans, max_steps=steps
+        )
+    for b, report in enumerate(reports):
+        serial = Simulator(protocol, inputs[b])
+        if plans is None:
+            expected = serial.run(labelings[b], schedules[b], max_steps=steps)
+        else:
+            expected = serial.run_with_faults(
+                labelings[b], schedules[b], plans[b], max_steps=steps
+            )
+        assert report == expected
+    return simulator
+
+
+class TestRingRoute:
+    """Which route each ring shape takes, and that it equals serial.
+
+    One-byte shift rings run every window in the ring kernel; rings with
+    wider codes and degree-1 graphs whose in-edge map is no rotation take
+    the group route.
+    """
+
+    N = 12
+    ROWS = 32
+    STEPS = 100
+
+    @pytest.mark.parametrize(
+        "op, vectors, pool, faults, tiles",
+        RING_CASES,
+        ids=["-".join(map(str, case)) for case in RING_CASES],
+    )
+    def test_ring_kernel_equals_serial(
+        self, op, vectors, pool, faults, tiles, monkeypatch
+    ):
+        n = self.N
+        rng = random.Random(f"{op}/{vectors}/{pool}/{faults}/{tiles}")
+        protocol = _ring_of(op, n)
+        topology = protocol.topology
+        q = protocol.label_space.size
+        bits = [rng.randrange(2) for _ in range(n - 1)]
+        # Even parity first: xor rows then settle at many different steps.
+        # (A leading zero keeps the and ring's flip row off all ones.)
+        vector_pool = [(0, *bits[1:], sum(bits[1:]) % 2)] + [
+            (0, *(rng.randrange(2) for _ in range(n - 1)))
+            for _ in range(vectors - 1)
+        ]
+        inputs = [vector_pool[b % vectors] for b in range(self.ROWS)]
+        schedule_pool = [
+            RandomRFairSchedule(n, r=3, seed=rng.randrange(1 << 20))
+            for _ in range(pool)
+        ]
+        schedules = [schedule_pool[b % pool] for b in range(self.ROWS)]
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(q) for _ in range(n)))
+            for _ in range(self.ROWS)
+        ]
+        plans = None
+        if faults:
+            plans = []
+            for b in range(self.ROWS):
+                start = rng.randrange(2, 40)
+                model = RandomCorruption(0.5, seed=b)
+                plans.append(BurstFault((start, start + 3), model))
+        tiling = {
+            "default": contextlib.nullcontext(),
+            "tiles": tile_cap(5 * n),
+            "fuse-1": fuse_cap(1),
+        }[tiles]
+        calls = count_routes(monkeypatch)
+        with tiling:
+            simulator = _equals_serial(
+                protocol, inputs, labelings, schedules, plans, self.STEPS
+            )
+        assert calls["ring"] and not calls["groups"]
+        ring = simulator._mono.ring
+        select = op != "mod3" and vectors == 1
+        assert (ring.table is None) == select
+        if select:
+            assert all(ring.units) == (op == "xor")
+
+    def test_wide_labels_take_the_group_route(self, monkeypatch):
+        n, rows = 6, 16
+        protocol = _ring_of("mod3", n, space=IntegerRange(300))
+        rng = random.Random(300)
+        inputs = [tuple(rng.randrange(2) for _ in range(n))] * rows
+        labelings = [
+            Labeling(
+                protocol.topology, tuple(rng.randrange(300) for _ in range(n))
+            )
+            for _ in range(rows)
+        ]
+        schedules = [RandomRFairSchedule(n, r=3, seed=b) for b in range(rows)]
+        calls = count_routes(monkeypatch)
+        simulator = _equals_serial(
+            protocol, inputs, labelings, schedules, None, 60
+        )
+        assert simulator._mono is None
+        assert calls["groups"] and not calls["ring"]
+
+    def test_wide_outputs_take_the_group_route(self, monkeypatch):
+        # Initial outputs intern past one byte after assembly, so the ring
+        # is assembled for the ring route but its windows take the group
+        # route.
+        n, rows = 3, 300
+        protocol = _xor_ring_protocol(n)
+        rng = random.Random(301)
+        inputs = (1, 0, 1)
+        labelings = [
+            Labeling(protocol.topology, tuple(rng.randrange(2) for _ in range(n)))
+            for _ in range(rows)
+        ]
+        outputs = [(1000 + b, None, None) for b in range(rows)]
+        schedule = RandomRFairSchedule(n, r=2, seed=7)
+        calls = count_routes(monkeypatch)
+        simulator = BatchSimulator(protocol, [inputs] * rows)
+        assert simulator._mono is not None
+        reports = simulator.run_batch(
+            labelings, schedule, max_steps=40, initial_outputs=outputs
+        )
+        for b, report in enumerate(reports):
+            assert report == Simulator(protocol, inputs).run(
+                labelings[b], schedule, max_steps=40, initial_outputs=outputs[b]
+            )
+        assert calls["groups"] and not calls["ring"]
+
+    def test_non_rotation_degree_one_graph_takes_the_group_route(
+        self, monkeypatch
+    ):
+        # Node i owns edge i but reads edges 3, 2, 0, 1: no cyclic shift.
+        topology = Topology(4, [(0, 2), (1, 3), (2, 1), (3, 0)])
+
+        def make(i):
+            def fn(incoming, x):
+                (value,) = incoming.values()
+                return value ^ x, value
+
+            return UniformReaction(topology.out_edges(i), fn)
+
+        protocol = StatelessProtocol(
+            topology, binary(), [make(i) for i in range(4)], name="perm"
+        )
+        rng = random.Random(4)
+        rows = 16
+        inputs = [(1, 0, 1, 0)] * rows
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(2) for _ in range(4)))
+            for _ in range(rows)
+        ]
+        schedules = [RandomRFairSchedule(4, r=2, seed=b) for b in range(rows)]
+        calls = count_routes(monkeypatch)
+        simulator = _equals_serial(
+            protocol, inputs, labelings, schedules, None, 60
+        )
+        assert simulator._mono is None
+        assert simulator.lifted_nodes == (0, 1, 2, 3)
+        assert calls["groups"] and not calls["ring"]
 
 
 # -- fused windows ------------------------------------------------------------

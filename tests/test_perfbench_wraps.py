@@ -1,12 +1,16 @@
-"""The repository benchmark's wrap targets exist and see the sweep path.
+"""The repository benchmark's wrap targets exist and see the sweep and
+exploration paths.
 
 ``perfbench/layers.py`` traces a benchmark run by wrapping names of
 ``repro`` given as strings, so a renamed target fails only a traced run.
-This test installs every wrap, runs a small sweep plan and a small
-resilience plan through ``execute_plan`` on both executors, and checks that
-the case runners and the batch run loop recorded their spans, that the
-traced reports equal untraced ones, and that removing the wraps restores
-every wrapped attribute.  It reads ``perfbench/`` and never edits it.
+These tests install every wrap and run, in turn, a small sweep plan and a
+small resilience plan through ``execute_plan`` on both executors, and two
+Example 1 verdicts on K_4 (a concrete one on the batch frontier and a
+symmetry quotient).  They check that the case runners, the batch run loop,
+the frontier's ``step_codes``, the exploration build, canonicalization and
+the model checker recorded their spans, that the traced results equal
+untraced ones, and that removing the wraps restores every wrapped
+attribute.  They read ``perfbench/`` and never edit it.
 """
 
 import importlib
@@ -14,7 +18,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import repro.stabilization
 from repro import ExecutionPolicy
+from repro.core import default_inputs
 from repro.faults.models import RandomCorruption
 from repro.faults.schedules import OneShotFault
 from repro.service import executor, plan_resilience_sweep
@@ -64,10 +70,12 @@ def _run_all(plans):
     ]
 
 
-def test_wraps_see_every_runner_call_and_come_off_cleanly():
-    sweep, protocol, cases = _plan(count=4)
-    resilience = plan_resilience_sweep(protocol, cases, _sync, _faults, max_steps=60)
-    plans = (sweep, resilience)
+def _traced(run):
+    """``run()`` with every wrap installed: the span counts and its result.
+
+    Also checks that every wrap was on during the run and that removing
+    them restores every wrapped attribute and every rebound module global.
+    """
     originals = [_target(wrap) for wrap in WRAPS]
     sites = _bindings(originals)
 
@@ -78,20 +86,60 @@ def test_wraps_see_every_runner_call_and_come_off_cleanly():
             _target(wrap) is not original
             for wrap, original in zip(WRAPS, originals, strict=True)
         )
-        traced = _run_all(plans)
+        result = run()
     finally:
         installed.remove()
 
-    calls = Counter(span.name for span in tracer.spans)
-    # One runner call per plan and executor; one lockstep run per batch call.
-    assert calls["analysis.sweeps.self"] == 2
-    assert calls["analysis.resilience.self"] == 2
-    assert calls["core.batch.run"] == 2
-    assert calls["service.executor.self"] >= 4
-    assert traced == _run_all(plans)
     assert all(
         _target(wrap) is original
         for wrap, original in zip(WRAPS, originals, strict=True)
     )
     restored = _bindings(originals)
     assert all(restored.get(site) is value for site, value in sites.items())
+    return Counter(span.name for span in tracer.spans), result
+
+
+def test_wraps_see_every_runner_call_and_come_off_cleanly():
+    sweep, protocol, cases = _plan(count=4)
+    resilience = plan_resilience_sweep(protocol, cases, _sync, _faults, max_steps=60)
+    plans = (sweep, resilience)
+
+    calls, traced = _traced(lambda: _run_all(plans))
+
+    # One runner call per plan and executor; one lockstep run per batch call.
+    assert calls["analysis.sweeps.self"] == 2
+    assert calls["analysis.resilience.self"] == 2
+    assert calls["core.batch.run"] == 2
+    assert calls["service.executor.self"] >= 4
+    assert traced == _run_all(plans)
+
+
+def _verdicts():
+    """Example 1 on K_4 at r = 3 (not stabilizing): concrete on the batch
+    frontier, then on the symmetry quotient.  Called through the package
+    attribute, which the wraps rebind."""
+    stabilization = repro.stabilization
+    protocol = stabilization.example1_protocol(4)
+    inputs = default_inputs(protocol)
+    return [
+        stabilization.decide_label_r_stabilizing(protocol, inputs, 3, policy=policy)
+        for policy in (
+            ExecutionPolicy(frontier="batch"),
+            ExecutionPolicy(symmetry="auto"),
+        )
+    ]
+
+
+def test_wraps_see_the_exploration_path():
+    calls, traced = _traced(_verdicts)
+
+    for span in (
+        "core.batch.step_codes",
+        "stabilization.exploration.build",
+        "graphs.automorphisms.canonical",
+        "stabilization.model_checker.self",
+    ):
+        assert calls[span], span
+    assert calls["stabilization.model_checker.self"] == 2
+    assert [verdict.stabilizing for verdict in traced] == [False, False]
+    assert traced == _verdicts()

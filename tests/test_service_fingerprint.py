@@ -346,6 +346,62 @@ class TestRefusals:
         assert "0x" not in repr(tree)
 
 
+class _SlotBase:
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+
+class _StringSlot(_SlotBase):
+    __slots__ = "prob"  # one slot name, not four
+
+    def __init__(self, p, prob):
+        super().__init__(p)
+        self.prob = prob
+
+
+class _OnlyStringSlot:
+    __slots__ = "seed"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+
+class _PrivateSlot(_SlotBase):
+    __slots__ = ("__prob",)  # stored as ``_PrivateSlot__prob``
+
+    def __init__(self, p, prob):
+        super().__init__(p)
+        self.__prob = prob
+
+
+class TestSlotWalk:
+    """Unregistered objects are keyed by every slot along their MRO."""
+
+    def test_a_private_slot_is_keyed_by_its_stored_name(self):
+        assert canonical(_PrivateSlot(1, 0.25))[2] == (
+            ("_PrivateSlot__prob", ("f", "0.25")),
+            ("p", 1),
+        )
+        assert fingerprint(_PrivateSlot(1, 0.25)) != fingerprint(
+            _PrivateSlot(1, 0.75)
+        )
+
+    def test_a_string_slot_is_one_attribute(self):
+        assert canonical(_StringSlot(1, 0.25))[2] == (
+            ("p", 1),
+            ("prob", ("f", "0.25")),
+        )
+        assert fingerprint(_StringSlot(1, 0.25)) != fingerprint(
+            _StringSlot(1, 0.75)
+        )
+
+    def test_a_lone_string_slot_is_not_refused(self):
+        assert canonical(_OnlyStringSlot(3))[2] == (("seed", 3),)
+        assert fingerprint(_OnlyStringSlot(3)) != fingerprint(_OnlyStringSlot(4))
+
+
 _REACTION_MODULE = """\
 from repro.core.reaction import ReactionFunction
 
