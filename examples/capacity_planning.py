@@ -5,8 +5,8 @@ alone — node count, in-degree, step budget, case count — in the model's
 *work units* (elementary node activations: S·n·d per case).  The service
 layer grounds that price in a concrete plan and a concrete cache
 (`repro.service.predict_plan_cost`), and an `AdmissionPolicy` turns it
-into an enforced budget: over-budget plans are rejected (or held) *before*
-any simulation runs.
+into an enforced budget: over-budget plans are rejected *before* any
+simulation runs.
 
 This example walks the full loop:
 
@@ -31,7 +31,7 @@ from repro.core import (
     UniformReaction,
     binary,
 )
-from repro.exceptions import JobError
+from repro.exceptions import AdmissionError
 from repro.graphs import unidirectional_ring
 from repro.service import (
     AdmissionPolicy,
@@ -92,7 +92,7 @@ def main() -> None:
         print(f"cold submission -> {status.state.value}")
         try:
             service.result(rejected, timeout=5)
-        except JobError as error:
+        except AdmissionError as error:
             print(f"  {error}")
 
         # -- 3: warm the cache through an unbudgeted service -----------------

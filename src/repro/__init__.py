@@ -33,8 +33,8 @@ distributed computation and every construction in it:
   plan preflight (predicted batch partition, fingerprint-safety), and the
   repo-invariant lint gate (``python -m repro.statics``).
 
-How any of these *run* — sweep executor, frontier engine, symmetry
-quotient — is described by one frozen value object,
+How any of these *run* — sweep executor, symmetry quotient — is
+described by one frozen value object,
 :class:`repro.ExecutionPolicy`, the only spelling of those knobs that the
 sweep runners, the service layer, and the exploration core accept
 (``policy=``).  Policies are cosmetic:

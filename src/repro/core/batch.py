@@ -574,9 +574,9 @@ class BatchSimulator:
     """Drives one protocol on a fixed population of input vectors.
 
     The batch analog of :class:`~repro.core.engine.Simulator`: construction
-    binds the protocol and one input vector **per row** (pass a single vector
-    to broadcast it), :meth:`run_batch` then advances every row's own
-    ``(labeling, schedule)`` case in lockstep and returns one
+    binds the protocol and one input vector **per row**, and
+    :meth:`run_batch` then advances every row's own ``(labeling,
+    schedule)`` case in lockstep and returns one
     :class:`~repro.core.convergence.RunReport` per row, equal to what the
     serial engine returns for that case.
     """
@@ -585,7 +585,6 @@ class BatchSimulator:
         self,
         protocol: Protocol,
         inputs: Sequence[Any],
-        batch_size: int | None = None,
         compiled: CompiledProtocol | None = None,
         batch_compiled: BatchCompiledProtocol | None = None,
         max_table_size: int = DEFAULT_MAX_TABLE_SIZE,
@@ -609,7 +608,7 @@ class BatchSimulator:
         self._topology = protocol.topology
         n = protocol.n
 
-        rows = self._normalize_inputs(inputs, n, batch_size)
+        rows = self._normalize_inputs(inputs, n)
         self.inputs = rows
         self.batch_size = len(rows)
         # Sweeps typically share one input vector across the population;
@@ -627,20 +626,13 @@ class BatchSimulator:
         self._assemble()
 
     @staticmethod
-    def _normalize_inputs(inputs, n, batch_size):
+    def _normalize_inputs(inputs, n):
         try:
             rows = [tuple(row) for row in inputs]
         except TypeError:
             raise ValidationError(
                 "inputs must be a sequence of per-row input vectors"
             ) from None
-        if batch_size is not None:
-            if len(rows) == 1:
-                rows = rows * batch_size
-            elif len(rows) != batch_size:
-                raise ValidationError(
-                    f"got {len(rows)} input rows for batch_size={batch_size}"
-                )
         if not rows:
             raise ValidationError("a batch needs at least one input row")
         for row in rows:

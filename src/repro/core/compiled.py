@@ -186,19 +186,6 @@ class CompiledProtocol:
         """The compiled reaction of node ``i`` (mainly for tests)."""
         return self._adapters[i]
 
-    def batch_form(self, max_table_size: int | None = None):
-        """The vectorized batch compilation of this protocol.
-
-        Cached like :func:`compile_protocol`'s weak cache; requires numpy.
-        See :mod:`repro.core.batch` — the import is deferred because the
-        batch backend layers on top of this module.
-        """
-        from repro.core.batch import DEFAULT_MAX_TABLE_SIZE, batch_compile
-
-        if max_table_size is None:
-            max_table_size = DEFAULT_MAX_TABLE_SIZE
-        return batch_compile(self, max_table_size)
-
     def step_values(
         self,
         values: tuple,

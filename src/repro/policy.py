@@ -1,8 +1,8 @@
 """One execution-policy object for every performance knob in the stack.
 
 The repository has three performance layers — the compiled engine, the
-vectorized batch backend, and the frontier-parallel exploration core — and
-every knob of all three is a field of one frozen value object,
+vectorized batch backend, and the exploration core — and every knob of
+them is a field of one frozen value object,
 :class:`ExecutionPolicy`, accepted everywhere
 (:func:`repro.analysis.run_sweep`, :func:`repro.analysis.run_resilience_sweep`,
 :func:`repro.service.plan_sweep`, :func:`repro.service.execute_plan`,
@@ -21,7 +21,7 @@ construction, so identical physics shares cache entries across executors
 and policy spellings.
 
 Fields that a consumer does not use are ignored (a sweep does not read
-``frontier``; an exploration graph does not read ``executor``), so one
+``symmetry``; an exploration graph does not read ``executor``), so one
 policy value can drive a whole pipeline.
 """
 
@@ -34,8 +34,6 @@ from repro.exceptions import ValidationError
 
 #: Executors the sweep runners accept.
 SWEEP_EXECUTORS = ("serial", "batch")
-#: Frontier-expansion engines for the exploration core.
-FRONTIER_MODES = ("auto", "batch", "serial")
 
 
 def check_count(name: str, value) -> None:
@@ -57,8 +55,6 @@ class ExecutionPolicy:
 
     * ``executor`` — sweep case backend: ``"serial"`` (one compiled run
       loop per case) or ``"batch"`` (vectorized lockstep, requires numpy).
-    * ``frontier`` — exploration expansion engine: ``"auto"``, ``"batch"``,
-      or ``"serial"``.
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
 
@@ -66,7 +62,6 @@ class ExecutionPolicy:
     """
 
     executor: str = "serial"
-    frontier: str = "auto"
     symmetry: object = "none"
 
     def __post_init__(self):
@@ -74,11 +69,6 @@ class ExecutionPolicy:
             raise ValidationError(
                 f"unknown executor {self.executor!r};"
                 f" expected one of {sorted(SWEEP_EXECUTORS)}"
-            )
-        if self.frontier not in FRONTIER_MODES:
-            raise ValidationError(
-                f"unknown frontier mode {self.frontier!r};"
-                f" expected one of {sorted(FRONTIER_MODES)}"
             )
 
     def merged(self, **overrides) -> "ExecutionPolicy":

@@ -20,7 +20,7 @@ content-addressed result caching and a submit/stream/result job lifecycle.
   :class:`JobHandle` front-end.  ``python -m repro.service`` is the CLI.
 * :mod:`repro.service.admission` — cost-model-backed admission control:
   :func:`predict_plan_cost` prices a plan (cache-hit-aware) and an
-  :class:`AdmissionPolicy` accepts, rejects, or queues each submission.
+  :class:`AdmissionPolicy` accepts or rejects each submission.
 
 The legacy one-shot entry points (:func:`repro.analysis.run_sweep`,
 :func:`repro.analysis.run_resilience_sweep`) are thin wrappers over this

@@ -11,12 +11,10 @@ the :class:`~repro.analysis.costmodel.CostEstimate` into an
 :class:`AdmissionDecision`:
 
 * within budget → ``"accept"``: the job queues normally;
-* over budget, ``over_budget="reject"`` → ``"reject"``: the job lands in
-  the terminal REJECTED state (still queryable, still recorded);
-* over budget, ``over_budget="queue"`` → ``"queue"``: the job is held
-  PENDING and re-evaluated whenever another job completes — the cache only
-  grows, so a held plan's predicted cost is monotonically non-increasing
-  and the hold resolves as soon as enough of its cases are warm.
+* over budget → ``"reject"``: the job lands in the terminal REJECTED state
+  (still queryable, still recorded).  The cache only grows, so a plan
+  rejected cold can be admitted when resubmitted once enough of its cases
+  are warm.
 
 Decisions are pure functions of the estimate and the policy — no clocks,
 no load sampling — so an admission outcome is reproducible from the
@@ -39,16 +37,13 @@ from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
 from repro.service.plan import SweepPlan
 
-#: What an :class:`AdmissionPolicy` may do with an over-budget plan.
-OVER_BUDGET_ACTIONS = ("reject", "queue")
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
     """One admission verdict, with the numbers that produced it.
 
-    ``action`` is ``"accept"``, ``"reject"``, or ``"queue"``; ``reason``
-    is the human-readable justification that job errors and records carry.
+    ``action`` is ``"accept"`` or ``"reject"``; ``reason`` is the
+    human-readable justification that job errors and records carry.
     The estimate's headline figures are denormalized in so the decision
     serializes into job records without dragging the estimate along.
     """
@@ -82,15 +77,12 @@ class AdmissionPolicy:
     ``max_work`` bounds the predicted work units, ``max_seconds`` the
     predicted wall time; either may be ``None`` (unbounded), but not both —
     a policy that cannot refuse anything is a configuration error.  A set
-    bound is a finite positive real number (not a bool).
-    ``over_budget`` picks what happens to a plan that exceeds any set
-    bound: ``"reject"`` refuses it outright, ``"queue"`` holds it until
-    cache warming brings its prediction within budget.
+    bound is a finite positive real number (not a bool).  A plan that
+    exceeds any set bound is rejected.
     """
 
     max_work: float | None = None
     max_seconds: float | None = None
-    over_budget: str = "reject"
 
     def __post_init__(self):
         if self.max_work is None and self.max_seconds is None:
@@ -113,11 +105,6 @@ class AdmissionPolicy:
                     f"{name} must be positive and finite, a real number"
                     f" and not a bool; got {value!r}"
                 )
-        if self.over_budget not in OVER_BUDGET_ACTIONS:
-            raise ValidationError(
-                f"unknown over_budget action {self.over_budget!r};"
-                f" expected one of {OVER_BUDGET_ACTIONS}"
-            )
 
     def decide(self, estimate) -> AdmissionDecision:
         """Judge one :class:`~repro.analysis.costmodel.CostEstimate`."""
@@ -136,7 +123,7 @@ class AdmissionPolicy:
                 f" > budget {self.max_seconds:.3g}s"
             )
         if overruns:
-            action = self.over_budget
+            action = "reject"
             reason = "; ".join(overruns)
             if estimate.cached_cases:
                 reason += (
@@ -166,10 +153,7 @@ class AdmissionPolicy:
             bounds.append(f"max_work={self.max_work:,.0f}")
         if self.max_seconds is not None:
             bounds.append(f"max_seconds={self.max_seconds:g}")
-        return (
-            f"AdmissionPolicy({', '.join(bounds)},"
-            f" over_budget={self.over_budget!r})"
-        )
+        return f"AdmissionPolicy({', '.join(bounds)})"
 
 
 def predict_plan_cost(

@@ -17,6 +17,10 @@ Threads carry the jobs: the simulation kernels release no GIL, so the
 thread pool's job is overlap of cache-served jobs with simulating ones plus
 a responsive control plane (status/cancel while running).
 
+The job table keeps every PENDING and RUNNING job but only the newest
+:data:`FINISHED_JOB_LIMIT` terminal ones, so a long-lived service does not
+hold every report it ever produced.
+
 Completed jobs can leave a BENCH-style JSON record behind (``records_dir``):
 ``JOB_<plan-fingerprint prefix>.json`` with the latest run under
 ``entries`` and every earlier run folded into ``history`` (newest last,
@@ -32,12 +36,12 @@ import json
 import queue
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exceptions import JobError, ValidationError
+from repro.exceptions import AdmissionError, JobError, ValidationError
 from repro.policy import ExecutionPolicy, resolve_policy
 from repro.service.admission import (
     AdmissionDecision,
@@ -57,11 +61,9 @@ from repro.service.plan import SweepPlan
 #: (newest kept) — matches ``benchmarks/_runner.py``.
 HISTORY_LIMIT = 50
 
-#: How often a blocked ``result()``/``stream()`` call reprices a queue-held
-#: job, in seconds.  The service also reprices after every job it completes
-#: itself, but a cache shared with *other* services (or processes) can grow
-#: without any local completion — polling keeps held jobs live either way.
-HELD_REPRICE_INTERVAL = 0.1
+#: Terminal jobs past this many (newest kept) are forgotten: their ids
+#: become unknown to the service.  PENDING and RUNNING jobs always stay.
+FINISHED_JOB_LIMIT = 64
 
 
 class JobState(enum.Enum):
@@ -69,8 +71,7 @@ class JobState(enum.Enum):
 
     ``PENDING -> RUNNING -> {DONE, FAILED, CANCELLED}``; cancellation can
     also strike a job that never started, and a service with an admission
-    policy can move an over-budget submission straight to ``REJECTED`` (or
-    hold it in ``PENDING`` until the cache makes its predicted cost fit).
+    policy moves an over-budget submission straight to ``REJECTED``.
     """
 
     PENDING = "pending"
@@ -105,8 +106,8 @@ class JobStatus:
     cache_hits: int
     cache_misses: int
     error: str | None = None
-    #: Admission verdict (``"accept"``/``"reject"``/``"queue"``), or
-    #: ``None`` on services without an admission policy.
+    #: Admission verdict (``"accept"``/``"reject"``), or ``None`` on
+    #: services without an admission policy.
     admission: str | None = None
 
     def describe(self) -> str:
@@ -133,6 +134,8 @@ class _Job:
     max_steps: int
     plan_fingerprint: str
     options: dict
+    #: Plan preflight report (:func:`repro.statics.verify_plan`).
+    preflight: object
     state: JobState = JobState.PENDING
     progress: list[ShardProgress] = field(default_factory=list)
     report: object = None
@@ -140,12 +143,8 @@ class _Job:
     cancel_event: threading.Event = field(default_factory=threading.Event)
     started_at: float | None = None
     finished_at: float | None = None
-    #: Latest admission verdict (None without an admission policy).
+    #: Admission verdict (None without an admission policy).
     admission: AdmissionDecision | None = None
-    #: Preflight report (None when submitted with ``preflight="off"``).
-    preflight: object = None
-    #: True while the job is held back by a "queue" admission verdict.
-    held: bool = False
 
 
 class SweepService:
@@ -160,10 +159,7 @@ class SweepService:
     turns on admission control: every submission's cost is predicted first
     (:func:`~repro.service.admission.predict_plan_cost`, against this
     service's cache — warm cases are discounted), and over-budget plans are
-    either REJECTED outright or held PENDING and re-evaluated whenever a
-    job finishes (completed jobs warm the cache, so a held plan's predicted
-    cost only falls).  The verdict is recorded on the job and in its JSON
-    record.
+    REJECTED.  The verdict is recorded on the job and in its JSON record.
     """
 
     def __init__(
@@ -179,8 +175,9 @@ class SweepService:
         self.cache = cache if cache is not None else InMemoryCache()
         self.records_dir = Path(records_dir) if records_dir is not None else None
         self.admission = admission
-        self._held: list[str] = []
         self._jobs: dict[str, _Job] = {}
+        #: Terminal job ids, oldest first (see :data:`FINISHED_JOB_LIMIT`).
+        self._finished: deque[str] = deque()
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._updated = threading.Condition(self._lock)
@@ -204,7 +201,6 @@ class SweepService:
         policy: ExecutionPolicy | None = None,
         shard_size: int | None = None,
         recovered=None,
-        preflight: str = "warn",
     ) -> str:
         """Queue a plan for execution and return its job id.
 
@@ -216,41 +212,30 @@ class SweepService:
         resubmissions are visibly related (``job-3-0f0b5a…`` vs
         ``job-7-0f0b5a…``).
 
-        ``preflight`` runs :func:`repro.statics.verify_plan` on the
-        submission: ``"warn"`` (default) records the predicted batch
-        partition and fingerprint-safety report on the job — it lands in
-        the JSON job record next to the admission decision — ``"strict"``
-        additionally raises :class:`~repro.exceptions.StaticAnalysisError`
-        before anything is enqueued when the plan carries a blocking
-        problem, and ``"off"`` skips the check.
+        Every submission runs :func:`repro.statics.verify_plan` and records
+        its report (predicted batch partition, fingerprint safety) on the
+        job; it lands in the JSON job record next to the admission
+        decision.  ``plan_sweep(..., preflight=True)`` refuses a plan with
+        a blocking problem before it is ever submitted.
 
         On a service with an admission policy, an over-budget plan is
-        REJECTED (the returned job id stays queryable and the decision is
-        recorded) or held PENDING for re-evaluation, per the policy's
-        ``over_budget`` action.
+        REJECTED: the returned job id stays queryable and the decision is
+        recorded.
         """
-        if preflight not in ("off", "warn", "strict"):
-            raise ValidationError(
-                f"preflight must be 'off', 'warn', or 'strict',"
-                f" not {preflight!r}"
-            )
         check_shard_size(shard_size)
         plan_criterion(plan.kind, recovered)
         policy = resolve_policy(policy, api="SweepService.submit", fallback=plan.policy)
-        check = None
-        if preflight != "off":
-            # Imported here: repro.statics.preflight reaches back into
-            # repro.service.fingerprint, so a module-level import would be
-            # circular.
-            from repro.statics.preflight import verify_plan
+        # Imported here: repro.statics.preflight reaches back into
+        # repro.service.fingerprint, so a module-level import would be
+        # circular.
+        from repro.statics.preflight import verify_plan
 
-            check = verify_plan(plan)
-            if preflight == "strict":
-                check.raise_for_errors()
+        check = verify_plan(plan)
         decision = None
         if self.admission is not None:
             estimate = predict_plan_cost(plan, policy, cache=self.cache)
             decision = self.admission.decide(estimate)
+        rejected = decision is not None and decision.action == "reject"
         with self._lock:
             if self._closed:
                 raise JobError("service is closed")
@@ -267,108 +252,64 @@ class SweepService:
                     "policy": policy,
                     "recovered": recovered,
                 },
-                admission=decision,
                 preflight=check,
+                admission=decision,
             )
             self._jobs[job_id] = job
-            if decision is not None and decision.action == "reject":
+            if rejected:
                 job.error = f"admission rejected: {decision.reason}"
                 self._finish(job, JobState.REJECTED)
-            elif decision is not None and decision.action == "queue":
-                job.held = True
-                self._held.append(job_id)
-        if job.state is JobState.REJECTED:
+        if rejected:
             self._write_record(job)
-            return job_id
-        if not job.held:
+        else:
             self._queue.put(job_id)
         return job_id
 
     def status(self, job_id: str) -> JobStatus:
         """A snapshot of the job's state and progress counters."""
         with self._lock:
-            job = self._require(job_id)
-            latest = job.progress[-1] if job.progress else None
-            return JobStatus(
-                job_id=job.job_id,
-                state=job.state,
-                kind=job.kind,
-                total_cases=job.cases,
-                cases_done=len(latest.aggregate) if latest else 0,
-                shards_done=len(job.progress),
-                total_shards=latest.total_shards if latest else None,
-                cache_hits=latest.cache_hits if latest else 0,
-                cache_misses=latest.cache_misses if latest else 0,
-                error=job.error,
-                admission=job.admission.action if job.admission else None,
-            )
+            return _snapshot(self._require(job_id))
 
     def stream(self, job_id: str) -> Iterator[ShardProgress]:
         """Yield the job's shard progress live, catching up from the start.
 
-        Ends when the job reaches a terminal state; raises :class:`JobError`
-        if that state is FAILED or CANCELLED (after yielding whatever
-        progress the job made).
+        Ends when the job reaches a terminal state; after yielding whatever
+        progress the job made, raises :class:`JobError` if that state is
+        FAILED or CANCELLED and :class:`AdmissionError` if it is REJECTED.
         """
+        with self._lock:
+            job = self._require(job_id)
         seen = 0
         while True:
             with self._updated:
-                job = self._require(job_id)
                 self._updated.wait_for(
-                    lambda: len(job.progress) > seen or job.state.terminal,
-                    timeout=HELD_REPRICE_INTERVAL if job.held else None,
+                    lambda: len(job.progress) > seen or job.state.terminal
                 )
                 fresh = job.progress[seen:]
-                seen += len(fresh)
-                state, error = job.state, job.error
-                held = job.held
-            if held:
-                self._review_held()
+                ended = job.state.terminal
+                failure = _failure(job)
+            seen += len(fresh)
             yield from fresh
-            if state.terminal and seen == len(job.progress):
-                if state is JobState.FAILED:
-                    raise JobError(f"job {job_id} failed: {error}")
-                if state is JobState.CANCELLED:
-                    raise JobError(f"job {job_id} was cancelled")
-                if state is JobState.REJECTED:
-                    raise JobError(f"job {job_id} was rejected: {error}")
+            if failure is not None:
+                raise failure
+            if ended:
                 return
 
     def result(self, job_id: str, timeout: float | None = None):
         """Block until the job finishes and return its report.
 
-        While the job is queue-held, its cost is repriced against the cache
-        every :data:`HELD_REPRICE_INTERVAL` seconds, so warmth contributed by
-        *other* services sharing the cache releases it too.
+        Raises :class:`JobError` if the job failed, was cancelled, or did
+        not finish within ``timeout`` seconds, and :class:`AdmissionError`
+        if admission rejected it.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._updated:
-                job = self._require(job_id)
-                if job.state.terminal:
-                    if job.state is JobState.FAILED:
-                        raise JobError(f"job {job_id} failed: {job.error}")
-                    if job.state is JobState.CANCELLED:
-                        raise JobError(f"job {job_id} was cancelled")
-                    if job.state is JobState.REJECTED:
-                        raise JobError(
-                            f"job {job_id} was rejected: {job.error}"
-                        )
-                    return job.report
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise JobError(
-                            f"job {job_id} did not finish within {timeout}s"
-                        )
-                held = job.held
-                slice_ = HELD_REPRICE_INTERVAL if held else remaining
-                if remaining is not None and slice_ is not None:
-                    slice_ = min(slice_, remaining)
-                self._updated.wait(timeout=slice_)
-            if held:
-                self._review_held()
+        with self._updated:
+            job = self._require(job_id)
+            if not self._updated.wait_for(lambda: job.state.terminal, timeout):
+                raise JobError(f"job {job_id} did not finish within {timeout}s")
+            failure = _failure(job)
+            if failure is not None:
+                raise failure
+            return job.report
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; ``True`` if the job will not run to DONE.
@@ -387,10 +328,9 @@ class SweepService:
             return True
 
     def jobs(self) -> list[JobStatus]:
-        """Snapshots of every known job, in submission order."""
+        """Snapshots of every job in the table, in submission order."""
         with self._lock:
-            ids = list(self._jobs)
-        return [self.status(job_id) for job_id in ids]
+            return [_snapshot(job) for job in self._jobs.values()]
 
     def close(self, *, wait: bool = True) -> None:
         """Stop accepting jobs and shut the workers down.
@@ -403,16 +343,9 @@ class SweepService:
             if self._closed:
                 return
             self._closed = True
-            # Admission-held jobs are not in the worker queue and can never
-            # finish on their own — cancel them regardless of ``wait``.
-            for job_id in self._held:
-                job = self._jobs[job_id]
-                if not job.state.terminal:
-                    job.cancel_event.set()
-                    self._finish(job, JobState.CANCELLED)
-            self._held.clear()
             if not wait:
-                for job in self._jobs.values():
+                # A copy: finishing a job may forget older terminal ones.
+                for job in list(self._jobs.values()):
                     if not job.state.terminal:
                         job.cancel_event.set()
                         if job.state is JobState.PENDING:
@@ -439,7 +372,8 @@ class SweepService:
         return job
 
     def _finish(self, job: _Job, state: JobState) -> None:
-        """Move a job to a terminal state, release its plan, and wake every
+        """Move a job to a terminal state, release its plan, forget the
+        oldest terminal jobs past :data:`FINISHED_JOB_LIMIT`, and wake every
         waiter.
 
         Caller holds the lock.
@@ -447,6 +381,10 @@ class SweepService:
         job.state = state
         job.finished_at = time.time()
         job.plan = None
+        finished = self._finished
+        finished.append(job.job_id)
+        while len(finished) > FINISHED_JOB_LIMIT:
+            del self._jobs[finished.popleft()]
         self._updated.notify_all()
 
     def _worker(self) -> None:
@@ -455,9 +393,9 @@ class SweepService:
             if job_id is None:
                 return
             with self._updated:
-                job = self._jobs[job_id]
-                if job.state is not JobState.PENDING:
-                    continue  # cancelled while queued
+                job = self._jobs.get(job_id)
+                if job is None or job.state is not JobState.PENDING:
+                    continue  # cancelled while queued (and maybe forgotten)
                 job.state = JobState.RUNNING
                 job.started_at = time.time()
                 self._updated.notify_all()
@@ -468,44 +406,6 @@ class SweepService:
                     job.error = f"{type(error).__name__}: {error}"
                     self._finish(job, JobState.FAILED)
             self._write_record(job)
-            # Whatever just ran warmed the cache; held plans may now fit.
-            self._review_held()
-
-    def _review_held(self) -> None:
-        """Re-admit queue-held jobs whose predicted cost now fits.
-
-        Called after every completed job and by blocked ``result()``/
-        ``stream()`` polls: cache entries only accumulate, so a held plan's
-        predicted cost is monotonically non-increasing and re-evaluation is
-        safe to repeat.  Only the caller that flips ``held`` off enqueues
-        the job, so concurrent reviews cannot start it twice.
-        """
-        if self.admission is None:
-            return
-        with self._lock:
-            candidates = list(self._held)
-        for job_id in candidates:
-            with self._lock:
-                job = self._jobs.get(job_id)
-                if job is None or job.state is not JobState.PENDING:
-                    if job_id in self._held:
-                        self._held.remove(job_id)
-                    continue
-                plan = job.plan
-            estimate = predict_plan_cost(plan, job.options["policy"], cache=self.cache)
-            decision = self.admission.decide(estimate)
-            release = decision.action == "accept"
-            with self._updated:
-                if job.state is not JobState.PENDING or not job.held:
-                    continue
-                job.admission = decision
-                if release:
-                    job.held = False
-                    if job_id in self._held:
-                        self._held.remove(job_id)
-                    self._updated.notify_all()
-            if release:
-                self._queue.put(job_id)
 
     def _run(self, job: _Job) -> None:
         try:
@@ -569,8 +469,7 @@ class SweepService:
         }
         if job.admission is not None:
             entries["admission"] = job.admission.record()
-        if job.preflight is not None:
-            entries["preflight"] = job.preflight.record()
+        entries["preflight"] = job.preflight.record()
         if job.error is not None:
             entries["error"] = job.error
         if latest is not None:
@@ -582,6 +481,36 @@ class SweepService:
             if job.kind == "resilience":
                 entries["recovered"] = latest.aggregate.recovered_count
         return entries
+
+
+def _snapshot(job: _Job) -> JobStatus:
+    """A :class:`JobStatus` of ``job``.  Caller holds the lock."""
+    latest = job.progress[-1] if job.progress else None
+    return JobStatus(
+        job_id=job.job_id,
+        state=job.state,
+        kind=job.kind,
+        total_cases=job.cases,
+        cases_done=len(latest.aggregate) if latest else 0,
+        shards_done=len(job.progress),
+        total_shards=latest.total_shards if latest else None,
+        cache_hits=latest.cache_hits if latest else 0,
+        cache_misses=latest.cache_misses if latest else 0,
+        error=job.error,
+        admission=job.admission.action if job.admission else None,
+    )
+
+
+def _failure(job: _Job) -> JobError | None:
+    """The error a job that ended FAILED, CANCELLED or REJECTED raises to
+    its waiters; ``None`` in every other state.  Caller holds the lock."""
+    if job.state is JobState.FAILED:
+        return JobError(f"job {job.job_id} failed: {job.error}")
+    if job.state is JobState.CANCELLED:
+        return JobError(f"job {job.job_id} was cancelled")
+    if job.state is JobState.REJECTED:
+        return AdmissionError(f"job {job.job_id} was rejected: {job.error}")
+    return None
 
 
 def _merge_record_history(out_path: Path, record: dict) -> dict:

@@ -35,15 +35,18 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
 * **A transition cache.**  The successor labeling (and outputs) of a state
   depend only on ``(labeling, [outputs,] T)`` — not on the countdown — so
   states that share a labeling reuse one evaluation per activation set.
-* **Frontier-parallel expansion** (``frontier="auto"``).  The BFS runs
-  level-synchronously; before expanding a level it groups the level by
-  payload ``(labeling, outputs)``, collects every uncached ``(payload,
-  T)`` transition once, buckets them by activation set, and evaluates each
-  bucket as one ``(B, m)`` packed-code kernel call through the batch
-  backend (:meth:`repro.core.batch.BatchSimulator.step_codes`).  Results
-  are staged and *interned in the serial scan order*, so state indices,
-  parent links, successor arrays — and everything built on them — stay
-  bit-identical to the serial expansion.
+* **Frontier-parallel expansion.**  The BFS runs level-synchronously;
+  before expanding a level it groups the level by payload ``(labeling,
+  outputs)``, collects every uncached ``(payload, T)`` transition once,
+  buckets them by activation set, and evaluates each bucket of at least
+  :data:`AUTO_BATCH_MIN_ROWS` rows as one ``(B, m)`` packed-code kernel
+  call through the batch backend
+  (:meth:`repro.core.batch.BatchSimulator.step_codes`) when numpy is
+  present and the protocol's nodes lift to lookup tables; smaller buckets
+  and other protocols take the serial scan.  Results are staged and
+  *interned in the serial scan order*, so state indices, parent links,
+  successor arrays — and everything built on them — stay bit-identical to
+  the serial expansion.
 * **Symmetry quotient** (``symmetry="auto"``).  When a verified symmetry
   group is available (:func:`repro.graphs.automorphisms
   .protocol_symmetry_group`), every discovered state is canonicalized to
@@ -97,9 +100,8 @@ from repro.graphs.automorphisms import SymmetryGroup, protocol_symmetry_group
 from repro.policy import ExecutionPolicy, resolve_policy
 
 DEFAULT_STATE_BUDGET = 400_000
-#: Under ``frontier="auto"``, an activation-set bucket of fewer rows steps
-#: serially (kernel dispatch would dominate); ``"batch"`` batches every
-#: bucket.
+#: An activation-set bucket of fewer rows steps serially (kernel dispatch
+#: would dominate).
 AUTO_BATCH_MIN_ROWS = 32
 
 #: Module-wide activation-set cache, shared by every consumer (states-graph
@@ -180,6 +182,9 @@ class ExplorationStats:
     ``states`` without a quotient, and the number of concrete states the
     quotient stands for otherwise (exact when the initial labelings are
     closed under the group, e.g. broadcast or exhaustive initial sets).
+    ``frontier_mode`` is ``"batch"`` once the batch frontier engine is
+    built (numpy is present and some node lifts to a table), ``"serial"``
+    otherwise.
     """
 
     states: int
@@ -302,13 +307,12 @@ class ExplorationGraph:
     :attr:`edge_dst` / :attr:`edge_sid` and :attr:`parent_idx` /
     :attr:`parent_sid`), which consumers may scan directly.
 
-    ``frontier`` selects the expansion engine: ``"serial"`` steps one edge
-    at a time through the compiled protocol; ``"batch"`` evaluates each
-    level's uncached transitions as packed-code kernel calls grouped by
-    activation set (requires numpy); ``"auto"`` (default) uses the batch
-    route when it is available and the protocol's reactions lift to lookup
-    tables, for groups of at least :data:`AUTO_BATCH_MIN_ROWS` rows.  All
-    routes produce bit-identical graphs.
+    Each level's uncached transitions are evaluated as packed-code kernel
+    calls grouped by activation set when numpy is present and the
+    protocol's reactions lift to lookup tables, for groups of at least
+    :data:`AUTO_BATCH_MIN_ROWS` rows; everything else steps one edge at a
+    time through the compiled protocol.  Both routes produce bit-identical
+    graphs; :meth:`stats` reports the route and its batch calls.
 
     ``symmetry`` opts into the automorphism quotient: ``"none"`` (default)
     explores concrete states; ``"auto"`` discovers and *verifies* the
@@ -318,10 +322,9 @@ class ExplorationGraph:
     graphs store one canonical state per orbit; witnesses are lifted back
     to concrete runs via the per-edge group elements.
 
-    ``frontier`` and ``symmetry`` are fields of
-    :class:`repro.ExecutionPolicy`, passed as ``policy=``.  The policy is
-    cosmetic here as everywhere: every route and every quotient produces
-    the same graph up to state order.
+    ``symmetry`` is a field of :class:`repro.ExecutionPolicy`, passed as
+    ``policy=``.  The policy is cosmetic here as everywhere: every quotient
+    produces the same graph up to state order.
 
     ``budget`` bounds the number of states; exceeding it raises
     :class:`SearchBudgetExceeded` with ``name`` in the message so callers
@@ -341,7 +344,6 @@ class ExplorationGraph:
     ):
         policy = resolve_policy(policy, api="ExplorationGraph")
         symmetry = policy.symmetry
-        frontier = policy.frontier
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
         self.protocol = protocol
@@ -359,14 +361,8 @@ class ExplorationGraph:
             group.canonicalizer(track_outputs) if group is not None else None
         )
 
-        self._frontier_requested = frontier
-        if frontier == "batch" and np is None:
-            raise ValidationError(
-                "frontier='batch' requires numpy; use 'serial' or 'auto'"
-            )
         self._engine = None
-        self._engine_enabled = frontier != "serial" and np is not None
-        self._min_bucket_rows = 1 if frontier == "batch" else AUTO_BATCH_MIN_ROWS
+        self._engine_enabled = np is not None
 
         # Interning pools: id -> value, value -> id.
         none_outputs = (None,) * n
@@ -783,11 +779,9 @@ class ExplorationGraph:
             try:
                 engine = BatchSimulator(self.protocol, [self.inputs])
             except ValidationError:
-                if self._frontier_requested == "batch":
-                    raise
                 self._engine_enabled = False
                 return None
-            if self._frontier_requested == "auto" and not engine.lifted_nodes:
+            if not engine.lifted_nodes:
                 # Nothing lifts to tables: the kernel would run the same
                 # per-row Python fallback as the serial scan, minus the
                 # staging overhead.  Not worth it.
@@ -805,8 +799,8 @@ class ExplorationGraph:
         payload takes the union of its countdowns' valid activation sets.
         Every ``(payload, T)`` pair missing from the transition cache is
         checked once and bucketed by ``T``; one ``step_codes`` kernel call
-        runs per bucket that clears the frontier mode's minimum.  Results are
-        staged in a dict keyed by the raw activation set; pass 2
+        runs per bucket of at least :data:`AUTO_BATCH_MIN_ROWS` rows.
+        Results are staged in a dict keyed by the raw activation set; pass 2
         (``_expand*``) pops them at the exact serial scan position.
         Staging interns *nothing* (it reads the module activation-set cache
         and only looks pools up), so the interning order — and with it
@@ -853,7 +847,7 @@ class ExplorationGraph:
         interner = engine.batch_compiled.interner
         y_interners = engine.batch_compiled.y_interners
         for t, rows in buckets.items():
-            if len(rows) < self._min_bucket_rows:
+            if len(rows) < AUTO_BATCH_MIN_ROWS:
                 continue
             label_rows = [self._labels[lid] for (lid, _oid) in rows]
             codes = interner.bulk_encode(label_rows)

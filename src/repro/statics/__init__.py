@@ -10,8 +10,8 @@ discovered at runtime.
   ``is_stateful`` flag.
 * :mod:`repro.statics.preflight` — predict a plan's batch liftability
   partition and fingerprint-safety before any work is enqueued
-  (``SweepService.submit(..., preflight=)`` records the result in JOB
-  records next to the admission decision).
+  (``SweepService.submit`` records the result in JOB records next to the
+  admission decision).
 * :mod:`repro.statics.lint` — repo-invariant AST checks: no wall clocks
   or environment reads in kernel paths (purity's hidden-input table), and
   lock discipline over the threaded service.

@@ -158,7 +158,8 @@ class PlanPreflight:
 
     def raise_for_errors(self) -> None:
         """Raise :class:`StaticAnalysisError` when any error-severity
-        diagnostic is present (the ``preflight="strict"`` submit path)."""
+        diagnostic is present (the ``plan_sweep(..., preflight=True)``
+        path)."""
         errors = self.errors
         if errors:
             raise StaticAnalysisError(

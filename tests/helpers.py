@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from repro.core import (
     Labeling,
@@ -12,6 +13,19 @@ from repro.core import (
     binary,
 )
 from repro.graphs import Topology, unidirectional_ring
+
+
+#: A batch-frontier bucket floor above any bucket's row count.
+SERIAL_FLOOR = sys.maxsize
+
+
+def set_batch_floor(monkeypatch, min_rows: int) -> None:
+    """Route the activation-set buckets of later explorations: ``1``
+    batches every bucket (when the protocol lifts to tables) and
+    :data:`SERIAL_FLOOR` leaves every transition to the serial scan."""
+    from repro.stabilization import exploration
+
+    monkeypatch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", min_rows)
 
 
 def constant_protocol(topology: Topology, label=0) -> StatelessProtocol:

@@ -1,10 +1,9 @@
 """Tests for service admission control.
 
-Deterministic accept/reject/queue decisions from predicted cost, the
+Deterministic accept/reject decisions from predicted cost, the
 cache-hit-aware plan estimator, and the end-to-end service flows: an
-over-budget plan is rejected (and recorded), the identical plan is admitted
-once the cache is warm, and a queue-held plan is released when completed
-jobs warm enough of its cases.
+over-budget plan is rejected (and recorded), and the identical plan is
+admitted once the cache is warm.
 """
 
 import json
@@ -16,7 +15,7 @@ from repro.analysis.costmodel import (
     DEFAULT_CACHE_HIT_WORK,
     estimate_sweep_cost,
 )
-from repro.exceptions import JobError, ValidationError
+from repro.exceptions import AdmissionError, JobError, ValidationError
 from repro.policy import ExecutionPolicy
 from repro.service import (
     AdmissionPolicy,
@@ -78,10 +77,6 @@ class TestAdmissionPolicy:
         decision = AdmissionPolicy(max_work=1e30).decide(_estimate())
         assert decision.action == "accept"
 
-    def test_over_budget_action_is_validated(self):
-        with pytest.raises(ValidationError, match="unknown over_budget"):
-            AdmissionPolicy(max_work=1.0, over_budget="shrug")
-
     def test_within_budget_accepts(self):
         decision = AdmissionPolicy(max_work=10_000).decide(_estimate())
         assert decision.action == "accept"
@@ -101,10 +96,6 @@ class TestAdmissionPolicy:
         assert decision.action == "reject"
         assert "predicted time" in decision.reason
 
-    def test_queue_action_holds_instead(self):
-        policy = AdmissionPolicy(max_work=500, over_budget="queue")
-        assert policy.decide(_estimate()).action == "queue"
-
     def test_warm_cases_are_mentioned_in_the_refusal(self):
         decision = AdmissionPolicy(max_work=500).decide(_estimate(cached=3))
         assert decision.action == "reject"
@@ -123,9 +114,10 @@ class TestAdmissionPolicy:
         assert record["predicted_work"] == 6 * UNIT_WORK + 2 * HIT
 
     def test_describe(self):
-        policy = AdmissionPolicy(max_work=500, over_budget="queue")
-        assert "max_work=500" in policy.describe()
-        assert "'queue'" in policy.describe()
+        text = AdmissionPolicy(max_work=500).describe()
+        assert text == "AdmissionPolicy(max_work=500)"
+        both = AdmissionPolicy(max_work=1_500, max_seconds=0.5).describe()
+        assert both == "AdmissionPolicy(max_work=1,500, max_seconds=0.5)"
 
 
 class TestPredictPlanCost:
@@ -204,6 +196,17 @@ class TestServiceAdmission:
         assert entries["admission"]["action"] == "reject"
         assert entries["admission"]["predicted_work"] == 8 * UNIT_WORK
 
+    def test_rejected_jobs_raise_admission_error(self):
+        plan, _, _ = _plan()
+        with SweepService(admission=REJECT_THEN_ADMIT) as service:
+            job_id = service.submit(plan)
+            with pytest.raises(AdmissionError, match="was rejected") as waited:
+                service.result(job_id, timeout=5)
+            with pytest.raises(AdmissionError, match="was rejected"):
+                list(service.stream(job_id))
+        # Still a JobError, so handlers written for any job failure hold.
+        assert isinstance(waited.value, JobError)
+
     def test_same_plan_is_admitted_once_the_cache_is_warm(self):
         plan, protocol, cases = _plan()
         direct = run_sweep(protocol, cases, _sync, max_steps=60)
@@ -220,61 +223,6 @@ class TestServiceAdmission:
             status = service.status(warm_id)
             assert status.state is JobState.DONE
             assert status.admission == "accept"
-
-    def test_queue_held_plan_is_released_by_cache_warming(self):
-        plan, protocol, cases = _plan()
-        direct = run_sweep(protocol, cases, _sync, max_steps=60)
-        # Admits a 4-case sub-plan cold (960) and the full plan once half
-        # its cases are warm (4*240 + 4*50 = 1160), but not cold (1920).
-        policy = AdmissionPolicy(max_work=1_200, over_budget="queue")
-        with SweepService(admission=policy) as service:
-            held_id = service.submit(plan)
-            status = service.status(held_id)
-            assert status.state is JobState.PENDING
-            assert status.admission == "queue"
-
-            sub_plan = plan_sweep(protocol, cases[:4], _sync, max_steps=60)
-            sub_id = service.submit(sub_plan)
-            assert service.status(sub_id).admission == "accept"
-            service.result(sub_id, timeout=30)
-
-            # The sub-plan's completion warmed half the held plan's cases;
-            # the post-job review re-prices and releases it.
-            assert service.result(held_id, timeout=30) == direct
-            released = service.status(held_id)
-            assert released.state is JobState.DONE
-            assert released.admission == "accept"
-
-    def test_queue_held_plan_is_released_by_external_cache_warming(self):
-        # The warming job runs on a *different* service sharing the cache,
-        # so no local completion triggers the held-job review — the blocked
-        # result() call's periodic repricing must release the job instead.
-        plan, protocol, cases = _plan()
-        cache = InMemoryCache()
-        cold = predict_plan_cost(plan, cache=cache)
-        policy = AdmissionPolicy(
-            max_work=cold.predicted_work / 2, over_budget="queue"
-        )
-        with SweepService(cache=cache, admission=policy) as service:
-            held_id = service.submit(plan)
-            assert service.status(held_id).admission == "queue"
-            with SweepService(cache=cache) as warmer:
-                computed = warmer.result(warmer.submit(plan), timeout=30)
-            assert service.result(held_id, timeout=30) == computed
-            assert service.status(held_id).admission == "accept"
-
-    def test_close_cancels_held_jobs(self):
-        plan, _, _ = _plan()
-        policy = AdmissionPolicy(max_work=1.0, over_budget="queue")
-        service = SweepService(admission=policy)
-        try:
-            held_id = service.submit(plan)
-            assert service.status(held_id).state is JobState.PENDING
-        finally:
-            service.close()
-        assert service.status(held_id).state is JobState.CANCELLED
-        with pytest.raises(JobError, match="was cancelled"):
-            service.result(held_id, timeout=5)
 
     def test_services_without_admission_admit_everything(self):
         plan, _, _ = _plan()

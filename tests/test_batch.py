@@ -1262,18 +1262,17 @@ class TestLiftTiers:
             )
             assert_reports_equal(serial, report)
 
-    def test_batch_form_hook_and_cache(self):
+    def test_batch_compile_caches_per_table_budget(self):
         protocol = _xor_ring_protocol(5)
         compiled = compile_protocol(protocol)
-        batch = compiled.batch_form()
+        batch = batch_compile(compiled)
         assert batch is batch_compile(protocol)
-        assert batch is batch_compile(compiled)
         # Distinct table budgets coexist in the cache instead of evicting
         # each other.
-        small = compiled.batch_form(max_table_size=1)
+        small = batch_compile(compiled, max_table_size=1)
         assert small is not batch
-        assert compiled.batch_form() is batch
-        assert compiled.batch_form(max_table_size=1) is small
+        assert batch_compile(compiled) is batch
+        assert batch_compile(compiled, max_table_size=1) is small
 
     def test_max_table_size_gates_the_lift(self):
         protocol = _xor_ring_protocol(5)

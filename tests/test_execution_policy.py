@@ -27,7 +27,13 @@ from repro.exceptions import ValidationError
 from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
 from repro.faults.schedules import NoFaults
 from repro.policy import resolve_policy
-from repro.service import SweepService, execute_plan, iter_shards, plan_sweep
+from repro.service import (
+    AdmissionPolicy,
+    SweepService,
+    execute_plan,
+    iter_shards,
+    plan_sweep,
+)
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
@@ -58,10 +64,9 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy == DEFAULT_POLICY
         assert policy.executor == "serial"
-        assert policy.frontier == "auto"
         assert policy.symmetry == "none"
         names = [field.name for field in dataclasses.fields(policy)]
-        assert names == ["executor", "frontier", "symmetry"]
+        assert names == ["executor", "symmetry"]
 
     def test_frozen_value_object(self):
         policy = ExecutionPolicy(executor="batch")
@@ -72,24 +77,23 @@ class TestExecutionPolicy:
 
     def test_merged_derives_and_revalidates(self):
         base = ExecutionPolicy(executor="batch")
-        derived = base.merged(frontier="serial", symmetry="auto")
-        assert (derived.executor, derived.frontier) == ("batch", "serial")
-        assert base.frontier == "auto"  # original untouched
-        with pytest.raises(ValidationError, match="unknown frontier"):
-            DEFAULT_POLICY.merged(frontier="threads")
+        derived = base.merged(symmetry="auto")
+        assert (derived.executor, derived.symmetry) == ("batch", "auto")
+        assert base.symmetry == "none"  # original untouched
+        with pytest.raises(ValidationError, match="unknown executor"):
+            DEFAULT_POLICY.merged(executor="threads")
 
     def test_describe_names_only_the_changed_fields(self):
         assert ExecutionPolicy().describe() == "ExecutionPolicy(defaults)"
         text = ExecutionPolicy(executor="batch", symmetry="auto").describe()
         assert "executor='batch'" in text
         assert "symmetry='auto'" in text
-        assert "frontier" not in text
+        assert "executor" not in ExecutionPolicy(symmetry="auto").describe()
 
     @pytest.mark.parametrize(
         "fields, match",
         [
             ({"executor": "gpu"}, "unknown executor"),
-            ({"frontier": "threads"}, "unknown frontier"),
         ],
     )
     def test_validation(self, fields, match):
@@ -144,6 +148,13 @@ RETIRED_KEYWORDS = [
         lambda **kw: ExecutionPolicy(executor="batch", **kw),
     ),
     ("ExecutionPolicy-batch_min_rows", "batch_min_rows", 1, ExecutionPolicy),
+    ("ExecutionPolicy-frontier", "frontier", "serial", ExecutionPolicy),
+    (
+        "AdmissionPolicy-over_budget",
+        "over_budget",
+        "reject",
+        lambda **kw: AdmissionPolicy(max_work=1.0, **kw),
+    ),
     (
         "run_sweep-strict",
         "strict",
@@ -166,6 +177,7 @@ RETIRED_KEYWORDS = [
         lambda **kw: execute_plan(_plan()[0], **kw),
     ),
     ("SweepService.submit-strict", "strict", True, _submit),
+    ("SweepService.submit-preflight", "preflight", "warn", _submit),
     (
         "run_sweep",
         "processes",
@@ -223,6 +235,12 @@ RETIRED_KEYWORDS = [
         "BatchSimulator",
         "kernel",
         "numpy",
+        lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
+    ),
+    (
+        "BatchSimulator-batch_size",
+        "batch_size",
+        2,
         lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
     ),
     (
@@ -326,7 +344,7 @@ class TestFingerprintCosmetics:
             None,
             ExecutionPolicy(),
             ExecutionPolicy(executor="batch"),
-            ExecutionPolicy(frontier="serial", symmetry="auto"),
+            ExecutionPolicy(symmetry="auto"),
         ],
         ids=["none", "default", "batch", "exploration-knobs"],
     )

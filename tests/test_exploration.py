@@ -34,8 +34,14 @@ from repro.stabilization import (
     stable_labeling_pair,
     valid_activation_sets,
 )
+from repro.stabilization import exploration
 
-from tests.helpers import copy_ring_protocol, or_clique_protocol
+from tests.helpers import (
+    SERIAL_FLOOR,
+    copy_ring_protocol,
+    or_clique_protocol,
+    set_batch_floor,
+)
 
 
 # -- the seed StatesGraph BFS, kept as the structural reference ---------------
@@ -563,8 +569,6 @@ class TestActivationSetCache:
     def test_cache_is_bounded(self, monkeypatch):
         # Long-running greedy adversaries feed a near-unique countdown per
         # step; the shared cache must evict rather than grow without bound.
-        from repro.stabilization import exploration
-
         monkeypatch.setattr(exploration, "_ACTIVATION_SETS_CAP", 8)
         for k in range(100):
             # distinct countdowns (all > 1, so no forced set)
@@ -578,8 +582,6 @@ class TestActivationSetCache:
         # exhaustive search whose working set fits the cap still lost every
         # hot countdown each time a burst of cold ones arrived.  The
         # second-chance sweep must keep recently referenced entries.
-        from repro.stabilization import exploration
-
         monkeypatch.setattr(exploration, "_ACTIVATION_SETS_CAP", 8)
         exploration._ACTIVATION_SETS.clear()
         hot = (3, 4)
@@ -594,8 +596,6 @@ class TestActivationSetCache:
     def test_eviction_bounds_after_sweep(self, monkeypatch):
         # Even when every entry was recently referenced, a sweep must leave
         # room for the incoming entry (hard bound, not best-effort).
-        from repro.stabilization import exploration
-
         monkeypatch.setattr(exploration, "_ACTIVATION_SETS_CAP", 4)
         exploration._ACTIVATION_SETS.clear()
         for k in range(50):
@@ -604,52 +604,36 @@ class TestActivationSetCache:
             assert len(exploration._ACTIVATION_SETS) <= 4
 
 
-# -- frontier modes -----------------------------------------------------------
+# -- frontier routes ----------------------------------------------------------
 
 
 class TestFrontierModes:
     """The batch frontier route must be bit-identical to the serial scan."""
 
     @pytest.mark.parametrize("case", _gadgets())
-    def test_forced_batch_matches_serial(self, case):
+    def test_forced_batch_matches_serial(self, case, monkeypatch):
         protocol, r, inits = case
         inputs = default_inputs(protocol)
-        serial = ExplorationGraph(
-            protocol, inputs, r, inits, policy=ExecutionPolicy(frontier="serial")
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            r,
-            inits,
-            policy=ExecutionPolicy(frontier="batch"),
-        )
+        set_batch_floor(monkeypatch, SERIAL_FLOOR)
+        serial = ExplorationGraph(protocol, inputs, r, inits)
+        set_batch_floor(monkeypatch, 1)
+        batch = ExplorationGraph(protocol, inputs, r, inits)
+        assert serial.stats().batch_calls == 0
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors
         assert list(serial.parent_idx) == list(batch.parent_idx)
         assert list(serial.parent_sid) == list(batch.parent_sid)
         assert batch.stats().batch_calls > 0
 
-    def test_forced_batch_matches_serial_with_outputs(self):
+    def test_forced_batch_matches_serial_with_outputs(self, monkeypatch):
         protocol = copy_ring_protocol(4)
         inputs = default_inputs(protocol)
         inits = [Labeling(protocol.topology, (1, 0, 0, 1))]
-        serial = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            track_outputs=True,
-            policy=ExecutionPolicy(frontier="serial"),
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            track_outputs=True,
-            policy=ExecutionPolicy(frontier="batch"),
-        )
+        set_batch_floor(monkeypatch, SERIAL_FLOOR)
+        serial = ExplorationGraph(protocol, inputs, 2, inits, track_outputs=True)
+        set_batch_floor(monkeypatch, 1)
+        batch = ExplorationGraph(protocol, inputs, 2, inits, track_outputs=True)
+        assert batch.stats().batch_calls > 0
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors
         assert [serial.outputs_of(k) for k in range(len(serial))] == [
@@ -671,4 +655,4 @@ class TestFrontierModes:
         assert stats.reduction_factor == pytest.approx(1.0)
         record = stats.as_dict()
         assert record["states"] == len(graph)
-        assert record["frontier_mode"] in {"serial", "batch", "auto"}
+        assert record["frontier_mode"] in {"serial", "batch"}

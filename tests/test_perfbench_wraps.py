@@ -25,6 +25,7 @@ from repro.faults.models import RandomCorruption
 from repro.faults.schedules import OneShotFault
 from repro.service import executor, plan_resilience_sweep
 
+from tests.helpers import set_batch_floor
 from tests.test_service_jobs import _plan, _sync
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -115,22 +116,20 @@ def test_wraps_see_every_runner_call_and_come_off_cleanly():
 
 
 def _verdicts():
-    """Example 1 on K_4 at r = 3 (not stabilizing): concrete on the batch
-    frontier, then on the symmetry quotient.  Called through the package
-    attribute, which the wraps rebind."""
+    """Example 1 on K_4 at r = 3 (not stabilizing): concrete, then on the
+    symmetry quotient.  Called through the package attribute, which the
+    wraps rebind; the caller sets the batch frontier's floor."""
     stabilization = repro.stabilization
     protocol = stabilization.example1_protocol(4)
     inputs = default_inputs(protocol)
     return [
         stabilization.decide_label_r_stabilizing(protocol, inputs, 3, policy=policy)
-        for policy in (
-            ExecutionPolicy(frontier="batch"),
-            ExecutionPolicy(symmetry="auto"),
-        )
+        for policy in (ExecutionPolicy(), ExecutionPolicy(symmetry="auto"))
     ]
 
 
-def test_wraps_see_the_exploration_path():
+def test_wraps_see_the_exploration_path(monkeypatch):
+    set_batch_floor(monkeypatch, 1)
     calls, traced = _traced(_verdicts)
 
     for span in (

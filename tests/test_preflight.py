@@ -4,7 +4,7 @@
 time: silent batch-fallback demotion and late fingerprint failure.  These
 tests pin the preflight surface itself (offender collection with located
 diagnostics, the per-case unhashable-input demotions, record shapes) and
-the three places it is wired in: ``SweepService.submit(preflight=)``,
+the three places it is wired in: ``SweepService.submit`` (every job),
 ``plan_sweep(..., preflight=True)``, and the upgraded
 :class:`~repro.exceptions.StaticAnalysisError` the fingerprint path now
 raises instead of a bare, unlocated ``FingerprintError``.
@@ -29,11 +29,7 @@ from repro.core import (
     UniformReaction,
     binary,
 )
-from repro.exceptions import (
-    FingerprintError,
-    StaticAnalysisError,
-    ValidationError,
-)
+from repro.exceptions import FingerprintError, StaticAnalysisError
 from repro.faults.models import FaultModel
 from repro.faults.schedules import NoFaults, OneShotFault
 from repro.graphs import Topology, unidirectional_ring
@@ -304,27 +300,6 @@ class TestSubmitPreflight:
         assert entries["preflight"]["fingerprint_safe"] is True
         assert entries["preflight"]["protocol"]["predicted_fallback"] == []
 
-    def test_off_skips_the_check_and_the_record(self, tmp_path):
-        plan, _, _ = _plan(count=2)
-        with SweepService(records_dir=tmp_path) as service:
-            service.result(service.submit(plan, preflight="off"), timeout=30)
-        (path,) = tmp_path.glob("JOB_*.json")
-        entries = json.loads(path.read_text())["entries"]
-        assert "preflight" not in entries
-
-    def test_strict_rejects_before_enqueue(self):
-        protocol = _lambda_ring()
-        plan = plan_sweep(protocol, _cases(protocol), _sync, max_steps=20)
-        with SweepService() as service:
-            with pytest.raises(StaticAnalysisError, match="preflight"):
-                service.submit(plan, preflight="strict")
-            assert service.jobs() == []
-
-    def test_invalid_mode_is_rejected(self):
-        plan, _, _ = _plan(count=2)
-        with SweepService() as service:
-            with pytest.raises(ValidationError, match="preflight"):
-                service.submit(plan, preflight="sometimes")
 
 
 # -- the offender zoo ---------------------------------------------------------
@@ -526,7 +501,7 @@ class TestClosureCells:
 class TestCosmeticFields:
     """Preflight checks what the key covers, and nothing else."""
 
-    def _rng_tagged_plan(self):
+    def _rng_tagged_plan(self, **options):
         protocol = _ring(3)
         cases = [
             SweepCase(
@@ -536,17 +511,21 @@ class TestCosmeticFields:
             )
             for s in range(3)
         ]
-        return plan_sweep(protocol, cases, _sync, max_steps=20)
+        return plan_sweep(protocol, cases, _sync, max_steps=20, **options)
 
     def test_rng_tags_pass_preflight(self):
         preflight = verify_plan(self._rng_tagged_plan())
         assert preflight.fingerprint_safe
         assert preflight.ok
 
-    def test_strict_submit_runs_a_plan_with_rng_tags(self):
-        plan = self._rng_tagged_plan()
-        with SweepService() as service:
-            job_id = service.submit(plan, preflight="strict")
+    def test_strict_submit_runs_a_plan_with_rng_tags(self, tmp_path):
+        # The strict check runs at plan time; the job records a clean
+        # preflight of its own.
+        plan = self._rng_tagged_plan(preflight=True)
+        with SweepService(records_dir=tmp_path) as service:
+            job_id = service.submit(plan)
             report = service.result(job_id, timeout=30)
             assert service.status(job_id).state is JobState.DONE
+        (path,) = tmp_path.glob("JOB_*.json")
+        assert json.loads(path.read_text())["entries"]["preflight"]["ok"] is True
         assert report == execute_plan(plan)

@@ -39,7 +39,7 @@ from repro.stabilization import (
     example1_protocol,
 )
 
-from tests.helpers import or_clique_protocol
+from tests.helpers import SERIAL_FLOOR, or_clique_protocol, set_batch_floor
 
 #: The policy spelling of the legacy ``symmetry="auto"`` keyword.
 QUOTIENT = ExecutionPolicy(symmetry="auto")
@@ -204,24 +204,16 @@ class TestGoldenZoo:
         assert stats.symmetry_order == 24
         assert stats.reduction_factor > 10
 
-    def test_quotient_graph_is_frontier_mode_invariant(self):
+    def test_quotient_graph_is_frontier_mode_invariant(self, monkeypatch):
         protocol = or_clique_protocol(clique(4))
         inputs = default_inputs(protocol)
         inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        serial = ExplorationGraph(
-            protocol,
-            inputs,
-            3,
-            inits,
-            policy=ExecutionPolicy(symmetry="auto", frontier="serial"),
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            3,
-            inits,
-            policy=ExecutionPolicy(symmetry="auto", frontier="batch"),
-        )
+        set_batch_floor(monkeypatch, SERIAL_FLOOR)
+        serial = ExplorationGraph(protocol, inputs, 3, inits, policy=QUOTIENT)
+        set_batch_floor(monkeypatch, 1)
+        batch = ExplorationGraph(protocol, inputs, 3, inits, policy=QUOTIENT)
+        assert serial.stats().batch_calls == 0
+        assert batch.stats().batch_calls > 0
         assert serial.state_keys == batch.state_keys
         assert serial.successors == batch.successors
         assert list(serial.edge_gid) == list(batch.edge_gid)

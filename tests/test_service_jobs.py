@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import pickle
+import sys
 import threading
 import weakref
 
@@ -33,6 +34,7 @@ from repro.service import (
     plan_resilience_sweep,
     plan_sweep,
 )
+from repro.service import jobs as jobs_module
 from repro.service.__main__ import main as service_main
 
 from tests.helpers import random_bit_labeling
@@ -201,6 +203,75 @@ class TestSweepService:
             ids = [service.submit(plan) for _ in range(3)]
             service.result(ids[-1], timeout=30)
             assert [status.job_id for status in service.jobs()] == ids
+
+    def test_the_job_table_keeps_the_newest_finished_jobs(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "FINISHED_JOB_LIMIT", 2)
+        plan, protocol, cases = _plan(count=2)
+        gate = threading.Event()
+
+        class GatedCache(InMemoryCache):
+            def _load(self, key):
+                gate.wait(timeout=30)
+                return super()._load(key)
+
+        with SweepService(cache=GatedCache()) as service:
+            first = service.submit(plan)  # occupies the single worker
+            queued = [service.submit(plan) for _ in range(4)]
+            for job_id in queued[:3]:
+                assert service.cancel(job_id) is True
+            # Three jobs ended and the newest two are kept; no unfinished
+            # job is ever dropped.
+            with pytest.raises(JobError, match="unknown job"):
+                service.status(queued[0])
+            assert [s.job_id for s in service.jobs()] == [first, *queued[1:]]
+            gate.set()
+            service.result(queued[3], timeout=30)
+            assert [s.job_id for s in service.jobs()] == [first, queued[3]]
+            assert service.result(first) == run_sweep(
+                protocol, cases, _sync, max_steps=60
+            )
+
+    def test_concurrent_finishes_keep_the_table_bounded(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "FINISHED_JOB_LIMIT", 3)
+        plan, _, _ = _plan(count=2)
+        ids = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service = SweepService(workers=4)
+
+            def client():
+                for _ in range(5):
+                    ids.append(service.submit(plan))
+
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            service.close()  # waits for every queued job
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(ids)) == 20
+        kept = service.jobs()
+        assert [status.state for status in kept] == [JobState.DONE] * 3
+        assert {status.job_id for status in kept} <= set(ids)
+
+    def test_a_stream_outlives_its_forgotten_job(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "FINISHED_JOB_LIMIT", 2)
+        plan, _, _ = _plan(count=2)
+        with SweepService() as service:
+            job_id = service.submit(plan, shard_size=1)
+            service.result(job_id, timeout=30)
+            progress = service.stream(job_id)
+            first = next(progress)  # the stream has looked its job up
+            for _ in range(2):
+                service.result(service.submit(plan), timeout=30)
+            with pytest.raises(JobError, match="unknown job"):
+                service.status(job_id)
+            rest = list(progress)
+        assert [p.shard for p in (first, *rest)] == [0, 1]
 
     def test_workers_validation(self):
         with pytest.raises(ValidationError, match="workers"):
