@@ -7,7 +7,8 @@ level-synchronous batch frontier): the Example-1 **K_7 / r=4** states-graph
 the gating hardware class — must materialize as a symmetry quotient in
 **under 10 seconds**, with the quotient covering at least **10x** more
 concrete states than it stores (measured: 475 stored states covering all
-132,701, a ~280x reduction, in ~1.7s on a 2-core x86-64 host).
+132,701, a ~280x reduction, in 0.16-0.24s on a 2-core x86-64 host, where
+scanning the whole group per canonicalization took 1.0-1.7s).
 
 Both bounds ship as hard gates in the JSON record (``gates``), so
 ``check_regression.py`` re-enforces them on every subsequent run rather

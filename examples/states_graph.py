@@ -20,7 +20,7 @@ the seed BFS and now materializes in about a second — and then goes one
 clique further: K_7 / r=4 has 132,701 concrete states (~13s even on the
 interned core), but under ``symmetry="auto"`` the exploration stores one
 canonical state per S_7-orbit and covers all of them from ~475 stored
-states in a couple of seconds, with ``graph.stats()`` reporting exactly
+states in a fraction of a second, with ``graph.stats()`` reporting exactly
 what was stored, covered, and cached.
 
 Run:  python examples/states_graph.py

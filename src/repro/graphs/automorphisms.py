@@ -32,10 +32,11 @@ This module provides the group machinery behind that quotient:
   [outputs,] countdown)`` state to the lexicographically least element of
   its orbit, returning the lowest-index group element achieving it and the
   orbit size — the data witness lifting and reduction-factor accounting
-  need.  With numpy, every element's permuted code vector is packed into
-  integer keys of at most 53 bits, each key word one exact float64
-  matrix-vector product over the whole group; without it, a plain scan
-  compares the vectors as tuples.
+  need.  Every minimizer sends the countdown to its least image, so with
+  numpy a call scans only that coset of elements, memoized per countdown,
+  against packed integer keys of the labeling memoized per labeling, each
+  key word one exact float64 matrix-vector product over the whole group;
+  without numpy, a plain scan compares the vectors as tuples.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of node ``i``;
 ``compose(p, q)`` is ``p after q``.  A group element acts on a state by
@@ -59,9 +60,10 @@ except ImportError:  # pragma: no cover
 from repro.exceptions import ValidationError
 from repro.graphs.topology import Topology
 
-#: Closure cap: groups past this many elements are not materialized (the
-#: canonicalizer's per-state scan is linear in the order, so huge groups
-#: stop paying for themselves anyway).  Covers S_7 x 2.
+#: Closure cap: groups past this many elements are not materialized.
+#: Building the group, its permutation matrices and each labeling's keys
+#: (one product over every element) all grow with the order.  Covers
+#: S_7 x 2.
 DEFAULT_MAX_GROUP_ORDER = 10_080
 
 #: Per-generator equivariance-verification budget: total incoming-label
@@ -76,6 +78,10 @@ BRUTE_FORCE_MAX_N = 7
 #: every integer below 2**53 exactly, so a key word and each partial sum of
 #: the product that builds it are exact whatever order BLAS sums in.
 KEY_WORD_BITS = 53
+
+#: Canonicalizer key memo cap, in 8-byte floats (8 MiB): each labeling
+#: keeps one key word per element, so K_6 keeps about 1,450 labelings.
+KEY_MEMO_FLOATS = 1 << 20
 
 
 # -- permutation primitives --------------------------------------------------
@@ -258,6 +264,33 @@ def automorphism_generators(topology: Topology) -> tuple[tuple[int, ...], ...]:
 # -- the group object --------------------------------------------------------
 
 
+def _not_an_automorphism(topology: Topology, perm: tuple[int, ...]):
+    raise ValidationError(f"{perm!r} is not an automorphism of {topology.name}")
+
+
+def _permutation_matrices(topology: Topology, node_perms):
+    """``(order, n)`` node and ``(order, m)`` induced edge permutations.
+
+    Row ``g`` of the edge matrix is :func:`edge_permutation` of element
+    ``g``, looked up for every element at once in a table of edge
+    positions indexed by ``u * n + v``; a row naming a node outside
+    ``0..n-1`` is refused like any other non-automorphism.
+    """
+    n = topology.n
+    nodes = np.asarray(node_perms, dtype=np.intp).reshape(len(node_perms), n)
+    heads = [u for u, _ in topology.edges]
+    tails = [v for _, v in topology.edges]
+    slots = np.full(n * n, -1, dtype=np.intp)
+    slots[np.asarray(heads, dtype=np.intp) * n + tails] = np.arange(topology.m)
+    inside = ((nodes >= 0) & (nodes < n)).all(axis=1)
+    clipped = nodes.clip(0, n - 1)
+    edges = slots[clipped[:, heads] * n + clipped[:, tails]]
+    missing = np.flatnonzero(~inside | (edges < 0).any(axis=1))
+    if missing.size:
+        _not_an_automorphism(topology, node_perms[missing[0]])
+    return nodes, edges
+
+
 class SymmetryGroup:
     """A group of topology automorphisms acting on states.
 
@@ -269,6 +302,11 @@ class SymmetryGroup:
     ``label_universe``, when set, is the declared label space as a frozen
     set: consumers use it to refuse quotienting runs whose reactions emit
     labels the equivariance verification never covered.
+
+    With numpy, the node and edge permutations are also kept as ``(order,
+    n)`` and ``(order, m)`` index matrices, built in one gather, which the
+    canonicalizer reads; the inverse tables reuse the permutations of the
+    inverse elements, since the edge action is a homomorphism.
     """
 
     def __init__(
@@ -283,25 +321,25 @@ class SymmetryGroup:
             raise ValidationError(
                 "a symmetry group lists the identity permutation first"
             )
-        edge_perms = []
-        for perm in node_perms:
-            eperm = edge_permutation(topology, perm)
-            if eperm is None:
-                raise ValidationError(
-                    f"{perm!r} is not an automorphism of {topology.name}"
-                )
-            edge_perms.append(eperm)
         self.topology = topology
         self.node_perms = node_perms
-        self.edge_perms = tuple(edge_perms)
-        self.node_inverses = tuple(invert(p) for p in node_perms)
-        self.edge_inverses = tuple(invert(p) for p in edge_perms)
         self.label_universe = label_universe
         self._index = {p: g for g, p in enumerate(node_perms)}
         self._compose_cache: dict[tuple[int, int], int] = {}
-        self._inverse_index = tuple(
-            self._require(inv) for inv in self.node_inverses
-        )
+        if np is not None:
+            self._nodes, self._edges = _permutation_matrices(topology, node_perms)
+            edge_perms = tuple(map(tuple, self._edges.tolist()))
+        else:  # pragma: no cover - numpy present in CI
+            self._nodes = self._edges = None
+            edge_perms = tuple(
+                edge_permutation(topology, perm) for perm in node_perms
+            )
+            if None in edge_perms:
+                _not_an_automorphism(topology, node_perms[edge_perms.index(None)])
+        self.edge_perms = edge_perms
+        self._inverse_index = tuple(map(self._require, map(invert, node_perms)))
+        self.node_inverses = tuple(map(node_perms.__getitem__, self._inverse_index))
+        self.edge_inverses = tuple(map(edge_perms.__getitem__, self._inverse_index))
 
     def _require(self, perm: tuple[int, ...]) -> int:
         g = self._index.get(perm)
@@ -384,76 +422,50 @@ class StateCanonicalizer:
     index makes those elements, and hence every lifted witness, a pure
     function of the state on every route and in every run.
 
-    With numpy, each group element's permuted vector is packed into key
-    words, earliest column highest, at most :data:`KEY_WORD_BITS` bits
-    per word, so vectors compare in the order of their word tuples.  A
-    group element maps countdown columns to countdown columns, label
-    columns to label columns and output columns to output columns, so
-    each of those classes is packed at its own width: K_6 at r = 4 packs
-    6 countdown columns at 3 bits and 30 label columns at 1 bit into one
-    48-bit word.  Columns fill words greedily in order.  Word ``w`` of
-    every element at once is the float64 product ``weights[w] @ base``,
-    exact because every key is an integer below ``2**53``.  Word 0 is
-    computed for the whole group and each later word only for the
-    elements still tied.  Keys are compared only within one call, so any
-    widths covering each class's largest code are valid: one weight set
-    is kept and rebuilt only when a class's code outgrows its width.
-    ``_canonical_py`` is the numpy-free reference.
+    The countdown columns lead the vector, so every minimizer lies in the
+    countdown's *coset*: the elements that send the countdown to its
+    least image.  With numpy, each countdown's coset (ascending element
+    indices) and each raw labeling's keys under every element (with its
+    outputs, when tracked) are memoized, and a call takes the first
+    minimum of the coset's keys, which is the lowest-index minimizer, and
+    counts its ties.  Keys pack label [and output] columns, earliest
+    column highest and each class at the bit length of its largest code,
+    into words of at most :data:`KEY_WORD_BITS` bits, compared in order;
+    a group element maps each class's columns onto its own class.  All
+    elements' keys are one float64 product of a weight matrix with the
+    codes, exact because every partial sum is an integer below
+    ``2**53``; a coset is found the same way from the countdown.  A
+    labeling seen once thus costs one product, and a code that outgrows
+    its class's width rebuilds the weights.  The key memo holds at most
+    :data:`KEY_MEMO_FLOATS` 8-byte floats and starts over when full; the
+    cosets of one countdown orbit hold one group order of indices
+    together.  A code no word can hold falls back to ``_canonical_py``,
+    the numpy-free path and the reference.
     """
 
     def __init__(self, group: SymmetryGroup, track_outputs: bool):
         self.group = group
         self.track_outputs = track_outputs
-        n = group.n
-        m = len(group.edge_perms[0])
-        self._n = n
-        self._m = m
+        self._n = group.n
+        self._m = len(group.edge_perms[0])
+        self._order = group.order
         self._label_codes: dict[Any, int] = {}
         self._output_codes: dict[Any, int] = {}
-        # Column source maps: canonical_vec[c] = base_vec[cols[g][c]].
-        rows = []
-        for pinv, epinv in zip(group.node_inverses, group.edge_inverses, strict=True):
-            row = [*pinv, *map(n.__add__, epinv)]
-            if track_outputs:
-                row.extend(map((n + m).__add__, pinv))
-            rows.append(tuple(row))
-        self._rows = tuple(rows)
-        #: Column counts of the countdown, label [and output] classes.
-        self._class_sizes = (n, m, n) if track_outputs else (n, m)
-        if np is not None:
-            self._matrix = np.asarray(rows, dtype=np.int64)
-            self._widths = (0,) * len(self._class_sizes)
-            self._weights = None
-        else:  # pragma: no cover - numpy present in CI
-            self._matrix = None
-
-    def _build_weights(self, widths: tuple[int, ...]) -> None:
-        """One ``(order, length)`` weight matrix per key word, ``widths``
-        bits per column of each class: ``weights[w][g, matrix[g, c]]`` is
-        the place value of column ``c`` when ``c`` falls in word ``w``."""
-        matrix = self._matrix
-        order, length = matrix.shape
-        column_widths = [
-            width
-            for width, count in zip(widths, self._class_sizes, strict=True)
-            for _ in range(count)
-        ]
-        words = []
-        ends = []
-        word_bits = [0]
-        for width in column_widths:
-            if word_bits[-1] + width > KEY_WORD_BITS:
-                word_bits.append(0)
-            word_bits[-1] += width
-            words.append(len(word_bits) - 1)
-            ends.append(word_bits[-1])
-        shifts = [word_bits[w] - end for w, end in zip(words, ends, strict=True)]
-        weights = np.zeros((len(word_bits), order, length))
-        weights[np.asarray(words), np.arange(order)[:, None], matrix] = np.exp2(
-            shifts
-        )
-        self._weights = tuple(weights)
-        self._widths = widths
+        self._cosets: dict[tuple[int, ...], Any] = {}
+        self._key_rows: dict[Any, int] = {}
+        #: Code column ``j`` of a labeling [with outputs] lands in column
+        #: ``images[g, j]`` of element ``g``'s permuted vector (``None``
+        #: without numpy).
+        self._images = group._edges
+        if self._images is None:  # pragma: no cover - numpy present in CI
+            return
+        if track_outputs:
+            self._images = np.concatenate(
+                [group._edges, self._m + group._nodes], axis=1
+            )
+        self._countdown_width = 0
+        self._countdown_weights = None
+        self._build_code_weights((1, 1) if track_outputs else (1,))
 
     def _encode(self, values, outputs, countdown) -> tuple[int, ...]:
         codes = list(map(self._label_codes.get, values))
@@ -479,50 +491,167 @@ class StateCanonicalizer:
         return codes
 
     def canonical(self, values, outputs, countdown) -> tuple[int, int]:
-        """The minimizing group element and the number of ties."""
-        base = self._encode(values, outputs, countdown)
-        if self._matrix is not None:
-            return self._canonical_np(base)
-        return self._canonical_py(base)
+        """The minimizing group element and the number of ties.
 
-    def _canonical_np(self, base: tuple[int, ...]) -> tuple[int, int]:
-        n, m = self._n, self._m
-        needed = [
-            max(base[:n]).bit_length() or 1,
-            max(base[n : n + m], default=0).bit_length() or 1,
-        ]
+        ``values``, ``outputs`` (when tracked) and ``countdown`` are tuples:
+        they key the memos.
+        """
+        if self._images is None:  # pragma: no cover - numpy present in CI
+            return self._canonical_py(self._encode(values, outputs, countdown))
+        coset = self._cosets.get(countdown)
+        if coset is None:
+            coset = self._coset(countdown)
+        labeling = (values, outputs) if self.track_outputs else values
+        row = self._key_rows.get(labeling)
+        if row is None or coset is None:
+            # Encoding numbers unseen labels, so it runs whenever the
+            # labeling is not memoized: codes follow the order of sight.
+            base = self._encode(values, outputs, countdown)
+            return self._canonical_np(base, labeling)
+        return _least(self._key_table[row], coset, self._order)
+
+    def _canonical_np(self, base: tuple[int, ...], labeling=None) -> tuple[int, int]:
+        """The coset scan of an encoded state.  Its keys are memoized under
+        ``labeling``, the raw labeling [and outputs] of ``base``, if given."""
+        n = self._n
+        coset = self._coset(base[:n])
+        if coset is None:  # a countdown no key word can hold
+            return self._canonical_py(base)
+        if coset.size == 1:
+            return int(coset[0]), 1
+        keys = self._keys(base[n:], labeling)
+        if keys is None:  # a code no key word can hold
+            return self._canonical_py(base)
+        return _least(keys, coset, self._order)
+
+    def _coset(self, countdown: tuple[int, ...]):
+        """The ascending elements sending ``countdown`` to its least image,
+        memoized, or ``None`` when a countdown fits no key word."""
+        coset = self._cosets.get(countdown)
+        if coset is not None:
+            return coset
+        width = max(countdown).bit_length() or 1
+        if width > self._countdown_width:
+            if width > KEY_WORD_BITS:
+                return None
+            self._countdown_width = width
+            self._countdown_weights = _weights(
+                (width,) * self._n, self.group._nodes
+            )
+        keys = self._countdown_weights @ np.asarray(countdown, dtype=np.float64)
+        keys = keys.reshape(-1, self._order)
+        coset = (keys[0] == keys[0].min()).nonzero()[0]
+        coset = self._cosets[countdown] = _minima(keys[1:], coset)
+        return coset
+
+    def _keys(self, codes: tuple[int, ...], labeling):
+        """Label [and output] codes' keys under every element, word-major,
+        memoized under ``labeling`` unless it is ``None``; ``None`` when a
+        code fits no key word."""
+        if max(codes, default=0) > self._code_top:
+            m = self._m
+            needed = [max(codes[:m], default=0).bit_length() or 1]
+            if self.track_outputs:
+                needed.append(max(codes[m:]).bit_length() or 1)
+            widths = tuple(map(max, needed, self._code_widths))
+            if widths != self._code_widths:
+                if max(widths) > KEY_WORD_BITS:
+                    return None
+                self._build_code_weights(widths)
+        codes = np.asarray(codes, dtype=np.float64)
+        if labeling is None or not self._memo_rows:
+            return self._code_weights @ codes
+        rows, table = self._key_rows, self._key_table
+        row = len(rows)
+        if row == self._memo_rows:  # full: start over
+            rows.clear()
+            row = 0
+        elif row == len(table):  # grow by doubling, up to the cap
+            table = np.empty((min(max(2 * row, 16), self._memo_rows), table.shape[1]))
+            table[:row] = self._key_table
+            self._key_table = table
+        rows[labeling] = row
+        return np.matmul(self._code_weights, codes, out=table[row])
+
+    def _build_code_weights(self, widths: tuple[int, ...]) -> None:
+        """Pack label [and output] columns at ``widths`` bits per class.
+        The key memo starts over: its rows hold the old word count."""
+        column_widths = [widths[0]] * self._m
         if self.track_outputs:
-            needed.append(max(base[n + m :]).bit_length() or 1)
-        widths = tuple(map(max, needed, self._widths))
-        if widths != self._widths:
-            if max(widths) > KEY_WORD_BITS:  # a code no key word can hold
-                return self._canonical_py(base)
-            self._build_weights(widths)
-        arr = np.asarray(base, dtype=np.float64)
-        words = self._weights
-        keys = words[0] @ arr
-        best = keys.argmin()
-        if len(words) == 1:
-            return int(best), int(np.count_nonzero(keys == keys[best]))
-        tied = np.flatnonzero(keys == keys[best])
-        for word in words[1:]:
-            if tied.size == 1:
-                break
-            keys = word[tied] @ arr
-            tied = tied[keys == keys.min()]
-        return int(tied[0]), int(tied.size)
+            column_widths += [widths[1]] * self._n
+        self._code_weights = _weights(column_widths, self._images)
+        self._code_widths = widths
+        #: The largest code that every class's width holds.
+        self._code_top = (1 << min(widths)) - 1
+        length = len(self._code_weights)
+        self._key_rows.clear()
+        self._memo_rows = KEY_MEMO_FLOATS // length
+        self._key_table = np.empty((0, length))
 
     def _canonical_py(self, base: tuple[int, ...]) -> tuple[int, int]:
+        group = self.group
+        n, m = self._n, self._m
+        parts = [
+            (base[:n], group.node_inverses),
+            (base[n : n + m], group.edge_inverses),
+        ]
+        if self.track_outputs:
+            parts.append((base[n + m :], group.node_inverses))
         best_vec = None
         best_g = 0
         ties = 0
-        for g, row in enumerate(self._rows):
-            vec = tuple(base[c] for c in row)
+        for g in range(group.order):
+            vec = [tuple(map(part.__getitem__, sources[g])) for part, sources in parts]
             if best_vec is None or vec < best_vec:
                 best_vec, best_g, ties = vec, g, 1
             elif vec == best_vec:
                 ties += 1
         return best_g, ties
+
+
+def _weights(widths: Sequence[int], images):
+    """Weights packing columns of ``widths`` bits into key words, earliest
+    column highest, so that ``weights @ codes`` is every element's keys,
+    word-major: ``images[g, j]`` is the column that code ``j`` lands in
+    under element ``g``, and the result's entry ``w * order + g`` is word
+    ``w`` of element ``g``.  Columns fill words greedily, in order; there
+    is at least one word."""
+    words, ends, sizes = [], [], [0]
+    for width in widths:
+        if sizes[-1] + width > KEY_WORD_BITS:
+            sizes.append(0)
+        sizes[-1] += width
+        words.append(len(sizes) - 1)
+        ends.append(sizes[-1])
+    places = np.zeros((len(sizes), len(widths)))
+    places[words, range(len(widths))] = np.exp2(
+        np.subtract([sizes[w] for w in words], ends)
+    )
+    order, length = images.shape
+    # Column-major: a product with few columns runs about twice as fast.
+    return np.asfortranarray(places[:, images].reshape(len(sizes) * order, length))
+
+
+def _minima(keys, tied):
+    """The elements among the ascending ``tied`` whose key words (rows of
+    ``keys``, compared in order) are least."""
+    for word in keys:
+        if tied.size == 1:
+            break
+        word = word.take(tied)
+        tied = tied[word == word.min()]
+    return tied
+
+
+def _least(keys, coset, order: int) -> tuple[int, int]:
+    """The lowest-index minimizer within the ascending ``coset``, given
+    word-major ``keys``, and the number of elements tied with it."""
+    if len(keys) == order:
+        word = keys.take(coset)
+        best = word.argmin()
+        return int(coset[best]), int(np.count_nonzero(word == word[best]))
+    tied = _minima(keys.reshape(-1, order), coset)
+    return int(tied[0]), int(tied.size)
 
 
 # -- protocol-level verification ---------------------------------------------
@@ -548,19 +677,19 @@ def _input_invariant(perm: Sequence[int], inputs: Sequence[Any]) -> bool:
 
 def _generating_set(
     elements: Sequence[tuple[int, ...]], n: int
-) -> list[tuple[int, ...]]:
-    """A small generating list for a closed element set (greedy)."""
-    ident = identity_permutation(n)
-    generated = {ident}
+) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """A small generating list for a closed element set (greedy), and the
+    closure of that list, in :func:`close_generators` order."""
+    closure = (identity_permutation(n),)
+    generated = set(closure)
     generators: list[tuple[int, ...]] = []
     for perm in elements:
         if perm in generated:
             continue
         generators.append(perm)
-        generated = set(
-            close_generators(generators, n, cap=len(elements) + 1)
-        )
-    return generators
+        closure = close_generators(generators, n, cap=len(elements) + 1)
+        generated = set(closure)
+    return generators, closure
 
 
 def _verify_generator(compiled, inputs, perm, eperm, space_values) -> bool:
@@ -668,7 +797,7 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
     invariant = [p for p in elements if _input_invariant(p, inputs)]
     if len(invariant) <= 1:
         return None
-    candidates = _generating_set(invariant, protocol.n)
+    candidates, closure = _generating_set(invariant, protocol.n)
 
     compiled = compile_protocol(protocol)
     combos = sum(
@@ -686,7 +815,10 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
             verified.append(perm)
     if not verified:
         return None
-    final = close_generators(verified, protocol.n, cap=max_order)
+    if len(verified) == len(candidates):  # the closure above, same order
+        final = closure
+    else:
+        final = close_generators(verified, protocol.n, cap=max_order)
     if len(final) <= 1:
         return None
     return SymmetryGroup(

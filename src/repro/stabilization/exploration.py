@@ -182,8 +182,9 @@ class ExplorationStats:
     ``states`` without a quotient, and the number of concrete states the
     quotient stands for otherwise (exact when the initial labelings are
     closed under the group, e.g. broadcast or exhaustive initial sets).
-    ``frontier_mode`` is ``"batch"`` once the batch frontier engine is
-    built (numpy is present and some node lifts to a table), ``"serial"``
+    ``frontier_mode`` is ``"batch"`` once a batch frontier call has run
+    (numpy is present, some node lifts to a table and an activation-set
+    bucket reached :data:`AUTO_BATCH_MIN_ROWS` rows), ``"serial"``
     otherwise.
     """
 
@@ -788,7 +789,6 @@ class ExplorationGraph:
                 self._engine_enabled = False
                 return None
             self._engine = engine
-            self._frontier_mode = "batch"
         return self._engine
 
     def _stage_level(self, frontier: list[int]):
@@ -805,10 +805,12 @@ class ExplorationGraph:
         Staging interns *nothing* (it reads the module activation-set cache
         and only looks pools up), so the interning order — and with it
         every id and index in the graph — is bit-identical no matter which
-        route evaluated a transition.
+        route evaluated a transition.  The engine is built for the first
+        bucket that reaches the floor; a level of fewer distinct payloads
+        than the floor stages nothing, since a bucket holds each payload
+        once.
         """
-        engine = self._ensure_engine()
-        if engine is None:
+        if not self._engine_enabled:
             return None
         counters = self._stats_counters
         state_keys = self.state_keys
@@ -826,6 +828,8 @@ class ExplorationGraph:
             elif len(sets) == every_set:
                 continue
             sets.update(_cached_activation_sets(countdowns[cid], n))
+        if len(unions) < AUTO_BATCH_MIN_ROWS:
+            return None
         transitions = self._transitions
         set_ids = self._set_ids
         buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
@@ -844,11 +848,14 @@ class ExplorationGraph:
 
         pending: dict[tuple[int, int, frozenset[int]], tuple] = {}
         track_outputs = self.track_outputs
-        interner = engine.batch_compiled.interner
-        y_interners = engine.batch_compiled.y_interners
         for t, rows in buckets.items():
             if len(rows) < AUTO_BATCH_MIN_ROWS:
                 continue
+            engine = self._ensure_engine()
+            if engine is None:
+                return None
+            interner = engine.batch_compiled.interner
+            y_interners = engine.batch_compiled.y_interners
             label_rows = [self._labels[lid] for (lid, _oid) in rows]
             codes = interner.bulk_encode(label_rows)
             if codes is None:
@@ -870,6 +877,7 @@ class ExplorationGraph:
             else:
                 ocodes = np.zeros((len(rows), n), dtype=np.int64)
             new_codes, new_ocodes = engine.step_codes(codes, ocodes, t)
+            self._frontier_mode = "batch"
             counters["batch_calls"] += 1
             counters["batch_rows"] += len(rows)
             for row, (lid, oid) in enumerate(rows):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 
@@ -78,3 +79,34 @@ def or_clique_protocol(topology: Topology) -> StatelessProtocol:
 def random_bit_labeling(topology: Topology, seed: int) -> Labeling:
     rng = random.Random(seed)
     return Labeling(topology, tuple(rng.randrange(2) for _ in topology.edges))
+
+
+def xor_ring_protocol(
+    n: int, reverse: bool = False, op=operator.xor
+) -> StatelessProtocol:
+    """Every node forwards ``op(incoming bit, its input)``.
+
+    Edge ``i`` is owned by node ``i`` either way; node ``i`` reads edge
+    ``i - 1`` on the unidirectional ring (a cyclic shift by ``m - 1``) and
+    edge ``i + 1`` on the reversed ring (a shift by 1).
+    """
+    if reverse:
+        topology = Topology(
+            n, [(i, (i - 1) % n) for i in range(n)], name=f"rev-ring({n})"
+        )
+    else:
+        topology = unidirectional_ring(n)
+
+    def make(i):
+        def fn(incoming, x):
+            (value,) = incoming.values()
+            return op(value, x), value
+
+        return UniformReaction(topology.out_edges(i), fn)
+
+    return StatelessProtocol(
+        topology,
+        binary(),
+        [make(i) for i in range(n)],
+        name=f"{op.__name__}-ring({n})",
+    )

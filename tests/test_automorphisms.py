@@ -7,6 +7,8 @@ representatives.  Each leg is checked directly here; end-to-end quotient
 equivalence lives in ``test_quotient.py``.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,13 +28,15 @@ from repro.graphs import (
     torus,
     unidirectional_ring,
 )
+from repro.graphs import automorphisms
 from repro.graphs.automorphisms import (
     compose,
     identity_permutation,
     invert,
 )
+from repro.stabilization import example1_protocol
 
-from tests.helpers import copy_ring_protocol, or_clique_protocol
+from tests.helpers import copy_ring_protocol, or_clique_protocol, xor_ring_protocol
 
 
 def _full_group(topology):
@@ -97,6 +101,11 @@ class TestPermutationAlgebra:
 class TestSymmetryGroupActions:
     def _group(self, topology):
         return SymmetryGroup(topology, _full_group(topology))
+
+    @pytest.mark.parametrize("bad", [(0, 1, 3), (-1, 1, 2), (0, 0, 2)])
+    def test_elements_outside_the_nodes_are_refused(self, bad):
+        with pytest.raises(ValidationError, match="not an automorphism"):
+            SymmetryGroup(clique(3), [(0, 1, 2), bad])
 
     def test_identity_must_come_first(self):
         topology = clique(3)
@@ -204,7 +213,9 @@ _GROUPS = {
 
 
 def _base_length(canon):
-    return len(canon._rows[0])
+    """The length of an encoded state, ``countdown + labels [+ outputs]``."""
+    group = canon.group
+    return group.n + group.topology.m + (group.n if canon.track_outputs else 0)
 
 
 @st.composite
@@ -251,36 +262,183 @@ class TestPackedCanonicalForm:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_widening_codes_rebuild_the_weights(self, name, track_outputs, data):
+        # One canonicalizer sees ever wider codes, then the narrow states
+        # again under the widest weights.
         canon = _GROUPS[name].canonicalizer(track_outputs)
         length = _base_length(canon)
-        widths = []
+        bases = []
         for top in (0, 1, 3, 12, 200, 70_000):
             base = data.draw(_bases(length, top=top))
-            base = base[:-1] + (top,)  # the largest code reaches ``top``
+            bases.append(base[:-1] + (top,))  # the largest code reaches ``top``
+            assert canon._canonical_np(bases[-1]) == canon._canonical_py(bases[-1])
+        for base in bases:
             assert canon._canonical_np(base) == canon._canonical_py(base)
-            # The last column's class holds ``top``; no class is wider.
-            widths.append(canon._widths[-1])
-            assert max(canon._widths) == canon._widths[-1]
-        assert widths == [1, 1, 2, 4, 8, 17]
 
     @pytest.mark.parametrize("track_outputs", [False, True])
     def test_each_class_packs_at_its_own_width(self, track_outputs):
-        # S_5 at r = 4: 5 countdown columns at 3 bits and 20 binary label
-        # (and 5 output) columns at 1 bit fit one key word; at one shared
-        # 3-bit width they would need two.
+        # Countdown, label and output columns pack at their own widths:
+        # each class in turn holds codes far wider than the others.
         canon = _GROUPS["S5"].canonicalizer(track_outputs)
         outputs = (1, 0, 0, 1, 1) if track_outputs else ()
-        base = (4, 1, 3, 2, 4) + (0, 1) * 10 + outputs
-        assert canon._canonical_np(base) == canon._canonical_py(base)
-        assert canon._widths == ((3, 1, 1) if track_outputs else (3, 1))
-        assert len(canon._weights) == 1
+        wide_outputs = (900, 0, 3, 900, 1) if track_outputs else ()
+        for base in (
+            (4, 1, 3, 2, 4) + (0, 1) * 10 + outputs,
+            (2**40, 1, 3, 2**40, 4) + (0, 1) * 10 + outputs,
+            (4, 1, 3, 2, 4) + (5000, 1, 0, 7) * 5 + outputs,
+            (4, 4, 3, 3, 4) + (0, 1) * 10 + wide_outputs,
+        ):
+            assert canon._canonical_np(base) == canon._canonical_py(base)
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    def test_a_label_part_wider_than_one_key_word(self, track_outputs):
+        # S_5's 20 label columns at 9 bits (codes up to 300) need four key
+        # words, compared in order.  Labels are fresh objects, so codes
+        # climb past 300 over the calls, and earlier labelings come back.
+        group = _GROUPS["S5"]
+        canon = group.canonicalizer(track_outputs)
+        rng = random.Random(5)
+        labelings = []
+        for step in range(60):
+            if step % 3 == 2:
+                values = rng.choice(labelings)
+            else:
+                # Repeats within a labeling leave room for nontrivial ties.
+                fresh = [f"l{10 * step + k}" for k in range(10)]
+                values = tuple(rng.choice(fresh) for _ in range(group.topology.m))
+                labelings.append(values)
+            outputs = tuple(rng.choice("xy") for _ in range(5))
+            countdown = tuple(rng.choice((1, 2, 2, 3)) for _ in range(5))
+            got = canon.canonical(
+                values, outputs if track_outputs else None, countdown
+            )
+            base = canon._encode(values, outputs, countdown)
+            assert got == canon._canonical_py(base)
+        assert len({label for values in labelings for label in values}) > 300
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_memoized_calls_match_the_reference(self, name, track_outputs, data):
+        # A sequence of calls that revisits labelings and countdowns hits
+        # both memos; every call must still equal the reference scan.
+        group = _GROUPS[name]
+        canon = group.canonicalizer(track_outputs)
+        m, n = group.topology.m, group.n
+        labels = st.sampled_from(("a", "b", 7, None, ("t", 1)))
+
+        def vectors(values, length):
+            # Uniform vectors tie across the group, so later columns decide.
+            return st.one_of(
+                st.tuples(*[values] * length), values.map(lambda v: (v,) * length)
+            )
+
+        labelings = data.draw(st.lists(vectors(labels, m), min_size=1, max_size=4))
+        outputs = data.draw(
+            st.lists(vectors(st.integers(0, 2), n), min_size=1, max_size=3)
+        )
+        countdowns = data.draw(
+            st.lists(vectors(st.integers(1, 4), n), min_size=1, max_size=4)
+        )
+        for _ in range(12):
+            values = data.draw(st.sampled_from(labelings))
+            outs = data.draw(st.sampled_from(outputs))
+            countdown = data.draw(st.sampled_from(countdowns))
+            got = canon.canonical(values, outs if track_outputs else None, countdown)
+            assert got == canon._canonical_py(canon._encode(values, outs, countdown))
+
+    @pytest.mark.parametrize("cap", [5, 50])
+    def test_key_memo_stays_within_its_cap(self, monkeypatch, cap):
+        # S_4's keys take 24 floats per labeling: a cap of 50 holds two
+        # labelings and starts over on the third, a cap of 5 holds none.
+        # Each labeling comes three times in a row, then returns later.
+        monkeypatch.setattr(automorphisms, "KEY_MEMO_FLOATS", cap)
+        group = _GROUPS["S4"]
+        canon = group.canonicalizer(track_outputs=False)
+        rng = random.Random(cap)
+        labelings = [
+            tuple(rng.randrange(3) for _ in range(group.topology.m))
+            for _ in range(6)
+        ]
+        for step in range(60):
+            values = labelings[step // 3 % len(labelings)]
+            countdown = tuple(rng.choice((1, 2, 3)) for _ in range(4))
+            got = canon.canonical(values, None, countdown)
+            assert got == canon._canonical_py(canon._encode(values, None, countdown))
+            assert canon._key_table.size <= cap
 
     def test_codes_no_key_word_holds_fall_back_to_the_scan(self):
         # A countdown of r = 2**60 is a legal, if hopeless, fairness bound.
         canon = _GROUPS["D6"].canonicalizer(track_outputs=False)
         base = (2**60,) * 6 + (0, 1) * 6
         assert canon._canonical_np(base) == canon._canonical_py(base)
-        assert canon._widths == (0, 0)
+        values = (0, 1, 1, 0) * 3
+        for countdown in ((2**60,) * 6, (2**60, 1, 2, 2**60, 1, 2), (1, 2) * 3):
+            got = canon.canonical(values, None, countdown)
+            assert got == canon._canonical_py(canon._encode(values, None, countdown))
+
+
+class TestElementOrder:
+    """``gid`` is an index into ``node_perms`` and witness lifting replays
+    it, so the order of the elements is part of every quotient graph's
+    stores.  These lists were generated by the breadth-first closure of
+    the verified generating set; a closure with other generators (say,
+    the unverified proposals, which include the redundant rotations by 3
+    and 2 on a 6-ring) orders the group differently."""
+
+    def test_example1_on_k4(self):
+        protocol = example1_protocol(4)
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert [list(p) for p in group.node_perms] == [
+            [0, 1, 2, 3], [1, 0, 2, 3], [1, 2, 3, 0], [2, 1, 3, 0],
+            [0, 2, 3, 1], [2, 3, 0, 1], [2, 0, 3, 1], [3, 2, 0, 1],
+            [1, 3, 0, 2], [2, 3, 1, 0], [3, 0, 1, 2], [3, 1, 0, 2],
+            [3, 2, 1, 0], [0, 3, 1, 2], [2, 0, 1, 3], [3, 0, 2, 1],
+            [0, 2, 1, 3], [0, 3, 2, 1], [2, 1, 0, 3], [3, 1, 2, 0],
+            [0, 1, 3, 2], [1, 2, 0, 3], [1, 3, 2, 0], [1, 0, 3, 2],
+        ]  # fmt: skip
+
+    def test_example1_on_k6_begins(self):
+        protocol = example1_protocol(6)
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert group.order == 720
+        assert [list(p) for p in group.node_perms[:24]] == [
+            [0, 1, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0],
+            [2, 1, 3, 4, 5, 0], [0, 2, 3, 4, 5, 1], [2, 3, 4, 5, 0, 1],
+            [2, 0, 3, 4, 5, 1], [3, 2, 4, 5, 0, 1], [1, 3, 4, 5, 0, 2],
+            [2, 3, 4, 5, 1, 0], [3, 4, 5, 0, 1, 2], [3, 1, 4, 5, 0, 2],
+            [3, 2, 4, 5, 1, 0], [4, 3, 5, 0, 1, 2], [0, 3, 4, 5, 1, 2],
+            [2, 4, 5, 0, 1, 3], [3, 4, 5, 0, 2, 1], [3, 4, 5, 1, 0, 2],
+            [4, 5, 0, 1, 2, 3], [3, 0, 4, 5, 1, 2], [4, 2, 5, 0, 1, 3],
+            [4, 3, 5, 0, 2, 1], [4, 3, 5, 1, 0, 2], [5, 4, 0, 1, 2, 3],
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "n, perms",
+        [
+            (6, [
+                [0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1],
+                [3, 4, 5, 0, 1, 2], [4, 5, 0, 1, 2, 3], [5, 0, 1, 2, 3, 4],
+            ]),
+            (8, [
+                [0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0],
+                [2, 3, 4, 5, 6, 7, 0, 1], [3, 4, 5, 6, 7, 0, 1, 2],
+                [4, 5, 6, 7, 0, 1, 2, 3], [5, 6, 7, 0, 1, 2, 3, 4],
+                [6, 7, 0, 1, 2, 3, 4, 5], [7, 0, 1, 2, 3, 4, 5, 6],
+            ]),
+            (9, [
+                [0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0],
+                [2, 3, 4, 5, 6, 7, 8, 0, 1], [3, 4, 5, 6, 7, 8, 0, 1, 2],
+                [4, 5, 6, 7, 8, 0, 1, 2, 3], [5, 6, 7, 8, 0, 1, 2, 3, 4],
+                [6, 7, 8, 0, 1, 2, 3, 4, 5], [7, 8, 0, 1, 2, 3, 4, 5, 6],
+                [8, 0, 1, 2, 3, 4, 5, 6, 7],
+            ]),
+        ],
+    )  # fmt: skip
+    def test_xor_rings(self, n, perms):
+        protocol = xor_ring_protocol(n)
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert [list(p) for p in group.node_perms] == perms
 
 
 class TestProtocolSymmetryGroup:

@@ -64,6 +64,8 @@ from repro.faults import (
 )
 from repro.graphs import Topology, clique, unidirectional_ring
 
+from tests.helpers import xor_ring_protocol
+
 np = pytest.importorskip("numpy")
 
 BATCH = ExecutionPolicy(executor="batch")
@@ -387,37 +389,6 @@ class TestRunEquivalence:
 # -- sweep-level equivalence -------------------------------------------------
 
 
-def _xor_ring_protocol(
-    n: int, reverse: bool = False, op=operator.xor
-) -> StatelessProtocol:
-    """Every node forwards ``op(incoming bit, its input)``.
-
-    Edge ``i`` is owned by node ``i`` either way; node ``i`` reads edge
-    ``i - 1`` on the unidirectional ring (a cyclic shift by ``m - 1``) and
-    edge ``i + 1`` on the reversed ring (a shift by 1).
-    """
-    if reverse:
-        topology = Topology(
-            n, [(i, (i - 1) % n) for i in range(n)], name=f"rev-ring({n})"
-        )
-    else:
-        topology = unidirectional_ring(n)
-
-    def make(i):
-        def fn(incoming, x):
-            (value,) = incoming.values()
-            return op(value, x), value
-
-        return UniformReaction(topology.out_edges(i), fn)
-
-    return StatelessProtocol(
-        topology,
-        binary(),
-        [make(i) for i in range(n)],
-        name=f"{op.__name__}-ring({n})",
-    )
-
-
 class TestSweepEquivalence:
     def _cases(self, protocol, count, seed):
         rng = random.Random(seed)
@@ -436,7 +407,7 @@ class TestSweepEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_run_sweep_batch_equals_serial(self, seed):
-        protocol = _xor_ring_protocol(8)
+        protocol = xor_ring_protocol(8)
         cases = self._cases(protocol, 16, seed)
 
         def factory(index, case):
@@ -458,7 +429,7 @@ class TestSweepEquivalence:
 
     @pytest.mark.parametrize("criterion", ["label", "orbit"])
     def test_resilience_sweep_batch_equals_serial(self, criterion):
-        protocol = _xor_ring_protocol(7)
+        protocol = xor_ring_protocol(7)
         cases = self._cases(protocol, 12, 3)
         edges = protocol.topology.edges
 
@@ -500,7 +471,7 @@ class TestSweepEquivalence:
     def test_shared_schedule_resilience_sweep(self):
         # One schedule object for every row, faults at staggered times: rows
         # already in their analyzed tail must not disturb later fires.
-        protocol = _xor_ring_protocol(6)
+        protocol = xor_ring_protocol(6)
         cases = self._cases(protocol, 4, 0)
         schedule = RandomRFairSchedule(6, r=3, seed=5)
 
@@ -530,7 +501,7 @@ class TestSweepEquivalence:
         # Force several sub-batches (chunk boundaries inside the case list)
         # and check the stitched report is still equal, indexes included.
         monkeypatch.setattr("repro.core.batch.SWEEP_CHUNK_ROWS", 5)
-        protocol = _xor_ring_protocol(6)
+        protocol = xor_ring_protocol(6)
         cases = self._cases(protocol, 17, 7)
 
         def factory(index, case):
@@ -561,7 +532,7 @@ class TestSweepEquivalence:
         assert serial_res == batch_res
 
     def test_unknown_executor_rejected(self):
-        protocol = _xor_ring_protocol(5)
+        protocol = xor_ring_protocol(5)
         cases = self._cases(protocol, 2, 0)
         with pytest.raises(ValidationError, match="unknown executor"):
             run_sweep(
@@ -603,7 +574,7 @@ class TestScheduleGroups:
         n = 12
         count = 48
         max_steps = 150
-        protocol = _xor_ring_protocol(n, reverse=reverse, op=op)
+        protocol = xor_ring_protocol(n, reverse=reverse, op=op)
         topology = protocol.topology
         rng = random.Random(17 + reverse)
         bits = [rng.randrange(2) for _ in range(n - 1)]
@@ -699,7 +670,7 @@ RING_CASES = (
 
 def _ring_of(op: str, n: int, space=None) -> StatelessProtocol:
     if op in BINARY_RING_OPS:
-        return _xor_ring_protocol(n, op=BINARY_RING_OPS[op])
+        return xor_ring_protocol(n, op=BINARY_RING_OPS[op])
     topology = unidirectional_ring(n)
     reactions = [
         UniformReaction(topology.out_edges(i), _add_mod3) for i in range(n)
@@ -821,7 +792,7 @@ class TestRingRoute:
         # is assembled for the ring route but its windows take the group
         # route.
         n, rows = 3, 300
-        protocol = _xor_ring_protocol(n)
+        protocol = xor_ring_protocol(n)
         rng = random.Random(301)
         inputs = (1, 0, 1)
         labelings = [
@@ -977,7 +948,7 @@ def _even_parity_ring(rng: random.Random, n: int):
     """An xor ring whose inputs have even parity: stable labelings exist,
     and rows reach them at many different steps."""
     bits = [rng.randrange(2) for _ in range(n - 1)]
-    return _xor_ring_protocol(n), (*bits, sum(bits) % 2)
+    return xor_ring_protocol(n), (*bits, sum(bits) % 2)
 
 
 class TestWindowRule:
@@ -1226,7 +1197,7 @@ class TestPackedInterner:
 
 class TestLiftTiers:
     def test_small_space_protocol_fully_lifted(self):
-        protocol = _xor_ring_protocol(6)
+        protocol = xor_ring_protocol(6)
         simulator = BatchSimulator(protocol, [(0,) * 6, (1, 0, 0, 0, 0, 0)])
         assert simulator.lifted_nodes == tuple(range(6))
 
@@ -1263,7 +1234,7 @@ class TestLiftTiers:
             assert_reports_equal(serial, report)
 
     def test_batch_compile_caches_per_table_budget(self):
-        protocol = _xor_ring_protocol(5)
+        protocol = xor_ring_protocol(5)
         compiled = compile_protocol(protocol)
         batch = batch_compile(compiled)
         assert batch is batch_compile(protocol)
@@ -1275,7 +1246,7 @@ class TestLiftTiers:
         assert batch_compile(compiled, max_table_size=1) is small
 
     def test_max_table_size_gates_the_lift(self):
-        protocol = _xor_ring_protocol(5)
+        protocol = xor_ring_protocol(5)
         compiled = compile_protocol(protocol)
         batch = batch_compile(compiled, max_table_size=1)
         simulator = BatchSimulator(
@@ -1395,7 +1366,7 @@ class TestLiftTiers:
             simulator.run_batch([bad], schedule, max_steps=5)
 
     def test_batch_validates_row_counts(self):
-        protocol = _xor_ring_protocol(4)
+        protocol = xor_ring_protocol(4)
         simulator = BatchSimulator(protocol, [(0,) * 4] * 2)
         labeling = Labeling.uniform(protocol.topology, 0)
         with pytest.raises(ValidationError):
@@ -1410,7 +1381,7 @@ class TestLiftTiers:
 class TestFireBatch:
     @pytest.mark.parametrize("step", [0, 7, 123])
     def test_models_fire_batch_equals_apply(self, step):
-        protocol = _xor_ring_protocol(6)
+        protocol = xor_ring_protocol(6)
         topology = protocol.topology
         space = protocol.label_space
         rng = random.Random(step)

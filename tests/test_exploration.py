@@ -474,7 +474,7 @@ class TestVerifyCliqueVerdicts:
             "activation_cache_hits": 243,
             "activation_cache_misses": 56,
             "peak_frontier": 184,
-            "frontier_mode": "batch",
+            "frontier_mode": "serial",
             "batch_calls": 0,
             "batch_rows": 0,
             "symmetry_order": 720,
@@ -656,3 +656,21 @@ class TestFrontierModes:
         record = stats.as_dict()
         assert record["states"] == len(graph)
         assert record["frontier_mode"] in {"serial", "batch"}
+
+    def test_a_graph_that_never_batches_builds_no_engine(self, monkeypatch):
+        # K_3 has 8 broadcast labelings, so no level holds the 32 distinct
+        # payloads an activation-set bucket needs to reach the floor.
+        pytest.importorskip("numpy")
+        protocol = example1_protocol(3)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        graph = ExplorationGraph(protocol, inputs, 2, inits)
+        assert graph._engine is None
+        assert graph.stats().frontier_mode == "serial"
+        set_batch_floor(monkeypatch, SERIAL_FLOOR)
+        serial = ExplorationGraph(protocol, inputs, 2, inits)
+        assert graph.stats() == serial.stats()
+        assert graph.state_keys == serial.state_keys
+        assert graph.successors == serial.successors
+        assert list(graph.parent_idx) == list(serial.parent_idx)
+        assert list(graph.parent_sid) == list(serial.parent_sid)
