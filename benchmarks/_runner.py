@@ -10,7 +10,10 @@ trajectory of the repository is machine-readable from this PR on.
 Each record keeps that trajectory explicitly: the top-level ``entries`` hold
 the latest run (what ``check_regression.py`` gates on), and every earlier
 run is appended to a ``history`` list, newest last, so re-recording a
-baseline never discards the measurements it replaces.
+baseline never discards the measurements it replaces.  Each run carries a
+``provenance`` block (git commit when the checkout has one, Python and
+numpy versions, CPU count, platform), so numbers from different machines
+can be told apart; history snapshots keep theirs.
 
 A module may set ``BENCH_STEPS`` (engine steps executed per kernel call) to
 get a derived ``steps_per_s`` figure in its JSON.  A bench may attach
@@ -32,7 +35,10 @@ import argparse
 import importlib.util
 import inspect
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -115,6 +121,35 @@ def bench_entry_points(module):
     return entries
 
 
+def provenance() -> dict:
+    """Where a run was made: the checkout's git commit (``None`` outside a
+    git checkout), Python and numpy versions, CPU count and platform."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    try:
+        import numpy
+    except ImportError:
+        numpy_version = None
+    else:
+        numpy_version = numpy.__version__
+    return {
+        "git_sha": sha or None,
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 def run_bench_file(path: Path, repeats: int) -> dict:
     module = load_bench_module(path)
     steps_per_call = getattr(module, "BENCH_STEPS", None)
@@ -137,6 +172,7 @@ def run_bench_file(path: Path, repeats: int) -> dict:
     record = {
         "bench": path.stem,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "provenance": provenance(),
         "entries": entries,
     }
     if gates:
@@ -169,7 +205,7 @@ def merge_history(out_path: Path, record: dict) -> dict:
             ]
             snapshot = {
                 key: previous[key]
-                for key in ("recorded_at", "entries")
+                for key in ("recorded_at", "provenance", "entries")
                 if key in previous
             }
             if not history or history[-1].get("entries") != snapshot["entries"]:

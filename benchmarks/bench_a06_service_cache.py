@@ -8,10 +8,10 @@ report must equal the computed one bit for bit.
 The warm figure deliberately includes the *whole* resubmission cost, not
 just the lookups: a fresh plan is built each iteration (factory calls, case
 coercion) and every fingerprint is recomputed, exactly what a second
-``ServiceClient.submit_sweep`` of the same job pays.  The cold side runs
-the serial compiled engine — the baseline a cache must beat is "just run
-it again", and the serial executor is the honest floor for that (the batch
-executor is itself a separately-gated accelerator, see A5).
+``plan_sweep`` plus ``SweepService.submit`` of the same job pays.  The cold
+side runs the serial compiled engine — the baseline a cache must beat is
+"just run it again", and the serial executor is the honest floor for that
+(the batch executor is itself a separately-gated accelerator, see A5).
 
 Workload: the A5 xor-ring with odd input parity — no stable labeling
 exists, so every cold case provably runs the full step budget and the cold

@@ -48,7 +48,7 @@ def main() -> None:
     inputs = default_inputs(protocol)
     initials = list(broadcast_labelings(protocol.topology, protocol.label_space))
     graph = StatesGraph(protocol, inputs, r, initials)
-    edges = sum(len(succ) for succ in graph.successors)
+    edges = graph.num_edges
     print(f"Example-1 K_{n}, r = {r}: {len(graph)} states, {edges} edges")
     print(
         f"  interned: {graph.num_labelings} distinct labelings,"
@@ -101,7 +101,7 @@ def main() -> None:
     start = time.perf_counter()
     graph = StatesGraph(protocol, inputs, big_r, initials)
     elapsed = time.perf_counter() - start
-    edges = sum(len(succ) for succ in graph.successors)
+    edges = graph.num_edges
     print(
         f"\nCapacity: K_{big_n}, r = {big_r} -> {len(graph):,} states,"
         f" {edges:,} edges in {elapsed:.2f}s"

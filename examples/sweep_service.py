@@ -16,7 +16,7 @@ import random
 
 from repro.core import Labeling, RandomRFairSchedule
 from repro.faults import NoFaults, OneShotFault, RandomCorruption
-from repro.service import ServiceClient, plan_resilience_sweep
+from repro.service import SweepService, plan_resilience_sweep
 from repro.stabilization import example1_protocol
 
 N = 4
@@ -61,26 +61,26 @@ def main() -> None:
     print(f"plan: {plan.describe()}")
     print(f"plan fingerprint: {plan.plan_fingerprint[:32]}…")
 
-    with ServiceClient() as client:
+    with SweepService() as service:
         # -- cold: every case is simulated --------------------------------
         print("\n=== cold submission (streaming shard aggregates) ===")
-        job = client.submit_plan(plan, shard_size=SHARD_SIZE)
-        for progress in job.stream():
+        job = service.submit(plan, shard_size=SHARD_SIZE)
+        for progress in service.stream(job):
             aggregate = progress.aggregate
             print(
                 f"  {progress.describe()}"
                 f" | recovery so far {aggregate.recovery_rate:.0%}"
             )
-        cold = job.result()
+        cold = service.result(job)
         print(f"cold report: {cold.describe()}")
 
         # -- warm: the identical plan is served from the cache ------------
         print("\n=== identical resubmission (served from cache) ===")
-        rerun = client.submit_plan(build_plan(), shard_size=SHARD_SIZE)
-        for progress in rerun.stream():
+        rerun = service.submit(build_plan(), shard_size=SHARD_SIZE)
+        for progress in service.stream(rerun):
             print(f"  {progress.describe()}")
-        warm = rerun.result()
-        status = rerun.status()
+        warm = service.result(rerun)
+        status = service.status(rerun)
         print(f"warm report: {warm.describe()}")
         print(
             f"bit-identical to cold: {warm == cold}"
@@ -92,9 +92,9 @@ def main() -> None:
         # "orbit" counts any certified recurrent orbit as recovered; the
         # cached raw results are re-judged without a single new simulation.
         print("\n=== resubmission under the 'orbit' criterion ===")
-        orbit = client.submit_plan(build_plan(), recovered="orbit").result()
+        orbit = service.result(service.submit(build_plan(), recovered="orbit"))
         print(f"orbit report: {orbit.describe()}")
-        print(f"cache stats: {client.service.cache.stats.describe()}")
+        print(f"cache stats: {service.cache.stats.describe()}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from repro.analysis.sweeps import (
     SweepReport,
     _batch_chunks,
 )
-from repro.core.compiled import compile_protocol
 from repro.core.convergence import RunOutcome
 from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
 from repro.core.protocol import Protocol
@@ -167,11 +166,10 @@ class ResilienceReport(SweepReport):
 def _run_fault_cases(protocol, specs, max_steps):
     """Run planned injected cases in-process through one compiled protocol;
     one ``FaultRunReport`` per spec, in order."""
-    compiled = compile_protocol(protocol)
     reports = []
     for spec in specs:
         case = spec.case
-        simulator = Simulator(protocol, case.inputs, compiled=compiled)
+        simulator = Simulator(protocol, case.inputs)
         reports.append(
             run_with_faults(
                 simulator,

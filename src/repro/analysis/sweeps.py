@@ -32,7 +32,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.compiled import compile_protocol
 from repro.core.configuration import Labeling
 from repro.core.convergence import RunOutcome
 from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
@@ -185,11 +184,10 @@ def _coerce_case(case) -> SweepCase:
 def _run_cases(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
     """Run planned cases (:class:`repro.service.plan.CaseSpec`) in-process
     through one compiled protocol; one ``RunReport`` per spec, in order."""
-    compiled = compile_protocol(protocol)
     reports = []
     for spec in specs:
         case = spec.case
-        simulator = Simulator(protocol, case.inputs, compiled=compiled)
+        simulator = Simulator(protocol, case.inputs)
         reports.append(
             simulator.run(
                 case.labeling,

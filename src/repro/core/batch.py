@@ -12,12 +12,15 @@ front) and per-node outputs as a ``(B, n)`` code array.
 The lift has two tiers, chosen per node:
 
 * **Table lookup.**  When the label alphabet is finite and small enough
-  (``|Sigma|^in_degree`` rows fit the table budget), the node's compiled
-  adapter is enumerated once over every incoming-code combination into a flat
-  numpy table.  A step is then gather (incoming codes → mixed-radix key) →
-  table row → scatter, vectorized over all rows at once.  Because the table is
-  built by calling the *serial* adapter, batch transitions are equal to serial
-  transitions by construction.
+  (``|Sigma|^in_degree`` rows fit the table budget, the constant
+  :data:`DEFAULT_MAX_TABLE_SIZE`), the node's compiled adapter is enumerated
+  once over every incoming-code combination into a flat numpy table.  A
+  step is then gather (incoming codes → mixed-radix key) → table row →
+  scatter, vectorized over all rows at once.  Because the table is built by
+  calling the *serial* adapter, batch transitions are equal to serial
+  transitions by construction.  The input-independent half of the gate is
+  one numpy-free rule, :func:`lift_demotion`, which the plan preflight
+  (:mod:`repro.statics.preflight`) calls too.
 * **Per-row Python apply.**  Nodes that cannot be lifted (huge or
   non-enumerable spaces, stateful reactions, labels escaping the declared
   space, unhashable inputs) decode their rows back to label objects and call
@@ -100,7 +103,9 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None
 
 #: Per-(node, input) table budget: a node lifts only while
-#: ``|Sigma| ** in_degree`` stays at or below this many rows.
+#: ``|Sigma| ** in_degree`` stays at or below this many rows.  Read at call
+#: time (:func:`lift_demotion`, :class:`BatchCompiledProtocol`), so a test
+#: may patch it; it is not an option of any entry point.
 DEFAULT_MAX_TABLE_SIZE = 1 << 16
 
 #: Upper bound on the adaptive fused-window length.  In-window step
@@ -124,6 +129,26 @@ MONO_TILE_BYTES = 1 << 20
 #: Measured on the a05 ring workload, 10^5-row single batches run ~25-40%
 #: slower than the same rows in slices of this size.
 SWEEP_CHUNK_ROWS = 8192
+
+
+def lift_demotion(is_stateful: bool, space_size: int, degree: int) -> str | None:
+    """Why a node cannot lift to a lookup table, or ``None`` when it can.
+
+    The static (input-independent) lift gate, shared by
+    :meth:`BatchCompiledProtocol.node_liftable` and the numpy-free
+    preflight (:func:`repro.statics.preflight.verify_protocol`).
+    ``space_size`` is the enumerated label-space size: ``0`` when the space
+    exceeds the table budget, so no codes are enumerated.  Returns
+    ``"stateful"``, ``"space"`` or ``"table"`` (``space_size**degree``
+    exceeds :data:`DEFAULT_MAX_TABLE_SIZE`).
+    """
+    if is_stateful:
+        return "stateful"
+    if space_size == 0:
+        return "space"
+    if space_size**degree > DEFAULT_MAX_TABLE_SIZE:
+        return "table"
+    return None
 
 
 def require_numpy() -> None:
@@ -261,24 +286,17 @@ class BatchCompiledProtocol:
     protocol no matter which inputs each batch carries.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledProtocol,
-        max_table_size: int = DEFAULT_MAX_TABLE_SIZE,
-    ):
+    def __init__(self, compiled: CompiledProtocol):
         require_numpy()
         protocol = compiled.protocol
         if protocol is None:
             raise ValidationError(
                 "cannot batch-compile: the source protocol has been collected"
             )
-        if max_table_size < 1:
-            raise ValidationError("max_table_size must be at least 1")
         self.compiled = compiled
         self.topology = compiled.topology
         self.label_space = protocol.label_space
         self.is_stateful = protocol.is_stateful
-        self.max_table_size = max_table_size
         self.n = compiled.n
         self.m = compiled.m
         self.in_positions = [
@@ -294,7 +312,7 @@ class BatchCompiledProtocol:
         #: enumerable within budget; codes past the seeded prefix mark labels
         #: outside the declared space and disable the table tier.
         space = self.label_space
-        if space.size <= max_table_size:
+        if space.size <= DEFAULT_MAX_TABLE_SIZE:
             self.interner = LabelInterner(iter(space))
         else:
             self.interner = LabelInterner()
@@ -318,10 +336,8 @@ class BatchCompiledProtocol:
 
     def node_liftable(self, i: int) -> bool:
         """Static (input-independent) part of the lift gate for node ``i``."""
-        if self.is_stateful or self.space_size == 0:
-            return False
         degree = len(self.in_positions[i])
-        return self.space_size**degree <= self.max_table_size
+        return lift_demotion(self.is_stateful, self.space_size, degree) is None
 
     def column(self, i: int, x):
         """The lifted reaction table of node ``i`` under private input ``x``.
@@ -384,35 +400,28 @@ class BatchCompiledProtocol:
         return out_codes, y_codes, valid
 
 
-#: compiled form -> {max_table_size: batch compilation}; weak on the compiled
-#: form so batch compilations die with their protocols, keyed per table
-#: budget so alternating budgets never thrash the enumeration work.
-_BATCH_CACHE: "weakref.WeakKeyDictionary[CompiledProtocol, dict]" = (
+#: compiled form -> batch compilation; weak on the compiled form so batch
+#: compilations die with their protocols.
+_BATCH_CACHE: "weakref.WeakKeyDictionary[CompiledProtocol, BatchCompiledProtocol]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def batch_compile(
-    protocol, max_table_size: int = DEFAULT_MAX_TABLE_SIZE
-) -> BatchCompiledProtocol:
+def batch_compile(protocol) -> BatchCompiledProtocol:
     """Batch-compile a protocol (or an already-compiled form), with caching.
 
     Mirrors :func:`repro.core.compiled.compile_protocol`: repeated
     ``BatchSimulator`` construction over one protocol pays the lookup-table
-    costs once per table budget.
+    costs once.
     """
     require_numpy()
     if isinstance(protocol, CompiledProtocol):
         compiled = protocol
     else:
         compiled = compile_protocol(protocol)
-    per_size = _BATCH_CACHE.get(compiled)
-    if per_size is None:
-        per_size = _BATCH_CACHE[compiled] = {}
-    batch = per_size.get(max_table_size)
+    batch = _BATCH_CACHE.get(compiled)
     if batch is None:
-        batch = BatchCompiledProtocol(compiled, max_table_size=max_table_size)
-        per_size[max_table_size] = batch
+        batch = _BATCH_CACHE[compiled] = BatchCompiledProtocol(compiled)
     return batch
 
 
@@ -578,33 +587,17 @@ class BatchSimulator:
     :meth:`run_batch` then advances every row's own ``(labeling,
     schedule)`` case in lockstep and returns one
     :class:`~repro.core.convergence.RunReport` per row, equal to what the
-    serial engine returns for that case.
+    serial engine returns for that case.  The compiled form and the batch
+    compilation come from the weak per-protocol caches of
+    :func:`~repro.core.compiled.compile_protocol` and :func:`batch_compile`.
     """
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        inputs: Sequence[Any],
-        compiled: CompiledProtocol | None = None,
-        batch_compiled: BatchCompiledProtocol | None = None,
-        max_table_size: int = DEFAULT_MAX_TABLE_SIZE,
-    ):
+    def __init__(self, protocol: Protocol, inputs: Sequence[Any]):
         require_numpy()
-        if compiled is None:
-            compiled = compile_protocol(protocol)
-        elif compiled.protocol is not protocol:
-            raise ValidationError(
-                "compiled form was built from a different protocol object"
-            )
-        if batch_compiled is None:
-            batch_compiled = batch_compile(compiled, max_table_size)
-        elif batch_compiled.compiled is not compiled:
-            raise ValidationError(
-                "batch compilation was built from a different compiled form"
-            )
+        compiled = compile_protocol(protocol)
         self.protocol = protocol
         self._compiled = compiled
-        self._batch = batch_compiled
+        self._batch = batch_compile(compiled)
         self._topology = protocol.topology
         n = protocol.n
 
@@ -639,10 +632,6 @@ class BatchSimulator:
             if len(row) != n:
                 raise ValidationError(f"need {n} inputs, got {len(row)}")
         return tuple(rows)
-
-    @property
-    def compiled(self) -> CompiledProtocol:
-        return self._compiled
 
     @property
     def batch_compiled(self) -> BatchCompiledProtocol:

@@ -56,30 +56,20 @@ _Raw = tuple[tuple, tuple]
 class Simulator:
     """Drives one protocol on one input vector."""
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        inputs: Sequence[Any],
-        compiled: CompiledProtocol | None = None,
-    ):
+    def __init__(self, protocol: Protocol, inputs: Sequence[Any]):
         if len(inputs) != protocol.n:
             raise ValidationError(
                 f"need {protocol.n} inputs, got {len(inputs)}"
             )
-        if compiled is None:
-            compiled = compile_protocol(protocol)
-        elif compiled.protocol is not protocol:
-            raise ValidationError(
-                "compiled form was built from a different protocol object"
-            )
         self.protocol = protocol
         self.inputs = tuple(inputs)
         self._topology = protocol.topology
-        self._compiled = compiled
+        self._compiled = compile_protocol(protocol)
 
     @property
     def compiled(self) -> CompiledProtocol:
-        """The shared compiled form of the protocol."""
+        """The shared compiled form of the protocol, from
+        :func:`~repro.core.compiled.compile_protocol`'s weak cache."""
         return self._compiled
 
     # -- single step -------------------------------------------------------

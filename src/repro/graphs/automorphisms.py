@@ -735,18 +735,13 @@ def _verify_generator(compiled, inputs, perm, eperm, space_values) -> bool:
     return True
 
 
-#: protocol -> {(inputs, caps): SymmetryGroup | None}.  Weak on the protocol
-#: so cached groups die with it; repeated decide/delay calls over one
-#: protocol verify equivariance once.
+#: protocol -> {inputs: SymmetryGroup | None}.  Weak on the protocol so
+#: cached groups die with it; repeated decide/delay calls over one protocol
+#: verify equivariance once.
 _SYMMETRY_CACHE: "WeakKeyDictionary[Any, dict]" = WeakKeyDictionary()
 
 
-def protocol_symmetry_group(
-    protocol,
-    inputs: Sequence[Any],
-    max_order: int = DEFAULT_MAX_GROUP_ORDER,
-    verify_budget: int = DEFAULT_VERIFY_BUDGET,
-) -> SymmetryGroup | None:
+def protocol_symmetry_group(protocol, inputs: Sequence[Any]) -> SymmetryGroup | None:
     """The verified symmetry group of ``(protocol, inputs)``, or ``None``.
 
     Discovers topology automorphisms, keeps the subgroup fixing the input
@@ -754,26 +749,25 @@ def protocol_symmetry_group(
     generating set (verified automorphisms compose, so generators
     suffice).  Returns ``None`` — callers fall back to the unquotiented
     search — when the protocol is stateful, the label space cannot be
-    enumerated, any budget is exceeded, or no nontrivial automorphism
-    survives verification.
+    enumerated, a budget (:data:`DEFAULT_MAX_GROUP_ORDER`,
+    :data:`DEFAULT_VERIFY_BUDGET`) is exceeded, or no nontrivial
+    automorphism survives verification.
     """
     inputs = tuple(inputs)
     try:
         per_protocol = _SYMMETRY_CACHE.setdefault(protocol, {})
-        cache_key = (inputs, max_order, verify_budget)
-        if cache_key in per_protocol:
-            return per_protocol[cache_key]
+        if inputs in per_protocol:
+            return per_protocol[inputs]
     except TypeError:  # unhashable inputs: skip caching
         per_protocol = None
-        cache_key = None
 
-    group = _build_symmetry_group(protocol, inputs, max_order, verify_budget)
+    group = _build_symmetry_group(protocol, inputs)
     if per_protocol is not None:
-        per_protocol[cache_key] = group
+        per_protocol[inputs] = group
     return group
 
 
-def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
+def _build_symmetry_group(protocol, inputs):
     from repro.core.compiled import compile_protocol
 
     if protocol.is_stateful:
@@ -783,7 +777,7 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
         size = space.size
     except Exception:
         return None
-    if not isinstance(size, int) or size < 1 or size > verify_budget:
+    if not isinstance(size, int) or size < 1 or size > DEFAULT_VERIFY_BUDGET:
         return None
     space_values = tuple(space)
 
@@ -791,7 +785,7 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
     if not generators:
         return None
     try:
-        elements = close_generators(generators, protocol.n, cap=max_order)
+        elements = close_generators(generators, protocol.n)
     except ValidationError:
         return None
     invariant = [p for p in elements if _input_invariant(p, inputs)]
@@ -803,7 +797,7 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
     combos = sum(
         size ** len(compiled.in_positions[i]) for i in range(protocol.n)
     )
-    if combos > verify_budget:
+    if combos > DEFAULT_VERIFY_BUDGET:
         return None
 
     verified = []
@@ -818,7 +812,7 @@ def _build_symmetry_group(protocol, inputs, max_order, verify_budget):
     if len(verified) == len(candidates):  # the closure above, same order
         final = closure
     else:
-        final = close_generators(verified, protocol.n, cap=max_order)
+        final = close_generators(verified, protocol.n)
     if len(final) <= 1:
         return None
     return SymmetryGroup(

@@ -12,7 +12,10 @@ is the input domain of the cost model
 (:mod:`repro.analysis.costmodel`): estimation, planning, admission control,
 and execution all describe *how a computation runs* with the same object.
 ``policy=`` is the only spelling: no entry point takes a knob as a keyword
-of its own.
+of its own, and both fields are checked when the policy is built.  What is
+not a field is not a knob: the batch table budget
+(:data:`repro.core.batch.DEFAULT_MAX_TABLE_SIZE`) and the symmetry budgets
+(:mod:`repro.graphs.automorphisms`) are module constants.
 
 A policy is strictly **cosmetic with respect to results and cache keys**:
 every field changes how fast an answer is produced, never which answer.
@@ -28,9 +31,10 @@ policy value can drive a whole pipeline.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.exceptions import ValidationError
+from repro.graphs.automorphisms import SymmetryGroup
 
 #: Executors the sweep runners accept.
 SWEEP_EXECUTORS = ("serial", "batch")
@@ -38,13 +42,15 @@ SWEEP_EXECUTORS = ("serial", "batch")
 
 def check_count(name: str, value) -> None:
     """Reject ``value`` unless it is an integer (as ``operator.index``
-    accepts it: no floats, no strings) of at least 1."""
+    accepts it: no floats, no strings) of at least 1, and not a bool."""
     try:
         operator.index(value)
     except TypeError:
-        raise ValidationError(
-            f"{name} must be an integer >= 1, got {value!r}"
-        ) from None
+        integral = False
+    else:
+        integral = not isinstance(value, bool)
+    if not integral:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     if value < 1:
         raise ValidationError(f"{name} must be >= 1")
 
@@ -58,7 +64,8 @@ class ExecutionPolicy:
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
 
-    Frozen and value-compared; derive variants with :meth:`merged`.
+    Frozen and value-compared; derive variants with
+    :func:`dataclasses.replace`, which validates them again.
     """
 
     executor: str = "serial"
@@ -70,10 +77,15 @@ class ExecutionPolicy:
                 f"unknown executor {self.executor!r};"
                 f" expected one of {sorted(SWEEP_EXECUTORS)}"
             )
-
-    def merged(self, **overrides) -> "ExecutionPolicy":
-        """A copy with the given fields replaced (and re-validated)."""
-        return replace(self, **overrides)
+        symmetry = self.symmetry
+        if not (
+            isinstance(symmetry, SymmetryGroup)
+            or (isinstance(symmetry, str) and symmetry in ("none", "auto"))
+        ):
+            raise ValidationError(
+                f"unknown symmetry {symmetry!r}; expected 'none', 'auto',"
+                " or a SymmetryGroup"
+            )
 
     def describe(self) -> str:
         changed = ", ".join(

@@ -15,9 +15,10 @@ content-addressed result caching and a submit/stream/result job lifecycle.
 * :mod:`repro.service.fingerprint` — the canonicalization scheme behind
   the cache keys (:func:`fingerprint`, :func:`canonical`,
   :data:`ENGINE_VERSION`).
-* :mod:`repro.service.jobs` / :mod:`repro.service.client` —
-  :class:`SweepService` worker pool and the :class:`ServiceClient` /
-  :class:`JobHandle` front-end.  ``python -m repro.service`` is the CLI.
+* :mod:`repro.service.jobs` — the :class:`SweepService` worker pool with
+  its submit/status/stream/result/cancel lifecycle; callers build a plan
+  with :func:`plan_sweep` / :func:`plan_resilience_sweep` and submit it.
+  ``python -m repro.service`` is the CLI.
 * :mod:`repro.service.admission` — cost-model-backed admission control:
   :func:`predict_plan_cost` prices a plan (cache-hit-aware) and an
   :class:`AdmissionPolicy` accepts or rejects each submission.
@@ -38,7 +39,6 @@ from repro.service.cache import (
     ResultCache,
     SqliteCache,
 )
-from repro.service.client import JobHandle, ServiceClient
 from repro.service.executor import (
     ShardProgress,
     execute_plan,
@@ -67,8 +67,6 @@ __all__ = [
     "InMemoryCache",
     "ResultCache",
     "SqliteCache",
-    "JobHandle",
-    "ServiceClient",
     "ShardProgress",
     "execute_plan",
     "iter_shards",

@@ -32,7 +32,6 @@ from repro.core import Labeling
 from repro.core.schedule import SynchronousSchedule
 from repro.policy import ExecutionPolicy
 from repro.service.cache import InMemoryCache, SqliteCache
-from repro.service.client import ServiceClient
 from repro.service.jobs import SweepService
 from repro.service.plan import SweepPlan, plan_sweep
 
@@ -49,8 +48,8 @@ def _load_plan(path) -> SweepPlan:
     return plan
 
 
-def _stream_job(handle, out) -> None:
-    for progress in handle.stream():
+def _stream_job(service, job_id, out) -> None:
+    for progress in service.stream(job_id):
         print(f"  {progress.describe()}", file=out, flush=True)
 
 
@@ -84,18 +83,18 @@ def cmd_demo(args, out=sys.stdout) -> int:
     print(f"plan: {plan.describe()}", file=out)
     print(f"plan fingerprint: {plan.plan_fingerprint}", file=out)
     with _open_cache(args.cache) as cache:
-        with ServiceClient(cache=cache, records_dir=args.records_dir) as client:
+        with SweepService(cache=cache, records_dir=args.records_dir) as service:
             options = {
                 "policy": ExecutionPolicy(executor=args.executor),
                 "shard_size": args.shard_size,
             }
             print("cold submission:", file=out)
-            first = client.submit_plan(plan, **options)
-            _stream_job(first, out)
+            first = service.submit(plan, **options)
+            _stream_job(service, first, out)
             print("warm resubmission (same plan):", file=out)
-            second = client.submit_plan(plan, **options)
-            _stream_job(second, out)
-            cold, warm = first.result(), second.result()
+            second = service.submit(plan, **options)
+            _stream_job(service, second, out)
+            cold, warm = service.result(first), service.result(second)
             assert warm == cold, "cache-served report differs from computed"
             print(f"report: {cold.describe()}", file=out)
             print(f"cache: {cache.stats.describe()}", file=out)
@@ -106,16 +105,15 @@ def cmd_run(args, out=sys.stdout) -> int:
     plan = _load_plan(args.plan)
     print(f"plan: {plan.describe()}", file=out)
     with _open_cache(args.cache) as cache:
-        service = SweepService(cache=cache, records_dir=args.records_dir)
-        with service:
-            handle = ServiceClient(service).submit_plan(
+        with SweepService(cache=cache, records_dir=args.records_dir) as service:
+            job_id = service.submit(
                 plan,
                 policy=ExecutionPolicy(executor=args.executor),
                 shard_size=args.shard_size,
                 recovered=args.recovered,
             )
-            _stream_job(handle, out)
-            report = handle.result()
+            _stream_job(service, job_id, out)
+            report = service.result(job_id)
             print(f"report: {report.describe()}", file=out)
             print(f"cache: {cache.stats.describe()}", file=out)
     return 0

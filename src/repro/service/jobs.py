@@ -41,8 +41,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exceptions import AdmissionError, JobError, ValidationError
-from repro.policy import ExecutionPolicy, resolve_policy
+from repro.exceptions import AdmissionError, JobError
+from repro.policy import ExecutionPolicy, check_count, resolve_policy
 from repro.service.admission import (
     AdmissionDecision,
     AdmissionPolicy,
@@ -170,8 +170,7 @@ class SweepService:
         records_dir=None,
         admission: AdmissionPolicy | None = None,
     ):
-        if workers < 1:
-            raise ValidationError("workers must be >= 1")
+        check_count("workers", workers)
         self.cache = cache if cache is not None else InMemoryCache()
         self.records_dir = Path(records_dir) if records_dir is not None else None
         self.admission = admission

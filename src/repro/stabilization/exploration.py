@@ -23,9 +23,9 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   through a per-payload table keyed by countdown id, so an edge costs two
   int-keyed dict lookups instead of re-hashing ``O(m + n)`` tuples.
 * **Packed edge and parent arrays.**  Successor lists and BFS-tree parent
-  links live in flat append-only ``array.array`` stores instead of one
-  Python list-of-tuples per state; :attr:`successors` and :attr:`parent`
-  are lazy views with the historical shape.
+  links live in flat append-only ``array.array`` stores (a CSR edge store
+  and one parent link per state) instead of one Python list-of-tuples per
+  state; consumers scan them directly.
 * **A shared activation-set cache** with second-chance eviction
   (:func:`valid_activation_sets`): the valid activation sets of a countdown
   vector are enumerated once per distinct countdown and cached module-wide;
@@ -72,10 +72,11 @@ successor lists, parent links, and everything built on them (verdicts,
 oscillation witnesses, attractor regions, worst-case delays) are
 bit-identical to the historical results.
 
-Consumers: :class:`repro.stabilization.states_graph.StatesGraph` (a thin
-label-only view), the model checker's ``decide_label_r_stabilizing`` /
-``decide_output_r_stabilizing`` (iterative Tarjan + witness builder on
-top), and ``repro.faults.adversary.exhaustive_worst_case_delay`` /
+Consumers: :class:`repro.stabilization.states_graph.StatesGraph` (this
+graph with outputs untracked), the model checker's
+``decide_label_r_stabilizing`` / ``decide_output_r_stabilizing``
+(iterative Tarjan + witness builder on top), and
+``repro.faults.adversary.exhaustive_worst_case_delay`` /
 ``MinimaxAdversarySchedule`` (longest-path search on top).
 """
 
@@ -219,94 +220,18 @@ class ExplorationStats:
         return record
 
 
-class _SuccessorsView(Sequence):
-    """``successors[k]`` as a list of ``(successor index, activation set)``.
-
-    A lazy, read-only view over the packed edge arrays with the historical
-    list-of-lists shape (and list equality), so existing consumers and
-    golden tests keep working unchanged.
-    """
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "ExplorationGraph"):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.state_keys)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if k < 0:
-            k += len(self)
-        graph = self._graph
-        pool = graph._sets
-        dst = graph.edge_dst
-        sid = graph.edge_sid
-        return [
-            (dst[e], pool[sid[e]])
-            for e in range(graph.edge_offsets[k], graph.edge_offsets[k + 1])
-        ]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_SuccessorsView, list, tuple)):
-            return len(self) == len(other) and all(
-                self[k] == other[k] for k in range(len(self))
-            )
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-
-class _ParentView(Sequence):
-    """``parent[k]`` as ``(predecessor index, activation set)`` or ``None``."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "ExplorationGraph"):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.state_keys)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if k < 0:
-            k += len(self)
-        graph = self._graph
-        pred = graph.parent_idx[k]
-        if pred < 0:
-            return None
-        return (pred, graph._sets[graph.parent_sid[k]])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_ParentView, list, tuple)):
-            return len(self) == len(other) and all(
-                self[k] == other[k] for k in range(len(self))
-            )
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-
 class ExplorationGraph:
     """The reachable fragment of the Theorem 3.1 states-graph, interned.
 
     States are ``(labeling, countdown)`` pairs, or ``(labeling, outputs,
     countdown)`` triples when ``track_outputs`` is set; components are
     interned to integer ids and states to integer indices (BFS discovery
-    order).  ``successors[k]`` lists ``(successor index, activation set)``
-    edges; ``parent[k]`` is the ``(predecessor index, activation set)``
-    BFS-tree link used for witness replay (``None`` for initial states).
-    Both are views over flat packed arrays (:attr:`edge_offsets` /
-    :attr:`edge_dst` / :attr:`edge_sid` and :attr:`parent_idx` /
-    :attr:`parent_sid`), which consumers may scan directly.
+    order).  The edges of state ``k`` are the range
+    ``edge_offsets[k]:edge_offsets[k + 1]`` of :attr:`edge_dst` (successor
+    index) and :attr:`edge_sid` (activation-set id, see
+    :meth:`activation_set`); :attr:`parent_idx` / :attr:`parent_sid` hold
+    the BFS-tree link used for witness replay (``-1`` for initial states).
+    Consumers scan these packed arrays directly.
 
     Each level's uncached transitions are evaluated as packed-code kernel
     calls grouped by activation set when numpy is present and the
@@ -439,26 +364,20 @@ class ExplorationGraph:
 
         self._explore(initial_labelings, budget, name)
 
-        self.successors = _SuccessorsView(self)
-        self.parent = _ParentView(self)
-
     # -- construction --------------------------------------------------------
 
     def _resolve_symmetry(self, symmetry) -> SymmetryGroup | None:
-        if symmetry is None or symmetry == "none":
+        """The group of a policy's ``symmetry``, which the policy checked
+        when it was built: ``"none"``, ``"auto"`` or a group."""
+        if symmetry == "none":
             return None
         if symmetry == "auto":
             return protocol_symmetry_group(self.protocol, self.inputs)
-        if isinstance(symmetry, SymmetryGroup):
-            if symmetry.topology != self.topology:
-                raise ValidationError(
-                    "symmetry group was built over a different topology"
-                )
-            return symmetry if symmetry.order > 1 else None
-        raise ValidationError(
-            f"unknown symmetry {symmetry!r}; expected 'none', 'auto',"
-            " or a SymmetryGroup"
-        )
+        if symmetry.topology != self.topology:
+            raise ValidationError(
+                "symmetry group was built over a different topology"
+            )
+        return symmetry if symmetry.order > 1 else None
 
     def _intern_countdown(self, countdown: tuple[int, ...]) -> int:
         cid = self._countdown_ids.get(countdown)
@@ -903,11 +822,6 @@ class ExplorationGraph:
     def quotient(self) -> bool:
         """Whether states are canonical orbit representatives."""
         return self._group is not None
-
-    @property
-    def symmetry_group(self) -> SymmetryGroup | None:
-        """The verified symmetry group quotienting the graph, if any."""
-        return self._group
 
     def __len__(self) -> int:
         return len(self.state_keys)

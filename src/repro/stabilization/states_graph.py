@@ -16,14 +16,14 @@ and conversely every path yields an r-fair schedule, so questions about
 r-stabilization become graph questions: the protocol fails to label
 r-stabilize exactly when some reachable cycle changes the labeling.
 
-:class:`StatesGraph` is the label-only view of the unified exploration core
-(:class:`repro.stabilization.exploration.ExplorationGraph`), which interns
-labelings and countdowns, caches valid activation sets per countdown, and
-reuses one compiled transition per ``(labeling, activation set)`` pair —
-the same core the model checker and the adversary's worst-case-delay search
-run on.  The historical ``states`` / ``index`` views (full
-``(labeling values, countdown)`` tuples) are materialized lazily on first
-access, so exhaustive searches that only need ids never pay for them.
+:class:`StatesGraph` is the unified exploration core
+(:class:`repro.stabilization.exploration.ExplorationGraph`) with outputs
+untracked: it interns labelings and countdowns, caches valid activation
+sets per countdown, and reuses one compiled transition per ``(labeling,
+activation set)`` pair — the same core the model checker and the
+adversary's worst-case-delay search run on.  A state ``k`` is read through
+:meth:`~ExplorationGraph.labeling_of` and
+:meth:`~ExplorationGraph.countdown_of`, its edges from the packed CSR store.
 """
 
 from __future__ import annotations
@@ -42,13 +42,9 @@ from repro.stabilization.exploration import (
 
 __all__ = [
     "DEFAULT_STATE_BUDGET",
-    "State",
     "StatesGraph",
     "valid_activation_sets",
 ]
-
-#: A state: (labeling values in canonical edge order, countdown vector).
-State = tuple[tuple, tuple[int, ...]]
 
 
 class StatesGraph(ExplorationGraph):
@@ -74,25 +70,3 @@ class StatesGraph(ExplorationGraph):
             name="states-graph",
             policy=policy,
         )
-        self._states_view: list[State] | None = None
-        self._index_view: dict[State, int] | None = None
-
-    # -- compatibility views -------------------------------------------------
-
-    @property
-    def states(self) -> list[State]:
-        """States as ``(labeling values, countdown)`` tuples, by index."""
-        if self._states_view is None:
-            labels = self._labels
-            countdowns = self._countdowns
-            self._states_view = [
-                (labels[lid], countdowns[cid]) for (lid, _oid, cid) in self.state_keys
-            ]
-        return self._states_view
-
-    @property
-    def index(self) -> dict[State, int]:
-        """Mapping from ``(labeling values, countdown)`` states to indices."""
-        if self._index_view is None:
-            self._index_view = {state: k for k, state in enumerate(self.states)}
-        return self._index_view

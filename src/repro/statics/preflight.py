@@ -7,11 +7,13 @@ Two runtime surprises this module moves to submit time:
   per-row Python apply (``src/repro/core/batch.py``, ``node_liftable`` and
   ``_assemble``).  The decision is correct either way, but a sweep the
   author believed vectorized can quietly run 100x slower.
-  :func:`verify_protocol` reproduces the static part of the gate —
+  :func:`verify_protocol` applies the static part of the gate —
   statefulness, label-space enumerability, the ``|Sigma|**degree`` table
-  budget — and :func:`verify_plan` adds the per-case part (unhashable
-  private inputs), so the predicted partition is known before any work is
-  enqueued.
+  budget — through the batch backend's own numpy-free rule,
+  :func:`repro.core.batch.lift_demotion`, under its constant budget
+  :data:`repro.core.batch.DEFAULT_MAX_TABLE_SIZE`; :func:`verify_plan`
+  adds the per-case part (unhashable private inputs), so the predicted
+  partition is known before any work is enqueued.
 * **Late fingerprint failure.**  A lambda reaction, a closed-over
   ``random.Random``, or an unregistered type inside a plan only fails once
   a case is first keyed, deep in :mod:`repro.service.fingerprint`.
@@ -33,14 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import batch
 from repro.core.compiled import compile_protocol
 from repro.exceptions import Diagnostic, StaticAnalysisError
 from repro.service.fingerprint import unique_offenders
-
-try:  # batch.py self-guards its numpy import, but stay importable anywhere.
-    from repro.core.batch import DEFAULT_MAX_TABLE_SIZE
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    DEFAULT_MAX_TABLE_SIZE = 1 << 16
 
 #: Why a node is predicted to land in the batch fallback path.
 LIFT_REASONS = {
@@ -48,7 +46,7 @@ LIFT_REASONS = {
     " outgoing labels, so no input-only table exists",
     "space": "the label space exceeds the table budget, so no codes are"
     " enumerated at all",
-    "table": "|Sigma|**in_degree exceeds max_table_size for this node",
+    "table": "|Sigma|**in_degree exceeds the table budget for this node",
     "unhashable-input": "the case's private input for this node is not"
     " hashable, so no (node, input) table can be cached",
 }
@@ -190,43 +188,41 @@ class PlanPreflight:
         )
 
 
-def verify_protocol(
-    protocol, max_table_size: int = DEFAULT_MAX_TABLE_SIZE
-) -> ProtocolPreflight:
+def verify_protocol(protocol) -> ProtocolPreflight:
     """Predict the batch lift partition for ``protocol``.
 
-    Mirrors :meth:`repro.core.batch.BatchCompiledProtocol.node_liftable`
+    Applies :func:`repro.core.batch.lift_demotion`, the rule
+    :meth:`~repro.core.batch.BatchCompiledProtocol.node_liftable` applies,
     without importing numpy or building any tables: stateful protocols and
     over-budget label spaces demote every node; otherwise each node lifts
-    exactly when its ``|Sigma|**in_degree`` table fits ``max_table_size``.
+    exactly when its ``|Sigma|**in_degree`` table fits the budget
+    :data:`~repro.core.batch.DEFAULT_MAX_TABLE_SIZE`.
     """
     compiled = compile_protocol(protocol)
+    budget = batch.DEFAULT_MAX_TABLE_SIZE
     space = protocol.label_space
-    space_size = space.size if space.size <= max_table_size else 0
+    space_size = space.size if space.size <= budget else 0
     declared_stateful = bool(protocol.is_stateful)
 
     lifts = []
     for i in range(compiled.n):
         degree = len(compiled.in_positions[i])
-        if declared_stateful:
-            lifts.append(NodeLift(node=i, lifted=False, reason="stateful",
-                                  degree=degree))
-        elif space_size == 0:
-            lifts.append(NodeLift(node=i, lifted=False, reason="space",
-                                  degree=degree))
-        else:
-            rows = space_size**degree
-            if rows <= max_table_size:
-                lifts.append(NodeLift(node=i, lifted=True, degree=degree,
-                                      table_rows=rows))
-            else:
-                lifts.append(NodeLift(node=i, lifted=False, reason="table",
-                                      degree=degree, table_rows=rows))
+        reason = batch.lift_demotion(declared_stateful, space_size, degree)
+        rows = space_size**degree if reason in (None, "table") else None
+        lifts.append(
+            NodeLift(
+                node=i,
+                lifted=reason is None,
+                reason=reason,
+                degree=degree,
+                table_rows=rows,
+            )
+        )
     return ProtocolPreflight(
         protocol=getattr(protocol, "name", type(protocol).__name__),
         is_stateful=declared_stateful,
         space_size=space_size,
-        max_table_size=max_table_size,
+        max_table_size=budget,
         lifts=tuple(lifts),
     )
 
@@ -253,21 +249,16 @@ def _unhashable_inputs(inputs, lifted) -> list:
     return found
 
 
-def verify_plan(
-    plan, max_table_size: int | None = None
-) -> PlanPreflight:
+def verify_plan(plan) -> PlanPreflight:
     """Full preflight of a :class:`~repro.service.plan.SweepPlan`.
 
-    Combines :func:`verify_protocol` (static lift partition under
-    ``max_table_size``, by default the batch backend's),
-    per-case input hashability (the dynamic half of the lift gate), and
-    the fingerprint of the protocol and of every spec: the offenders their
-    walk refuses, each reported once.  A refused protocol does not hide a
-    spec's own offenders.
+    Combines :func:`verify_protocol` (static lift partition under the
+    batch backend's table budget), per-case input hashability (the dynamic
+    half of the lift gate), and the fingerprint of the protocol and of
+    every spec: the offenders their walk refuses, each reported once.  A
+    refused protocol does not hide a spec's own offenders.
     """
-    if max_table_size is None:
-        max_table_size = DEFAULT_MAX_TABLE_SIZE
-    protocol_preflight = verify_protocol(plan.protocol, max_table_size)
+    protocol_preflight = verify_protocol(plan.protocol)
 
     demotions = []
     diagnostics = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 import random
 import sys
+from typing import NamedTuple
 
 from repro.core import (
     Labeling,
@@ -27,6 +28,40 @@ def set_batch_floor(monkeypatch, min_rows: int) -> None:
     from repro.stabilization import exploration
 
     monkeypatch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", min_rows)
+
+
+class GraphLists(NamedTuple):
+    """An exploration graph's packed stores, read into plain lists."""
+
+    #: ``(labeling values, countdown)`` of each state, by index.
+    states: list
+    #: ``(successor index, activation set)`` edges of each state.
+    successors: list
+    #: ``(predecessor index, activation set)`` BFS-tree link of each state,
+    #: ``None`` for initial states.
+    parents: list
+
+
+def graph_lists(graph) -> GraphLists:
+    """Read ``graph``'s CSR edge store and parent store into lists."""
+    activation_set = graph.activation_set
+    offsets = graph.edge_offsets
+    states = []
+    successors = []
+    parents = []
+    for k in range(len(graph)):
+        states.append((graph.labeling_of(k), graph.countdown_of(k)))
+        successors.append(
+            [
+                (graph.edge_dst[e], activation_set(graph.edge_sid[e]))
+                for e in range(offsets[k], offsets[k + 1])
+            ]
+        )
+        pred = graph.parent_idx[k]
+        parents.append(
+            None if pred < 0 else (pred, activation_set(graph.parent_sid[k]))
+        )
+    return GraphLists(states, successors, parents)
 
 
 def constant_protocol(topology: Topology, label=0) -> StatelessProtocol:

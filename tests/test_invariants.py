@@ -148,8 +148,7 @@ class TestStatesGraphIsTheRunSpace:
             ),
         )
         for k in graph.initial_indices:
-            _, countdown = graph.states[k]
-            assert countdown == (2, 2, 2)
+            assert graph.countdown_of(k) == (2, 2, 2)
 
     def test_witness_schedules_are_r_fair(self):
         from repro.stabilization import decide_label_r_stabilizing

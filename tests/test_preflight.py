@@ -29,6 +29,7 @@ from repro.core import (
     UniformReaction,
     binary,
 )
+from repro.core import batch
 from repro.exceptions import FingerprintError, StaticAnalysisError
 from repro.faults.models import FaultModel
 from repro.faults.schedules import NoFaults, OneShotFault
@@ -192,7 +193,8 @@ class TestVerifyPlan:
         # Demotion is a performance warning, not a blocker.
         assert preflight.ok
 
-    def test_each_inputs_object_is_hashed_once(self):
+    def test_each_inputs_object_is_hashed_once(self, monkeypatch):
+        monkeypatch.setattr(batch, "DEFAULT_MAX_TABLE_SIZE", 2)
         protocol = _two_degree_protocol()
         labeling = random_bit_labeling(protocol.topology, seed=0)
         _CountedHash.calls = 0
@@ -212,7 +214,7 @@ class TestVerifyPlan:
             _sync,
             max_steps=20,
         )
-        preflight = verify_plan(plan, max_table_size=2)
+        preflight = verify_plan(plan)
         assert preflight.protocol.predicted_lifted == (0, 1)
         # Three cases share one tuple; it is hashed once.
         assert _CountedHash.calls == 1

@@ -1,4 +1,4 @@
-"""Tests for the sweep job service, client front-end, and CLI.
+"""Tests for the sweep job service and its CLI.
 
 Lifecycle (submit/status/stream/result/cancel), cache-served resubmission,
 BENCH-style job records, and the ``python -m repro.service`` entry point.
@@ -27,9 +27,7 @@ from repro.faults.schedules import NoFaults, OneShotFault
 from repro.graphs import unidirectional_ring
 from repro.service import (
     InMemoryCache,
-    JobHandle,
     JobState,
-    ServiceClient,
     SweepService,
     plan_resilience_sweep,
     plan_sweep,
@@ -274,10 +272,11 @@ class TestSweepService:
         assert [p.shard for p in (first, *rest)] == [0, 1]
 
     def test_workers_validation(self):
-        with pytest.raises(ValidationError, match="workers"):
-            SweepService(workers=0)
+        for workers in (0, True, 1.5, "2"):
+            with pytest.raises(ValidationError, match="workers"):
+                SweepService(workers=workers)
 
-    @pytest.mark.parametrize("shard_size", [0, 2.5])
+    @pytest.mark.parametrize("shard_size", [0, 2.5, True])
     def test_bad_shard_size_is_rejected_before_anything_is_queued(self, shard_size):
         plan, _, _ = _plan(count=2)
         with SweepService() as service:
@@ -354,47 +353,6 @@ class TestJobRecords:
         entries = json.loads(path.read_text())["entries"]
         assert entries["kind"] == "resilience"
         assert "recovered" in entries
-
-
-class TestServiceClient:
-    def test_submit_sweep_and_result(self):
-        _, protocol, cases = _plan()
-        one_shot = run_sweep(protocol, cases, _sync, max_steps=60)
-        with ServiceClient() as client:
-            handle = client.submit_sweep(protocol, cases, _sync, max_steps=60)
-            assert isinstance(handle, JobHandle)
-            assert handle.result(timeout=30) == one_shot
-            assert handle.status().state is JobState.DONE
-
-    def test_run_helpers_block_for_reports(self):
-        _, protocol, cases = _plan(count=4)
-        with ServiceClient() as client:
-            sweep = client.run_sweep(protocol, cases, _sync, max_steps=60)
-            resilience = client.run_resilience_sweep(
-                protocol, cases, _sync, lambda i, c: NoFaults(), max_steps=60
-            )
-        assert len(sweep) == len(resilience) == 4
-
-    def test_wrapping_a_shared_service_leaves_it_open(self):
-        plan, _, _ = _plan(count=1)
-        with SweepService() as service:
-            with ServiceClient(service) as client:
-                client.submit_plan(plan).result(timeout=30)
-            # the client did not close the shared service
-            service.result(service.submit(plan), timeout=30)
-
-    def test_service_and_options_are_exclusive(self):
-        with SweepService() as service:
-            with pytest.raises(TypeError, match="either"):
-                ServiceClient(service, workers=2)
-
-    def test_streaming_through_the_handle(self):
-        plan, _, _ = _plan()
-        with ServiceClient() as client:
-            handle = client.submit_plan(plan, shard_size=4)
-            shards = list(handle.stream())
-            assert [p.shard for p in shards] == [0, 1]
-            assert handle.cancel() is False  # already done
 
 
 class TestCli:

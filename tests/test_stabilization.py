@@ -31,7 +31,7 @@ from repro.stabilization import (
     valid_activation_sets,
 )
 
-from tests.helpers import copy_ring_protocol, or_clique_protocol
+from tests.helpers import copy_ring_protocol, graph_lists, or_clique_protocol
 
 
 class TestFixedPoints:
@@ -96,7 +96,7 @@ class TestStatesGraph:
             initial_labelings=broadcast_labelings(proto.topology, proto.label_space),
         )
         # all states have at least one successor (schedules never stall)
-        assert all(graph.successors[k] for k in range(len(graph)))
+        assert all(graph_lists(graph).successors)
 
     def test_attractor_of_stable_set_covers_initials_when_stabilizing(self):
         # r = n-2 = 2 on K_4: the protocol stabilizes, so from every initial

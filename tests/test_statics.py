@@ -29,6 +29,7 @@ from os import environ
 from pathlib import Path
 from time import perf_counter
 from time import time as now
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +53,8 @@ from repro.statics.__main__ import main as statics_main
 from tests.test_service_fingerprint import _zoo_protocols
 
 np = pytest.importorskip("numpy")
-from repro.core.batch import BatchSimulator  # noqa: E402 - needs numpy
+from repro.core import batch  # noqa: E402 - needs numpy
+from repro.core.batch import BatchSimulator  # noqa: E402
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_statics.json"
 SRC = Path(__file__).parent.parent / "src"
@@ -582,9 +584,13 @@ class TestPredictedPartition:
     def test_matches_batch_simulator(
         self, n, k, use_clique, seed, max_table_size
     ):
+        # A fresh protocol per example, so batch_compile's cache never
+        # serves a compilation made under another budget.
         protocol = _tabular_protocol(n, k, use_clique, seed)
-        predicted = verify_protocol(protocol, max_table_size=max_table_size)
-        simulator = BatchSimulator(protocol, [(0,) * n], max_table_size=max_table_size)
+        with patch.object(batch, "DEFAULT_MAX_TABLE_SIZE", max_table_size):
+            predicted = verify_protocol(protocol)
+            simulator = BatchSimulator(protocol, [(0,) * n])
+        assert predicted.max_table_size == max_table_size
         actual_fallback = set(range(n)) - set(simulator.lifted_nodes)
         assert set(predicted.predicted_fallback) == actual_fallback
         assert set(predicted.predicted_lifted) == set(simulator.lifted_nodes)
@@ -603,11 +609,13 @@ class TestPredictedPartition:
         simulator = BatchSimulator(protocol, [(None,) * protocol.n])
         assert simulator.lifted_nodes == ()
 
-    def test_demotion_reasons_name_the_gate(self):
+    def test_demotion_reasons_name_the_gate(self, monkeypatch):
         protocol = _tabular_protocol(4, 4, True, seed=1)
         # |Sigma|**3 = 64 > 16: per-node table demotion, space still fits.
-        predicted = verify_protocol(protocol, max_table_size=16)
+        monkeypatch.setattr(batch, "DEFAULT_MAX_TABLE_SIZE", 16)
+        predicted = verify_protocol(protocol)
         assert {lift.reason for lift in predicted.lifts} == {"table"}
         # Space itself over budget: nothing is enumerated at all.
-        predicted = verify_protocol(protocol, max_table_size=2)
+        monkeypatch.setattr(batch, "DEFAULT_MAX_TABLE_SIZE", 2)
+        predicted = verify_protocol(protocol)
         assert {lift.reason for lift in predicted.lifts} == {"space"}
