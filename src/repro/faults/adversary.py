@@ -215,8 +215,9 @@ def exhaustive_worst_case_delay(
     symmetry quotient: stability is orbit-invariant and every concrete path
     corresponds to a quotient path of the same length (and vice versa), so
     the delay is unchanged while the graph is up to ``|G|`` times smaller.
-    Witness schedules are lifted back to concrete activation sets before
-    return.
+    The witness walk is a list of ``(state, set id)`` steps, lifted back to
+    concrete activation sets through the group elements the graph derives
+    for them (the identity on a concrete graph) before return.
     """
     policy = resolve_policy(policy, api="exhaustive_worst_case_delay")
     inputs = tuple(inputs)
@@ -233,7 +234,6 @@ def exhaustive_worst_case_delay(
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst
     edge_sid = graph.edge_sid
-    edge_gid = graph.edge_gid if graph.quotient else None
 
     # Stability is a property of the labeling alone (and orbit-invariant on
     # quotient graphs), so cache it per interned labeling id, not per state.
@@ -294,10 +294,8 @@ def exhaustive_worst_case_delay(
                 running[parent] = max(running[parent], best[k])
 
     # Walk a witness by following argmax successors from the root,
-    # collecting edge indices so quotient walks can be lifted afterwards.
-    def edge_pair(e: int) -> tuple[int, int]:
-        return (edge_sid[e], edge_gid[e] if edge_gid is not None else 0)
-
+    # collecting (state, set id) steps so quotient walks can be lifted
+    # afterwards.
     prefix: list[frozenset[int]] = []
     loop: list[frozenset[int]] = []
     if stable(root):
@@ -305,7 +303,7 @@ def exhaustive_worst_case_delay(
     elif best[root] == math.inf:
         delay = None
         seen: dict[int, int] = {}
-        walk: list[int] = []
+        walk: list[tuple[int, int]] = []
         k = root
         while k not in seen:
             seen[k] = len(walk)
@@ -313,16 +311,14 @@ def exhaustive_worst_case_delay(
             for e in range(edge_offsets[k], edge_offsets[k + 1]):
                 j = edge_dst[e]
                 if not stable(j) and best[j] == math.inf:
-                    walk.append(e)
+                    walk.append((k, edge_sid[e]))
                     k = j
                     break
             else:  # pragma: no cover - DFS invariant
                 raise AssertionError("unbounded state has no unbounded successor")
         cut = seen[k]
-        prefix, h = graph.lift_pairs(
-            [edge_pair(e) for e in walk[:cut]], graph.root_accumulator(root)
-        )
-        loop = graph.lift_loop_pairs([edge_pair(e) for e in walk[cut:]], h)
+        prefix, h = graph.lift(walk[:cut], graph.root_element(root))
+        loop = graph.lift_loop(walk[cut:], h)
     else:
         delay = int(best[root])
         walk = []
@@ -335,11 +331,9 @@ def exhaustive_worst_case_delay(
                 score = 0.0 if stable(j) else best[j]
                 if score > chosen_score:
                     chosen, chosen_score = e, score
-            walk.append(chosen)
+            walk.append((k, edge_sid[chosen]))
             k = edge_dst[chosen]
-        prefix, _h = graph.lift_pairs(
-            [edge_pair(e) for e in walk], graph.root_accumulator(root)
-        )
+        prefix, _h = graph.lift(walk, graph.root_element(root))
 
     return WorstCaseDelay(
         delay=delay,

@@ -417,10 +417,13 @@ class StateCanonicalizer:
     and ``ties`` counts the elements that do — the stabilizer of the
     state, so ``group.order // ties`` is the orbit size.  Any minimizer
     yields the same canonical state, but witness lifting replays the
-    stored elements (``parent_gid``/``edge_gid`` of an exploration) to
-    map quotient edges back onto concrete node sets; fixing the lowest
-    index makes those elements, and hence every lifted witness, a pure
-    function of the state on every route and in every run.
+    elements to map quotient edges back onto concrete node sets, and an
+    exploration stores none: it re-canonicalizes a raw successor when a
+    witness needs its element.  Fixing the lowest index makes the element
+    a pure function of the state once its labels have codes (codes are
+    never renumbered), so a re-derived element is the one the exploration
+    used, and every lifted witness is the same on every route and in
+    every run.
 
     The countdown columns lead the vector, so every minimizer lies in the
     countdown's *coset*: the elements that send the countdown to its
@@ -658,9 +661,7 @@ def _least(keys, coset, order: int) -> tuple[int, int]:
 
 
 def symmetry_group_from_generators(
-    topology: Topology,
-    generators: Iterable[Sequence[int]],
-    cap: int = DEFAULT_MAX_GROUP_ORDER,
+    topology: Topology, generators: Iterable[Sequence[int]]
 ) -> SymmetryGroup:
     """Close explicit generators into a :class:`SymmetryGroup`.
 
@@ -668,7 +669,7 @@ def symmetry_group_from_generators(
     verified against any protocol's reactions — passing the result to an
     exploration asserts reaction equivariance on the caller's authority.
     """
-    return SymmetryGroup(topology, close_generators(generators, topology.n, cap))
+    return SymmetryGroup(topology, close_generators(generators, topology.n))
 
 
 def _input_invariant(perm: Sequence[int], inputs: Sequence[Any]) -> bool:

@@ -51,15 +51,19 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   group is available (:func:`repro.graphs.automorphisms
   .protocol_symmetry_group`), every discovered state is canonicalized to
   the least element of its orbit before interning, so the graph holds one
-  state per orbit.  Edges carry the group element mapping the raw
-  successor to its canonical form plus a pre-canonicalization
-  changed-labeling/changed-output flag; parent links carry the element
-  chain that lets :meth:`path_to` / :meth:`lift_pairs` /
-  :meth:`lift_loop_pairs` replay concrete witnesses through the group
-  action.  Verdicts, delays, and attractor membership are invariant (the
-  projection onto the quotient is a graph homomorphism and stability is
-  orbit-invariant under verified symmetries), so consumers get unchanged
-  answers from a graph that is smaller by up to the group order.
+  state per orbit.  A concrete graph is the quotient by the trivial group,
+  and both run one expansion loop.  The group element of an edge is not
+  stored: :meth:`element` re-canonicalizes the edge's raw successor, a
+  pure function of it, and :meth:`lift` / :meth:`lift_loop` replay
+  concrete witnesses through the group action.  Verdicts, delays, and
+  attractor membership are invariant (the projection onto the quotient is
+  a graph homomorphism and stability is orbit-invariant under verified
+  symmetries), so consumers get unchanged answers from a graph that is
+  smaller by up to the group order.
+* **Changing transitions.**  Each transition miss records whether the raw
+  successor differs from its source payload (labeling, and outputs when
+  tracked), as one set of activation-set ids per payload
+  (:meth:`changing_sets`): the model checker's changing-edge scan.
 * **Parent links** for witness replay (:meth:`path_to` / :meth:`root_of`),
   and **pluggable payloads**: ``track_outputs=True`` enriches states with
   the per-node output vector for output-stabilization checking.
@@ -246,7 +250,7 @@ class ExplorationGraph:
     none; an explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`
     asserts reaction equivariance on the caller's authority.  Quotient
     graphs store one canonical state per orbit; witnesses are lifted back
-    to concrete runs via the per-edge group elements.
+    to concrete runs via the group elements :meth:`element` derives.
 
     ``symmetry`` is a field of :class:`repro.ExecutionPolicy`, passed as
     ``policy=``.  The policy is cosmetic here as everywhere: every quotient
@@ -311,23 +315,13 @@ class ExplorationGraph:
         self._index: dict[tuple[int, int], dict] = {}
         #: Packed edge store: edges of state k occupy the contiguous range
         #: ``edge_offsets[k]:edge_offsets[k+1]`` of edge_dst (successor
-        #: index) and edge_sid (activation-set id); quotient graphs add
-        #: edge_gid (group element mapping the raw successor to its
-        #: canonical form) and edge_flags (bit 0: labeling changed, bit 1:
-        #: outputs changed — computed before canonicalization).
+        #: index) and edge_sid (activation-set id).
         self.edge_offsets = array("q")
         self.edge_dst = array("q")
         self.edge_sid = array("i")
-        self.edge_gid = array("i") if group else None
-        self.edge_flags = array("B") if group else None
         #: Packed parent store: BFS-tree link of state k (or -1 for roots).
-        #: Quotient graphs use parent_gid for the edge's group element —
-        #: and, on roots, for the element mapping the concrete initial
-        #: state to its canonical form.
         self.parent_idx = array("q")
         self.parent_sid = array("i")
-        self.parent_gid = array("i") if group else None
-        self._orbit_sizes = array("q") if group else None
         self.edge_offsets.append(0)
 
         self.initial_indices: list[int] = []
@@ -344,25 +338,30 @@ class ExplorationGraph:
             "batch_calls": 0,
             "batch_rows": 0,
             "canonicalizations": 0,
-            "canonical_hits": 0,
         }
         self._covered = 0
         self._frontier_mode = "serial"
 
         # (labeling id, output id) -> {activation-set id -> successor}.
         # Countdown-independent, so all states sharing a payload reuse one
-        # evaluation per set.  Plain mode stores the successor payload's
-        # state table; quotient mode stores (changed flags, canonical row,
-        # raw labeling, raw outputs), the flags as in edge_flags.
-        self._transitions: dict[tuple[int, int], dict[int, tuple]] = {}
-        if group is not None:
-            # Canonical rows, one per raw successor payload (raw labeling,
-            # raw outputs or None): raw countdown id -> (canonical payload's
-            # state table, canonical countdown id, group element, orbit
-            # size).
-            self._canon_rows: dict[tuple, dict[int, tuple]] = {}
+        # evaluation per set.  A successor maps a countdown id to a state
+        # index: a concrete graph stores the successor payload's state
+        # table, a quotient the raw successor's canonical row.
+        self._transitions: dict[tuple[int, int], dict[int, dict]] = {}
+        # (labeling id, output id) -> ids of the activation sets whose raw
+        # successor differs from the payload.
+        self._changing: dict[tuple[int, int], set[int]] = {}
+        # Canonical rows, one per raw successor payload (raw labeling, raw
+        # outputs or None): raw countdown id -> canonical state index, plus
+        # the raw payload under ``None``.
+        self._canon_rows: dict[tuple, dict] = {}
 
-        self._explore(initial_labelings, budget, name)
+        # ``_add_state`` checks the budget (naming the consumer when it is
+        # exceeded) and queues each new state into the next level.
+        self._budget = budget
+        self._name = name
+        self._queue: list[int] = []
+        self._explore(initial_labelings)
 
     # -- construction --------------------------------------------------------
 
@@ -445,33 +444,31 @@ class ExplorationGraph:
         return table
 
     def _add_state(
-        self, table: dict, cid: int, pred: int, sid: int, gid: int, orbit: int
+        self, table: dict, cid: int, pred: int, sid: int, orbit: int = 1
     ) -> int:
+        """Store a new state, reached from ``pred`` by set ``sid`` (``-1``
+        for roots), and queue it for the next level."""
         k = len(self.state_keys)
+        if k >= self._budget:
+            raise SearchBudgetExceeded(
+                f"{self._name} exceeded budget of {self._budget} states"
+            )
         table[cid] = k
         self.state_keys.append((*table[None], cid))
         self.parent_idx.append(pred)
         self.parent_sid.append(sid)
-        if self._group is not None:
-            self.parent_gid.append(gid)
-            self._orbit_sizes.append(orbit)
-            self._covered += orbit
-        else:
-            self._covered += 1
+        self._covered += orbit
+        self._queue.append(k)
         return k
 
-    def _canonical_root(self, values: tuple, start_cid: int):
-        """Canonicalize one initial state; countdowns start uniform, so
+    def _root_canonical(self, values: tuple) -> tuple[int, int]:
+        """``canonical`` of an initial state: countdowns start uniform, so
         only the labeling (and the all-None outputs) matter."""
-        group = self._group
-        self._check_universe(values)
-        gid, ties = self._canonicalizer.canonical(
+        return self._canonicalizer.canonical(
             values,
             self._none_outputs if self.track_outputs else None,
-            self._countdowns[start_cid],
+            (self.r,) * self.n,
         )
-        canon_values = group.apply_labeling(gid, values)
-        return canon_values, gid, group.order // ties
 
     def _check_universe(self, values: tuple) -> None:
         universe = self._group.label_universe
@@ -486,62 +483,118 @@ class ExplorationGraph:
                     " exploration refuses to continue"
                 )
 
-    def _explore(self, initial_labelings, budget: int, name: str) -> None:
+    def _explore(self, initial_labelings) -> None:
         group = self._group
         counters = self._stats_counters
 
         start_cid = self._intern_countdown((self.r,) * self.n)
-        frontier: list[int] = []
+        frontier = self._queue
         for labeling in initial_labelings:
-            values = labeling.values
+            values, orbit = labeling.values, 1
             if group is not None:
-                values, gid, orbit = self._canonical_root(values, start_cid)
-            else:
-                gid, orbit = 0, 1
+                self._check_universe(values)
+                gid, ties = self._root_canonical(values)
+                values, orbit = group.apply_labeling(gid, values), group.order // ties
             table = self._states_at(self._intern_label(values), 0)
-            if start_cid in table:
-                continue
-            if len(self.state_keys) >= budget:
-                raise SearchBudgetExceeded(
-                    f"{name} exceeded budget of {budget} states"
-                )
-            k = self._add_state(table, start_cid, -1, -1, gid, orbit)
-            self.initial_indices.append(k)
-            self._initial_labeling_at[k] = labeling
-            frontier.append(k)
+            if start_cid not in table:
+                k = self._add_state(table, start_cid, -1, -1, orbit)
+                self.initial_indices.append(k)
+                self._initial_labeling_at[k] = labeling
 
-        expand = self._expand_quotient if group is not None else self._expand
         while frontier:
             counters["peak_frontier"] = max(
                 counters["peak_frontier"], len(frontier)
             )
             pending = self._stage_level(frontier)
-            frontier = expand(frontier, pending, budget, name)
+            self._queue = []
+            self._expand(frontier, pending)
+            frontier = self._queue
 
-    def _step(self, lid: int, oid: int, t, pending) -> tuple:
+    def _step(self, lid: int, oid: int, t, tid: int, pending) -> tuple:
         """The raw successor payload of one uncached transition: staged by
-        the batch pass, or stepped through the compiled protocol."""
+        the batch pass, or stepped through the compiled protocol.
+
+        Records ``tid`` in the payload's changing sets when the raw
+        successor differs from the payload.  The test is on the raw
+        successor because ``canon(u) == s`` does not imply ``u == s``.
+        """
+        values = self._labels[lid]
         staged = pending.pop((lid, oid, t), None) if pending else None
         if staged is not None:
-            return staged
-        step = self._compiled.step_values
-        if self.track_outputs:
-            return step(self._labels[lid], self._outs[oid], t, self.inputs)
-        new_values, _ = step(self._labels[lid], None, t, self.inputs)
-        return new_values, None
+            new_values, new_outputs = staged
+        elif self.track_outputs:
+            new_values, new_outputs = self._compiled.step_values(
+                values, self._outs[oid], t, self.inputs
+            )
+        else:
+            new_values, _ = self._compiled.step_values(values, None, t, self.inputs)
+            new_outputs = None
+        if new_values != values or (
+            self.track_outputs and new_outputs != self._outs[oid]
+        ):
+            self._changing.setdefault((lid, oid), set()).add(tid)
+        return new_values, new_outputs
 
-    def _expand(self, frontier, pending, budget, name) -> list[int]:
-        """Expand one level of concrete states: the historical serial
-        scan, with staged batch results consumed at the same scan
-        positions.  Returns the next level."""
+    def _successor_table(self, new_values: tuple, new_outputs) -> dict:
+        """A concrete graph's transition miss: the successor payload's
+        state table."""
+        noid = self._intern_out(new_outputs) if self.track_outputs else 0
+        return self._states_at(self._intern_label(new_values), noid)
+
+    def _canonical_row(self, new_values: tuple, new_outputs) -> dict:
+        """A quotient's transition miss: the raw successor's canonical
+        row, shared by every transition that reaches the same raw
+        payload."""
+        self._check_universe(new_values)
+        raw = (new_values, new_outputs)
+        row = self._canon_rows.get(raw)
+        if row is None:
+            row = self._canon_rows[raw] = {None: raw}
+        return row
+
+    def _arrive_canonical(self, row: dict, cid: int, pred: int, sid: int) -> int:
+        """A quotient's first arrival of a raw successor at raw countdown
+        ``cid``: canonicalize once, find or add the canonical state, and
+        cache its index in the row."""
+        self._stats_counters["canonicalizations"] += 1
+        group = self._group
+        values, outputs = row[None]
+        countdown = self._countdowns[cid]
+        gid, ties = self._canonicalizer.canonical(values, outputs, countdown)
+        table = self._states_at(
+            self._intern_label(group.apply_labeling(gid, values)),
+            self._intern_out(group.apply_per_node(gid, outputs))
+            if self.track_outputs
+            else 0,
+        )
+        ccid = self._intern_countdown(group.apply_per_node(gid, countdown))
+        j = table.get(ccid)
+        if j is None:
+            j = self._add_state(table, ccid, pred, sid, group.order // ties)
+        row[cid] = j
+        return j
+
+    def _expand(self, frontier: list[int], pending) -> None:
+        """Expand one level, queueing the next one.
+
+        Each edge looks its activation set up in the payload's transition
+        row, then its successor countdown in the successor.  Only two steps
+        differ by mode, and they are picked once per level: a transition
+        miss (:meth:`_successor_table` or :meth:`_canonical_row`) and a
+        first arrival (:meth:`_add_state` or :meth:`_arrive_canonical`).
+        Staged batch results are consumed at the serial scan positions.
+        """
+        if self._group is None:
+            successor_of, arrive = self._successor_table, self._add_state
+        else:
+            successor_of, arrive = self._canonical_row, self._arrive_canonical
+        step = self._step
         state_keys = self.state_keys
         transitions = self._transitions
         moves_by_cid = self._moves_by_cid
-        track_outputs = self.track_outputs
         edge_offsets = self.edge_offsets
         edge_dst = self.edge_dst
         edge_sid = self.edge_sid
-        next_frontier: list[int] = []
         lookups = misses = activation_hits = 0
         for k in frontier:
             lid, oid, cid = state_keys[k]
@@ -558,134 +611,24 @@ class ExplorationGraph:
             # Three parallel sequences from ``_moves``; ``strict=`` would
             # cost a keyword parse per state on this path.
             for t, tid, next_cid in zip(sets, sids, next_cids):  # noqa: B905
-                table = row.get(tid)
-                if table is None:
+                successor = row.get(tid)
+                if successor is None:
                     misses += 1
-                    new_values, new_outputs = self._step(lid, oid, t, pending)
-                    noid = self._intern_out(new_outputs) if track_outputs else 0
-                    table = row[tid] = self._states_at(
-                        self._intern_label(new_values), noid
+                    successor = row[tid] = successor_of(
+                        *step(lid, oid, t, tid, pending)
                     )
-                j = table.get(next_cid)
+                j = successor.get(next_cid)
                 if j is None:
-                    if len(state_keys) >= budget:
-                        raise SearchBudgetExceeded(
-                            f"{name} exceeded budget of {budget} states"
-                        )
-                    j = self._add_state(table, next_cid, k, tid, 0, 1)
-                    next_frontier.append(j)
+                    j = arrive(successor, next_cid, k, tid)
                 successors.append(j)
             edge_dst.extend(successors)
             edge_sid.extend(sids)
             edge_offsets.append(len(edge_dst))
             lookups += len(sids)
-        self._count_level(lookups, misses, activation_hits)
-        return next_frontier
-
-    def _expand_quotient(self, frontier, pending, budget, name) -> list[int]:
-        """Expand one level of canonical states, canonicalizing every raw
-        successor.  Returns the next level.
-
-        The changed-labeling/changed-output flags compare the raw successor
-        against the (canonical) source state *before* canonicalization —
-        ``canon(u) == s`` does not imply ``u == s``, and the flags are what
-        the model checker's changing-edge scan relies on.
-        """
-        group = self._group
-        canonical = self._canonicalizer.canonical
-        state_keys = self.state_keys
-        transitions = self._transitions
-        canon_rows = self._canon_rows
-        moves_by_cid = self._moves_by_cid
-        countdowns = self._countdowns
-        track_outputs = self.track_outputs
-        edge_offsets = self.edge_offsets
-        edge_dst = self.edge_dst
-        edge_sid = self.edge_sid
-        edge_gid = self.edge_gid
-        edge_flags = self.edge_flags
-        next_frontier: list[int] = []
-        lookups = misses = activation_hits = canonicalizations = 0
-        for k in frontier:
-            lid, oid, cid = state_keys[k]
-            moves = moves_by_cid.get(cid)
-            if moves is None:
-                moves = self._moves(cid)
-            else:
-                activation_hits += 1
-            sets, sids, next_cids = moves
-            row = transitions.get((lid, oid))
-            if row is None:
-                row = transitions[(lid, oid)] = {}
-            successors = []
-            gids = []
-            flags = []
-            for t, tid, next_cid in zip(sets, sids, next_cids):  # noqa: B905
-                entry = row.get(tid)
-                if entry is None:
-                    misses += 1
-                    new_values, new_outputs = self._step(lid, oid, t, pending)
-                    self._check_universe(new_values)
-                    flag = int(new_values != self._labels[lid])
-                    if track_outputs and new_outputs != self._outs[oid]:
-                        flag |= 2
-                    raw = (new_values, new_outputs)
-                    canon_row = canon_rows.get(raw)
-                    if canon_row is None:
-                        canon_row = canon_rows[raw] = {}
-                    entry = row[tid] = (flag, canon_row, new_values, new_outputs)
-                canon = entry[1].get(next_cid)
-                if canon is None:
-                    canonicalizations += 1
-                    _flag, canon_row, raw_values, raw_outs = entry
-                    raw_countdown = countdowns[next_cid]
-                    gid, ties = canonical(raw_values, raw_outs, raw_countdown)
-                    table = self._states_at(
-                        self._intern_label(group.apply_labeling(gid, raw_values)),
-                        self._intern_out(group.apply_per_node(gid, raw_outs))
-                        if track_outputs
-                        else 0,
-                    )
-                    canon = canon_row[next_cid] = (
-                        table,
-                        self._intern_countdown(
-                            group.apply_per_node(gid, raw_countdown)
-                        ),
-                        gid,
-                        group.order // ties,
-                    )
-                table, ccid, gid, orbit = canon
-                j = table.get(ccid)
-                if j is None:
-                    if len(state_keys) >= budget:
-                        raise SearchBudgetExceeded(
-                            f"{name} exceeded budget of {budget} states"
-                        )
-                    j = self._add_state(table, ccid, k, tid, gid, orbit)
-                    next_frontier.append(j)
-                successors.append(j)
-                gids.append(gid)
-                flags.append(entry[0])
-            edge_dst.extend(successors)
-            edge_sid.extend(sids)
-            edge_gid.extend(gids)
-            edge_flags.extend(flags)
-            edge_offsets.append(len(edge_dst))
-            lookups += len(sids)
-        self._count_level(lookups, misses, activation_hits, canonicalizations)
-        return next_frontier
-
-    def _count_level(
-        self, lookups: int, misses: int, activation_hits: int, canonicalizations=0
-    ) -> None:
-        """Fold one level's edge and cache counts into the stats counters."""
         counters = self._stats_counters
         counters["transition_hits"] += lookups - misses
         counters["transition_misses"] += misses
         counters["activation_hits"] += activation_hits
-        if self._group is not None:
-            counters["canonicalizations"] += canonicalizations
-            counters["canonical_hits"] += lookups - canonicalizations
 
     # -- frontier batching ---------------------------------------------------
 
@@ -720,7 +663,7 @@ class ExplorationGraph:
         checked once and bucketed by ``T``; one ``step_codes`` kernel call
         runs per bucket of at least :data:`AUTO_BATCH_MIN_ROWS` rows.
         Results are staged in a dict keyed by the raw activation set; pass 2
-        (``_expand*``) pops them at the exact serial scan position.
+        (``_expand``) pops them at the exact serial scan position.
         Staging interns *nothing* (it reads the module activation-set cache
         and only looks pools up), so the interning order — and with it
         every id and index in the graph — is bit-identical no matter which
@@ -876,6 +819,7 @@ class ExplorationGraph:
     def stats(self) -> ExplorationStats:
         """Construction statistics (pool sizes, cache hit rates, batching)."""
         counters = self._stats_counters
+        lookups = counters["transition_hits"] + counters["transition_misses"]
         return ExplorationStats(
             states=len(self.state_keys),
             edges=len(self.edge_dst),
@@ -895,48 +839,84 @@ class ExplorationGraph:
             symmetry_order=self._group.order if self._group else 1,
             covered_states=self._covered,
             canonicalizations=counters["canonicalizations"],
-            canonical_cache_hits=counters["canonical_hits"],
+            canonical_cache_hits=(
+                lookups - counters["canonicalizations"] if self._group else 0
+            ),
         )
 
     # -- witness replay ------------------------------------------------------
 
+    def changing_sets(self, k: int) -> frozenset[int] | set[int]:
+        """Ids of the activation sets under which state ``k``'s raw
+        successor differs from its payload (the labeling, and the outputs
+        when tracked).  Shared by every state of the payload: read only."""
+        lid, oid, _cid = self.state_keys[k]
+        return self._changing.get((lid, oid), frozenset())
+
+    def element(self, k: int, sid: int) -> int:
+        """The group element of edge ``(k, sid)``, mapping its raw
+        successor to the canonical target; 0 on concrete graphs.
+
+        The raw successor is re-canonicalized at the raw countdown
+        ``c(x, T)``.  ``canonical`` is a pure function of a state whose
+        labels have codes, so this is the element the exploration used.
+        """
+        if self._group is None:
+            return 0
+        lid, oid, cid = self.state_keys[k]
+        values, outputs = self._transitions[(lid, oid)][sid][None]
+        t = self._sets[sid]
+        r = self.r
+        countdown = tuple(
+            r if i in t else c - 1 for i, c in enumerate(self._countdowns[cid])
+        )
+        return self._canonicalizer.canonical(values, outputs, countdown)[0]
+
+    def root_element(self, k: int) -> int:
+        """The group element mapping root ``k``'s initial labeling to the
+        root; 0 on concrete graphs."""
+        if self._group is None:
+            return 0
+        return self._root_canonical(self._initial_labeling_at[k].values)[0]
+
     def _parent_chain(self, k: int) -> tuple[int, list[tuple[int, int]]]:
-        """The BFS-tree edge chain root -> k as (set id, group element)."""
-        pairs: list[tuple[int, int]] = []
+        """The root of ``k`` and the BFS-tree steps root -> k, as
+        ``(state, set id)`` edges."""
+        steps: list[tuple[int, int]] = []
         current = k
         while True:
             pred = self.parent_idx[current]
             if pred < 0:
                 break
-            gid = self.parent_gid[current] if self._group is not None else 0
-            pairs.append((self.parent_sid[current], gid))
+            steps.append((pred, self.parent_sid[current]))
             current = pred
-        pairs.reverse()
-        return current, pairs
+        steps.reverse()
+        return current, steps
 
-    def lift_pairs(
-        self, pairs: Iterable[tuple[int, int]], h: int
+    def lift(
+        self, steps: Iterable[tuple[int, int]], h: int
     ) -> tuple[list[frozenset[int]], int]:
-        """Concrete actions for quotient edges entered with accumulator ``h``.
+        """Concrete actions for ``(state, set id)`` edges entered with
+        accumulator ``h``.
 
         The exploration maintains the invariant ``concrete state = h^-1 .
         canonical state``; an edge with activation set ``T`` and element
         ``g`` concretely activates ``h^-1(T)`` and advances the accumulator
-        to ``g . h``.  Plain graphs (``h`` ignored as 0) return the edge
-        sets unchanged.
+        to ``g . h``.  Concrete graphs return the edge sets unchanged (the
+        accumulator stays 0).
         """
         group = self._group
         sets = self._sets
         if group is None:
-            return [sets[sid] for (sid, _gid) in pairs], 0
+            return [sets[sid] for (_k, sid) in steps], 0
         actions = []
-        for sid, gid in pairs:
+        for k, sid in steps:
             actions.append(group.apply_nodes(group.inverse(h), sets[sid]))
-            h = group.compose(gid, h)
+            h = group.compose(self.element(k, sid), h)
         return actions, h
 
-    def lift_loop_pairs(
-        self, pairs: Sequence[tuple[int, int]], h: int
+    def lift_loop(
+        self, steps: Sequence[tuple[int, int]], h: int
     ) -> list[frozenset[int]]:
         """Concrete actions closing a concrete cycle for a quotient cycle.
 
@@ -948,34 +928,20 @@ class ExplorationGraph:
         replay on the engine.
         """
         group = self._group
-        if group is None:
-            return [self._sets[sid] for (sid, _gid) in pairs]
-        c = 0
-        for _sid, gid in pairs:
-            c = group.compose(gid, c)
-        actions: list[frozenset[int]] = []
-        for _ in range(group.element_order(c)):
-            step_actions, h = self.lift_pairs(pairs, h)
-            actions.extend(step_actions)
-        return actions
+        repeats = 1
+        if group is not None:
+            c = 0
+            for k, sid in steps:
+                c = group.compose(self.element(k, sid), c)
+            repeats = group.element_order(c)
+        return self.lift(list(steps) * repeats, h)[0]
 
     def accumulated_element(self, k: int) -> int:
         """The group accumulator ``h`` of state ``k`` along its BFS tree
         path (``concrete state = h^-1 . canonical state``); 0 when
         unquotiented."""
-        if self._group is None:
-            return 0
-        root, pairs = self._parent_chain(k)
-        h = self.parent_gid[root]
-        for _sid, gid in pairs:
-            h = self._group.compose(gid, h)
-        return h
-
-    def root_accumulator(self, k: int) -> int:
-        """The accumulator of a root state (its canonicalizing element)."""
-        if self._group is None:
-            return 0
-        return self.parent_gid[k]
+        root, steps = self._parent_chain(k)
+        return self.lift(steps, self.root_element(root))[1]
 
     def path_to(self, k: int) -> list[frozenset[int]]:
         """Activation sets leading from this state's root to state ``k``.
@@ -984,19 +950,11 @@ class ExplorationGraph:
         on the engine from the root's *concrete* initial labeling visits
         the concrete counterparts of the tree path.
         """
-        root, pairs = self._parent_chain(k)
-        if self._group is None:
-            return [self._sets[sid] for (sid, _gid) in pairs]
-        actions, _h = self.lift_pairs(pairs, self.parent_gid[root])
-        return actions
+        root, steps = self._parent_chain(k)
+        return self.lift(steps, self.root_element(root))[0]
 
     def root_of(self, k: int) -> int:
-        current = k
-        while True:
-            pred = self.parent_idx[current]
-            if pred < 0:
-                return current
-            current = pred
+        return self._parent_chain(k)[0]
 
     # -- attractor regions ---------------------------------------------------
 

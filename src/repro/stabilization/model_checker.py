@@ -14,18 +14,19 @@ The reachable graph is materialized by the unified exploration core
 (:class:`repro.stabilization.exploration.ExplorationGraph`, with
 ``track_outputs`` selecting the enriched state payload); both checks then
 reduce to scanning strongly connected components for an internal "changing"
-edge — an integer id comparison, thanks to the core's interning.  When one
-is found the checker emits a concrete :class:`OscillationWitness` — an
-initial labeling plus an eventually periodic r-fair schedule under which the
-engine provably oscillates, replayed from the core's parent links.
+edge — a set-membership test against the activation sets the core recorded
+as changing each payload.  When one is found the checker emits a concrete
+:class:`OscillationWitness` — an initial labeling plus an eventually
+periodic r-fair schedule under which the engine provably oscillates,
+replayed from the core's parent links.
 
 With ``policy=ExecutionPolicy(symmetry="auto")`` the check runs on the
 symmetry quotient of the states-graph instead: states are canonical orbit
 representatives under the protocol's verified automorphism group, SCCs and
-the changing-edge scan run on the (often orders-of-magnitude smaller)
-quotient, and witnesses are lifted back to concrete schedules before they
-are returned — the verdict and the replayed witness are indistinguishable
-from the unquotiented check.
+the same changing-edge scan run on the (often orders-of-magnitude smaller)
+quotient, and the one witness builder lifts witnesses back to concrete
+schedules before they are returned — the verdict and the replayed witness
+are indistinguishable from the unquotiented check.
 
 State spaces are exponential, so callers can restrict the initial labelings
 (e.g. to broadcast labelings for clique protocols whose reactions send the
@@ -98,13 +99,7 @@ def decide_label_r_stabilizing(
     """Exactly decide label r-stabilization by exhausting the states-graph."""
     policy = resolve_policy(policy, api="decide_label_r_stabilizing")
     return _decide(
-        protocol,
-        inputs,
-        r,
-        initial_labelings,
-        budget,
-        track_outputs=False,
-        policy=policy,
+        protocol, inputs, r, initial_labelings, budget, policy, track_outputs=False
     )
 
 
@@ -119,28 +114,14 @@ def decide_output_r_stabilizing(
     """Exactly decide output r-stabilization (states also carry outputs)."""
     policy = resolve_policy(policy, api="decide_output_r_stabilizing")
     return _decide(
-        protocol,
-        inputs,
-        r,
-        initial_labelings,
-        budget,
-        track_outputs=True,
-        policy=policy,
+        protocol, inputs, r, initial_labelings, budget, policy, track_outputs=True
     )
 
 
 # ---------------------------------------------------------------------------
 
 
-def _decide(
-    protocol,
-    inputs,
-    r,
-    initial_labelings,
-    budget,
-    track_outputs,
-    policy=None,
-):
+def _decide(protocol, inputs, r, initial_labelings, budget, policy, track_outputs):
     if r < 1:
         raise ValidationError("fairness parameter r must be >= 1")
     if initial_labelings is None:
@@ -163,59 +144,34 @@ def _decide(
     scc_id, sizes = _tarjan(graph)
 
     # -- hunt for a changing edge inside an SCC ------------------------------
-    # A transition changes the monitored quantity exactly when the interned
-    # labeling id differs (or, with outputs tracked, the output id — the id
-    # is constant 0 otherwise, so one combined check covers both modes).
-    # Singleton components are skipped: their only internal edge is a
-    # self-loop, which changes nothing.  On quotient graphs id comparison
-    # is unsound (``canon(u) == s`` does not imply ``u == s``), so the core
-    # records per-edge changed flags against the *raw* successor, and a
-    # flagged self-loop is a changing cycle; label and output changes are
-    # orbit-invariant, so a flagged quotient cycle lifts to a concrete
-    # oscillation and vice versa.
+    # An edge changes the monitored quantity (the labeling, and the outputs
+    # when tracked) when its set is in its source's changing sets.  Label
+    # and output changes are orbit-invariant, so a changing quotient cycle
+    # (a self-loop included) lifts to a concrete oscillation and vice
+    # versa.  A concrete changing edge leaves its payload, so concrete
+    # singleton components are skipped.
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst
-    state_keys = graph.state_keys
+    edge_sid = graph.edge_sid
+    skip_singletons = not graph.quotient
     bad_edge = None
-    if graph.quotient:
-        edge_flags = graph.edge_flags
-        for k in range(len(graph)):
-            component = scc_id[k]
-            for e in range(edge_offsets[k], edge_offsets[k + 1]):
-                if edge_flags[e] and scc_id[edge_dst[e]] == component:
-                    bad_edge = (k, e)
-                    break
-            if bad_edge:
+    for k in range(len(graph)):
+        component = scc_id[k]
+        if skip_singletons and sizes[component] == 1:
+            continue
+        changing = graph.changing_sets(k)
+        if not changing:
+            continue
+        for e in range(edge_offsets[k], edge_offsets[k + 1]):
+            if edge_sid[e] in changing and scc_id[edge_dst[e]] == component:
+                bad_edge = (k, e)
                 break
-    else:
-        for k in range(len(graph)):
-            component = scc_id[k]
-            if sizes[component] == 1:
-                continue
-            lid, oid, _ = state_keys[k]
-            for e in range(edge_offsets[k], edge_offsets[k + 1]):
-                j = edge_dst[e]
-                if scc_id[j] != component:
-                    continue
-                jlid, joid, _ = state_keys[j]
-                if lid != jlid or oid != joid:
-                    bad_edge = (k, e)
-                    break
-            if bad_edge:
-                break
+        if bad_edge:
+            break
 
-    if bad_edge is None:
-        return StabilizationVerdict(
-            stabilizing=True,
-            kind="output" if track_outputs else "label",
-            r=r,
-            states_explored=len(graph),
-            stats=graph.stats(),
-        )
-
-    witness = _build_witness(bad_edge, scc_id, graph, r)
+    witness = None if bad_edge is None else _build_witness(bad_edge, scc_id, graph, r)
     return StabilizationVerdict(
-        stabilizing=False,
+        stabilizing=witness is None,
         kind="output" if track_outputs else "label",
         r=r,
         states_explored=len(graph),
@@ -296,6 +252,7 @@ def _build_witness(bad_edge, scc_id, graph: ExplorationGraph, r):
     component = scc_id[k]
     edge_offsets = graph.edge_offsets
     edge_dst = graph.edge_dst
+    edge_sid = graph.edge_sid
     back_parent: dict[int, tuple[int, int]] = {}
     queue = deque((j,))
     seen = {j}
@@ -307,28 +264,20 @@ def _build_witness(bad_edge, scc_id, graph: ExplorationGraph, r):
             w = edge_dst[e]
             if scc_id[w] == component and w not in seen:
                 seen.add(w)
-                back_parent[w] = (v, e)
+                back_parent[w] = (v, edge_sid[e])
                 queue.append(w)
-    back_edges: list[int] = []
+    back_steps: list[tuple[int, int]] = []
     current = k
     while current != j:
-        pred, e = back_parent[current]
-        back_edges.append(e)
-        current = pred
-    back_edges.reverse()
-    cycle_edges = [bad, *back_edges]
-
-    if graph.quotient:
-        # The quotient cycle returns to the same canonical state but not
-        # necessarily the same concrete one; lift_loop_pairs unrolls it
-        # until the concrete walk closes.
-        edge_sid = graph.edge_sid
-        edge_gid = graph.edge_gid
-        pairs = [(edge_sid[e], edge_gid[e]) for e in cycle_edges]
-        loop = tuple(graph.lift_loop_pairs(pairs, graph.accumulated_element(k)))
-    else:
-        edge_sid = graph.edge_sid
-        loop = tuple(graph.activation_set(edge_sid[e]) for e in cycle_edges)
+        step = back_parent[current]
+        back_steps.append(step)
+        current = step[0]
+    back_steps.reverse()
+    # A quotient cycle returns to the same canonical state but not
+    # necessarily the same concrete one; lift_loop unrolls it until the
+    # concrete walk closes.
+    cycle = [(k, edge_sid[bad]), *back_steps]
+    loop = tuple(graph.lift_loop(cycle, graph.accumulated_element(k)))
     return OscillationWitness(
         initial_labeling=initial_labeling,
         prefix=tuple(prefix_actions),

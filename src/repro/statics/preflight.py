@@ -40,21 +40,12 @@ from repro.core.compiled import compile_protocol
 from repro.exceptions import Diagnostic, StaticAnalysisError
 from repro.service.fingerprint import unique_offenders
 
-#: Why a node is predicted to land in the batch fallback path.
-LIFT_REASONS = {
-    "stateful": "the protocol is stateful: reactions read their own"
-    " outgoing labels, so no input-only table exists",
-    "space": "the label space exceeds the table budget, so no codes are"
-    " enumerated at all",
-    "table": "|Sigma|**in_degree exceeds the table budget for this node",
-    "unhashable-input": "the case's private input for this node is not"
-    " hashable, so no (node, input) table can be cached",
-}
-
 
 @dataclass(frozen=True)
 class NodeLift:
-    """One node's predicted lift decision and, when demoted, the reason."""
+    """One node's predicted lift decision and, when demoted, the reason:
+    one of :func:`repro.core.batch.lift_demotion`'s values, ``"stateful"``,
+    ``"space"`` or ``"table"``."""
 
     node: int
     lifted: bool

@@ -29,7 +29,11 @@ from repro.core.compiled import compile_protocol
 from repro.exceptions import ValidationError
 from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
 from repro.faults.schedules import NoFaults
-from repro.graphs.automorphisms import protocol_symmetry_group
+from repro.graphs.automorphisms import (
+    automorphism_generators,
+    protocol_symmetry_group,
+    symmetry_group_from_generators,
+)
 from repro.policy import resolve_policy
 from repro.service import (
     AdmissionPolicy,
@@ -38,7 +42,7 @@ from repro.service import (
     iter_shards,
     plan_sweep,
 )
-from repro.statics import verify_plan, verify_protocol
+from repro.statics import preflight, verify_plan, verify_protocol
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
@@ -298,6 +302,14 @@ RETIRED_KEYWORDS = [
         for keyword in ("max_order", "verify_budget")
     ),
     (
+        "symmetry_group_from_generators-cap",
+        "cap",
+        1 << 16,
+        lambda **kw: symmetry_group_from_generators(
+            K3.topology, automorphism_generators(K3.topology), **kw
+        ),
+    ),
+    (
         "BatchSimulator.run_batch",
         "fuse",
         1,
@@ -338,6 +350,27 @@ def test_retired_views_and_wrappers_are_gone():
         assert not hasattr(repro.service, name), name
     with pytest.raises(ImportError):
         importlib.import_module("repro.service." + "client")
+    # Group elements and changing edges are derived, not stored, and both
+    # graph kinds run one expansion loop.
+    quotient = ExplorationGraph(
+        K3, (0,) * 3, 2, [K3_START], policy=ExecutionPolicy(symmetry="auto")
+    )
+    assert quotient.quotient
+    retired = (
+        "edge_" + "gid",
+        "edge_" + "flags",
+        "parent_" + "gid",
+        "_orbit_" + "sizes",
+        "lift_" + "pairs",
+        "lift_loop_" + "pairs",
+        "root_" + "accumulator",
+        "_expand_" + "quotient",
+        "_count_" + "level",
+    )
+    for explored in (graph, quotient):
+        for name in retired:
+            assert not hasattr(explored, name), name
+    assert not hasattr(preflight, "LIFT_" + "REASONS")
 
 
 class TestServiceShims:

@@ -8,11 +8,13 @@ The reference implementation below is the seed ``StatesGraph`` BFS kept
 verbatim for comparison.
 """
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -23,6 +25,7 @@ from repro import ExecutionPolicy
 from repro.core import ExplicitSchedule, Labeling, Simulator, default_inputs
 from repro.core.compiled import compile_protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
+from repro.faults import exhaustive_worst_case_delay
 from repro.graphs import clique
 from repro.stabilization import (
     ExplorationGraph,
@@ -521,6 +524,67 @@ for symmetry in ("none", "auto"):
     })
 print(json.dumps(report))
 """
+
+
+class TestReferenceCounting:
+    """A graph holds no reference cycle, so it dies with its last
+    reference rather than at the next cyclic collection, and a verdict's
+    peak memory holds no dead graph."""
+
+    @pytest.fixture
+    def gc_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("floor", [1, SERIAL_FLOOR])
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("symmetry", ["none", "auto"])
+    def test_graph_dies_on_del(
+        self, gc_off, monkeypatch, symmetry, track_outputs, floor
+    ):
+        set_batch_floor(monkeypatch, floor)
+        protocol = example1_protocol(4)
+        graph = ExplorationGraph(
+            protocol,
+            default_inputs(protocol),
+            3,
+            broadcast_labelings(protocol.topology, protocol.label_space),
+            track_outputs=track_outputs,
+            policy=ExecutionPolicy(symmetry=symmetry),
+        )
+        assert graph.quotient == (symmetry == "auto")
+        graph.accumulated_element(len(graph) - 1)
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
+
+    def test_no_graph_outlives_a_verdict_or_a_delay(self, gc_off, monkeypatch):
+        refs = []
+        build = ExplorationGraph.__init__
+
+        def tracked(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExplorationGraph, "__init__", tracked)
+        protocol = example1_protocol(4)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        for symmetry in ("none", "auto"):
+            policy = ExecutionPolicy(symmetry=symmetry)
+            for decide in (decide_label_r_stabilizing, decide_output_r_stabilizing):
+                verdict = decide(
+                    protocol, inputs, 3, initial_labelings=inits, policy=policy
+                )
+                assert verdict.witness is not None
+            for init in inits[1:3]:
+                exhaustive_worst_case_delay(protocol, inputs, init, 3, policy=policy)
+        assert len(refs) == 8
+        assert [ref() for ref in refs] == [None] * 8
 
 
 class TestWithoutNumpy:

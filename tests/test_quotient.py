@@ -31,6 +31,7 @@ from repro import ExecutionPolicy
 from repro.core.compiled import compile_protocol
 from repro.faults import exhaustive_worst_case_delay
 from repro.graphs import bidirectional_ring, clique
+from repro.graphs.automorphisms import protocol_symmetry_group
 from repro.stabilization import (
     ExplorationGraph,
     broadcast_labelings,
@@ -88,6 +89,68 @@ def random_labeling(rng: random.Random, protocol) -> Labeling:
         protocol.topology,
         tuple(rng.choice(labels) for _ in protocol.topology.edges),
     )
+
+
+def derived_edges(graph) -> list[tuple[int, bool]]:
+    """``(element, changing)`` of every edge, in edge-store order."""
+    records = []
+    for k in range(len(graph)):
+        changing = graph.changing_sets(k)
+        for e in range(graph.edge_offsets[k], graph.edge_offsets[k + 1]):
+            sid = graph.edge_sid[e]
+            records.append((graph.element(k, sid), sid in changing))
+    return records
+
+
+class TestDerivedElements:
+    """Group elements and changing edges are derived, not stored: each
+    must agree with the raw successor the serial step computes."""
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_elements_map_raw_successors_onto_targets(self, track_outputs, seed):
+        rng = random.Random(seed)
+        protocol = symmetric_protocol(rng)
+        inputs = default_inputs(protocol)
+        r = rng.randrange(1, 4)
+        inits = [random_labeling(rng, protocol) for _ in range(3)]
+        group = protocol_symmetry_group(protocol, inputs)
+        graph = ExplorationGraph(
+            protocol, inputs, r, inits, track_outputs=track_outputs, policy=QUOTIENT
+        )
+        assert graph.quotient == (group is not None)
+        if group is None:
+            labels = nodes = lambda _g, vector: tuple(vector)  # noqa: E731
+        else:
+            labels, nodes = group.apply_labeling, group.apply_per_node
+        compiled = compile_protocol(protocol)
+        for k in graph.initial_indices:
+            g = graph.root_element(k)
+            assert labels(g, graph.initial_labeling(k).values) == graph.labeling_of(k)
+        for k in range(len(graph)):
+            values = graph.labeling_of(k)
+            outputs = graph.outputs_of(k) if track_outputs else None
+            countdown = graph.countdown_of(k)
+            changing = graph.changing_sets(k)
+            for e in range(graph.edge_offsets[k], graph.edge_offsets[k + 1]):
+                j = graph.edge_dst[e]
+                sid = graph.edge_sid[e]
+                t = graph.activation_set(sid)
+                raw_values, raw_outputs = compiled.step_values(
+                    values, outputs, t, inputs
+                )
+                raw_countdown = tuple(
+                    r if i in t else c - 1 for i, c in enumerate(countdown)
+                )
+                g = graph.element(k, sid)
+                assert labels(g, raw_values) == graph.labeling_of(j)
+                assert nodes(g, raw_countdown) == graph.countdown_of(j)
+                changed = raw_values != values
+                if track_outputs:
+                    assert nodes(g, raw_outputs) == graph.outputs_of(j)
+                    changed = changed or raw_outputs != outputs
+                assert (sid in changing) == changed
 
 
 class TestVerdictEquivalence:
@@ -175,7 +238,10 @@ class TestVerdictEquivalence:
 
 
 class TestGoldenZoo:
-    @pytest.mark.parametrize("n, r, stabilizing", [(3, 1, True), (3, 2, False), (4, 2, True), (4, 3, False)])
+    @pytest.mark.parametrize(
+        "n, r, stabilizing",
+        [(3, 1, True), (3, 2, False), (4, 2, True), (4, 3, False)],
+    )
     def test_example1_verdicts(self, n, r, stabilizing):
         protocol = example1_protocol(n)
         inputs = default_inputs(protocol)
@@ -221,8 +287,10 @@ class TestGoldenZoo:
         assert batch.stats().batch_calls > 0
         assert serial.state_keys == batch.state_keys
         assert graph_lists(serial).successors == graph_lists(batch).successors
-        assert list(serial.edge_gid) == list(batch.edge_gid)
-        assert list(serial.edge_flags) == list(batch.edge_flags)
+        assert derived_edges(serial) == derived_edges(batch)
+        assert [serial.root_element(k) for k in serial.initial_indices] == [
+            batch.root_element(k) for k in batch.initial_indices
+        ]
 
     def test_explicit_group_and_topology_mismatch(self):
         from repro.graphs import automorphism_generators, close_generators
