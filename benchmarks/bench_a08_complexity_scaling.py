@@ -22,9 +22,7 @@ Two ladders, one per size the implementation promises linearity in:
 Each entry carries parallel ``sizes`` / ``times_s`` arrays (via
 ``benchmark.extra``) — exactly the trajectory shape
 :func:`repro.analysis.costmodel.fit_trajectory` consumes, and what
-``check_regression.py``'s complexity pass and the standalone
-``python -m repro.analysis.costmodel benchmarks`` CI step re-fit on every
-run.  The XOR-ring workload has odd input parity, so no stable labeling
+``check_regression.py``'s complexity pass re-fits on every run.  The XOR-ring workload has odd input parity, so no stable labeling
 exists and every case provably runs the full step budget: measured time is
 pure engine work at a fixed, size-independent step count.
 """

@@ -30,6 +30,7 @@ from repro.faults.schedules import NoFaults
 from repro.graphs import unidirectional_ring
 from repro.graphs.standard import clique
 from repro.service import plan_resilience_sweep, plan_sweep
+from repro.statics import verify_plan
 
 HERE = Path(__file__).parent
 
@@ -88,17 +89,15 @@ def _no_faults(index, case):
 
 def main():
     ring = copy_ring(4)
-    sweep = plan_sweep(
-        ring, _cases(ring, count=6, seed=11), _sync, max_steps=40,
-        preflight=True,
-    )
+    sweep = plan_sweep(ring, _cases(ring, count=6, seed=11), _sync, max_steps=40)
+    verify_plan(sweep).raise_for_errors()
     (HERE / "PLAN_copy_ring_sweep.pkl").write_bytes(pickle.dumps(sweep))
 
     maj = majority_clique(4, 3)
     resilience = plan_resilience_sweep(
-        maj, _cases(maj, count=4, seed=17), _sync, _no_faults, max_steps=40,
-        preflight=True,
+        maj, _cases(maj, count=4, seed=17), _sync, _no_faults, max_steps=40
     )
+    verify_plan(resilience).raise_for_errors()
     (HERE / "PLAN_majority_resilience.pkl").write_bytes(
         pickle.dumps(resilience)
     )

@@ -1,8 +1,8 @@
 """Measurement and reporting toolkit.
 
 The cost model and complexity gates live in :mod:`repro.analysis.costmodel`
-and are imported from there; ``python -m repro.analysis.costmodel`` runs
-the gate.
+and are imported from there; ``benchmarks/check_regression.py`` runs the
+gate on every benchmark record.
 """
 
 from repro.analysis.complexity import (

@@ -17,8 +17,8 @@ its constant improves.  This module closes that gap in two layers:
    each registered benchmark entry declares the complexity class it shipped
    under; a fresh record (or any of its history snapshots) whose fitted
    class grows *faster* than the declared one fails the gate — run by
-   ``benchmarks/check_regression.py`` and as its own CI step
-   (``python -m repro.analysis.costmodel benchmarks``).
+   ``benchmarks/check_regression.py`` on every record
+   (:func:`failures_for_record`).
 
 The service layer's capacity planning prices a sweep with one per-case
 formula: :func:`estimate_sweep_cost` charges ``S·n·d`` work units (step
@@ -29,12 +29,9 @@ control.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
@@ -411,74 +408,3 @@ def estimate_sweep_cost(
         layer=layer,
     )
 
-
-# --------------------------------------------------------------------------
-# CLI: fit every committed BENCH record
-# --------------------------------------------------------------------------
-
-
-def check_bench_dir(bench_dir: Path) -> tuple[list[str], int]:
-    """Fit all ``BENCH_*.json`` records under one directory.
-
-    Returns ``(failures, records_checked)``; records without a registered
-    expectation are reported informationally and never fail.
-    """
-    failures = []
-    checked = 0
-    for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
-        try:
-            record = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            failures.append(f"{path.name}: unreadable JSON")
-            continue
-        checked += 1
-        specs = [
-            spec
-            for spec in BENCH_EXPECTATIONS
-            if spec.record == record.get("bench")
-        ]
-        if not specs:
-            print(f"{path.name}: no complexity expectation registered — ok")
-            continue
-        for spec in specs:
-            violations = check_complexity(record, spec)
-            if violations:
-                for line in violations:
-                    print(f"{path.name} :: {line} COMPLEXITY GATE FAILED")
-                    failures.append(f"{path.name} :: {line}")
-            else:
-                print(
-                    f"{path.name} :: {spec.entry}: within declared class"
-                    f" {spec.expected!r} — ok"
-                )
-    return failures, checked
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Fit committed BENCH_*.json trajectories against the"
-        " candidate complexity classes and fail on complexity-class"
-        " regression."
-    )
-    parser.add_argument(
-        "bench_dir",
-        nargs="?",
-        default="benchmarks",
-        help="directory holding BENCH_*.json records (default: benchmarks)",
-    )
-    args = parser.parse_args(argv)
-    failures, checked = check_bench_dir(Path(args.bench_dir))
-    if failures:
-        print(
-            f"\n{len(failures)} complexity-gate violation"
-            f"{'' if len(failures) == 1 else 's'} across {checked} records:"
-        )
-        for line in failures:
-            print(f"  {line}")
-        return 1
-    print(f"\nall {checked} benchmark records within their declared classes")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

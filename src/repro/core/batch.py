@@ -9,45 +9,46 @@ code per edge, canonical edge order — exactly the flat-tuple layout of
 :class:`~repro.core.compiled.CompiledProtocol`, with a batch dimension in
 front) and per-node outputs as a ``(B, n)`` code array.
 
-The lift has two tiers, chosen per node:
+A batch takes one of two routes, decided once when the simulator is built:
 
-* **Table lookup.**  When the label alphabet is finite and small enough
+* **Table lookup.**  A batch is *vectorized* when every node lifts: the
+  reaction is stateless, the label alphabet is finite and small enough
   (``|Sigma|^in_degree`` rows fit the table budget, the constant
-  :data:`DEFAULT_MAX_TABLE_SIZE`), the node's compiled adapter is enumerated
-  once over every incoming-code combination into a flat numpy table.  A
-  step is then gather (incoming codes → mixed-radix key) → table row →
-  scatter, vectorized over all rows at once.  Because the table is built by
-  calling the *serial* adapter, batch transitions are equal to serial
-  transitions by construction.  The input-independent half of the gate is
-  one numpy-free rule, :func:`lift_demotion`, which the plan preflight
+  :data:`DEFAULT_MAX_TABLE_SIZE`), every private input hashes, and the
+  reaction never leaves the declared space.  Each node's compiled adapter
+  is then enumerated once per distinct input over every incoming-code
+  combination into a flat numpy table, and a step is gather (incoming
+  codes → mixed-radix key) → table row → scatter, vectorized over all rows
+  at once.  Because the table is built by calling the *serial* adapter,
+  batch transitions are equal to serial transitions by construction.  The
+  input-independent half of the gate is one numpy-free rule,
+  :func:`lift_demotion`, which the plan preflight
   (:mod:`repro.statics.preflight`) calls too.
-* **Per-row Python apply.**  Nodes that cannot be lifted (huge or
-  non-enumerable spaces, stateful reactions, labels escaping the declared
-  space, unhashable inputs) decode their rows back to label objects and call
-  the serial adapter directly.  Lifted and fallback nodes mix freely in one
-  protocol; if a fallback node ever emits a label outside the enumerated
-  space, every lifted node is demoted to the fallback path before the next
-  transition, so stale table keys can never be consulted.
+* **Serial.**  Every other batch runs row by row on the serial engine
+  (:meth:`~repro.core.engine.Simulator.run` and ``run_with_faults``),
+  whose reports the lockstep equals.  So does a vectorized batch that
+  meets a label outside the declared space, in a starting labeling or
+  written by a fault model: the label interner is exactly the enumerated
+  space and never grows, so encoding such a label raises
+  :class:`OutOfSpace` and the whole batch reruns serially.  Runs are
+  deterministic and schedules memoize their steps, so the reports are the
+  ones the lockstep would have given.
 
-Two throughput layers sit on top of the lift (this module's hot loop):
+Two throughput layers sit on top of the tables (this module's hot loop):
 
 * **Packed codes.**  Code arrays and lookup-table columns are packed to the
-  smallest dtype the enumerated label space allows (u8/u16/u32, int64 when
-  the space is not enumerable), and mixed-radix key strides are precomputed
-  so gather → key is one fused take-plus-dot.  If the interner ever outgrows
-  the packed dtype (a fallback reaction or fault emitting labels outside the
-  declared space), the code arrays are *widened* first and any byte-hashed
-  cycle history is re-coded — packed runs can demote, never silently
-  overflow.
-* **Fused multi-step windows.**  When every node is lifted, k steps run as
-  one kernel invocation over a resident ``(k+1, L, m)`` state stack; the
-  convergence bookkeeping is then evaluated once per window from the stored
-  intermediate states, which keeps it exactly serial-equivalent (a row that
-  settles mid-window is concluded from its in-window state, and the extra
-  stepped states are simply discarded).  Windows double up to
-  ``MAX_FUSE_WINDOW``; after a window in which rows concluded they keep
-  doubling while the window's frames fit one kernel tile and halve beyond
-  it, and fault fire times split them.
+  smallest dtype the enumerated label space allows (u8/u16/u32), and
+  mixed-radix key strides are precomputed so gather → key is one fused
+  take-plus-dot.  Codes never leave the space, so a run keeps its dtypes.
+* **Fused multi-step windows.**  k steps run as one kernel invocation over
+  a resident ``(k+1, L, m)`` state stack; the convergence bookkeeping is
+  then evaluated once per window from the stored intermediate states,
+  which keeps it exactly serial-equivalent (a row that settles mid-window
+  is concluded from its in-window state, and the extra stepped states are
+  simply discarded).  Windows double up to ``MAX_FUSE_WINDOW``; after a
+  window in which rows concluded they keep doubling while the window's
+  frames fit one kernel tile and halve beyond it, and fault fire times
+  split them.
 
 The **ring route** takes every window of a protocol whose nodes all lift
 into one degree-1, out-degree-1 group that reads its in-edge by a cyclic
@@ -92,7 +93,7 @@ from typing import Any, NamedTuple
 from repro.core.compiled import CompiledProtocol, compile_protocol
 from repro.core.configuration import Configuration, Labeling
 from repro.core.convergence import RunOutcome, RunReport
-from repro.core.engine import DEFAULT_MAX_STEPS, classify_cycle
+from repro.core.engine import DEFAULT_MAX_STEPS, Simulator, classify_cycle
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
 from repro.exceptions import ScheduleError, ValidationError
@@ -177,9 +178,9 @@ def packed_dtype(count: int):
     return np.int64
 
 
-def dtype_capacity(dtype) -> int:
-    """How many distinct codes ``dtype`` can represent (for overflow gates)."""
-    return int(np.iinfo(np.dtype(dtype)).max) + 1
+class OutOfSpace(Exception):
+    """Internal signal: a label outside the declared space reached a
+    vectorized batch, which then runs on the serial engine instead."""
 
 
 class LabelInterner:
@@ -198,7 +199,8 @@ class LabelInterner:
         self.objects: list[Any] = []
         self._identity = True
         for obj in seed_objects:
-            self.encode(obj)
+            if obj not in self.codes:
+                self._add(obj)
 
     @property
     def size(self) -> int:
@@ -216,16 +218,18 @@ class LabelInterner:
         """
         return self._identity
 
+    def _add(self, obj) -> int:
+        code = len(self.objects)
+        self.codes[obj] = code
+        self.objects.append(obj)
+        if self._identity and not (type(obj) is int and obj == code):
+            self._identity = False
+        return code
+
     def encode(self, obj) -> int:
         """The code of ``obj``, interning it on first sight."""
         code = self.codes.get(obj)
-        if code is None:
-            code = len(self.objects)
-            self.codes[obj] = code
-            self.objects.append(obj)
-            if self._identity and not (type(obj) is int and obj == code):
-                self._identity = False
-        return code
+        return self._add(obj) if code is None else code
 
     def decode(self, code: int):
         return self.objects[code]
@@ -276,6 +280,23 @@ class LabelInterner:
         return bulk.astype(dtype, copy=False)
 
 
+class SpaceInterner(LabelInterner):
+    """The codes of one declared label space, which never grows.
+
+    Encoding a label outside the space raises :class:`OutOfSpace` instead
+    of interning it, so every code stays below the space size and keys the
+    lookup tables soundly, run after run.
+    """
+
+    __slots__ = ()
+
+    def encode(self, obj) -> int:
+        code = self.codes.get(obj)
+        if code is None:
+            raise OutOfSpace(obj)
+        return code
+
+
 class BatchCompiledProtocol:
     """A :class:`CompiledProtocol` lowered further, to batch lookup tables.
 
@@ -308,29 +329,21 @@ class BatchCompiledProtocol:
             for positions in compiled.out_positions
         ]
 
-        #: Shared label interner.  Seeded with the full space when that is
-        #: enumerable within budget; codes past the seeded prefix mark labels
-        #: outside the declared space and disable the table tier.
+        #: Shared label interner: exactly the declared space when that is
+        #: enumerable within budget, else empty.  It never grows, so its
+        #: codes key the tables of every batch over the protocol.
         space = self.label_space
-        if space.size <= DEFAULT_MAX_TABLE_SIZE:
-            self.interner = LabelInterner(iter(space))
-        else:
-            self.interner = LabelInterner()
+        self.interner = SpaceInterner(
+            iter(space) if space.size <= DEFAULT_MAX_TABLE_SIZE else ()
+        )
         self.space_size = self.interner.size
 
-        #: Smallest dtype covering the enumerated space codes.  Table columns
-        #: are packed to it, and code arrays start at it (they widen on
-        #: demand if the interner ever outgrows the space).  int64 when the
-        #: space is not enumerable within budget: the eventual code
-        #: population is unknown, so packing would only buy repeated widening.
-        self.code_dtype = (
-            np.dtype(packed_dtype(self.space_size))
-            if self.space_size
-            else np.dtype(np.int64)
-        )
+        #: Smallest dtype covering the enumerated space codes; code arrays
+        #: and table columns are packed to it.
+        self.code_dtype = np.dtype(packed_dtype(self.space_size))
 
-        #: Per-node output interners (outputs never key tables, so they may
-        #: grow freely at runtime).
+        #: Per-node output interners (outputs never key tables, so they grow
+        #: with whatever initial outputs a batch brings).
         self.y_interners = [LabelInterner() for _ in range(self.n)]
         self._columns: dict[tuple[int, Any], tuple | None] = {}
 
@@ -389,9 +402,9 @@ class BatchCompiledProtocol:
             try:
                 for j, position in enumerate(out_pos):
                     code = label_codes.get(scratch[position])
-                    if code is None or code >= space_size:
+                    if code is None:
                         # The reaction leaves the declared space: no table can
-                        # close over its codes.  Fall back to Python apply.
+                        # close over its codes.
                         return None
                     out_codes[row, j] = code
                 y_codes[row] = y_encode(y)
@@ -583,9 +596,10 @@ class BatchSimulator:
     """Drives one protocol on a fixed population of input vectors.
 
     The batch analog of :class:`~repro.core.engine.Simulator`: construction
-    binds the protocol and one input vector **per row**, and
-    :meth:`run_batch` then advances every row's own ``(labeling,
-    schedule)`` case in lockstep and returns one
+    binds the protocol and one input vector **per row** and decides the
+    route (:attr:`vectorized`), and :meth:`run_batch` then advances every
+    row's own ``(labeling, schedule)`` case — in lockstep on the tables, or
+    row by row on the serial engine — and returns one
     :class:`~repro.core.convergence.RunReport` per row, equal to what the
     serial engine returns for that case.  The compiled form and the batch
     compilation come from the weak per-protocol caches of
@@ -615,8 +629,10 @@ class BatchSimulator:
         self._y_interners = self._batch.y_interners
         self._space_size = self._batch.space_size
         self._groups: list[_Group] = []
-        self._fallback: list[int] = []
-        self._assemble()
+        self._mono = None
+        #: Whether every node lifted to its tables, so runs take the
+        #: lockstep; otherwise every row runs on the serial engine.
+        self.vectorized = self._assemble()
 
     @staticmethod
     def _normalize_inputs(inputs, n):
@@ -637,53 +653,37 @@ class BatchSimulator:
     def batch_compiled(self) -> BatchCompiledProtocol:
         return self._batch
 
-    @property
-    def lifted_nodes(self) -> tuple[int, ...]:
-        """Nodes currently stepped through lookup tables (for tests/docs)."""
-        return tuple(
-            int(i) for group in self._groups for i in group.nodes.tolist()
-        )
-
     # -- lift assembly -----------------------------------------------------
 
-    def _assemble(self) -> None:
-        """Partition nodes into table groups and Python-fallback nodes."""
+    def _assemble(self) -> bool:
+        """Lift every node into table groups by shape; ``False`` (and no
+        groups) as soon as one node does not lift."""
         batch = self._batch
         n = batch.n
         space_size = self._space_size
+        scan = self.inputs[:1] if self._uniform_inputs else self.inputs
         lifted: dict[tuple[int, int], list[tuple[int, list, dict]]] = {}
-        fallback: list[int] = []
         for i in range(n):
+            if not batch.node_liftable(i):
+                return False
             columns: list[Any] = []
             #: Distinct input values at node i, mapped to their column index.
             seen: dict[Any, int] = {}
-            ok = batch.node_liftable(i)
-            if ok:
-                scan = (
-                    self.inputs[:1] if self._uniform_inputs else self.inputs
-                )
-                for row in scan:
-                    x = row[i]
-                    try:
-                        if x in seen:
-                            continue
-                        seen[x] = len(columns)
-                    except TypeError:
-                        ok = False
-                        break
-                    column = batch.column(i, x)
-                    if column is None:
-                        ok = False
-                        break
-                    columns.append(column)
-            if not ok:
-                fallback.append(i)
-                continue
+            for row in scan:
+                x = row[i]
+                try:
+                    if x in seen:
+                        continue
+                except TypeError:  # unhashable input value
+                    return False
+                column = batch.column(i, x)
+                if column is None:
+                    return False
+                seen[x] = len(columns)
+                columns.append(column)
             shape = (len(batch.in_positions[i]), len(batch.out_positions[i]))
             lifted.setdefault(shape, []).append((i, columns, seen))
 
-        self._fallback = fallback
-        self._groups = []
         B = self.batch_size
         for (degree, n_out), members in sorted(lifted.items()):
             group = _Group()
@@ -727,21 +727,14 @@ class BatchSimulator:
                     for g, (i, _, seen) in enumerate(members)
                 ]
             else:
-                try:
-                    unique_rows: dict[tuple, list[int]] = {}
-                    for b, row in enumerate(self.inputs):
-                        unique_rows.setdefault(row, []).append(b)
-                except TypeError:  # unhashable input rows: assign row by row
-                    for b, row in enumerate(self.inputs):
-                        for g, (i, _, seen) in enumerate(members):
-                            xbase[b, g] = offsets[g] + seen[row[i]] * block
-                else:
-                    for row, row_slots in unique_rows.items():
-                        vector = [
-                            offsets[g] + seen[row[i]] * block
-                            for g, (i, _, seen) in enumerate(members)
-                        ]
-                        xbase[row_slots] = vector
+                unique_rows: dict[tuple, list[int]] = {}
+                for b, row in enumerate(self.inputs):
+                    unique_rows.setdefault(row, []).append(b)
+                for row, row_slots in unique_rows.items():
+                    xbase[row_slots] = [
+                        offsets[g] + seen[row[i]] * block
+                        for g, (i, _, seen) in enumerate(members)
+                    ]
             group.out_table = np.concatenate(out_parts)
             group.out_flat = (
                 np.ascontiguousarray(group.out_table[:, 0])
@@ -783,15 +776,13 @@ class BatchSimulator:
             )
             self._groups.append(group)
 
-        # Ring route (_fill_ring): every node lifted into one out-degree-1
-        # group that reads its in-edge by a cyclic shift and owns edge i at
+        # Ring route (_fill_ring): one out-degree-1 group (so it holds every
+        # node) that reads its in-edge by a cyclic shift and owns edge i at
         # node i, over one-byte label codes.  (Output frames can still widen
         # after assembly, so their width is checked per window.)
-        self._mono = None
         ring = self._groups[0] if len(self._groups) == 1 else None
         if (
             ring is not None
-            and ring.covers_all
             and ring.shift is not None
             and ring.n_out == 1
             and ring.all_valid
@@ -799,30 +790,7 @@ class BatchSimulator:
             and np.array_equal(ring.out_cols, np.arange(batch.m))
         ):
             self._mono = ring
-        self._refresh_fallback_cache()
-
-    def _demote_all(self) -> None:
-        """Move every lifted node to the Python fallback path.
-
-        Triggered when the interner outgrows the enumerated space (a fallback
-        reaction or a fault emitted a label outside ``Sigma``): table keys are
-        only sound while every code is below ``space_size``.
-        """
-        demoted = [int(i) for group in self._groups for i in group.nodes]
-        self._fallback = sorted(self._fallback + demoted)
-        self._groups = []
-        self._mono = None
-        self._refresh_fallback_cache()
-
-    def _refresh_fallback_cache(self) -> None:
-        """Per-node adapter/position lookups for the Python-apply path,
-        rebuilt only when the fallback set changes (assembly, demotion)."""
-        self._fallback_adapters = [
-            self._compiled.adapter(i) for i in self._fallback
-        ]
-        self._fallback_out_positions = [
-            self._batch.out_positions[i] for i in self._fallback
-        ]
+        return True
 
     # -- stepping ----------------------------------------------------------
 
@@ -894,26 +862,6 @@ class BatchSimulator:
                     act, ys, new_osub[:, group.nodes]
                 )
 
-    def _step_rows(self, sub, osub, mask, live_slots):
-        """One global transition over the live rows.
-
-        ``sub``/``osub`` are the live slices of the code arrays; ``mask`` is
-        the ``(L, n)`` activation mask.  Returns the post-step arrays; the
-        returned dtypes may be wider than the inputs' when a fallback
-        reaction interned labels past the packed range (the caller widens
-        its master arrays to match — packed codes never wrap).
-        """
-        if self._groups and self._interner.size > self._space_size:
-            self._demote_all()
-        new_sub = sub.copy()
-        new_osub = osub.copy()
-        self._apply_groups(sub, new_sub, new_osub, mask, live_slots)
-        if self._fallback:
-            new_sub, new_osub = self._apply_fallback(
-                sub, new_sub, new_osub, mask, live_slots
-            )
-        return new_sub, new_osub
-
     def step_codes(self, codes, ocodes, active):
         """One shared-activation-set transition over arbitrary code rows.
 
@@ -924,12 +872,14 @@ class BatchSimulator:
         vector.  ``ocodes`` is the matching ``(L, n)`` output-code array
         (pass zeros when outputs are untracked; code 0 of a fresh
         per-node output interner decodes to whatever that node emitted
-        first, which the caller then ignores).
-
-        Returns the post-step ``(codes, outputs)`` arrays; dtypes may be
-        wider than the inputs' when a fallback reaction interned labels
-        past the packed range (packed codes never wrap).
+        first, which the caller then ignores).  Only a vectorized batch
+        steps codes.  Returns the post-step ``(codes, outputs)`` arrays.
         """
+        if not self.vectorized:
+            raise ValidationError(
+                "step_codes requires a batch whose every node lifts to a"
+                " lookup table"
+            )
         if not self._uniform_inputs:
             raise ValidationError(
                 "step_codes requires a batch built over one shared"
@@ -946,54 +896,10 @@ class BatchSimulator:
         mask_row[list(active)] = True
         mask = np.broadcast_to(mask_row, codes.shape[:1] + (n,))
         live_slots = np.zeros(codes.shape[0], dtype=np.intp)
-        return self._step_rows(codes, ocodes, mask, live_slots)
-
-    def _apply_fallback(self, sub, new_sub, new_osub, mask, live_slots):
-        """Per-row Python apply for the non-lifted nodes.
-
-        Writes are collected first and scattered after an overflow check, so
-        a reaction interning labels (or outputs) past the packed dtype's
-        range widens the post-step arrays instead of wrapping.  Returns the
-        (possibly widened) post-step arrays.
-        """
-        nodes = self._fallback
-        adapters = self._fallback_adapters
-        out_positions = self._fallback_out_positions
-        act = mask[:, nodes]
-        interner = self._interner
-        y_interners = self._y_interners
-        label_writes: list[tuple[int, int, int]] = []
-        output_writes: list[tuple[int, int, int]] = []
-        for row in np.flatnonzero(act.any(axis=1)):
-            slot = int(live_slots[row])
-            inputs = self.inputs[slot]
-            values = interner.decode_values(sub[row])
-            scratch = list(values)
-            for k, i in enumerate(nodes):
-                if act[row, k]:
-                    y = adapters[k](values, scratch, inputs[i])
-                    output_writes.append((row, i, y_interners[i].encode(y)))
-            for k in range(len(nodes)):
-                if act[row, k]:
-                    for position in out_positions[k]:
-                        label_writes.append(
-                            (row, position, interner.encode(scratch[position]))
-                        )
-        if label_writes:
-            high = max(code for _, _, code in label_writes)
-            if high >= dtype_capacity(new_sub.dtype):
-                new_sub = new_sub.astype(
-                    packed_dtype(max(self._space_size, high + 1))
-                )
-            for row, position, code in label_writes:
-                new_sub[row, position] = code
-        if output_writes:
-            high = max(code for _, _, code in output_writes)
-            if high >= dtype_capacity(new_osub.dtype):
-                new_osub = new_osub.astype(packed_dtype(high + 1))
-            for row, i, code in output_writes:
-                new_osub[row, i] = code
-        return new_sub, new_osub
+        new_codes = codes.copy()
+        new_ocodes = ocodes.copy()
+        self._apply_groups(codes, new_codes, new_ocodes, mask, live_slots)
+        return new_codes, new_ocodes
 
     def _fill_stack(self, stack, ostack, masks, live):
         """Fuse ``k = len(masks)`` steps into one resident-stack kernel run.
@@ -1001,9 +907,7 @@ class BatchSimulator:
         ``stack``/``ostack`` are ``(k+1, L, m)`` / ``(k+1, L, n)`` state
         stacks whose slice 0 holds the current codes; ``masks`` is either a
         shared ``(k, n)`` activation block (one vector per step, every row)
-        or a per-row ``(k, L, n)`` block.  Only called when every node is
-        lifted (no fallback), so the interner cannot grow mid-window and the
-        packed dtypes are stable.
+        or a per-row ``(k, L, n)`` block.
 
         Returns the ``(2, k, L)`` per-step change flags: ``[0, j, r]``
         whether row ``r``'s labels changed in step ``j``, ``[1, j, r]`` its
@@ -1217,10 +1121,7 @@ class BatchSimulator:
         which all of :mod:`repro.core.schedule` are).  Traces are not
         recorded; use the serial engine for ``record_trace`` runs.
         """
-        reports = self._run_lockstep(
-            labelings, schedules, None, max_steps, initial_outputs
-        )
-        return [report for report, _, _ in reports]
+        return self._run(labelings, schedules, None, max_steps, initial_outputs)
 
     def run_batch_with_faults(
         self,
@@ -1238,30 +1139,57 @@ class BatchSimulator:
         last fault.  Fault fire times split fused windows, so every model
         fires at exactly its serial time.
         """
-        from repro.faults.injection import FaultRunReport
-
-        reports = self._run_lockstep(
+        return self._run(
             labelings, schedules, fault_plans, max_steps, initial_outputs
         )
-        out = []
-        for report, fault_times, base in reports:
-            out.append(
-                FaultRunReport(
-                    outcome=report.outcome,
-                    recovery_rounds=report.label_rounds,
-                    output_recovery_rounds=report.output_rounds,
-                    cycle_start=report.cycle_start,
-                    cycle_length=report.cycle_length,
-                    faults_fired=len(fault_times),
-                    fault_times=tuple(fault_times),
-                    last_fault_time=fault_times[-1] if fault_times else None,
-                    # Report rounds are local to the analysis tail; the whole
-                    # run additionally executed the pre-fault window.
-                    steps_executed=base + report.steps_executed,
-                    final=report.final,
-                )
+
+    def _run(self, labelings, schedules, fault_plans, max_steps, initial_outputs):
+        """Every row's report: from the lockstep when the batch is
+        vectorized and its labels stay in the declared space, else from
+        the serial engine, row by row."""
+        B = self.batch_size
+        if isinstance(schedules, Schedule):
+            schedules = [schedules] * B
+        else:
+            schedules = list(schedules)
+        labelings = list(labelings)
+        if len(labelings) != B or len(schedules) != B:
+            raise ValidationError(
+                f"need {B} labelings and schedules, got"
+                f" {len(labelings)} and {len(schedules)}"
             )
-        return out
+        if initial_outputs is None:
+            initial_outputs = [None] * B
+        elif len(initial_outputs) != B:
+            raise ValidationError("outputs must have one entry per row")
+        if fault_plans is not None:
+            fault_plans = list(fault_plans)
+            if len(fault_plans) != B:
+                raise ValidationError("need one fault plan per row")
+        if self.vectorized:
+            try:
+                return self._run_lockstep(
+                    labelings, schedules, fault_plans, max_steps, initial_outputs
+                )
+            except OutOfSpace:
+                pass
+        reports = []
+        for b, inputs in enumerate(self.inputs):
+            serial = Simulator(self.protocol, inputs)
+            if fault_plans is None:
+                report = serial.run(
+                    labelings[b], schedules[b], max_steps, initial_outputs[b]
+                )
+            else:
+                report = serial.run_with_faults(
+                    labelings[b],
+                    schedules[b],
+                    fault_plans[b],
+                    max_steps,
+                    initial_outputs[b],
+                )
+            reports.append(report)
+        return reports
 
     def _run_lockstep(
         self, labelings, schedules, fault_plans, max_steps, initial_outputs
@@ -1274,7 +1202,8 @@ class BatchSimulator:
         kernel tile.  Rows that conclude mid-window are settled exactly
         either way, so the rule only trades speculative stepping against
         per-window overhead.  Fault fire times and the step budget truncate
-        windows.  Returns ``(report, fault_times, t0)`` per row.
+        windows.  Raises :class:`OutOfSpace` when a starting labeling or a
+        fault holds a label outside the declared space.
         """
         run = _Lockstep(
             self, labelings, schedules, fault_plans, max_steps, initial_outputs
@@ -1294,7 +1223,28 @@ class BatchSimulator:
             run.commit(frames, oframes, finished)
             t += block.shape[0]
             window = run.grow(window, finished)
-        return run.timeout()
+        results = run.timeout()
+        if fault_plans is None:
+            return [report for report, _, _ in results]
+        from repro.faults.injection import FaultRunReport
+
+        return [
+            FaultRunReport(
+                outcome=report.outcome,
+                recovery_rounds=report.label_rounds,
+                output_recovery_rounds=report.output_rounds,
+                cycle_start=report.cycle_start,
+                cycle_length=report.cycle_length,
+                faults_fired=len(fault_times),
+                fault_times=tuple(fault_times),
+                last_fault_time=fault_times[-1] if fault_times else None,
+                # Report rounds are local to the analysis tail; the whole
+                # run additionally executed the pre-fault window.
+                steps_executed=base + report.steps_executed,
+                final=report.final,
+            )
+            for report, fault_times, base in results
+        ]
 
 
 class _Lockstep:
@@ -1307,27 +1257,14 @@ class _Lockstep:
     row's last label change, so a row is certified at step ``j`` exactly
     when its group's oldest "latest activation" reaches that segment start
     (see :meth:`settle_aperiodic`).  Fault fires are grouped by time up
-    front, so a fire time costs one staging copy and one write-back.
+    front, and models fire straight into the code rows.  Takes the row
+    lists :meth:`BatchSimulator._run` checked: one entry per row each.
     """
 
     def __init__(
         self, sim, labelings, schedules, fault_plans, max_steps, initial_outputs
     ):
         B = sim.batch_size
-        if isinstance(schedules, Schedule):
-            schedules = [schedules] * B
-        else:
-            schedules = list(schedules)
-        labelings = list(labelings)
-        if len(labelings) != B or len(schedules) != B:
-            raise ValidationError(
-                f"need {B} labelings and schedules, got"
-                f" {len(labelings)} and {len(schedules)}"
-            )
-        if initial_outputs is None:
-            initial_outputs = [None] * B
-        elif len(initial_outputs) != B:
-            raise ValidationError("outputs must have one entry per row")
         self.sim = sim
         self.B = B
         self.n = sim.protocol.n
@@ -1381,29 +1318,26 @@ class _Lockstep:
     # -- setup -----------------------------------------------------------
 
     def _encode(self, labelings, initial_outputs) -> None:
-        """The starting code arrays.
+        """The starting code arrays, in the space's packed dtype.
 
-        Labels first, dtypes second: the code arrays are allocated only
-        after every starting label has been interned, so an out-of-range
-        code can never wrap into a too-narrow packed array.
+        Encoding a label outside the declared space raises
+        :class:`OutOfSpace` (the batch then runs serially).
         """
         sim = self.sim
-        B, n, m = self.B, self.n, self.m
+        n = self.n
         interner = sim._interner
         y_interners = sim._y_interners
+        code_dt = sim._batch.code_dtype
         for labeling in labelings:
             sim._check_topology(labeling)
-        bulk = interner.bulk_encode(
-            [labeling.values for labeling in labelings]
+        codes = interner.bulk_encode(
+            [labeling.values for labeling in labelings], code_dt
         )
-        if bulk is not None and bulk.shape != (B, m):
-            bulk = None
-        value_rows = None
-        if bulk is None:
-            value_rows = [
-                interner.encode_values(labeling.values)
-                for labeling in labelings
-            ]
+        if codes is None or codes.shape != (self.B, self.m):
+            codes = np.asarray(
+                [interner.encode_values(labeling.values) for labeling in labelings],
+                dtype=code_dt,
+            )
         output_rows = []
         none_row = None
         for outs in initial_outputs:
@@ -1420,30 +1354,15 @@ class _Lockstep:
                 output_rows.append(
                     [y_interners[i].encode(outs[i]) for i in range(n)]
                 )
-
-        if sim._space_size == 0:
-            code_dt = np.dtype(np.int64)
-        else:
-            code_dt = np.dtype(
-                packed_dtype(max(sim._space_size, interner.size))
-            )
         y_dt = np.dtype(
             packed_dtype(
                 max([yi.size for yi in y_interners], default=1) or 1
             )
         )
-        codes = (
-            bulk.astype(code_dt, copy=False)
-            if bulk is not None
-            else np.asarray(value_rows, dtype=code_dt)
-        )
-        if codes.base is not None or codes.dtype != code_dt:
-            codes = np.ascontiguousarray(codes, dtype=code_dt)
         self.codes = codes
         self.ocodes = np.asarray(output_rows, dtype=y_dt)
         self.code_dt = code_dt
         self.y_dt = y_dt
-        self.code_cap = dtype_capacity(code_dt)
 
     def _plan_faults(self, fault_plans) -> None:
         """Group every row's fire list by time: ``t -> {slot: [models]}``.
@@ -1462,9 +1381,6 @@ class _Lockstep:
             return
         from repro.faults.injection import validate_fires
 
-        fault_plans = list(fault_plans)
-        if len(fault_plans) != self.B:
-            raise ValidationError("need one fault plan per row")
         for slot, plan in enumerate(fault_plans):
             fires = plan.fires_within(self.max_steps)
             validate_fires(fires, self.max_steps)
@@ -1501,109 +1417,50 @@ class _Lockstep:
         )
         self.live = self.live[self.alive[self.live]]
 
-    # -- widening: re-code the byte-hashed cycle history when the code
-    # arrays grow a dtype (packed runs demote or widen, never wrap).
-
-    def _recode_histories(self, part: int, old_dt, new_dt) -> None:
-        """Re-code part 0 (labels) or 1 (outputs) of every cycle history."""
-
-        def recode(vb: bytes, ob: bytes) -> tuple[bytes, bytes]:
-            pair = [vb, ob]
-            raw = np.frombuffer(pair[part], dtype=old_dt)
-            pair[part] = raw.astype(new_dt).tobytes()
-            return pair[0], pair[1]
-
-        for slot in np.flatnonzero(self.alive & self.per).tolist():
-            state = self.analysis[slot]
-            state.history = [recode(vb, ob) for vb, ob in state.history]
-            state.seen = {
-                (*recode(vb, ob), phase): when
-                for (vb, ob, phase), when in state.seen.items()
-            }
-
-    def widen_codes(self, new_dt) -> None:
-        new_dt = np.dtype(new_dt)
-        if new_dt == self.code_dt:
-            return
-        self._recode_histories(0, self.code_dt, new_dt)
-        self.codes = self.codes.astype(new_dt)
-        self.code_dt = new_dt
-        self.code_cap = dtype_capacity(new_dt)
-
-    def widen_outputs(self, new_dt) -> None:
-        new_dt = np.dtype(new_dt)
-        if new_dt == self.y_dt:
-            return
-        self._recode_histories(1, self.y_dt, new_dt)
-        self.ocodes = self.ocodes.astype(new_dt)
-        self.y_dt = new_dt
-
-    def _widen_for_interner(self) -> None:
-        size = self.sim._interner.size
-        if size > self.code_cap:
-            self.widen_codes(packed_dtype(max(self.sim._space_size, size)))
-
     # -- phases ----------------------------------------------------------
 
     def fire(self, t: int) -> None:
-        """Fire the faults due at ``t`` (before sigma(t) applies), then
-        re-check the table and packing gates.
+        """Fire the faults due at ``t`` (before sigma(t) applies).
 
-        Every live row firing at ``t`` is staged in one int64 copy (a model
-        interning labels past the packed range then widens the master array
-        before the write-back instead of wrapping inside it).  Rows firing
-        the same model objects in the same order share one ``fire_batch``
-        call per model, which keeps each model's ``(seed, t)`` draws and
-        the fired count exactly the serial ones.
+        Models fire straight into the live rows of the code array.  Rows
+        firing the same model objects in the same order share one
+        ``fire_batch`` call per model, which keeps each model's ``(seed,
+        t)`` draws and the fired count exactly the serial ones.  A model
+        writing a label outside the declared space raises
+        :class:`OutOfSpace`.
         """
+        if not self.fire_times or self.fire_times[-1] != t:
+            return
+        self.fire_times.pop()
+        alive = self.alive
+        buckets: dict[tuple, tuple[list, list]] = {}
+        for slot, models in self.timeline.pop(t).items():
+            if not alive[slot]:
+                continue
+            self.fault_times[slot].extend([t] * len(models))
+            key = tuple(id(model) for model in models)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = (models, [slot])
+            else:
+                bucket[1].append(slot)
         sim = self.sim
-        if self.fire_times and self.fire_times[-1] == t:
-            self.fire_times.pop()
-            alive = self.alive
-            due = [
-                (slot, models)
-                for slot, models in self.timeline.pop(t).items()
-                if alive[slot]
-            ]
-            if due:
-                slots = [slot for slot, _ in due]
-                staging = self.codes[slots].astype(np.int64)
-                buckets: dict[tuple, tuple[list, list]] = {}
-                for row, (slot, models) in enumerate(due):
-                    self.fault_times[slot].extend([t] * len(models))
-                    key = tuple(id(model) for model in models)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = (models, [row])
-                    else:
-                        bucket[1].append(row)
-                topology = sim._topology
-                space = sim.protocol.label_space
-                interner = sim._interner
-                for models, rows in buckets.values():
-                    for model in models:
-                        model.fire_batch(
-                            staging, rows, topology, space, interner, t
-                        )
-                self._widen_for_interner()
-                self.codes[slots] = staging
-                last_fire = self.last_fire
-                for slot in slots:
-                    if last_fire[slot] == t:
-                        self.start(slot, t)
-        # Table soundness and packing gates (fault or prior-run growth):
-        # demote when the interner left the enumerated space, widen when it
-        # left the packed range.
-        if sim._groups and sim._interner.size > sim._space_size:
-            sim._demote_all()
-        self._widen_for_interner()
+        space = sim.protocol.label_space
+        for models, slots in buckets.values():
+            for model in models:
+                model.fire_batch(
+                    self.codes, slots, sim._topology, space, sim._interner, t
+                )
+        last_fire = self.last_fire
+        for _, slots in buckets.values():
+            for slot in slots:
+                if last_fire[slot] == t:
+                    self.start(slot, t)
 
     def window_length(self, t: int, window: int) -> int:
-        """Steps to fuse from ``t``: one while any node runs the Python
-        fallback; else the adaptive ``window``, truncated at the next fault
-        fire time and the step budget and bounded by the stack budget."""
-        if self.sim._fallback:
-            return 1
+        """Steps to fuse from ``t``: the adaptive ``window``, truncated at
+        the next fault fire time and the step budget and bounded by the
+        stack budget."""
         k = min(window, self.max_steps - t)
         if self.fire_times:
             k = min(k, self.fire_times[-1] - t)
@@ -1714,39 +1571,12 @@ class _Lockstep:
             masks = block[:, groups[0]]
         else:
             masks = block[:, self.gid[live]]
-        if sim._fallback:
-            sub = self.codes if full else self.codes[live]
-            osub = self.ocodes if full else self.ocodes[live]
-            mask = masks[0]
-            if mask.ndim == 1:
-                mask = np.broadcast_to(mask, (L, self.n))
-            new_sub, new_osub = sim._step_rows(sub, osub, mask, live)
-            if new_sub.dtype != self.code_dt:
-                self.widen_codes(new_sub.dtype)
-            if new_osub.dtype != self.y_dt:
-                self.widen_outputs(new_osub.dtype)
-            frames = np.stack((sub, new_sub))
-            oframes = np.stack((osub, new_osub))
-            flags = np.empty((2, 1, L), dtype=bool)
-            _row_changes(frames, flags[0])
-            _row_changes(oframes, flags[1])
-            return frames, oframes, flags
         # Window stacks are reused across windows (first-axis slices of the
         # cached buffers stay contiguous); reallocating each window would
         # page-fault fresh memory every few steps.
-        if (
-            self.stack_buf is None
-            or self.stack_buf.dtype != self.code_dt
-            or self.stack_buf.shape[1] != L
-            or self.stack_buf.shape[0] < k + 1
-        ):
+        buf = self.stack_buf
+        if buf is None or buf.shape[1] != L or buf.shape[0] < k + 1:
             self.stack_buf = np.empty((k + 1, L, self.m), dtype=self.code_dt)
-        if (
-            self.ostack_buf is None
-            or self.ostack_buf.dtype != self.y_dt
-            or self.ostack_buf.shape[1] != L
-            or self.ostack_buf.shape[0] < k + 1
-        ):
             self.ostack_buf = np.empty((k + 1, L, self.n), dtype=self.y_dt)
         stack = self.stack_buf[: k + 1]
         ostack = self.ostack_buf[: k + 1]

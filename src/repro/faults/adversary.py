@@ -53,12 +53,11 @@ from repro.stabilization.exploration import (
 
 #: Above this many candidate activation sets per step the greedy adversary
 #: switches from exhaustive enumeration to a deterministic O(n) family.
+#: Read at call time, so a test may patch it; it is not an option.
 DEFAULT_CANDIDATE_CAP = 256
 
 
-def _candidate_sets(
-    countdown: Sequence[int], n: int, cap: int
-) -> list[frozenset[int]]:
+def _candidate_sets(countdown: Sequence[int], n: int) -> list[frozenset[int]]:
     """The activation sets the adversary considers this step, r-fair-valid.
 
     Small systems get every valid set; larger ones a deterministic family
@@ -67,7 +66,7 @@ def _candidate_sets(
     """
     forced = frozenset(i for i in range(n) if countdown[i] == 1)
     optional = [i for i in range(n) if i not in forced]
-    if 1 << len(optional) <= cap:
+    if 1 << len(optional) <= DEFAULT_CANDIDATE_CAP:
         return valid_activation_sets(countdown, n)
     candidates = []
     if forced:
@@ -97,17 +96,13 @@ class GreedyAdversarySchedule(Schedule):
         inputs: Sequence[Any],
         initial_labeling: Labeling,
         r: int,
-        candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     ):
         super().__init__(protocol.n)
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
         if len(inputs) != protocol.n:
             raise ValidationError(f"need {protocol.n} inputs, got {len(inputs)}")
-        if candidate_cap < 1:
-            raise ValidationError("candidate cap must be >= 1")
         self.r = r
-        self.candidate_cap = candidate_cap
         self._compiled = compile_protocol(protocol)
         self._inputs = tuple(inputs)
         self._values = initial_labeling.values
@@ -136,7 +131,7 @@ class GreedyAdversarySchedule(Schedule):
         return (1, int(probe_survives), int(changed > 0), -changed)
 
     def _generate_next(self) -> frozenset[int]:
-        candidates = _candidate_sets(self._countdown, self.n, self.candidate_cap)
+        candidates = _candidate_sets(self._countdown, self.n)
         # Deterministic tie-break: smallest set first, then lexicographic.
         candidates.sort(key=lambda s: (len(s), sorted(s)))
         best_set = None

@@ -82,10 +82,12 @@ class FaultModel(ABC):
 
         ``codes`` is the batch backend's ``(B, m)`` label-code array
         (:mod:`repro.core.batch`), ``rows`` the row indices firing this model
-        at time ``step``, and ``interner`` the backend's label interner.  The
-        contract is equality with :meth:`apply` row by row — same ``(seed,
-        fire time)`` RNG derivation, same resulting labeling — so batch
-        resilience sweeps stay interchangeable with serial ones.
+        at time ``step``, and ``interner`` the backend's label interner: the
+        declared space, whose ``encode`` raises for any other label (the
+        batch then runs on the serial engine).  The contract is equality
+        with :meth:`apply` row by row — same ``(seed, fire time)`` RNG
+        derivation, same resulting labeling — so batch resilience sweeps
+        stay interchangeable with serial ones.
 
         The default decodes each row and runs :meth:`apply` itself (exact by
         construction); models whose draw sequence does not depend on the

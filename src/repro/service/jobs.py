@@ -214,8 +214,8 @@ class SweepService:
         Every submission runs :func:`repro.statics.verify_plan` and records
         its report (predicted batch partition, fingerprint safety) on the
         job; it lands in the JSON job record next to the admission
-        decision.  ``plan_sweep(..., preflight=True)`` refuses a plan with
-        a blocking problem before it is ever submitted.
+        decision.  ``verify_plan(plan).raise_for_errors()`` refuses a plan
+        with a blocking problem before it is ever submitted.
 
         On a service with an admission policy, an over-budget plan is
         REJECTED: the returned job id stays queryable and the decision is

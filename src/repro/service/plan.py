@@ -265,7 +265,6 @@ def plan_sweep(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
-    preflight: bool = False,
 ) -> SweepPlan:
     """Plan a sweep: coerce cases and materialize one schedule per case.
 
@@ -274,27 +273,23 @@ def plan_sweep(
     seeded stateful factories produce identical plans no matter how the
     plan is later executed or sharded.  ``policy`` attaches a suggested
     :class:`repro.ExecutionPolicy` to the plan (cosmetic: fingerprints and
-    reports are unchanged by it).  ``preflight=True`` runs
-    :func:`repro.statics.verify_plan` on the finished plan and raises
-    :class:`~repro.exceptions.StaticAnalysisError` — with located
-    diagnostics — while the offending reaction is still one stack frame
-    away, instead of at first fingerprint use.
+    reports are unchanged by it).  To refuse a bad plan while the offending
+    reaction is still one stack frame away, call
+    ``repro.statics.verify_plan(plan).raise_for_errors()`` on it;
+    :meth:`~repro.service.jobs.SweepService.submit` runs the same preflight.
     """
     case_list = [_coerce_case(case) for case in cases]
     specs = tuple(
         CaseSpec(index=i, case=case, schedule=schedule_factory(i, case))
         for i, case in enumerate(case_list)
     )
-    plan = SweepPlan(
+    return SweepPlan(
         protocol=protocol,
         specs=specs,
         kind="sweep",
         max_steps=max_steps,
         policy=policy,
     )
-    if preflight:
-        _preflight_plan(plan)
-    return plan
 
 
 def plan_resilience_sweep(
@@ -305,14 +300,13 @@ def plan_resilience_sweep(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
-    preflight: bool = False,
 ) -> SweepPlan:
     """Plan a resilience sweep: schedules *and* fault plans per case.
 
     Factory invocation order matches
     :func:`repro.analysis.resilience.run_resilience_sweep`: for each case in
-    order, the schedule factory then the fault factory.  ``policy`` and
-    ``preflight`` behave as in :func:`plan_sweep`.
+    order, the schedule factory then the fault factory.  ``policy``
+    behaves as in :func:`plan_sweep`.
     """
     case_list = [_coerce_case(case) for case in cases]
     specs = tuple(
@@ -324,20 +318,11 @@ def plan_resilience_sweep(
         )
         for i, case in enumerate(case_list)
     )
-    plan = SweepPlan(
+    return SweepPlan(
         protocol=protocol,
         specs=specs,
         kind="resilience",
         max_steps=max_steps,
         policy=policy,
     )
-    if preflight:
-        _preflight_plan(plan)
-    return plan
 
-
-def _preflight_plan(plan: SweepPlan) -> None:
-    """Run the static preflight and raise on blocking diagnostics."""
-    from repro.statics.preflight import verify_plan
-
-    verify_plan(plan).raise_for_errors()

@@ -42,8 +42,9 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   :data:`AUTO_BATCH_MIN_ROWS` rows as one ``(B, m)`` packed-code kernel
   call through the batch backend
   (:meth:`repro.core.batch.BatchSimulator.step_codes`) when numpy is
-  present and the protocol's nodes lift to lookup tables; smaller buckets
-  and other protocols take the serial scan.  Results are staged and
+  present and every node lifts to a lookup table; smaller buckets, buckets
+  holding a labeling outside the label space, and other protocols take the
+  serial scan.  Results are staged and
   *interned in the serial scan order*, so state indices, parent links,
   successor arrays — and everything built on them — stay bit-identical to
   the serial expansion.
@@ -188,7 +189,7 @@ class ExplorationStats:
     quotient stands for otherwise (exact when the initial labelings are
     closed under the group, e.g. broadcast or exhaustive initial sets).
     ``frontier_mode`` is ``"batch"`` once a batch frontier call has run
-    (numpy is present, some node lifts to a table and an activation-set
+    (numpy is present, every node lifts to a table and an activation-set
     bucket reached :data:`AUTO_BATCH_MIN_ROWS` rows), ``"serial"``
     otherwise.
     """
@@ -644,10 +645,8 @@ class ExplorationGraph:
             except ValidationError:
                 self._engine_enabled = False
                 return None
-            if not engine.lifted_nodes:
-                # Nothing lifts to tables: the kernel would run the same
-                # per-row Python fallback as the serial scan, minus the
-                # staging overhead.  Not worth it.
+            if not engine.vectorized:
+                # Some node does not lift to a table: no kernel can step it.
                 self._engine_enabled = False
                 return None
             self._engine = engine
@@ -670,7 +669,8 @@ class ExplorationGraph:
         route evaluated a transition.  The engine is built for the first
         bucket that reaches the floor; a level of fewer distinct payloads
         than the floor stages nothing, since a bucket holds each payload
-        once.
+        once.  A bucket holding a labeling outside the declared label space
+        is left to the serial scan.
         """
         if not self._engine_enabled:
             return None
@@ -716,15 +716,20 @@ class ExplorationGraph:
             engine = self._ensure_engine()
             if engine is None:
                 return None
+            from repro.core.batch import OutOfSpace
+
             interner = engine.batch_compiled.interner
             y_interners = engine.batch_compiled.y_interners
             label_rows = [self._labels[lid] for (lid, _oid) in rows]
             codes = interner.bulk_encode(label_rows)
             if codes is None:
-                codes = np.asarray(
-                    [interner.encode_values(row) for row in label_rows],
-                    dtype=np.int64,
-                )
+                try:
+                    codes = np.asarray(
+                        [interner.encode_values(row) for row in label_rows],
+                        dtype=np.int64,
+                    )
+                except OutOfSpace:
+                    continue
             if track_outputs:
                 ocodes = np.asarray(
                     [

@@ -2,18 +2,19 @@
 
 Two runtime surprises this module moves to submit time:
 
-* **Silent fallback demotion.**  :class:`repro.core.batch.BatchSimulator`
-  decides per node whether to lift it into a lookup table or fall back to
-  per-row Python apply (``src/repro/core/batch.py``, ``node_liftable`` and
-  ``_assemble``).  The decision is correct either way, but a sweep the
-  author believed vectorized can quietly run 100x slower.
-  :func:`verify_protocol` applies the static part of the gate —
-  statefulness, label-space enumerability, the ``|Sigma|**degree`` table
-  budget — through the batch backend's own numpy-free rule,
-  :func:`repro.core.batch.lift_demotion`, under its constant budget
-  :data:`repro.core.batch.DEFAULT_MAX_TABLE_SIZE`; :func:`verify_plan`
-  adds the per-case part (unhashable private inputs), so the predicted
-  partition is known before any work is enqueued.
+* **Silent serial batches.**  :class:`repro.core.batch.BatchSimulator`
+  runs a batch in lockstep only when every node lifts into a lookup table
+  (``src/repro/core/batch.py``, ``node_liftable`` and ``_assemble``);
+  any other batch runs row by row on the serial engine.  The answer is
+  the same either way, but a sweep the author believed vectorized can
+  quietly run at serial speed.  :func:`verify_protocol` applies the
+  static part of the gate — statefulness, label-space enumerability, the
+  ``|Sigma|**degree`` table budget — per node, through the batch backend's
+  own numpy-free rule, :func:`repro.core.batch.lift_demotion`, under its
+  constant budget :data:`repro.core.batch.DEFAULT_MAX_TABLE_SIZE`;
+  :func:`verify_plan` adds the per-case part (unhashable private inputs),
+  so the nodes that keep a batch off the tables are known before any work
+  is enqueued.
 * **Late fingerprint failure.**  A lambda reaction, a closed-over
   ``random.Random``, or an unregistered type inside a plan only fails once
   a case is first keyed, deep in :mod:`repro.service.fingerprint`.
@@ -26,9 +27,10 @@ Two runtime surprises this module moves to submit time:
   admission and the executor.
 
 The predictions must stay glued to the runtime: ``tests/test_statics.py``
-property-tests :func:`verify_plan`'s predicted partition against the
-``lifted_nodes`` the assembled :class:`~repro.core.batch.BatchSimulator`
-actually reports.
+property-tests each node's predicted lift against
+:meth:`~repro.core.batch.BatchCompiledProtocol.node_liftable`, and
+``fully_lifted`` against whether the assembled
+:class:`~repro.core.batch.BatchSimulator` is ``vectorized``.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class PlanPreflight:
 
     def raise_for_errors(self) -> None:
         """Raise :class:`StaticAnalysisError` when any error-severity
-        diagnostic is present (the ``plan_sweep(..., preflight=True)``
-        path)."""
+        diagnostic is present: ``verify_plan(plan).raise_for_errors()``
+        refuses a bad plan at plan time."""
         errors = self.errors
         if errors:
             raise StaticAnalysisError(
@@ -269,8 +271,8 @@ def verify_plan(plan) -> PlanPreflight:
                     severity="warning",
                     message=f"case {spec.index}, node {node}: private"
                     f" input of type {type(x).__name__} is unhashable —"
-                    f" this node falls back to per-row Python apply for"
-                    f" this case",
+                    f" the batch chunk holding this case runs on the"
+                    f" serial engine",
                 )
             )
 

@@ -3,9 +3,9 @@
 The paper's model rests on one restriction: every reaction is a *pure
 deterministic* function of its current inputs (Section 2.1) — no hidden
 state, no clocks, no coins.  The runtime only discovers violations late (a
-stateful reaction silently demotes the batch backend to the Python
-fallback; an RNG-carrying one fails fingerprinting deep in
-canonicalization), so this module checks the promise at the boundary:
+stateful reaction silently sends every batch to the serial engine; an
+RNG-carrying one fails fingerprinting deep in canonicalization), so this
+module checks the promise at the boundary:
 AST-plus-closure inspection of a reaction callable, yielding a
 :class:`Purity` verdict per node with source locations.
 

@@ -18,6 +18,7 @@ from repro.exceptions import ValidationError
 from repro.faults import (
     GreedyAdversarySchedule,
     MinimaxAdversarySchedule,
+    adversary,
     exhaustive_worst_case_delay,
 )
 from repro.graphs import clique
@@ -42,16 +43,16 @@ class TestGreedyFairness:
         )
         assert is_r_fair(schedule, r, horizon=80)
 
-    def test_fairness_holds_past_the_candidate_cap(self):
+    def test_fairness_holds_past_the_candidate_cap(self, monkeypatch):
         # With the cap forcing the sampled candidate family, forced nodes
         # must still always be included.
+        monkeypatch.setattr(adversary, "DEFAULT_CANDIDATE_CAP", 1)
         protocol = or_clique_protocol(clique(6))
         schedule = GreedyAdversarySchedule(
             protocol,
             default_inputs(protocol),
             random_bit_labeling(protocol.topology, seed=0),
             r=2,
-            candidate_cap=1,
         )
         assert is_r_fair(schedule, 2, horizon=60)
 
@@ -74,8 +75,6 @@ class TestGreedyFairness:
             GreedyAdversarySchedule(protocol, (0,) * 3, labeling, r=0)
         with pytest.raises(ValidationError):
             GreedyAdversarySchedule(protocol, (0,) * 2, labeling, r=1)
-        with pytest.raises(ValidationError):
-            GreedyAdversarySchedule(protocol, (0,) * 3, labeling, r=1, candidate_cap=0)
 
 
 class TestExhaustiveWorstCase:

@@ -46,7 +46,6 @@ from repro.core.batch import (
     MAX_FUSE_WINDOW,
     LabelInterner,
     _Lockstep,
-    dtype_capacity,
     packed_dtype,
 )
 from repro.exceptions import ValidationError
@@ -54,6 +53,7 @@ from repro.faults import (
     BurstFault,
     ComposedFault,
     ComposedFaultSchedule,
+    FaultModel,
     NoFaults,
     OneShotFault,
     PeriodicFault,
@@ -842,7 +842,7 @@ class TestRingRoute:
             protocol, inputs, labelings, schedules, None, 60
         )
         assert simulator._mono is None
-        assert simulator.lifted_nodes == (0, 1, 2, 3)
+        assert simulator.vectorized
         assert calls["groups"] and not calls["ring"]
 
 
@@ -1082,8 +1082,6 @@ class TestPackedInterner:
         assert packed_dtype(1 << 16) is np.uint16
         assert packed_dtype((1 << 16) + 1) is np.uint32
         assert packed_dtype((1 << 32) + 1) is np.int64
-        assert dtype_capacity(np.uint8) == 1 << 8
-        assert dtype_capacity(np.uint16) == 1 << 16
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
     def test_bulk_encode_accepts_narrow_dtypes(self, dtype):
@@ -1121,10 +1119,11 @@ class TestPackedInterner:
         assert interner.bulk_encode([[0, 1], [2]]) is None
         assert interner.bulk_encode([[0.5, 1.0]]) is None
 
-    def test_mid_run_widening_never_overflows(self):
+    def test_escaping_counter_never_grows_the_interner(self):
         # A counter ring whose labels escape the declared 2-label space and
-        # keep growing: the interner crosses the u8 capacity mid-run, so the
-        # packed code arrays must widen (never wrap) to stay serial-equal.
+        # keep growing past the u8 code range: no table closes over them,
+        # so every row runs on the serial engine and the interner stays the
+        # declared space.
         n = 3
         topology = unidirectional_ring(n)
 
@@ -1147,19 +1146,19 @@ class TestPackedInterner:
         ]
         schedule = SynchronousSchedule(n)
         simulator = BatchSimulator(protocol, [(0,) * n] * 2)
+        assert not simulator.vectorized
         batch = simulator.run_batch(labelings, schedule, max_steps=300)
         for labeling, report in zip(labelings, batch, strict=True):
             serial = Simulator(protocol, (0,) * n).run(
                 labeling, schedule, max_steps=300
             )
             assert_reports_equal(serial, report)
-        # The run genuinely outgrew the u8 code range.
-        assert simulator._interner.size > dtype_capacity(np.uint8)
+        assert simulator._interner.size == 2
 
-    def test_widening_keeps_cycle_detection(self):
-        # Labels count modulo 300: the interner outgrows u8 mid-run, and the
-        # first revisit comes only after that, so exact cycle detection
-        # must match the states it hashed before the widening.
+    def test_escaping_cycle_matches_serial(self):
+        # Labels count modulo 300, outside the declared space, and the first
+        # revisit comes only after 300 steps: the cycle facts are the serial
+        # engine's.
         n = 3
         topology = unidirectional_ring(n)
 
@@ -1192,14 +1191,18 @@ class TestPackedInterner:
                 assert report.cycle_length == 300
 
 
-# -- lift tiers and fallbacks ------------------------------------------------
+# -- routes: the lockstep or the serial engine ---------------------------------
 
 
 class TestLiftTiers:
+    """A batch runs in lockstep only when every node lifts to its tables and
+    every label stays in the declared space; any other batch runs row by
+    row on the serial engine, with equal reports."""
+
     def test_small_space_protocol_fully_lifted(self):
         protocol = xor_ring_protocol(6)
         simulator = BatchSimulator(protocol, [(0,) * 6, (1, 0, 0, 0, 0, 0)])
-        assert simulator.lifted_nodes == tuple(range(6))
+        assert simulator.vectorized
 
     def test_huge_space_falls_back_to_python_apply(self):
         n = 4
@@ -1224,7 +1227,7 @@ class TestLiftTiers:
             for _ in range(3)
         ]
         simulator = BatchSimulator(protocol, [(0,) * n] * 3)
-        assert simulator.lifted_nodes == ()
+        assert not simulator.vectorized
         schedule = SynchronousSchedule(n)
         batch = simulator.run_batch(labelings, schedule, max_steps=40)
         for labeling, report in zip(labelings, batch, strict=True):
@@ -1250,7 +1253,7 @@ class TestLiftTiers:
         protocol = xor_ring_protocol(5)
         monkeypatch.setattr(batch_module, "DEFAULT_MAX_TABLE_SIZE", 1)
         simulator = BatchSimulator(protocol, [(0,) * 5] * 2)
-        assert simulator.lifted_nodes == ()
+        assert not simulator.vectorized
         rng = random.Random(0)
         labelings = [
             Labeling(
@@ -1267,7 +1270,7 @@ class TestLiftTiers:
             )
             assert_reports_equal(serial, report)
 
-    def test_out_of_space_label_demotes_lifted_nodes(self):
+    def test_out_of_space_reaction_runs_serially(self):
         n = 5
         topology = unidirectional_ring(n)
 
@@ -1290,9 +1293,8 @@ class TestLiftTiers:
             topology, binary(), [make(i) for i in range(n)], name="escaper"
         )
         simulator = BatchSimulator(protocol, [(0,) * n] * 3)
-        # Node 0 cannot be lifted (its table would leave the space)...
-        assert 0 not in simulator.lifted_nodes
-        assert set(simulator.lifted_nodes) == {1, 2, 3, 4}
+        # Node 0's table would leave the space, so no node runs on tables.
+        assert not simulator.vectorized
         rng = random.Random(9)
         labelings = [
             Labeling(
@@ -1302,13 +1304,12 @@ class TestLiftTiers:
         ]
         schedule = RoundRobinSchedule(n)
         batch = simulator.run_batch(labelings, schedule, max_steps=50)
-        # ... and once label 2 entered the interner, every node was demoted.
-        assert simulator.lifted_nodes == ()
         for labeling, report in zip(labelings, batch, strict=True):
             serial = Simulator(protocol, (0,) * n).run(
                 labeling, schedule, max_steps=50
             )
             assert_reports_equal(serial, report)
+        assert batch_compile(protocol).interner.size == 2
 
     def test_stateful_protocol_uses_fallback(self):
         n = 4
@@ -1328,7 +1329,7 @@ class TestLiftTiers:
             topology, binary(), [make(i) for i in range(n)], name="stateful"
         )
         simulator = BatchSimulator(protocol, [(0,) * n] * 2)
-        assert simulator.lifted_nodes == ()
+        assert not simulator.vectorized
         rng = random.Random(11)
         labelings = [
             Labeling(
@@ -1343,6 +1344,144 @@ class TestLiftTiers:
                 labeling, schedule, max_steps=40
             )
             assert_reports_equal(serial, report)
+
+    def test_stray_starting_label_leaves_the_space_clean(self, monkeypatch):
+        # One starting labeling holds label 2, outside the binary space: the
+        # batch runs serially, and a later batch over the same protocol still
+        # runs its lockstep on tables over the unchanged space.
+        n = 6
+        protocol = xor_ring_protocol(n)
+        topology = protocol.topology
+        inputs = (1, 0, 0, 1, 0, 0)
+        rng = random.Random(17)
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(2) for _ in range(n)))
+            for _ in range(8)
+        ]
+        stray = list(labelings)
+        stray[3] = Labeling(topology, (0, 2, 1, 0, 0, 1))
+        schedules = [RandomRFairSchedule(n, r=3, seed=b) for b in range(8)]
+        simulator = BatchSimulator(protocol, [inputs] * 8)
+        assert simulator.vectorized
+        reports = simulator.run_batch(stray, schedules, max_steps=80)
+        for b, report in enumerate(reports):
+            assert report == Simulator(protocol, inputs).run(
+                stray[b], schedules[b], max_steps=80
+            )
+        assert batch_compile(protocol).interner.size == 2
+
+        calls = count_routes(monkeypatch)
+        fresh = BatchSimulator(protocol, [inputs] * 8)
+        assert fresh.vectorized
+        reports = fresh.run_batch(labelings, schedules, max_steps=80)
+        assert calls["ring"] or calls["groups"]
+        for b, report in enumerate(reports):
+            assert report == Simulator(protocol, inputs).run(
+                labelings[b], schedules[b], max_steps=80
+            )
+        assert batch_compile(protocol).interner.size == 2
+
+    def test_escaping_custom_fault_matches_serial(self):
+        # A user model keeping the default fire_batch writes label 7 on
+        # every edge mid-run; the built-in models only write labels of the
+        # space.
+        class Escape(FaultModel):
+            def apply(self, values, topology, space, step):
+                return (7,) * len(values)
+
+        n = 5
+        protocol = xor_ring_protocol(n)
+        topology = protocol.topology
+        inputs = (1, 1, 0, 0, 0)
+        rng = random.Random(23)
+        labelings = [
+            Labeling(topology, tuple(rng.randrange(2) for _ in range(n)))
+            for _ in range(6)
+        ]
+        schedules = [RandomRFairSchedule(n, r=2, seed=b) for b in range(6)]
+        plans = [
+            OneShotFault(6, Escape()) if b % 2 else NoFaults()
+            for b in range(6)
+        ]
+        simulator = BatchSimulator(protocol, [inputs] * 6)
+        assert simulator.vectorized
+        reports = simulator.run_batch_with_faults(
+            labelings, schedules, plans, max_steps=60
+        )
+        for b, report in enumerate(reports):
+            assert report == Simulator(protocol, inputs).run_with_faults(
+                labelings[b], schedules[b], plans[b], max_steps=60
+            )
+        # Xor with a bit keeps 7 and 6 outside the space for good.
+        assert set(reports[1].final.labeling.values) <= {6, 7}
+        assert batch_compile(protocol).interner.size == 2
+
+    def test_partial_lifts_run_serially(self, monkeypatch):
+        import repro.core.batch as batch_module
+
+        def xor_first(value, x):
+            return value ^ (x[0] if isinstance(x, list) else x)
+
+        def check(protocol, inputs):
+            simulator = BatchSimulator(protocol, inputs)
+            assert not simulator.vectorized
+            topology = protocol.topology
+            rng = random.Random(topology.m)
+            rows = len(inputs)
+            labelings = [
+                Labeling(
+                    topology, tuple(rng.randrange(2) for _ in range(topology.m))
+                )
+                for _ in range(rows)
+            ]
+            schedules = [
+                RandomRFairSchedule(topology.n, r=2, seed=b) for b in range(rows)
+            ]
+            plans = [
+                BurstFault((3, 5), RandomCorruption(0.5, seed=b))
+                for b in range(rows)
+            ]
+            plain = simulator.run_batch(labelings, schedules, max_steps=50)
+            faulty = simulator.run_batch_with_faults(
+                labelings, schedules, plans, max_steps=50
+            )
+            for b in range(rows):
+                serial = Simulator(protocol, inputs[b])
+                assert plain[b] == serial.run(
+                    labelings[b], schedules[b], max_steps=50
+                )
+                assert faulty[b] == serial.run_with_faults(
+                    labelings[b], schedules[b], plans[b], max_steps=50
+                )
+            with pytest.raises(ValidationError, match="lookup table"):
+                simulator.step_codes(
+                    np.zeros((1, topology.m), dtype=np.uint8),
+                    np.zeros((1, topology.n), dtype=np.uint8),
+                    {0},
+                )
+
+        # One unhashable private input: every other node would lift.
+        protocol = xor_ring_protocol(6, op=xor_first)
+        check(protocol, [([1], 0, 1, 0, 0, 1)] * 4)
+
+        # A table budget that only degree-1 nodes fit: node 2 also reads
+        # the chord 0 -> 2, so its 4-row table misses.
+        topology = Topology(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+        def parity(incoming, x):
+            bit = sum(incoming.values()) % 2 ^ x
+            return bit, bit
+
+        protocol = StatelessProtocol(
+            topology,
+            binary(),
+            [UniformReaction(topology.out_edges(i), parity) for i in range(4)],
+            name="chorded-ring",
+        )
+        monkeypatch.setattr(batch_module, "DEFAULT_MAX_TABLE_SIZE", 2)
+        assert batch_compile(protocol).node_liftable(0)
+        assert not batch_compile(protocol).node_liftable(2)
+        check(protocol, [(0, 1, 0, 0), (1, 1, 0, 0)])
 
     def test_partial_table_raises_like_serial(self):
         topology = unidirectional_ring(3)

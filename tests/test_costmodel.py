@@ -5,7 +5,7 @@ class; garbage is flagged as a misfit; zero, NaN and inf are refused), the
 benchmark-record gate (an injected complexity-class regression in a fixture
 trajectory fails the check while the committed records pass; an unfittable
 ladder is one located failure), capacity-planning estimates with warm-cache
-discounts, and that the package and the gate's CLI import plain Python only.
+discounts, and that the package imports plain Python only.
 """
 
 import json
@@ -24,12 +24,10 @@ from repro.analysis.costmodel import (
     DEFAULT_CACHE_HIT_WORK,
     MIN_FIT_POINTS,
     ComplexitySpec,
-    check_bench_dir,
     check_complexity,
     estimate_sweep_cost,
     failures_for_record,
     fit_trajectory,
-    main as costmodel_main,
 )
 from repro.exceptions import ValidationError
 from repro.policy import ExecutionPolicy
@@ -251,41 +249,6 @@ class TestBenchRecordGate:
         assert fitted >= 1  # the a08 ladders are registered and present
 
 
-class TestCli:
-    def _write(self, tmp_path, record):
-        path = tmp_path / "BENCH_bench_a08_complexity_scaling.json"
-        path.write_text(json.dumps(record))
-        return path
-
-    def test_clean_directory_exits_zero(self, tmp_path, capsys):
-        _, linear = _trajectory("linear")
-        self._write(tmp_path, _fixture_record(linear, linear))
-        assert costmodel_main([str(tmp_path)]) == 0
-        assert "within declared class" in capsys.readouterr().out
-
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        _, linear = _trajectory("linear")
-        _, quadratic = _trajectory("quadratic")
-        self._write(tmp_path, _fixture_record(quadratic, linear))
-        assert costmodel_main([str(tmp_path)]) == 1
-        assert "COMPLEXITY GATE FAILED" in capsys.readouterr().out
-
-    def test_committed_records_exit_zero(self, capsys):
-        assert costmodel_main([str(BENCH_DIR)]) == 0
-
-    def test_unfittable_record_exits_nonzero(self, tmp_path, capsys):
-        _, linear = _trajectory("linear")
-        self._write(tmp_path, _fixture_record(linear, [0.0, *linear[1:]]))
-        assert costmodel_main([str(tmp_path)]) == 1
-        assert "COMPLEXITY GATE FAILED" in capsys.readouterr().out
-
-    def test_check_bench_dir_reports_unreadable_json(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text("{nope")
-        failures, checked = check_bench_dir(tmp_path)
-        assert checked == 0
-        assert failures and "unreadable" in failures[0]
-
-
 class TestEstimateSweepCost:
     def test_cold_estimate_counts_every_case(self):
         estimate = estimate_sweep_cost(
@@ -370,16 +333,3 @@ class TestPlainImports:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
-
-    def test_gate_cli_runs_the_module_once(self):
-        # Importing repro.analysis must not import the costmodel module, or
-        # `python -m` executes it twice and runpy warns.
-        result = _python(
-            "-W",
-            "error::RuntimeWarning",
-            "-m",
-            "repro.analysis.costmodel",
-            "benchmarks",
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "within their declared classes" in result.stdout

@@ -27,7 +27,11 @@ from repro.core import Labeling, Simulator, SynchronousSchedule
 from repro.core.batch import BatchCompiledProtocol, BatchSimulator, batch_compile
 from repro.core.compiled import compile_protocol
 from repro.exceptions import ValidationError
-from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
+from repro.faults import (
+    GreedyAdversarySchedule,
+    MinimaxAdversarySchedule,
+    exhaustive_worst_case_delay,
+)
 from repro.faults.schedules import NoFaults
 from repro.graphs.automorphisms import (
     automorphism_generators,
@@ -40,6 +44,7 @@ from repro.service import (
     SweepService,
     execute_plan,
     iter_shards,
+    plan_resilience_sweep,
     plan_sweep,
 )
 from repro.statics import preflight, verify_plan, verify_protocol
@@ -150,10 +155,11 @@ def _submit(**keywords):
 #: Every former shim entry point with one of its retired keywords (plus the
 #: retired batch compute-route and fused-window keywords, the retired
 #: ``spill_dir``, ``processes``, ``chunk_rows`` and ``batch_min_rows`` policy
-#: fields, the retired ``strict`` fan-out keyword, the table and symmetry
-#: budgets, which are module constants, and the compiled forms, which come
-#: from their caches), a value it used to accept, and an otherwise valid
-#: call.
+#: fields, the retired ``strict`` fan-out keyword, the table, symmetry and
+#: greedy-candidate budgets, which are module constants, the compiled
+#: forms, which come from their caches, and the planners' ``preflight``
+#: switch, which ``verify_plan`` replaces), a value it used to accept, and
+#: an otherwise valid call.
 RETIRED_KEYWORDS = [
     ("ExecutionPolicy", "spill_dir", "spill", ExecutionPolicy),
     ("ExecutionPolicy-processes", "processes", 2, ExecutionPolicy),
@@ -194,6 +200,26 @@ RETIRED_KEYWORDS = [
     ),
     ("SweepService.submit-strict", "strict", True, _submit),
     ("SweepService.submit-preflight", "preflight", "warn", _submit),
+    (
+        "plan_sweep-preflight",
+        "preflight",
+        True,
+        lambda **kw: plan_sweep(_ring(4), _cases(_ring(4), 2), _sync, **kw),
+    ),
+    (
+        "plan_resilience_sweep-preflight",
+        "preflight",
+        True,
+        lambda **kw: plan_resilience_sweep(
+            _ring(4), _cases(_ring(4), 2), _sync, _faults, **kw
+        ),
+    ),
+    (
+        "GreedyAdversarySchedule-candidate_cap",
+        "candidate_cap",
+        1,
+        lambda **kw: GreedyAdversarySchedule(K3, (0,) * 3, K3_START, 2, **kw),
+    ),
     (
         "run_sweep",
         "processes",

@@ -705,6 +705,37 @@ class TestFrontierModes:
             batch.outputs_of(k) for k in range(len(batch))
         ]
 
+    def test_out_of_space_labeling_is_left_to_the_serial_scan(
+        self, monkeypatch
+    ):
+        # Label 2 lies outside the copy ring's binary space: every bucket
+        # holding a labeling with it is scanned serially, and the protocol's
+        # label interner never grows.
+        pytest.importorskip("numpy")
+        from repro.core import batch_compile
+
+        protocol = copy_ring_protocol(5)
+        inputs = default_inputs(protocol)
+        topology = protocol.topology
+        inits = [
+            Labeling(topology, (2, 0, 1, 0, 0)),
+            Labeling(topology, (1, 0, 0, 1, 0)),
+        ]
+        set_batch_floor(monkeypatch, SERIAL_FLOOR)
+        serial = ExplorationGraph(protocol, inputs, 2, inits, track_outputs=True)
+        set_batch_floor(monkeypatch, 1)
+        batch = ExplorationGraph(protocol, inputs, 2, inits, track_outputs=True)
+        assert batch._engine is not None
+        assert serial.state_keys == batch.state_keys
+        assert graph_lists(serial) == graph_lists(batch)
+        assert [serial.outputs_of(k) for k in range(len(serial))] == [
+            batch.outputs_of(k) for k in range(len(batch))
+        ]
+        assert batch_compile(protocol).interner.size == 2
+        # A clean start over the same protocol still batches its buckets.
+        clean = ExplorationGraph(protocol, inputs, 2, inits[1:])
+        assert clean.stats().batch_calls > 0
+
     def test_stats_shape(self):
         protocol = example1_protocol(3)
         inputs = default_inputs(protocol)

@@ -1,11 +1,11 @@
 """Plan preflight and its service integration.
 
 :func:`repro.statics.verify_plan` moves two runtime surprises to submit
-time: silent batch-fallback demotion and late fingerprint failure.  These
+time: silently serial batches and late fingerprint failure.  These
 tests pin the preflight surface itself (offender collection with located
 diagnostics, the per-case unhashable-input demotions, record shapes) and
 the three places it is wired in: ``SweepService.submit`` (every job),
-``plan_sweep(..., preflight=True)``, and the upgraded
+``verify_plan(plan).raise_for_errors()`` at plan time, and the upgraded
 :class:`~repro.exceptions.StaticAnalysisError` the fingerprint path now
 raises instead of a bare, unlocated ``FingerprintError``.
 
@@ -234,8 +234,8 @@ class TestVerifyPlan:
         )
         assert [d.message for d in preflight.diagnostics] == [
             f"case {i}, node {node}: private input of type {name} is"
-            f" unhashable — this node falls back to per-row Python apply"
-            f" for this case"
+            f" unhashable — the batch chunk holding this case runs on the"
+            f" serial engine"
             for i, node, name in expected
         ]
         assert preflight.ok
@@ -256,19 +256,14 @@ class TestVerifyPlan:
 
 
 class TestPlanTimePreflight:
-    """``plan_sweep(..., preflight=True)`` fails while the offending
+    """``verify_plan(plan).raise_for_errors()`` fails while the offending
     reaction is still one stack frame away."""
 
     def test_lambda_reaction_raises_at_plan_time(self):
         protocol = _lambda_ring()
+        plan = plan_sweep(protocol, _cases(protocol), _sync, max_steps=20)
         with pytest.raises(StaticAnalysisError) as excinfo:
-            plan_sweep(
-                protocol,
-                _cases(protocol),
-                _sync,
-                max_steps=20,
-                preflight=True,
-            )
+            verify_plan(plan).raise_for_errors()
         diagnostics = excinfo.value.diagnostics
         assert {d.rule for d in diagnostics} == {"preflight/lambda"}
         assert diagnostics[0].path.endswith("test_preflight.py")
@@ -503,7 +498,7 @@ class TestClosureCells:
 class TestCosmeticFields:
     """Preflight checks what the key covers, and nothing else."""
 
-    def _rng_tagged_plan(self, **options):
+    def _rng_tagged_plan(self):
         protocol = _ring(3)
         cases = [
             SweepCase(
@@ -513,7 +508,7 @@ class TestCosmeticFields:
             )
             for s in range(3)
         ]
-        return plan_sweep(protocol, cases, _sync, max_steps=20, **options)
+        return plan_sweep(protocol, cases, _sync, max_steps=20)
 
     def test_rng_tags_pass_preflight(self):
         preflight = verify_plan(self._rng_tagged_plan())
@@ -523,7 +518,8 @@ class TestCosmeticFields:
     def test_strict_submit_runs_a_plan_with_rng_tags(self, tmp_path):
         # The strict check runs at plan time; the job records a clean
         # preflight of its own.
-        plan = self._rng_tagged_plan(preflight=True)
+        plan = self._rng_tagged_plan()
+        verify_plan(plan).raise_for_errors()
         with SweepService(records_dir=tmp_path) as service:
             job_id = service.submit(plan)
             report = service.result(job_id, timeout=30)

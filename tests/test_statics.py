@@ -589,11 +589,12 @@ class TestPredictedPartition:
         protocol = _tabular_protocol(n, k, use_clique, seed)
         with patch.object(batch, "DEFAULT_MAX_TABLE_SIZE", max_table_size):
             predicted = verify_protocol(protocol)
+            compiled = batch.batch_compile(protocol)
+            decisions = [compiled.node_liftable(i) for i in range(n)]
             simulator = BatchSimulator(protocol, [(0,) * n])
         assert predicted.max_table_size == max_table_size
-        actual_fallback = set(range(n)) - set(simulator.lifted_nodes)
-        assert set(predicted.predicted_fallback) == actual_fallback
-        assert set(predicted.predicted_lifted) == set(simulator.lifted_nodes)
+        assert [lift.lifted for lift in predicted.lifts] == decisions
+        assert predicted.fully_lifted == simulator.vectorized
 
     def test_stateful_protocol_predicts_total_fallback(self):
         from repro.hardness.stateful_reduction import stateful_protocol_from_g
@@ -607,7 +608,7 @@ class TestPredictedPartition:
         assert predicted.predicted_lifted == ()
         assert {lift.reason for lift in predicted.lifts} == {"stateful"}
         simulator = BatchSimulator(protocol, [(None,) * protocol.n])
-        assert simulator.lifted_nodes == ()
+        assert not simulator.vectorized
 
     def test_demotion_reasons_name_the_gate(self, monkeypatch):
         protocol = _tabular_protocol(4, 4, True, seed=1)
