@@ -315,8 +315,8 @@ def failures_for_record(record: Mapping) -> list[str]:
 #: records: the serial engine sustains ~2.7M node activations/s (BENCH_a02:
 #: 41.5k steps/s × 64 nodes) and the batch routes ~20–130M element ops/s
 #: (BENCH_a05: ~2.1M row-steps/s × 64 nodes at 10^5 rows).  Constants,
-#: deliberately coarse — admission budgets should be set in work units or
-#: with generous headroom in seconds.
+#: deliberately coarse — admission budgets are set in work units, and the
+#: seconds only show beside measured times.
 DEFAULT_SECONDS_PER_UNIT: Mapping[str, float] = {
     "engine.compiled": 4e-7,
     "batch.fused": 1e-8,

@@ -35,13 +35,13 @@ from repro.analysis.sweeps import (
     ScheduleFactory,
     SweepCase,
     SweepReport,
-    _batch_chunks,
+    _run_cases,
+    _run_cases_batch,
 )
 from repro.core.convergence import RunOutcome
-from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
+from repro.core.engine import DEFAULT_MAX_STEPS
 from repro.core.protocol import Protocol
 from repro.exceptions import ValidationError
-from repro.faults.injection import run_with_faults
 from repro.faults.schedules import FaultSchedule
 from repro.policy import ExecutionPolicy, resolve_policy
 
@@ -53,8 +53,7 @@ RECOVERY_CRITERIA: dict[str, Callable[["FaultCaseResult"], bool]] = {
     "label": lambda result: result.outcome is RunOutcome.LABEL_STABLE,
     "output": lambda result: result.outcome
     in (RunOutcome.LABEL_STABLE, RunOutcome.OUTPUT_STABLE),
-    "orbit": lambda result: result.outcome
-    not in (RunOutcome.TIMEOUT, RunOutcome.SCHEDULE_EXHAUSTED),
+    "orbit": lambda result: result.outcome is not RunOutcome.TIMEOUT,
 }
 
 
@@ -163,46 +162,11 @@ class ResilienceReport(SweepReport):
         )
 
 
-def _run_fault_cases(protocol, specs, max_steps):
-    """Run planned injected cases in-process through one compiled protocol;
-    one ``FaultRunReport`` per spec, in order."""
-    reports = []
-    for spec in specs:
-        case = spec.case
-        simulator = Simulator(protocol, case.inputs)
-        reports.append(
-            run_with_faults(
-                simulator,
-                case.labeling,
-                spec.schedule,
-                spec.faults,
-                max_steps=max_steps,
-                initial_outputs=case.initial_outputs,
-            )
-        )
-    return reports
-
-
-def _run_fault_cases_batch(protocol, specs, max_steps):
-    """Injected cases in vectorized lockstep runs, fault models fired via
-    their batch hooks; the reports equal :func:`_run_fault_cases`'s."""
-    reports = []
-    for simulator, chunk in _batch_chunks(protocol, specs):
-        reports.extend(
-            simulator.run_batch_with_faults(
-                [spec.case.labeling for spec in chunk],
-                [spec.schedule for spec in chunk],
-                [spec.faults for spec in chunk],
-                max_steps=max_steps,
-                initial_outputs=[spec.case.initial_outputs for spec in chunk],
-            )
-        )
-    return reports
-
-
-#: Injected-case backends, selected by ``ExecutionPolicy.executor``, with
-#: the signature of :data:`repro.analysis.sweeps.EXECUTORS`.
-EXECUTORS = {"serial": _run_fault_cases, "batch": _run_fault_cases_batch}
+#: Injected-case backends, selected by ``ExecutionPolicy.executor``: the
+#: runners of :data:`repro.analysis.sweeps.EXECUTORS`, in a dict of this
+#: module's own, so a caller wrapping one module's entries (a tracer)
+#: sees only that plan kind's cases.
+EXECUTORS = {"serial": _run_cases, "batch": _run_cases_batch}
 
 
 def run_resilience_sweep(

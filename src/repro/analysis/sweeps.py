@@ -38,6 +38,7 @@ from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
 from repro.exceptions import ValidationError
+from repro.faults.injection import run_with_faults
 from repro.policy import ExecutionPolicy, resolve_policy
 
 #: Builds the schedule for one case: ``(case_index, case) -> Schedule``.
@@ -183,47 +184,62 @@ def _coerce_case(case) -> SweepCase:
 
 def _run_cases(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
     """Run planned cases (:class:`repro.service.plan.CaseSpec`) in-process
-    through one compiled protocol; one ``RunReport`` per spec, in order."""
+    through one compiled protocol; one report per spec, in order: a
+    ``RunReport``, or a ``FaultRunReport`` when the spec has a fault plan."""
     reports = []
     for spec in specs:
         case = spec.case
         simulator = Simulator(protocol, case.inputs)
-        reports.append(
-            simulator.run(
+        if spec.faults is None:
+            report = simulator.run(
                 case.labeling,
                 spec.schedule,
                 max_steps=max_steps,
                 initial_outputs=case.initial_outputs,
             )
-        )
+        else:
+            report = run_with_faults(
+                simulator,
+                case.labeling,
+                spec.schedule,
+                spec.faults,
+                max_steps=max_steps,
+                initial_outputs=case.initial_outputs,
+            )
+        reports.append(report)
     return reports
 
 
-def _batch_chunks(protocol: Protocol, specs: Sequence):
-    """Yield ``(BatchSimulator, chunk)`` for consecutive slices of
-    :data:`repro.core.batch.SWEEP_CHUNK_ROWS` specs.
+def _run_cases_batch(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
+    """Run planned cases in lockstep through the vectorized batch backend,
+    faulted ones with their models fired via the batch hooks; the reports
+    equal :func:`_run_cases`'s, case for case.
 
-    Cases are independent, so slicing changes nothing but cache residency.
-    The import is deferred so the serial sweep path never requires numpy.
+    A plan's specs are all faulted or none.  Cases run in consecutive
+    slices of :data:`repro.core.batch.SWEEP_CHUNK_ROWS`: they are
+    independent, so slicing changes nothing but cache residency.  The
+    import is deferred so the serial sweep path never requires numpy.
     """
     from repro.core import batch
 
+    reports = []
     rows = batch.SWEEP_CHUNK_ROWS
     for lo in range(0, len(specs), rows):
         chunk = specs[lo : lo + rows]
-        inputs = [spec.case.inputs for spec in chunk]
-        yield batch.BatchSimulator(protocol, inputs), chunk
-
-
-def _run_cases_batch(protocol: Protocol, specs: Sequence, max_steps: int) -> list:
-    """Run planned cases in lockstep through the vectorized batch backend;
-    the reports equal :func:`_run_cases`'s, case for case."""
-    reports = []
-    for simulator, chunk in _batch_chunks(protocol, specs):
+        simulator = batch.BatchSimulator(
+            protocol, [spec.case.inputs for spec in chunk]
+        )
+        run = simulator.run_batch
+        columns = [
+            [spec.case.labeling for spec in chunk],
+            [spec.schedule for spec in chunk],
+        ]
+        if chunk[0].faults is not None:
+            run = simulator.run_batch_with_faults
+            columns.append([spec.faults for spec in chunk])
         reports.extend(
-            simulator.run_batch(
-                [spec.case.labeling for spec in chunk],
-                [spec.schedule for spec in chunk],
+            run(
+                *columns,
                 max_steps=max_steps,
                 initial_outputs=[spec.case.initial_outputs for spec in chunk],
             )
@@ -232,7 +248,8 @@ def _run_cases_batch(protocol: Protocol, specs: Sequence, max_steps: int) -> lis
 
 
 #: Case-execution backends, selected by ``ExecutionPolicy.executor``: each
-#: takes ``(protocol, specs, max_steps)`` and returns one report per spec.
+#: takes ``(protocol, specs, max_steps)`` and returns one report per spec,
+#: for plain and resilience plans alike.
 EXECUTORS = {"serial": _run_cases, "batch": _run_cases_batch}
 
 

@@ -96,7 +96,8 @@ from repro.core.convergence import RunOutcome, RunReport
 from repro.core.engine import DEFAULT_MAX_STEPS, Simulator, classify_cycle
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import ValidationError
+from repro.policy import check_count
 
 try:  # numpy is an optional extra; everything else in repro runs without it.
     import numpy as np
@@ -1119,7 +1120,8 @@ class BatchSimulator:
         ``schedules`` is one schedule per row (a single schedule object is
         shared by every row — only sound for stateless-in-time schedules,
         which all of :mod:`repro.core.schedule` are).  Traces are not
-        recorded; use the serial engine for ``record_trace`` runs.
+        recorded; :meth:`~repro.core.engine.Simulator.run_trace` records
+        one row's.
         """
         return self._run(labelings, schedules, None, max_steps, initial_outputs)
 
@@ -1147,6 +1149,7 @@ class BatchSimulator:
         """Every row's report: from the lockstep when the batch is
         vectorized and its labels stay in the declared space, else from
         the serial engine, row by row."""
+        check_count("max_steps", max_steps)
         B = self.batch_size
         if isinstance(schedules, Schedule):
             schedules = [schedules] * B
@@ -1213,10 +1216,6 @@ class BatchSimulator:
         while t < max_steps and run.live.size:
             run.fire(t)
             block = run.masks(t, run.window_length(t, window))
-            if block is None:
-                # Offset-0 exhaustion: the window was concluded away, not
-                # stepped.  Re-enter with the surviving rows, same t.
-                continue
             frames, oframes, flags = run.step(block)
             finished = run.settle_aperiodic(t, block, frames, oframes, flags)
             finished += run.settle_periodic(t, frames, oframes)
@@ -1493,64 +1492,25 @@ class _Lockstep:
         return max(window // 2, 1)
 
     def masks(self, t: int, k: int):
-        """The ``(k', G, n)`` activation block of steps ``t .. t+k'-1``.
+        """The ``(k, G, n)`` activation block of steps ``t .. t+k-1``.
 
         Each schedule with live rows is queried once per step, and the
         block is filled by one scatter (groups without live rows stay
-        all-False).  A finite schedule running dry truncates the window at
-        that offset; at offset 0 its rows conclude ``SCHEDULE_EXHAUSTED``
-        now and ``None`` is returned (nothing to step).
+        all-False).
         """
         G = len(self.schedules)
         cells: list[int] = []
         nodes: list[int] = []
-        exhausted: list[int] = []
-        steps = k
         for g, schedule in enumerate(self.schedules):
             if not self.group_rows[g]:
                 continue
             for j in range(k):
-                try:
-                    active = schedule.active(t + j)
-                except ScheduleError:
-                    if j == 0:
-                        exhausted.append(g)
-                    k = j
-                    break
+                active = schedule.active(t + j)
                 cells.extend([j * G + g] * len(active))
                 nodes.extend(active)
-        if exhausted:
-            self._exhaust(t, exhausted)
-        if not k:
-            return None
-        block = np.zeros((steps * G, self.n), dtype=bool)
+        block = np.zeros((k * G, self.n), dtype=bool)
         block[cells, nodes] = True
-        return block.reshape(steps, G, self.n)[:k]
-
-    def _exhaust(self, t: int, groups: list[int]) -> None:
-        live = self.live
-        slots = live[np.isin(self.gid[live], groups)]
-        self._conclude(slots, RunOutcome.SCHEDULE_EXHAUSTED, t)
-        self.retire(slots)
-
-    def _conclude(self, slots, outcome, t: int) -> None:
-        """Report ``slots`` unsettled at time ``t``, from their current state."""
-        finals = self.sim._materialize_many(
-            self.codes[slots], self.ocodes[slots]
-        )
-        for slot, final in zip(slots.tolist(), finals, strict=True):
-            t0 = int(self.t0[slot])
-            self.results[slot] = (
-                RunReport(
-                    outcome=outcome,
-                    label_rounds=None,
-                    output_rounds=None,
-                    final=final,
-                    steps_executed=t - t0,
-                ),
-                self.fault_times[slot],
-                t0,
-            )
+        return block.reshape(k, G, self.n)
 
     def step(self, block):
         """``k`` fused transitions of the live rows.
@@ -1760,7 +1720,23 @@ class _Lockstep:
             self.retire(finished)
 
     def timeout(self) -> list:
-        """Conclude the rows still live at the step budget; all results."""
-        if self.live.size:
-            self._conclude(self.live, RunOutcome.TIMEOUT, self.max_steps)
+        """Conclude the rows still live at the step budget, from their
+        current state; all results."""
+        live = self.live
+        if not live.size:
+            return self.results
+        finals = self.sim._materialize_many(self.codes[live], self.ocodes[live])
+        for slot, final in zip(live.tolist(), finals, strict=True):
+            t0 = int(self.t0[slot])
+            self.results[slot] = (
+                RunReport(
+                    outcome=RunOutcome.TIMEOUT,
+                    label_rounds=None,
+                    output_rounds=None,
+                    final=final,
+                    steps_executed=self.max_steps - t0,
+                ),
+                self.fault_times[slot],
+                t0,
+            )
         return self.results

@@ -10,7 +10,7 @@ convergence times, which are the paper's round-complexity measurements.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.configuration import Configuration
@@ -28,10 +28,6 @@ class RunOutcome(enum.Enum):
     OSCILLATING = "oscillating"
     #: ``max_steps`` elapsed without a verdict.
     TIMEOUT = "timeout"
-    #: A finite schedule (``ExplicitSchedule(..., cycle=False)``) ran out of
-    #: activation sets before a verdict; like ``TIMEOUT``, no verdict — the
-    #: run simply cannot be driven further.
-    SCHEDULE_EXHAUSTED = "schedule-exhausted"
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,6 @@ class RunReport:
     steps_executed: int
     cycle_start: int | None = None
     cycle_length: int | None = None
-    trace: list[Configuration] | None = field(default=None, repr=False)
 
     @property
     def label_stable(self) -> bool:

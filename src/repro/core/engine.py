@@ -29,10 +29,9 @@ Convergence detection:
   witness (it reacted to a pre-fixed-point labeling), and an empty activation
   set witnesses nothing.  Oscillation cannot be certified for aperiodic
   schedules; runs that do not stabilize end in ``TIMEOUT``.
-* **Finite schedules** (``ExplicitSchedule(..., cycle=False)``) may run out
-  of activation sets before either mechanism concludes; the run then ends
-  gracefully with a ``SCHEDULE_EXHAUSTED`` report instead of leaking the
-  schedule's :class:`ScheduleError` mid-run.
+
+Every schedule is infinite, so a run ends only in a verdict or at its step
+budget; :meth:`Simulator.run_trace` records the configurations of a run.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from repro.core.configuration import Configuration, Labeling
 from repro.core.convergence import RunOutcome, RunReport
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import ValidationError
+from repro.policy import check_count
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -151,16 +151,13 @@ class Simulator:
         schedule: Schedule,
         max_steps: int = DEFAULT_MAX_STEPS,
         initial_outputs: Sequence[Any] | None = None,
-        record_trace: bool = False,
     ) -> RunReport:
-        """Run until the outcome is decided or ``max_steps`` elapse."""
+        """Run until the outcome is decided or ``max_steps`` (an integer
+        >= 1) elapse."""
+        check_count("max_steps", max_steps)
         if schedule.period is not None:
-            return self._run_periodic(
-                labeling, schedule, max_steps, initial_outputs, record_trace
-            )
-        return self._run_aperiodic(
-            labeling, schedule, max_steps, initial_outputs, record_trace
-        )
+            return self._run_periodic(labeling, schedule, max_steps, initial_outputs)
+        return self._run_aperiodic(labeling, schedule, max_steps, initial_outputs)
 
     def run_with_faults(
         self,
@@ -195,9 +192,7 @@ class Simulator:
             initial_outputs=initial_outputs,
         )
 
-    def _run_periodic(
-        self, labeling, schedule, max_steps, initial_outputs, record_trace
-    ):
+    def _run_periodic(self, labeling, schedule, max_steps, initial_outputs):
         period = schedule.period
         preperiod = schedule.preperiod
         values, outputs = self._initial_raw(labeling, initial_outputs)
@@ -214,7 +209,7 @@ class Simulator:
             if now >= preperiod:
                 key = (values, outputs, (now - preperiod) % period)
                 if key in seen:
-                    return self._classify_cycle(raw, seen[key], now, record_trace)
+                    return self._classify_cycle(raw, seen[key], now)
                 seen[key] = now
             raw.append((values, outputs))
         return RunReport(
@@ -223,10 +218,9 @@ class Simulator:
             output_rounds=None,
             final=self._materialize(values, outputs),
             steps_executed=max_steps,
-            trace=[self._materialize(v, o) for v, o in raw] if record_trace else None,
         )
 
-    def _classify_cycle(self, raw, cycle_start, now, record_trace):
+    def _classify_cycle(self, raw, cycle_start, now):
         outcome, label_rounds, output_rounds, (final_values, final_outputs) = (
             classify_cycle(raw, cycle_start, now)
         )
@@ -238,36 +232,19 @@ class Simulator:
             steps_executed=now,
             cycle_start=cycle_start,
             cycle_length=max(now - cycle_start, 1),
-            trace=[self._materialize(v, o) for v, o in raw] if record_trace else None,
         )
 
-    def _run_aperiodic(
-        self, labeling, schedule, max_steps, initial_outputs, record_trace
-    ):
+    def _run_aperiodic(self, labeling, schedule, max_steps, initial_outputs):
         n = self.protocol.n
         values, outputs = self._initial_raw(labeling, initial_outputs)
         step = self._compiled.step_values
         active = schedule.active
         inputs = self.inputs
-        raw: list[_Raw] | None = [(values, outputs)] if record_trace else None
         last_label_change = -1
         last_output_change = -1
         witnessed: set[int] = set()
         for t in range(max_steps):
-            try:
-                current = active(t)
-            except ScheduleError:
-                # Finite (non-cycling) schedule exhausted before a verdict.
-                return RunReport(
-                    outcome=RunOutcome.SCHEDULE_EXHAUSTED,
-                    label_rounds=None,
-                    output_rounds=None,
-                    final=self._materialize(values, outputs),
-                    steps_executed=t,
-                    trace=[self._materialize(v, o) for v, o in raw]
-                    if raw is not None
-                    else None,
-                )
+            current = active(t)
             next_values, next_outputs = step(values, outputs, current, inputs)
             if next_values is not values and next_values != values:
                 last_label_change = t
@@ -279,8 +256,6 @@ class Simulator:
             if next_outputs is not outputs and next_outputs != outputs:
                 last_output_change = t
             values, outputs = next_values, next_outputs
-            if raw is not None:
-                raw.append((values, outputs))
             if len(witnessed) == n:
                 return RunReport(
                     outcome=RunOutcome.LABEL_STABLE,
@@ -288,9 +263,6 @@ class Simulator:
                     output_rounds=last_output_change + 1,
                     final=self._materialize(values, outputs),
                     steps_executed=t + 1,
-                    trace=[self._materialize(v, o) for v, o in raw]
-                    if raw is not None
-                    else None,
                 )
         return RunReport(
             outcome=RunOutcome.TIMEOUT,
@@ -298,9 +270,6 @@ class Simulator:
             output_rounds=None,
             final=self._materialize(values, outputs),
             steps_executed=max_steps,
-            trace=[self._materialize(v, o) for v, o in raw]
-            if raw is not None
-            else None,
         )
 
 
@@ -352,15 +321,11 @@ def synchronous_run(
     inputs: Sequence[Any],
     labeling: Labeling,
     max_steps: int = DEFAULT_MAX_STEPS,
-    record_trace: bool = False,
 ) -> RunReport:
     """Convenience wrapper: run under the 1-fair (all nodes) schedule."""
     from repro.core.schedule import SynchronousSchedule
 
     simulator = Simulator(protocol, inputs)
     return simulator.run(
-        labeling,
-        SynchronousSchedule(protocol.n),
-        max_steps=max_steps,
-        record_trace=record_trace,
+        labeling, SynchronousSchedule(protocol.n), max_steps=max_steps
     )

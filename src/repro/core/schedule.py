@@ -8,7 +8,7 @@ activated at that step (Section 2.1).  The paper's fairness notions:
   consecutive steps.
 
 The engine performs exact cycle detection for *eventually periodic* schedules
-(synchronous, round-robin, explicit-cyclic), exposed through
+(synchronous, round-robin, explicit, lasso), exposed through
 :attr:`Schedule.period`.  Random schedules have ``period = None`` and rely on
 the engine's fixed-point detection instead.
 
@@ -22,7 +22,7 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import ValidationError
 
 
 class Schedule(ABC):
@@ -131,12 +131,12 @@ class RoundRobinSchedule(Schedule):
 class ExplicitSchedule(Schedule):
     """A schedule given as an explicit list of activation sets.
 
-    With ``cycle=True`` (default) the list repeats forever, giving a periodic
-    schedule with exact cycle detection.  With ``cycle=False`` querying past
-    the end raises :class:`ScheduleError`.
+    The list repeats forever, giving a periodic schedule with exact cycle
+    detection.  To replay a finite script, run it for ``len(steps)`` steps
+    (:meth:`~repro.core.engine.Simulator.run_trace`).
     """
 
-    def __init__(self, n: int, steps: Sequence[Iterable[int]], cycle: bool = True):
+    def __init__(self, n: int, steps: Sequence[Iterable[int]]):
         super().__init__(n)
         self._steps = tuple(frozenset(step) for step in steps)
         if not self._steps:
@@ -146,18 +146,13 @@ class ExplicitSchedule(Schedule):
                 raise ValidationError(f"step {k} activates no node")
             if not all(0 <= i < n for i in step):
                 raise ValidationError(f"step {k} activates nodes outside 0..{n - 1}")
-        self.cycle = cycle
 
     def active(self, t: int) -> frozenset[int]:
-        if self.cycle:
-            return self._steps[t % len(self._steps)]
-        if t >= len(self._steps):
-            raise ScheduleError(f"schedule defined only for {len(self._steps)} steps")
-        return self._steps[t]
+        return self._steps[t % len(self._steps)]
 
     @property
-    def period(self) -> int | None:
-        return len(self._steps) if self.cycle else None
+    def period(self) -> int:
+        return len(self._steps)
 
     @property
     def steps(self) -> tuple[frozenset[int], ...]:

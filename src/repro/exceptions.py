@@ -69,10 +69,6 @@ class ValidationError(ReproError):
     """A model object (graph, protocol, labeling, ...) is malformed."""
 
 
-class ScheduleError(ReproError):
-    """A schedule was queried outside its defined domain."""
-
-
 class ConvergenceError(ReproError):
     """A run did not reach the state a caller required."""
 

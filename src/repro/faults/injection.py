@@ -34,7 +34,8 @@ from typing import Any
 from repro.core.configuration import Configuration, Labeling
 from repro.core.convergence import RunOutcome
 from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import ValidationError
+from repro.policy import check_count
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,12 @@ def run_with_faults(
 
     A fault at time ``t`` corrupts the configuration at time ``t``, before
     the activation set ``sigma(t)`` applies — so a fault at time 0 corrupts
-    the initial configuration.  Faults at or past ``max_steps`` never fire.
+    the initial configuration.  Faults at or past ``max_steps`` (an integer
+    >= 1) never fire.
 
     Also reachable as ``Simulator.run_with_faults`` sugar.
     """
+    check_count("max_steps", max_steps)
     fires = faults.fires_within(max_steps)
     validate_fires(fires, max_steps)
 
@@ -136,24 +139,7 @@ def run_with_faults(
     fault_times = []
     for (fire_time, model) in fires:
         while t < fire_time:
-            try:
-                current = active(t)
-            except ScheduleError:
-                # Finite (non-cycling) schedule exhausted inside the fault
-                # window: end gracefully, like the engine's own run loops.
-                return FaultRunReport(
-                    outcome=RunOutcome.SCHEDULE_EXHAUSTED,
-                    recovery_rounds=None,
-                    output_recovery_rounds=None,
-                    cycle_start=None,
-                    cycle_length=None,
-                    faults_fired=len(fault_times),
-                    fault_times=tuple(fault_times),
-                    last_fault_time=fault_times[-1] if fault_times else None,
-                    steps_executed=t,
-                    final=simulator._materialize(values, outputs),
-                )
-            values, outputs = step(values, outputs, current, inputs)
+            values, outputs = step(values, outputs, active(t), inputs)
             t += 1
         values = model.apply(values, topology, space, fire_time)
         fault_times.append(fire_time)

@@ -7,7 +7,6 @@ from repro.graphs.automorphisms import (
     close_generators,
     edge_permutation,
     protocol_symmetry_group,
-    symmetry_group_from_generators,
 )
 from repro.graphs.properties import (
     all_pairs_distances,
@@ -57,7 +56,6 @@ __all__ = [
     "radius",
     "random_strongly_connected",
     "star",
-    "symmetry_group_from_generators",
     "torus",
     "unidirectional_ring",
 ]

@@ -299,9 +299,11 @@ class SymmetryGroup:
     by index; :meth:`compose`, :meth:`inverse` and the ``apply_*`` helpers
     do the index algebra that witness lifting needs.
 
-    ``label_universe``, when set, is the declared label space as a frozen
-    set: consumers use it to refuse quotienting runs whose reactions emit
-    labels the equivariance verification never covered.
+    ``label_universe`` is the declared label space as a frozen set, which
+    :func:`protocol_symmetry_group` always sets: explorations use it to
+    refuse quotienting runs whose reactions emit labels the equivariance
+    verification never covered.  A group built directly may leave it
+    ``None``; only the canonicalizer reads such a group.
 
     With numpy, the node and edge permutations are also kept as ``(order,
     n)`` and ``(order, m)`` index matrices, built in one gather, which the
@@ -658,18 +660,6 @@ def _least(keys, coset, order: int) -> tuple[int, int]:
 
 
 # -- protocol-level verification ---------------------------------------------
-
-
-def symmetry_group_from_generators(
-    topology: Topology, generators: Iterable[Sequence[int]]
-) -> SymmetryGroup:
-    """Close explicit generators into a :class:`SymmetryGroup`.
-
-    The generators are checked to be topology automorphisms, but **not**
-    verified against any protocol's reactions — passing the result to an
-    exploration asserts reaction equivariance on the caller's authority.
-    """
-    return SymmetryGroup(topology, close_generators(generators, topology.n))
 
 
 def _input_invariant(perm: Sequence[int], inputs: Sequence[Any]) -> bool:

@@ -416,4 +416,4 @@ def disj_oscillating_schedule(
             steps.append(set(flags))
             steps.append(set(flags))
         steps.append(set(cube))
-    return ExplicitSchedule(n, steps, cycle=True)
+    return ExplicitSchedule(n, steps)

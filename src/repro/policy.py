@@ -19,6 +19,10 @@ not a field is not a knob: the batch table budget
 
 A policy is strictly **cosmetic with respect to results and cache keys**:
 every field changes how fast an answer is produced, never which answer.
+So ``symmetry`` names no group of the caller's: ``"auto"`` quotients by
+the group :func:`repro.graphs.automorphisms.protocol_symmetry_group`
+verified against the reactions, the one kind of quotient that keeps every
+answer.
 Case fingerprints (:mod:`repro.service.fingerprint`) exclude it by
 construction, so identical physics shares cache entries across executors
 and policy spellings.
@@ -34,10 +38,12 @@ import operator
 from dataclasses import dataclass, fields
 
 from repro.exceptions import ValidationError
-from repro.graphs.automorphisms import SymmetryGroup
 
 #: Executors the sweep runners accept.
 SWEEP_EXECUTORS = ("serial", "batch")
+
+#: Exploration quotients: none, or the protocol's verified symmetry group.
+SYMMETRY_MODES = ("none", "auto")
 
 
 def check_count(name: str, value) -> None:
@@ -61,15 +67,15 @@ class ExecutionPolicy:
 
     * ``executor`` — sweep case backend: ``"serial"`` (one compiled run
       loop per case) or ``"batch"`` (vectorized lockstep, requires numpy).
-    * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
-      explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
+    * ``symmetry`` — exploration quotient: ``"none"`` or ``"auto"`` (the
+      protocol's verified symmetry group, when it has one).
 
     Frozen and value-compared; derive variants with
     :func:`dataclasses.replace`, which validates them again.
     """
 
     executor: str = "serial"
-    symmetry: object = "none"
+    symmetry: str = "none"
 
     def __post_init__(self):
         if self.executor not in SWEEP_EXECUTORS:
@@ -77,14 +83,10 @@ class ExecutionPolicy:
                 f"unknown executor {self.executor!r};"
                 f" expected one of {sorted(SWEEP_EXECUTORS)}"
             )
-        symmetry = self.symmetry
-        if not (
-            isinstance(symmetry, SymmetryGroup)
-            or (isinstance(symmetry, str) and symmetry in ("none", "auto"))
-        ):
+        if self.symmetry not in SYMMETRY_MODES:
             raise ValidationError(
-                f"unknown symmetry {symmetry!r}; expected 'none', 'auto',"
-                " or a SymmetryGroup"
+                f"unknown symmetry {self.symmetry!r};"
+                f" expected one of {sorted(SYMMETRY_MODES)}"
             )
 
     def describe(self) -> str:

@@ -20,10 +20,10 @@ Decisions are pure functions of the estimate and the policy — no clocks,
 no load sampling — so an admission outcome is reproducible from the
 recorded numbers alone.
 
-Budgets can be set in *work units* (the model's elementary-operation
-counts; robust across machines) or *seconds* (via the model's coarse
-per-layer calibration constants; convenient but machine-dependent — leave
-headroom).
+Budgets are set in *work units*, the model's elementary-operation counts,
+which hold across machines.  The predicted seconds (the model's coarse
+per-layer calibration) are recorded beside them for comparison with
+measured times; they decide nothing.
 """
 
 from __future__ import annotations
@@ -72,59 +72,37 @@ class AdmissionDecision:
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """A deterministic work/time budget for submitted plans.
+    """A deterministic work budget for submitted plans.
 
-    ``max_work`` bounds the predicted work units, ``max_seconds`` the
-    predicted wall time; either may be ``None`` (unbounded), but not both —
-    a policy that cannot refuse anything is a configuration error.  A set
-    bound is a finite positive real number (not a bool).  A plan that
-    exceeds any set bound is rejected.
+    ``max_work`` bounds the predicted work units: a finite positive real
+    number (not a bool).  A plan predicted to exceed it is rejected; omit
+    the admission policy entirely to admit everything.
     """
 
-    max_work: float | None = None
-    max_seconds: float | None = None
+    max_work: float
 
     def __post_init__(self):
-        if self.max_work is None and self.max_seconds is None:
-            raise ValidationError(
-                "AdmissionPolicy needs max_work and/or max_seconds;"
-                " omit the admission policy entirely to admit everything"
-            )
-        for name, value in (
-            ("max_work", self.max_work),
-            ("max_seconds", self.max_seconds),
+        # NaN and infinity compare false or never exceed, so such a bound
+        # could never refuse a plan.
+        value = self.max_work
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf
         ):
-            # NaN and infinity compare false or never exceed, so such a
-            # bound could never refuse a plan.
-            if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not 0 < value < math.inf
-            ):
-                raise ValidationError(
-                    f"{name} must be positive and finite, a real number"
-                    f" and not a bool; got {value!r}"
-                )
+            raise ValidationError(
+                "max_work must be positive and finite, a real number"
+                f" and not a bool; got {value!r}"
+            )
 
     def decide(self, estimate) -> AdmissionDecision:
         """Judge one :class:`~repro.analysis.costmodel.CostEstimate`."""
-        overruns = []
-        if self.max_work is not None and estimate.predicted_work > self.max_work:
-            overruns.append(
+        if estimate.predicted_work > self.max_work:
+            action = "reject"
+            reason = (
                 f"predicted work {estimate.predicted_work:,.0f}"
                 f" > budget {self.max_work:,.0f}"
             )
-        if (
-            self.max_seconds is not None
-            and estimate.predicted_seconds > self.max_seconds
-        ):
-            overruns.append(
-                f"predicted time {estimate.predicted_seconds:.3g}s"
-                f" > budget {self.max_seconds:.3g}s"
-            )
-        if overruns:
-            action = "reject"
-            reason = "; ".join(overruns)
             if estimate.cached_cases:
                 reason += (
                     f" (after discounting {estimate.cached_cases}"
@@ -148,12 +126,7 @@ class AdmissionPolicy:
         )
 
     def describe(self) -> str:
-        bounds = []
-        if self.max_work is not None:
-            bounds.append(f"max_work={self.max_work:,.0f}")
-        if self.max_seconds is not None:
-            bounds.append(f"max_seconds={self.max_seconds:g}")
-        return f"AdmissionPolicy({', '.join(bounds)})"
+        return f"AdmissionPolicy(max_work={self.max_work:,.0f})"
 
 
 def predict_plan_cost(

@@ -489,7 +489,9 @@ register_fingerprint(TabularReaction)(
 
 register_fingerprint(SynchronousSchedule)(lambda s: (s.n,))
 register_fingerprint(RoundRobinSchedule)(lambda s: (s.n,))
-register_fingerprint(ExplicitSchedule)(lambda s: (s.n, s.steps, s.cycle))
+# The third field is the retired ``cycle`` flag: an explicit schedule always
+# repeats, and keeping ``True`` there keeps every digest.
+register_fingerprint(ExplicitSchedule)(lambda s: (s.n, s.steps, True))
 register_fingerprint(LassoSchedule)(lambda s: (s.n, s._prefix, s._loop))
 # Realized activation sets are a deterministic function of (n, r, p, seed);
 # the memo and RNG state are irrelevant and must not enter the digest.

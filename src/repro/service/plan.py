@@ -45,7 +45,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.faults.schedules import FaultSchedule
-from repro.policy import ExecutionPolicy
+from repro.policy import ExecutionPolicy, check_count
 from repro.service.fingerprint import (
     ENGINE_VERSION,
     canonical,
@@ -92,7 +92,8 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A materialized sweep: protocol, specs, step budget, and kind.
+    """A materialized sweep: protocol, specs, step budget (an integer
+    >= 1), and kind.
 
     ``policy`` (optional) is the plan's *suggested*
     :class:`repro.ExecutionPolicy` — the executor applies it when the call
@@ -114,6 +115,7 @@ class SweepPlan:
     )
 
     def __post_init__(self):
+        check_count("max_steps", self.max_steps)
         if self.kind not in PLAN_KINDS:
             raise ValidationError(
                 f"unknown plan kind {self.kind!r};"
@@ -278,18 +280,7 @@ def plan_sweep(
     ``repro.statics.verify_plan(plan).raise_for_errors()`` on it;
     :meth:`~repro.service.jobs.SweepService.submit` runs the same preflight.
     """
-    case_list = [_coerce_case(case) for case in cases]
-    specs = tuple(
-        CaseSpec(index=i, case=case, schedule=schedule_factory(i, case))
-        for i, case in enumerate(case_list)
-    )
-    return SweepPlan(
-        protocol=protocol,
-        specs=specs,
-        kind="sweep",
-        max_steps=max_steps,
-        policy=policy,
-    )
+    return _plan("sweep", protocol, cases, (schedule_factory,), max_steps, policy)
 
 
 def plan_resilience_sweep(
@@ -308,21 +299,21 @@ def plan_resilience_sweep(
     order, the schedule factory then the fault factory.  ``policy``
     behaves as in :func:`plan_sweep`.
     """
+    factories = (schedule_factory, fault_factory)
+    return _plan("resilience", protocol, cases, factories, max_steps, policy)
+
+
+def _plan(kind, protocol, cases, factories, max_steps, policy) -> SweepPlan:
+    """A plan of ``kind``.  The step budget is checked and every case
+    coerced before any factory runs, so a refused plan consumes no seeded
+    factory call; then, case by case, each of ``factories`` (the schedule
+    factory, then a resilience plan's fault factory) is called in order."""
+    check_count("max_steps", max_steps)
     case_list = [_coerce_case(case) for case in cases]
     specs = tuple(
-        CaseSpec(
-            index=i,
-            case=case,
-            schedule=schedule_factory(i, case),
-            faults=fault_factory(i, case),
-        )
+        CaseSpec(i, case, *[factory(i, case) for factory in factories])
         for i, case in enumerate(case_list)
     )
     return SweepPlan(
-        protocol=protocol,
-        specs=specs,
-        kind="resilience",
-        max_steps=max_steps,
-        policy=policy,
+        protocol=protocol, specs=specs, kind=kind, max_steps=max_steps, policy=policy
     )
-

@@ -71,4 +71,4 @@ def oscillating_schedule(n: int) -> ExplicitSchedule:
     if n < 3:
         raise ValidationError("Example 1 needs n >= 3")
     steps = [{t % n, (t + 1) % n} for t in range(n)]
-    return ExplicitSchedule(n, steps, cycle=True)
+    return ExplicitSchedule(n, steps)

@@ -102,7 +102,7 @@ from repro.core.compiled import CompiledProtocol, compile_protocol
 from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
-from repro.graphs.automorphisms import SymmetryGroup, protocol_symmetry_group
+from repro.graphs.automorphisms import protocol_symmetry_group
 from repro.policy import ExecutionPolicy, resolve_policy
 
 DEFAULT_STATE_BUDGET = 400_000
@@ -248,10 +248,9 @@ class ExplorationGraph:
     ``symmetry`` opts into the automorphism quotient: ``"none"`` (default)
     explores concrete states; ``"auto"`` discovers and *verifies* the
     protocol's symmetry group and falls back to ``"none"`` when there is
-    none; an explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`
-    asserts reaction equivariance on the caller's authority.  Quotient
-    graphs store one canonical state per orbit; witnesses are lifted back
-    to concrete runs via the group elements :meth:`element` derives.
+    none.  Quotient graphs store one canonical state per orbit; witnesses
+    are lifted back to concrete runs via the group elements
+    :meth:`element` derives.
 
     ``symmetry`` is a field of :class:`repro.ExecutionPolicy`, passed as
     ``policy=``.  The policy is cosmetic here as everywhere: every quotient
@@ -274,7 +273,6 @@ class ExplorationGraph:
         policy: ExecutionPolicy | None = None,
     ):
         policy = resolve_policy(policy, api="ExplorationGraph")
-        symmetry = policy.symmetry
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
         self.protocol = protocol
@@ -286,7 +284,11 @@ class ExplorationGraph:
         n = protocol.n
         self.n = n
 
-        group = self._resolve_symmetry(symmetry)
+        group = (
+            protocol_symmetry_group(protocol, self.inputs)
+            if policy.symmetry == "auto"
+            else None
+        )
         self._group = group
         self._canonicalizer = (
             group.canonicalizer(track_outputs) if group is not None else None
@@ -365,19 +367,6 @@ class ExplorationGraph:
         self._explore(initial_labelings)
 
     # -- construction --------------------------------------------------------
-
-    def _resolve_symmetry(self, symmetry) -> SymmetryGroup | None:
-        """The group of a policy's ``symmetry``, which the policy checked
-        when it was built: ``"none"``, ``"auto"`` or a group."""
-        if symmetry == "none":
-            return None
-        if symmetry == "auto":
-            return protocol_symmetry_group(self.protocol, self.inputs)
-        if symmetry.topology != self.topology:
-            raise ValidationError(
-                "symmetry group was built over a different topology"
-            )
-        return symmetry if symmetry.order > 1 else None
 
     def _intern_countdown(self, countdown: tuple[int, ...]) -> int:
         cid = self._countdown_ids.get(countdown)
@@ -473,8 +462,6 @@ class ExplorationGraph:
 
     def _check_universe(self, values: tuple) -> None:
         universe = self._group.label_universe
-        if universe is None:
-            return
         for value in values:
             if value not in universe:
                 raise ValidationError(

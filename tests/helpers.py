@@ -10,6 +10,7 @@ from typing import NamedTuple
 from repro.core import (
     Labeling,
     LambdaReaction,
+    Schedule,
     StatelessProtocol,
     UniformReaction,
     binary,
@@ -28,6 +29,25 @@ def set_batch_floor(monkeypatch, min_rows: int) -> None:
     from repro.stabilization import exploration
 
     monkeypatch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", min_rows)
+
+
+class ScriptedAperiodicSchedule(Schedule):
+    """Explicit activation sets with ``period = None``.
+
+    Forces a run down the aperiodic certification path (an
+    ``ExplicitSchedule`` repeats its script and so is periodic); this one
+    repeats its last step forever, and — unlike public schedules — may
+    script *empty* activation sets to probe the witness logic.
+    """
+
+    def __init__(self, n, steps):
+        super().__init__(n)
+        self._steps = [frozenset(step) for step in steps]
+
+    def active(self, t):
+        if t < len(self._steps):
+            return self._steps[t]
+        return self._steps[-1]
 
 
 class GraphLists(NamedTuple):

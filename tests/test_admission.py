@@ -47,25 +47,23 @@ def _estimate(cases=8, cached=0, **kwargs):
 
 class TestAdmissionPolicy:
     def test_needs_at_least_one_bound(self):
-        with pytest.raises(ValidationError, match="max_work and/or"):
+        # The work budget is the one bound, and it is required.
+        with pytest.raises(TypeError):
             AdmissionPolicy()
 
     def test_bounds_must_be_positive(self):
         with pytest.raises(ValidationError, match="max_work must be positive"):
             AdmissionPolicy(max_work=0)
-        with pytest.raises(ValidationError, match="max_seconds"):
-            AdmissionPolicy(max_seconds=-1.0)
+        with pytest.raises(ValidationError, match="max_work must be positive"):
+            AdmissionPolicy(max_work=-1.0)
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("max_work", float("nan")),
-            ("max_seconds", float("nan")),
             ("max_work", float("inf")),
-            ("max_seconds", float("inf")),
             ("max_work", "10"),
             ("max_work", True),
-            ("max_seconds", True),
         ],
     )
     def test_bounds_must_be_finite_real_numbers(self, field, value):
@@ -90,12 +88,6 @@ class TestAdmissionPolicy:
         assert decision.action == "reject"
         assert "predicted work 1,920 > budget 500" in decision.reason
 
-    def test_over_seconds_budget_rejects(self):
-        # engine.compiled cold: 1920 units * 4e-7 s/unit ~ 0.77 ms
-        decision = AdmissionPolicy(max_seconds=1e-6).decide(_estimate())
-        assert decision.action == "reject"
-        assert "predicted time" in decision.reason
-
     def test_warm_cases_are_mentioned_in_the_refusal(self):
         decision = AdmissionPolicy(max_work=500).decide(_estimate(cached=3))
         assert decision.action == "reject"
@@ -116,8 +108,8 @@ class TestAdmissionPolicy:
     def test_describe(self):
         text = AdmissionPolicy(max_work=500).describe()
         assert text == "AdmissionPolicy(max_work=500)"
-        both = AdmissionPolicy(max_work=1_500, max_seconds=0.5).describe()
-        assert both == "AdmissionPolicy(max_work=1,500, max_seconds=0.5)"
+        grouped = AdmissionPolicy(max_work=1_500).describe()
+        assert grouped == "AdmissionPolicy(max_work=1,500)"
 
 
 class TestPredictPlanCost:

@@ -24,7 +24,6 @@ from repro.graphs import (
     edge_permutation,
     protocol_symmetry_group,
     star,
-    symmetry_group_from_generators,
     torus,
     unidirectional_ring,
 )
@@ -196,7 +195,7 @@ def _torus_shift_group(rows, cols):
     n = rows * cols
     down = tuple(((i // cols + 1) % rows) * cols + i % cols for i in range(n))
     right = tuple((i // cols) * cols + (i % cols + 1) % cols for i in range(n))
-    return symmetry_group_from_generators(torus(rows, cols), [down, right])
+    return SymmetryGroup(torus(rows, cols), close_generators([down, right], n))
 
 
 #: One group per family the quotient meets: symmetric groups on cliques,
@@ -204,8 +203,9 @@ def _torus_shift_group(rows, cols):
 _GROUPS = {
     "S4": SymmetryGroup(clique(4), _full_group(clique(4))),
     "S5": SymmetryGroup(clique(5), _full_group(clique(5))),
-    "C6": symmetry_group_from_generators(
-        unidirectional_ring(6), [tuple((i + 1) % 6 for i in range(6))]
+    "C6": SymmetryGroup(
+        unidirectional_ring(6),
+        close_generators([tuple((i + 1) % 6 for i in range(6))], 6),
     ),
     "D6": SymmetryGroup(bidirectional_ring(6), _full_group(bidirectional_ring(6))),
     "Z3xZ4": _torus_shift_group(3, 4),

@@ -64,7 +64,7 @@ from repro.faults import (
 )
 from repro.graphs import Topology, clique, unidirectional_ring
 
-from tests.helpers import xor_ring_protocol
+from tests.helpers import ScriptedAperiodicSchedule, xor_ring_protocol
 
 np = pytest.importorskip("numpy")
 
@@ -207,7 +207,7 @@ def random_schedule(rng: random.Random, n: int):
             rng.sample(range(n), rng.randrange(1, n + 1))
             for _ in range(rng.randrange(1, 25))
         ]
-        return ExplicitSchedule(n, steps, cycle=False)
+        return ScriptedAperiodicSchedule(n, steps)
     prefix = [
         rng.sample(range(n), rng.randrange(1, n + 1))
         for _ in range(rng.randrange(0, 4))

@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ExplicitSchedule,
     Labeling,
     LambdaReaction,
     RandomRFairSchedule,
     RoundRobinSchedule,
     RunOutcome,
-    Schedule,
     Simulator,
     StatelessProtocol,
     SynchronousSchedule,
@@ -23,6 +21,7 @@ from repro.exceptions import ValidationError
 from repro.graphs import clique, unidirectional_ring
 
 from tests.helpers import (
+    ScriptedAperiodicSchedule,
     constant_protocol,
     copy_ring_protocol,
     or_clique_protocol,
@@ -125,17 +124,6 @@ class TestPeriodicRuns:
         final = report.final.labeling
         assert all(final[e] == 1 for e in proto.topology.edges)
 
-    def test_trace_recording(self):
-        proto = constant_protocol(unidirectional_ring(3))
-        sim = Simulator(proto, (0,) * 3)
-        report = sim.run(
-            Labeling.uniform(proto.topology, 1),
-            SynchronousSchedule(3),
-            record_trace=True,
-        )
-        assert report.trace is not None
-        assert report.trace[0].labeling == Labeling.uniform(proto.topology, 1)
-
     def test_timeout(self):
         proto = copy_ring_protocol(4)
         labeling = Labeling(proto.topology, (1, 0, 0, 0))
@@ -175,25 +163,6 @@ class TestAperiodicRuns:
         assert a.final == b.final
 
 
-class _ScriptedAperiodicSchedule(Schedule):
-    """Explicit activation sets with ``period = None``.
-
-    Forces the engine down the aperiodic certification path (an
-    ``ExplicitSchedule`` with ``cycle=False`` would raise past its script;
-    this one repeats its last step forever, and — unlike public schedules —
-    may script *empty* activation sets to probe the witness logic).
-    """
-
-    def __init__(self, n, steps):
-        super().__init__(n)
-        self._steps = [frozenset(step) for step in steps]
-
-    def active(self, t):
-        if t < len(self._steps):
-            return self._steps[t]
-        return self._steps[-1]
-
-
 class TestAperiodicCertification:
     def test_activation_at_change_step_is_not_a_witness(self):
         # clique(2): edges ((0,1), (1,0)).  Initial labeling 1 on (0,1), 0 on
@@ -205,7 +174,7 @@ class TestAperiodicCertification:
         proto = or_clique_protocol(clique(2))
         sim = Simulator(proto, (0, 0))
         labeling = Labeling(proto.topology, (1, 0))
-        schedule = _ScriptedAperiodicSchedule(2, [{0}, {1}, {0}])
+        schedule = ScriptedAperiodicSchedule(2, [{0}, {1}, {0}])
         report = sim.run(labeling, schedule, max_steps=50)
         assert report.outcome is RunOutcome.LABEL_STABLE
         assert report.steps_executed == 3  # not 2: step-0 witness discarded
@@ -218,7 +187,7 @@ class TestAperiodicCertification:
         proto = or_clique_protocol(clique(2))
         sim = Simulator(proto, (0, 0))
         labeling = Labeling.uniform(proto.topology, 0)  # already a fixed point
-        schedule = _ScriptedAperiodicSchedule(2, [set(), set(), {0}, set(), {1}])
+        schedule = ScriptedAperiodicSchedule(2, [set(), set(), {0}, set(), {1}])
         report = sim.run(labeling, schedule, max_steps=50)
         assert report.outcome is RunOutcome.LABEL_STABLE
         assert report.steps_executed == 5  # certified only once node 1 acted
@@ -228,57 +197,10 @@ class TestAperiodicCertification:
         proto = or_clique_protocol(clique(2))
         sim = Simulator(proto, (0, 0))
         labeling = Labeling.uniform(proto.topology, 0)
-        schedule = _ScriptedAperiodicSchedule(2, [set()])
+        schedule = ScriptedAperiodicSchedule(2, [set()])
         report = sim.run(labeling, schedule, max_steps=20)
         assert report.outcome is RunOutcome.TIMEOUT
         assert report.steps_executed == 20
-
-
-class TestScheduleExhaustion:
-    """Regression: a finite ``ExplicitSchedule(..., cycle=False)`` used to
-    leak a ``ScheduleError`` out of ``Simulator.run`` once the script ran
-    out mid-run; the engine now ends the run with ``SCHEDULE_EXHAUSTED``."""
-
-    def test_exhausted_schedule_ends_gracefully(self):
-        proto = copy_ring_protocol(3)
-        labeling = Labeling(proto.topology, (1, 0, 0))  # rotates forever
-        sim = Simulator(proto, (0,) * 3)
-        schedule = ExplicitSchedule(3, [{0, 1, 2}] * 4, cycle=False)
-        report = sim.run(labeling, schedule, max_steps=100)
-        assert report.outcome is RunOutcome.SCHEDULE_EXHAUSTED
-        assert report.steps_executed == 4
-        assert report.label_rounds is None
-        # the final configuration reflects all four executed steps: the
-        # token rotated one edge per step, 4 mod 3 = 1 edges in total
-        assert report.final.labeling.values == (0, 1, 0)
-
-    def test_certification_before_exhaustion_still_wins(self):
-        proto = or_clique_protocol(clique(2))
-        sim = Simulator(proto, (0, 0))
-        labeling = Labeling.uniform(proto.topology, 0)  # already a fixed point
-        schedule = ExplicitSchedule(2, [{0}, {1}, {0}], cycle=False)
-        report = sim.run(labeling, schedule, max_steps=100)
-        assert report.outcome is RunOutcome.LABEL_STABLE
-        assert report.steps_executed == 2  # certified before the script ran out
-
-    def test_exhausted_run_records_trace(self):
-        proto = copy_ring_protocol(3)
-        labeling = Labeling(proto.topology, (1, 0, 0))
-        sim = Simulator(proto, (0,) * 3)
-        schedule = ExplicitSchedule(3, [{0, 1, 2}] * 2, cycle=False)
-        report = sim.run(labeling, schedule, max_steps=100, record_trace=True)
-        assert report.outcome is RunOutcome.SCHEDULE_EXHAUSTED
-        assert report.trace is not None
-        assert len(report.trace) == 3  # initial configuration + 2 steps
-
-    def test_max_steps_before_exhaustion_is_timeout(self):
-        proto = copy_ring_protocol(3)
-        labeling = Labeling(proto.topology, (1, 0, 0))
-        sim = Simulator(proto, (0,) * 3)
-        schedule = ExplicitSchedule(3, [{0, 1, 2}] * 10, cycle=False)
-        report = sim.run(labeling, schedule, max_steps=5)
-        assert report.outcome is RunOutcome.TIMEOUT
-        assert report.steps_executed == 5
 
 
 class TestDeterminism:

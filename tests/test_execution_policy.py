@@ -23,7 +23,15 @@ import pytest
 
 from repro import DEFAULT_POLICY, ExecutionPolicy
 from repro.analysis import SweepCase, run_resilience_sweep, run_sweep
-from repro.core import Labeling, Simulator, SynchronousSchedule
+from repro.core import (
+    ExplicitSchedule,
+    Labeling,
+    RunOutcome,
+    RunReport,
+    Simulator,
+    SynchronousSchedule,
+    synchronous_run,
+)
 from repro.core.batch import BatchCompiledProtocol, BatchSimulator, batch_compile
 from repro.core.compiled import compile_protocol
 from repro.exceptions import ValidationError
@@ -33,11 +41,7 @@ from repro.faults import (
     exhaustive_worst_case_delay,
 )
 from repro.faults.schedules import NoFaults
-from repro.graphs.automorphisms import (
-    automorphism_generators,
-    protocol_symmetry_group,
-    symmetry_group_from_generators,
-)
+from repro.graphs.automorphisms import protocol_symmetry_group
 from repro.policy import resolve_policy
 from repro.service import (
     AdmissionPolicy,
@@ -157,9 +161,11 @@ def _submit(**keywords):
 #: ``spill_dir``, ``processes``, ``chunk_rows`` and ``batch_min_rows`` policy
 #: fields, the retired ``strict`` fan-out keyword, the table, symmetry and
 #: greedy-candidate budgets, which are module constants, the compiled
-#: forms, which come from their caches, and the planners' ``preflight``
-#: switch, which ``verify_plan`` replaces), a value it used to accept, and
-#: an otherwise valid call.
+#: forms, which come from their caches, the planners' ``preflight``
+#: switch, which ``verify_plan`` replaces, and the options only tests set:
+#: finite explicit schedules, run traces, which ``run_trace`` records, and
+#: the admission time budget), a value it used to accept, and an otherwise
+#: valid call.
 RETIRED_KEYWORDS = [
     ("ExecutionPolicy", "spill_dir", "spill", ExecutionPolicy),
     ("ExecutionPolicy-processes", "processes", 2, ExecutionPolicy),
@@ -328,12 +334,30 @@ RETIRED_KEYWORDS = [
         for keyword in ("max_order", "verify_budget")
     ),
     (
-        "symmetry_group_from_generators-cap",
-        "cap",
-        1 << 16,
-        lambda **kw: symmetry_group_from_generators(
-            K3.topology, automorphism_generators(K3.topology), **kw
+        "ExplicitSchedule-cycle",
+        "cycle",
+        False,
+        lambda **kw: ExplicitSchedule(3, [{0}], **kw),
+    ),
+    (
+        "Simulator.run-record_trace",
+        "record_trace",
+        True,
+        lambda **kw: Simulator(K3, (0,) * 3).run(
+            K3_START, SynchronousSchedule(3), **kw
         ),
+    ),
+    (
+        "synchronous_run-record_trace",
+        "record_trace",
+        True,
+        lambda **kw: synchronous_run(K3, (0,) * 3, K3_START, **kw),
+    ),
+    (
+        "AdmissionPolicy-max_seconds",
+        "max_seconds",
+        1.0,
+        lambda **kw: AdmissionPolicy(max_work=1.0, **kw),
     ),
     (
         "BatchSimulator.run_batch",
@@ -397,6 +421,15 @@ def test_retired_views_and_wrappers_are_gone():
         for name in retired:
             assert not hasattr(explored, name), name
     assert not hasattr(preflight, "LIFT_" + "REASONS")
+    # Explicit schedules always repeat, runs record no trace (``run_trace``
+    # does), and a policy takes no caller-asserted symmetry group.
+    import repro.exceptions
+    import repro.graphs
+
+    assert not hasattr(repro.exceptions, "Schedule" + "Error")
+    assert not hasattr(RunOutcome, "SCHEDULE_" + "EXHAUSTED")
+    assert not hasattr(repro.graphs, "symmetry_group_" + "from_generators")
+    assert "trace" not in {field.name for field in dataclasses.fields(RunReport)}
 
 
 class TestServiceShims:

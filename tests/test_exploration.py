@@ -307,7 +307,7 @@ class TestWitnessReplay:
             root = graph.root_of(k)
             labeling = Labeling(protocol.topology, graph.labeling_of(root))
             trace = simulator.run_trace(
-                labeling, ExplicitSchedule(3, actions, cycle=False), steps=len(actions)
+                labeling, ExplicitSchedule(3, actions), steps=len(actions)
             )
             assert trace[-1].labeling.values == graph.labeling_of(k)
             checked += 1

@@ -64,7 +64,7 @@ class TestAlmostStateless:
         simulator = Simulator(compiled, expand_memory_inputs((0, 0, 0)))
         initial = Labeling.uniform(compiled.topology, (0, 0))
         trace = simulator.run_trace(
-            initial, ExplicitSchedule(6, lifted, cycle=False), steps=len(lifted)
+            initial, ExplicitSchedule(6, lifted), steps=len(lifted)
         )
         reference = protocol.run_trace(
             [0, 0, 0], [0, 0, 0], (0, 0, 0), SynchronousSchedule(3), steps=7
@@ -82,13 +82,13 @@ class TestAlmostStateless:
         simulator = Simulator(compiled, expand_memory_inputs((0, 0, 0)))
         initial = Labeling.uniform(compiled.topology, (0, 0))
         trace = simulator.run_trace(
-            initial, ExplicitSchedule(6, lifted, cycle=False), steps=len(lifted)
+            initial, ExplicitSchedule(6, lifted), steps=len(lifted)
         )
         reference = protocol.run_trace(
             [0, 0, 0],
             [0, 0, 0],
             (0, 0, 0),
-            ExplicitSchedule(3, steps, cycle=False),
+            ExplicitSchedule(3, steps),
             steps=4,
         )
         for t in range(5):
@@ -104,7 +104,7 @@ class TestAlmostStateless:
         initial = Labeling.uniform(compiled.topology, (0, 0))
         # node 0 is activated three times, others once (two-phase lift)
         steps = mirror_schedule_steps([{0}, {0}, {0}, {1}, {2}, {3}], 4)
-        schedule = ExplicitSchedule(8, steps, cycle=False)
+        schedule = ExplicitSchedule(8, steps)
         config = simulator.initial_configuration(initial)
         for t in range(len(steps)):
             config = simulator.step(config, schedule.active(t))

@@ -22,7 +22,6 @@ import random
 import pytest
 
 from repro.core import (
-    ExplicitSchedule,
     Labeling,
     RunOutcome,
     Simulator,
@@ -169,48 +168,3 @@ class TestBGPRecovery:
         assert simulator.compiled.is_fixed_point(
             report.final.labeling.values, simulator.inputs
         )
-
-
-class TestFiniteScheduleExhaustion:
-    """Regression: a fault scheduled past the end of a finite
-    ``ExplicitSchedule(..., cycle=False)`` used to leak a ``ScheduleError``
-    out of ``run_with_faults`` mid-window; the injector now ends the run
-    with ``SCHEDULE_EXHAUSTED``, exactly like ``Simulator.run``."""
-
-    def _ring(self):
-        from tests.helpers import copy_ring_protocol
-
-        protocol = copy_ring_protocol(3)
-        return protocol, Simulator(protocol, (0,) * 3)
-
-    def test_fault_past_schedule_end_is_graceful(self):
-        protocol, simulator = self._ring()
-        labeling = Labeling(protocol.topology, (1, 0, 0))
-        schedule = ExplicitSchedule(3, [{0, 1, 2}] * 4, cycle=False)
-        report = simulator.run_with_faults(
-            labeling,
-            schedule,
-            OneShotFault(6, RandomCorruption(fraction=0.5, seed=1)),
-            max_steps=100,
-        )
-        assert report.outcome is RunOutcome.SCHEDULE_EXHAUSTED
-        assert report.faults_fired == 0  # the fire time was never reached
-        assert report.steps_executed == 4
-        assert report.recovery_rounds is None
-        assert not report.recovered
-
-    def test_exhaustion_after_the_last_fault_is_graceful_too(self):
-        protocol, simulator = self._ring()
-        labeling = Labeling(protocol.topology, (1, 0, 0))
-        schedule = ExplicitSchedule(3, [{0, 1, 2}] * 4, cycle=False)
-        report = simulator.run_with_faults(
-            labeling,
-            schedule,
-            OneShotFault(2, RandomCorruption(fraction=0.5, seed=1)),
-            max_steps=100,
-        )
-        # the tail run (shifted schedule) hits the end instead
-        assert report.outcome is RunOutcome.SCHEDULE_EXHAUSTED
-        assert report.faults_fired == 1
-        assert report.last_fault_time == 2
-        assert report.steps_executed == 4

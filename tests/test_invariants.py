@@ -43,7 +43,7 @@ def random_schedule(n, seed, steps=12):
         if not active:
             active = {rng.randrange(n)}
         plan.append(active)
-    return ExplicitSchedule(n, plan, cycle=True)
+    return ExplicitSchedule(n, plan)
 
 
 class TestStableLabelingsAbsorbing:
@@ -84,15 +84,13 @@ class TestEngineSemanticsAgree:
         inputs = default_inputs(protocol)
         labeling = random_bit_labeling(protocol.topology, seed)
         schedule = RoundRobinSchedule(3)
-        report = Simulator(protocol, inputs).run(
-            labeling, schedule, record_trace=True
-        )
+        report = Simulator(protocol, inputs).run(labeling, schedule)
         trace = Simulator(protocol, inputs).run_trace(
             labeling, schedule, steps=report.steps_executed
         )
-        # report.trace holds configs 0..steps-1; the config at `steps` is the
-        # detected repeat and equals the cycle-start config
-        assert report.trace == trace[: len(report.trace)]
+        # the config at `steps` is the detected repeat of the cycle-start
+        # config, and the report's final config is that cycle start
+        assert report.final == trace[report.cycle_start]
         assert trace[-1] == trace[report.cycle_start]
 
     def test_label_stable_implies_output_stable(self):
@@ -130,7 +128,7 @@ class TestStatesGraphIsTheRunSpace:
                 continue
             root = graph.root_of(k)
             labeling = Labeling(protocol.topology, graph.labeling_of(root))
-            schedule = ExplicitSchedule(3, actions, cycle=False)
+            schedule = ExplicitSchedule(3, actions)
             trace = simulator.run_trace(labeling, schedule, steps=len(actions))
             assert trace[-1].labeling.values == graph.labeling_of(k)
             checked += 1

@@ -293,30 +293,19 @@ class TestGoldenZoo:
         ]
 
     def test_explicit_group_and_topology_mismatch(self):
+        # A policy takes "none" or "auto" only.  A caller's group is refused
+        # when the policy is built, over the protocol's topology or another:
+        # nothing verified it against the reactions.
+        from repro.exceptions import ValidationError
         from repro.graphs import automorphism_generators, close_generators
         from repro.graphs.automorphisms import SymmetryGroup
 
         protocol = or_clique_protocol(clique(4))
-        inputs = default_inputs(protocol)
-        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        group = SymmetryGroup(
-            clique(4),
-            close_generators(automorphism_generators(clique(4)), 4, 10_000),
-            label_universe=frozenset({0, 1}),
-        )
-        explicit = ExplorationGraph(
-            protocol, inputs, 2, inits, policy=ExecutionPolicy(symmetry=group)
-        )
-        auto = ExplorationGraph(protocol, inputs, 2, inits, policy=QUOTIENT)
-        assert explicit.state_keys == auto.state_keys
-
-        from repro.exceptions import ValidationError
-
+        verified = protocol_symmetry_group(protocol, default_inputs(protocol))
         wrong = SymmetryGroup(
             clique(3),
             close_generators(automorphism_generators(clique(3)), 3, 10_000),
         )
-        with pytest.raises(ValidationError):
-            ExplorationGraph(
-                protocol, inputs, 2, inits, policy=ExecutionPolicy(symmetry=wrong)
-            )
+        for group in (verified, wrong):
+            with pytest.raises(ValidationError, match="unknown symmetry"):
+                ExecutionPolicy(symmetry=group)

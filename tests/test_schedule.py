@@ -14,7 +14,7 @@ from repro.core import (
     minimal_fairness,
 )
 from repro.core.schedule import ShiftedSchedule
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import ValidationError
 
 
 class TestSynchronous:
@@ -52,11 +52,6 @@ class TestExplicit:
         assert sched.active(0) == frozenset({0})
         assert sched.active(3) == frozenset({1, 2})
         assert sched.period == 2
-
-    def test_non_cyclic_bounds(self):
-        sched = ExplicitSchedule(2, [{0}, {1}], cycle=False)
-        with pytest.raises(ScheduleError):
-            sched.active(2)
 
     def test_empty_step_rejected(self):
         with pytest.raises(ValidationError):
@@ -143,24 +138,24 @@ class TestShiftedPhase:
 class TestFairnessMeasures:
     def test_minimal_fairness_counts_tail_gap(self):
         # node 1 is never activated after step 0 within the horizon
-        sched = ExplicitSchedule(2, [{1}] + [{0}] * 9, cycle=True)
+        sched = ExplicitSchedule(2, [{1}] + [{0}] * 9)
         assert minimal_fairness(sched, 10) == 10
 
     def test_is_r_fair_window_semantics(self):
-        sched = ExplicitSchedule(2, [{0}, {1}], cycle=True)
+        sched = ExplicitSchedule(2, [{0}, {1}])
         assert is_r_fair(sched, 2, 100)
         assert not is_r_fair(sched, 1, 100)
 
     def test_minimal_fairness_none_when_node_never_activated(self):
         # Regression: this used to return horizon + 1 — an r no
         # horizon-length run can actually certify.
-        sched = ExplicitSchedule(2, [{0}], cycle=True)  # node 1 never runs
+        sched = ExplicitSchedule(2, [{0}])  # node 1 never runs
         assert minimal_fairness(sched, 10) is None
 
     def test_minimal_fairness_finite_once_every_node_seen(self):
-        sched = ExplicitSchedule(2, [{0}], cycle=True)
+        sched = ExplicitSchedule(2, [{0}])
         # shrinking horizon does not resurrect a bound
         assert minimal_fairness(sched, 1) is None
         # a schedule touching both nodes reports the real gap
-        both = ExplicitSchedule(2, [{0, 1}], cycle=True)
+        both = ExplicitSchedule(2, [{0, 1}])
         assert minimal_fairness(both, 10) == 1

@@ -92,7 +92,7 @@ def _zoo_components() -> dict:
         "synchronous_n4": SynchronousSchedule(4),
         "round_robin_n4": RoundRobinSchedule(4),
         "random_rfair_n4_r2_seed7": RandomRFairSchedule(4, r=2, seed=7),
-        "explicit_2cycle_n3": ExplicitSchedule(3, [(0,), (1, 2)], cycle=True),
+        "explicit_2cycle_n3": ExplicitSchedule(3, [(0,), (1, 2)]),
         "no_faults": NoFaults(),
         "oneshot_t3_corrupt0.5_seed1": OneShotFault(
             3, RandomCorruption(0.5, seed=1)
@@ -250,10 +250,10 @@ class TestNearMissMatrix:
                 schedule=RandomRFairSchedule(3, r=3, seed=0)
             ),
             "explicit": self._case_key(
-                schedule=ExplicitSchedule(3, [(0,), (1,), (2,)], cycle=True)
+                schedule=ExplicitSchedule(3, [(0,), (1,), (2,)])
             ),
             "explicit_rotated": self._case_key(
-                schedule=ExplicitSchedule(3, [(1,), (2,), (0,)], cycle=True)
+                schedule=ExplicitSchedule(3, [(1,), (2,), (0,)])
             ),
             "shifted_1": self._case_key(
                 schedule=ShiftedSchedule(SynchronousSchedule(3), 1)
