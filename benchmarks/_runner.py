@@ -23,6 +23,10 @@ level ``BENCH_GATES = {entry_name: {"max_kernel_median_s": ..., "min":
 {field: floor}}}`` — gates are copied into the record so
 ``check_regression.py`` enforces them on every run, not just this one.
 
+Every selected bench runs even when an earlier one raises (a failed gate
+is an ``AssertionError``); a bench that raised writes no record, and the
+runner then exits non-zero naming each one, so one failure hides no other.
+
 Usage:
     python benchmarks/_runner.py                  # run every bench
     python benchmarks/_runner.py a02 e10          # substring selection
@@ -41,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -65,6 +70,30 @@ def median_time(fn, repeats: int = 5):
         result = fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
+
+
+def alternating_pairs(baseline, candidate, pairs: int):
+    """Wall times of ``pairs`` pairs of calls of two kernels.
+
+    Each pair calls both, the first of them alternating from pair to pair,
+    so a change in the host's speed lands on both sides of a pair.  Gate on
+    the per-pair ratios (:func:`ratio_quartiles`), not on two medians
+    taken seconds apart.  Returns the two lists of times, in pair order.
+    """
+    kernels = (baseline, candidate)
+    times: tuple[list[float], list[float]] = ([], [])
+    for pair in range(pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            kernels[side]()
+            times[side].append(time.perf_counter() - start)
+    return times
+
+
+def ratio_quartiles(numerators, denominators) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of the per-pair ratios ``numerator / denominator``."""
+    ratios = [a / b for a, b in zip(numerators, denominators, strict=True)]
+    return tuple(statistics.quantiles(ratios, n=4, method="inclusive"))
 
 
 class TimingBenchmark:
@@ -239,9 +268,16 @@ def main(argv: list[str] | None = None) -> None:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
+    failed = []
     for path in select_bench_files(args.patterns):
         print(f"== {path.stem} ==", flush=True)
-        record = run_bench_file(path, args.repeats)
+        try:
+            record = run_bench_file(path, args.repeats)
+        except Exception:
+            traceback.print_exc()
+            print(f"  !! {path.stem} raised; no record written", flush=True)
+            failed.append(path.stem)
+            continue
         out_path = BENCH_DIR / f"BENCH_{path.stem}.json"
         record = merge_history(out_path, record)
         out_path.write_text(json.dumps(record, indent=2) + "\n")
@@ -255,6 +291,8 @@ def main(argv: list[str] | None = None) -> None:
                 line += f", {entry['steps_per_s']:,.0f} steps/s"
             print(line, flush=True)
         print(f"  -> {out_path.name}", flush=True)
+    if failed:
+        raise SystemExit(f"{len(failed)} bench(es) raised: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

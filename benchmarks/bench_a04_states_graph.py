@@ -10,14 +10,22 @@ reproduced verbatim below as the baseline).
 The second kernel demonstrates the new capacity headroom: the K_6 / r=4
 graph (27,634 states, ~819k edges) took ~14s to materialize with the seed
 implementation — far past any interactive or CI time budget — and completes
-in ~0.5s on the interned core, which makes a previously untouchable
-clique/r configuration a routine exhaustive check.
+in ~0.1-0.2s on the interned core's level pass, which makes a previously
+untouchable clique/r configuration a routine exhaustive check.
+
+The third puts both expansion routes on record, on the same K_6 / r=4
+build in alternating pairs: the level pass (array passes per BFS level,
+numpy present) against the per-edge loop (the route without numpy), gated
+at 1.5x on the median per-pair ratio; and, inside the level pass, the
+kernel buckets (floor 32) against stepping every transition serially
+(no bucket goes to a kernel), recorded with its IQR and not gated.
 """
 
+import statistics
 from collections import deque
 from itertools import combinations
 
-from _runner import median_time
+from _runner import alternating_pairs, median_time, ratio_quartiles
 
 from repro.analysis import print_table
 from repro.core import default_inputs
@@ -28,12 +36,21 @@ from repro.stabilization import (
     example1_protocol,
 )
 from repro.core.compiled import compile_protocol
+from repro.stabilization import exploration
 
 GATE_N, GATE_R = 5, 3
 CAPACITY_N, CAPACITY_R = 6, 4
 CAPACITY_STATES = 27_634
 REPEATS = 3
 MIN_SPEEDUP = 2.0
+ROUTE_PAIRS = 7
+MIN_LEVEL_PASS_SPEEDUP = 1.5
+
+BENCH_GATES = {
+    "test_a04_expansion_routes": {
+        "min": {"level_pass_speedup": MIN_LEVEL_PASS_SPEEDUP},
+    },
+}
 
 
 # -- the pre-core implementation, kept as the baseline ------------------------
@@ -221,3 +238,100 @@ def test_a04_capacity_headroom(benchmark):
     benchmark.extra["transition_cache_misses"] = stats.transition_cache_misses
     benchmark.extra["peak_frontier"] = stats.peak_frontier
     benchmark(capacity_kernel)
+
+
+def _patched(owner, attribute, value, build):
+    """``build`` with an attribute of the exploration core replaced."""
+
+    def kernel():
+        saved = getattr(owner, attribute)
+        setattr(owner, attribute, value)
+        try:
+            return build()
+        finally:
+            setattr(owner, attribute, saved)
+
+    return kernel
+
+
+def test_a04_expansion_routes(benchmark):
+    """K_6 / r=4: the level pass against the per-edge loop, and its kernel
+    buckets against the serial step, each in alternating pairs."""
+    protocol = example1_protocol(CAPACITY_N)
+    inputs = default_inputs(protocol)
+    initials = list(broadcast_labelings(protocol.topology, protocol.label_space))
+
+    def level_kernel():
+        return StatesGraph(protocol, inputs, CAPACITY_R, initials)
+
+    per_edge_kernel = _patched(exploration, "np", None, level_kernel)
+    # No kernel can step a bucket: the level pass steps each serially.
+    serial_kernel = _patched(
+        exploration.ExplorationGraph,
+        "_step_bucket",
+        lambda _graph, _t, _payloads: None,
+        level_kernel,
+    )
+
+    # Every route builds the same graph.
+    level = level_kernel()
+    assert len(level) == CAPACITY_STATES
+    stores = _packed_lists(level), level.state_keys
+    for kernel in (per_edge_kernel, serial_kernel):
+        other = kernel()
+        assert (_packed_lists(other), other.state_keys) == stores
+
+    per_edge_times, level_times = alternating_pairs(
+        per_edge_kernel, level_kernel, ROUTE_PAIRS
+    )
+    route_q1, route_speedup, route_q3 = ratio_quartiles(per_edge_times, level_times)
+    serial_times, bucket_times = alternating_pairs(
+        serial_kernel, level_kernel, ROUTE_PAIRS
+    )
+    bucket_q1, bucket_speedup, bucket_q3 = ratio_quartiles(
+        serial_times, bucket_times
+    )
+    stats = level.stats()
+    print_table(
+        f"A4: expansion routes — Example-1 K_{CAPACITY_N}, r={CAPACITY_R}, "
+        f"{stats.states:,} states, {stats.edges:,} edges ({ROUTE_PAIRS} "
+        f"alternating pairs each; speedup = median per-pair ratio)",
+        ["route", "baseline", "median s", "speedup", "IQR"],
+        [
+            [
+                "level pass",
+                "per-edge loop",
+                f"{statistics.median(level_times):.3f}"
+                f" vs {statistics.median(per_edge_times):.3f}",
+                f"{route_speedup:.2f}x",
+                f"{route_q1:.2f}-{route_q3:.2f}x",
+            ],
+            [
+                f"kernel buckets ({stats.batch_calls} calls,"
+                f" {stats.batch_rows} rows)",
+                "serial step",
+                f"{statistics.median(bucket_times):.3f}"
+                f" vs {statistics.median(serial_times):.3f}",
+                f"{bucket_speedup:.2f}x",
+                f"{bucket_q1:.2f}-{bucket_q3:.2f}x",
+            ],
+        ],
+    )
+    assert route_speedup >= MIN_LEVEL_PASS_SPEEDUP, (
+        f"level pass only {route_speedup:.2f}x the per-edge loop on the"
+        f" median of {ROUTE_PAIRS} alternating pairs"
+    )
+    benchmark.extra["states"] = stats.states
+    benchmark.extra["edges"] = stats.edges
+    benchmark.extra["batch_calls"] = stats.batch_calls
+    benchmark.extra["batch_rows"] = stats.batch_rows
+    benchmark.extra["per_edge_median_s"] = statistics.median(per_edge_times)
+    benchmark.extra["level_pass_median_s"] = statistics.median(level_times)
+    benchmark.extra["level_pass_speedup"] = route_speedup
+    benchmark.extra["level_pass_speedup_q1"] = route_q1
+    benchmark.extra["level_pass_speedup_q3"] = route_q3
+    benchmark.extra["serial_step_median_s"] = statistics.median(serial_times)
+    benchmark.extra["kernel_bucket_speedup"] = bucket_speedup
+    benchmark.extra["kernel_bucket_speedup_q1"] = bucket_q1
+    benchmark.extra["kernel_bucket_speedup_q3"] = bucket_q3
+    benchmark(level_kernel)

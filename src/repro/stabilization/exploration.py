@@ -19,35 +19,44 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
 
 * **Interned components.**  Labeling value-tuples, output tuples, countdown
   vectors, and activation sets are each interned to small integer ids on
-  first sight, so a state is a triple of ints; visited-set lookups go
-  through a per-payload table keyed by countdown id, so an edge costs two
-  int-keyed dict lookups instead of re-hashing ``O(m + n)`` tuples.
+  first sight, so a state is a triple of ints.
 * **Packed edge and parent arrays.**  Successor lists and BFS-tree parent
   links live in flat append-only ``array.array`` stores (a CSR edge store
   and one parent link per state) instead of one Python list-of-tuples per
   state; consumers scan them directly.
-* **A shared activation-set cache** with second-chance eviction
-  (:func:`valid_activation_sets`): the valid activation sets of a countdown
-  vector are enumerated once per distinct countdown and cached module-wide;
-  when the cache hits its cap, only entries not referenced since the last
-  sweep are evicted, so a greedy-adversary sweep feeding near-unique
-  countdowns can no longer dump an exhaustive search's working set.
+* **Activation sets per forced set.**  The valid activation sets of a
+  countdown depend only on its forced set (the nodes whose countdown is
+  1), so each graph enumerates them once per forced set, through the
+  module-wide cache of :func:`valid_activation_sets` (second-chance
+  eviction: when the cache hits its cap, only entries not referenced since
+  the last sweep are evicted, so a greedy-adversary sweep feeding
+  near-unique countdowns cannot dump an exhaustive search's working set).
 * **A transition cache.**  The successor labeling (and outputs) of a state
   depend only on ``(labeling, [outputs,] T)`` — not on the countdown — so
   states that share a labeling reuse one evaluation per activation set.
-* **Frontier-parallel expansion.**  The BFS runs level-synchronously;
-  before expanding a level it groups the level by payload ``(labeling,
-  outputs)``, collects every uncached ``(payload, T)`` transition once,
-  buckets them by activation set, and evaluates each bucket of at least
-  :data:`AUTO_BATCH_MIN_ROWS` rows as one ``(B, m)`` packed-code kernel
-  call through the batch backend
-  (:meth:`repro.core.batch.BatchSimulator.step_codes`) when numpy is
-  present and every node lifts to a lookup table; smaller buckets, buckets
-  holding a labeling outside the label space, and other protocols take the
-  serial scan.  Results are staged and
-  *interned in the serial scan order*, so state indices, parent links,
-  successor arrays — and everything built on them — stay bit-identical to
-  the serial expansion.
+* **One array pass per BFS level.**  An edge ``(l, x) ->T (delta(l, T),
+  c(x, T))`` is the product of two independent actions of ``T``, one on
+  labelings and one on countdowns, so with numpy each is tabulated and a
+  level is expanded by array gathers (:class:`_LevelPass`): the level's
+  new countdowns get their moves in one ``where(T, r, x - 1)``; the
+  level's missing ``(payload, T)`` transitions are found in one pass,
+  bucketed by ``T``, and each bucket of at least
+  :data:`AUTO_BATCH_MIN_ROWS` rows is stepped as one ``(B, m)``
+  packed-code kernel call through the batch backend
+  (:meth:`repro.core.batch.BatchSimulator.step_codes`) when every node
+  lifts to a lookup table (smaller buckets, buckets holding a labeling
+  outside the label space, and other protocols step serially); then the
+  level's edge block is resolved in chunks of at most
+  :data:`LEVEL_CHUNK_EDGES` edges, its successor states looked up in an
+  arrival index and new ones numbered in first-occurrence order.  A level
+  of fewer distinct payloads than :data:`AUTO_BATCH_MIN_ROWS` fills no
+  kernel bucket, and its array passes cost more than they save, so
+  :meth:`ExplorationGraph._expand` walks it one edge at a time; the level
+  pass takes over from the first wider level on (and, without numpy, the
+  per-edge walk expands every level).  Both routes intern in the same
+  order and raise a level's errors in edge order, so state indices,
+  parent links, successor arrays, pools — and everything built on them,
+  errors included — are byte-identical.
 * **Symmetry quotient** (``symmetry="auto"``).  When a verified symmetry
   group is available (:func:`repro.graphs.automorphisms
   .protocol_symmetry_group`), every discovered state is canonicalized to
@@ -75,7 +84,9 @@ lexicographic), which is exactly the order the pre-core implementations
 used — so in the default ``symmetry="none"`` mode, state indices,
 successor lists, parent links, and everything built on them (verdicts,
 oscillation witnesses, attractor regions, worst-case delays) are
-bit-identical to the historical results.
+bit-identical to the historical results.  Each level interns its moves'
+countdowns before its arrivals' canonical countdowns, so a quotient
+numbers its countdowns in that order.
 
 Consumers: :class:`repro.stabilization.states_graph.StatesGraph` (this
 graph with outputs untracked), the model checker's
@@ -109,6 +120,10 @@ DEFAULT_STATE_BUDGET = 400_000
 #: An activation-set bucket of fewer rows steps serially (kernel dispatch
 #: would dominate).
 AUTO_BATCH_MIN_ROWS = 32
+#: The level pass resolves a level's edge block in chunks of at most this
+#: many edges (and at least one state), which bounds its int64
+#: temporaries; transition buckets and interning stay per level.
+LEVEL_CHUNK_EDGES = 1 << 14
 
 #: Module-wide activation-set cache, shared by every consumer (states-graph
 #: construction, model checking, adversary search, greedy candidate
@@ -180,6 +195,15 @@ def valid_activation_sets(countdown: Sequence[int], n: int) -> list[frozenset[in
     return list(_cached_activation_sets(tuple(countdown), n))
 
 
+def _intern(ids: dict, pool: list, value) -> int:
+    """The id of ``value`` in ``pool``, appending it on first sight."""
+    vid = ids.get(value)
+    if vid is None:
+        vid = ids[value] = len(pool)
+        pool.append(value)
+    return vid
+
+
 @dataclass(frozen=True)
 class ExplorationStats:
     """Construction-time observability for one :class:`ExplorationGraph`.
@@ -188,10 +212,15 @@ class ExplorationStats:
     ``states`` without a quotient, and the number of concrete states the
     quotient stands for otherwise (exact when the initial labelings are
     closed under the group, e.g. broadcast or exhaustive initial sets).
-    ``frontier_mode`` is ``"batch"`` once a batch frontier call has run
-    (numpy is present, every node lifts to a table and an activation-set
-    bucket reached :data:`AUTO_BATCH_MIN_ROWS` rows), ``"serial"``
-    otherwise.
+    ``transition_cache_misses`` counts the distinct ``(payload, T)``
+    transitions evaluated, ``batch_calls`` / ``batch_rows`` those of them
+    stepped as packed-code kernel calls, and ``frontier_mode`` is
+    ``"batch"`` once a kernel call has run (numpy is present, every node
+    lifts to a table and an activation-set bucket of a level reached
+    :data:`AUTO_BATCH_MIN_ROWS` rows), ``"serial"`` otherwise.  The
+    activation counters count frontier states whose countdown's moves were
+    built (a miss) or reused (a hit).  Both expansion routes report the
+    same numbers, batch counters aside.
     """
 
     states: int
@@ -238,12 +267,17 @@ class ExplorationGraph:
     the BFS-tree link used for witness replay (``-1`` for initial states).
     Consumers scan these packed arrays directly.
 
-    Each level's uncached transitions are evaluated as packed-code kernel
-    calls grouped by activation set when numpy is present and the
-    protocol's reactions lift to lookup tables, for groups of at least
-    :data:`AUTO_BATCH_MIN_ROWS` rows; everything else steps one edge at a
-    time through the compiled protocol.  Both routes produce bit-identical
-    graphs; :meth:`stats` reports the route and its batch calls.
+    With numpy, each BFS level of at least :data:`AUTO_BATCH_MIN_ROWS`
+    distinct payloads, and every level after it, is expanded in a few
+    array passes over its edge block, and its uncached transitions are
+    grouped by activation set and stepped as packed-code kernel calls when
+    the protocol's reactions lift to lookup tables, for groups of at least
+    :data:`AUTO_BATCH_MIN_ROWS` rows; everything else steps through the
+    compiled protocol.  Narrower levels, and every level without numpy,
+    are expanded one edge at a time.  Every route produces byte-identical
+    graphs and raises the same error first (a reaction's, a quotient's
+    label-space refusal, or the budget's); :meth:`stats` reports the
+    kernel calls.
 
     ``symmetry`` opts into the automorphism quotient: ``"none"`` (default)
     explores concrete states; ``"auto"`` discovers and *verifies* the
@@ -312,9 +346,9 @@ class ExplorationGraph:
         #: state index -> (labeling id, output id, countdown id).
         self.state_keys: list[tuple[int, int, int]] = []
         # Payload (labeling id, output id) -> its state table: countdown
-        # id -> state index, plus the payload itself under ``None``.
-        # Transition rows point straight at their successor's table, so an
-        # edge costs two int-keyed lookups and no key tuple.
+        # id -> state index, plus the payload itself under ``None``.  The
+        # roots and a quotient's canonical states are found here, and so
+        # is every state on the per-edge route.
         self._index: dict[tuple[int, int], dict] = {}
         #: Packed edge store: edges of state k occupy the contiguous range
         #: ``edge_offsets[k]:edge_offsets[k+1]`` of edge_dst (successor
@@ -330,8 +364,8 @@ class ExplorationGraph:
         self.initial_indices: list[int] = []
         self._initial_labeling_at: dict[int, Labeling] = {}
 
-        # Per-countdown moves (see _moves) and counters.
-        self._moves_by_cid: dict[int, tuple] = {}
+        # Forced set -> its activation entry (see _activation).
+        self._activations: dict[tuple[bool, ...], tuple] = {}
         self._stats_counters = {
             "transition_hits": 0,
             "transition_misses": 0,
@@ -344,85 +378,82 @@ class ExplorationGraph:
         }
         self._covered = 0
         self._frontier_mode = "serial"
-
-        # (labeling id, output id) -> {activation-set id -> successor}.
-        # Countdown-independent, so all states sharing a payload reuse one
-        # evaluation per set.  A successor maps a countdown id to a state
-        # index: a concrete graph stores the successor payload's state
-        # table, a quotient the raw successor's canonical row.
-        self._transitions: dict[tuple[int, int], dict[int, dict]] = {}
         # (labeling id, output id) -> ids of the activation sets whose raw
         # successor differs from the payload.
         self._changing: dict[tuple[int, int], set[int]] = {}
-        # Canonical rows, one per raw successor payload (raw labeling, raw
-        # outputs or None): raw countdown id -> canonical state index, plus
-        # the raw payload under ``None``.
+        # A quotient's (labeling id, output id, set id) -> raw successor.
+        self._raw_successors: dict[tuple[int, int, int], tuple] = {}
+
+        # The per-edge route's caches, which the level pass takes over
+        # (they go when the graph is built).  Countdown id -> its moves (see
+        # _moves); (labeling id, output id) -> {activation-set id ->
+        # successor}, where a successor maps a countdown id to a state
+        # index: a concrete graph stores the successor payload's state
+        # table, a quotient the raw successor's canonical row.  Canonical
+        # rows, one per raw successor payload (raw labeling, raw outputs
+        # or None): raw countdown id -> canonical state index, plus the
+        # raw payload under ``None``.
+        self._moves_by_cid: dict[int, tuple] = {}
+        self._transitions: dict[tuple[int, int], dict[int, dict]] = {}
         self._canon_rows: dict[tuple, dict] = {}
 
         # ``_add_state`` checks the budget (naming the consumer when it is
-        # exceeded) and queues each new state into the next level.
+        # exceeded).
         self._budget = budget
         self._name = name
-        self._queue: list[int] = []
         self._explore(initial_labelings)
 
     # -- construction --------------------------------------------------------
 
     def _intern_countdown(self, countdown: tuple[int, ...]) -> int:
-        cid = self._countdown_ids.get(countdown)
-        if cid is None:
-            cid = len(self._countdowns)
-            self._countdown_ids[countdown] = cid
-            self._countdowns.append(countdown)
-        return cid
+        return _intern(self._countdown_ids, self._countdowns, countdown)
 
     def _intern_label(self, values: tuple) -> int:
-        lid = self._label_ids.get(values)
-        if lid is None:
-            lid = len(self._labels)
-            self._label_ids[values] = lid
-            self._labels.append(values)
-        return lid
+        return _intern(self._label_ids, self._labels, values)
 
     def _intern_out(self, outputs: tuple) -> int:
-        oid = self._out_ids.get(outputs)
-        if oid is None:
-            oid = len(self._outs)
-            self._out_ids[outputs] = oid
-            self._outs.append(outputs)
-        return oid
+        return _intern(self._out_ids, self._outs, outputs)
+
+    def _activation(self, countdown: tuple[int, ...]) -> tuple:
+        """``(entry id, sets, set ids)`` of every countdown sharing
+        ``countdown``'s forced set.
+
+        The valid activation sets come from the module-wide enumeration
+        (:func:`_cached_activation_sets`), in canonical order, and are
+        interned here on first sight; the set ids are an ``array`` so a
+        state's ``edge_sid`` block is one ``extend``.  Built once per
+        forced set, shared by both routes.
+        """
+        forced = tuple(c == 1 for c in countdown)
+        entry = self._activations.get(forced)
+        if entry is None:
+            sets = _cached_activation_sets(countdown, self.n)
+            sids = array("i", [_intern(self._set_ids, self._sets, t) for t in sets])
+            entry = (len(self._activations), sets, sids)
+            self._activations[forced] = entry
+        return entry
 
     def _moves(self, cid: int):
         """``(sets, set ids, successor countdown ids)`` for a countdown.
 
         Three parallel sequences over the countdown's valid activation
-        sets; the set ids are an ``array`` so a state's ``edge_sid`` block
-        is one ``extend``.  The activation-set enumeration comes from the
-        shared module-wide cache; the countdown arithmetic is r-specific,
-        so it lives here.  Built once per countdown (a miss of the
-        activation counters); callers read ``_moves_by_cid`` first.
+        sets (:meth:`_activation`); the countdown arithmetic is
+        r-specific, so it lives here.  Built once per countdown (a miss of
+        the activation counters); the per-edge route reads
+        ``_moves_by_cid`` first.
         """
         self._stats_counters["activation_misses"] += 1
         countdown = self._countdowns[cid]
         r = self.r
-        set_ids = self._set_ids
-        sets = self._sets
+        _entry, sets, sids = self._activation(countdown)
         decremented = [c - 1 for c in countdown]
-        activation_sets = _cached_activation_sets(countdown, self.n)
-        sids = array("i")
         next_cids = []
-        for t in activation_sets:
-            tid = set_ids.get(t)
-            if tid is None:
-                tid = len(sets)
-                set_ids[t] = tid
-                sets.append(t)
-            sids.append(tid)
+        for t in sets:
             next_countdown = decremented.copy()
             for i in t:
                 next_countdown[i] = r
             next_cids.append(self._intern_countdown(tuple(next_countdown)))
-        moves = (activation_sets, sids, tuple(next_cids))
+        moves = (sets, sids, tuple(next_cids))
         self._moves_by_cid[cid] = moves
         return moves
 
@@ -433,22 +464,24 @@ class ExplorationGraph:
             table = self._index[(lid, oid)] = {None: (lid, oid)}
         return table
 
+    def _budget_exceeded(self) -> SearchBudgetExceeded:
+        return SearchBudgetExceeded(
+            f"{self._name} exceeded budget of {self._budget} states"
+        )
+
     def _add_state(
         self, table: dict, cid: int, pred: int, sid: int, orbit: int = 1
     ) -> int:
         """Store a new state, reached from ``pred`` by set ``sid`` (``-1``
-        for roots), and queue it for the next level."""
+        for roots); it joins the next BFS level."""
         k = len(self.state_keys)
         if k >= self._budget:
-            raise SearchBudgetExceeded(
-                f"{self._name} exceeded budget of {self._budget} states"
-            )
+            raise self._budget_exceeded()
         table[cid] = k
         self.state_keys.append((*table[None], cid))
         self.parent_idx.append(pred)
         self.parent_sid.append(sid)
         self._covered += orbit
-        self._queue.append(k)
         return k
 
     def _root_canonical(self, values: tuple) -> tuple[int, int]:
@@ -476,7 +509,6 @@ class ExplorationGraph:
         counters = self._stats_counters
 
         start_cid = self._intern_countdown((self.r,) * self.n)
-        frontier = self._queue
         for labeling in initial_labelings:
             values, orbit = labeling.values, 1
             if group is not None:
@@ -489,64 +521,98 @@ class ExplorationGraph:
                 self.initial_indices.append(k)
                 self._initial_labeling_at[k] = labeling
 
-        while frontier:
-            counters["peak_frontier"] = max(
-                counters["peak_frontier"], len(frontier)
-            )
-            pending = self._stage_level(frontier)
-            self._queue = []
-            self._expand(frontier, pending)
-            frontier = self._queue
+        # The level pass keys countdowns by int64 codes below r**n.
+        passes = np is not None and self.r**self.n < 1 << 63
+        level = None
+        # A BFS level is the index range of the states the previous one
+        # added.
+        lo, hi = 0, len(self.state_keys)
+        while lo < hi:
+            counters["peak_frontier"] = max(counters["peak_frontier"], hi - lo)
+            if level is None and passes and self._wide(lo, hi):
+                level = _LevelPass(self, lo)
+            if level is None:
+                self._expand(lo, hi)
+            else:
+                level.expand(lo, hi)
+            lo, hi = hi, len(self.state_keys)
+        # Only construction reads these.
+        del self._index, self._activations
+        del self._moves_by_cid, self._transitions, self._canon_rows
 
-    def _step(self, lid: int, oid: int, t, tid: int, pending) -> tuple:
-        """The raw successor payload of one uncached transition: staged by
-        the batch pass, or stepped through the compiled protocol.
+    def _wide(self, lo: int, hi: int) -> bool:
+        """Whether the level of states ``lo:hi`` holds at least
+        :data:`AUTO_BATCH_MIN_ROWS` distinct payloads.
+
+        A narrower level fills no kernel bucket, and its array passes cost
+        more than the per-edge loop they replace, so that loop expands it;
+        the level pass takes over from the first wide level on.
+        """
+        floor = AUTO_BATCH_MIN_ROWS
+        if hi - lo < floor:
+            return False
+        return len({key[:2] for key in self.state_keys[lo:hi]}) >= floor
+
+    def _step(self, lid: int, oid: int, t) -> tuple:
+        """The raw successor payload ``(values, outputs)`` of payload
+        ``(lid, oid)`` under activation set ``t``, stepped through the
+        compiled protocol (outputs ``None`` unless tracked)."""
+        values = self._labels[lid]
+        if self.track_outputs:
+            return self._compiled.step_values(values, self._outs[oid], t, self.inputs)
+        return self._compiled.step_values(values, None, t, self.inputs)[0], None
+
+    def _miss(self, lid: int, oid: int, tid: int, successor: tuple):
+        """Book one transition miss: payload ``(lid, oid)`` under set
+        ``tid`` reaches the raw successor payload ``successor``.
 
         Records ``tid`` in the payload's changing sets when the raw
         successor differs from the payload.  The test is on the raw
         successor because ``canon(u) == s`` does not imply ``u == s``.
+        Returns the successor's key: on a concrete graph its interned
+        ``(labeling id, output id)``, on a quotient the raw payload, once
+        its labels are checked against the declared label space (and kept
+        for :meth:`element`).
         """
-        values = self._labels[lid]
-        staged = pending.pop((lid, oid, t), None) if pending else None
-        if staged is not None:
-            new_values, new_outputs = staged
-        elif self.track_outputs:
-            new_values, new_outputs = self._compiled.step_values(
-                values, self._outs[oid], t, self.inputs
-            )
-        else:
-            new_values, _ = self._compiled.step_values(values, None, t, self.inputs)
-            new_outputs = None
-        if new_values != values or (
+        new_values, new_outputs = successor
+        if new_values != self._labels[lid] or (
             self.track_outputs and new_outputs != self._outs[oid]
         ):
             self._changing.setdefault((lid, oid), set()).add(tid)
-        return new_values, new_outputs
-
-    def _successor_table(self, new_values: tuple, new_outputs) -> dict:
-        """A concrete graph's transition miss: the successor payload's
-        state table."""
-        noid = self._intern_out(new_outputs) if self.track_outputs else 0
-        return self._states_at(self._intern_label(new_values), noid)
-
-    def _canonical_row(self, new_values: tuple, new_outputs) -> dict:
-        """A quotient's transition miss: the raw successor's canonical
-        row, shared by every transition that reaches the same raw
-        payload."""
+        if self._group is None:
+            noid = self._intern_out(new_outputs) if self.track_outputs else 0
+            return self._intern_label(new_values), noid
         self._check_universe(new_values)
-        raw = (new_values, new_outputs)
+        self._raw_successors[(lid, oid, tid)] = successor
+        return successor
+
+    def _successor_table(self, key: tuple[int, int]) -> dict:
+        """A concrete graph's transition miss on the per-edge route: the
+        successor payload's state table."""
+        return self._states_at(*key)
+
+    def _canonical_row(self, raw: tuple) -> dict:
+        """A quotient's transition miss on the per-edge route: the raw
+        successor's canonical row, shared by every transition that reaches
+        the same raw payload."""
         row = self._canon_rows.get(raw)
         if row is None:
             row = self._canon_rows[raw] = {None: raw}
         return row
 
-    def _arrive_canonical(self, row: dict, cid: int, pred: int, sid: int) -> int:
-        """A quotient's first arrival of a raw successor at raw countdown
-        ``cid``: canonicalize once, find or add the canonical state, and
-        cache its index in the row."""
+    def _arrive_row(self, row: dict, cid: int, pred: int, sid: int) -> int:
+        """A quotient's first arrival on the per-edge route: the canonical
+        state, cached in the raw successor's row."""
+        j = row[cid] = self._arrive_canonical(row[None], cid, pred, sid)
+        return j
+
+    def _arrive_canonical(self, raw: tuple, cid: int, pred: int, sid: int) -> int:
+        """A quotient's first arrival of raw successor payload ``raw`` at
+        raw countdown ``cid``: canonicalize once, and find or add the
+        canonical state."""
         self._stats_counters["canonicalizations"] += 1
         group = self._group
-        values, outputs = row[None]
+        values, outputs = raw
         countdown = self._countdowns[cid]
         gid, ties = self._canonicalizer.canonical(values, outputs, countdown)
         table = self._states_at(
@@ -559,39 +625,46 @@ class ExplorationGraph:
         j = table.get(ccid)
         if j is None:
             j = self._add_state(table, ccid, pred, sid, group.order // ties)
-        row[cid] = j
         return j
 
-    def _expand(self, frontier: list[int], pending) -> None:
-        """Expand one level, queueing the next one.
+    def _expand(self, lo: int, hi: int) -> None:
+        """Expand the level of states ``lo:hi`` one edge at a time: the
+        route for narrow levels and without numpy, and the reference the
+        level pass matches.
 
-        Each edge looks its activation set up in the payload's transition
+        The level's new countdowns get their moves first, in state order,
+        as in the level pass, so both routes number countdowns alike.  Then
+        each edge looks its activation set up in the payload's transition
         row, then its successor countdown in the successor.  Only two steps
         differ by mode, and they are picked once per level: a transition
-        miss (:meth:`_successor_table` or :meth:`_canonical_row`) and a
-        first arrival (:meth:`_add_state` or :meth:`_arrive_canonical`).
-        Staged batch results are consumed at the serial scan positions.
+        miss (the successor payload's state table, or :meth:`_canonical_row`)
+        and a first arrival (:meth:`_add_state` or :meth:`_arrive_row`).
         """
         if self._group is None:
             successor_of, arrive = self._successor_table, self._add_state
         else:
-            successor_of, arrive = self._canonical_row, self._arrive_canonical
+            successor_of, arrive = self._canonical_row, self._arrive_row
         step = self._step
+        miss = self._miss
         state_keys = self.state_keys
         transitions = self._transitions
         moves_by_cid = self._moves_by_cid
         edge_offsets = self.edge_offsets
         edge_dst = self.edge_dst
         edge_sid = self.edge_sid
-        lookups = misses = activation_hits = 0
-        for k in frontier:
-            lid, oid, cid = state_keys[k]
+        level = []
+        activation_hits = 0
+        for k in range(lo, hi):
+            cid = state_keys[k][2]
             moves = moves_by_cid.get(cid)
             if moves is None:
                 moves = self._moves(cid)
             else:
                 activation_hits += 1
-            sets, sids, next_cids = moves
+            level.append(moves)
+        lookups = misses = 0
+        for k, (sets, sids, next_cids) in zip(range(lo, hi), level, strict=True):
+            lid, oid, _cid = state_keys[k]
             row = transitions.get((lid, oid))
             if row is None:
                 row = transitions[(lid, oid)] = {}
@@ -603,7 +676,7 @@ class ExplorationGraph:
                 if successor is None:
                     misses += 1
                     successor = row[tid] = successor_of(
-                        *step(lid, oid, t, tid, pending)
+                        miss(lid, oid, tid, step(lid, oid, t))
                     )
                 j = successor.get(next_cid)
                 if j is None:
@@ -639,112 +712,61 @@ class ExplorationGraph:
             self._engine = engine
         return self._engine
 
-    def _stage_level(self, frontier: list[int]):
-        """Pass 1 of a level: batch-evaluate the level's uncached transitions.
+    def _step_bucket(self, t: frozenset[int], payloads: list[tuple[int, int]]):
+        """Step every ``(labeling id, output id)`` payload under activation
+        set ``t`` as one ``step_codes`` kernel call.
 
-        A transition depends on the payload ``(labeling, outputs)`` and the
-        activation set only, so the level is grouped by payload, and each
-        payload takes the union of its countdowns' valid activation sets.
-        Every ``(payload, T)`` pair missing from the transition cache is
-        checked once and bucketed by ``T``; one ``step_codes`` kernel call
-        runs per bucket of at least :data:`AUTO_BATCH_MIN_ROWS` rows.
-        Results are staged in a dict keyed by the raw activation set; pass 2
-        (``_expand``) pops them at the exact serial scan position.
-        Staging interns *nothing* (it reads the module activation-set cache
-        and only looks pools up), so the interning order — and with it
-        every id and index in the graph — is bit-identical no matter which
-        route evaluated a transition.  The engine is built for the first
-        bucket that reaches the floor; a level of fewer distinct payloads
-        than the floor stages nothing, since a bucket holds each payload
-        once.  A bucket holding a labeling outside the declared label space
-        is left to the serial scan.
+        Returns the raw successor payloads, in order, or ``None`` when no
+        kernel can step them: the engine is unavailable (built for the
+        first bucket that reaches the floor), or a labeling lies outside
+        the declared label space.
         """
-        if not self._engine_enabled:
+        engine = self._ensure_engine()
+        if engine is None:
             return None
-        counters = self._stats_counters
-        state_keys = self.state_keys
-        countdowns = self._countdowns
+        from repro.core.batch import OutOfSpace
+
         n = self.n
-        # A union (or a transition row) holding every nonempty subset of
-        # the nodes cannot grow (has nothing left to stage).
-        every_set = (1 << n) - 1
-        unions: dict[tuple[int, int], set[frozenset[int]]] = {}
-        for k in frontier:
-            lid, oid, cid = state_keys[k]
-            sets = unions.get((lid, oid))
-            if sets is None:
-                sets = unions[(lid, oid)] = set()
-            elif len(sets) == every_set:
-                continue
-            sets.update(_cached_activation_sets(countdowns[cid], n))
-        if len(unions) < AUTO_BATCH_MIN_ROWS:
-            return None
-        transitions = self._transitions
-        set_ids = self._set_ids
-        buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for payload, sets in unions.items():
-            row = transitions.get(payload, ())
-            if len(row) == every_set:
-                continue
-            for t in sets:
-                if set_ids.get(t) in row:
-                    continue
-                bucket = buckets.get(t)
-                if bucket is None:
-                    buckets[t] = [payload]
-                else:
-                    bucket.append(payload)
-
-        pending: dict[tuple[int, int, frozenset[int]], tuple] = {}
-        track_outputs = self.track_outputs
-        for t, rows in buckets.items():
-            if len(rows) < AUTO_BATCH_MIN_ROWS:
-                continue
-            engine = self._ensure_engine()
-            if engine is None:
-                return None
-            from repro.core.batch import OutOfSpace
-
-            interner = engine.batch_compiled.interner
-            y_interners = engine.batch_compiled.y_interners
-            label_rows = [self._labels[lid] for (lid, _oid) in rows]
-            codes = interner.bulk_encode(label_rows)
-            if codes is None:
-                try:
-                    codes = np.asarray(
-                        [interner.encode_values(row) for row in label_rows],
-                        dtype=np.int64,
-                    )
-                except OutOfSpace:
-                    continue
-            if track_outputs:
-                ocodes = np.asarray(
-                    [
-                        [
-                            y_interners[i].encode(value)
-                            for i, value in enumerate(self._outs[oid])
-                        ]
-                        for (_lid, oid) in rows
-                    ],
+        interner = engine.batch_compiled.interner
+        y_interners = engine.batch_compiled.y_interners
+        label_rows = [self._labels[lid] for lid, _oid in payloads]
+        codes = interner.bulk_encode(label_rows)
+        if codes is None:
+            try:
+                codes = np.asarray(
+                    [interner.encode_values(row) for row in label_rows],
                     dtype=np.int64,
                 )
-            else:
-                ocodes = np.zeros((len(rows), n), dtype=np.int64)
-            new_codes, new_ocodes = engine.step_codes(codes, ocodes, t)
-            self._frontier_mode = "batch"
-            counters["batch_calls"] += 1
-            counters["batch_rows"] += len(rows)
-            for row, (lid, oid) in enumerate(rows):
-                new_values = interner.decode_values(new_codes[row])
-                if track_outputs:
-                    new_outputs = tuple(
-                        y_interners[i].decode(int(new_ocodes[row, i]))
-                        for i in range(n)
-                    )
-                else:
-                    new_outputs = None
-                pending[(lid, oid, t)] = (new_values, new_outputs)
-        return pending or None
+            except OutOfSpace:
+                return None
+        track_outputs = self.track_outputs
+        if track_outputs:
+            ocodes = np.asarray(
+                [
+                    [
+                        y_interners[i].encode(value)
+                        for i, value in enumerate(self._outs[oid])
+                    ]
+                    for _lid, oid in payloads
+                ],
+                dtype=np.int64,
+            )
+        else:
+            ocodes = np.zeros((len(payloads), n), dtype=np.int64)
+        new_codes, new_ocodes = engine.step_codes(codes, ocodes, t)
+        self._frontier_mode = "batch"
+        counters = self._stats_counters
+        counters["batch_calls"] += 1
+        counters["batch_rows"] += len(payloads)
+        successors = []
+        for row in range(len(payloads)):
+            new_outputs = None
+            if track_outputs:
+                new_outputs = tuple(
+                    y_interners[i].decode(int(new_ocodes[row, i])) for i in range(n)
+                )
+            successors.append((interner.decode_values(new_codes[row]), new_outputs))
+        return successors
 
     # -- component access ----------------------------------------------------
 
@@ -856,7 +878,7 @@ class ExplorationGraph:
         if self._group is None:
             return 0
         lid, oid, cid = self.state_keys[k]
-        values, outputs = self._transitions[(lid, oid)][sid][None]
+        values, outputs = self._raw_successors[(lid, oid, sid)]
         t = self._sets[sid]
         r = self.r
         countdown = tuple(
@@ -1007,3 +1029,439 @@ class ExplorationGraph:
                     in_region[k] = True
                     work.append(k)
         return {k for k in range(total) if in_region[k]}
+
+
+#: The sorted arrival keys end with this sentinel, above every real key.
+_NO_KEY = (1 << 63) - 1
+
+
+def _extend(store: array, values) -> None:
+    """Append an integer ndarray to an ``array`` store, without a copy when
+    the dtypes agree."""
+    values = np.ascontiguousarray(values, dtype=store.typecode)
+    store.frombytes(memoryview(values).cast("B"))
+
+
+class _ArrivalIndex:
+    """``(row, countdown id) -> state index``: where the level pass looks
+    up its edges' successor states.
+
+    Each level lays the entries out again, since both pools may have
+    grown: a dense ``rows x countdowns`` table while it has no more cells
+    than the graph has edges (a lookup is one gather), else sorted keys
+    ``row * countdowns + countdown id`` ending in a sentinel (a lookup is a
+    binary search), so the index never outgrows the edge store.  The table
+    serves every level of Example 1's K_5 and K_6 at r = 4; with the keys
+    alone those builds took 1.45x and 1.68x as long (median per-pair
+    ratios).  The keys serve sparse levels, such as a quotient's early
+    ones, whose raw successors are many and each meets few countdowns.  A
+    key stays below rows x countdowns, and so far below 2^63 for any pools
+    that fit in memory.
+    """
+
+    def __init__(self, rows, cids, states, width: int):
+        self.width = width
+        self._table = None
+        self._sort(self.key(rows, cids), states)
+
+    def _sort(self, keys, states) -> None:
+        order = np.argsort(keys)
+        self._keys = np.append(keys[order], _NO_KEY)
+        self._states = np.append(states[order], -1)
+
+    def layout(self, rows: int, width: int, edges: int) -> None:
+        """Lay the entries out for ``rows`` rows and ``width`` countdowns,
+        in a graph of ``edges`` edges."""
+        if self._table is not None:
+            keys = np.flatnonzero(self._table >= 0)
+            states = self._table[keys]
+        else:
+            keys, states = self._keys[:-1], self._states[:-1]
+        entry_rows, cids = np.divmod(keys, self.width)
+        self.width = width
+        keys = self.key(entry_rows, cids)
+        self._table = self._keys = self._states = None
+        if rows * width <= edges:
+            self._table = np.full(rows * width, -1, dtype=np.int64)
+            self._table[keys] = states
+        else:
+            self._sort(keys, states)
+
+    def key(self, rows, cids):
+        return rows * self.width + cids
+
+    def find(self, rows, cids):
+        """The state of each ``(row, countdown id)``, ``-1`` when absent."""
+        keys = self.key(rows, cids)
+        if self._table is not None:
+            return self._table[keys]
+        at = np.searchsorted(self._keys, keys)
+        states = self._states[at]
+        states[self._keys[at] != keys] = -1
+        return states
+
+    def add(self, rows, cids, states) -> None:
+        """Enter absent ``(row, countdown id)`` pairs."""
+        keys = self.key(rows, cids)
+        if self._table is not None:
+            self._table[keys] = states
+            return
+        order = np.argsort(keys)
+        at = np.searchsorted(self._keys, keys[order])
+        self._keys = np.insert(self._keys, at, keys[order])
+        self._states = np.insert(self._states, at, states[order])
+
+
+class _LevelPass:
+    """Expands an :class:`ExplorationGraph`'s BFS levels in array passes.
+
+    It lives while the graph is built, from the first level
+    :meth:`ExplorationGraph._wide` admits on, and interns into the graph's
+    pools in the order :meth:`ExplorationGraph._expand` does, so the
+    stores come out byte-identical.  Its ids: a *payload* numbers a
+    state's ``(labeling id, output id)`` and indexes the transition table;
+    a *row* is a successor payload, the payload itself on a concrete graph
+    and a raw successor payload on a quotient.  Per countdown id, the flat
+    move store holds the range of its moves (set ids and successor
+    countdown ids, in canonical activation-set order) and its forced-set
+    entry.  ``pids`` / ``cids`` hold the payload and countdown id of each
+    state of the level about to be expanded.
+    """
+
+    def __init__(self, graph: ExplorationGraph, lo: int):
+        """Take over from the per-edge loop, which expanded the states
+        before ``lo``: its moves, transitions and arrivals."""
+        self.graph = graph
+        self.quotient = graph._group is not None
+        self.payloads: list[tuple[int, int]] = []
+        self.payload_ids: dict[tuple[int, int], int] = {}
+        if self.quotient:
+            self.rows: list = []
+            self.row_ids: dict = {}
+        else:
+            self.rows, self.row_ids = self.payloads, self.payload_ids
+        # Forced-set entry id -> its activation sets' membership mask.
+        self.masks: dict[int, np.ndarray] = {}
+        #: A failed transition's row is ``-2 - i`` for the ``i``-th error.
+        self.errors: list[Exception] = []
+        # A row of countdown values is keyed by sum((x_i - 1) r^i), below
+        # r^n and so below 2^63 (see _explore).
+        self.weights = graph.r ** np.arange(graph.n, dtype=np.int64)
+
+        pool = graph._countdowns
+        moves = graph._moves_by_cid
+        cids = list(moves)
+        counts = np.array([len(moves[cid][1]) for cid in cids], dtype=np.int64)
+        self.move_start = np.zeros(len(pool), dtype=np.int64)
+        self.move_count = np.zeros(len(pool), dtype=np.int64)
+        self.move_entry = np.zeros(len(pool), dtype=np.int64)
+        self.move_start[cids] = np.cumsum(counts) - counts
+        self.move_count[cids] = counts
+        self.move_entry[cids] = [graph._activation(pool[cid])[0] for cid in cids]
+        self.move_sid = np.array(
+            [sid for cid in cids for sid in moves[cid][1]], dtype=np.intc
+        )
+        self.move_next = np.array(
+            [next_cid for cid in cids for next_cid in moves[cid][2]], dtype=np.int64
+        )
+
+        # A per-edge transition leads to a state table (concrete) or a
+        # canonical row (quotient), each holding its row under ``None``.
+        tables = graph._canon_rows if self.quotient else graph._index
+        row_of = {
+            id(table): _intern(self.row_ids, self.rows, table[None])
+            for table in tables.values()
+        }
+        booked = np.array(
+            [
+                (_intern(self.payload_ids, self.payloads, key), sid, row_of[id(table)])
+                for key, row in graph._transitions.items()
+                for sid, table in row.items()
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        #: payload x set id -> successor row, -1 until evaluated.
+        self.transitions = np.full(
+            (len(self.payloads), len(graph._sets)), -1, dtype=np.int64
+        )
+        self.transitions[booked[:, 0], booked[:, 1]] = booked[:, 2]
+
+        # Each arrival sits in its row's table under its countdown id: a
+        # concrete graph's states in their payloads' tables, a quotient's
+        # first arrivals in the raw successors' canonical rows (a quotient
+        # finds its canonical states, roots included, in the graph's
+        # tables).
+        rows, cids, states = (
+            np.array(
+                [
+                    (row_of[id(table)], cid, state)
+                    for table in tables.values()
+                    for cid, state in table.items()
+                    if cid is not None
+                ],
+                dtype=np.int64,
+            )
+            .reshape(-1, 3)
+            .T
+        )
+        self.arrivals = _ArrivalIndex(rows, cids, states, len(pool))
+        self.pids, self.cids = self._frontier(lo)
+
+    def _frontier(self, lo: int):
+        """Payload and countdown ids of the states from ``lo`` on."""
+        keys = self.graph.state_keys[lo:]
+        ids, payloads = self.payload_ids, self.payloads
+        pids = [_intern(ids, payloads, (lid, oid)) for lid, oid, _cid in keys]
+        cids = [key[2] for key in keys]
+        return np.array(pids, dtype=np.int64), np.array(cids, dtype=np.int64)
+
+    def expand(self, lo: int, hi: int) -> None:
+        """Expand the level of states ``lo:hi``, queueing the next one."""
+        pids, cids = self.pids, self.cids
+        self._moves(cids)
+        counts = self.move_count[cids]
+        self._step_missing(pids, cids, int(counts.sum()))
+        self._arrivals(lo, hi, pids, cids, counts)
+
+    # -- moves ---------------------------------------------------------------
+
+    def _moves(self, cids) -> None:
+        """Give the level's countdowns that have no moves yet theirs, at
+        once, in first-occurrence order."""
+        graph = self.graph
+        pool = graph._countdowns
+        grow = len(pool) - len(self.move_count)
+        if grow:
+            pad = np.zeros(grow, dtype=np.int64)
+            self.move_start = np.concatenate([self.move_start, pad])
+            self.move_count = np.concatenate([self.move_count, pad])
+            self.move_entry = np.concatenate([self.move_entry, pad])
+        _, first = np.unique(cids, return_index=True)
+        level = cids[np.sort(first)]
+        new = level[self.move_count[level] == 0].tolist()
+        counters = graph._stats_counters
+        counters["activation_misses"] += len(new)
+        counters["activation_hits"] += len(cids) - len(new)
+        if not new:
+            return
+        entries = [graph._activation(pool[cid]) for cid in new]
+        counts = np.array([len(entry[2]) for entry in entries], dtype=np.int64)
+        x = np.array([pool[cid] for cid in new], dtype=np.int64)
+        mask = np.concatenate([self._mask(eid, sets) for eid, sets, _ in entries])
+        next_cids = self._intern_countdowns(
+            np.where(mask, graph.r, np.repeat(x, counts, axis=0) - 1)
+        )
+        self.move_start[new] = len(self.move_sid) + np.cumsum(counts) - counts
+        self.move_count[new] = counts
+        self.move_entry[new] = [entry[0] for entry in entries]
+        sids = [np.frombuffer(entry[2], dtype=np.intc) for entry in entries]
+        self.move_sid = np.concatenate([self.move_sid, *sids])
+        self.move_next = np.concatenate([self.move_next, next_cids])
+
+    def _mask(self, entry: int, sets) -> np.ndarray:
+        """The ``(sets, n)`` boolean membership mask of a forced-set entry
+        (:meth:`ExplorationGraph._activation`), built once."""
+        mask = self.masks.get(entry)
+        if mask is None:
+            mask = self.masks[entry] = np.zeros((len(sets), self.graph.n), bool)
+            rows = np.repeat(np.arange(len(sets)), [len(t) for t in sets])
+            mask[rows, [i for t in sets for i in t]] = True
+        return mask
+
+    def _intern_countdowns(self, rows):
+        """Countdown ids of ``rows``, an ``(M, n)`` array of countdown
+        values, interning new countdowns in first-sight order."""
+        keys = (rows - 1) @ self.weights
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ids = np.empty(len(first), dtype=np.int64)
+        intern = self.graph._intern_countdown
+        ids[order] = [intern(tuple(row)) for row in rows[first[order]].tolist()]
+        return ids[inverse]
+
+    def _block(self, cids):
+        """Move-store indices of the edges of states with countdowns
+        ``cids``, in edge order, with each state's edge count and running
+        edge total."""
+        counts = self.move_count[cids]
+        ends = np.cumsum(counts)
+        shift = self.move_start[cids] - (ends - counts)
+        return np.arange(ends[-1]) + np.repeat(shift, counts), counts, ends
+
+    # -- transitions ---------------------------------------------------------
+
+    def _step_missing(self, pids, cids, edges: int) -> None:
+        """Evaluate the level's missing ``(payload, T)`` transitions.
+
+        They are found in first-occurrence (edge) order, each payload once
+        per set, and bucketed by set: a bucket of at least
+        :data:`AUTO_BATCH_MIN_ROWS` rows is one kernel call when the
+        engine can step it.  Then each is booked
+        (:meth:`ExplorationGraph._miss`) in that order, the others stepped
+        serially as they are booked, so successors are interned as on the
+        per-edge route.  An error a transition raises (its reaction's, or
+        a quotient's label-space check) is kept, and :meth:`_chunk` raises
+        it at the transition's first edge, after the arrivals before it,
+        where the per-edge route meets it.
+        """
+        graph = self.graph
+        # States sharing a payload and a forced set share their (payload,
+        # T) pairs: the first of each stands for all.
+        _, first = np.unique(
+            pids * len(graph._activations) + self.move_entry[cids],
+            return_index=True,
+        )
+        first.sort()
+        moves, counts, _ends = self._block(cids[first])
+        old = self.transitions
+        if old.shape[0] < len(self.payloads) or old.shape[1] < len(graph._sets):
+            shape = (max(len(self.payloads), 2 * old.shape[0]), len(graph._sets))
+            self.transitions = np.full(shape, -1, dtype=np.int64)
+            self.transitions[: old.shape[0], : old.shape[1]] = old
+        width = self.transitions.shape[1]
+        flat = self.transitions.ravel()
+        pairs = np.repeat(pids[first] * width, counts) + self.move_sid[moves]
+        pairs = pairs[flat[pairs] < 0]
+        _, first = np.unique(pairs, return_index=True)
+        keys = pairs[np.sort(first)]
+        counters = graph._stats_counters
+        counters["transition_misses"] += len(keys)
+        counters["transition_hits"] += edges - len(keys)
+        if not len(keys):
+            return
+        payloads = [self.payloads[pid] for pid in (keys // width).tolist()]
+        sids = (keys % width).tolist()
+        buckets: dict[int, list[int]] = {}
+        for i, sid in enumerate(sids):
+            buckets.setdefault(sid, []).append(i)
+        successors: list = [None] * len(sids)
+        for sid, members in buckets.items():
+            if len(members) < AUTO_BATCH_MIN_ROWS:
+                continue
+            try:
+                stepped = graph._step_bucket(
+                    graph._sets[sid], [payloads[i] for i in members]
+                )
+            except Exception:  # a reaction raised: each row steps serially
+                continue
+            if stepped is not None:
+                for i, successor in zip(members, stepped, strict=True):
+                    successors[i] = successor
+        row_ids, rows, errors = self.row_ids, self.rows, self.errors
+        booked = []
+        for (lid, oid), sid, successor in zip(payloads, sids, successors, strict=True):
+            try:
+                if successor is None:
+                    successor = graph._step(lid, oid, graph._sets[sid])
+                row = _intern(row_ids, rows, graph._miss(lid, oid, sid, successor))
+            except Exception as error:  # raised at its first edge (_chunk)
+                row = -2 - len(errors)
+                errors.append(error)
+            booked.append(row)
+        flat[keys] = booked
+
+    # -- arrivals ------------------------------------------------------------
+
+    def _arrivals(self, lo: int, hi: int, pids, cids, counts) -> None:
+        """Resolve the level's edge block chunk by chunk, appending the
+        edges of states ``lo:hi`` and the states they reach first."""
+        graph = self.graph
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        self.arrivals.layout(
+            len(self.rows), len(graph._countdowns), len(graph.edge_dst) + total
+        )
+        if not self.quotient:
+            self.payload_array = np.array(self.payloads, dtype=np.int64)
+        reached = []
+        a = 0
+        while a < len(cids):
+            limit = int(ends[a] - counts[a]) + LEVEL_CHUNK_EDGES
+            b = max(a + 1, int(np.searchsorted(ends, min(limit, total), "right")))
+            reached.append(self._chunk(lo + a, pids[a:b], cids[a:b]))
+            a = b
+        if self.quotient:
+            self.pids, self.cids = self._frontier(hi)
+        else:
+            self.pids = np.concatenate([rows for rows, _cids in reached])
+            self.cids = np.concatenate([cids for _rows, cids in reached])
+
+    def _chunk(self, k0: int, pids, cids):
+        """Append the edges of the states numbered from ``k0`` (payload ids
+        ``pids``, countdown ids ``cids``), adding the states they reach
+        first (:meth:`_arrive`).  Returns the rows and countdown ids of a
+        concrete graph's new states."""
+        graph = self.graph
+        moves, counts, ends = self._block(cids)
+        sids = self.move_sid[moves]
+        next_cids = self.move_next[moves]
+        del moves
+        width = self.transitions.shape[1]
+        rows = self.transitions.ravel()[np.repeat(pids * width, counts) + sids]
+        failed = np.flatnonzero(rows < 0)
+        if len(failed):
+            stop = failed[0]
+            self._arrive(k0, ends, rows[:stop], next_cids[:stop], sids[:stop])
+            raise self.errors[-2 - rows[stop]]
+        dst, new_rows, new_cids = self._arrive(k0, ends, rows, next_cids, sids)
+        ends += len(graph.edge_dst)
+        _extend(graph.edge_dst, dst)
+        _extend(graph.edge_sid, sids)
+        _extend(graph.edge_offsets, ends)
+        return new_rows, new_cids
+
+    def _arrive(self, k0: int, ends, rows, next_cids, sids):
+        """The target state of each edge (successor row ``rows``, countdown
+        ``next_cids``, set ``sids``) of the states numbered from ``k0``,
+        whose edge counts run up to ``ends``.  States reached first are
+        added in edge order: numbered in order, each with its first edge
+        as parent, on a concrete graph; canonicalized one by one on a
+        quotient.  Also returns the rows and countdown ids of the first
+        arrivals."""
+        graph = self.graph
+        arrivals = self.arrivals
+        dst = arrivals.find(rows, next_cids)
+        missing = np.flatnonzero(dst < 0)
+        if not len(missing):
+            return dst, missing, missing
+        _, first = np.unique(
+            arrivals.key(rows[missing], next_cids[missing]), return_index=True
+        )
+        edges = missing[np.sort(first)]
+        new_rows, new_cids, new_sids = rows[edges], next_cids[edges], sids[edges]
+        preds = k0 + np.searchsorted(ends, edges, "right")
+        if self.quotient:
+            arrive = graph._arrive_canonical
+            raw = self.rows
+            states = np.array(
+                [
+                    arrive(raw[row], cid, pred, sid)
+                    for row, cid, pred, sid in zip(
+                        new_rows.tolist(),
+                        new_cids.tolist(),
+                        preds.tolist(),
+                        new_sids.tolist(),
+                        strict=True,
+                    )
+                ],
+                dtype=np.int64,
+            )
+        else:
+            states = self._add_states(new_rows, new_cids, preds, new_sids)
+        arrivals.add(new_rows, new_cids, states)
+        dst[missing] = arrivals.find(rows[missing], next_cids[missing])
+        return dst, new_rows, new_cids
+
+    def _add_states(self, rows, cids, preds, sids):
+        """Store a concrete graph's new states, numbered in order."""
+        graph = self.graph
+        k = len(graph.state_keys)
+        count = len(rows)
+        if k + count > graph._budget:
+            raise graph._budget_exceeded()
+        lids, oids = self.payload_array[rows].T.tolist()
+        graph.state_keys.extend(zip(lids, oids, cids.tolist(), strict=True))
+        _extend(graph.parent_idx, preds)
+        _extend(graph.parent_sid, sids)
+        graph._covered += count
+        return np.arange(k, k + count, dtype=np.int64)

@@ -84,6 +84,36 @@ def graph_lists(graph) -> GraphLists:
     return GraphLists(states, successors, parents)
 
 
+def graph_stores(graph) -> dict:
+    """Everything an exploration graph stores, for comparing two builds:
+    the state keys, the CSR edge and parent stores, the pools in id order,
+    the roots, the changing sets and the stats."""
+    return {
+        "state_keys": graph.state_keys,
+        "edge_offsets": list(graph.edge_offsets),
+        "edge_dst": list(graph.edge_dst),
+        "edge_sid": list(graph.edge_sid),
+        "parent_idx": list(graph.parent_idx),
+        "parent_sid": list(graph.parent_sid),
+        "labels": graph._labels,
+        "outputs": graph._outs,
+        "countdowns": graph._countdowns,
+        "sets": graph._sets,
+        "initial_indices": graph.initial_indices,
+        "changing": [graph.changing_sets(k) for k in range(len(graph))],
+        "stats": graph.stats().as_dict(),
+    }
+
+
+def without_batch_counters(stores: dict) -> dict:
+    """``stores`` with the kernel-call stats dropped: a build without
+    numpy steps every transition serially."""
+    stats = dict(stores["stats"])
+    for field in ("frontier_mode", "batch_calls", "batch_rows"):
+        del stats[field]
+    return {**stores, "stats": stats}
+
+
 def constant_protocol(topology: Topology, label=0) -> StatelessProtocol:
     """Every node always writes ``label`` everywhere and outputs it."""
 

@@ -132,6 +132,34 @@ class TestProvenance:
         json.dumps(record)  # the record stays JSON-able
 
 
+class TestFailures:
+    def test_every_bench_runs_and_each_failure_is_named(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        for name, body in (
+            ("bench_a_fails", "    assert False, 'gate'\n"),
+            ("bench_b_passes", "    benchmark(lambda: None)\n"),
+            ("bench_c_fails", "    raise RuntimeError('broken')\n"),
+        ):
+            (tmp_path / f"{name}.py").write_text(
+                f"def test_{name}(benchmark):\n{body}"
+            )
+        monkeypatch.setattr(_runner, "BENCH_DIR", tmp_path)
+        try:
+            _runner.main(["--repeats", "1"])
+        except SystemExit as exit_:
+            message = str(exit_.code)
+        else:
+            raise AssertionError("a failed bench must fail the run")
+        assert message == "2 bench(es) raised: bench_a_fails, bench_c_fails"
+        # The bench after the first failure still ran and recorded; the
+        # failed ones wrote nothing.
+        assert sorted(path.name for path in tmp_path.glob("BENCH_*.json")) == [
+            "BENCH_bench_b_passes.json"
+        ]
+        assert "RuntimeError: broken" in capsys.readouterr().err
+
+
 class TestCommittedRecords:
     def test_every_committed_record_carries_history(self):
         records = sorted(BENCH_DIR.glob("BENCH_*.json"))

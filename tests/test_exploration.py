@@ -16,17 +16,27 @@ import subprocess
 import sys
 import weakref
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ExecutionPolicy
-from repro.core import ExplicitSchedule, Labeling, Simulator, default_inputs
+from repro.core import (
+    ExplicitSchedule,
+    Labeling,
+    Simulator,
+    StatelessProtocol,
+    UniformReaction,
+    binary,
+    default_inputs,
+)
 from repro.core.compiled import compile_protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
 from repro.faults import exhaustive_worst_case_delay
-from repro.graphs import clique
+from repro.graphs import Topology, clique, unidirectional_ring
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
@@ -41,10 +51,14 @@ from repro.stabilization import exploration
 
 from tests.helpers import (
     SERIAL_FLOOR,
+    constant_protocol,
     copy_ring_protocol,
     graph_lists,
+    graph_stores,
     or_clique_protocol,
     set_batch_floor,
+    without_batch_counters,
+    xor_ring_protocol,
 )
 
 
@@ -489,9 +503,9 @@ class TestVerifyCliqueVerdicts:
         }
 
 
-#: Decides Example 1 on K_4 at r = 3, concrete and on the quotient, and
-#: prints what the verdicts say as JSON.  ``block_numpy`` runs it as if
-#: numpy were not installed.
+#: Builds Example 1 on K_4 at r = 3, concrete and on the quotient, decides
+#: it, and prints every store and what the verdicts say as JSON.
+#: ``block_numpy`` runs it as if numpy were not installed.
 _VERDICT_SCRIPT = """
 import json, sys
 if sys.argv[1] == "block_numpy":
@@ -499,22 +513,37 @@ if sys.argv[1] == "block_numpy":
 from repro import ExecutionPolicy
 from repro.core import default_inputs
 from repro.stabilization import (
-    broadcast_labelings, decide_label_r_stabilizing, example1_protocol,
+    ExplorationGraph, broadcast_labelings, decide_label_r_stabilizing,
+    example1_protocol,
 )
 protocol = example1_protocol(4)
+initial = list(broadcast_labelings(protocol.topology, protocol.label_space))
 report = []
 for symmetry in ("none", "auto"):
+    policy = ExecutionPolicy(symmetry=symmetry)
+    graph = ExplorationGraph(
+        protocol, default_inputs(protocol), 3, initial, policy=policy
+    )
     verdict = decide_label_r_stabilizing(
         protocol,
         default_inputs(protocol),
         3,
-        initial_labelings=broadcast_labelings(
-            protocol.topology, protocol.label_space
-        ),
-        policy=ExecutionPolicy(symmetry=symmetry),
+        initial_labelings=initial,
+        policy=policy,
     )
     witness = verdict.witness
     report.append({
+        "stores": repr([
+            graph.state_keys, list(graph.edge_offsets), list(graph.edge_dst),
+            list(graph.edge_sid), list(graph.parent_idx),
+            list(graph.parent_sid), graph._labels, graph._outs,
+            graph._countdowns, [sorted(t) for t in graph._sets],
+            graph.initial_indices,
+            [sorted(graph.changing_sets(k)) for k in range(len(graph))],
+            [graph.element(k, graph.edge_sid[e]) for k in range(len(graph))
+             for e in range(graph.edge_offsets[k], graph.edge_offsets[k + 1])],
+        ]),
+        "stats": graph.stats().as_dict(),
         "stabilizing": verdict.stabilizing,
         "states": verdict.states_explored,
         "symmetry_order": verdict.stats.symmetry_order,
@@ -606,8 +635,11 @@ class TestWithoutNumpy:
                 timeout=300,
             )
             reports[mode] = json.loads(run.stdout)
+        # No level of K_4 holds a bucket of 32 rows, so even the kernel
+        # counters agree.
         assert reports["block_numpy"] == reports["with_numpy"]
         concrete, quotient = reports["block_numpy"]
+        assert concrete["stats"]["frontier_mode"] == "serial"
         assert (concrete["states"], quotient["states"]) == (404, 44)
         assert quotient["symmetry_order"] == 24
         assert not concrete["stabilizing"] and not quotient["stabilizing"]
@@ -770,3 +802,254 @@ class TestFrontierModes:
         assert graph_lists(graph).successors == graph_lists(serial).successors
         assert list(graph.parent_idx) == list(serial.parent_idx)
         assert list(graph.parent_sid) == list(serial.parent_sid)
+
+
+# -- the level pass against the per-edge route --------------------------------
+
+
+def _route_zoo():
+    """``(protocol, initial labelings, largest r)`` for the route property."""
+    zoo = []
+    for n in (3, 4, 5):
+        protocol = example1_protocol(n)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        zoo.append((protocol, inits, n - 1))
+    ring = copy_ring_protocol(5)
+    mixed = [(1, 0, 0, 1, 0), (1, 1, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 0, 0, 0)]
+    zoo.append((ring, [Labeling(ring.topology, values) for values in mixed], 4))
+    orc = or_clique_protocol(clique(4))
+    zoo.append((orc, list(broadcast_labelings(orc.topology, orc.label_space)), 3))
+    xor = xor_ring_protocol(6)
+    every = [Labeling(xor.topology, values) for values in product((0, 1), repeat=6)]
+    # At r = 4 and 5 its graphs hold 10^5 states or more.
+    zoo.append((xor, every, 3))
+    return zoo
+
+
+ROUTE_ZOO = _route_zoo()
+
+
+def build_on_both_routes(protocol, r, inits, **kwargs):
+    """The graph the level pass builds, and the one the per-edge route
+    builds with the module's numpy handle patched away."""
+    inputs = default_inputs(protocol)
+    level = ExplorationGraph(protocol, inputs, r, inits, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exploration, "np", None)
+        per_edge = ExplorationGraph(protocol, inputs, r, inits, **kwargs)
+    return level, per_edge
+
+
+def doubling_ring_protocol(n: int) -> StatelessProtocol:
+    """A ring whose nodes forward twice their incoming bit: a 1 becomes
+    the label 2, outside the declared binary space."""
+    topology = unidirectional_ring(n)
+
+    def make(i):
+        def fn(incoming, _x):
+            (value,) = incoming.values()
+            return min(2 * value, 2), value
+
+        return UniformReaction(topology.out_edges(i), fn)
+
+    return StatelessProtocol(
+        topology, binary(), [make(i) for i in range(n)], name=f"doubling-ring({n})"
+    )
+
+
+def raising_ring_protocol(n: int) -> StatelessProtocol:
+    """A ring whose nodes forward a 0 and raise on reading a 1."""
+    topology = unidirectional_ring(n)
+
+    def make(i):
+        def fn(incoming, _x):
+            (value,) = incoming.values()
+            if value:
+                raise RuntimeError("read a 1")
+            return 0, 0
+
+        return UniformReaction(topology.out_edges(i), fn)
+
+    return StatelessProtocol(
+        topology, binary(), [make(i) for i in range(n)], name=f"raising-ring({n})"
+    )
+
+
+class TestLevelPass:
+    """With numpy each BFS level is expanded by array passes, without it
+    one edge at a time; both must build byte-identical graphs."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_both_routes_build_identical_graphs(self, data):
+        pytest.importorskip("numpy")
+        protocol, inits, max_r = data.draw(st.sampled_from(ROUTE_ZOO))
+        r = data.draw(st.integers(min_value=1, max_value=max_r))
+        track_outputs = data.draw(st.booleans())
+        symmetry = data.draw(st.sampled_from(["none", "auto"]))
+        floor = data.draw(st.sampled_from([1, 4, 32, SERIAL_FLOOR]))
+        inits = data.draw(st.permutations(inits))
+        inits = inits[: data.draw(st.integers(min_value=1, max_value=len(inits)))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", floor)
+            level, per_edge = build_on_both_routes(
+                protocol,
+                r,
+                inits,
+                track_outputs=track_outputs,
+                policy=ExecutionPolicy(symmetry=symmetry),
+            )
+        stores = graph_stores(level)
+        assert without_batch_counters(stores) == without_batch_counters(
+            graph_stores(per_edge)
+        )
+        if floor == SERIAL_FLOOR:
+            assert stores == graph_stores(per_edge)
+
+    @pytest.mark.parametrize("symmetry", ["none", "auto"])
+    def test_chunk_bound_does_not_change_the_graph(self, symmetry, monkeypatch):
+        pytest.importorskip("numpy")
+        protocol = example1_protocol(5)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        stores = []
+        # One state per chunk, the default bound, and one chunk per level.
+        for bound in (1, exploration.LEVEL_CHUNK_EDGES, sys.maxsize):
+            monkeypatch.setattr(exploration, "LEVEL_CHUNK_EDGES", bound)
+            graph = ExplorationGraph(
+                protocol,
+                inputs,
+                3,
+                inits,
+                track_outputs=True,
+                policy=ExecutionPolicy(symmetry=symmetry),
+            )
+            stores.append(graph_stores(graph))
+        assert stores[0] == stores[1] == stores[2]
+
+    @pytest.mark.parametrize("symmetry", ["none", "auto"])
+    def test_the_level_pass_takes_over_mid_build(self, symmetry, monkeypatch):
+        # From one root the first levels hold fewer payloads than the floor
+        # and expand one edge at a time; at the first wide level the level
+        # pass takes over the per-edge loop's moves, transitions and
+        # arrivals.  The copy ring's labelings rotate, so later levels
+        # reuse transitions the per-edge loop evaluated.
+        pytest.importorskip("numpy")
+        protocol = copy_ring_protocol(5)
+        inits = [Labeling(protocol.topology, (1, 0, 0, 0, 0))]
+        starts = []
+        level_pass = exploration._LevelPass
+
+        def spy(graph, lo):
+            starts.append(lo)
+            return level_pass(graph, lo)
+
+        monkeypatch.setattr(exploration, "_LevelPass", spy)
+        set_batch_floor(monkeypatch, 4)
+        level, per_edge = build_on_both_routes(
+            protocol, 3, inits, policy=ExecutionPolicy(symmetry=symmetry)
+        )
+        assert starts[0] > 0
+        assert level.stats().batch_calls > 0
+        assert without_batch_counters(graph_stores(level)) == without_batch_counters(
+            graph_stores(per_edge)
+        )
+
+    @pytest.mark.parametrize("r", [2**63 - 1, 2**63, 2**64 - 1, 2**64])
+    def test_countdowns_beyond_int64(self, r):
+        # A one-node graph keeps its single countdown (r,) for any r; from
+        # r**n = 2^63 on, its countdown keys would overflow int64, so the
+        # per-edge loop builds it.
+        protocol = constant_protocol(Topology(1, []))
+        inits = [Labeling(protocol.topology, ())]
+        level, per_edge = build_on_both_routes(protocol, r, inits)
+        assert level._countdowns == [(r,)]
+        assert graph_stores(level) == graph_stores(per_edge)
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    @pytest.mark.parametrize("symmetry", ["none", "auto"])
+    def test_budget_one_below_the_state_count(
+        self, symmetry, numpy_present, monkeypatch
+    ):
+        protocol = example1_protocol(4)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        policy = ExecutionPolicy(symmetry=symmetry)
+        if not numpy_present:
+            monkeypatch.setattr(exploration, "np", None)
+        states = len(ExplorationGraph(protocol, inputs, 3, inits, policy=policy))
+        with pytest.raises(
+            SearchBudgetExceeded,
+            match=f"^probe exceeded budget of {states - 1} states$",
+        ):
+            ExplorationGraph(
+                protocol, inputs, 3, inits, budget=states - 1, name="probe",
+                policy=policy,
+            )
+
+    def test_out_of_space_bucket_steps_serially(self, monkeypatch):
+        # Label 2 lies outside the copy ring's binary space and rotates
+        # through every labeling reached from the first root, so every
+        # bucket holds it: the level pass builds the engine, steps each
+        # bucket serially, and matches the route without numpy.
+        pytest.importorskip("numpy")
+        protocol = copy_ring_protocol(5)
+        topology = protocol.topology
+        inits = [
+            Labeling(topology, (2, 0, 1, 0, 0)),
+            Labeling(topology, (1, 0, 0, 1, 0)),
+        ]
+        set_batch_floor(monkeypatch, 1)
+        level, per_edge = build_on_both_routes(protocol, 2, inits, track_outputs=True)
+        assert level._engine is not None
+        assert level.stats().batch_calls == 0
+        assert any(2 in values for values in level._labels)
+        assert without_batch_counters(graph_stores(level)) == without_batch_counters(
+            graph_stores(per_edge)
+        )
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    @pytest.mark.parametrize(
+        "protocol, symmetry, error",
+        [
+            (doubling_ring_protocol(5), "auto", ValidationError),
+            (raising_ring_protocol(5), "none", RuntimeError),
+        ],
+        ids=["out-of-space-quotient", "raising-reaction"],
+    )
+    def test_errors_are_met_in_edge_order(
+        self, protocol, symmetry, error, numpy_present, monkeypatch
+    ):
+        # From (1, 0, 0, 0, 0), the root's first edge (T = {0}) reaches the
+        # new state 0^5 and its second (T = {1}) fails.  With room for the
+        # root alone, the budget is exceeded first; with room to spare, the
+        # failing transition raises.  The level pass evaluates the level's
+        # transitions before its arrivals, yet raises in edge order too.
+        inputs = default_inputs(protocol)
+        inits = [Labeling(protocol.topology, (1, 0, 0, 0, 0))]
+        policy = ExecutionPolicy(symmetry=symmetry)
+        set_batch_floor(monkeypatch, 1)
+        if not numpy_present:
+            monkeypatch.setattr(exploration, "np", None)
+        with pytest.raises(SearchBudgetExceeded):
+            ExplorationGraph(protocol, inputs, 2, inits, budget=1, policy=policy)
+        with pytest.raises(error):
+            ExplorationGraph(protocol, inputs, 2, inits, budget=2, policy=policy)
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    def test_quotient_refuses_an_out_of_space_successor(
+        self, numpy_present, monkeypatch
+    ):
+        # The rotations are verified over the binary space only; the first
+        # transition that writes 2 stops the quotient on either route.
+        protocol = doubling_ring_protocol(5)
+        inputs = default_inputs(protocol)
+        inits = [Labeling(protocol.topology, (1, 0, 0, 0, 0))]
+        if not numpy_present:
+            monkeypatch.setattr(exploration, "np", None)
+        concrete = ExplorationGraph(protocol, inputs, 2, inits)
+        assert any(2 in values for values in concrete._labels)
+        with pytest.raises(ValidationError, match="outside the declared label space"):
+            ExplorationGraph(
+                protocol, inputs, 2, inits, policy=ExecutionPolicy(symmetry="auto")
+            )

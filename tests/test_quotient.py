@@ -39,12 +39,15 @@ from repro.stabilization import (
     decide_output_r_stabilizing,
     example1_protocol,
 )
+from repro.stabilization import exploration
 
 from tests.helpers import (
     SERIAL_FLOOR,
     graph_lists,
+    graph_stores,
     or_clique_protocol,
     set_batch_floor,
+    without_batch_counters,
 )
 
 #: The policy spelling of the legacy ``symmetry="auto"`` keyword.
@@ -151,6 +154,43 @@ class TestDerivedElements:
                     assert nodes(g, raw_outputs) == graph.outputs_of(j)
                     changed = changed or raw_outputs != outputs
                 assert (sid in changing) == changed
+
+
+class TestLevelPass:
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_quotients_match_the_per_edge_route(self, track_outputs, seed):
+        # The level pass canonicalizes each first arrival in edge order, as
+        # the per-edge route does: same calls, same stores, same elements.
+        # Floor 1 takes it from the first level; from three roots, floor 4
+        # has it take over mid-build.
+        pytest.importorskip("numpy")
+        rng = random.Random(seed)
+        protocol = symmetric_protocol(rng)
+        inputs = default_inputs(protocol)
+        r = rng.randrange(1, 4)
+        inits = [random_labeling(rng, protocol) for _ in range(3)]
+        graphs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", rng.choice([1, 4]))
+            for _route in ("level pass", "per edge"):
+                graphs.append(
+                    ExplorationGraph(
+                        protocol,
+                        inputs,
+                        r,
+                        inits,
+                        track_outputs=track_outputs,
+                        policy=QUOTIENT,
+                    )
+                )
+                patch.setattr(exploration, "np", None)
+        level, per_edge = graphs
+        assert without_batch_counters(graph_stores(level)) == without_batch_counters(
+            graph_stores(per_edge)
+        )
+        assert derived_edges(level) == derived_edges(per_edge)
 
 
 class TestVerdictEquivalence:
