@@ -11,9 +11,10 @@ Each record keeps that trajectory explicitly: the top-level ``entries`` hold
 the latest run (what ``check_regression.py`` gates on), and every earlier
 run is appended to a ``history`` list, newest last, so re-recording a
 baseline never discards the measurements it replaces.  Each run carries a
-``provenance`` block (git commit when the checkout has one, Python and
-numpy versions, CPU count, platform), so numbers from different machines
-can be told apart; history snapshots keep theirs.
+``provenance`` block (git commit when the checkout has one, and whether
+``src`` or ``benchmarks`` differ from it, Python and numpy versions, CPU
+count, platform), so numbers from different machines and trees can be told
+apart; history snapshots keep theirs.
 
 A module may set ``BENCH_STEPS`` (engine steps executed per kernel call) to
 get a derived ``steps_per_s`` figure in its JSON.  A bench may attach
@@ -150,12 +151,12 @@ def bench_entry_points(module):
     return entries
 
 
-def provenance() -> dict:
-    """Where a run was made: the checkout's git commit (``None`` outside a
-    git checkout), Python and numpy versions, CPU count and platform."""
+def _git(*args: str) -> str | None:
+    """The output of a git command in the checkout, ``None`` when it fails
+    (outside a git checkout, say)."""
     try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+        return subprocess.run(
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -163,7 +164,16 @@ def provenance() -> dict:
             check=True,
         ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        sha = None
+        return None
+
+
+def provenance() -> dict:
+    """Where a run was made: the checkout's git commit (``None`` outside a
+    git checkout) and whether ``src`` or ``benchmarks`` differ from it
+    (``dirty``: the numbers then come from a tree no commit names), Python
+    and numpy versions, CPU count and platform."""
+    sha = _git("rev-parse", "HEAD") or None
+    changes = _git("status", "--porcelain", "--", "src", "benchmarks") if sha else None
     try:
         import numpy
     except ImportError:
@@ -171,7 +181,8 @@ def provenance() -> dict:
     else:
         numpy_version = numpy.__version__
     return {
-        "git_sha": sha or None,
+        "git_sha": sha,
+        "dirty": None if changes is None else bool(changes),
         "python": platform.python_version(),
         "numpy": numpy_version,
         "cpu_count": os.cpu_count(),

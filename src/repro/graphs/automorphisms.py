@@ -36,7 +36,8 @@ This module provides the group machinery behind that quotient:
   numpy a call scans only that coset of elements, memoized per countdown,
   against packed integer keys of the labeling memoized per labeling, each
   key word one exact float64 matrix-vector product over the whole group;
-  without numpy, a plain scan compares the vectors as tuples.
+  a block of states is answered at once, in ragged passes over the
+  cosets.  Without numpy, a plain scan compares the vectors as tuples.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of node ``i``;
 ``compose(p, q)`` is ``p after q``.  A group element acts on a state by
@@ -82,6 +83,14 @@ KEY_WORD_BITS = 53
 #: Canonicalizer key memo cap, in 8-byte floats (8 MiB): each labeling
 #: keeps one key word per element, so K_6 keeps about 1,450 labelings.
 KEY_MEMO_FLOATS = 1 << 20
+
+#: A block of states (:meth:`StateCanonicalizer.canonical_block`) finds
+#: the cosets of at most this many countdowns per product and scans the
+#: states of at most this many labelings at a time, in ragged passes of at
+#: most ``SCAN_ELEMENTS`` coset elements (and at least one state) each,
+#: which bounds its temporaries.
+BLOCK_COLUMNS = 16
+SCAN_ELEMENTS = 1 << 12
 
 
 # -- permutation primitives --------------------------------------------------
@@ -307,8 +316,11 @@ class SymmetryGroup:
 
     With numpy, the node and edge permutations are also kept as ``(order,
     n)`` and ``(order, m)`` index matrices, built in one gather, which the
-    canonicalizer reads; the inverse tables reuse the permutations of the
-    inverse elements, since the edge action is a homomorphism.
+    canonicalizer reads, and each element's inverse is found by inverting
+    every row at once.  The inverse tables reuse the permutations of the
+    inverse elements, since the edge action is a homomorphism: with numpy,
+    rows ``_inverses[g]`` of the matrices say where each position of ``g .
+    state`` is read from, so a batch of states is moved by two gathers.
     """
 
     def __init__(
@@ -331,6 +343,12 @@ class SymmetryGroup:
         if np is not None:
             self._nodes, self._edges = _permutation_matrices(topology, node_perms)
             edge_perms = tuple(map(tuple, self._edges.tolist()))
+            inverses = np.empty_like(self._nodes)
+            np.put_along_axis(inverses, self._nodes, np.arange(n), axis=1)
+            self._inverse_index = tuple(
+                map(self._require, map(tuple, inverses.tolist()))
+            )
+            self._inverses = np.array(self._inverse_index, dtype=np.intp)
         else:  # pragma: no cover - numpy present in CI
             self._nodes = self._edges = None
             edge_perms = tuple(
@@ -338,8 +356,8 @@ class SymmetryGroup:
             )
             if None in edge_perms:
                 _not_an_automorphism(topology, node_perms[edge_perms.index(None)])
+            self._inverse_index = tuple(map(self._require, map(invert, node_perms)))
         self.edge_perms = edge_perms
-        self._inverse_index = tuple(map(self._require, map(invert, node_perms)))
         self.node_inverses = tuple(map(node_perms.__getitem__, self._inverse_index))
         self.edge_inverses = tuple(map(edge_perms.__getitem__, self._inverse_index))
 
@@ -446,6 +464,12 @@ class StateCanonicalizer:
     cosets of one countdown orbit hold one group order of indices
     together.  A code no word can hold falls back to ``_canonical_py``,
     the numpy-free path and the reference.
+
+    :meth:`canonical_block` answers many states at once, as
+    :meth:`canonical` would one by one in their order, from the same
+    memos: the cosets of a block's new countdowns and the keys of its new
+    labelings take one product per :data:`BLOCK_COLUMNS` of them, and each
+    state's least key over its coset is taken in ragged passes.
     """
 
     def __init__(self, group: SymmetryGroup, track_outputs: bool):
@@ -515,6 +539,109 @@ class StateCanonicalizer:
             return self._canonical_np(base, labeling)
         return _least(self._key_table[row], coset, self._order)
 
+    def canonical_block(self, labelings, countdowns, labeling_of, countdown_of):
+        """:meth:`canonical` of many states at once, as two arrays ``(gids,
+        ties)``.
+
+        State ``a`` is labeling ``labelings[labeling_of[a]]`` at countdown
+        ``countdowns[countdown_of[a]]``.  ``labelings`` holds distinct
+        ``(values, outputs)`` pairs (outputs ``None`` unless tracked) in the
+        order of their first states, so unseen labels get codes in the
+        order calls of :meth:`canonical` in state order would give them;
+        ``countdowns`` holds distinct countdown tuples.  Every result equals
+        :meth:`canonical`'s.  The cosets of new countdowns take one product
+        per :data:`BLOCK_COLUMNS` countdowns, each labeling's keys are
+        computed once (the memo keeps them), and the states of each run of
+        :data:`BLOCK_COLUMNS` labelings take their least keys over their
+        cosets in ragged passes of at most :data:`SCAN_ELEMENTS` coset
+        elements, a key word at a time.  A code no key word holds sends the
+        block through :meth:`canonical`, state by state.
+        """
+        track = self.track_outputs
+        m = self._m
+        rows = [self._encode(values, outputs, ()) for values, outputs in labelings]
+        codes = np.array(rows, dtype=np.int64).reshape(len(rows), m + self._n * track)
+        new = [countdown for countdown in countdowns if countdown not in self._cosets]
+        fits = self._fits(
+            int(codes[:, :m].max(initial=0)), int(codes[:, m:].max(initial=0))
+        )
+        if not (fits and (not new or self._find_cosets(new))):
+            states = zip(labeling_of.tolist(), countdown_of.tolist(), strict=True)
+            pairs = [self.canonical(*labelings[i], countdowns[j]) for i, j in states]
+            gids, ties = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            return gids, ties
+        names = [pair if track else pair[0] for pair in labelings]
+        cosets = [self._cosets[countdown] for countdown in countdowns]
+        sizes = np.fromiter(map(len, cosets), dtype=np.int64, count=len(cosets))
+        starts = np.cumsum(sizes) - sizes
+        flat = np.concatenate(cosets)
+        gids = np.empty(len(labeling_of), dtype=np.int64)
+        ties = np.empty(len(labeling_of), dtype=np.int64)
+        for lo in range(0, len(labelings), BLOCK_COLUMNS):
+            table, rows = self._run_keys(
+                names[lo : lo + BLOCK_COLUMNS], codes[lo : lo + BLOCK_COLUMNS]
+            )
+            chosen = np.flatnonzero(labeling_of // BLOCK_COLUMNS == lo // BLOCK_COLUMNS)
+            ends = np.cumsum(sizes[countdown_of[chosen]])
+            a = 0
+            while a < len(chosen):
+                limit = (ends[a - 1] if a else 0) + SCAN_ELEMENTS
+                b = max(a + 1, int(np.searchsorted(ends, limit, "right")))
+                part = chosen[a:b]
+                cds = countdown_of[part]
+                gids[part], ties[part] = self._scan(
+                    table, rows[labeling_of[part] - lo], flat, starts[cds], sizes[cds]
+                )
+                a = b
+            del table
+        return gids, ties
+
+    def _run_keys(self, names, codes):
+        """A table of the keys of a run of labelings (word-major rows, as in
+        the memo) and each labeling's row in it.  Labelings the memo lacks
+        get their keys as :meth:`canonical` would (:meth:`_keys`, memoized),
+        and the memo is the table; a run the memo cannot hold at once gets
+        a table of its own."""
+        memo = self._key_rows
+        codes = list(map(tuple, codes.tolist()))
+        for name, row in zip(names, codes, strict=True):
+            if name not in memo:
+                self._keys(row, name)
+        rows = list(map(memo.get, names))
+        if None in rows:
+            table = np.stack([self._keys(row, None) for row in codes])
+            return table, np.arange(len(names))
+        return self._key_table, np.array(rows, dtype=np.int64)
+
+    def _scan(self, table, rows, flat, starts, sizes):
+        """The lowest-index minimizer and tie count of each state: the least
+        of its labeling's keys (row ``rows[a]`` of ``table``) over its coset,
+        the ``sizes[a]`` ascending elements from ``starts[a]`` in ``flat``,
+        taken a key word at a time, in one ragged pass each."""
+        order, width = self._order, table.shape[1]
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        # The temporaries are a few times the ragged length: each is freed
+        # as soon as it is used.
+        at = np.repeat(starts - begins, sizes)
+        at += np.arange(len(at))
+        elements = flat[at]
+        base = rows * width
+        at = np.repeat(base, sizes)
+        at += elements  # the key of each element, in table
+        del elements
+        table = table.ravel()
+        word = table[at]
+        for shift in range(order, width, order):
+            # Later words decide among the elements tied on every earlier one.
+            tied = word == np.repeat(np.minimum.reduceat(word, begins), sizes)
+            word = np.where(tied, table[at + shift], np.inf)
+        word -= np.repeat(np.minimum.reduceat(word, begins), sizes)
+        hits = np.flatnonzero(word == 0)
+        del word
+        first = np.searchsorted(hits, begins)
+        return at[hits[first]] - base, np.searchsorted(hits, ends) - first
+
     def _canonical_np(self, base: tuple[int, ...], labeling=None) -> tuple[int, int]:
         """The coset scan of an encoded state.  Its keys are memoized under
         ``labeling``, the raw labeling [and outputs] of ``base``, if given."""
@@ -533,36 +660,75 @@ class StateCanonicalizer:
         """The ascending elements sending ``countdown`` to its least image,
         memoized, or ``None`` when a countdown fits no key word."""
         coset = self._cosets.get(countdown)
-        if coset is not None:
+        if coset is not None or not self._countdowns_fit(max(countdown)):
             return coset
-        width = max(countdown).bit_length() or 1
-        if width > self._countdown_width:
-            if width > KEY_WORD_BITS:
-                return None
-            self._countdown_width = width
-            self._countdown_weights = _weights(
-                (width,) * self._n, self.group._nodes
-            )
         keys = self._countdown_weights @ np.asarray(countdown, dtype=np.float64)
         keys = keys.reshape(-1, self._order)
         coset = (keys[0] == keys[0].min()).nonzero()[0]
         coset = self._cosets[countdown] = _minima(keys[1:], coset)
         return coset
 
+    def _find_cosets(self, countdowns: list[tuple[int, ...]]) -> bool:
+        """Memoize the cosets of ``countdowns``, as :meth:`_coset` does but
+        with one product per :data:`BLOCK_COLUMNS` of them; ``False``,
+        memoizing none, when one fits no key word."""
+        if not self._countdowns_fit(max(map(max, countdowns))):
+            return False
+        weights = self._countdown_weights.T
+        for start in range(0, len(countdowns), BLOCK_COLUMNS):
+            chunk = countdowns[start : start + BLOCK_COLUMNS]
+            # Word-major rows: word w of element g is column w * order + g.
+            words = (np.array(chunk, dtype=np.float64) @ weights).reshape(
+                len(chunk), -1, self._order
+            )
+            tied = words[:, 0] == words[:, 0].min(axis=1, keepdims=True)
+            for w in range(1, words.shape[1]):
+                word = np.where(tied, words[:, w], np.inf)
+                tied &= word == word.min(axis=1, keepdims=True)
+            del words
+            ends = np.cumsum(np.count_nonzero(tied, axis=1)).tolist()
+            elements = (np.flatnonzero(tied) % self._order).astype(np.int32)
+            cosets = map(elements.__getitem__, map(slice, [0, *ends], ends))
+            self._cosets.update(zip(chunk, cosets, strict=True))
+        return True
+
+    def _countdowns_fit(self, top: int) -> bool:
+        """Whether a key word holds countdown values up to ``top``, widening
+        the countdown columns (a rebuild of their weights) when needed."""
+        width = top.bit_length() or 1
+        if width > self._countdown_width:
+            if width > KEY_WORD_BITS:
+                return False
+            self._countdown_width = width
+            self._countdown_weights = _weights((width,) * self._n, self.group._nodes)
+        return True
+
+    def _fits(self, label_top: int, output_top: int) -> bool:
+        """Whether the key words hold label codes up to ``label_top`` [and
+        output codes up to ``output_top``], widening a class's columns (a
+        rebuild of the weights) when a code outgrows them; ``False`` when
+        a code fits no key word."""
+        if max(label_top, output_top) <= self._code_top:
+            return True
+        needed = [label_top.bit_length() or 1]
+        if self.track_outputs:
+            needed.append(output_top.bit_length() or 1)
+        widths = tuple(map(max, needed, self._code_widths))
+        if widths != self._code_widths:
+            if max(widths) > KEY_WORD_BITS:
+                return False
+            self._build_code_weights(widths)
+        return True
+
     def _keys(self, codes: tuple[int, ...], labeling):
         """Label [and output] codes' keys under every element, word-major,
         memoized under ``labeling`` unless it is ``None``; ``None`` when a
         code fits no key word."""
-        if max(codes, default=0) > self._code_top:
-            m = self._m
-            needed = [max(codes[:m], default=0).bit_length() or 1]
-            if self.track_outputs:
-                needed.append(max(codes[m:]).bit_length() or 1)
-            widths = tuple(map(max, needed, self._code_widths))
-            if widths != self._code_widths:
-                if max(widths) > KEY_WORD_BITS:
-                    return None
-                self._build_code_weights(widths)
+        m = self._m
+        if max(codes, default=0) > self._code_top and not self._fits(
+            max(codes[:m], default=0), max(codes[m:], default=0)
+        ):
+            return None
         codes = np.asarray(codes, dtype=np.float64)
         if labeling is None or not self._memo_rows:
             return self._code_weights @ codes
@@ -662,25 +828,46 @@ def _least(keys, coset, order: int) -> tuple[int, int]:
 # -- protocol-level verification ---------------------------------------------
 
 
-def _input_invariant(perm: Sequence[int], inputs: Sequence[Any]) -> bool:
-    return all(inputs[perm[i]] == inputs[i] for i in range(len(perm)))
+def _fixing_inputs(
+    elements: tuple[tuple[int, ...], ...], inputs: Sequence[Any]
+) -> tuple[tuple[int, ...], ...]:
+    """The elements that fix the input vector (``inputs[p[i]] == inputs[i]``
+    for every node ``i``), in order: ``elements`` itself when every one
+    does, since all inputs are equal."""
+    n = len(elements[0])
+    same = [[inputs[a] == inputs[b] for b in range(n)] for a in range(n)]
+    if all(map(all, same)):
+        return elements
+    if np is None:  # pragma: no cover - numpy present in CI
+        return tuple(p for p in elements if all(same[p[i]][i] for i in range(n)))
+    fixes = np.array(same, dtype=bool)[np.asarray(elements), np.arange(n)]
+    return tuple(map(elements.__getitem__, np.flatnonzero(fixes.all(axis=1))))
 
 
 def _generating_set(
-    elements: Sequence[tuple[int, ...]], n: int
+    elements: Sequence[tuple[int, ...]],
+    n: int,
+    generators: Sequence[tuple[int, ...]] | None = None,
 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
     """A small generating list for a closed element set (greedy), and the
-    closure of that list, in :func:`close_generators` order."""
+    closure of that list, in :func:`close_generators` order.
+
+    ``elements`` may be given as the closure of ``generators``; when the
+    greedy list comes out equal to ``generators``, that closure is
+    ``elements`` itself and is returned without closing it again.
+    """
     closure = (identity_permutation(n),)
     generated = set(closure)
-    generators: list[tuple[int, ...]] = []
+    greedy: list[tuple[int, ...]] = []
     for perm in elements:
         if perm in generated:
             continue
-        generators.append(perm)
-        closure = close_generators(generators, n, cap=len(elements) + 1)
+        greedy.append(perm)
+        if generators is not None and greedy == list(generators):
+            return greedy, tuple(elements)
+        closure = close_generators(greedy, n, cap=len(elements) + 1)
         generated = set(closure)
-    return generators, closure
+    return greedy, closure
 
 
 def _verify_generator(compiled, inputs, perm, eperm, space_values) -> bool:
@@ -738,7 +925,11 @@ def protocol_symmetry_group(protocol, inputs: Sequence[Any]) -> SymmetryGroup | 
     Discovers topology automorphisms, keeps the subgroup fixing the input
     vector, and exhaustively verifies reaction equivariance for a
     generating set (verified automorphisms compose, so generators
-    suffice).  Returns ``None`` — callers fall back to the unquotiented
+    suffice).  The group is closed once: when every element fixes the
+    inputs and the greedy generating set is the discovered generator
+    list, the closure of the discovered generators serves for both, and
+    when every generator verifies it is the group, in the same element
+    order.  Returns ``None`` — callers fall back to the unquotiented
     search — when the protocol is stateful, the label space cannot be
     enumerated, a budget (:data:`DEFAULT_MAX_GROUP_ORDER`,
     :data:`DEFAULT_VERIFY_BUDGET`) is exceeded, or no nontrivial
@@ -779,10 +970,12 @@ def _build_symmetry_group(protocol, inputs):
         elements = close_generators(generators, protocol.n)
     except ValidationError:
         return None
-    invariant = [p for p in elements if _input_invariant(p, inputs)]
+    invariant = _fixing_inputs(elements, inputs)
     if len(invariant) <= 1:
         return None
-    candidates, closure = _generating_set(invariant, protocol.n)
+    candidates, closure = _generating_set(
+        invariant, protocol.n, generators if invariant is elements else None
+    )
 
     compiled = compile_protocol(protocol)
     combos = sum(

@@ -48,28 +48,32 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   outside the label space, and other protocols step serially); then the
   level's edge block is resolved in chunks of at most
   :data:`LEVEL_CHUNK_EDGES` edges, its successor states looked up in an
-  arrival index and new ones numbered in first-occurrence order.  A level
-  of fewer distinct payloads than :data:`AUTO_BATCH_MIN_ROWS` fills no
-  kernel bucket, and its array passes cost more than they save, so
-  :meth:`ExplorationGraph._expand` walks it one edge at a time; the level
-  pass takes over from the first wider level on (and, without numpy, the
-  per-edge walk expands every level).  Both routes intern in the same
-  order and raise a level's errors in edge order, so state indices,
-  parent links, successor arrays, pools — and everything built on them,
-  errors included — are byte-identical.
+  arrival index and new ones numbered in first-occurrence order (a
+  quotient canonicalizes each chunk's first arrivals as one block).  A
+  level of fewer than :data:`LEVEL_PASS_MIN_EDGES` edges costs more in
+  array passes than they save, so :meth:`ExplorationGraph._expand` walks
+  it one edge at a time; the level pass takes over from the first wider
+  level on (and, without numpy, the per-edge walk expands every level).
+  Both routes intern in the same order and raise a level's errors in edge
+  order, so state indices, parent links, successor arrays, pools — and
+  everything built on them, errors included — are byte-identical.
 * **Symmetry quotient** (``symmetry="auto"``).  When a verified symmetry
   group is available (:func:`repro.graphs.automorphisms
   .protocol_symmetry_group`), every discovered state is canonicalized to
   the least element of its orbit before interning, so the graph holds one
-  state per orbit.  A concrete graph is the quotient by the trivial group,
-  and both run one expansion loop.  The group element of an edge is not
-  stored: :meth:`element` re-canonicalizes the edge's raw successor, a
-  pure function of it, and :meth:`lift` / :meth:`lift_loop` replay
-  concrete witnesses through the group action.  Verdicts, delays, and
-  attractor membership are invariant (the projection onto the quotient is
-  a graph homomorphism and stability is orbit-invariant under verified
-  symmetries), so consumers get unchanged answers from a graph that is
-  smaller by up to the group order.
+  state per orbit: one raw successor at one raw countdown at a time on
+  the per-edge walk, a chunk of them at once on the level pass
+  (:meth:`~repro.graphs.automorphisms.StateCanonicalizer.canonical_block`
+  answers for each what ``canonical`` would), with the same
+  representatives either way.  A concrete graph is the quotient by the
+  trivial group, and both run one expansion loop.  The group element of
+  an edge is not stored: :meth:`element` re-canonicalizes the edge's raw
+  successor, a pure function of it, and :meth:`lift` /
+  :meth:`lift_loop` replay concrete witnesses through the group action.
+  Verdicts, delays, and attractor membership are invariant (the
+  projection onto the quotient is a graph homomorphism and stability is
+  orbit-invariant under verified symmetries), so consumers get unchanged
+  answers from a graph that is smaller by up to the group order.
 * **Changing transitions.**  Each transition miss records whether the raw
   successor differs from its source payload (labeling, and outputs when
   tracked), as one set of activation-set ids per payload
@@ -101,7 +105,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Any
 
 try:  # pragma: no cover - numpy is present in CI
@@ -120,6 +124,9 @@ DEFAULT_STATE_BUDGET = 400_000
 #: An activation-set bucket of fewer rows steps serially (kernel dispatch
 #: would dominate).
 AUTO_BATCH_MIN_ROWS = 32
+#: The level pass takes over from the first BFS level of at least this
+#: many edges; narrower levels cost less one edge at a time.
+LEVEL_PASS_MIN_EDGES = 432
 #: The level pass resolves a level's edge block in chunks of at most this
 #: many edges (and at least one state), which bounds its int64
 #: temporaries; transition buckets and interning stay per level.
@@ -267,9 +274,10 @@ class ExplorationGraph:
     the BFS-tree link used for witness replay (``-1`` for initial states).
     Consumers scan these packed arrays directly.
 
-    With numpy, each BFS level of at least :data:`AUTO_BATCH_MIN_ROWS`
-    distinct payloads, and every level after it, is expanded in a few
-    array passes over its edge block, and its uncached transitions are
+    With numpy, each BFS level of at least :data:`LEVEL_PASS_MIN_EDGES`
+    edges, and every level after it, is expanded in a few array passes
+    over its edge block (a quotient canonicalizes its first arrivals in
+    blocks), and its uncached transitions are
     grouped by activation set and stepped as packed-code kernel calls when
     the protocol's reactions lift to lookup tables, for groups of at least
     :data:`AUTO_BATCH_MIN_ROWS` rows; everything else steps through the
@@ -369,7 +377,6 @@ class ExplorationGraph:
         self._stats_counters = {
             "transition_hits": 0,
             "transition_misses": 0,
-            "activation_hits": 0,
             "activation_misses": 0,
             "peak_frontier": 0,
             "batch_calls": 0,
@@ -529,29 +536,31 @@ class ExplorationGraph:
         lo, hi = 0, len(self.state_keys)
         while lo < hi:
             counters["peak_frontier"] = max(counters["peak_frontier"], hi - lo)
-            if level is None and passes and self._wide(lo, hi):
-                level = _LevelPass(self, lo)
             if level is None:
-                self._expand(lo, hi)
-            else:
+                moves = self._level_moves(lo, hi)
+                if passes and self._wide(moves):
+                    level = _LevelPass(self, lo)
+                else:
+                    self._expand(lo, hi, moves)
+            if level is not None:
                 level.expand(lo, hi)
             lo, hi = hi, len(self.state_keys)
         # Only construction reads these.
         del self._index, self._activations
         del self._moves_by_cid, self._transitions, self._canon_rows
 
-    def _wide(self, lo: int, hi: int) -> bool:
-        """Whether the level of states ``lo:hi`` holds at least
-        :data:`AUTO_BATCH_MIN_ROWS` distinct payloads.
+    @staticmethod
+    def _wide(moves: list[tuple]) -> bool:
+        """Whether a level whose states have ``moves`` holds at least
+        :data:`LEVEL_PASS_MIN_EDGES` edges.
 
-        A narrower level fills no kernel bucket, and its array passes cost
-        more than the per-edge loop they replace, so that loop expands it;
-        the level pass takes over from the first wide level on.
+        Both routes build a level's moves first, so its edge count is known
+        before it is expanded.  A narrower level costs less one edge at a
+        time than in the level pass's array passes, whose cost is mostly
+        fixed per level; the level pass takes over from the first wide
+        level on.  Both graph kinds share the rule.
         """
-        floor = AUTO_BATCH_MIN_ROWS
-        if hi - lo < floor:
-            return False
-        return len({key[:2] for key in self.state_keys[lo:hi]}) >= floor
+        return sum(len(sids) for _sets, sids, _next in moves) >= LEVEL_PASS_MIN_EDGES
 
     def _step(self, lid: int, oid: int, t) -> tuple:
         """The raw successor payload ``(values, outputs)`` of payload
@@ -627,14 +636,23 @@ class ExplorationGraph:
             j = self._add_state(table, ccid, pred, sid, group.order // ties)
         return j
 
-    def _expand(self, lo: int, hi: int) -> None:
-        """Expand the level of states ``lo:hi`` one edge at a time: the
-        route for narrow levels and without numpy, and the reference the
-        level pass matches.
+    def _level_moves(self, lo: int, hi: int) -> list[tuple]:
+        """The moves of each state ``lo:hi``, built in state order for the
+        countdowns that have none yet, as in the level pass, so both routes
+        number countdowns alike."""
+        moves_by_cid = self._moves_by_cid
+        level = []
+        for _lid, _oid, cid in self.state_keys[lo:hi]:
+            moves = moves_by_cid.get(cid)
+            level.append(self._moves(cid) if moves is None else moves)
+        return level
 
-        The level's new countdowns get their moves first, in state order,
-        as in the level pass, so both routes number countdowns alike.  Then
-        each edge looks its activation set up in the payload's transition
+    def _expand(self, lo: int, hi: int, level: list[tuple]) -> None:
+        """Expand the level of states ``lo:hi``, whose moves are ``level``,
+        one edge at a time: the route for narrow levels and without numpy,
+        and the reference the level pass matches.
+
+        Each edge looks its activation set up in the payload's transition
         row, then its successor countdown in the successor.  Only two steps
         differ by mode, and they are picked once per level: a transition
         miss (the successor payload's state table, or :meth:`_canonical_row`)
@@ -648,20 +666,9 @@ class ExplorationGraph:
         miss = self._miss
         state_keys = self.state_keys
         transitions = self._transitions
-        moves_by_cid = self._moves_by_cid
         edge_offsets = self.edge_offsets
         edge_dst = self.edge_dst
         edge_sid = self.edge_sid
-        level = []
-        activation_hits = 0
-        for k in range(lo, hi):
-            cid = state_keys[k][2]
-            moves = moves_by_cid.get(cid)
-            if moves is None:
-                moves = self._moves(cid)
-            else:
-                activation_hits += 1
-            level.append(moves)
         lookups = misses = 0
         for k, (sets, sids, next_cids) in zip(range(lo, hi), level, strict=True):
             lid, oid, _cid = state_keys[k]
@@ -689,7 +696,6 @@ class ExplorationGraph:
         counters = self._stats_counters
         counters["transition_hits"] += lookups - misses
         counters["transition_misses"] += misses
-        counters["activation_hits"] += activation_hits
 
     # -- frontier batching ---------------------------------------------------
 
@@ -844,7 +850,9 @@ class ExplorationGraph:
             activation_set_pool=len(self._sets),
             transition_cache_hits=counters["transition_hits"],
             transition_cache_misses=counters["transition_misses"],
-            activation_cache_hits=counters["activation_hits"],
+            # Every state is expanded once, and its countdown's moves are
+            # built then (a miss) or were built before (a hit).
+            activation_cache_hits=len(self.state_keys) - counters["activation_misses"],
             activation_cache_misses=counters["activation_misses"],
             peak_frontier=counters["peak_frontier"],
             frontier_mode=self._frontier_mode,
@@ -1035,6 +1043,25 @@ class ExplorationGraph:
 _NO_KEY = (1 << 63) - 1
 
 
+def _firsts(keys):
+    """The index of each distinct key's first occurrence in ``keys``, in
+    order of occurrence, and each entry's rank among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _row_keys(matrix, top: int):
+    """One integer key per row of ``matrix``, whose entries are below
+    ``top``: equal keys for equal rows only."""
+    bits = max(top - 1, 1).bit_length()
+    if bits * matrix.shape[1] <= 63:
+        return matrix @ (1 << bits * np.arange(matrix.shape[1], dtype=np.int64))
+    return np.unique(matrix, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 def _extend(store: array, values) -> None:
     """Append an integer ndarray to an ``array`` store, without a copy when
     the dtypes agree."""
@@ -1124,8 +1151,11 @@ class _LevelPass:
     and a raw successor payload on a quotient.  Per countdown id, the flat
     move store holds the range of its moves (set ids and successor
     countdown ids, in canonical activation-set order) and its forced-set
-    entry.  ``pids`` / ``cids`` hold the payload and countdown id of each
-    state of the level about to be expanded.
+    entry, and ``values`` its countdown.  ``pids`` / ``cids`` hold the
+    payload and countdown id of each state of the level about to be
+    expanded.  On a quotient, ``codes`` holds each row's label [and
+    output] codes, so a block of first arrivals is moved onto its
+    representatives by gathers (:meth:`_canonical_states`).
     """
 
     def __init__(self, graph: ExplorationGraph, lo: int):
@@ -1149,6 +1179,15 @@ class _LevelPass:
         self.weights = graph.r ** np.arange(graph.n, dtype=np.int64)
 
         pool = graph._countdowns
+        #: Countdown id -> its values, a row each.
+        self.values = np.array(pool, dtype=np.int64).reshape(len(pool), graph.n)
+        if self.quotient:
+            # Each row's label [and output] codes, for moving a block of
+            # arrivals by gathers; numbered in order of sight.
+            width = graph.topology.m + graph.n * graph.track_outputs
+            self.codes = np.empty((0, width), dtype=np.int64)
+            self.label_codes: dict = {}
+            self.output_codes: dict = {}
         moves = graph._moves_by_cid
         cids = list(moves)
         counts = np.array([len(moves[cid][1]) for cid in cids], dtype=np.int64)
@@ -1159,52 +1198,44 @@ class _LevelPass:
         self.move_count[cids] = counts
         self.move_entry[cids] = [graph._activation(pool[cid])[0] for cid in cids]
         self.move_sid = np.array(
-            [sid for cid in cids for sid in moves[cid][1]], dtype=np.intc
+            list(chain.from_iterable(moves[cid][1] for cid in cids)), dtype=np.intc
         )
         self.move_next = np.array(
-            [next_cid for cid in cids for next_cid in moves[cid][2]], dtype=np.int64
+            list(chain.from_iterable(moves[cid][2] for cid in cids)), dtype=np.int64
         )
 
         # A per-edge transition leads to a state table (concrete) or a
-        # canonical row (quotient), each holding its row under ``None``.
-        tables = graph._canon_rows if self.quotient else graph._index
-        row_of = {
-            id(table): _intern(self.row_ids, self.rows, table[None])
-            for table in tables.values()
-        }
-        booked = np.array(
-            [
-                (_intern(self.payload_ids, self.payloads, key), sid, row_of[id(table)])
-                for key, row in graph._transitions.items()
-                for sid, table in row.items()
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        # canonical row (quotient), each holding its row under ``None``
+        # (its first key).
+        tables = list((graph._canon_rows if self.quotient else graph._index).values())
+        table_rows = [_intern(self.row_ids, self.rows, table[None]) for table in tables]
+        row_of = dict(zip(map(id, tables), table_rows, strict=True))
+        booked = graph._transitions
+        pids = [_intern(self.payload_ids, self.payloads, key) for key in booked]
+        counts = list(map(len, booked.values()))
+        sids = list(chain.from_iterable(booked.values()))
+        successors = [
+            row_of[id(table)] for row in booked.values() for table in row.values()
+        ]
         #: payload x set id -> successor row, -1 until evaluated.
         self.transitions = np.full(
             (len(self.payloads), len(graph._sets)), -1, dtype=np.int64
         )
-        self.transitions[booked[:, 0], booked[:, 1]] = booked[:, 2]
+        payload = np.repeat(np.array(pids, dtype=np.int64), counts)
+        self.transitions[payload, sids] = successors
 
         # Each arrival sits in its row's table under its countdown id: a
         # concrete graph's states in their payloads' tables, a quotient's
         # first arrivals in the raw successors' canonical rows (a quotient
         # finds its canonical states, roots included, in the graph's
         # tables).
-        rows, cids, states = (
-            np.array(
-                [
-                    (row_of[id(table)], cid, state)
-                    for table in tables.values()
-                    for cid, state in table.items()
-                    if cid is not None
-                ],
-                dtype=np.int64,
-            )
-            .reshape(-1, 3)
-            .T
+        counts = [len(table) - 1 for table in tables]
+        rows = np.repeat(np.array(table_rows, dtype=np.int64), counts)
+        cids = list(chain.from_iterable(islice(table, 1, None) for table in tables))
+        states = [table[cid] for table in tables for cid in islice(table, 1, None)]
+        self.arrivals = _ArrivalIndex(
+            rows, np.array(cids, np.int64), np.array(states, np.int64), len(pool)
         )
-        self.arrivals = _ArrivalIndex(rows, cids, states, len(pool))
         self.pids, self.cids = self._frontier(lo)
 
     def _frontier(self, lo: int):
@@ -1236,17 +1267,14 @@ class _LevelPass:
             self.move_start = np.concatenate([self.move_start, pad])
             self.move_count = np.concatenate([self.move_count, pad])
             self.move_entry = np.concatenate([self.move_entry, pad])
-        _, first = np.unique(cids, return_index=True)
-        level = cids[np.sort(first)]
+        level = cids[_firsts(cids)[0]]
         new = level[self.move_count[level] == 0].tolist()
-        counters = graph._stats_counters
-        counters["activation_misses"] += len(new)
-        counters["activation_hits"] += len(cids) - len(new)
         if not new:
             return
+        graph._stats_counters["activation_misses"] += len(new)
         entries = [graph._activation(pool[cid]) for cid in new]
         counts = np.array([len(entry[2]) for entry in entries], dtype=np.int64)
-        x = np.array([pool[cid] for cid in new], dtype=np.int64)
+        x = self.values[new]
         mask = np.concatenate([self._mask(eid, sets) for eid, sets, _ in entries])
         next_cids = self._intern_countdowns(
             np.where(mask, graph.r, np.repeat(x, counts, axis=0) - 1)
@@ -1271,13 +1299,13 @@ class _LevelPass:
     def _intern_countdowns(self, rows):
         """Countdown ids of ``rows``, an ``(M, n)`` array of countdown
         values, interning new countdowns in first-sight order."""
-        keys = (rows - 1) @ self.weights
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        ids = np.empty(len(first), dtype=np.int64)
+        first, rank = _firsts((rows - 1) @ self.weights)
+        distinct = rows[first]
+        known = len(self.values)
         intern = self.graph._intern_countdown
-        ids[order] = [intern(tuple(row)) for row in rows[first[order]].tolist()]
-        return ids[inverse]
+        ids = np.array([intern(tuple(row)) for row in distinct.tolist()], np.int64)
+        self.values = np.concatenate([self.values, distinct[ids >= known]])
+        return ids[rank]
 
     def _block(self, cids):
         """Move-store indices of the edges of states with countdowns
@@ -1415,9 +1443,10 @@ class _LevelPass:
         ``next_cids``, set ``sids``) of the states numbered from ``k0``,
         whose edge counts run up to ``ends``.  States reached first are
         added in edge order: numbered in order, each with its first edge
-        as parent, on a concrete graph; canonicalized one by one on a
-        quotient.  Also returns the rows and countdown ids of the first
-        arrivals."""
+        as parent, on a concrete graph; canonicalized as one block, and
+        their canonical states found or added in first-arrival order, on a
+        quotient (:meth:`_canonical_states`).  Also returns the rows and
+        countdown ids of the first arrivals."""
         graph = self.graph
         arrivals = self.arrivals
         dst = arrivals.find(rows, next_cids)
@@ -1431,26 +1460,112 @@ class _LevelPass:
         new_rows, new_cids, new_sids = rows[edges], next_cids[edges], sids[edges]
         preds = k0 + np.searchsorted(ends, edges, "right")
         if self.quotient:
-            arrive = graph._arrive_canonical
-            raw = self.rows
-            states = np.array(
-                [
-                    arrive(raw[row], cid, pred, sid)
-                    for row, cid, pred, sid in zip(
-                        new_rows.tolist(),
-                        new_cids.tolist(),
-                        preds.tolist(),
-                        new_sids.tolist(),
-                        strict=True,
-                    )
-                ],
-                dtype=np.int64,
-            )
+            states = self._canonical_states(new_rows, new_cids, preds, new_sids)
         else:
             states = self._add_states(new_rows, new_cids, preds, new_sids)
         arrivals.add(new_rows, new_cids, states)
         dst[missing] = arrivals.find(rows[missing], next_cids[missing])
         return dst, new_rows, new_cids
+
+    def _canonical_states(self, rows, cids, preds, sids):
+        """A quotient's first arrivals (raw successor ``rows`` at raw
+        countdowns ``cids``, reached from ``preds`` by ``sids``), in edge
+        order: their canonical states, found or added.
+
+        The block is canonicalized at once
+        (:meth:`~repro.graphs.automorphisms.StateCanonicalizer.canonical_block`),
+        each arrival moved onto its representative by gathers through the
+        group's inverse tables, and the canonical labelings, outputs and
+        countdowns interned in first-arrival order.  New states are added
+        in that order too, each with its first arrival's parent and orbit
+        ``order // ties``, which is what :meth:`ExplorationGraph
+        ._arrive_canonical` does one arrival at a time.
+        """
+        graph = self.graph
+        group = graph._group
+        graph._stats_counters["canonicalizations"] += len(rows)
+        first_rows, row_of = _firsts(rows)
+        distinct_cids = np.unique(cids)
+        pool = graph._countdowns
+        gids, ties = graph._canonicalizer.canonical_block(
+            [self.rows[row] for row in rows[first_rows].tolist()],
+            [pool[cid] for cid in distinct_cids.tolist()],
+            row_of,
+            np.searchsorted(distinct_cids, cids),
+        )
+        # A canonical labeling [and outputs] depends on the arrival's row
+        # and element only, a canonical countdown on its countdown and
+        # element: each distinct pair is moved once, in first-arrival order.
+        codes = self._row_codes()
+        m = graph.topology.m
+        first, pair_of = _firsts(rows * group.order + gids)
+        pair_rows, pair_gids = rows[first], gids[first]
+        inverses = group._inverses[pair_gids]
+        moved = codes[pair_rows[:, None], group._edges[inverses]]
+        lids = self._intern_moved(moved, len(self.label_codes), pair_rows, pair_gids, 0)
+        lids = lids[pair_of]
+        if graph.track_outputs:
+            moved = codes[pair_rows[:, None], m + group._nodes[inverses]]
+            top = len(self.output_codes)
+            oids = self._intern_moved(moved, top, pair_rows, pair_gids, 1)[pair_of]
+        else:
+            oids = np.zeros_like(lids)
+        first, pair_of = _firsts(cids * group.order + gids)
+        sources = group._nodes[group._inverses[gids[first]]]
+        ccids = self._intern_countdowns(self.values[cids[first, None], sources])
+        ccids = ccids[pair_of]
+        _, payload_of = _firsts(lids * len(graph._outs) + oids)
+        first, rank = _firsts(payload_of * len(pool) + ccids)
+        states = []
+        orbits = group.order // ties[first]
+        for lid, oid, ccid, pred, sid, orbit in zip(
+            lids[first].tolist(),
+            oids[first].tolist(),
+            ccids[first].tolist(),
+            preds[first].tolist(),
+            sids[first].tolist(),
+            orbits.tolist(),
+            strict=True,
+        ):
+            table = graph._states_at(lid, oid)
+            state = table.get(ccid)
+            if state is None:
+                state = graph._add_state(table, ccid, pred, sid, orbit)
+            states.append(state)
+        return np.array(states, dtype=np.int64)[rank]
+
+    def _row_codes(self):
+        """Label [and output] codes of every row, a row each; a quotient
+        numbers labels [and outputs] in order of sight."""
+        done = len(self.codes)
+        if done < len(self.rows):
+            labels, outputs = self.label_codes, self.output_codes
+            fresh = []
+            for values, outs in self.rows[done:]:
+                row = [labels.setdefault(value, len(labels)) for value in values]
+                row += [outputs.setdefault(out, len(outputs)) for out in outs or ()]
+                fresh.append(row)
+            fresh = np.array(fresh, dtype=np.int64).reshape(-1, self.codes.shape[1])
+            self.codes = np.concatenate([self.codes, fresh])
+        return self.codes
+
+    def _intern_moved(self, moved, top: int, rows, gids, part: int):
+        """Ids of the moved labelings (``part`` 0) or outputs (1): ``moved``
+        holds each arrival's codes (below ``top``), the arrival's raw row
+        moved by its element.  Each distinct one is interned once, in
+        first-arrival order, from its first arrival."""
+        graph = self.graph
+        group = graph._group
+        first, rank = _firsts(_row_keys(moved, top))
+        if part == 0:
+            apply, intern = group.apply_labeling, graph._intern_label
+        else:
+            apply, intern = group.apply_per_node, graph._intern_out
+        ids = [
+            intern(apply(gid, self.rows[row][part]))
+            for row, gid in zip(rows[first].tolist(), gids[first].tolist(), strict=True)
+        ]
+        return np.array(ids, dtype=np.int64)[rank]
 
     def _add_states(self, rows, cids, preds, sids):
         """Store a concrete graph's new states, numbered in order."""

@@ -5,30 +5,37 @@ from __future__ import annotations
 import operator
 import random
 import sys
+from itertools import product
 from typing import NamedTuple
 
 from repro.core import (
+    ExplicitLabelSpace,
     Labeling,
     LambdaReaction,
     Schedule,
     StatelessProtocol,
+    TabularReaction,
     UniformReaction,
     binary,
 )
-from repro.graphs import Topology, unidirectional_ring
+from repro.graphs import Topology, bidirectional_ring, clique, unidirectional_ring
 
 
-#: A batch-frontier bucket floor above any bucket's row count.
+#: A batch-frontier floor above any bucket's row count and any level's
+#: edge count.
 SERIAL_FLOOR = sys.maxsize
 
 
-def set_batch_floor(monkeypatch, min_rows: int) -> None:
-    """Route the activation-set buckets of later explorations: ``1``
-    batches every bucket (when the protocol lifts to tables) and
-    :data:`SERIAL_FLOOR` leaves every transition to the serial scan."""
+def set_batch_floor(monkeypatch, floor: int) -> None:
+    """Route later explorations: ``floor`` is both the level pass's edge
+    floor and its activation-set bucket floor.  ``1`` takes the level pass
+    from the first level and batches every bucket (when the protocol lifts
+    to tables); :data:`SERIAL_FLOOR` expands every level one edge at a
+    time, so every transition steps serially."""
     from repro.stabilization import exploration
 
-    monkeypatch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", min_rows)
+    monkeypatch.setattr(exploration, "LEVEL_PASS_MIN_EDGES", floor)
+    monkeypatch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", floor)
 
 
 class ScriptedAperiodicSchedule(Schedule):
@@ -195,3 +202,35 @@ def xor_ring_protocol(
         [make(i) for i in range(n)],
         name=f"{op.__name__}-ring({n})",
     )
+
+
+def symmetric_protocol(rng: random.Random) -> StatelessProtocol:
+    """A random protocol invariant under the full automorphism group.
+
+    Every node runs the same lookup table, keyed on the *sorted* incoming
+    value multiset and broadcasting one value to all out-edges — so any
+    relabeling of nodes that preserves the topology preserves the dynamics.
+    """
+    if rng.random() < 0.5:
+        topology = clique(rng.randrange(3, 5))
+        labels = (0, 1)  # keeps |Sigma|^m within the verification budget
+    else:
+        topology = bidirectional_ring(rng.randrange(3, 6))
+        labels = tuple(range(rng.randrange(2, 4)))
+    space = ExplicitLabelSpace(labels)
+    degree = len(topology.in_edges(0))
+    multiset_value = {}
+    for combo in product(labels, repeat=degree):
+        key = tuple(sorted(combo))
+        if key not in multiset_value:
+            multiset_value[key] = (rng.choice(labels), rng.choice(labels))
+    reactions = []
+    for i in range(topology.n):
+        in_edges = topology.in_edges(i)
+        out_edges = topology.out_edges(i)
+        table = {}
+        for combo in product(labels, repeat=len(in_edges)):
+            value, output = multiset_value[tuple(sorted(combo))]
+            table[(combo, 0)] = (tuple(value for _ in out_edges), output)
+        reactions.append(TabularReaction(in_edges, out_edges, table))
+    return StatelessProtocol(topology, space, reactions, name="sym-random")

@@ -9,6 +9,7 @@ equivalence lives in ``test_quotient.py``.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,12 @@ from repro.graphs.automorphisms import (
 )
 from repro.stabilization import example1_protocol
 
-from tests.helpers import copy_ring_protocol, or_clique_protocol, xor_ring_protocol
+from tests.helpers import (
+    copy_ring_protocol,
+    or_clique_protocol,
+    symmetric_protocol,
+    xor_ring_protocol,
+)
 
 
 def _full_group(topology):
@@ -229,6 +235,59 @@ def _bases(draw, length, top=None):
     return tuple(draw(st.lists(st.integers(0, top), min_size=length, max_size=length)))
 
 
+def _check_blocks(group, track_outputs, blocks):
+    """Canonicalize each block of ``(values, outputs, countdown)`` states
+    through one canonicalizer's ``canonical_block`` and, state by state,
+    through another's ``canonical``: equal results, and equal codes after
+    every block."""
+    block = group.canonicalizer(track_outputs)
+    single = group.canonicalizer(track_outputs)
+    for states in blocks:
+        labelings: dict = {}
+        countdowns: dict = {}
+        labeling_of, countdown_of, expected = [], [], []
+        for values, outputs, countdown in states:
+            labeling = (values, outputs if track_outputs else None)
+            labeling_of.append(labelings.setdefault(labeling, len(labelings)))
+            countdown_of.append(countdowns.setdefault(countdown, len(countdowns)))
+            expected.append(single.canonical(*labeling, countdown))
+        gids, ties = block.canonical_block(
+            list(labelings),
+            list(countdowns),
+            np.array(labeling_of),
+            np.array(countdown_of),
+        )
+        assert list(zip(gids.tolist(), ties.tolist(), strict=True)) == expected
+        assert block._label_codes == single._label_codes
+        assert block._output_codes == single._output_codes
+
+
+@st.composite
+def _state_blocks(draw, group, top=None, blocks=3):
+    """Blocks of states over a few labelings, outputs and countdowns, which
+    recur within and across blocks."""
+    m, n = group.topology.m, group.n
+    top = draw(st.sampled_from((1, 2, 4, 300))) if top is None else top
+    codes = st.integers(0, top)
+
+    def vectors(values, length):
+        # Uniform vectors tie across the group, so later columns decide.
+        return st.one_of(
+            st.tuples(*[values] * length), values.map(lambda v: (v,) * length)
+        )
+
+    labelings = draw(st.lists(vectors(codes, m), min_size=1, max_size=6))
+    outputs = draw(st.lists(vectors(st.integers(0, 2), n), min_size=1, max_size=3))
+    countdowns = draw(st.lists(vectors(st.integers(1, 4), n), min_size=1, max_size=8))
+    states = st.tuples(
+        st.sampled_from(labelings),
+        st.sampled_from(outputs),
+        st.sampled_from(countdowns),
+    )
+    block = st.lists(states, min_size=1, max_size=40)
+    return draw(st.lists(block, min_size=1, max_size=blocks))
+
+
 class TestPackedCanonicalForm:
     """The numpy kernel packs permuted vectors into exact float64 key
     words; it must agree with the tuple-comparing reference exactly, in
@@ -378,6 +437,97 @@ class TestPackedCanonicalForm:
             assert got == canon._canonical_py(canon._encode(values, None, countdown))
 
 
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_block_matches_canonical(self, name, track_outputs, data):
+        group = _GROUPS[name]
+        _check_blocks(group, track_outputs, data.draw(_state_blocks(group)))
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("name", ["S5", "D6", "Z3xZ4"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_blocks_of_widening_codes(self, name, track_outputs, data):
+        # Each block's codes reach further, so one block widens the weights
+        # once for codes that arrive state by state; then narrow codes
+        # come back under the widest weights.
+        group = _GROUPS[name]
+        blocks = [
+            data.draw(_state_blocks(group, top=top, blocks=1))[0]
+            for top in (0, 1, 3, 12, 200, 70_000, 2)
+        ]
+        _check_blocks(group, track_outputs, blocks)
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    def test_a_block_with_a_label_part_wider_than_one_key_word(self, track_outputs):
+        # As above, S_5's label columns need four key words once codes
+        # pass 300, and blocks revisit earlier labelings.
+        group = _GROUPS["S5"]
+        rng = random.Random(7)
+        m = group.topology.m
+        labelings, blocks = [], []
+        for step in range(10):
+            fresh = [f"l{50 * step + k}" for k in range(50)]
+            for k in range(6):
+                pool = fresh[:10] if k % 2 else fresh
+                labelings.append(tuple(rng.choice(pool) for _ in range(m)))
+            blocks.append(
+                [
+                    (
+                        rng.choice(labelings),
+                        tuple(rng.choice("xy") for _ in range(5)),
+                        tuple(rng.choice((1, 2, 2, 3)) for _ in range(5)),
+                    )
+                    for _ in range(30)
+                ]
+            )
+        _check_blocks(group, track_outputs, blocks)
+        assert len({label for values in labelings for label in values}) > 300
+
+    @pytest.mark.parametrize("cap", [5, 50])
+    def test_blocks_keep_the_key_memo_within_its_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(automorphisms, "KEY_MEMO_FLOATS", cap)
+        monkeypatch.setattr(automorphisms, "BLOCK_COLUMNS", 2)
+        group = _GROUPS["S4"]
+        rng = random.Random(cap)
+        labelings = [
+            tuple(rng.randrange(3) for _ in range(group.topology.m)) for _ in range(6)
+        ]
+
+        def state():
+            countdown = tuple(rng.choice((1, 2, 3)) for _ in range(4))
+            return rng.choice(labelings), None, countdown
+
+        _check_blocks(group, False, [[state() for _ in range(12)] for _ in range(5)])
+
+    def test_a_block_no_key_word_holds_falls_back_to_the_scan(self):
+        group = _GROUPS["D6"]
+        values = (0, 1, 1, 0) * 3
+        wide = (2**60, 1, 2, 2**60, 1, 2)
+        blocks = [
+            [(values, None, (1, 2) * 3), (values, None, (2**60,) * 6)],
+            [((0, 1) * 6, None, wide), (values, None, (1, 2) * 3)],
+        ]
+        _check_blocks(group, False, blocks)
+
+
+class TestCanonicalBlock:
+    """``canonical_block`` is what the exploration's level pass calls for
+    a quotient's first arrivals; it must answer as ``canonical`` does."""
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_canonical_on_symmetric_protocols(self, track_outputs, seed, data):
+        protocol = symmetric_protocol(random.Random(seed))
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert group is not None  # the full automorphism group verifies
+        top = max(protocol.label_space)
+        _check_blocks(group, track_outputs, data.draw(_state_blocks(group, top=top)))
+
+
 class TestElementOrder:
     """``gid`` is an index into ``node_perms`` and witness lifting replays
     it, so the order of the elements is part of every quotient graph's
@@ -441,7 +591,74 @@ class TestElementOrder:
         assert [list(p) for p in group.node_perms] == perms
 
 
+def _reference_elements(protocol, inputs):
+    """The verified group's elements as they were first computed: close the
+    discovered generators, keep the elements fixing the inputs, and close
+    the greedy generating list of those (every candidate of the protocols
+    below verifies)."""
+    n = protocol.n
+    elements = close_generators(automorphism_generators(protocol.topology), n)
+    invariant = [
+        p for p in elements if all(inputs[p[i]] == inputs[i] for i in range(n))
+    ]
+    closure = (identity_permutation(n),)
+    generators: list = []
+    for perm in invariant:
+        if perm not in closure:
+            generators.append(perm)
+            closure = close_generators(generators, n, cap=len(invariant) + 1)
+    return closure
+
+
 class TestProtocolSymmetryGroup:
+    @pytest.mark.parametrize(
+        "protocol, inputs",
+        [
+            (example1_protocol(4), None),
+            (example1_protocol(6), None),
+            (or_clique_protocol(clique(5)), (0, 0, 0, 7, 7)),
+            (or_clique_protocol(clique(4)), (0, 0, 0, 7)),
+            (xor_ring_protocol(6), None),
+            (copy_ring_protocol(5), None),
+            (or_clique_protocol(bidirectional_ring(6)), None),
+            (or_clique_protocol(bidirectional_ring(6)), (1, 0, 0, 1, 0, 0)),
+            (or_clique_protocol(torus(3, 3)), None),
+            (or_clique_protocol(torus(2, 4)), (0, 1, 0, 1, 0, 1, 0, 1)),
+        ],
+        ids=[
+            "K4", "K6", "K5-asymmetric", "K4-one-apart", "xor-ring", "copy-ring",
+            "bi-ring", "bi-ring-asymmetric", "torus", "torus-asymmetric",
+        ],
+    )  # fmt: skip
+    def test_elements_and_inverses_match_the_reference(self, protocol, inputs):
+        inputs = default_inputs(protocol) if inputs is None else inputs
+        group = protocol_symmetry_group(protocol, inputs)
+        reference = _reference_elements(protocol, inputs)
+        assert group.node_perms == reference
+        inverses = tuple(reference.index(invert(p)) for p in reference)
+        assert tuple(map(group.inverse, range(group.order))) == inverses
+        assert group.node_inverses == tuple(reference[g] for g in inverses)
+        assert group._inverses.tolist() == list(inverses)
+
+    def test_k6_closes_its_group_once(self, monkeypatch):
+        # Every element fixes Example 1's inputs, and the greedy generating
+        # list is the discovered one, so the group closed from the
+        # discovered generators is kept.  The greedy list closes <(0 1)>
+        # (2 elements) on the way; the 720 elements are closed once, where
+        # they were closed twice before.
+        closures = []
+        close = automorphisms.close_generators
+
+        def counting(generators, n, cap=automorphisms.DEFAULT_MAX_GROUP_ORDER):
+            closures.append(close(generators, n, cap))
+            return closures[-1]
+
+        monkeypatch.setattr(automorphisms, "close_generators", counting)
+        protocol = example1_protocol(6)
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert [len(closure) for closure in closures] == [720, 2]
+        assert group.node_perms == closures[0]
+
     def test_or_clique_gets_the_full_symmetric_group(self):
         protocol = or_clique_protocol(clique(4))
         group = protocol_symmetry_group(protocol, default_inputs(protocol))

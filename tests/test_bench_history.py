@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import re
+import subprocess
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -116,10 +117,11 @@ class TestProvenance:
         record = _runner.run_bench_file(bench, repeats=1)
         block = record["provenance"]
         assert set(block) == {
-            "git_sha", "python", "numpy", "cpu_count", "platform"
+            "git_sha", "dirty", "python", "numpy", "cpu_count", "platform"
         }
         sha = block["git_sha"]
         assert sha is None or re.fullmatch("[0-9a-f]{40}", sha)
+        assert block["dirty"] in ((None,) if sha is None else (True, False))
         assert block["python"] == platform.python_version()
         assert block["cpu_count"] == os.cpu_count()
         assert block["platform"] == platform.platform()
@@ -130,6 +132,32 @@ class TestProvenance:
         else:
             assert block["numpy"] == numpy.__version__
         json.dumps(record)  # the record stays JSON-able
+
+    def test_a_dirty_tree_is_recorded(self, tmp_path, monkeypatch):
+        # A scratch checkout: one commit, then an edit under src/.
+        def git(*args):
+            command = ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args]
+            subprocess.run(command, cwd=tmp_path, check=True, capture_output=True)
+
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "module.py").write_text("x = 1\n")
+        (tmp_path / "README").write_text("notes\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        monkeypatch.setattr(_runner, "REPO_ROOT", tmp_path)
+        clean = _runner.provenance()
+        assert re.fullmatch("[0-9a-f]{40}", clean["git_sha"])
+        assert clean["dirty"] is False
+        (tmp_path / "README").write_text("more notes\n")  # outside src/
+        assert _runner.provenance()["dirty"] is False
+        (tmp_path / "src" / "module.py").write_text("x = 2\n")
+        dirty = _runner.provenance()
+        assert dirty["git_sha"] == clean["git_sha"]
+        assert dirty["dirty"] is True
+        monkeypatch.setattr(_runner, "REPO_ROOT", tmp_path / "src" / "nowhere")
+        assert _runner.provenance()["git_sha"] is None
+        assert _runner.provenance()["dirty"] is None
 
 
 class TestFailures:

@@ -37,6 +37,7 @@ from repro.core.compiled import compile_protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
 from repro.faults import exhaustive_worst_case_delay
 from repro.graphs import Topology, clique, unidirectional_ring
+from repro.graphs.automorphisms import StateCanonicalizer
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
@@ -891,7 +892,7 @@ class TestLevelPass:
         inits = data.draw(st.permutations(inits))
         inits = inits[: data.draw(st.integers(min_value=1, max_value=len(inits)))]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", floor)
+            set_batch_floor(patch, floor)
             level, per_edge = build_on_both_routes(
                 protocol,
                 r,
@@ -929,11 +930,12 @@ class TestLevelPass:
 
     @pytest.mark.parametrize("symmetry", ["none", "auto"])
     def test_the_level_pass_takes_over_mid_build(self, symmetry, monkeypatch):
-        # From one root the first levels hold fewer payloads than the floor
-        # and expand one edge at a time; at the first wide level the level
-        # pass takes over the per-edge loop's moves, transitions and
-        # arrivals.  The copy ring's labelings rotate, so later levels
-        # reuse transitions the per-edge loop evaluated.
+        # From one root the first level holds 31 edges, fewer than the
+        # floor of 32, and expands one edge at a time; at the next level
+        # (868 or 961 edges) the level pass takes over the per-edge loop's
+        # moves, transitions and arrivals.  The copy ring's labelings
+        # rotate, so later levels reuse transitions the per-edge loop
+        # evaluated.
         pytest.importorskip("numpy")
         protocol = copy_ring_protocol(5)
         inits = [Labeling(protocol.topology, (1, 0, 0, 0, 0))]
@@ -946,14 +948,104 @@ class TestLevelPass:
 
         monkeypatch.setattr(exploration, "_LevelPass", spy)
         set_batch_floor(monkeypatch, 4)
+        monkeypatch.setattr(exploration, "LEVEL_PASS_MIN_EDGES", 32)
         level, per_edge = build_on_both_routes(
             protocol, 3, inits, policy=ExecutionPolicy(symmetry=symmetry)
         )
-        assert starts[0] > 0
+        assert starts == [1]
         assert level.stats().batch_calls > 0
         assert without_batch_counters(graph_stores(level)) == without_batch_counters(
             graph_stores(per_edge)
         )
+
+    def test_every_level_of_the_k6_quotient_takes_the_block(self, monkeypatch):
+        # Its first level holds 7 payloads, 441 edges and 296 arrivals: the
+        # level pass expands it, and every first arrival of the build is
+        # canonicalized in a block.
+        pytest.importorskip("numpy")
+        starts, blocks = [], []
+        level_pass = exploration._LevelPass
+        block = StateCanonicalizer.canonical_block
+
+        def spy(graph, lo):
+            starts.append(lo)
+            return level_pass(graph, lo)
+
+        def spy_block(canonicalizer, labelings, countdowns, *states):
+            blocks.append(len(states[0]))
+            return block(canonicalizer, labelings, countdowns, *states)
+
+        def per_arrival(*_args):
+            raise AssertionError("a first arrival was canonicalized alone")
+
+        monkeypatch.setattr(exploration, "_LevelPass", spy)
+        monkeypatch.setattr(StateCanonicalizer, "canonical_block", spy_block)
+        monkeypatch.setattr(ExplorationGraph, "_arrive_canonical", per_arrival)
+        protocol = example1_protocol(6)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        policy = ExecutionPolicy(symmetry="auto")
+        graph = ExplorationGraph(protocol, inputs, 4, inits, policy=policy)
+        assert starts == [0]
+        assert blocks == [296, 692, 1_370]
+        assert graph.stats().canonicalizations == sum(blocks)
+
+    @pytest.mark.parametrize(
+        "protocol, inits",
+        [
+            (example1_protocol(5), None),
+            (example1_protocol(6), None),
+            (xor_ring_protocol(6), product((0, 1), repeat=6)),
+            (copy_ring_protocol(5), product((0, 1), repeat=5)),
+        ],
+        ids=["K5", "K6", "xor-ring", "copy-ring"],
+    )
+    def test_wide_but_tiny_levels_expand_per_edge(self, protocol, inits, monkeypatch):
+        # At r = 1 every state has one activation set, so a level from 32 or
+        # 64 roots holds as many edges: too few to repay the level pass.
+        topology = protocol.topology
+        if inits is None:
+            inits = list(broadcast_labelings(topology, protocol.label_space))
+        else:
+            inits = [Labeling(topology, values) for values in inits]
+        assert len(inits) >= 32
+
+        def refuse(_graph, _lo):
+            raise AssertionError("the level pass took over")
+
+        monkeypatch.setattr(exploration, "_LevelPass", refuse)
+        graph = ExplorationGraph(protocol, default_inputs(protocol), 1, inits)
+        assert graph.num_edges == len(graph)
+
+    def test_the_quotient_budget_stops_at_the_same_state(self, monkeypatch):
+        # Both routes add a quotient's canonical states one at a time, in
+        # first-arrival order (the level pass from the first level here), so
+        # every budget stops a build after the same states.
+        pytest.importorskip("numpy")
+        protocol = example1_protocol(4)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        policy = ExecutionPolicy(symmetry="auto")
+        set_batch_floor(monkeypatch, 1)
+        states = len(ExplorationGraph(protocol, inputs, 3, inits, policy=policy))
+        exceeded = ExplorationGraph._budget_exceeded
+        stopped = []
+
+        def spy(graph):
+            stopped.append(list(graph.state_keys))
+            return exceeded(graph)
+
+        monkeypatch.setattr(ExplorationGraph, "_budget_exceeded", spy)
+        for _route in ("level pass", "per edge"):
+            for budget in range(1, states):
+                with pytest.raises(SearchBudgetExceeded):
+                    ExplorationGraph(
+                        protocol, inputs, 3, inits, budget=budget, policy=policy
+                    )
+            monkeypatch.setattr(exploration, "np", None)
+        level, per_edge = stopped[: states - 1], stopped[states - 1 :]
+        assert [len(keys) for keys in level] == list(range(1, states))
+        assert level == per_edge
 
     @pytest.mark.parametrize("r", [2**63 - 1, 2**63, 2**64 - 1, 2**64])
     def test_countdowns_beyond_int64(self, r):

@@ -18,19 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ExplicitLabelSpace,
     Labeling,
     RunOutcome,
     Simulator,
-    StatelessProtocol,
-    TabularReaction,
     default_inputs,
     minimal_fairness,
 )
 from repro import ExecutionPolicy
 from repro.core.compiled import compile_protocol
 from repro.faults import exhaustive_worst_case_delay
-from repro.graphs import bidirectional_ring, clique
+from repro.graphs import clique
 from repro.graphs.automorphisms import protocol_symmetry_group
 from repro.stabilization import (
     ExplorationGraph,
@@ -47,43 +44,12 @@ from tests.helpers import (
     graph_stores,
     or_clique_protocol,
     set_batch_floor,
+    symmetric_protocol,
     without_batch_counters,
 )
 
 #: The policy spelling of the legacy ``symmetry="auto"`` keyword.
 QUOTIENT = ExecutionPolicy(symmetry="auto")
-
-
-def symmetric_protocol(rng: random.Random) -> StatelessProtocol:
-    """A random protocol invariant under the full automorphism group.
-
-    Every node runs the same lookup table, keyed on the *sorted* incoming
-    value multiset and broadcasting one value to all out-edges — so any
-    relabeling of nodes that preserves the topology preserves the dynamics.
-    """
-    if rng.random() < 0.5:
-        topology = clique(rng.randrange(3, 5))
-        labels = (0, 1)  # keeps |Sigma|^m within the verification budget
-    else:
-        topology = bidirectional_ring(rng.randrange(3, 6))
-        labels = tuple(range(rng.randrange(2, 4)))
-    space = ExplicitLabelSpace(labels)
-    degree = len(topology.in_edges(0))
-    multiset_value = {}
-    for combo in product(labels, repeat=degree):
-        key = tuple(sorted(combo))
-        if key not in multiset_value:
-            multiset_value[key] = (rng.choice(labels), rng.choice(labels))
-    reactions = []
-    for i in range(topology.n):
-        in_edges = topology.in_edges(i)
-        out_edges = topology.out_edges(i)
-        table = {}
-        for combo in product(labels, repeat=len(in_edges)):
-            value, output = multiset_value[tuple(sorted(combo))]
-            table[(combo, 0)] = (tuple(value for _ in out_edges), output)
-        reactions.append(TabularReaction(in_edges, out_edges, table))
-    return StatelessProtocol(topology, space, reactions, name="sym-random")
 
 
 def random_labeling(rng: random.Random, protocol) -> Labeling:
@@ -173,7 +139,7 @@ class TestLevelPass:
         inits = [random_labeling(rng, protocol) for _ in range(3)]
         graphs = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exploration, "AUTO_BATCH_MIN_ROWS", rng.choice([1, 4]))
+            set_batch_floor(patch, rng.choice([1, 4]))
             for _route in ("level pass", "per edge"):
                 graphs.append(
                     ExplorationGraph(
@@ -190,6 +156,49 @@ class TestLevelPass:
         assert without_batch_counters(graph_stores(level)) == without_batch_counters(
             graph_stores(per_edge)
         )
+        assert derived_edges(level) == derived_edges(per_edge)
+
+
+    @pytest.mark.parametrize("chunk", [exploration.LEVEL_CHUNK_EDGES, 1])
+    @pytest.mark.parametrize(
+        "floor", [1, exploration.LEVEL_PASS_MIN_EDGES, SERIAL_FLOOR]
+    )
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    def test_stores_match_at_every_edge_floor(self, track_outputs, floor, chunk):
+        # K_5 at r = 3 has levels of 186, 620 and 454 edges: the level pass
+        # takes it from the first level at floor 1, mid-build at the
+        # default floor, and never at SERIAL_FLOOR.  A chunk bound of 1
+        # canonicalizes one state's first arrivals per block.
+        pytest.importorskip("numpy")
+        protocol = example1_protocol(5)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        starts = []
+        level_pass = exploration._LevelPass
+
+        def spy(graph, lo):
+            starts.append(lo)
+            return level_pass(graph, lo)
+
+        graphs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exploration, "_LevelPass", spy)
+            patch.setattr(exploration, "LEVEL_PASS_MIN_EDGES", floor)
+            patch.setattr(exploration, "LEVEL_CHUNK_EDGES", chunk)
+            for _route in ("level pass", "per edge"):
+                graphs.append(
+                    ExplorationGraph(
+                        protocol,
+                        default_inputs(protocol),
+                        3,
+                        inits,
+                        track_outputs=track_outputs,
+                        policy=QUOTIENT,
+                    )
+                )
+                patch.setattr(exploration, "np", None)
+        level, per_edge = graphs
+        assert starts == {1: [0], SERIAL_FLOOR: []}.get(floor, [6])
+        assert graph_stores(level) == graph_stores(per_edge)
         assert derived_edges(level) == derived_edges(per_edge)
 
 
