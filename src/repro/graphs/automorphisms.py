@@ -32,12 +32,16 @@ This module provides the group machinery behind that quotient:
   [outputs,] countdown)`` state to the lexicographically least element of
   its orbit, returning the lowest-index group element achieving it and the
   orbit size — the data witness lifting and reduction-factor accounting
-  need.  Every minimizer sends the countdown to its least image, so with
-  numpy a call scans only that coset of elements, memoized per countdown,
-  against packed integer keys of the labeling memoized per labeling, each
-  key word one exact float64 matrix-vector product over the whole group;
-  a block of states is answered at once, in ragged passes over the
-  cosets.  Without numpy, a plain scan compares the vectors as tuples.
+  need.  "Least" compares codes the group fixed when it was built: labels
+  numbered in declared-space order, outputs after ``None`` in the order
+  verification computed them, so the representative of a state depends
+  on the state alone.  Every minimizer sends the countdown to its least
+  image, so with numpy a call scans only that coset of elements, memoized
+  per countdown, against packed integer keys of the labeling memoized per
+  labeling, each key word one exact float64 matrix-vector product over
+  the whole group; a block of states is answered at once, in ragged
+  passes over the cosets.  Without numpy, a plain scan compares the
+  vectors as tuples.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of node ``i``;
 ``compose(p, q)`` is ``p after q``.  A group element acts on a state by
@@ -77,7 +81,8 @@ BRUTE_FORCE_MAX_N = 7
 
 #: Canonical-form key words hold at most this many bits: float64 represents
 #: every integer below 2**53 exactly, so a key word and each partial sum of
-#: the product that builds it are exact whatever order BLAS sums in.
+#: the product that builds it are exact whatever order BLAS sums in.  A
+#: fairness bound ``r`` wider than this canonicalizes by the plain scan.
 KEY_WORD_BITS = 53
 
 #: Canonicalizer key memo cap, in 8-byte floats (8 MiB): each labeling
@@ -277,6 +282,15 @@ def _not_an_automorphism(topology: Topology, perm: tuple[int, ...]):
     raise ValidationError(f"{perm!r} is not an automorphism of {topology.name}")
 
 
+def _numbering(values: Iterable) -> dict:
+    """Each distinct value's code, numbered in the order ``values`` lists
+    them (equal values share the first one's code)."""
+    codes: dict = {}
+    for value in values:
+        codes.setdefault(value, len(codes))
+    return codes
+
+
 def _permutation_matrices(topology: Topology, node_perms):
     """``(order, n)`` node and ``(order, m)`` induced edge permutations.
 
@@ -308,11 +322,17 @@ class SymmetryGroup:
     by index; :meth:`compose`, :meth:`inverse` and the ``apply_*`` helpers
     do the index algebra that witness lifting needs.
 
-    ``label_universe`` is the declared label space as a frozen set, which
-    :func:`protocol_symmetry_group` always sets: explorations use it to
-    refuse quotienting runs whose reactions emit labels the equivariance
-    verification never covered.  A group built directly may leave it
-    ``None``; only the canonicalizer reads such a group.
+    The group also fixes the codes its canonicalizers compare states by.
+    ``label_universe`` is the declared label space, its distinct labels in
+    declared order, and ``label_codes`` numbers them in that order (the
+    numbering :class:`repro.core.batch.SpaceInterner` seeds); explorations
+    use it to refuse quotienting runs whose reactions emit labels the
+    equivariance verification never covered.  ``output_codes`` numbers
+    ``None`` (a node's output before it first reacts), then the distinct
+    ``outputs`` in order: :func:`protocol_symmetry_group` passes every
+    output its verification computed, in the order it computed them.  A
+    group built directly lists the labels [and outputs] its canonicalizers
+    will meet.
 
     With numpy, the node and edge permutations are also kept as ``(order,
     n)`` and ``(order, m)`` index matrices, built in one gather, which the
@@ -327,7 +347,8 @@ class SymmetryGroup:
         self,
         topology: Topology,
         elements: Sequence[Sequence[int]],
-        label_universe: frozenset | None = None,
+        label_universe: Iterable = (),
+        outputs: Iterable = (),
     ):
         n = topology.n
         node_perms = tuple(tuple(p) for p in elements)
@@ -337,7 +358,9 @@ class SymmetryGroup:
             )
         self.topology = topology
         self.node_perms = node_perms
-        self.label_universe = label_universe
+        self.label_codes = _numbering(label_universe)
+        self.label_universe = tuple(self.label_codes)
+        self.output_codes = _numbering((None, *outputs))
         self._index = {p: g for g, p in enumerate(node_perms)}
         self._compose_cache: dict[tuple[int, int], int] = {}
         if np is not None:
@@ -413,8 +436,9 @@ class SymmetryGroup:
         """Per-node vectors (countdowns, outputs): ``(g . c)[i] = c[p^-1[i]]``."""
         return tuple(map(vector.__getitem__, self.node_inverses[g]))
 
-    def canonicalizer(self, track_outputs: bool) -> "StateCanonicalizer":
-        return StateCanonicalizer(self, track_outputs)
+    def canonicalizer(self, track_outputs: bool, r: int) -> "StateCanonicalizer":
+        """A canonicalizer of states whose countdown values lie in ``1..r``."""
+        return StateCanonicalizer(self, track_outputs, r)
 
     def __repr__(self) -> str:
         return (
@@ -427,10 +451,11 @@ class StateCanonicalizer:
     """Maps states to the lexicographically least element of their orbit.
 
     States are compared as integer vectors ``countdown + labeling codes
-    [+ output codes]`` — label and output objects are assigned small,
-    nonnegative codes on first sight, so arbitrary (even unorderable)
-    label types get a consistent total order for the duration of one
-    exploration.
+    [+ output codes]``, in the codes the group fixed when it was built
+    (:class:`SymmetryGroup`): labels in declared-space order, outputs after
+    ``None`` in the order verification computed them.  So arbitrary (even
+    unorderable) label types get a total order, and no exploration's
+    history moves it.
 
     :meth:`canonical` returns ``(g, ties)``: ``g`` is the **lowest-index**
     group element achieving the minimum (``canonical state = g . state``)
@@ -440,10 +465,10 @@ class StateCanonicalizer:
     elements to map quotient edges back onto concrete node sets, and an
     exploration stores none: it re-canonicalizes a raw successor when a
     witness needs its element.  Fixing the lowest index makes the element
-    a pure function of the state once its labels have codes (codes are
-    never renumbered), so a re-derived element is the one the exploration
-    used, and every lifted witness is the same on every route and in
-    every run.
+    a pure function of the state, so a re-derived element is the one the
+    exploration used, every lifted witness is the same on every route and
+    in every run, and a quotient stores the same representatives from any
+    order of its initial labelings.
 
     The countdown columns lead the vector, so every minimizer lies in the
     countdown's *coset*: the elements that send the countdown to its
@@ -452,72 +477,76 @@ class StateCanonicalizer:
     outputs, when tracked) are memoized, and a call takes the first
     minimum of the coset's keys, which is the lowest-index minimizer, and
     counts its ties.  Keys pack label [and output] columns, earliest
-    column highest and each class at the bit length of its largest code,
-    into words of at most :data:`KEY_WORD_BITS` bits, compared in order;
-    a group element maps each class's columns onto its own class.  All
-    elements' keys are one float64 product of a weight matrix with the
-    codes, exact because every partial sum is an integer below
-    ``2**53``; a coset is found the same way from the countdown.  A
-    labeling seen once thus costs one product, and a code that outgrows
-    its class's width rebuilds the weights.  The key memo holds at most
+    column highest, into words of at most :data:`KEY_WORD_BITS` bits,
+    compared in order; a group element maps each class's columns onto its
+    own class, so each class packs at its own width, fixed when the
+    canonicalizer is built: countdowns at the bit length of ``r``, labels
+    and outputs at that of their largest code.  All elements' keys are one
+    float64 product of a weight matrix, built once, with the codes, exact
+    because every partial sum is an integer below ``2**53``; a coset is
+    found the same way from the countdown.  A labeling seen once thus
+    costs one product.  The key memo holds at most
     :data:`KEY_MEMO_FLOATS` 8-byte floats and starts over when full; the
     cosets of one countdown orbit hold one group order of indices
-    together.  A code no word can hold falls back to ``_canonical_py``,
-    the numpy-free path and the reference.
+    together.  An ``r`` wider than a key word takes ``_canonical_py``, the
+    numpy-free path and the reference, for every call.
 
     :meth:`canonical_block` answers many states at once, as
-    :meth:`canonical` would one by one in their order, from the same
-    memos: the cosets of a block's new countdowns and the keys of its new
-    labelings take one product per :data:`BLOCK_COLUMNS` of them, and each
-    state's least key over its coset is taken in ragged passes.
+    :meth:`canonical` would one by one, from the same memos: the cosets of
+    a block's new countdowns and the keys of its new labelings take one
+    product per :data:`BLOCK_COLUMNS` of them, and each state's least key
+    over its coset is taken in ragged passes.
     """
 
-    def __init__(self, group: SymmetryGroup, track_outputs: bool):
+    def __init__(self, group: SymmetryGroup, track_outputs: bool, r: int):
         self.group = group
         self.track_outputs = track_outputs
         self._n = group.n
         self._m = len(group.edge_perms[0])
         self._order = group.order
-        self._label_codes: dict[Any, int] = {}
-        self._output_codes: dict[Any, int] = {}
+        self._label_codes = group.label_codes
+        self._output_codes = group.output_codes
         self._cosets: dict[tuple[int, ...], Any] = {}
         self._key_rows: dict[Any, int] = {}
         #: Code column ``j`` of a labeling [with outputs] lands in column
-        #: ``images[g, j]`` of element ``g``'s permuted vector (``None``
-        #: without numpy).
-        self._images = group._edges
-        if self._images is None:  # pragma: no cover - numpy present in CI
+        #: ``images[g, j]`` of element ``g``'s permuted vector; ``None``
+        #: (without numpy, or when ``r`` fits no key word) sends every call
+        #: to ``_canonical_py``.
+        self._images = None
+        if group._edges is None or r.bit_length() > KEY_WORD_BITS:
             return
+        self._images = group._edges
+        widths = [_code_width(len(self._label_codes))] * self._m
         if track_outputs:
             self._images = np.concatenate(
                 [group._edges, self._m + group._nodes], axis=1
             )
-        self._countdown_width = 0
-        self._countdown_weights = None
-        self._build_code_weights((1, 1) if track_outputs else (1,))
+            widths += [_code_width(len(self._output_codes))] * self._n
+        self._countdown_weights = _weights((r.bit_length(),) * self._n, group._nodes)
+        self._code_weights = _weights(widths, self._images)
+        length = len(self._code_weights)
+        self._memo_rows = KEY_MEMO_FLOATS // length
+        self._key_table = np.empty((0, length))
 
     def _encode(self, values, outputs, countdown) -> tuple[int, ...]:
-        codes = list(map(self._label_codes.get, values))
-        if None in codes:
-            codes = self._assign(self._label_codes, values)
-        base = [*countdown, *codes]
-        if self.track_outputs:
-            codes = list(map(self._output_codes.get, outputs))
-            if None in codes:
-                codes = self._assign(self._output_codes, outputs)
-            base.extend(codes)
+        try:
+            base = [*countdown, *map(self._label_codes.__getitem__, values)]
+            if self.track_outputs:
+                base.extend(map(self._output_codes.__getitem__, outputs))
+        except KeyError as error:
+            raise ValidationError(
+                f"{error.args[0]!r} has no code in the symmetry group: its"
+                " canonical forms compare the labels of the declared space"
+                " and the outputs verification computed"
+            ) from None
         return tuple(base)
 
-    @staticmethod
-    def _assign(table: dict, values) -> list[int]:
-        """Codes of ``values``, numbering unseen ones in order of sight."""
-        codes = []
-        for value in values:
-            code = table.get(value)
-            if code is None:
-                code = table[value] = len(table)
-            codes.append(code)
-        return codes
+    def encode_payloads(self, payloads):
+        """The label [and output] codes of each ``(values, outputs)``
+        payload (outputs ``None`` unless tracked), an int64 row each."""
+        rows = [self._encode(values, outputs, ()) for values, outputs in payloads]
+        width = self._m + self._n * self.track_outputs
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
     def canonical(self, values, outputs, countdown) -> tuple[int, int]:
         """The minimizing group element and the number of ties.
@@ -525,52 +554,38 @@ class StateCanonicalizer:
         ``values``, ``outputs`` (when tracked) and ``countdown`` are tuples:
         they key the memos.
         """
-        if self._images is None:  # pragma: no cover - numpy present in CI
+        if self._images is None:
             return self._canonical_py(self._encode(values, outputs, countdown))
         coset = self._cosets.get(countdown)
         if coset is None:
             coset = self._coset(countdown)
         labeling = (values, outputs) if self.track_outputs else values
         row = self._key_rows.get(labeling)
-        if row is None or coset is None:
-            # Encoding numbers unseen labels, so it runs whenever the
-            # labeling is not memoized: codes follow the order of sight.
+        if row is None:
             base = self._encode(values, outputs, countdown)
             return self._canonical_np(base, labeling)
         return _least(self._key_table[row], coset, self._order)
 
-    def canonical_block(self, labelings, countdowns, labeling_of, countdown_of):
+    def canonical_block(self, labelings, codes, countdowns, labeling_of, countdown_of):
         """:meth:`canonical` of many states at once, as two arrays ``(gids,
         ties)``.
 
         State ``a`` is labeling ``labelings[labeling_of[a]]`` at countdown
         ``countdowns[countdown_of[a]]``.  ``labelings`` holds distinct
-        ``(values, outputs)`` pairs (outputs ``None`` unless tracked) in the
-        order of their first states, so unseen labels get codes in the
-        order calls of :meth:`canonical` in state order would give them;
-        ``countdowns`` holds distinct countdown tuples.  Every result equals
-        :meth:`canonical`'s.  The cosets of new countdowns take one product
-        per :data:`BLOCK_COLUMNS` countdowns, each labeling's keys are
-        computed once (the memo keeps them), and the states of each run of
-        :data:`BLOCK_COLUMNS` labelings take their least keys over their
-        cosets in ragged passes of at most :data:`SCAN_ELEMENTS` coset
-        elements, a key word at a time.  A code no key word holds sends the
-        block through :meth:`canonical`, state by state.
+        ``(values, outputs)`` pairs (outputs ``None`` unless tracked), row
+        ``i`` of ``codes`` the codes of ``labelings[i]``
+        (:meth:`encode_payloads`), and ``countdowns`` distinct countdown
+        tuples.  Every result equals :meth:`canonical`'s.  The cosets of new
+        countdowns take one product per :data:`BLOCK_COLUMNS` countdowns,
+        each labeling's keys are computed once (the memo keeps them), and
+        the states of each run of :data:`BLOCK_COLUMNS` labelings take their
+        least keys over their cosets in ragged passes of at most
+        :data:`SCAN_ELEMENTS` coset elements, a key word at a time.  Needs
+        the key weights: explorations take no block at an ``r`` that fits
+        no key word (they take no level pass from ``r**n >= 2**63`` on).
         """
-        track = self.track_outputs
-        m = self._m
-        rows = [self._encode(values, outputs, ()) for values, outputs in labelings]
-        codes = np.array(rows, dtype=np.int64).reshape(len(rows), m + self._n * track)
-        new = [countdown for countdown in countdowns if countdown not in self._cosets]
-        fits = self._fits(
-            int(codes[:, :m].max(initial=0)), int(codes[:, m:].max(initial=0))
-        )
-        if not (fits and (not new or self._find_cosets(new))):
-            states = zip(labeling_of.tolist(), countdown_of.tolist(), strict=True)
-            pairs = [self.canonical(*labelings[i], countdowns[j]) for i, j in states]
-            gids, ties = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            return gids, ties
-        names = [pair if track else pair[0] for pair in labelings]
+        self._find_cosets([c for c in countdowns if c not in self._cosets])
+        names = [pair if self.track_outputs else pair[0] for pair in labelings]
         cosets = [self._cosets[countdown] for countdown in countdowns]
         sizes = np.fromiter(map(len, cosets), dtype=np.int64, count=len(cosets))
         starts = np.cumsum(sizes) - sizes
@@ -647,33 +662,24 @@ class StateCanonicalizer:
         ``labeling``, the raw labeling [and outputs] of ``base``, if given."""
         n = self._n
         coset = self._coset(base[:n])
-        if coset is None:  # a countdown no key word can hold
-            return self._canonical_py(base)
         if coset.size == 1:
             return int(coset[0]), 1
-        keys = self._keys(base[n:], labeling)
-        if keys is None:  # a code no key word can hold
-            return self._canonical_py(base)
-        return _least(keys, coset, self._order)
+        return _least(self._keys(base[n:], labeling), coset, self._order)
 
     def _coset(self, countdown: tuple[int, ...]):
         """The ascending elements sending ``countdown`` to its least image,
-        memoized, or ``None`` when a countdown fits no key word."""
+        memoized."""
         coset = self._cosets.get(countdown)
-        if coset is not None or not self._countdowns_fit(max(countdown)):
-            return coset
-        keys = self._countdown_weights @ np.asarray(countdown, dtype=np.float64)
-        keys = keys.reshape(-1, self._order)
-        coset = (keys[0] == keys[0].min()).nonzero()[0]
-        coset = self._cosets[countdown] = _minima(keys[1:], coset)
+        if coset is None:
+            keys = self._countdown_weights @ np.asarray(countdown, dtype=np.float64)
+            keys = keys.reshape(-1, self._order)
+            coset = (keys[0] == keys[0].min()).nonzero()[0]
+            coset = self._cosets[countdown] = _minima(keys[1:], coset)
         return coset
 
-    def _find_cosets(self, countdowns: list[tuple[int, ...]]) -> bool:
+    def _find_cosets(self, countdowns: list[tuple[int, ...]]) -> None:
         """Memoize the cosets of ``countdowns``, as :meth:`_coset` does but
-        with one product per :data:`BLOCK_COLUMNS` of them; ``False``,
-        memoizing none, when one fits no key word."""
-        if not self._countdowns_fit(max(map(max, countdowns))):
-            return False
+        with one product per :data:`BLOCK_COLUMNS` of them."""
         weights = self._countdown_weights.T
         for start in range(0, len(countdowns), BLOCK_COLUMNS):
             chunk = countdowns[start : start + BLOCK_COLUMNS]
@@ -690,45 +696,10 @@ class StateCanonicalizer:
             elements = (np.flatnonzero(tied) % self._order).astype(np.int32)
             cosets = map(elements.__getitem__, map(slice, [0, *ends], ends))
             self._cosets.update(zip(chunk, cosets, strict=True))
-        return True
-
-    def _countdowns_fit(self, top: int) -> bool:
-        """Whether a key word holds countdown values up to ``top``, widening
-        the countdown columns (a rebuild of their weights) when needed."""
-        width = top.bit_length() or 1
-        if width > self._countdown_width:
-            if width > KEY_WORD_BITS:
-                return False
-            self._countdown_width = width
-            self._countdown_weights = _weights((width,) * self._n, self.group._nodes)
-        return True
-
-    def _fits(self, label_top: int, output_top: int) -> bool:
-        """Whether the key words hold label codes up to ``label_top`` [and
-        output codes up to ``output_top``], widening a class's columns (a
-        rebuild of the weights) when a code outgrows them; ``False`` when
-        a code fits no key word."""
-        if max(label_top, output_top) <= self._code_top:
-            return True
-        needed = [label_top.bit_length() or 1]
-        if self.track_outputs:
-            needed.append(output_top.bit_length() or 1)
-        widths = tuple(map(max, needed, self._code_widths))
-        if widths != self._code_widths:
-            if max(widths) > KEY_WORD_BITS:
-                return False
-            self._build_code_weights(widths)
-        return True
 
     def _keys(self, codes: tuple[int, ...], labeling):
         """Label [and output] codes' keys under every element, word-major,
-        memoized under ``labeling`` unless it is ``None``; ``None`` when a
-        code fits no key word."""
-        m = self._m
-        if max(codes, default=0) > self._code_top and not self._fits(
-            max(codes[:m], default=0), max(codes[m:], default=0)
-        ):
-            return None
+        memoized under ``labeling`` unless it is ``None``."""
         codes = np.asarray(codes, dtype=np.float64)
         if labeling is None or not self._memo_rows:
             return self._code_weights @ codes
@@ -743,21 +714,6 @@ class StateCanonicalizer:
             self._key_table = table
         rows[labeling] = row
         return np.matmul(self._code_weights, codes, out=table[row])
-
-    def _build_code_weights(self, widths: tuple[int, ...]) -> None:
-        """Pack label [and output] columns at ``widths`` bits per class.
-        The key memo starts over: its rows hold the old word count."""
-        column_widths = [widths[0]] * self._m
-        if self.track_outputs:
-            column_widths += [widths[1]] * self._n
-        self._code_weights = _weights(column_widths, self._images)
-        self._code_widths = widths
-        #: The largest code that every class's width holds.
-        self._code_top = (1 << min(widths)) - 1
-        length = len(self._code_weights)
-        self._key_rows.clear()
-        self._memo_rows = KEY_MEMO_FLOATS // length
-        self._key_table = np.empty((0, length))
 
     def _canonical_py(self, base: tuple[int, ...]) -> tuple[int, int]:
         group = self.group
@@ -778,6 +734,11 @@ class StateCanonicalizer:
             elif vec == best_vec:
                 ties += 1
         return best_g, ties
+
+
+def _code_width(count: int) -> int:
+    """The bit length of the largest of ``count`` codes, at least 1."""
+    return max(count - 1, 1).bit_length()
 
 
 def _weights(widths: Sequence[int], images):
@@ -870,14 +831,17 @@ def _generating_set(
     return greedy, closure
 
 
-def _verify_generator(compiled, inputs, perm, eperm, space_values) -> bool:
+def _verify_generator(compiled, inputs, perm, eperm, space_values, outputs) -> bool:
     """Exhaustively check one automorphism's reaction equivariance.
 
     For every node ``i`` (image ``j = perm[i]``) and every combination of
     incoming labels over the declared space, node ``j`` applied to the
     permuted neighborhood must produce the permuted outgoing labels and
     the same output value.  Reactions are allowed to raise — but then both
-    sides must raise.
+    sides must raise.  Each output is entered in the dict ``outputs``, in
+    the order computed, so a verified generator enters every output a node
+    can produce from labels in the space; an output that cannot be entered
+    (unhashable) fails the check.
     """
     m = compiled.m
     for i, j in enumerate(perm):
@@ -910,6 +874,10 @@ def _verify_generator(compiled, inputs, perm, eperm, space_values) -> bool:
             for position in out_pos:
                 if scratch_i[position] != scratch_j[eperm[position]]:
                     return False
+            try:
+                outputs[y_i] = None
+            except TypeError:  # no hash, so no code
+                return False
     return True
 
 
@@ -929,11 +897,13 @@ def protocol_symmetry_group(protocol, inputs: Sequence[Any]) -> SymmetryGroup | 
     inputs and the greedy generating set is the discovered generator
     list, the closure of the discovered generators serves for both, and
     when every generator verifies it is the group, in the same element
-    order.  Returns ``None`` — callers fall back to the unquotiented
-    search — when the protocol is stateful, the label space cannot be
-    enumerated, a budget (:data:`DEFAULT_MAX_GROUP_ORDER`,
-    :data:`DEFAULT_VERIFY_BUDGET`) is exceeded, or no nontrivial
-    automorphism survives verification.
+    order.  The group numbers labels in declared-space order and outputs
+    in the order verification computed them (:class:`SymmetryGroup`).
+    Returns ``None`` — callers fall back to the unquotiented search — when
+    the protocol is stateful, the label space cannot be enumerated, a
+    budget (:data:`DEFAULT_MAX_GROUP_ORDER`, :data:`DEFAULT_VERIFY_BUDGET`)
+    is exceeded, no nontrivial automorphism survives verification, or a
+    reaction returns an unhashable output, which no code can number.
     """
     inputs = tuple(inputs)
     try:
@@ -985,10 +955,11 @@ def _build_symmetry_group(protocol, inputs):
         return None
 
     verified = []
+    outputs: dict = {}
     for perm in candidates:
         eperm = edge_permutation(protocol.topology, perm)
         if eperm is not None and _verify_generator(
-            compiled, inputs, perm, eperm, space_values
+            compiled, inputs, perm, eperm, space_values, outputs
         ):
             verified.append(perm)
     if not verified:
@@ -999,6 +970,4 @@ def _build_symmetry_group(protocol, inputs):
         final = close_generators(verified, protocol.n)
     if len(final) <= 1:
         return None
-    return SymmetryGroup(
-        protocol.topology, final, label_universe=frozenset(space_values)
-    )
+    return SymmetryGroup(protocol.topology, final, space_values, outputs)

@@ -19,7 +19,8 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
 
 * **Interned components.**  Labeling value-tuples, output tuples, countdown
   vectors, and activation sets are each interned to small integer ids on
-  first sight, so a state is a triple of ints.
+  first sight, so a state is a triple of ints.  The ids only name pool
+  entries: no canonical form compares them.
 * **Packed edge and parent arrays.**  Successor lists and BFS-tree parent
   links live in flat append-only ``array.array`` stores (a CSR edge store
   and one parent link per state) instead of one Python list-of-tuples per
@@ -65,7 +66,12 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
   the per-edge walk, a chunk of them at once on the level pass
   (:meth:`~repro.graphs.automorphisms.StateCanonicalizer.canonical_block`
   answers for each what ``canonical`` would), with the same
-  representatives either way.  A concrete graph is the quotient by the
+  representatives either way.  "Least" compares the codes the group
+  fixed when it was built (labels in declared-space order, outputs in the
+  order verification computed them), which the level pass also encodes
+  its rows with, so a representative is a function of its state alone
+  and the graph stores the same set of states from any order of its
+  initial labelings.  A concrete graph is the quotient by the
   trivial group, and both run one expansion loop.  The group element of
   an edge is not stored: :meth:`element` re-canonicalizes the edge's raw
   successor, a pure function of it, and :meth:`lift` /
@@ -333,7 +339,7 @@ class ExplorationGraph:
         )
         self._group = group
         self._canonicalizer = (
-            group.canonicalizer(track_outputs) if group is not None else None
+            group.canonicalizer(track_outputs, r) if group is not None else None
         )
 
         self._engine = None
@@ -501,9 +507,9 @@ class ExplorationGraph:
         )
 
     def _check_universe(self, values: tuple) -> None:
-        universe = self._group.label_universe
+        codes = self._group.label_codes
         for value in values:
-            if value not in universe:
+            if value not in codes:
                 raise ValidationError(
                     "symmetry quotient saw a label outside the declared"
                     f" label space ({value!r}); equivariance was only"
@@ -880,8 +886,8 @@ class ExplorationGraph:
         successor to the canonical target; 0 on concrete graphs.
 
         The raw successor is re-canonicalized at the raw countdown
-        ``c(x, T)``.  ``canonical`` is a pure function of a state whose
-        labels have codes, so this is the element the exploration used.
+        ``c(x, T)``.  ``canonical`` is a pure function of the state, so
+        this is the element the exploration used.
         """
         if self._group is None:
             return 0
@@ -1154,8 +1160,9 @@ class _LevelPass:
     entry, and ``values`` its countdown.  ``pids`` / ``cids`` hold the
     payload and countdown id of each state of the level about to be
     expanded.  On a quotient, ``codes`` holds each row's label [and
-    output] codes, so a block of first arrivals is moved onto its
-    representatives by gathers (:meth:`_canonical_states`).
+    output] codes in the group's numbering, which a block of first
+    arrivals is canonicalized by and moved onto its representatives with,
+    by gathers (:meth:`_canonical_states`).
     """
 
     def __init__(self, graph: ExplorationGraph, lo: int):
@@ -1182,12 +1189,10 @@ class _LevelPass:
         #: Countdown id -> its values, a row each.
         self.values = np.array(pool, dtype=np.int64).reshape(len(pool), graph.n)
         if self.quotient:
-            # Each row's label [and output] codes, for moving a block of
-            # arrivals by gathers; numbered in order of sight.
+            # Each row's label [and output] codes, in the group's numbering,
+            # for canonicalizing a block and moving its arrivals by gathers.
             width = graph.topology.m + graph.n * graph.track_outputs
             self.codes = np.empty((0, width), dtype=np.int64)
-            self.label_codes: dict = {}
-            self.output_codes: dict = {}
         moves = graph._moves_by_cid
         cids = list(moves)
         counts = np.array([len(moves[cid][1]) for cid in cids], dtype=np.int64)
@@ -1484,11 +1489,14 @@ class _LevelPass:
         graph = self.graph
         group = graph._group
         graph._stats_counters["canonicalizations"] += len(rows)
+        codes = self._row_codes()
         first_rows, row_of = _firsts(rows)
+        labelings = rows[first_rows]
         distinct_cids = np.unique(cids)
         pool = graph._countdowns
         gids, ties = graph._canonicalizer.canonical_block(
-            [self.rows[row] for row in rows[first_rows].tolist()],
+            [self.rows[row] for row in labelings.tolist()],
+            codes[labelings],
             [pool[cid] for cid in distinct_cids.tolist()],
             row_of,
             np.searchsorted(distinct_cids, cids),
@@ -1496,17 +1504,16 @@ class _LevelPass:
         # A canonical labeling [and outputs] depends on the arrival's row
         # and element only, a canonical countdown on its countdown and
         # element: each distinct pair is moved once, in first-arrival order.
-        codes = self._row_codes()
         m = graph.topology.m
         first, pair_of = _firsts(rows * group.order + gids)
         pair_rows, pair_gids = rows[first], gids[first]
         inverses = group._inverses[pair_gids]
         moved = codes[pair_rows[:, None], group._edges[inverses]]
-        lids = self._intern_moved(moved, len(self.label_codes), pair_rows, pair_gids, 0)
-        lids = lids[pair_of]
+        top = len(group.label_codes)
+        lids = self._intern_moved(moved, top, pair_rows, pair_gids, 0)[pair_of]
         if graph.track_outputs:
             moved = codes[pair_rows[:, None], m + group._nodes[inverses]]
-            top = len(self.output_codes)
+            top = len(group.output_codes)
             oids = self._intern_moved(moved, top, pair_rows, pair_gids, 1)[pair_of]
         else:
             oids = np.zeros_like(lids)
@@ -1535,17 +1542,11 @@ class _LevelPass:
         return np.array(states, dtype=np.int64)[rank]
 
     def _row_codes(self):
-        """Label [and output] codes of every row, a row each; a quotient
-        numbers labels [and outputs] in order of sight."""
+        """Label [and output] codes of every row, a row each, in the
+        group's numbering."""
         done = len(self.codes)
         if done < len(self.rows):
-            labels, outputs = self.label_codes, self.output_codes
-            fresh = []
-            for values, outs in self.rows[done:]:
-                row = [labels.setdefault(value, len(labels)) for value in values]
-                row += [outputs.setdefault(out, len(outputs)) for out in outs or ()]
-                fresh.append(row)
-            fresh = np.array(fresh, dtype=np.int64).reshape(-1, self.codes.shape[1])
+            fresh = self.graph._canonicalizer.encode_payloads(self.rows[done:])
             self.codes = np.concatenate([self.codes, fresh])
         return self.codes
 

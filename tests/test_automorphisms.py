@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import default_inputs
+from repro.core import (
+    ExplicitLabelSpace,
+    StatelessProtocol,
+    UniformReaction,
+    default_inputs,
+)
+from repro.core.batch import batch_compile
 from repro.exceptions import ValidationError
 from repro.graphs import (
     SymmetryGroup,
@@ -158,8 +164,8 @@ class TestSymmetryGroupActions:
 
 class TestStateCanonicalizer:
     def _setup(self, topology):
-        group = SymmetryGroup(topology, _full_group(topology))
-        return group, group.canonicalizer(track_outputs=False)
+        group = SymmetryGroup(topology, _full_group(topology), (0, 1))
+        return group, group.canonicalizer(track_outputs=False, r=3)
 
     def test_canonical_is_idempotent_and_orbit_invariant(self):
         topology = clique(4)
@@ -201,21 +207,41 @@ def _torus_shift_group(rows, cols):
     n = rows * cols
     down = tuple(((i // cols + 1) % rows) * cols + i % cols for i in range(n))
     right = tuple((i // cols) * cols + (i % cols + 1) % cols for i in range(n))
-    return SymmetryGroup(torus(rows, cols), close_generators([down, right], n))
+    return SymmetryGroup(
+        torus(rows, cols), close_generators([down, right], n), _LABELS, _OUTPUTS
+    )
 
+
+#: The declared labels and outputs of the groups below: codes up to 300
+#: (and labels of several types), as ``_bases`` draws them.
+_LABELS = (*range(301), "a", "b", None, ("t", 1))
+_OUTPUTS = range(300)
+#: Their canonicalizers' fairness bound: countdown codes up to 300 too.
+_R = 300
 
 #: One group per family the quotient meets: symmetric groups on cliques,
 #: cyclic and dihedral groups on rings, and the shift group of a torus.
 _GROUPS = {
-    "S4": SymmetryGroup(clique(4), _full_group(clique(4))),
-    "S5": SymmetryGroup(clique(5), _full_group(clique(5))),
+    "S4": SymmetryGroup(clique(4), _full_group(clique(4)), _LABELS, _OUTPUTS),
+    "S5": SymmetryGroup(clique(5), _full_group(clique(5)), _LABELS, _OUTPUTS),
     "C6": SymmetryGroup(
         unidirectional_ring(6),
         close_generators([tuple((i + 1) % 6 for i in range(6))], 6),
+        _LABELS,
+        _OUTPUTS,
     ),
-    "D6": SymmetryGroup(bidirectional_ring(6), _full_group(bidirectional_ring(6))),
+    "D6": SymmetryGroup(
+        bidirectional_ring(6), _full_group(bidirectional_ring(6)), _LABELS, _OUTPUTS
+    ),
     "Z3xZ4": _torus_shift_group(3, 4),
 }
+#: S_4 over three labels, whose 12 label columns pack into one key word.
+_S4_TERNARY = SymmetryGroup(clique(4), _full_group(clique(4)), range(3))
+#: S_5 over 600 labels, whose 20 label columns (10 bits each) take four
+#: key words, compared in order.
+_S5_WIDE = SymmetryGroup(
+    clique(5), _full_group(clique(5)), [f"l{i}" for i in range(600)], "xy"
+)
 
 
 def _base_length(canon):
@@ -237,11 +263,11 @@ def _bases(draw, length, top=None):
 
 def _check_blocks(group, track_outputs, blocks):
     """Canonicalize each block of ``(values, outputs, countdown)`` states
-    through one canonicalizer's ``canonical_block`` and, state by state,
-    through another's ``canonical``: equal results, and equal codes after
-    every block."""
-    block = group.canonicalizer(track_outputs)
-    single = group.canonicalizer(track_outputs)
+    (countdown values up to 4) through one canonicalizer's
+    ``canonical_block`` and, state by state, through another's
+    ``canonical``: equal results."""
+    block = group.canonicalizer(track_outputs, 4)
+    single = group.canonicalizer(track_outputs, 4)
     for states in blocks:
         labelings: dict = {}
         countdowns: dict = {}
@@ -253,22 +279,22 @@ def _check_blocks(group, track_outputs, blocks):
             expected.append(single.canonical(*labeling, countdown))
         gids, ties = block.canonical_block(
             list(labelings),
+            block.encode_payloads(labelings),
             list(countdowns),
             np.array(labeling_of),
             np.array(countdown_of),
         )
         assert list(zip(gids.tolist(), ties.tolist(), strict=True)) == expected
-        assert block._label_codes == single._label_codes
-        assert block._output_codes == single._output_codes
 
 
 @st.composite
 def _state_blocks(draw, group, top=None, blocks=3):
     """Blocks of states over a few labelings, outputs and countdowns, which
-    recur within and across blocks."""
+    recur within and across blocks: labels are the group's first ``top + 1``
+    and outputs its first three."""
     m, n = group.topology.m, group.n
     top = draw(st.sampled_from((1, 2, 4, 300))) if top is None else top
-    codes = st.integers(0, top)
+    codes = st.sampled_from(group.label_universe[: top + 1])
 
     def vectors(values, length):
         # Uniform vectors tie across the group, so later columns decide.
@@ -277,7 +303,8 @@ def _state_blocks(draw, group, top=None, blocks=3):
         )
 
     labelings = draw(st.lists(vectors(codes, m), min_size=1, max_size=6))
-    outputs = draw(st.lists(vectors(st.integers(0, 2), n), min_size=1, max_size=3))
+    output_values = st.sampled_from(list(group.output_codes)[:3])
+    outputs = draw(st.lists(vectors(output_values, n), min_size=1, max_size=3))
     countdowns = draw(st.lists(vectors(st.integers(1, 4), n), min_size=1, max_size=8))
     states = st.tuples(
         st.sampled_from(labelings),
@@ -302,7 +329,7 @@ class TestPackedCanonicalForm:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_reference(self, name, track_outputs, data):
-        canon = _GROUPS[name].canonicalizer(track_outputs)
+        canon = _GROUPS[name].canonicalizer(track_outputs, _R)
         base = data.draw(_bases(_base_length(canon)))
         assert canon._canonical_np(base) == canon._canonical_py(base)
 
@@ -310,34 +337,21 @@ class TestPackedCanonicalForm:
     @pytest.mark.parametrize("name", sorted(_GROUPS))
     def test_all_equal_states_tie_across_the_group(self, name, track_outputs):
         group = _GROUPS[name]
-        canon = group.canonicalizer(track_outputs)
+        canon = group.canonicalizer(track_outputs, _R)
         for code in (0, 1, 5):
             base = (code,) * _base_length(canon)
             assert canon._canonical_np(base) == (0, group.order)
             assert canon._canonical_py(base) == (0, group.order)
 
     @pytest.mark.parametrize("track_outputs", [False, True])
-    @pytest.mark.parametrize("name", ["S5", "D6", "Z3xZ4"])
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_widening_codes_rebuild_the_weights(self, name, track_outputs, data):
-        # One canonicalizer sees ever wider codes, then the narrow states
-        # again under the widest weights.
-        canon = _GROUPS[name].canonicalizer(track_outputs)
-        length = _base_length(canon)
-        bases = []
-        for top in (0, 1, 3, 12, 200, 70_000):
-            base = data.draw(_bases(length, top=top))
-            bases.append(base[:-1] + (top,))  # the largest code reaches ``top``
-            assert canon._canonical_np(bases[-1]) == canon._canonical_py(bases[-1])
-        for base in bases:
-            assert canon._canonical_np(base) == canon._canonical_py(base)
-
-    @pytest.mark.parametrize("track_outputs", [False, True])
     def test_each_class_packs_at_its_own_width(self, track_outputs):
-        # Countdown, label and output columns pack at their own widths:
+        # Countdown, label and output columns pack at their own widths,
+        # fixed when the canonicalizer is built (41, 13 and 10 bits here):
         # each class in turn holds codes far wider than the others.
-        canon = _GROUPS["S5"].canonicalizer(track_outputs)
+        group = SymmetryGroup(
+            clique(5), _full_group(clique(5)), range(5001), range(900)
+        )
+        canon = group.canonicalizer(track_outputs, 2**40)
         outputs = (1, 0, 0, 1, 1) if track_outputs else ()
         wide_outputs = (900, 0, 3, 900, 1) if track_outputs else ()
         for base in (
@@ -350,11 +364,13 @@ class TestPackedCanonicalForm:
 
     @pytest.mark.parametrize("track_outputs", [False, True])
     def test_a_label_part_wider_than_one_key_word(self, track_outputs):
-        # S_5's 20 label columns at 9 bits (codes up to 300) need four key
-        # words, compared in order.  Labels are fresh objects, so codes
-        # climb past 300 over the calls, and earlier labelings come back.
-        group = _GROUPS["S5"]
-        canon = group.canonicalizer(track_outputs)
+        # S_5's 20 label columns at 10 bits (600 labels) need four key
+        # words, compared in order.  Each labeling draws on fresh labels,
+        # so the codes climb through the space, and earlier labelings come
+        # back.
+        group = _S5_WIDE
+        canon = group.canonicalizer(track_outputs, 3)
+        assert len(canon._code_weights) >= 4 * group.order
         rng = random.Random(5)
         labelings = []
         for step in range(60):
@@ -382,7 +398,7 @@ class TestPackedCanonicalForm:
         # A sequence of calls that revisits labelings and countdowns hits
         # both memos; every call must still equal the reference scan.
         group = _GROUPS[name]
-        canon = group.canonicalizer(track_outputs)
+        canon = group.canonicalizer(track_outputs, _R)
         m, n = group.topology.m, group.n
         labels = st.sampled_from(("a", "b", 7, None, ("t", 1)))
 
@@ -412,8 +428,8 @@ class TestPackedCanonicalForm:
         # labelings and starts over on the third, a cap of 5 holds none.
         # Each labeling comes three times in a row, then returns later.
         monkeypatch.setattr(automorphisms, "KEY_MEMO_FLOATS", cap)
-        group = _GROUPS["S4"]
-        canon = group.canonicalizer(track_outputs=False)
+        group = _S4_TERNARY
+        canon = group.canonicalizer(track_outputs=False, r=3)
         rng = random.Random(cap)
         labelings = [
             tuple(rng.randrange(3) for _ in range(group.topology.m))
@@ -427,14 +443,22 @@ class TestPackedCanonicalForm:
             assert canon._key_table.size <= cap
 
     def test_codes_no_key_word_holds_fall_back_to_the_scan(self):
-        # A countdown of r = 2**60 is a legal, if hopeless, fairness bound.
-        canon = _GROUPS["D6"].canonicalizer(track_outputs=False)
-        base = (2**60,) * 6 + (0, 1) * 6
-        assert canon._canonical_np(base) == canon._canonical_py(base)
+        # r = 2**60 is a legal, if hopeless, fairness bound.  Its countdown
+        # columns fit no key word, so the canonicalizer built for it takes
+        # the plain scan for every call, which agrees with the packed route
+        # wherever both apply.
+        group = _GROUPS["D6"]
+        canon = group.canonicalizer(track_outputs=False, r=2**60)
+        packed = group.canonicalizer(track_outputs=False, r=2)
+        assert canon._images is None and packed._images is not None
         values = (0, 1, 1, 0) * 3
         for countdown in ((2**60,) * 6, (2**60, 1, 2, 2**60, 1, 2), (1, 2) * 3):
             got = canon.canonical(values, None, countdown)
             assert got == canon._canonical_py(canon._encode(values, None, countdown))
+        countdown = (1, 2) * 3
+        assert canon.canonical(values, None, countdown) == packed.canonical(
+            values, None, countdown
+        )
 
 
     @pytest.mark.parametrize("track_outputs", [False, True])
@@ -446,25 +470,10 @@ class TestPackedCanonicalForm:
         _check_blocks(group, track_outputs, data.draw(_state_blocks(group)))
 
     @pytest.mark.parametrize("track_outputs", [False, True])
-    @pytest.mark.parametrize("name", ["S5", "D6", "Z3xZ4"])
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_blocks_of_widening_codes(self, name, track_outputs, data):
-        # Each block's codes reach further, so one block widens the weights
-        # once for codes that arrive state by state; then narrow codes
-        # come back under the widest weights.
-        group = _GROUPS[name]
-        blocks = [
-            data.draw(_state_blocks(group, top=top, blocks=1))[0]
-            for top in (0, 1, 3, 12, 200, 70_000, 2)
-        ]
-        _check_blocks(group, track_outputs, blocks)
-
-    @pytest.mark.parametrize("track_outputs", [False, True])
     def test_a_block_with_a_label_part_wider_than_one_key_word(self, track_outputs):
-        # As above, S_5's label columns need four key words once codes
-        # pass 300, and blocks revisit earlier labelings.
-        group = _GROUPS["S5"]
+        # As above, S_5's label columns over 600 labels need four key words,
+        # and blocks revisit earlier labelings.
+        group = _S5_WIDE
         rng = random.Random(7)
         m = group.topology.m
         labelings, blocks = [], []
@@ -490,7 +499,7 @@ class TestPackedCanonicalForm:
     def test_blocks_keep_the_key_memo_within_its_cap(self, monkeypatch, cap):
         monkeypatch.setattr(automorphisms, "KEY_MEMO_FLOATS", cap)
         monkeypatch.setattr(automorphisms, "BLOCK_COLUMNS", 2)
-        group = _GROUPS["S4"]
+        group = _S4_TERNARY
         rng = random.Random(cap)
         labelings = [
             tuple(rng.randrange(3) for _ in range(group.topology.m)) for _ in range(6)
@@ -501,16 +510,6 @@ class TestPackedCanonicalForm:
             return rng.choice(labelings), None, countdown
 
         _check_blocks(group, False, [[state() for _ in range(12)] for _ in range(5)])
-
-    def test_a_block_no_key_word_holds_falls_back_to_the_scan(self):
-        group = _GROUPS["D6"]
-        values = (0, 1, 1, 0) * 3
-        wide = (2**60, 1, 2, 2**60, 1, 2)
-        blocks = [
-            [(values, None, (1, 2) * 3), (values, None, (2**60,) * 6)],
-            [((0, 1) * 6, None, wide), (values, None, (1, 2) * 3)],
-        ]
-        _check_blocks(group, False, blocks)
 
 
 class TestCanonicalBlock:
@@ -610,6 +609,24 @@ def _reference_elements(protocol, inputs):
     return closure
 
 
+def _string_copy_ring(n: int) -> StatelessProtocol:
+    """The copy ring over three string labels, declared out of sorted
+    order; each node outputs its label upper-cased."""
+    topology = unidirectional_ring(n)
+
+    def make(i):
+        def fn(incoming, _x):
+            (value,) = incoming.values()
+            return value, value.upper()
+
+        return UniformReaction(topology.out_edges(i), fn)
+
+    space = ExplicitLabelSpace(("mid", "lo", "hi"))
+    return StatelessProtocol(
+        topology, space, [make(i) for i in range(n)], name="string-copy-ring"
+    )
+
+
 class TestProtocolSymmetryGroup:
     @pytest.mark.parametrize(
         "protocol, inputs",
@@ -664,7 +681,31 @@ class TestProtocolSymmetryGroup:
         group = protocol_symmetry_group(protocol, default_inputs(protocol))
         assert group is not None
         assert group.order == 24
-        assert group.label_universe == frozenset({0, 1})
+        assert group.label_universe == (0, 1)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [example1_protocol(4), xor_ring_protocol(6), _string_copy_ring(4)],
+        ids=["K4", "xor-ring", "string-copy-ring"],
+    )
+    def test_labels_are_numbered_as_the_batch_interner_numbers_them(self, protocol):
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        interner = batch_compile(protocol).interner
+        assert group.label_universe == tuple(protocol.label_space)
+        assert group.label_universe == tuple(interner.codes)
+        assert group.label_codes == interner.codes
+
+    def test_outputs_are_numbered_in_verification_order_after_none(self):
+        # Verification first runs node 0 on each label of the space, in
+        # declared order.
+        protocol = _string_copy_ring(4)
+        group = protocol_symmetry_group(protocol, default_inputs(protocol))
+        assert group.output_codes == {None: 0, "MID": 1, "LO": 2, "HI": 3}
+
+    def test_a_label_without_a_code_is_refused(self):
+        canon = _S4_TERNARY.canonicalizer(track_outputs=False, r=3)
+        with pytest.raises(ValidationError, match="has no code"):
+            canon.canonical((3,) * 12, None, (1, 2, 3, 3))
 
     def test_result_is_cached_per_protocol(self):
         protocol = or_clique_protocol(clique(4))

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import ExecutionPolicy
 from repro.core import (
+    ExplicitLabelSpace,
     ExplicitSchedule,
     Labeling,
     Simulator,
@@ -418,7 +419,9 @@ def _benchmark_order(protocol, task, seed=4242):
 class TestVerifyCliqueVerdicts:
     """The two verdicts of the verify-clique benchmark (seed 4242), pinned
     field by field: speed work on the exploration core must move none of
-    its counters, its stores or its witness."""
+    its counters, its stores or its witness.  A quotient's representatives
+    depend on the state alone, so its counters are the same at every
+    seed."""
 
     def test_k5_concrete(self):
         pytest.importorskip("numpy")  # the batch frontier's counters
@@ -468,14 +471,15 @@ class TestVerifyCliqueVerdicts:
             frozenset({1, 3}),
         )
 
-    def test_k6_quotient(self):
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_k6_quotient(self, seed):
         pytest.importorskip("numpy")
         protocol = example1_protocol(6)
         verdict = decide_label_r_stabilizing(
             protocol,
             default_inputs(protocol),
             4,
-            initial_labelings=_benchmark_order(protocol, "K6q"),
+            initial_labelings=_benchmark_order(protocol, "K6q", seed),
             policy=ExecutionPolicy(symmetry="auto"),
         )
         assert verdict.stabilizing
@@ -484,12 +488,12 @@ class TestVerifyCliqueVerdicts:
             "states": 299,
             "edges": 10_629,
             "initial_states": 7,
-            "labeling_pool": 31,
+            "labeling_pool": 7,
             "output_pool": 1,
             "countdown_pool": 523,
             "activation_set_pool": 63,
-            "transition_cache_hits": 8_676,
-            "transition_cache_misses": 1_953,
+            "transition_cache_hits": 10_188,
+            "transition_cache_misses": 441,
             "activation_cache_hits": 243,
             "activation_cache_misses": 56,
             "peak_frontier": 184,
@@ -498,15 +502,16 @@ class TestVerifyCliqueVerdicts:
             "batch_rows": 0,
             "symmetry_order": 720,
             "covered_states": 27_634,
-            "canonicalizations": 2_352,
-            "canonical_cache_hits": 8_277,
+            "canonicalizations": 2_358,
+            "canonical_cache_hits": 8_271,
             "reduction_factor": 27_634 / 299,
         }
 
 
-#: Builds Example 1 on K_4 at r = 3, concrete and on the quotient, decides
-#: it, and prints every store and what the verdicts say as JSON.
-#: ``block_numpy`` runs it as if numpy were not installed.
+#: Builds Example 1 on K_4 at r = 3, concrete and on the quotient, and
+#: on the quotient with outputs tracked, decides it, and prints every store
+#: and what the verdicts say as JSON.  ``block_numpy`` runs it as if numpy
+#: were not installed.
 _VERDICT_SCRIPT = """
 import json, sys
 if sys.argv[1] == "block_numpy":
@@ -515,17 +520,22 @@ from repro import ExecutionPolicy
 from repro.core import default_inputs
 from repro.stabilization import (
     ExplorationGraph, broadcast_labelings, decide_label_r_stabilizing,
-    example1_protocol,
+    decide_output_r_stabilizing, example1_protocol,
 )
 protocol = example1_protocol(4)
 initial = list(broadcast_labelings(protocol.topology, protocol.label_space))
 report = []
-for symmetry in ("none", "auto"):
+for symmetry, track_outputs in (("none", False), ("auto", False), ("auto", True)):
     policy = ExecutionPolicy(symmetry=symmetry)
     graph = ExplorationGraph(
-        protocol, default_inputs(protocol), 3, initial, policy=policy
+        protocol, default_inputs(protocol), 3, initial,
+        track_outputs=track_outputs, policy=policy,
     )
-    verdict = decide_label_r_stabilizing(
+    decide = (
+        decide_output_r_stabilizing if track_outputs
+        else decide_label_r_stabilizing
+    )
+    verdict = decide(
         protocol,
         default_inputs(protocol),
         3,
@@ -637,13 +647,15 @@ class TestWithoutNumpy:
             )
             reports[mode] = json.loads(run.stdout)
         # No level of K_4 holds a bucket of 32 rows, so even the kernel
-        # counters agree.
+        # counters agree.  The output quotient checks that the plain scan
+        # and the packed keys number outputs alike.
         assert reports["block_numpy"] == reports["with_numpy"]
-        concrete, quotient = reports["block_numpy"]
+        concrete, quotient, outputs = reports["block_numpy"]
         assert concrete["stats"]["frontier_mode"] == "serial"
-        assert (concrete["states"], quotient["states"]) == (404, 44)
-        assert quotient["symmetry_order"] == 24
-        assert not concrete["stabilizing"] and not quotient["stabilizing"]
+        states = (concrete["states"], quotient["states"], outputs["states"])
+        assert states == (404, 44, 79)
+        assert quotient["symmetry_order"] == outputs["symmetry_order"] == 24
+        assert not any(report["stabilizing"] for report in reports["block_numpy"])
 
 
 class TestActivationSetCache:
@@ -841,9 +853,9 @@ def build_on_both_routes(protocol, r, inits, **kwargs):
     return level, per_edge
 
 
-def doubling_ring_protocol(n: int) -> StatelessProtocol:
+def doubling_ring_protocol(n: int, space=None) -> StatelessProtocol:
     """A ring whose nodes forward twice their incoming bit: a 1 becomes
-    the label 2, outside the declared binary space."""
+    the label 2, outside the declared ``space`` (binary by default)."""
     topology = unidirectional_ring(n)
 
     def make(i):
@@ -854,7 +866,10 @@ def doubling_ring_protocol(n: int) -> StatelessProtocol:
         return UniformReaction(topology.out_edges(i), fn)
 
     return StatelessProtocol(
-        topology, binary(), [make(i) for i in range(n)], name=f"doubling-ring({n})"
+        topology,
+        space or binary(),
+        [make(i) for i in range(n)],
+        name=f"doubling-ring({n})",
     )
 
 
@@ -971,9 +986,9 @@ class TestLevelPass:
             starts.append(lo)
             return level_pass(graph, lo)
 
-        def spy_block(canonicalizer, labelings, countdowns, *states):
+        def spy_block(canonicalizer, labelings, codes, countdowns, *states):
             blocks.append(len(states[0]))
-            return block(canonicalizer, labelings, countdowns, *states)
+            return block(canonicalizer, labelings, codes, countdowns, *states)
 
         def per_arrival(*_args):
             raise AssertionError("a first arrival was canonicalized alone")
@@ -1104,7 +1119,11 @@ class TestLevelPass:
     @pytest.mark.parametrize(
         "protocol, symmetry, error",
         [
-            (doubling_ring_protocol(5), "auto", ValidationError),
+            (
+                doubling_ring_protocol(5, ExplicitLabelSpace((1, 0))),
+                "auto",
+                ValidationError,
+            ),
             (raising_ring_protocol(5), "none", RuntimeError),
         ],
         ids=["out-of-space-quotient", "raising-reaction"],
@@ -1113,8 +1132,11 @@ class TestLevelPass:
         self, protocol, symmetry, error, numpy_present, monkeypatch
     ):
         # From (1, 0, 0, 0, 0), the root's first edge (T = {0}) reaches the
-        # new state 0^5 and its second (T = {1}) fails.  With room for the
-        # root alone, the budget is exceeded first; with room to spare, the
+        # new state 0^5 and its second (T = {1}) fails.  The quotient's
+        # space declares 1 before 0, so that root is the least rotation of
+        # itself: under 0 before 1 the root would hold its 1 on node 0's
+        # in-edge, and its first edge would fail.  With room for the root
+        # alone, the budget is exceeded first; with room to spare, the
         # failing transition raises.  The level pass evaluates the level's
         # transitions before its arrivals, yet raises in edge order too.
         inputs = default_inputs(protocol)

@@ -10,8 +10,13 @@ automorphism group is equivariant), plus golden checks on the paper zoo.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +24,11 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Labeling,
+    LambdaReaction,
     RunOutcome,
     Simulator,
+    StatelessProtocol,
+    binary,
     default_inputs,
     minimal_fairness,
 )
@@ -358,3 +366,203 @@ class TestGoldenZoo:
         for group in (verified, wrong):
             with pytest.raises(ValidationError, match="unknown symmetry"):
                 ExecutionPolicy(symmetry=group)
+
+
+def stored_states(graph) -> set:
+    """The ``(labeling, outputs, countdown)`` of every stored state."""
+    return {
+        (graph.labeling_of(k), graph.outputs_of(k), graph.countdown_of(k))
+        for k in range(len(graph))
+    }
+
+
+#: Example 1 on K_4 and K_5, built once, so its group is verified once.
+_EXAMPLE1 = {n: example1_protocol(n) for n in (4, 5)}
+
+#: Builds a quotient over string labels from the broadcast labelings in
+#: their natural order and reversed, with outputs tracked, and prints the
+#: first graph's stores and both graphs' sets of states as JSON.  A
+#: numbering taken from set iteration would follow ``PYTHONHASHSEED``.
+_STRING_LABELS_SCRIPT = """
+import json
+from repro import ExecutionPolicy
+from repro.core import ExplicitLabelSpace, LambdaReaction, StatelessProtocol
+from repro.core import default_inputs
+from repro.graphs import clique
+from repro.stabilization import ExplorationGraph, broadcast_labelings
+
+topology = clique(3)
+rank = {"lo": 0, "mid": 1, "hi": 2}
+
+def make(i):
+    def fn(incoming, _x):
+        label = max(incoming.values(), key=rank.__getitem__)
+        return {e: label for e in topology.out_edges(i)}, label.upper()
+    return LambdaReaction(fn)
+
+protocol = StatelessProtocol(
+    topology, ExplicitLabelSpace(("lo", "mid", "hi")),
+    [make(i) for i in range(3)], name="max-clique",
+)
+inits = list(broadcast_labelings(topology, protocol.label_space))
+report = {}
+for name, order in (("natural", inits), ("reversed", inits[::-1])):
+    graph = ExplorationGraph(
+        protocol, default_inputs(protocol), 2, order, track_outputs=True,
+        policy=ExecutionPolicy(symmetry="auto"),
+    )
+    assert graph.quotient
+    states = {
+        (graph.labeling_of(k), graph.outputs_of(k), graph.countdown_of(k))
+        for k in range(len(graph))
+    }
+    report[name] = sorted(map(repr, states))
+    if name == "natural":
+        report["stores"] = repr([
+            graph.state_keys, graph._labels, graph._outs, graph._countdowns,
+            list(graph.edge_offsets), list(graph.edge_dst),
+            list(graph.edge_sid), list(graph.parent_idx),
+        ])
+print(json.dumps(report))
+"""
+
+
+class TestRepresentatives:
+    """A quotient stores the least state of each orbit under codes its
+    group fixes from the protocol (labels in declared order, outputs in
+    verification order), so a representative is a function of its state
+    alone: no order of the initial labelings, and no hash seed, moves
+    it."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_initial_labelings_store_the_same_states(self, data):
+        if data.draw(st.booleans()):
+            rng = random.Random(data.draw(st.integers(0, 10**6)))
+            protocol = symmetric_protocol(rng)
+            r = rng.randrange(1, 4)
+            inits = [random_labeling(rng, protocol) for _ in range(4)]
+        else:
+            protocol = _EXAMPLE1[data.draw(st.sampled_from([4, 5]))]
+            r = 3
+            inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        track_outputs = data.draw(st.booleans())
+        first, second = (
+            ExplorationGraph(
+                protocol,
+                default_inputs(protocol),
+                r,
+                data.draw(st.permutations(inits)),
+                track_outputs=track_outputs,
+                policy=QUOTIENT,
+            )
+            for _ in range(2)
+        )
+        assert first.quotient
+        assert stored_states(first) == stored_states(second)
+        assert (first.num_edges, first.stats().covered_states) == (
+            second.num_edges,
+            second.stats().covered_states,
+        )
+
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("n, r", [(5, 3), (6, 4)])
+    def test_a_fresh_canonicalizer_fixes_every_stored_state(self, n, r, track_outputs):
+        # Built from a shuffled order (verify-clique's at seed 4242 on
+        # K_6), every stored state is its own representative under the
+        # canonicalizer of a fresh protocol's group, whatever order it
+        # meets them in: here by labeling, from 0^m up.
+        protocol = example1_protocol(n)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        order = random.Random(f"4242/K{n}q").sample(range(len(inits)), len(inits))
+        graph = ExplorationGraph(
+            protocol,
+            inputs,
+            r,
+            [inits[i] for i in order],
+            track_outputs=track_outputs,
+            policy=QUOTIENT,
+        )
+        fresh = example1_protocol(n)
+        canon = protocol_symmetry_group(fresh, inputs).canonicalizer(track_outputs, r)
+        for k in sorted(range(len(graph)), key=graph.labeling_of):
+            outputs = graph.outputs_of(k) if track_outputs else None
+            state = (graph.labeling_of(k), outputs, graph.countdown_of(k))
+            assert canon.canonical(*state)[0] == 0
+
+    def test_string_labels_store_alike_under_every_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", _STRING_LABELS_SCRIPT],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            reports.append(json.loads(run.stdout))
+        assert reports[0] == reports[1]
+        assert reports[0]["natural"] == reports[0]["reversed"]
+
+
+def list_output_clique(n: int) -> StatelessProtocol:
+    """An OR clique whose nodes output their bit in a list: unhashable."""
+    topology = clique(n)
+
+    def make(i):
+        def fn(incoming, _x):
+            bit = 1 if any(incoming.values()) else 0
+            return {e: bit for e in topology.out_edges(i)}, [bit]
+
+        return LambdaReaction(fn)
+
+    return StatelessProtocol(
+        topology, binary(), [make(i) for i in range(n)], name="list-output-clique"
+    )
+
+
+class TestUnhashableOutputs:
+    """Verification numbers every output it computes, so an unhashable
+    output gets the protocol no group: the search runs unquotiented."""
+
+    def test_no_group_and_the_labels_only_answers_stand(self):
+        protocol = list_output_clique(4)
+        inputs = default_inputs(protocol)
+        assert protocol_symmetry_group(protocol, inputs) is None
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        graph = ExplorationGraph(protocol, inputs, 2, inits, policy=QUOTIENT)
+        plain = ExplorationGraph(protocol, inputs, 2, inits)
+        assert not graph.quotient
+        assert graph_stores(graph) == graph_stores(plain)
+        verdicts = [
+            decide_label_r_stabilizing(
+                protocol, inputs, 2, initial_labelings=inits, policy=policy
+            )
+            for policy in (QUOTIENT, ExecutionPolicy())
+        ]
+        assert verdicts[0].stabilizing == verdicts[1].stabilizing
+        assert verdicts[0].states_explored == verdicts[1].states_explored
+
+    def test_tracked_outputs_fail_alike_on_both_symmetries(self):
+        # Interning an output tuple needs its hash, so tracking unhashable
+        # outputs fails on the concrete graph; the quotient request now
+        # fails the same way, where its canonicalizer failed before.
+        protocol = list_output_clique(4)
+        inputs = default_inputs(protocol)
+        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
+        errors = []
+        for policy in (QUOTIENT, ExecutionPolicy()):
+            with pytest.raises(TypeError, match="unhashable") as raised:
+                ExplorationGraph(
+                    protocol, inputs, 2, inits, track_outputs=True, policy=policy
+                )
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert protocol_symmetry_group(protocol, inputs) is None
